@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dpg import LoopConfig, TrainState, run_loop
 from .ebm import Ebm
 from .errors import ConfigError, NoAcceptedSamples
 from .features import ConstraintSet
 from .lm import TabularARModel, mle_fit
-from .metrics import EvalOptions, MetricsRecord, snapshot
+from .metrics import EvalOptions, MetricsRecord
 from .seqspace import SampleBatch
 
 REINFORCE_PHI = "reinforce-phi"
@@ -26,36 +27,27 @@ REJECTION_MLE = "rejection-mle"
 
 TRAINER_KINDS = (REINFORCE_PHI, REINFORCE_P, KL_PENALIZED)
 
+# Multiplicative step of the adaptive-beta controller in `kl_penalized_step`.
+BETA_STEP = 0.1
 
-@dataclass
-class BaselineConfig:
+
+@dataclass(kw_only=True)
+class BaselineConfig(LoopConfig):
     kind: str
-    iterations: int = 0
-    samples_per_iteration: int = 1
-    learning_rate: float = 0.1
     beta: float | None = None
     beta_adaptive: bool = False
     kl_target: float | None = None
-    beta_step: float = 0.1
-    eval_every: int = 10
-    seed: int = 0
-    policy_order: int | None = None
-    sample_budget: int | None = None
-    fit_order: int | None = None
-    fit_smoothing: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in TRAINER_KINDS + (REJECTION_MLE,):
-            raise ConfigError(f"unknown baseline kind {self.kind!r}")
+        super().__post_init__()
+        if self.kind not in TRAINER_KINDS:
+            raise ConfigError(f"kind must be one of {TRAINER_KINDS}, got {self.kind!r}")
         if (self.beta is not None) != (self.kind == KL_PENALIZED):
             raise ConfigError("beta must be given exactly when kind is kl-penalized")
+        if self.beta is not None and self.beta < 0:
+            raise ConfigError("beta must be >= 0")
         if self.beta_adaptive and self.kl_target is None:
             raise ConfigError("beta_adaptive needs a kl_target")
-        if self.kind == REJECTION_MLE:
-            if self.sample_budget is None or self.fit_order is None:
-                raise ConfigError("rejection-mle needs sample_budget and fit_order")
-        elif self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
 
 
 def reinforce_step(
@@ -86,11 +78,10 @@ def kl_penalized_step(
     rng: np.random.Generator,
     beta_adaptive: bool = False,
     kl_target: float | None = None,
-    beta_step: float = 0.1,
 ) -> float:
     """Policy-gradient step on reward(x) - beta * log(pi(x)/a(x)); returns new beta.
 
-    When adaptive, beta moves multiplicatively by (1 + beta_step): up while the
+    When adaptive, beta moves multiplicatively by (1 + BETA_STEP): up while the
     estimated KL(pi||a) exceeds the target, down otherwise.
     """
     samples = policy.sample_batch(k, rng)
@@ -102,9 +93,9 @@ def kl_penalized_step(
     if beta_adaptive:
         estimated_kl = float(log_ratio.mean())
         if estimated_kl > kl_target:
-            beta = beta * (1.0 + beta_step)
+            beta = beta * (1.0 + BETA_STEP)
         else:
-            beta = beta / (1.0 + beta_step)
+            beta = beta / (1.0 + BETA_STEP)
     return beta
 
 
@@ -123,7 +114,7 @@ def rejection_mle(
     constraint_set: ConstraintSet,
     sample_budget: int,
     order: int,
-    smoothing: float,
+    smoothing: float = 1.0,
     seed: int = 0,
     chunk: int = 8192,
 ) -> tuple[TabularARModel, RejectionStats]:
@@ -162,19 +153,9 @@ def train_baseline(
     config: BaselineConfig,
     eval_options: EvalOptions | None = None,
 ) -> BaselineResult:
-    """Run a policy-gradient baseline with the same snapshot cadence as the
-    distributional trainer. The feature reward is the sum over constraint
-    features (a single constraint's reward is just its feature)."""
-    if config.kind == REJECTION_MLE:
-        raise ConfigError("rejection-mle is fitted via rejection_mle, not trained")
-    eval_options = eval_options or EvalOptions()
-    rng_train, rng_eval = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
-    ]
-    order = config.policy_order
-    if order is None:
-        order = max(base.order, base.space.lmax)
-    policy = base.to_order(order, trainable=True)
+    """Run a policy-gradient baseline through the distributional trainer's loop.
+    The feature reward is the sum over constraint features (a single
+    constraint's reward is just its feature)."""
     constraint_set = target.constraint_set
 
     def phi_reward(batch: SampleBatch) -> np.ndarray:
@@ -183,34 +164,19 @@ def train_baseline(
     def score_reward(batch: SampleBatch) -> np.ndarray:
         return np.exp(target.log_score_batch(batch))
 
+    k, lr = config.samples_per_iteration, config.learning_rate
     beta = config.beta
-    history = [
-        snapshot(0, config.kind, policy, base, target, rng_eval, eval_options)
-    ]
-    for i in range(config.iterations):
-        if config.kind == REINFORCE_PHI:
-            reinforce_step(
-                policy, phi_reward, config.samples_per_iteration, config.learning_rate, rng_train
-            )
-        elif config.kind == REINFORCE_P:
-            reinforce_step(
-                policy, score_reward, config.samples_per_iteration, config.learning_rate, rng_train
+
+    def step(state: TrainState, rng: np.random.Generator) -> None:
+        nonlocal beta
+        if config.kind == KL_PENALIZED:
+            beta = kl_penalized_step(
+                state.policy, base, phi_reward, beta, k, lr, rng,
+                beta_adaptive=config.beta_adaptive, kl_target=config.kl_target,
             )
         else:
-            beta = kl_penalized_step(
-                policy,
-                base,
-                phi_reward,
-                beta,
-                config.samples_per_iteration,
-                config.learning_rate,
-                rng_train,
-                beta_adaptive=config.beta_adaptive,
-                kl_target=config.kl_target,
-                beta_step=config.beta_step,
-            )
-        if (i + 1) % config.eval_every == 0:
-            history.append(
-                snapshot(i + 1, config.kind, policy, base, target, rng_eval, eval_options)
-            )
-    return BaselineResult(policy=policy, history=history, final_beta=beta)
+            reward = phi_reward if config.kind == REINFORCE_PHI else score_reward
+            reinforce_step(state.policy, reward, k, lr, rng)
+
+    state = run_loop(base, target, config, config.kind, step, eval_options)
+    return BaselineResult(policy=state.policy, history=state.history, final_beta=beta)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -159,18 +160,11 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     if eval_options.exact:
         base.space.guard()
     report, target = _build_target(cfg, base, constraint_set)
-    method = cfg.trainer.get("method", GDC_METHOD)
+    method = cfg.method
     artifacts: dict = {}
 
     if method == REJECTION_MLE:
-        model, stats = rejection_mle(
-            base,
-            constraint_set,
-            sample_budget=cfg.trainer["sample_budget"],
-            order=cfg.trainer["fit_order"],
-            smoothing=cfg.trainer.get("fit_smoothing", 1.0),
-            seed=cfg.seed,
-        )
+        model, stats = rejection_mle(base, constraint_set, seed=cfg.seed, **cfg.rejection_args())
         rng_eval = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
         history = [
             snapshot(0, REJECTION_MLE, model, base, target, rng_eval, eval_options)
@@ -178,11 +172,11 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         policy = model
         extra_doc = {"acceptance_rate": stats.acceptance_rate, "kept": stats.kept, "drawn": stats.drawn}
     elif method == GDC_METHOD:
-        result = train(base, target, cfg.build_dpg_config(), eval_options)
+        result = train(base, target, cfg.build_trainer(), eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"proposal_updates": result.state.proposal_updates}
     else:
-        result = train_baseline(base, target, cfg.build_baseline_config(), eval_options)
+        result = train_baseline(base, target, cfg.build_trainer(), eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.final_beta}
 
@@ -222,6 +216,10 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+    if cfg.method != GDC_METHOD:
+        raise ConfigError(
+            f"config.trainer.method: the ablation grid trains {GDC_METHOD!r}, not {cfg.method!r}"
+        )
     variants = cfg.ablation_variants
     seeds = cfg.ablation_seeds
     base = cfg.build_base()
@@ -231,7 +229,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         base.space.guard()
     _, target = _build_target(cfg, base, constraint_set)
     threshold = cfg.eval.get("threshold")
-    k = cfg.trainer["samples_per_iteration"]
 
     header = ["variant", "seed", "samples_drawn"]
     if threshold is not None:
@@ -240,9 +237,10 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     rows = []
     for variant in variants:
         for seed in seeds:
-            result = train(base, target, cfg.build_dpg_config(adaptivity=variant, seed=seed), eval_options)
+            config = cfg.build_trainer(adaptivity=variant, seed=seed)
+            result = train(base, target, config, eval_options)
             for record in result.history:
-                row = [variant, str(seed), str(record.step * k)]
+                row = [variant, str(seed), str(record.step * config.samples_per_iteration)]
                 if threshold is not None:
                     below = (
                         record.kl_p_pi_exact is not None
@@ -341,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.load(args.config)
         if args.seed_override is not None:
-            cfg.seed = args.seed_override
+            cfg = dataclasses.replace(cfg, seed=args.seed_override)
         out_dir = _resolve_output(args, cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "fit":

@@ -4,12 +4,19 @@ field-path diagnostics, then materialized into the module-level objects."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .baselines import BaselineConfig, REJECTION_MLE, TRAINER_KINDS
-from .dpg import DpgConfig
-from .ebm import DEFAULT_LAMBDA_CLAMP, FitConfig
+from .baselines import (
+    KL_PENALIZED,
+    REINFORCE_P,
+    REINFORCE_PHI,
+    REJECTION_MLE,
+    BaselineConfig,
+)
+from .dpg import ADAPTIVITIES, DpgConfig, LoopConfig
+from .ebm import FitConfig
 from .errors import ConfigError
 from .features import (
     ConstraintSet,
@@ -24,7 +31,59 @@ from .metrics import EvalOptions
 from .seqspace import SequenceSpace, tokenize_corpus
 
 GDC_METHOD = "gdc"
-FEATURE_KINDS = ("token-presence", "wordlist-presence", "token-ratio", "prefix-match")
+
+# Each JSON block's keys with their types, and its required keys. Defaults and
+# range checks are the field defaults and checks of the dataclasses a block
+# builds (FitConfig, DpgConfig, BaselineConfig, EvalOptions); loading a
+# config builds each of them once so that a bad value fails at load time.
+TOP_KEYS = {
+    "seed": int, "space": dict, "base_model": dict, "constraints": list, "fit": dict,
+    "trainer": dict, "eval": dict, "output": str,
+}
+BASE_MODEL_SCHEMAS = {  # the source key -> (keys, required)
+    "corpus": (
+        {"corpus": str, "order": int, "smoothing": float}, ("corpus", "order", "smoothing")
+    ),
+    "model_file": ({"model_file": str}, ("model_file",)),
+}
+CONSTRAINT_KEYS = {"id": str, "kind": str, "target": float, "pointwise": bool}
+FEATURE_SCHEMAS = {  # kind -> (its own keys, required)
+    "token-presence": ({"token": str}, ("token",)),
+    "wordlist-presence": ({"tokens": list}, ("tokens",)),
+    "prefix-match": ({"tokens": list}, ("tokens",)),
+    "token-ratio": (
+        {"numerator": list, "denominator": list, "empty_default": float},
+        ("numerator", "denominator"),
+    ),
+}
+FIT_KEYS = {
+    "sample_count": int, "learning_rate": float, "tolerance": float, "max_steps": int,
+    "lambda_clamp": float,
+}
+LOOP_KEYS = {"iterations": int, "samples_per_iteration": int, "learning_rate": float}
+TRAINER_SCHEMAS = {  # method -> (keys besides `method`, required)
+    GDC_METHOD: (
+        {**LOOP_KEYS, "adaptivity": str, "batch_update": bool, "optimizer": str},
+        tuple(LOOP_KEYS),
+    ),
+    REINFORCE_PHI: (LOOP_KEYS, tuple(LOOP_KEYS)),
+    REINFORCE_P: (LOOP_KEYS, tuple(LOOP_KEYS)),
+    KL_PENALIZED: (
+        {**LOOP_KEYS, "beta": float, "beta_adaptive": bool, "kl_target": float},
+        tuple(LOOP_KEYS),
+    ),
+    REJECTION_MLE: (
+        {"sample_budget": int, "fit_order": int, "fit_smoothing": float},
+        ("sample_budget", "fit_order"),
+    ),
+}
+EVAL_KEYS = {
+    "eval_every": int, "sample_size": int, "exact_oracle": bool, "threshold": float,
+    "ablation": dict,
+}
+ABLATION_KEYS = {"variants": list, "seeds": list}
+# The ablation grid when `eval.ablation` leaves it out.
+ABLATION_SEEDS = (0, 1, 2)
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -32,19 +91,50 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _get(d: dict, path: str, key: str, kind, required: bool = True, default=None):
-    if key not in d:
-        _expect(not required, f"{path}.{key}", "missing required field")
-        return default
-    value = d[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+@contextmanager
+def _at(path: str):
+    """Prefix the field path of a block to the ConfigErrors raised inside."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _check(block, path: str, keys: dict, required=()) -> dict:
+    """Check one JSON object against its key table: required keys present,
+    no unknown key, every value of its key's type (an int passes as float)."""
+    _expect(isinstance(block, dict), path, "must be an object")
+    for key in required:
+        _expect(key in block, f"{path}.{key}", "missing required field")
+    for key, value in block.items():
+        _expect(key in keys, f"{path}.{key}", f"unknown key; expected one of {sorted(keys)}")
+        kind = keys[key]
+        allowed = (int, float) if kind is float else kind
+        _expect(
+            isinstance(value, allowed) and (kind is bool or not isinstance(value, bool)),
+            f"{path}.{key}",
+            f"expected {kind.__name__}, got {type(value).__name__}",
+        )
+    return block
+
+
+def _schema(block, path: str, key: str, schemas: dict) -> tuple[dict, tuple]:
+    """The (keys, required) schema that the value of `key` selects for a block."""
+    _expect(isinstance(block, dict), path, "must be an object")
+    choice = block.get(key)
     _expect(
-        isinstance(value, kind) and not (kind in (int, float) and isinstance(value, bool)),
+        isinstance(choice, str) and choice in schemas,
         f"{path}.{key}",
-        f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
+        f"must be one of {tuple(schemas)}, got {choice!r}",
     )
-    return value
+    return schemas[choice]
+
+
+def _fields(block: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the keys a block sets: `keys` keep their name,
+    `renamed` maps a field name to its JSON key."""
+    pairs = [(key, key) for key in keys] + list(renamed.items())
+    return {name: block[key] for name, key in pairs if key in block}
 
 
 @dataclass
@@ -72,59 +162,77 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, config_dir: Path = Path(".")) -> "ExperimentConfig":
-        _expect(isinstance(raw, dict), "config", "document must be a JSON object")
-        seed = _get(raw, "config", "seed", int)
-        space = _get(raw, "config", "space", dict)
-        lmax = _get(space, "config.space", "lmax", int)
+        _check(raw, "config", TOP_KEYS, ("seed", "space", "base_model"))
+        lmax = _check(raw["space"], "config.space", {"lmax": int}, ("lmax",))["lmax"]
         _expect(lmax >= 1, "config.space.lmax", "must be >= 1")
-        base_model = _get(raw, "config", "base_model", dict)
-        has_corpus = "corpus" in base_model
-        has_file = "model_file" in base_model
+        base_model = raw["base_model"]
+        sources = [key for key in BASE_MODEL_SCHEMAS if key in base_model]
         _expect(
-            has_corpus != has_file,
+            len(sources) == 1,
             "config.base_model",
             "exactly one of 'corpus' or 'model_file' must be present",
         )
-        if has_corpus:
-            _get(base_model, "config.base_model", "corpus", str)
-            order = _get(base_model, "config.base_model", "order", int)
-            _expect(order >= 1, "config.base_model.order", "must be >= 1")
-            smoothing = _get(base_model, "config.base_model", "smoothing", float)
-            _expect(smoothing >= 0, "config.base_model.smoothing", "must be >= 0")
-        else:
-            _get(base_model, "config.base_model", "model_file", str)
-        constraints = _get(raw, "config", "constraints", list, required=False, default=[])
+        _check(base_model, "config.base_model", *BASE_MODEL_SCHEMAS[sources[0]])
+        if sources == ["corpus"]:
+            _expect(base_model["order"] >= 1, "config.base_model.order", "must be >= 1")
+            _expect(base_model["smoothing"] >= 0, "config.base_model.smoothing", "must be >= 0")
+        constraints = raw.get("constraints", [])
         for i, c in enumerate(constraints):
             cls._validate_constraint(c, f"config.constraints[{i}]")
-        fit = _get(raw, "config", "fit", dict, required=False, default={})
-        cls._validate_fit(fit)
-        trainer = _get(raw, "config", "trainer", dict, required=False, default={})
+        trainer = raw.get("trainer", {})
         if trainer:
-            cls._validate_trainer(trainer)
-        eval_block = _get(raw, "config", "eval", dict, required=False, default={})
-        cls._validate_eval(eval_block)
-        output = _get(raw, "config", "output", str, required=False)
+            keys, required = _schema(trainer, "config.trainer", "method", TRAINER_SCHEMAS)
+            _check(trainer, "config.trainer", {"method": str, **keys}, required)
+        eval_block = _check(raw.get("eval", {}), "config.eval", EVAL_KEYS)
+        _check(eval_block.get("ablation", {}), "config.eval.ablation", ABLATION_KEYS)
         return cls(
-            seed=seed,
+            seed=raw["seed"],
             lmax=lmax,
             base_model=base_model,
             constraints=constraints,
-            fit=fit,
+            fit=_check(raw.get("fit", {}), "config.fit", FIT_KEYS),
             trainer=trainer,
             eval=eval_block,
-            output=output,
+            output=raw.get("output"),
             config_dir=config_dir,
         )
 
+    def __post_init__(self):
+        """Build every config object once, so that a bad value fails at load
+        (and again after `dataclasses.replace`, as for a seed override)."""
+        threshold = self.eval.get("threshold")
+        _expect(threshold is None or threshold > 0, "config.eval.threshold", "must be > 0")
+        for seed in self.ablation_seeds:
+            _expect(
+                isinstance(seed, int) and not isinstance(seed, bool),
+                "config.eval.ablation.seeds",
+                "seeds must be integers",
+            )
+        with _at("config"):
+            LoopConfig(seed=self.seed)
+        with _at("config.fit"):
+            self.build_fit_config()
+        with _at("config.eval"):
+            self.build_eval_options()
+            LoopConfig(**_fields(self.eval, "eval_every"))
+        with _at("config.eval.ablation"):
+            for variant in self.ablation_variants:
+                DpgConfig(adaptivity=variant)
+            for seed in self.ablation_seeds:
+                LoopConfig(seed=seed)
+        if self.trainer and self.method == REJECTION_MLE:
+            for key in ("sample_budget", "fit_order"):
+                _expect(self.trainer[key] >= 1, f"config.trainer.{key}", "must be >= 1")
+        elif self.trainer:
+            with _at("config.trainer"):
+                self.build_trainer()
+
     @staticmethod
     def _validate_constraint(c, path: str) -> None:
-        _expect(isinstance(c, dict), path, "constraint must be an object")
-        _get(c, path, "id", str)
-        kind = _get(c, path, "kind", str)
-        _expect(kind in FEATURE_KINDS, f"{path}.kind", f"must be one of {FEATURE_KINDS}")
-        target = _get(c, path, "target", float)
-        pointwise = _get(c, path, "pointwise", bool, required=False, default=False)
-        if pointwise:
+        keys, required = _schema(c, path, "kind", FEATURE_SCHEMAS)
+        _check(c, path, {**CONSTRAINT_KEYS, **keys}, ("id", "target", *required))
+        kind, target = c["kind"], c["target"]
+        if c.get("pointwise"):
             _expect(target == 1.0, f"{path}.target", "pointwise target must be 1.0")
             _expect(
                 kind != "token-ratio",
@@ -139,106 +247,22 @@ class ExperimentConfig:
             )
         else:
             _expect(0.0 <= target <= 1.0, f"{path}.target", "must lie in [0, 1]")
-        if kind == "token-presence":
-            _get(c, path, "token", str)
-        elif kind in ("wordlist-presence", "prefix-match"):
-            tokens = _get(c, path, "tokens", list)
-            _expect(len(tokens) > 0, f"{path}.tokens", "must be non-empty")
-        else:
-            _get(c, path, "numerator", list)
-            _get(c, path, "denominator", list)
-
-    @staticmethod
-    def _validate_fit(fit: dict) -> None:
-        path = "config.fit"
-        n = _get(fit, path, "sample_count", int, required=False, default=100000)
-        _expect(n >= 1, f"{path}.sample_count", "must be >= 1")
-        lr = _get(fit, path, "learning_rate", float, required=False, default=0.5)
-        _expect(lr > 0, f"{path}.learning_rate", "must be > 0")
-        tol = _get(fit, path, "tolerance", float, required=False, default=0.01)
-        _expect(tol > 0, f"{path}.tolerance", "must be > 0")
-        steps = _get(fit, path, "max_steps", int, required=False, default=10000)
-        _expect(steps >= 1, f"{path}.max_steps", "must be >= 1")
-        clamp = _get(fit, path, "lambda_clamp", float, required=False, default=DEFAULT_LAMBDA_CLAMP)
-        _expect(clamp > 0, f"{path}.lambda_clamp", "must be > 0")
-
-    @staticmethod
-    def _validate_trainer(trainer: dict) -> None:
-        path = "config.trainer"
-        method = _get(trainer, path, "method", str)
-        methods = (GDC_METHOD,) + TRAINER_KINDS + (REJECTION_MLE,)
-        _expect(method in methods, f"{path}.method", f"must be one of {methods}")
-        if method == REJECTION_MLE:
-            budget = _get(trainer, path, "sample_budget", int)
-            _expect(budget >= 1, f"{path}.sample_budget", "must be >= 1")
-            order = _get(trainer, path, "fit_order", int)
-            _expect(order >= 1, f"{path}.fit_order", "must be >= 1")
-            _get(trainer, path, "fit_smoothing", float, required=False, default=1.0)
-            return
-        iters = _get(trainer, path, "iterations", int)
-        _expect(iters >= 0, f"{path}.iterations", "must be >= 0")
-        k = _get(trainer, path, "samples_per_iteration", int)
-        _expect(k >= 1, f"{path}.samples_per_iteration", "must be >= 1")
-        lr = _get(trainer, path, "learning_rate", float)
-        _expect(lr > 0, f"{path}.learning_rate", "must be > 0")
-        if method == GDC_METHOD:
-            adaptivity = _get(trainer, path, "adaptivity", str, required=False, default="kl")
-            _expect(
-                adaptivity in ("kl", "tvd", "none"),
-                f"{path}.adaptivity",
-                "must be one of ('kl', 'tvd', 'none')",
-            )
-            _get(trainer, path, "batch_update", bool, required=False, default=True)
-            optimizer = _get(trainer, path, "optimizer", str, required=False, default="sgd")
-            _expect(
-                optimizer in ("sgd", "adam"),
-                f"{path}.optimizer",
-                "must be one of ('sgd', 'adam')",
-            )
-        if method == "kl-penalized":
-            beta = _get(trainer, path, "beta", float)
-            _expect(beta >= 0, f"{path}.beta", "must be >= 0")
-            adaptive = _get(trainer, path, "beta_adaptive", bool, required=False, default=False)
-            if adaptive:
-                _get(trainer, path, "kl_target", float)
-        elif "beta" in trainer:
-            _expect(False, f"{path}.beta", "only valid for the kl-penalized method")
-
-    @staticmethod
-    def _validate_eval(eval_block: dict) -> None:
-        path = "config.eval"
-        every = _get(eval_block, path, "eval_every", int, required=False, default=10)
-        _expect(every >= 1, f"{path}.eval_every", "must be >= 1")
-        size = _get(eval_block, path, "sample_size", int, required=False, default=1024)
-        _expect(size >= 2, f"{path}.sample_size", "must be >= 2")
-        _get(eval_block, path, "exact_oracle", bool, required=False, default=False)
-        threshold = _get(eval_block, path, "threshold", float, required=False)
-        if threshold is not None:
-            _expect(threshold > 0, f"{path}.threshold", "must be > 0")
+        if kind in ("wordlist-presence", "prefix-match"):
+            _expect(len(c["tokens"]) > 0, f"{path}.tokens", "must be non-empty")
 
     @property
     def ablation_variants(self) -> list[str]:
-        block = self.eval.get("ablation", {})
-        variants = block.get("variants", ["kl", "tvd", "none"])
-        for v in variants:
-            _expect(
-                v in ("kl", "tvd", "none"),
-                "config.eval.ablation.variants",
-                f"unknown variant {v!r}",
-            )
-        return variants
+        return self.eval.get("ablation", {}).get("variants", list(ADAPTIVITIES))
 
     @property
     def ablation_seeds(self) -> list[int]:
-        block = self.eval.get("ablation", {})
-        seeds = block.get("seeds", [0, 1, 2])
-        for s in seeds:
-            _expect(
-                isinstance(s, int) and not isinstance(s, bool),
-                "config.eval.ablation.seeds",
-                "seeds must be integers",
-            )
-        return seeds
+        return self.eval.get("ablation", {}).get("seeds", list(ABLATION_SEEDS))
+
+    @property
+    def method(self) -> str:
+        """The trainer block's method; the commands that train need the block."""
+        _expect(bool(self.trainer), "config.trainer", "missing required block")
+        return self.trainer["method"]
 
     # -- materialization -----------------------------------------------------
 
@@ -271,7 +295,7 @@ class ExperimentConfig:
         specs = []
         for i, c in enumerate(self.constraints):
             kind = c["kind"]
-            try:
+            with _at(f"config.constraints[{i}]"):
                 if kind == "token-presence":
                     feature = TokenPresence(vocab, c["token"], feature_id=c["id"])
                 elif kind == "wordlist-presence":
@@ -283,67 +307,46 @@ class ExperimentConfig:
                         vocab,
                         c["numerator"],
                         c["denominator"],
-                        empty_default=c.get("empty_default", 0.0),
                         feature_id=c["id"],
+                        **_fields(c, "empty_default"),
                     )
-                specs.append(
-                    ConstraintSpec(
-                        feature=feature,
-                        target=float(c["target"]),
-                        pointwise=c.get("pointwise", False),
-                    )
+                spec = ConstraintSpec(
+                    feature=feature, target=float(c["target"]), **_fields(c, "pointwise")
                 )
-            except ConfigError as e:
-                raise ConfigError(f"config.constraints[{i}]: {e}") from None
+                specs.append(spec)
         return ConstraintSet(specs)
 
     def build_fit_config(self) -> FitConfig:
         return FitConfig(
-            sample_count=self.fit.get("sample_count", 100000),
-            sgd=SgdConfig(
-                learning_rate=self.fit.get("learning_rate", 0.5),
-                seed=self.seed,
-            ),
-            tolerance=self.fit.get("tolerance", 0.01),
-            max_steps=self.fit.get("max_steps", 10000),
-            lambda_clamp=self.fit.get("lambda_clamp", DEFAULT_LAMBDA_CLAMP),
+            sgd=SgdConfig(seed=self.seed, **_fields(self.fit, "learning_rate")),
+            **_fields(self.fit, "sample_count", "tolerance", "max_steps", "lambda_clamp"),
         )
 
-    def build_dpg_config(self, adaptivity: str | None = None, seed: int | None = None) -> DpgConfig:
-        t = self.trainer
-        return DpgConfig(
-            iterations=t["iterations"],
-            samples_per_iteration=t["samples_per_iteration"],
-            learning_rate=t["learning_rate"],
-            adaptivity=adaptivity if adaptivity is not None else t.get("adaptivity", "kl"),
-            batch_update=t.get("batch_update", True),
-            optimizer=t.get("optimizer", "sgd"),
-            eval_every=self.eval.get("eval_every", 10),
-            seed=seed if seed is not None else self.seed,
-            policy_order=t.get("policy_order"),
-        )
+    def build_trainer(
+        self, adaptivity: str | None = None, seed: int | None = None
+    ) -> DpgConfig | BaselineConfig:
+        """The trainer block as the config of its method, with eval.eval_every.
 
-    def build_baseline_config(self, seed: int | None = None) -> BaselineConfig:
-        t = self.trainer
-        return BaselineConfig(
-            kind=t["method"],
-            iterations=t.get("iterations", 0),
-            samples_per_iteration=t.get("samples_per_iteration", 1),
-            learning_rate=t.get("learning_rate", 0.1),
-            beta=t.get("beta"),
-            beta_adaptive=t.get("beta_adaptive", False),
-            kl_target=t.get("kl_target"),
-            beta_step=t.get("beta_step", 0.1),
-            eval_every=self.eval.get("eval_every", 10),
-            seed=seed if seed is not None else self.seed,
-            policy_order=t.get("policy_order"),
-            sample_budget=t.get("sample_budget"),
-            fit_order=t.get("fit_order"),
-            fit_smoothing=t.get("fit_smoothing", 1.0),
+        `adaptivity` and `seed` replace the block's and the config's (one cell
+        of the ablation grid). The trainer keys are the dataclass field names.
+        """
+        method = self.method
+        _expect(
+            method != REJECTION_MLE,
+            "config.trainer.method",
+            "rejection-mle is fitted by rejection_mle, not trained",
         )
+        t = {key: value for key, value in self.trainer.items() if key != "method"}
+        t.update(_fields(self.eval, "eval_every"), seed=self.seed if seed is None else seed)
+        if method != GDC_METHOD:
+            return BaselineConfig(kind=method, **t)
+        if adaptivity is not None:
+            t["adaptivity"] = adaptivity
+        return DpgConfig(**t)
+
+    def rejection_args(self) -> dict:
+        """Keyword arguments of `rejection_mle` from a rejection-mle trainer block."""
+        return _fields(self.trainer, "sample_budget", order="fit_order", smoothing="fit_smoothing")
 
     def build_eval_options(self) -> EvalOptions:
-        return EvalOptions(
-            sample_size=self.eval.get("sample_size", 1024),
-            exact=self.eval.get("exact_oracle", False),
-        )
+        return EvalOptions(**_fields(self.eval, "sample_size", exact="exact_oracle"))

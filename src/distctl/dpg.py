@@ -7,10 +7,15 @@ adaptivity is on, replaces the proposal with a frozen copy of the policy
 whenever the policy's estimated divergence from the target drops strictly
 below the proposal's. Both divergence estimates reuse the iteration's samples
 and the shared moving-average Z.
+
+`run_loop` is the one training loop: it owns the RNG streams, the policy
+initialisation and the snapshot cadence, and the comparison trainers in
+`baselines` plug their own per-iteration step into it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,22 +35,22 @@ from .seqspace import SampleBatch
 ADAPTIVITY_KL = "kl"
 ADAPTIVITY_TVD = "tvd"
 ADAPTIVITY_NONE = "none"
+ADAPTIVITIES = (ADAPTIVITY_KL, ADAPTIVITY_TVD, ADAPTIVITY_NONE)
 
 OPTIMIZER_SGD = "sgd"
 OPTIMIZER_ADAM = "adam"
+OPTIMIZERS = (OPTIMIZER_SGD, OPTIMIZER_ADAM)
 
 
-@dataclass
-class DpgConfig:
-    iterations: int
-    samples_per_iteration: int
+@dataclass(kw_only=True)
+class LoopConfig:
+    """Settings shared by every trainer that `run_loop` drives."""
+
+    iterations: int = 0
+    samples_per_iteration: int = 1
     learning_rate: float = 0.1
-    adaptivity: str = ADAPTIVITY_KL
-    batch_update: bool = True
-    optimizer: str = OPTIMIZER_SGD
     eval_every: int = 10
     seed: int = 0
-    policy_order: int | None = None
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -54,14 +59,26 @@ class DpgConfig:
             raise ConfigError("samples_per_iteration must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.adaptivity not in (ADAPTIVITY_KL, ADAPTIVITY_TVD, ADAPTIVITY_NONE):
-            raise ConfigError(f"unknown adaptivity {self.adaptivity!r}")
-        if self.optimizer not in (OPTIMIZER_SGD, OPTIMIZER_ADAM):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.optimizer == OPTIMIZER_ADAM and not self.batch_update:
-            raise ConfigError("adam preconditioning needs batch_update")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+
+
+@dataclass(kw_only=True)
+class DpgConfig(LoopConfig):
+    adaptivity: str = ADAPTIVITY_KL
+    batch_update: bool = True
+    optimizer: str = OPTIMIZER_SGD
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.adaptivity not in ADAPTIVITIES:
+            raise ConfigError(f"adaptivity must be one of {ADAPTIVITIES}, got {self.adaptivity!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.optimizer == OPTIMIZER_ADAM and not self.batch_update:
+            raise ConfigError("adam preconditioning needs batch_update")
 
 
 @dataclass
@@ -97,7 +114,7 @@ class IterationDecision:
 @dataclass
 class TrainState:
     policy: TabularARModel
-    proposal: TabularARModel
+    proposal: TabularARModel | None = None
     zma: ZMovingAverage = field(default_factory=ZMovingAverage)
     history: list[MetricsRecord] = field(default_factory=list)
     decisions: list[IterationDecision] = field(default_factory=list)
@@ -114,12 +131,15 @@ class TrainResult:
     state: TrainState
 
 
-def init_state(base: TabularARModel, config: DpgConfig) -> TrainState:
-    """Policy starts as the base distribution re-expressed at trainable capacity."""
-    order = config.policy_order
-    if order is None:
-        order = max(base.order, base.space.lmax)
-    policy = base.to_order(order, trainable=True)
+def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
+    """Policy starts as the base distribution re-expressed at trainable capacity.
+
+    A DPG run also starts its proposal as a frozen copy of the policy; the
+    comparison trainers sample from the policy itself and have none.
+    """
+    policy = base.to_order(max(base.order, base.space.lmax), trainable=True)
+    if not isinstance(config, DpgConfig):
+        return TrainState(policy=policy)
     adam = AdamState.like(policy.logits) if config.optimizer == OPTIMIZER_ADAM else None
     return TrainState(policy=policy, proposal=policy.frozen_copy(), adam=adam)
 
@@ -175,13 +195,17 @@ def dpg_iteration(
     return state
 
 
-def train(
+def run_loop(
     base: TabularARModel,
     target: Ebm,
-    config: DpgConfig,
+    config: LoopConfig,
+    method: str,
+    step: Callable[[TrainState, np.random.Generator], None],
     eval_options: EvalOptions | None = None,
-) -> TrainResult:
-    """Run the full training loop with periodic metric snapshots.
+) -> TrainState:
+    """Run `step(state, rng_train)` for `config.iterations` iterations, with a
+    metric snapshot before the first and after every `config.eval_every`-th.
+    `method` labels the snapshots.
 
     Training and evaluation consume independent RNG streams spawned from the
     seed, so snapshot cadence never perturbs the training trajectory.
@@ -193,22 +217,28 @@ def train(
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     ]
     state = init_state(base, config)
-    state.history.append(
-        snapshot(0, "gdc", state.policy, base, target, rng_eval, eval_options, state.zma.value)
-    )
-    for i in range(config.iterations):
-        dpg_iteration(state, target, config, rng_train)
-        if (i + 1) % config.eval_every == 0:
+    for i in range(config.iterations + 1):
+        if i > 0:
+            step(state, rng_train)
+        if i % config.eval_every == 0:
             state.history.append(
                 snapshot(
-                    i + 1,
-                    "gdc",
-                    state.policy,
-                    base,
-                    target,
-                    rng_eval,
-                    eval_options,
-                    state.zma.value,
+                    i, method, state.policy, base, target, rng_eval, eval_options, state.zma.value
                 )
             )
+    return state
+
+
+def train(
+    base: TabularARModel,
+    target: Ebm,
+    config: DpgConfig,
+    eval_options: EvalOptions | None = None,
+) -> TrainResult:
+    """Adaptive DPG toward `target`, one `dpg_iteration` per loop step."""
+
+    def step(state: TrainState, rng: np.random.Generator) -> None:
+        dpg_iteration(state, target, config, rng)
+
+    state = run_loop(base, target, config, "gdc", step, eval_options)
     return TrainResult(policy=state.policy, history=state.history, state=state)

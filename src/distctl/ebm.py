@@ -28,9 +28,9 @@ POINTWISE_PRODUCT = "pointwise-product"
 DEFAULT_LAMBDA_CLAMP = 20.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FitConfig:
-    sample_count: int
+    sample_count: int = 100000
     sgd: SgdConfig
     tolerance: float = 0.01
     max_steps: int = 10000

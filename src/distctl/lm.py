@@ -39,16 +39,12 @@ MODEL_VERSION = 1
 
 @dataclass
 class SgdConfig:
-    learning_rate: float
-    steps: int = 10000
-    batch_size: int = 1
+    learning_rate: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be >= 1")
 
 
 class _Coding:

@@ -39,6 +39,12 @@ def test_config_validation():
         BaselineConfig(kind="kl-penalized", iterations=1, learning_rate=0.1)  # beta missing
     with pytest.raises(ConfigError):
         BaselineConfig(kind="rejection-mle")  # budget and order missing
+    with pytest.raises(ConfigError):
+        BaselineConfig(kind="reinforce-phi", eval_every=0)
+    with pytest.raises(ConfigError):
+        BaselineConfig(kind="reinforce-phi", iterations=-3)
+    with pytest.raises(ConfigError):
+        BaselineConfig(kind="kl-penalized", beta=-5.0)
 
 
 def test_reinforce_zero_reward_no_update(task):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distctl.cli import main
+from distctl.config import ExperimentConfig
 
 from helpers import synthetic_corpus
 
@@ -276,6 +277,113 @@ def test_config_errors_exit_2(workdir, capsys):
     assert "constraints[0].target" in err
     missing = workdir / "nope.json"
     assert main(["fit", "--config", str(missing)]) == 2
+
+
+SMALL_LOOP = {"iterations": 2, "samples_per_iteration": 8, "learning_rate": 0.5}
+KL_PENALIZED_TRAINER = dict(SMALL_LOOP, method="kl-penalized", beta=0.1)
+POINTWISE_GOLD = {
+    "id": "gold", "kind": "token-presence", "token": "gold", "target": 1.0, "pointwise": True,
+}
+
+
+@pytest.mark.parametrize(
+    "command, edit, field",
+    [
+        ("train", lambda c: c.pop("trainer"), "config.trainer"),
+        ("fit --seed-override -1", lambda c: c.pop("trainer"), "seed must be >= 0"),
+        ("ablation", lambda c: c.pop("trainer"), "config.trainer"),
+        (
+            "ablation",
+            lambda c: c.update(
+                trainer={"method": "rejection-mle", "sample_budget": 100, "fit_order": 2}
+            ),
+            "config.trainer.method",
+        ),
+        (
+            "ablation",
+            lambda c: c["trainer"].update(method="reinforce-phi"),
+            "config.trainer.method",
+        ),
+        ("ablation", lambda c: c["eval"].update(ablation=[1]), "config.eval.ablation"),
+        ("train", lambda c: c["trainer"].update(policy_order="x"), "config.trainer.policy_order"),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD],
+                trainer=dict(
+                    KL_PENALIZED_TRAINER, beta_adaptive=True, kl_target=0.5, beta_step=-1.0
+                ),
+            ),
+            "config.trainer.beta_step",
+        ),
+        (
+            "fit",
+            lambda c: c.update(constraints=[{
+                "id": "ratio", "kind": "token-ratio", "numerator": ["gold"],
+                "denominator": ["gold", "red"], "target": 0.3, "empty_default": "x",
+            }]),
+            "config.constraints[0].empty_default",
+        ),
+        (
+            "fit",
+            lambda c: c["constraints"][0].update(pointwse=True),
+            "config.constraints[0].pointwse",
+        ),
+        (
+            "train",
+            lambda c: c["trainer"].update(sample_budget=100),
+            "config.trainer.sample_budget",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD],
+                trainer=dict(SMALL_LOOP, method="reinforce-phi", adaptivity="tvd"),
+            ),
+            "config.trainer.adaptivity",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD], trainer=dict(KL_PENALIZED_TRAINER, kl_target="x")
+            ),
+            "config.trainer.kl_target",
+        ),
+    ],
+    ids=[
+        "train-without-trainer",
+        "negative-seed-override",
+        "ablation-without-trainer",
+        "ablation-rejection-mle",
+        "ablation-reinforce-phi",
+        "ablation-not-an-object",
+        "policy-order-removed",
+        "beta-step-removed",
+        "empty-default-type",
+        "unknown-constraint-key",
+        "gdc-sample-budget",
+        "reinforce-phi-adaptivity",
+        "kl-target-type",
+    ],
+)
+def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit, field):
+    path = write_config(workdir)
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    assert main([*command.split(), "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=[p.stem for p in DEMO_CONFIGS])
+def test_demo_configs_load(path):
+    cfg = ExperimentConfig.load(path)
+    assert cfg.build_fit_config().sample_count >= 1
+    assert cfg.build_trainer().iterations > 0
+    assert cfg.build_eval_options().exact
 
 
 def test_unknown_token_in_constraint_exits_2(workdir, capsys):
