@@ -223,6 +223,11 @@ class ExperimentConfig:
         if self.trainer and self.method == REJECTION_MLE:
             for key in ("sample_budget", "fit_order"):
                 _expect(self.trainer[key] >= 1, f"config.trainer.{key}", "must be >= 1")
+            _expect(
+                self.trainer.get("fit_smoothing", 0.0) >= 0,
+                "config.trainer.fit_smoothing",
+                "must be >= 0",
+            )
         elif self.trainer:
             with _at("config.trainer"):
                 self.build_trainer()

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ebm import Ebm
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteLogits
 from .estimators import (
     ZMovingAverage,
     importance_ratios,
     kl_p_from_logs,
     tvd_p_from_logs,
 )
-from .lm import TabularARModel
+from .lm import RowGradient, TabularARModel
 from .metrics import EvalOptions, MetricsRecord, snapshot
 from .seqspace import SampleBatch
 
@@ -157,7 +157,9 @@ def dpg_iteration(
     if config.batch_update:
         grad = state.policy.grad_weighted_sum(samples, weights)
         if state.adam is not None:
-            state.policy.apply_update(state.adam.step(grad / k), config.learning_rate)
+            # the preconditioned step moves every row
+            update = state.adam.step(grad.dense(len(state.policy.logits)) / k)
+            state.policy.apply_update(RowGradient.full(update), config.learning_rate)
         else:
             state.policy.apply_update(grad, config.learning_rate / k)
     else:
@@ -208,7 +210,9 @@ def run_loop(
     `method` labels the snapshots.
 
     Training and evaluation consume independent RNG streams spawned from the
-    seed, so snapshot cadence never perturbs the training trajectory.
+    seed, so snapshot cadence never perturbs the training trajectory. A step
+    whose update would make a logit non-finite stops the run with
+    NonFiniteLogits naming the iteration.
     """
     if target.base.space != base.space:
         raise ConfigError("target EBM and trained base must share one sequence space")
@@ -219,7 +223,10 @@ def run_loop(
     state = init_state(base, config)
     for i in range(config.iterations + 1):
         if i > 0:
-            step(state, rng_train)
+            try:
+                step(state, rng_train)
+            except NonFiniteLogits as e:
+                raise NonFiniteLogits(f"iteration {i}: {e}") from None
         if i % config.eval_every == 0:
             state.history.append(
                 snapshot(

@@ -91,10 +91,18 @@ class Ebm:
         return self.base.space
 
     def log_score_batch(self, batch: SampleBatch) -> np.ndarray:
-        out = self.base.log_prob_batch(batch) + self.log_scale
+        return self._log_scores(self.base.log_prob_batch(batch), batch)
+
+    def _log_scores(
+        self, log_base: np.ndarray, batch: SampleBatch, universe: bool = False
+    ) -> np.ndarray:
+        """Log-scores of `batch` from its base log-probs; `universe` marks the
+        enumeration, whose feature matrix is cached."""
+        out = log_base + self.log_scale
         if self.mode == EXPONENTIAL:
             if len(self.constraint_set):
-                out = out + self.constraint_set.feature_matrix(batch) @ self.lam
+                phi = self.phi_universe() if universe else self.constraint_set.feature_matrix(batch)
+                out = out + phi @ self.lam
         else:
             b = self.constraint_set.pointwise_predicate_batch(batch)
             with np.errstate(divide="ignore"):
@@ -119,9 +127,11 @@ class Ebm:
         )
 
     def exact_normalize(self) -> tuple[float, np.ndarray]:
-        """Exact partition function and normalized distribution, by enumeration."""
+        """Exact partition function and normalized distribution over the universe,
+        from the base's prefix-DP log-probs and the cached universe features."""
         if "exact" not in self._cache:
-            scores = np.exp(self.log_score_batch(self.space.enumeration()))
+            log_base = self.base.exact_log_distribution()
+            scores = np.exp(self._log_scores(log_base, self.space.enumeration(), universe=True))
             z = float(scores.sum())
             if z <= 0.0:
                 raise EmptySupport("EBM scores sum to zero over the universe")

@@ -69,3 +69,7 @@ class TooFewSamples(DistctlError):
 
 class NoAcceptedSamples(DistctlError):
     """Rejection sampling exhausted its budget without a single acceptance."""
+
+
+class NonFiniteLogits(DistctlError):
+    """A training update would make a logit NaN or infinite."""

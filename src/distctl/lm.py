@@ -12,13 +12,16 @@ length-then-lex coding used for sequence enumeration.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     EmptyCorpus,
+    NonFiniteLogits,
     NotTrainable,
     SchemaMismatch,
     UniverseTooLarge,
@@ -80,6 +83,31 @@ class _Coding:
         return new
 
 
+class RowGradient(NamedTuple):
+    """A logits-table gradient kept as the context rows it touches."""
+
+    rows: np.ndarray  # sorted, unique context indices
+    values: np.ndarray  # (len(rows), vocabulary size)
+
+    @classmethod
+    def full(cls, grad: np.ndarray) -> "RowGradient":
+        """Every row of a logits-shaped gradient."""
+        return cls(np.arange(len(grad)), grad)
+
+    def dense(self, n_contexts: int) -> np.ndarray:
+        """The gradient scattered into a zero logits-shaped table."""
+        out = np.zeros((n_contexts, self.values.shape[1]))
+        out[self.rows] = self.values
+        return out
+
+
+def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax; a row's result does not depend on the other rows."""
+    m = np.max(logits, axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
+    return logits - lse
+
+
 def _iter_events(model: "TabularARModel", batch: SampleBatch):
     """Per step: (row indices, context codes, emitted tokens) of free emissions.
 
@@ -114,7 +142,7 @@ class TabularARModel:
     order: int
     logits: np.ndarray
     trainable: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+    _logprob: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.coding = _Coding(self.space, self.order)
@@ -193,21 +221,18 @@ class TabularARModel:
 
     # -- core ---------------------------------------------------------------
 
-    def _tables(self):
-        if "logprob" not in self._cache:
-            logits = self.logits
-            m = np.max(logits, axis=1, keepdims=True)
-            lse = m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
-            logprob = logits - lse
-            self._cache["logprob"] = logprob
-            self._cache["prob"] = np.exp(logprob)
-        return self._cache["logprob"], self._cache["prob"]
+    def _log_softmax(self) -> np.ndarray:
+        """The cached log-softmax table; `apply_update` refreshes the rows it changes."""
+        if self._logprob is None:
+            self._logprob = _row_log_softmax(self.logits)
+        return self._logprob
 
     def invalidate(self):
-        self._cache.clear()
+        """Drop the cached log-softmax after editing `logits` in place."""
+        self._logprob = None
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
-        logprob, _ = self._tables()
+        logprob = self._log_softmax()
         out = np.zeros(len(batch))
         for rows, codes, toks in _iter_events(self, batch):
             out[rows] += logprob[codes, toks]
@@ -220,7 +245,7 @@ class TabularARModel:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick."""
         if n < 1:
             raise ConfigError("sample count must be >= 1")
-        logprob, _ = self._tables()
+        logprob = self._log_softmax()
         coding = self.coding
         lmax = self.space.lmax
         eos = self.space.vocabulary.eos_index
@@ -249,46 +274,97 @@ class TabularARModel:
         rng = np.random.default_rng(seed)
         return self.sample_batch(n, rng).sequences()
 
-    def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> np.ndarray:
-        """Sum over the batch of weight_i * grad log_prob(x_i), as a logits-shaped table."""
+    def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> RowGradient:
+        """Sum over the batch of weight_i * grad log_prob(x_i), on the touched rows.
+
+        Each free emission adds its weight to the emitted cell and minus its
+        weight times the softmax to every cell of its context row. The events
+        are summed per cell with `np.bincount`, in step-major then batch order,
+        so every cell sees the same additions as a dense `np.add.at` table.
+        """
         if not self.trainable:
             raise NotTrainable("model is frozen")
-        _, prob = self._tables()
+        logprob = self._log_softmax()
         weights = np.asarray(weights, dtype=float)
-        grad = np.zeros_like(self.logits)
-        for rows, codes, toks in _iter_events(self, batch):
+        v = self.space.vocabulary.size
+        events = list(_iter_events(self, batch))
+        touched, inverse = np.unique(
+            np.concatenate([codes for _, codes, _ in events]), return_inverse=True
+        )
+        cells, values = [], []
+        start = 0
+        for rows, codes, toks in events:
+            row_cells = inverse[start : start + len(rows)] * v
+            start += len(rows)
             w = weights[rows]
-            np.add.at(grad, (codes, toks), w)
-            np.add.at(grad, codes, -w[:, None] * prob[codes])
-        return grad
+            cells += [row_cells + toks, (row_cells[:, None] + np.arange(v)).ravel()]
+            values += [w, (-w[:, None] * np.exp(logprob[codes])).ravel()]
+        grad = np.bincount(
+            np.concatenate(cells), weights=np.concatenate(values), minlength=len(touched) * v
+        )
+        return RowGradient(touched, grad.reshape(len(touched), v))
 
-    def grad_log_prob(self, x: Sequence) -> np.ndarray:
-        """Score-function gradient (one-hot minus softmax at each visited context)."""
-        batch = SampleBatch.from_sequences(self.space, [x])
-        return self.grad_weighted_sum(batch, np.ones(1))
-
-    def apply_update(self, grad: np.ndarray, learning_rate: float) -> "TabularARModel":
+    def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":
+        """Add learning_rate * grad to its rows and refresh only those rows of
+        the cached log-softmax. Raises NonFiniteLogits, leaving the model as it
+        was, if the update would make a logit NaN or infinite."""
         if not self.trainable:
             raise NotTrainable("model is frozen")
-        if grad.shape != self.logits.shape:
+        rows, values = grad
+        if values.shape != (len(rows), self.logits.shape[1]):
             raise ConfigError("gradient shape does not match logits")
-        self.logits += learning_rate * grad
-        self.invalidate()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            updated = self.logits[rows] + learning_rate * values
+        finite = np.isfinite(updated)
+        if not finite.all():
+            raise NonFiniteLogits(
+                f"update with learning rate {learning_rate:g} makes "
+                f"{int((~finite).sum())} logits non-finite"
+            )
+        self.logits[rows] = updated
+        if self._logprob is not None:
+            self._logprob[rows] = _row_log_softmax(updated)
         return self
+
+    def exact_log_distribution(self) -> np.ndarray:
+        """Log-probability of every sequence, aligned with space.enumeration().
+
+        A prefix DP, length by length: a length-k prefix's log-prob is its
+        length-(k-1) parent's plus the next-token entry of the parent's
+        context row, and the EOS column closes each length below lmax.
+        """
+        self.space.guard()
+        logprob = self._log_softmax()
+        coding = self.coding
+        b, lmax = coding.body_size, self.space.lmax
+        eos = self.space.vocabulary.eos_index
+        body = np.asarray(self.space.vocabulary.body_indices, dtype=np.int64)
+        offsets = length_offsets(b, lmax)
+        out = np.empty(self.space.universe_size)
+        prefix = np.zeros(1)
+        for k in range(lmax):
+            m = min(k, coding.m_eff)
+            lo = int(coding.offsets[m])
+            block = logprob[lo : lo + b**m]  # rows of the contexts "last m symbols"
+            grid = prefix.reshape(-1, b**m)  # column = the prefix's context value
+            out[offsets[k] : offsets[k] + b**k] = (grid + block[:, eos]).ravel()
+            prefix = (grid[:, :, None] + block[:, body]).ravel()
+        out[offsets[lmax] :] = prefix
+        return out
 
     def exact_distribution(self) -> np.ndarray:
         """Probability of every sequence, aligned with space.enumeration()."""
-        return np.exp(self.log_prob_batch(self.space.enumeration()))
+        return np.exp(self.exact_log_distribution())
 
     def frozen_copy(self) -> "TabularARModel":
-        return TabularARModel(
-            space=self.space, order=self.order, logits=self.logits.copy(), trainable=False
-        )
-
-    def trainable_copy(self) -> "TabularARModel":
-        return TabularARModel(
-            space=self.space, order=self.order, logits=self.logits.copy(), trainable=True
-        )
+        """Frozen snapshot: a copy of the logits and of the cached log-softmax.
+        It recomputes and re-validates nothing (the logits already passed)."""
+        logprob = self._log_softmax()
+        twin = copy.copy(self)
+        twin.logits = self.logits.copy()
+        twin.trainable = False
+        twin._logprob = logprob.copy()
+        return twin
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window."""
@@ -322,7 +398,7 @@ class TabularARModel:
                 "eos_index": self.space.vocabulary.eos_index,
             },
             "trainable": self.trainable,
-            "logits": [[float(v) for v in row] for row in self.logits],
+            "logits": self.logits.tolist(),
         }
 
     @classmethod

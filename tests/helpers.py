@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from distctl.lm import TabularARModel
-from distctl.seqspace import Sequence, SequenceSpace, Vocabulary
+from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
 
 LETTERS = "abcdefghij"
 
@@ -61,6 +61,50 @@ def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:
         probs = probs / probs.sum()
         lp += float(np.log(probs[model.space.vocabulary.eos_index]))
     return lp
+
+
+def grad_log_prob(model: TabularARModel, x: Sequence) -> np.ndarray:
+    """Score-function gradient of log model(x) as a dense logits-shaped table
+    (one-hot minus softmax at each visited context), from the library's
+    row-sparse gradient."""
+    batch = SampleBatch.from_sequences(model.space, [x])
+    return model.grad_weighted_sum(batch, np.ones(1)).dense(len(model.logits))
+
+
+def _context_rows(model: TabularARModel, batch: SampleBatch, t: int) -> np.ndarray:
+    """Context row of every sequence at step t, from its last m_eff tokens."""
+    m = model.coding.m_eff
+    rank = {v: r for r, v in enumerate(model.space.vocabulary.body_indices)}
+    out = []
+    for row, n in zip(batch.tokens, batch.lengths):
+        window = [int(tok) for tok in row[: min(t, n)]][-m:] if m > 0 else []
+        val = 0
+        for tok in window:
+            val = val * model.space.body_size + rank[tok]
+        out.append(int(model.coding.offsets[len(window)]) + val)
+    return np.array(out, dtype=np.int64)
+
+
+def dense_grad_weighted_sum(
+    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
+) -> np.ndarray:
+    """Reference batch gradient on a dense table: per step, `np.add.at` of the
+    one-hot events, then of the softmax events, over the batch in order."""
+    logits = model.logits
+    m = np.max(logits, axis=1, keepdims=True)
+    prob = np.exp(logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))))
+    eos = model.space.vocabulary.eos_index
+    grad = np.zeros_like(logits)
+    for t in range(model.space.lmax):
+        rows = np.nonzero(batch.lengths >= t)[0]
+        if len(rows) == 0:
+            break
+        codes = _context_rows(model, batch, t)[rows]
+        toks = np.where(batch.lengths[rows] > t, batch.tokens[rows, t], eos).astype(np.int64)
+        w = weights[rows]
+        np.add.at(grad, (codes, toks), w)
+        np.add.at(grad, codes, -w[:, None] * prob[codes])
+    return grad
 
 
 def exact_moment_curve(base_dist: np.ndarray, phi: np.ndarray, lam: float) -> float:

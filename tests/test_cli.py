@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,15 @@ POINTWISE_GOLD = {
 @pytest.mark.parametrize(
     "command, edit, field",
     [
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD],
+                trainer={"method": "rejection-mle", "sample_budget": 100, "fit_order": 2,
+                         "fit_smoothing": -1},
+            ),
+            "config.trainer.fit_smoothing",
+        ),
         ("train", lambda c: c.pop("trainer"), "config.trainer"),
         ("fit --seed-override -1", lambda c: c.pop("trainer"), "seed must be >= 0"),
         ("ablation", lambda c: c.pop("trainer"), "config.trainer"),
@@ -351,6 +361,7 @@ POINTWISE_GOLD = {
         ),
     ],
     ids=[
+        "rejection-mle-negative-smoothing",
         "train-without-trainer",
         "negative-seed-override",
         "ablation-without-trainer",
@@ -373,6 +384,25 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
     path.write_text(json.dumps(cfg))
     assert main([*command.split(), "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adaptivity", ["kl", "none"])
+def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivity):
+    demo = Path(__file__).parent.parent / "demo"
+    cfg = json.loads((demo / "distributional.json").read_text())
+    cfg["base_model"]["corpus"] = str(demo / cfg["base_model"]["corpus"])
+    cfg["fit"]["sample_count"] = 5000
+    cfg["trainer"].update(
+        iterations=5, samples_per_iteration=64, learning_rate=1e308, adaptivity=adaptivity
+    )
+    cfg["eval"].update(exact_oracle=False)
+    cfg["output"] = "out"
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"error: iteration [1-5]: .* non-finite", err)
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))

@@ -235,6 +235,22 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
     assert np.allclose(p2, p)
 
 
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
+def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng, scale=1.0)
+    cs = presence_set(space, "a", 1.0 if pointwise else 0.4, pointwise=pointwise)
+    if pointwise:
+        ebm = build_pointwise(base, cs).scaled(0.3)
+    else:
+        ebm = Ebm(base=base, constraint_set=cs, lam=np.array([-1.7]), log_scale=0.3)
+    scores = np.exp(ebm.log_score_batch(space.enumeration()))
+    z, p = ebm.exact_normalize()
+    assert z == float(scores.sum())
+    assert np.array_equal(p, scores / z)
+
+
 # -- information-geometry properties -------------------------------------------
 
 

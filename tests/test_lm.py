@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from distctl.errors import ConfigError, EmptyCorpus, NotTrainable, SchemaMismatch
-from distctl.lm import MODEL_VERSION, TabularARModel, mle_fit
+from distctl.errors import (
+    ConfigError,
+    EmptyCorpus,
+    NonFiniteLogits,
+    NotTrainable,
+    SchemaMismatch,
+)
+from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, mle_fit
 from distctl.seqspace import Sequence
 
-from helpers import naive_log_prob, random_model, small_space
+from helpers import (
+    dense_grad_weighted_sum,
+    grad_log_prob,
+    naive_log_prob,
+    random_model,
+    small_space,
+)
 
 
 def test_mle_next_token_ratio_before_eos(ab_space):
@@ -121,14 +133,14 @@ def test_grad_zero_when_softmax_saturated(ab_space):
     model = TabularARModel.uniform_logits(ab_space, order=1, trainable=True)
     model.logits[0, 0] = 60.0  # next token 'a' is near-deterministic
     model.invalidate()
-    grad = model.grad_log_prob(Sequence((0, 0)))
+    grad = grad_log_prob(model, Sequence((0, 0)))
     assert np.abs(grad[0]).max() < 1e-20
 
 
 def test_grad_uniform_binary_half():
     space = small_space(1, 2)
     model = TabularARModel.uniform_logits(space, order=1, trainable=True)
-    grad = model.grad_log_prob(Sequence((0, 0)))
+    grad = grad_log_prob(model, Sequence((0, 0)))
     # two free steps, each contributing (1 - 1/2) on 'a' and -1/2 on EOS
     assert grad[0, 0] == pytest.approx(1.0)
     assert grad[0, 1] == pytest.approx(-1.0)
@@ -140,7 +152,7 @@ def test_grad_matches_finite_differences(rng):
         model = random_model(space, int(rng.integers(1, 4)), rng, trainable=True)
         seqs = list(space.enumerate())
         x = seqs[int(rng.integers(len(seqs)))]
-        grad = model.grad_log_prob(x)
+        grad = grad_log_prob(model, x)
         direction = rng.standard_normal(model.logits.shape)
         eps = 1e-6
         plus = TabularARModel(
@@ -158,30 +170,30 @@ def test_grad_matches_finite_differences(rng):
 def test_grad_requires_trainable(ab_space):
     model = TabularARModel.uniform_logits(ab_space, order=1)
     with pytest.raises(NotTrainable):
-        model.grad_log_prob(Sequence((0,)))
+        grad_log_prob(model, Sequence((0,)))
     with pytest.raises(NotTrainable):
-        model.apply_update(np.zeros_like(model.logits), 0.1)
+        model.apply_update(RowGradient.full(np.zeros_like(model.logits)), 0.1)
 
 
 def test_apply_update_identity_and_reversibility(ab_space, rng):
     model = random_model(ab_space, 2, rng, trainable=True)
     before = model.logits.copy()
-    model.apply_update(np.zeros_like(before), 0.5)
+    model.apply_update(RowGradient.full(np.zeros_like(before)), 0.5)
     assert np.array_equal(model.logits, before)
     grad = rng.standard_normal(before.shape)
-    model.apply_update(grad, 0.25)
-    model.apply_update(-grad, 0.25)
+    model.apply_update(RowGradient.full(grad), 0.25)
+    model.apply_update(RowGradient.full(-grad), 0.25)
     # add-then-subtract of the identical increment restores up to one rounding ulp
     assert np.allclose(model.logits, before, rtol=0.0, atol=1e-14)
 
 
 def test_apply_update_monotone_in_target_token(ab_space):
     model = TabularARModel.uniform_logits(ab_space, order=1, trainable=True)
-    before = model._tables()[1][0, 0]
+    before = np.exp(model._log_softmax()[0, 0])
     grad = np.zeros_like(model.logits)
     grad[0, 0] = 5.0
-    model.apply_update(grad, 1.0)
-    after = model._tables()[1][0, 0]
+    model.apply_update(RowGradient.full(grad), 1.0)
+    after = np.exp(model._log_softmax()[0, 0])
     assert after > before
 
 
@@ -251,3 +263,80 @@ def test_batch_and_scalar_log_prob_agree(rng):
     vectorized = model.log_prob_batch(batch)
     scalar = np.array([model.log_prob(s) for s in batch.sequences()])
     assert np.allclose(vectorized, scalar, atol=1e-12)
+
+
+# -- batch-proportional paths, checked bitwise against the table-wide ones ----
+
+
+@pytest.mark.parametrize("order_of", [lambda lmax: 1, lambda lmax: 2, lambda lmax: lmax,
+                                      lambda lmax: lmax + 1], ids=["1", "2", "lmax", "lmax+1"])
+def test_prefix_dp_matches_enumeration_bitwise(order_of, rng):
+    for body, lmax in [(1, 1), (2, 3), (3, 4), (4, 3)]:
+        space = small_space(body, lmax)
+        model = random_model(space, order_of(lmax), rng, scale=1.5)
+        expected = np.exp(model.log_prob_batch(space.enumeration()))
+        assert np.array_equal(model.exact_distribution(), expected)
+
+
+def test_prefix_dp_matches_enumeration_with_neg_inf_rows(rng):
+    space = small_space(3, 3)
+    dist = rng.random(space.universe_size)
+    dist[rng.random(space.universe_size) < 0.4] = 0.0
+    model = TabularARModel.from_distribution(space, dist / dist.sum())
+    assert np.isneginf(model.logits).any()
+    expected = np.exp(model.log_prob_batch(space.enumeration()))
+    assert np.array_equal(model.exact_distribution(), expected)
+
+
+def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
+    for _ in range(20):
+        space = small_space(int(rng.integers(2, 5)), int(rng.integers(1, 5)))
+        model = random_model(space, int(rng.integers(1, space.lmax + 2)), rng, trainable=True)
+        batch = model.sample_batch(int(rng.integers(1, 200)), rng)
+        weights = rng.standard_normal(len(batch)) * 3.0
+        grad = model.grad_weighted_sum(batch, weights)
+        assert np.array_equal(grad.rows, np.unique(grad.rows))
+        dense = grad.dense(len(model.logits))
+        assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
+
+
+def test_sparse_updates_refresh_log_softmax_bitwise(rng):
+    space = small_space(4, 4)
+    model = random_model(space, space.lmax, rng, trainable=True)
+    model.log_prob_batch(space.enumeration())  # fill the cache before updating
+    for _ in range(20):
+        batch = model.sample_batch(int(rng.integers(1, 64)), rng)
+        model.apply_update(model.grad_weighted_sum(batch, rng.standard_normal(len(batch))), 0.7)
+    refreshed = model._log_softmax().copy()
+    model.invalidate()
+    assert np.array_equal(refreshed, model._log_softmax())
+
+
+def test_frozen_copy_is_a_snapshot(rng):
+    space = small_space(3, 3)
+    policy = random_model(space, space.lmax, rng, trainable=True)
+    frozen = policy.frozen_copy()
+    logits, dist = frozen.logits.copy(), frozen.exact_distribution()
+    for _ in range(5):
+        batch = policy.sample_batch(32, rng)
+        policy.apply_update(policy.grad_weighted_sum(batch, np.ones(len(batch))), 1.0)
+    assert not np.array_equal(policy.logits, logits)
+    assert np.array_equal(frozen.logits, logits)
+    assert np.array_equal(frozen.exact_distribution(), dist)
+    with pytest.raises(NotTrainable):
+        frozen.grad_weighted_sum(batch, np.ones(len(batch)))
+    with pytest.raises(NotTrainable):
+        frozen.apply_update(RowGradient.full(np.zeros_like(logits)), 0.1)
+
+
+def test_non_finite_update_raises_and_leaves_model_unchanged(rng):
+    space = small_space(2, 3)
+    model = random_model(space, space.lmax, rng, trainable=True)
+    before, logprob = model.logits.copy(), model._log_softmax().copy()
+    grad = RowGradient(np.array([1]), np.array([[1.0, -np.inf, 0.0]]))
+    with pytest.raises(NonFiniteLogits):
+        model.apply_update(grad, 0.5)
+    with pytest.raises(NonFiniteLogits):
+        model.apply_update(RowGradient(np.array([0]), np.array([[1e308, 0.0, 0.0]])), 1e10)
+    assert np.array_equal(model.logits, before)
+    assert np.array_equal(model._log_softmax(), logprob)
