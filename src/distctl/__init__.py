@@ -16,13 +16,12 @@ from .features import (
     ConstraintSet,
     ConstraintSpec,
     Feature,
-    PredicateTable,
     PrefixMatch,
     TokenPresence,
     TokenRatio,
     WordlistPresence,
 )
-from .lm import SgdConfig, TabularARModel, mle_fit
+from .lm import TabularARModel, mle_fit
 from .metrics import EvalOptions, MetricsRecord
 from .dpg import DpgConfig, TrainResult, train
 from .baselines import BaselineConfig, rejection_mle, train_baseline
@@ -47,12 +46,10 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "MetricsRecord",
-    "PredicateTable",
     "PrefixMatch",
     "SampleBatch",
     "Sequence",
     "SequenceSpace",
-    "SgdConfig",
     "TabularARModel",
     "TokenPresence",
     "TokenRatio",

@@ -26,7 +26,7 @@ from .features import (
     TokenRatio,
     WordlistPresence,
 )
-from .lm import SgdConfig, TabularARModel, mle_fit
+from .lm import TabularARModel, mle_fit
 from .metrics import EvalOptions
 from .seqspace import SequenceSpace, tokenize_corpus
 
@@ -62,10 +62,7 @@ FIT_KEYS = {
 }
 LOOP_KEYS = {"iterations": int, "samples_per_iteration": int, "learning_rate": float}
 TRAINER_SCHEMAS = {  # method -> (keys besides `method`, required)
-    GDC_METHOD: (
-        {**LOOP_KEYS, "adaptivity": str, "batch_update": bool, "optimizer": str},
-        tuple(LOOP_KEYS),
-    ),
+    GDC_METHOD: ({**LOOP_KEYS, "adaptivity": str, "optimizer": str}, tuple(LOOP_KEYS)),
     REINFORCE_PHI: (LOOP_KEYS, tuple(LOOP_KEYS)),
     REINFORCE_P: (LOOP_KEYS, tuple(LOOP_KEYS)),
     KL_PENALIZED: (
@@ -323,8 +320,10 @@ class ExperimentConfig:
 
     def build_fit_config(self) -> FitConfig:
         return FitConfig(
-            sgd=SgdConfig(seed=self.seed, **_fields(self.fit, "learning_rate")),
-            **_fields(self.fit, "sample_count", "tolerance", "max_steps", "lambda_clamp"),
+            seed=self.seed,
+            **_fields(
+                self.fit, "sample_count", "learning_rate", "tolerance", "max_steps", "lambda_clamp"
+            ),
         )
 
     def build_trainer(

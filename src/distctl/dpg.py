@@ -30,7 +30,6 @@ from .estimators import (
 )
 from .lm import RowGradient, TabularARModel
 from .metrics import EvalOptions, MetricsRecord, snapshot
-from .seqspace import SampleBatch
 
 ADAPTIVITY_KL = "kl"
 ADAPTIVITY_TVD = "tvd"
@@ -68,7 +67,6 @@ class LoopConfig:
 @dataclass(kw_only=True)
 class DpgConfig(LoopConfig):
     adaptivity: str = ADAPTIVITY_KL
-    batch_update: bool = True
     optimizer: str = OPTIMIZER_SGD
 
     def __post_init__(self):
@@ -77,8 +75,6 @@ class DpgConfig(LoopConfig):
             raise ConfigError(f"adaptivity must be one of {ADAPTIVITIES}, got {self.adaptivity!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.optimizer == OPTIMIZER_ADAM and not self.batch_update:
-            raise ConfigError("adam preconditioning needs batch_update")
 
 
 @dataclass
@@ -154,21 +150,13 @@ def dpg_iteration(
     log_p_score = target.log_score_batch(samples)
     weights = importance_ratios(log_p_score, log_q)
 
-    if config.batch_update:
-        grad = state.policy.grad_weighted_sum(samples, weights)
-        if state.adam is not None:
-            # the preconditioned step moves every row
-            update = state.adam.step(grad.dense(len(state.policy.logits)) / k)
-            state.policy.apply_update(RowGradient.full(update), config.learning_rate)
-        else:
-            state.policy.apply_update(grad, config.learning_rate / k)
+    grad = state.policy.grad_weighted_sum(samples, weights)
+    if state.adam is not None:
+        # the preconditioned step moves every row
+        update = state.adam.step(grad.dense(len(state.policy.logits)) / k)
+        state.policy.apply_update(RowGradient.full(update), config.learning_rate)
     else:
-        for i in range(k):
-            one = SampleBatch(
-                tokens=samples.tokens[i : i + 1], lengths=samples.lengths[i : i + 1]
-            )
-            grad = state.policy.grad_weighted_sum(one, weights[i : i + 1])
-            state.policy.apply_update(grad, config.learning_rate)
+        state.policy.apply_update(grad, config.learning_rate / k)
 
     z_hat = float(weights.mean())
     state.zma = state.zma.fold(z_hat)

@@ -19,8 +19,8 @@ from .errors import (
     UnattainableTarget,
 )
 from .features import ConstraintSet
-from .lm import SgdConfig, TabularARModel
-from .seqspace import SampleBatch, Sequence
+from .lm import TabularARModel
+from .seqspace import SampleBatch
 
 EXPONENTIAL = "exponential"
 POINTWISE_PRODUCT = "pointwise-product"
@@ -31,7 +31,8 @@ DEFAULT_LAMBDA_CLAMP = 20.0
 @dataclass(kw_only=True)
 class FitConfig:
     sample_count: int = 100000
-    sgd: SgdConfig
+    learning_rate: float = 0.5
+    seed: int = 0
     tolerance: float = 0.01
     max_steps: int = 10000
     lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
@@ -39,6 +40,8 @@ class FitConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ConfigError("sample_count must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be > 0")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be > 0")
         if self.max_steps < 1:
@@ -108,12 +111,6 @@ class Ebm:
             with np.errstate(divide="ignore"):
                 out = out + np.log(b)
         return out
-
-    def log_score(self, x: Sequence) -> float:
-        return float(self.log_score_batch(SampleBatch.from_sequences(self.space, [x]))[0])
-
-    def score(self, x: Sequence) -> float:
-        return float(np.exp(self.log_score(x)))
 
     def scaled(self, log_scale_delta: float) -> "Ebm":
         """Same EBM with every score multiplied by exp(log_scale_delta)."""
@@ -257,7 +254,7 @@ def fit_lambda(
         raise ConfigError(
             "all constraints are pointwise; use build_pointwise instead of fit_lambda"
         )
-    rng = np.random.default_rng(config.sgd.seed)
+    rng = np.random.default_rng(config.seed)
     samples = base.sample_batch(config.sample_count, rng)
     phi = constraint_set.feature_matrix(samples)
     targets = constraint_set.targets
@@ -275,7 +272,7 @@ def fit_lambda(
     else:
         lam = np.zeros(len(constraint_set))
 
-    lr = config.sgd.learning_rate
+    lr = config.learning_rate
     steps_used = 0
     converged = False
     while True:

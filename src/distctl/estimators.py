@@ -12,10 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ebm import Ebm
 from .errors import ConfigError, NonpositiveZ, SupportViolation
-from .lm import TabularARModel
-from .seqspace import SampleBatch
 
 
 @dataclass
@@ -35,10 +32,6 @@ class ZMovingAverage:
     def fold(self, z_hat: float) -> "ZMovingAverage":
         i = self.iterations
         return ZMovingAverage(value=(i * self.value + z_hat) / (i + 1), iterations=i + 1)
-
-
-def fold_z(zma: ZMovingAverage, z_hat: float) -> ZMovingAverage:
-    return zma.fold(z_hat)
 
 
 def _mean_se(terms: np.ndarray) -> tuple[float, float]:
@@ -97,54 +90,6 @@ def kl_models_from_logs(log_pi: np.ndarray, log_a: np.ndarray) -> Estimate:
         raise SupportViolation("reference model assigns zero probability to a drawn sample")
     value, se = _mean_se(log_pi - log_a)
     return Estimate(value=value, standard_error=se, sample_count=len(log_pi))
-
-
-# -- model-level wrappers ----------------------------------------------------
-
-
-def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> Estimate:
-    return z_estimate_from_logs(
-        target.log_score_batch(samples), proposal.log_prob_batch(samples)
-    )
-
-
-def estimate_kl_p_from(
-    target: Ebm,
-    policy: TabularARModel,
-    proposal: TabularARModel,
-    samples: SampleBatch,
-    z: float,
-) -> Estimate:
-    return kl_p_from_logs(
-        target.log_score_batch(samples),
-        proposal.log_prob_batch(samples),
-        policy.log_prob_batch(samples),
-        z,
-    )
-
-
-def estimate_tvd(
-    target: Ebm,
-    policy: TabularARModel,
-    proposal: TabularARModel,
-    samples: SampleBatch,
-    z: float,
-) -> Estimate:
-    return tvd_p_from_logs(
-        target.log_score_batch(samples),
-        proposal.log_prob_batch(samples),
-        policy.log_prob_batch(samples),
-        z,
-    )
-
-
-def estimate_kl_between_models(
-    policy: TabularARModel, reference: TabularARModel, samples: SampleBatch
-) -> Estimate:
-    """KL(policy || reference) from samples drawn from the policy."""
-    return kl_models_from_logs(
-        policy.log_prob_batch(samples), reference.log_prob_batch(samples)
-    )
 
 
 # -- exact oracles over enumerated universes ---------------------------------

@@ -1,8 +1,8 @@
 """Rule-based feature functions and moment-constraint specifications.
 
 Every feature is total over the universe, including the empty sequence, and
-is evaluated both per sequence (reference path) and vectorized over batches
-(fast path); tests hold the two paths equal over full enumerations.
+is evaluated on whole batches only; the tests hold each one equal to a
+per-sequence reference over full enumerations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoPointwiseConstraints
-from .seqspace import SampleBatch, Sequence, Vocabulary
+from .seqspace import SampleBatch, Vocabulary
 
 
 def _valid_mask(batch: SampleBatch) -> np.ndarray:
@@ -20,16 +20,11 @@ def _valid_mask(batch: SampleBatch) -> np.ndarray:
 
 
 class Feature:
-    """Base feature: named, range-declared function of a sequence."""
+    """Base feature: a named, range-declared function of a sequence, which
+    each kind evaluates with `evaluate_batch(batch)`, one value per row."""
 
     id: str
     binary: bool
-
-    def evaluate(self, x: Sequence) -> float:
-        raise NotImplementedError
-
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        return np.array([self.evaluate(batch.row(i)) for i in range(len(batch))])
 
 
 class TokenPresence(Feature):
@@ -38,9 +33,6 @@ class TokenPresence(Feature):
     def __init__(self, vocab: Vocabulary, token: str, feature_id: str | None = None):
         self.index = vocab.index(token)
         self.id = feature_id or f"has_{token}"
-
-    def evaluate(self, x: Sequence) -> float:
-        return 1.0 if self.index in x.tokens else 0.0
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         hit = (batch.tokens == self.index) & _valid_mask(batch)
@@ -57,9 +49,6 @@ class WordlistPresence(Feature):
             raise ConfigError("wordlist-presence needs at least one token")
         self.indices = frozenset(vocab.index(t) for t in tokens)
         self.id = feature_id or "has_any_" + "_".join(sorted(tokens))
-
-    def evaluate(self, x: Sequence) -> float:
-        return 1.0 if self.indices & set(x.tokens) else 0.0
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         hit = np.isin(batch.tokens, list(self.indices)) & _valid_mask(batch)
@@ -92,13 +81,6 @@ class TokenRatio(Feature):
         self.empty_default = empty_default
         self.id = feature_id or "ratio_" + "_".join(sorted(numerator))
 
-    def evaluate(self, x: Sequence) -> float:
-        den = sum(1 for t in x.tokens if t in self.den)
-        if den == 0:
-            return self.empty_default
-        num = sum(1 for t in x.tokens if t in self.num)
-        return num / den
-
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         mask = _valid_mask(batch)
         num = (np.isin(batch.tokens, list(self.num)) & mask).sum(axis=1)
@@ -120,9 +102,6 @@ class PrefixMatch(Feature):
         self.pattern = tuple(vocab.index(t) for t in tokens)
         self.id = feature_id or "prefix_" + "_".join(tokens)
 
-    def evaluate(self, x: Sequence) -> float:
-        return 1.0 if x.tokens[: len(self.pattern)] == self.pattern else 0.0
-
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         k = len(self.pattern)
         if k > batch.width:
@@ -130,29 +109,6 @@ class PrefixMatch(Feature):
         long_enough = batch.lengths >= k
         match = (batch.tokens[:, :k] == np.asarray(self.pattern)).all(axis=1)
         return (long_enough & match).astype(float)
-
-
-class PredicateTable(Feature):
-    """Explicit sequence-to-value map; the test-oriented escape hatch."""
-
-    def __init__(
-        self,
-        table: dict[Sequence, float],
-        default: float = 0.0,
-        binary: bool = True,
-        feature_id: str = "table",
-    ):
-        self.table = dict(table)
-        self.default = default
-        self.binary = binary
-        self.id = feature_id
-        if binary:
-            values = set(self.table.values()) | {default}
-            if not values <= {0.0, 1.0}:
-                raise ConfigError("binary predicate-table may only hold 0/1 values")
-
-    def evaluate(self, x: Sequence) -> float:
-        return self.table.get(x, self.default)
 
 
 @dataclass(frozen=True)
@@ -212,23 +168,11 @@ class ConstraintSet:
     def all_pointwise(self) -> bool:
         return len(self.constraints) > 0 and all(c.pointwise for c in self.constraints)
 
-    def evaluate_vector(self, x: Sequence) -> np.ndarray:
-        return np.array([c.feature.evaluate(x) for c in self.constraints])
-
     def feature_matrix(self, batch: SampleBatch) -> np.ndarray:
         """(n_samples, n_constraints) feature values, columns in constraint order."""
         if not self.constraints:
             return np.zeros((len(batch), 0))
         return np.column_stack([c.feature.evaluate_batch(batch) for c in self.constraints])
-
-    def pointwise_predicate(self, x: Sequence) -> float:
-        members = self.pointwise_members
-        if not members:
-            raise NoPointwiseConstraints("constraint set has no pointwise members")
-        out = 1.0
-        for c in members:
-            out *= c.feature.evaluate(x)
-        return out
 
     def pointwise_predicate_batch(self, batch: SampleBatch) -> np.ndarray:
         members = self.pointwise_members

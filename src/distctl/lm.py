@@ -40,16 +40,6 @@ MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
 
 
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-
-
 class _Coding:
     """Rolling-context arithmetic shared by every batched model operation."""
 
@@ -238,9 +228,6 @@ class TabularARModel:
             out[rows] += logprob[codes, toks]
         return out
 
-    def log_prob(self, x: Sequence) -> float:
-        return float(self.log_prob_batch(SampleBatch.from_sequences(self.space, [x]))[0])
-
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick."""
         if n < 1:
@@ -269,10 +256,6 @@ class TabularARModel:
             val = np.where(grow, coding.roll(val, t, ranks), val)
             alive = grow
         return SampleBatch(tokens=tokens, lengths=lengths)
-
-    def sample(self, n: int, seed: int) -> list[Sequence]:
-        rng = np.random.default_rng(seed)
-        return self.sample_batch(n, rng).sequences()
 
     def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> RowGradient:
         """Sum over the batch of weight_i * grad log_prob(x_i), on the touched rows.
@@ -417,12 +400,33 @@ class TabularARModel:
                 f"unsupported model version {doc['version']!r} (expected {MODEL_VERSION})"
             )
         vocab_doc = doc["vocabulary"]
-        if set(vocab_doc) != {"tokens", "eos_index"}:
+        if not isinstance(vocab_doc, dict) or set(vocab_doc) != {"tokens", "eos_index"}:
             raise SchemaMismatch("vocabulary block keys mismatch")
-        vocab = Vocabulary(tuple(vocab_doc["tokens"]), vocab_doc["eos_index"])
-        space = SequenceSpace(vocabulary=vocab, lmax=doc["lmax"])
-        logits = np.asarray(doc["logits"], dtype=float)
+        tokens, eos_index = vocab_doc["tokens"], vocab_doc["eos_index"]
+        _expect_field(
+            isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
+            "vocabulary.tokens", "a list of strings",
+        )
+        ints = {"vocabulary.eos_index": eos_index, "order": doc["order"], "lmax": doc["lmax"]}
+        for key, value in ints.items():
+            _expect_field(isinstance(value, int) and not isinstance(value, bool), key, "an integer")
+        _expect_field(isinstance(doc["trainable"], bool), "trainable", "a boolean")
+        try:
+            logits = np.asarray(doc["logits"])
+        except ValueError:  # ragged rows
+            logits = None
+        _expect_field(
+            logits is not None and logits.ndim == 2 and logits.dtype.kind in "iuf",
+            "logits", "a 2-D array of numbers",
+        )
+        space = SequenceSpace(vocabulary=Vocabulary(tuple(tokens), eos_index), lmax=doc["lmax"])
+        logits = logits.astype(float, copy=False)
         return cls(space=space, order=doc["order"], logits=logits, trainable=doc["trainable"])
+
+
+def _expect_field(ok: bool, key: str, expected: str) -> None:
+    if not ok:
+        raise SchemaMismatch(f"model document field {key!r} must be {expected}")
 
 
 def mle_fit(

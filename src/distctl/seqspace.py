@@ -1,14 +1,15 @@
 """Finite sequence universes: vocabulary, sequences, enumeration, corpus ingestion.
 
 A space holds every sequence of body tokens (EOS excluded) with length
-0..lmax. Enumeration order is (length ascending, then lexicographic by
-vocabulary index) and is the alignment contract for every exact oracle in
-the package: any array "over the universe" is indexed in this order.
+0..lmax. The universe is materialized once, as one SampleBatch
+(`SequenceSpace.enumeration`); there is no per-sequence iterator. Its order
+(length ascending, then lexicographic by vocabulary index) is the alignment
+contract for every exact oracle in the package: any array "over the
+universe" is indexed in this order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,12 +81,6 @@ def length_offsets(base: int, max_len: int) -> np.ndarray:
     """offsets[k] = number of strings strictly shorter than k symbols."""
     counts = [base**k for k in range(max_len + 1)]
     return np.concatenate([[0], np.cumsum(counts[:-1])]).astype(np.int64)
-
-
-def enumerate_rank_strings(base: int, max_len: int):
-    """Yield all symbol strings (tuples over range(base)), shortest first, lex within length."""
-    for k in range(max_len + 1):
-        yield from itertools.product(range(base), repeat=k)
 
 
 @dataclass
@@ -160,41 +155,29 @@ class SequenceSpace:
             if not 0 <= t < self.vocabulary.size:
                 raise ConfigError(f"token index {t} out of vocabulary range")
 
-    def enumerate(self):
-        """Yield every sequence exactly once, shortest first, lex within a length."""
-        self.guard()
-        body = self.vocabulary.body_indices
-        for ranks in enumerate_rank_strings(self.body_size, self.lmax):
-            yield Sequence(tuple(body[r] for r in ranks))
-
     def enumeration(self) -> SampleBatch:
-        """The whole universe as one cached SampleBatch, in enumeration order."""
+        """The whole universe as one cached SampleBatch, in enumeration order.
+
+        Within the length-k block, column j holds the j-th of k base-b digits
+        of the row's rank: b**j runs of each body token, each run b**(k-1-j)
+        rows long. The block is contiguous, so its reshape is a view and the
+        columns are written in place.
+        """
         if "enum" not in self._cache:
             self.guard()
-            n = self.universe_size
+            b, n = self.body_size, self.universe_size
             tokens = np.full((n, self.lmax), -1, dtype=np.int32)
             lengths = np.zeros(n, dtype=np.int64)
             body = np.asarray(self.vocabulary.body_indices, dtype=np.int32)
             row = 0
             for k in range(self.lmax + 1):
-                count = self.body_size**k
-                if k > 0:
-                    grids = np.meshgrid(*([np.arange(self.body_size)] * k), indexing="ij")
-                    ranks = np.stack(grids, axis=-1).reshape(-1, k)
-                    tokens[row : row + count, :k] = body[ranks]
-                lengths[row : row + count] = k
-                row += count
+                for j in range(k):
+                    runs = tokens[row : row + b**k].reshape(b**j, b, b ** (k - 1 - j), self.lmax)
+                    runs[..., j] = body[:, None]
+                lengths[row : row + b**k] = k
+                row += b**k
             self._cache["enum"] = SampleBatch(tokens=tokens, lengths=lengths)
         return self._cache["enum"]
-
-    def sequence_rank(self, seq: Sequence) -> int:
-        """Position of `seq` in enumeration order."""
-        b = self.body_size
-        rank_of = {v: r for r, v in enumerate(self.vocabulary.body_indices)}
-        val = 0
-        for t in seq.tokens:
-            val = val * b + rank_of[t]
-        return int(length_offsets(b, self.lmax)[len(seq)]) + val
 
 
 @dataclass

@@ -7,10 +7,21 @@ enumerations.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
 
+from distctl.ebm import Ebm
+from distctl.errors import ConfigError
+from distctl.estimators import (
+    Estimate,
+    kl_models_from_logs,
+    kl_p_from_logs,
+    tvd_p_from_logs,
+    z_estimate_from_logs,
+)
+from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
 from distctl.lm import TabularARModel
 from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
 
@@ -20,6 +31,102 @@ LETTERS = "abcdefghij"
 def small_space(body: int, lmax: int) -> SequenceSpace:
     vocab = Vocabulary.from_body_tokens(list(LETTERS[:body]))
     return SequenceSpace(vocabulary=vocab, lmax=lmax)
+
+
+# -- the universe, one sequence at a time ---------------------------------------
+
+
+def enumerate_sequences(space: SequenceSpace):
+    """Yield every sequence once: shortest first, lexicographic by vocabulary
+    index within a length."""
+    space.guard()
+    for k in range(space.lmax + 1):
+        for tokens in itertools.product(space.vocabulary.body_indices, repeat=k):
+            yield Sequence(tokens)
+
+
+def _numeral(space: SequenceSpace, tokens) -> int:
+    """`tokens` read as a base-b numeral whose digits are body-token ranks."""
+    digit = {v: r for r, v in enumerate(space.vocabulary.body_indices)}
+    value = 0
+    for t in tokens:
+        value = value * space.body_size + digit[t]
+    return value
+
+
+def sequence_rank(space: SequenceSpace, seq: Sequence) -> int:
+    """Position of `seq` in enumeration order: the number of shorter sequences
+    plus its base-b numeral."""
+    return sum(space.body_size**k for k in range(len(seq))) + _numeral(space, seq.tokens)
+
+
+# -- features, one sequence at a time --------------------------------------------
+
+
+class PredicateTable(Feature):
+    """Explicit sequence-to-value map, for tests that need an arbitrary feature."""
+
+    def __init__(self, table: dict, default=0.0, binary=True, feature_id="table"):
+        self.table = dict(table)
+        self.default = default
+        self.binary = binary
+        self.id = feature_id
+        if binary and not set(self.table.values()) | {default} <= {0.0, 1.0}:
+            raise ConfigError("binary predicate-table may only hold 0/1 values")
+
+    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
+        return np.array([self.table.get(x, self.default) for x in batch.sequences()], dtype=float)
+
+
+def feature_value(feature: Feature, x: Sequence) -> float:
+    """A feature's value on one sequence, from its definition."""
+    if isinstance(feature, TokenPresence):
+        return 1.0 if feature.index in x.tokens else 0.0
+    if isinstance(feature, WordlistPresence):
+        return 1.0 if feature.indices & set(x.tokens) else 0.0
+    if isinstance(feature, TokenRatio):
+        den = sum(1 for t in x.tokens if t in feature.den)
+        if den == 0:
+            return feature.empty_default
+        return sum(1 for t in x.tokens if t in feature.num) / den
+    if isinstance(feature, PrefixMatch):
+        return 1.0 if x.tokens[: len(feature.pattern)] == feature.pattern else 0.0
+    if isinstance(feature, PredicateTable):
+        return feature.table.get(x, feature.default)
+    raise TypeError(f"no reference for feature {type(feature).__name__}")
+
+
+# -- importance-sampling estimates from models --------------------------------------
+
+
+def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> Estimate:
+    return z_estimate_from_logs(target.log_score_batch(samples), proposal.log_prob_batch(samples))
+
+
+def estimate_kl_p_from(target, policy, proposal, samples, z: float) -> Estimate:
+    """KL(p || policy) from samples drawn from the proposal."""
+    return kl_p_from_logs(*_ebm_logs(target, policy, proposal, samples), z)
+
+
+def estimate_tvd(target, policy, proposal, samples, z: float) -> Estimate:
+    """TVD(p, policy) from samples drawn from the proposal."""
+    return tvd_p_from_logs(*_ebm_logs(target, policy, proposal, samples), z)
+
+
+def _ebm_logs(target: Ebm, policy, proposal, samples: SampleBatch) -> tuple:
+    """Log-score, proposal and policy log-probs of the samples."""
+    return (
+        target.log_score_batch(samples),
+        proposal.log_prob_batch(samples),
+        policy.log_prob_batch(samples),
+    )
+
+
+def estimate_kl_between_models(
+    policy: TabularARModel, reference: TabularARModel, samples: SampleBatch
+) -> Estimate:
+    """KL(policy || reference) from samples drawn from the policy."""
+    return kl_models_from_logs(policy.log_prob_batch(samples), reference.log_prob_batch(samples))
 
 
 def random_model(
@@ -37,29 +144,15 @@ def random_model(
 
 def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:
     """Chain-rule product computed step by step with explicit softmax calls."""
-    m = model.coding.m_eff
+    steps = list(seq.tokens)
+    if len(seq) < model.space.lmax:
+        steps.append(model.space.vocabulary.eos_index)
     lp = 0.0
-    history: list[int] = []
-    rank = {v: r for r, v in enumerate(model.space.vocabulary.body_indices)}
-
-    def context_row(hist):
-        window = hist[-m:] if m > 0 else []
-        val = 0
-        for tok in window:
-            val = val * model.space.body_size + rank[tok]
-        return int(model.coding.offsets[len(window)]) + val
-
-    for tok in seq.tokens:
-        row = model.logits[context_row(history)]
+    for t, tok in enumerate(steps):
+        row = model.logits[_context_row(model, steps[:t])]
         probs = np.exp(row - row.max())
         probs = probs / probs.sum()
         lp += float(np.log(probs[tok]))
-        history.append(tok)
-    if len(seq) < model.space.lmax:
-        row = model.logits[context_row(history)]
-        probs = np.exp(row - row.max())
-        probs = probs / probs.sum()
-        lp += float(np.log(probs[model.space.vocabulary.eos_index]))
     return lp
 
 
@@ -71,18 +164,17 @@ def grad_log_prob(model: TabularARModel, x: Sequence) -> np.ndarray:
     return model.grad_weighted_sum(batch, np.ones(1)).dense(len(model.logits))
 
 
-def _context_rows(model: TabularARModel, batch: SampleBatch, t: int) -> np.ndarray:
-    """Context row of every sequence at step t, from its last m_eff tokens."""
+def _context_row(model: TabularARModel, history: list[int]) -> int:
+    """Table row of the context formed by the last m_eff tokens of `history`."""
     m = model.coding.m_eff
-    rank = {v: r for r, v in enumerate(model.space.vocabulary.body_indices)}
-    out = []
-    for row, n in zip(batch.tokens, batch.lengths):
-        window = [int(tok) for tok in row[: min(t, n)]][-m:] if m > 0 else []
-        val = 0
-        for tok in window:
-            val = val * model.space.body_size + rank[tok]
-        out.append(int(model.coding.offsets[len(window)]) + val)
-    return np.array(out, dtype=np.int64)
+    window = history[-m:] if m > 0 else []
+    return int(model.coding.offsets[len(window)]) + _numeral(model.space, window)
+
+
+def _context_rows(model: TabularARModel, batch: SampleBatch, t: int) -> np.ndarray:
+    """Context row of every sequence at step t."""
+    prefixes = [row[: min(t, n)].tolist() for row, n in zip(batch.tokens, batch.lengths)]
+    return np.array([_context_row(model, p) for p in prefixes], dtype=np.int64)
 
 
 def dense_grad_weighted_sum(

@@ -20,22 +20,19 @@ from distctl.ebm import (
     moment_preserving_perturbations,
     snis_objective_grad,
 )
-from distctl.estimators import (
+from distctl.estimators import exact_entropy, exact_kl, exact_tvd
+from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
+from distctl.lm import TabularARModel, mle_fit
+from distctl.metrics import EvalOptions, dist_n, self_bleu_n, zipf_table
+from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, tokenize_corpus
+
+from helpers import (
+    bisect_lambda,
+    enumerate_sequences,
     estimate_kl_between_models,
     estimate_kl_p_from,
     estimate_tvd,
     estimate_z,
-    exact_entropy,
-    exact_kl,
-    exact_tvd,
-)
-from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
-from distctl.lm import SgdConfig, TabularARModel, mle_fit
-from distctl.metrics import EvalOptions, dist_n, self_bleu_n, zipf_table
-from distctl.seqspace import Sequence, SequenceSpace, tokenize_corpus
-
-from helpers import (
-    bisect_lambda,
     grad_log_prob,
     naive_bleu,
     random_model,
@@ -66,7 +63,8 @@ def anchor():
     )
     fit_config = FitConfig(
         sample_count=100000,
-        sgd=SgdConfig(learning_rate=0.5, seed=0),
+        learning_rate=0.5,
+        seed=0,
         tolerance=1e-6,
         max_steps=20000,
     )
@@ -350,8 +348,9 @@ def test_criterion_8_gradient_identities():
     for _ in range(100):
         space = small_space(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         model = random_model(space, int(rng.integers(1, 4)), rng, trainable=True)
-        seqs = list(space.enumerate())
+        seqs = list(enumerate_sequences(space))
         x = seqs[int(rng.integers(len(seqs)))]
+        one = SampleBatch.from_sequences(space, [x])
         grad = grad_log_prob(model, x)
         direction = rng.standard_normal(model.logits.shape)
         eps = 1e-6
@@ -359,7 +358,7 @@ def test_criterion_8_gradient_identities():
                               logits=model.logits + eps * direction, trainable=True)
         minus = TabularARModel(space=space, order=model.order,
                                logits=model.logits - eps * direction, trainable=True)
-        numeric = (plus.log_prob(x) - minus.log_prob(x)) / (2 * eps)
+        numeric = (plus.log_prob_batch(one)[0] - minus.log_prob_batch(one)[0]) / (2 * eps)
         analytic = float((grad * direction).sum())
         worst_fd = max(worst_fd, abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8))
     # (b) exact expected update equals -Z * grad CE(p, pi) by enumeration
@@ -457,7 +456,8 @@ def test_criterion_10_hybrid_constraints():
     base_moments = base.exact_distribution() @ phi
     config = FitConfig(
         sample_count=100000,
-        sgd=SgdConfig(learning_rate=1.0, seed=0),
+        learning_rate=1.0,
+        seed=0,
         tolerance=1e-4,
         max_steps=30000,
     )

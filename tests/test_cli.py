@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import distctl
 from distctl.cli import main
 from distctl.config import ExperimentConfig
 
@@ -318,6 +319,11 @@ POINTWISE_GOLD = {
         ("train", lambda c: c["trainer"].update(policy_order="x"), "config.trainer.policy_order"),
         (
             "train",
+            lambda c: c["trainer"].update(batch_update=False),
+            "config.trainer.batch_update",
+        ),
+        (
+            "train",
             lambda c: c.update(
                 constraints=[POINTWISE_GOLD],
                 trainer=dict(
@@ -369,6 +375,7 @@ POINTWISE_GOLD = {
         "ablation-reinforce-phi",
         "ablation-not-an-object",
         "policy-order-removed",
+        "batch-update-removed",
         "beta-step-removed",
         "empty-default-type",
         "unknown-constraint-key",
@@ -384,6 +391,35 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
     path.write_text(json.dumps(cfg))
     assert main([*command.split(), "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.update(lmax="3"), "'lmax'"),
+        (lambda doc: doc.update(order="2"), "'order'"),
+        (lambda doc: doc.update(order=True), "'order'"),
+        (lambda doc: doc.update(trainable=1), "'trainable'"),
+        (lambda doc: doc.update(logits="x"), "'logits'"),
+        (lambda doc: doc["logits"][1].pop(), "'logits'"),
+        (lambda doc: doc["vocabulary"].update(eos_index="4"), "'vocabulary.eos_index'"),
+        (lambda doc: doc["vocabulary"].update(tokens="abc"), "'vocabulary.tokens'"),
+    ],
+    ids=["lmax-string", "order-string", "order-bool", "trainable-int", "logits-string",
+         "logits-ragged", "eos-index-string", "tokens-string"],
+)
+def test_malformed_model_file_exits_2_naming_the_field(workdir, capsys, edit, field):
+    doc = ExperimentConfig.load(write_config(workdir)).build_base().to_document()
+    edit(doc)
+    (workdir / "model.json").write_text(json.dumps(doc))
+    path = write_config(workdir, name="from-file.json", base_model={"model_file": "model.json"})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    for name in distctl.__all__:
+        assert getattr(distctl, name) is not None, name
 
 
 @pytest.mark.parametrize("adaptivity", ["kl", "none"])

@@ -148,15 +148,6 @@ def test_adaptivity_deferred_until_z_positive(rng):
     assert len(skipped) == 4 and not any(d.swapped for d in state.decisions)
 
 
-def test_per_sample_update_mode_runs(ab_space, ab_uniform):
-    target = make_pointwise(ab_space, ab_uniform)
-    config = DpgConfig(
-        iterations=5, samples_per_iteration=16, learning_rate=0.2, batch_update=False, seed=4
-    )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=16))
-    assert result.state.iteration == 5
-
-
 def test_tvd_adaptivity_runs_and_swaps(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
     config = DpgConfig(
@@ -219,8 +210,3 @@ def test_config_validation():
         DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=0.1, adaptivity="bogus")
     with pytest.raises(ConfigError):
         DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=0.1, optimizer="sign")
-    with pytest.raises(ConfigError):
-        DpgConfig(
-            iterations=1, samples_per_iteration=8, learning_rate=0.1,
-            optimizer="adam", batch_update=False,
-        )

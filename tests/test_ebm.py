@@ -19,11 +19,11 @@ from distctl.errors import (
     UnattainableTarget,
 )
 from distctl.estimators import exact_kl
-from distctl.features import ConstraintSet, ConstraintSpec, PredicateTable, TokenPresence
-from distctl.lm import SgdConfig, TabularARModel
-from distctl.seqspace import Sequence
+from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
+from distctl.lm import TabularARModel
+from distctl.seqspace import SampleBatch, Sequence
 
-from helpers import bisect_lambda, random_model, small_space, snis_standard_error
+from helpers import PredicateTable, bisect_lambda, random_model, small_space, snis_standard_error
 
 
 def presence_set(space, token, target, pointwise=False):
@@ -35,7 +35,8 @@ def presence_set(space, token, target, pointwise=False):
 def fit_config(n=100000, lr=0.5, tol=1e-6, steps=20000, seed=0, clamp=20.0):
     return FitConfig(
         sample_count=n,
-        sgd=SgdConfig(learning_rate=lr, seed=seed),
+        learning_rate=lr,
+        seed=seed,
         tolerance=tol,
         max_steps=steps,
         lambda_clamp=clamp,
@@ -45,24 +46,30 @@ def fit_config(n=100000, lr=0.5, tol=1e-6, steps=20000, seed=0, clamp=20.0):
 # -- score ---------------------------------------------------------------
 
 
+def scores(ebm, *seqs):
+    """Unnormalized scores of the given sequences."""
+    return np.exp(ebm.log_score_batch(SampleBatch.from_sequences(ebm.space, list(seqs))))
+
+
 def test_score_identity_at_lambda_zero(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.5)
     ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(1))
-    for x in ab_space.enumerate():
-        assert ebm.score(x) == pytest.approx(np.exp(ab_uniform.log_prob(x)), rel=1e-12)
+    enum = ab_space.enumeration()
+    expected = np.exp(ab_uniform.log_prob_batch(enum))
+    assert np.exp(ebm.log_score_batch(enum)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_score_pointwise_zero(ab_space, ab_uniform, presence_a_pointwise):
     ebm = build_pointwise(ab_uniform, presence_a_pointwise)
-    assert ebm.score(Sequence((1, 1))) == 0.0
-    assert ebm.score(Sequence((0,))) == pytest.approx(1.0 / 7.0)
+    none_a, one_a = scores(ebm, Sequence((1, 1)), Sequence((0,)))
+    assert none_a == 0.0
+    assert one_a == pytest.approx(1.0 / 7.0)
 
 
 def test_score_log2_doubles(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.5)
     ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=np.array([np.log(2.0)]))
-    x = Sequence((0,))
-    assert ebm.score(x) == pytest.approx(2.0 / 7.0, rel=1e-12)
+    assert scores(ebm, Sequence((0,)))[0] == pytest.approx(2.0 / 7.0, rel=1e-12)
 
 
 # -- snis ------------------------------------------------------------------
@@ -119,7 +126,7 @@ def test_snis_gradient_matches_finite_differences(rng):
 
 def test_fit_converges_immediately_on_base_moments(ab_space, ab_uniform):
     cfg = fit_config(n=20000, tol=0.01)
-    samples = ab_uniform.sample_batch(cfg.sample_count, np.random.default_rng(cfg.sgd.seed))
+    samples = ab_uniform.sample_batch(cfg.sample_count, np.random.default_rng(cfg.seed))
     cs_probe = presence_set(ab_space, "a", 0.5)
     base_moment = float(cs_probe.feature_matrix(samples).mean())
     cs = presence_set(ab_space, "a", base_moment)
@@ -140,8 +147,10 @@ def test_fit_matches_bisection_oracle(ab_space, ab_uniform):
 
 
 def test_fit_default_tolerance_is_paper_value():
-    cfg = FitConfig(sample_count=10, sgd=SgdConfig(learning_rate=0.5))
+    cfg = FitConfig(sample_count=10, learning_rate=0.5)
     assert cfg.tolerance == 0.01
+    with pytest.raises(ConfigError):
+        FitConfig(learning_rate=0.0)
 
 
 def test_fit_unattainable_target(ab_space):

@@ -7,14 +7,9 @@ from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError, NonpositiveZ, SupportViolation
 from distctl.estimators import (
     ZMovingAverage,
-    estimate_kl_between_models,
-    estimate_kl_p_from,
-    estimate_tvd,
-    estimate_z,
     exact_entropy,
     exact_kl,
     exact_tvd,
-    fold_z,
     kl_p_from_logs,
     tvd_p_from_logs,
     z_estimate_from_logs,
@@ -23,7 +18,16 @@ from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.lm import TabularARModel
 from distctl.seqspace import Sequence
 
-from helpers import random_model, small_space
+from helpers import (
+    estimate_kl_between_models,
+    estimate_kl_p_from,
+    estimate_tvd,
+    estimate_z,
+    naive_log_prob,
+    random_model,
+    sequence_rank,
+    small_space,
+)
 
 
 @pytest.fixture
@@ -74,9 +78,9 @@ def test_z_support_violation(pointwise_setup, ab_space):
 
 def test_fold_z_basics():
     zma = ZMovingAverage()
-    zma = fold_z(zma, 2.0)
+    zma = zma.fold(2.0)
     assert zma.value == 2.0 and zma.iterations == 1
-    zma = fold_z(zma, 3.0)
+    zma = zma.fold(3.0)
     assert zma.value == pytest.approx(2.5)
     assert ZMovingAverage().fold(1.0).fold(3.0).value == pytest.approx(2.0)
 
@@ -214,11 +218,11 @@ def test_kl_models_enumeration_cross_check(rng):
 def test_kl_models_point_mass_closed_form(ab_space, ab_uniform):
     s = Sequence((0, 1))
     dist = np.zeros(ab_space.universe_size)
-    dist[ab_space.sequence_rank(s)] = 1.0
+    dist[sequence_rank(ab_space, s)] = 1.0
     policy = TabularARModel.from_distribution(ab_space, dist)
     samples = policy.sample_batch(50, np.random.default_rng(11))
     est = estimate_kl_between_models(policy, ab_uniform, samples)
-    assert est.value == pytest.approx(-ab_uniform.log_prob(s), rel=1e-12)
+    assert est.value == pytest.approx(-naive_log_prob(ab_uniform, s), rel=1e-12)
 
 
 def test_kl_models_support_violation(ab_space, ab_uniform):

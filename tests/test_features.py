@@ -5,15 +5,14 @@ from distctl.errors import ConfigError, NoPointwiseConstraints
 from distctl.features import (
     ConstraintSet,
     ConstraintSpec,
-    PredicateTable,
     PrefixMatch,
     TokenPresence,
     TokenRatio,
     WordlistPresence,
 )
-from distctl.seqspace import Sequence, SequenceSpace, Vocabulary
+from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
 
-from helpers import small_space
+from helpers import PredicateTable, enumerate_sequences, feature_value, small_space
 
 
 @pytest.fixture
@@ -22,22 +21,27 @@ def pronoun_space():
     return SequenceSpace(vocabulary=vocab, lmax=4)
 
 
+def rows(space, *seqs):
+    """A batch of the given token tuples."""
+    return SampleBatch.from_sequences(space, [Sequence(tuple(s)) for s in seqs])
+
+
 def test_token_presence(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenPresence(v, "ball")
-    assert f.evaluate(Sequence((v.index("ball"), v.index("he")))) == 1.0
-    assert f.evaluate(Sequence((v.index("he"),))) == 0.0
-    assert f.evaluate(Sequence(())) == 0.0
+    batch = rows(pronoun_space, (v.index("ball"), v.index("he")), (v.index("he"),), ())
+    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0, 0.0])
 
 
 def test_token_ratio_pronoun_rule(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenRatio(v, ["she"], ["she", "he"])
     she, he = v.index("she"), v.index("he")
-    assert f.evaluate(Sequence((she, he, she))) == pytest.approx(2.0 / 3.0)
-    assert f.evaluate(Sequence(())) == 0.0  # declared default on pronoun-free text
+    values = f.evaluate_batch(rows(pronoun_space, (she, he, she), ()))
+    assert values[0] == pytest.approx(2.0 / 3.0)
+    assert values[1] == 0.0  # declared default on pronoun-free text
     g = TokenRatio(v, ["she"], ["she", "he"], empty_default=0.5)
-    assert g.evaluate(Sequence((v.index("ball"),))) == 0.5
+    assert g.evaluate_batch(rows(pronoun_space, (v.index("ball"),)))[0] == 0.5
 
 
 def test_token_ratio_validation(pronoun_space):
@@ -52,17 +56,15 @@ def test_prefix_match(pronoun_space):
     v = pronoun_space.vocabulary
     f = PrefixMatch(v, ["she", "ball"])
     she, ball, he = v.index("she"), v.index("ball"), v.index("he")
-    assert f.evaluate(Sequence((she, ball, he))) == 1.0
-    assert f.evaluate(Sequence((she,))) == 0.0
-    assert f.evaluate(Sequence(())) == 0.0
+    batch = rows(pronoun_space, (she, ball, he), (she,), ())
+    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         PrefixMatch(v, [])
 
 
 def test_predicate_table():
     table = PredicateTable({Sequence((0,)): 1.0}, default=0.0)
-    assert table.evaluate(Sequence((0,))) == 1.0
-    assert table.evaluate(Sequence((1,))) == 0.0
+    assert np.array_equal(table.evaluate_batch(rows(small_space(2, 2), (0,), (1,))), [1.0, 0.0])
     with pytest.raises(ConfigError):
         PredicateTable({Sequence((0,)): 0.5}, binary=True)
 
@@ -70,8 +72,8 @@ def test_predicate_table():
 def test_wordlist_presence(pronoun_space):
     v = pronoun_space.vocabulary
     f = WordlistPresence(v, ["ball", "lab"])
-    assert f.evaluate(Sequence((v.index("lab"),))) == 1.0
-    assert f.evaluate(Sequence((v.index("he"),))) == 0.0
+    batch = rows(pronoun_space, (v.index("lab"),), (v.index("he"),))
+    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0])
     with pytest.raises(ConfigError):
         WordlistPresence(v, [])
 
@@ -87,7 +89,7 @@ def test_batch_matches_scalar_over_enumeration(make):
     f = make(space.vocabulary)
     batch = space.enumeration()
     vectorized = f.evaluate_batch(batch)
-    scalar = np.array([f.evaluate(s) for s in batch.sequences()])
+    scalar = np.array([feature_value(f, s) for s in batch.sequences()])
     assert np.array_equal(vectorized, scalar)
 
 
@@ -102,20 +104,20 @@ def test_binary_features_are_binary_over_enumeration():
 def test_evaluate_is_pure(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenRatio(v, ["she"], ["she", "he"])
-    x = Sequence((v.index("she"), v.index("he")))
-    assert f.evaluate(x) == f.evaluate(x)
+    x = rows(pronoun_space, (v.index("she"), v.index("he")))
+    assert np.array_equal(f.evaluate_batch(x), f.evaluate_batch(x))
 
 
 def test_evaluate_vector_and_empty_set():
     space = small_space(3, 3)
     v = space.vocabulary
     empty = ConstraintSet([])
-    assert empty.evaluate_vector(Sequence((0,))).shape == (0,)
+    assert empty.feature_matrix(rows(space, (0,))).shape == (1, 0)
     cs = ConstraintSet([
         ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "b"), 1.0, pointwise=True),
     ])
-    assert np.array_equal(cs.evaluate_vector(Sequence((0, 1))), [1.0, 1.0])
+    assert np.array_equal(cs.feature_matrix(rows(space, (0, 1))), [[1.0, 1.0]])
 
 
 def test_hybrid_vector_example():
@@ -127,8 +129,8 @@ def test_hybrid_vector_example():
         ConstraintSpec(sports, 1.0, pointwise=True),
         ConstraintSpec(female, 0.5, pointwise=False),
     ])
-    x = Sequence((v.index("a"), v.index("c")))  # sports yes, female no
-    assert np.array_equal(cs.evaluate_vector(x), [1.0, 0.0])
+    x = rows(space, (v.index("a"), v.index("c")))  # sports yes, female no
+    assert np.array_equal(cs.feature_matrix(x), [[1.0, 0.0]])
 
 
 def test_pointwise_predicate():
@@ -138,11 +140,10 @@ def test_pointwise_predicate():
         ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "b"), 1.0, pointwise=True),
     ])
-    assert cs.pointwise_predicate(Sequence((0, 1))) == 1.0
-    assert cs.pointwise_predicate(Sequence((0,))) == 0.0
+    assert np.array_equal(cs.pointwise_predicate_batch(rows(space, (0, 1), (0,))), [1.0, 0.0])
     distributional = ConstraintSet([ConstraintSpec(TokenPresence(v, "a"), 0.5)])
     with pytest.raises(NoPointwiseConstraints):
-        distributional.pointwise_predicate(Sequence((0,)))
+        distributional.pointwise_predicate_batch(rows(space, (0,)))
 
 
 def test_pointwise_predicate_iff_all_satisfied():
@@ -152,9 +153,11 @@ def test_pointwise_predicate_iff_all_satisfied():
         ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "b"), 1.0, pointwise=True),
     ])
-    for x in space.enumerate():
-        expected = 1.0 if all(c.feature.evaluate(x) == 1.0 for c in cs) else 0.0
-        assert cs.pointwise_predicate(x) == expected
+    expected = [
+        1.0 if all(feature_value(c.feature, x) == 1.0 for c in cs) else 0.0
+        for x in enumerate_sequences(space)
+    ]
+    assert np.array_equal(cs.pointwise_predicate_batch(space.enumeration()), expected)
 
 
 def test_constraint_spec_validation():

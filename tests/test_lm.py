@@ -12,13 +12,15 @@ from distctl.errors import (
     SchemaMismatch,
 )
 from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, mle_fit
-from distctl.seqspace import Sequence
+from distctl.seqspace import SampleBatch, Sequence
 
 from helpers import (
     dense_grad_weighted_sum,
+    enumerate_sequences,
     grad_log_prob,
     naive_log_prob,
     random_model,
+    sequence_rank,
     small_space,
 )
 
@@ -41,13 +43,13 @@ def test_mle_concentrates_on_single_sequence(ab_space):
     target = Sequence((0, 1))
     model = mle_fit(ab_space, [target], order=1, smoothing=0.0)
     dist = model.exact_distribution()
-    assert dist[ab_space.sequence_rank(target)] == dist.max()
+    assert dist[sequence_rank(ab_space, target)] == dist.max()
     # with a repeated token the maximum is unique
     repeated = Sequence((0, 0))
     model2 = mle_fit(ab_space, [repeated], order=1, smoothing=0.0)
     dist2 = model2.exact_distribution()
-    assert np.argmax(dist2) == ab_space.sequence_rank(repeated)
-    assert dist2[ab_space.sequence_rank(repeated)] == pytest.approx(1.0)
+    assert np.argmax(dist2) == sequence_rank(ab_space, repeated)
+    assert dist2[sequence_rank(ab_space, repeated)] == pytest.approx(1.0)
 
 
 def test_mle_empty_corpus(ab_space):
@@ -58,14 +60,15 @@ def test_mle_empty_corpus(ab_space):
 def test_log_prob_uniform_binary():
     space = small_space(1, 1)
     model = TabularARModel.uniform_logits(space, order=1)
-    assert model.log_prob(Sequence(())) == pytest.approx(np.log(0.5))
-    assert model.log_prob(Sequence((0,))) == pytest.approx(np.log(0.5))
+    batch = SampleBatch.from_sequences(space, [Sequence(()), Sequence((0,))])
+    assert model.log_prob_batch(batch) == pytest.approx([np.log(0.5), np.log(0.5)])
 
 
 def test_forced_eos_at_lmax(ab_space):
     model = TabularARModel.uniform_logits(ab_space, order=1)
     # P([a,a]) = (1/3) * (1/3) * 1: the step at lmax carries no EOS factor
-    assert model.log_prob(Sequence((0, 0))) == pytest.approx(np.log(1.0 / 9.0))
+    batch = SampleBatch.from_sequences(ab_space, [Sequence((0, 0))])
+    assert model.log_prob_batch(batch)[0] == pytest.approx(np.log(1.0 / 9.0))
 
 
 @pytest.mark.parametrize("body,lmax,order", [(2, 2, 1), (3, 4, 2), (5, 5, 3), (5, 8, 2)])
@@ -79,35 +82,40 @@ def test_log_prob_matches_chain_rule_oracle(rng):
     for _ in range(20):
         space = small_space(int(rng.integers(2, 4)), int(rng.integers(2, 5)))
         model = random_model(space, int(rng.integers(1, 4)), rng)
-        for seq in list(space.enumerate())[:: max(1, space.universe_size // 10)]:
-            assert model.log_prob(seq) == pytest.approx(naive_log_prob(model, seq), rel=1e-10)
+        seqs = list(enumerate_sequences(space))[:: max(1, space.universe_size // 10)]
+        batch = SampleBatch.from_sequences(space, seqs)
+        expected = [naive_log_prob(model, seq) for seq in seqs]
+        assert model.log_prob_batch(batch) == pytest.approx(expected, rel=1e-10)
 
 
 def test_mle_model_matches_chain_rule_oracle(ab_space):
     corpus = [Sequence((0,)), Sequence((0, 1)), Sequence((1,)), Sequence((0,))]
     model = mle_fit(ab_space, corpus, order=2, smoothing=0.5)
-    for seq in ab_space.enumerate():
-        assert model.log_prob(seq) == pytest.approx(naive_log_prob(model, seq), rel=1e-10)
+    batch = ab_space.enumeration()
+    expected = [naive_log_prob(model, seq) for seq in batch.sequences()]
+    assert model.log_prob_batch(batch) == pytest.approx(expected, rel=1e-10)
 
 
 def test_sampling_frequency():
     space = small_space(1, 1)
     model = TabularARModel.uniform_logits(space, order=1)
-    seqs = model.sample(10000, seed=11)
+    seqs = model.sample_batch(10000, np.random.default_rng(11)).sequences()
     freq = sum(1 for s in seqs if s.tokens == (0,)) / 10000
     assert abs(freq - 0.5) < 0.02  # 3 sigma of Bin(10000, 1/2) is 0.015
 
 
 def test_sampling_deterministic(ab_space, rng):
     model = random_model(ab_space, 2, rng)
-    assert model.sample(500, seed=3) == model.sample(500, seed=3)
+    first = model.sample_batch(500, np.random.default_rng(3)).sequences()
+    assert first == model.sample_batch(500, np.random.default_rng(3)).sequences()
 
 
 def test_sampling_degenerate_point_mass(ab_space):
     dist = np.zeros(ab_space.universe_size)
     dist[0] = 1.0  # all mass on the empty sequence
     model = TabularARModel.from_distribution(ab_space, dist)
-    assert all(s.tokens == () for s in model.sample(200, seed=0))
+    batch = model.sample_batch(200, np.random.default_rng(0))
+    assert all(s.tokens == () for s in batch.sequences())
 
 
 @pytest.mark.parametrize("body,lmax,order,scale", [(3, 3, 2, 0.8), (2, 4, 1, 1.2), (4, 3, 3, 0.5)])
@@ -116,7 +124,7 @@ def test_sampling_chi_square_goodness_of_fit(body, lmax, order, scale, rng):
     model = random_model(space, order, rng, scale=scale)
     exact = model.exact_distribution()
     batch = model.sample_batch(100000, np.random.default_rng(123))
-    ranks = [space.sequence_rank(s) for s in batch.sequences()]
+    ranks = [sequence_rank(space, s) for s in batch.sequences()]
     counts = np.bincount(ranks, minlength=space.universe_size)
     expected = exact * len(ranks)
     keep = expected >= 5
@@ -150,8 +158,9 @@ def test_grad_matches_finite_differences(rng):
     for _ in range(100):
         space = small_space(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         model = random_model(space, int(rng.integers(1, 4)), rng, trainable=True)
-        seqs = list(space.enumerate())
+        seqs = list(enumerate_sequences(space))
         x = seqs[int(rng.integers(len(seqs)))]
+        one = SampleBatch.from_sequences(space, [x])
         grad = grad_log_prob(model, x)
         direction = rng.standard_normal(model.logits.shape)
         eps = 1e-6
@@ -161,7 +170,7 @@ def test_grad_matches_finite_differences(rng):
         minus = TabularARModel(
             space=space, order=model.order, logits=model.logits - eps * direction, trainable=True
         )
-        numeric = (plus.log_prob(x) - minus.log_prob(x)) / (2 * eps)
+        numeric = (plus.log_prob_batch(one)[0] - minus.log_prob_batch(one)[0]) / (2 * eps)
         analytic = float((grad * direction).sum())
         scale = max(abs(numeric), abs(analytic), 1e-8)
         assert abs(numeric - analytic) / scale < 1e-6
@@ -202,8 +211,8 @@ def test_serialize_round_trip(ab_space, rng):
     doc = json.loads(json.dumps(model.to_document()))
     restored = TabularARModel.from_document(doc)
     assert np.array_equal(restored.logits, model.logits)
-    for seq in ab_space.enumerate():
-        assert restored.log_prob(seq) == model.log_prob(seq)
+    enum = ab_space.enumeration()
+    assert np.array_equal(restored.log_prob_batch(enum), model.log_prob_batch(enum))
 
 
 def test_serialize_round_trip_with_neg_inf(ab_space):
@@ -261,7 +270,7 @@ def test_batch_and_scalar_log_prob_agree(rng):
     model = random_model(space, 3, rng)
     batch = space.enumeration()
     vectorized = model.log_prob_batch(batch)
-    scalar = np.array([model.log_prob(s) for s in batch.sequences()])
+    scalar = np.array([naive_log_prob(model, s) for s in batch.sequences()])
     assert np.allclose(vectorized, scalar, atol=1e-12)
 
 

@@ -12,7 +12,7 @@ from distctl.seqspace import (
     tokenize_corpus,
 )
 
-from helpers import small_space
+from helpers import enumerate_sequences, sequence_rank, small_space
 
 
 def test_vocabulary_rejects_duplicates_and_bad_eos():
@@ -27,14 +27,14 @@ def test_vocabulary_rejects_duplicates_and_bad_eos():
 
 
 def test_enumerate_seven_sequences(ab_space):
-    seqs = [s.tokens for s in ab_space.enumerate()]
+    seqs = [s.tokens for s in enumerate_sequences(ab_space)]
     # epsilon, a, b, aa, ab, ba, bb with a=0, b=1
     assert seqs == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_single_token_vocab():
     space = small_space(1, 1)
-    assert [s.tokens for s in space.enumerate()] == [(), (0,)]
+    assert [s.tokens for s in enumerate_sequences(space)] == [(), (0,)]
 
 
 def test_enumerate_count_geometric_series():
@@ -42,14 +42,14 @@ def test_enumerate_count_geometric_series():
     expected = sum(3**k for k in range(5))  # 121
     assert expected == 121
     assert space.universe_size == expected
-    assert sum(1 for _ in space.enumerate()) == expected
+    assert sum(1 for _ in enumerate_sequences(space)) == expected
 
 
 @settings(max_examples=25, deadline=None)
 @given(body=st.integers(1, 4), lmax=st.integers(1, 6))
 def test_enumeration_matches_closed_form_and_is_valid(body, lmax):
     space = small_space(body, lmax)
-    seqs = list(space.enumerate())
+    seqs = list(enumerate_sequences(space))
     assert len(seqs) == space.universe_size
     assert len(set(s.tokens for s in seqs)) == len(seqs)
     for s in seqs:
@@ -66,8 +66,8 @@ def test_enumeration_count_at_size_caps():
 
 
 def test_enumeration_deterministic(ab_space):
-    first = [s.tokens for s in ab_space.enumerate()]
-    second = [s.tokens for s in ab_space.enumerate()]
+    first = [s.tokens for s in enumerate_sequences(ab_space)]
+    second = [s.tokens for s in enumerate_sequences(ab_space)]
     assert first == second
     batch = ab_space.enumeration()
     assert [tuple(r) for r in batch.tokens.tolist()] == [
@@ -78,15 +78,15 @@ def test_enumeration_deterministic(ab_space):
 def test_universe_guard():
     space = small_space(10, 8)  # > 1e8 sequences
     with pytest.raises(UniverseTooLarge):
-        list(space.enumerate())
+        list(enumerate_sequences(space))
     with pytest.raises(UniverseTooLarge):
         space.enumeration()
 
 
 def test_sequence_rank_matches_enumeration_order():
     space = small_space(3, 3)
-    for i, s in enumerate(space.enumerate()):
-        assert space.sequence_rank(s) == i
+    for i, s in enumerate(enumerate_sequences(space)):
+        assert sequence_rank(space, s) == i
 
 
 def test_sample_batch_round_trip(ab_space):
@@ -139,8 +139,10 @@ def test_lmax_positive():
 
 
 def test_enumeration_batch_alignment():
-    space = small_space(2, 3)
-    batch = space.enumeration()
-    listed = list(space.enumerate())
-    assert batch.sequences() == listed
-    assert np.all(batch.lengths == [len(s) for s in listed])
+    for body, lmax in [(2, 3), (1, 1), (1, 4), (3, 4), (4, 2)]:
+        space = small_space(body, lmax)
+        batch = space.enumeration()
+        listed = list(enumerate_sequences(space))
+        assert batch.sequences() == listed
+        assert np.all(batch.lengths == [len(s) for s in listed])
+        assert np.all(batch.tokens[np.arange(lmax) >= batch.lengths[:, None]] == -1)
