@@ -24,7 +24,7 @@ from .features import (
 from .lm import TabularARModel, mle_fit
 from .metrics import EvalOptions, MetricsRecord
 from .dpg import DpgConfig, TrainResult, train
-from .baselines import BaselineConfig, rejection_mle, train_baseline
+from .baselines import BaselineConfig, RejectionConfig, rejection_mle, train_baseline
 from .seqspace import (
     SampleBatch,
     Sequence,
@@ -47,6 +47,7 @@ __all__ = [
     "FitReport",
     "MetricsRecord",
     "PrefixMatch",
+    "RejectionConfig",
     "SampleBatch",
     "Sequence",
     "SequenceSpace",

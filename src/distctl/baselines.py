@@ -16,7 +16,7 @@ from .dpg import LoopConfig, TrainState, run_loop
 from .ebm import Ebm
 from .errors import ConfigError, NoAcceptedSamples
 from .features import ConstraintSet
-from .lm import TabularARModel, mle_fit
+from .lm import TabularARModel, check_fit_args, mle_fit
 from .metrics import EvalOptions, MetricsRecord
 from .seqspace import SampleBatch
 
@@ -30,6 +30,9 @@ TRAINER_KINDS = (REINFORCE_PHI, REINFORCE_P, KL_PENALIZED)
 # Multiplicative step of the adaptive-beta controller in `kl_penalized_step`.
 BETA_STEP = 0.1
 
+# Rows that `rejection_mle` draws from the base at a time.
+_REJECTION_CHUNK = 8192
+
 
 @dataclass(kw_only=True)
 class BaselineConfig(LoopConfig):
@@ -41,13 +44,13 @@ class BaselineConfig(LoopConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.kind not in TRAINER_KINDS:
-            raise ConfigError(f"kind must be one of {TRAINER_KINDS}, got {self.kind!r}")
+            raise ConfigError(f"must be one of {TRAINER_KINDS}, got {self.kind!r}", "kind")
         if (self.beta is not None) != (self.kind == KL_PENALIZED):
-            raise ConfigError("beta must be given exactly when kind is kl-penalized")
-        if self.beta is not None and self.beta < 0:
-            raise ConfigError("beta must be >= 0")
+            raise ConfigError("must be given exactly when kind is kl-penalized", "beta")
+        if self.beta is not None and not self.beta >= 0:
+            raise ConfigError("must be >= 0", "beta")
         if self.beta_adaptive and self.kl_target is None:
-            raise ConfigError("beta_adaptive needs a kl_target")
+            raise ConfigError("needs a kl_target", "beta_adaptive")
 
 
 def reinforce_step(
@@ -99,6 +102,23 @@ def kl_penalized_step(
     return beta
 
 
+@dataclass(kw_only=True)
+class RejectionConfig:
+    """Rejection sampling from the base, then an order-`fit_order` MLE fit."""
+
+    sample_budget: int
+    fit_order: int
+    fit_smoothing: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.sample_budget < 1:
+            raise ConfigError("must be >= 1", "sample_budget")
+        check_fit_args(self.fit_order, self.fit_smoothing, prefix="fit_")
+        if self.seed < 0:
+            raise ConfigError("must be >= 0", "seed")
+
+
 @dataclass
 class RejectionStats:
     drawn: int
@@ -110,22 +130,15 @@ class RejectionStats:
 
 
 def rejection_mle(
-    base: TabularARModel,
-    constraint_set: ConstraintSet,
-    sample_budget: int,
-    order: int,
-    smoothing: float = 1.0,
-    seed: int = 0,
-    chunk: int = 8192,
+    base: TabularARModel, constraint_set: ConstraintSet, config: RejectionConfig
 ) -> tuple[TabularARModel, RejectionStats]:
     """Sample the base, keep sequences passing the pointwise predicate, MLE-fit on them."""
-    if sample_budget < 1:
-        raise ConfigError("sample_budget must be >= 1")
-    rng = np.random.default_rng(seed)
+    budget = config.sample_budget
+    rng = np.random.default_rng(config.seed)
     kept = []
     drawn = 0
-    while drawn < sample_budget:
-        n = min(chunk, sample_budget - drawn)
+    while drawn < budget:
+        n = min(_REJECTION_CHUNK, budget - drawn)
         batch = base.sample_batch(n, rng)
         drawn += n
         accept = constraint_set.pointwise_predicate_batch(batch) == 1.0
@@ -134,9 +147,9 @@ def rejection_mle(
     stats = RejectionStats(drawn=drawn, kept=len(kept))
     if not kept:
         raise NoAcceptedSamples(
-            f"no sample satisfied the pointwise predicate within budget {sample_budget}"
+            f"no sample satisfied the pointwise predicate within budget {budget}"
         )
-    model = mle_fit(base.space, kept, order=order, smoothing=smoothing)
+    model = mle_fit(base.space, kept, order=config.fit_order, smoothing=config.fit_smoothing)
     return model, stats
 
 

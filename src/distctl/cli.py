@@ -150,8 +150,11 @@ def _samples_file(path: Path, policy, vocab, n: int, rng) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _history_rows(history):
-    return [metrics_csv_row(record) for record in history]
+def _zipf_file(path: Path, policy, vocab, n: int, rng) -> None:
+    batch = policy.sample_batch(n, rng)
+    table = zipf_table(batch.sequences(), vocab)
+    rows = [[str(r), tok, str(f)] for r, tok, f in table.rows]
+    _write_csv(path, ["rank", "token", "frequency"], rows)
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
@@ -163,11 +166,11 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     if eval_options.exact:
         base.space.guard()
     report, target = _build_target(cfg, base, constraint_set)
-    method = cfg.method
+    method, config = cfg.method, cfg.build_trainer()
     artifacts: dict = {}
 
     if method == REJECTION_MLE:
-        model, stats = rejection_mle(base, constraint_set, seed=cfg.seed, **cfg.rejection_args())
+        model, stats = rejection_mle(base, constraint_set, config)
         rng_eval = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
         history = [
             snapshot(0, REJECTION_MLE, model, base, target, rng_eval, eval_options)
@@ -175,11 +178,11 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         policy = model
         extra_doc = {"acceptance_rate": stats.acceptance_rate, "kept": stats.kept, "drawn": stats.drawn}
     elif method == GDC_METHOD:
-        result = train(base, target, cfg.build_trainer(), eval_options)
+        result = train(base, target, config, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"proposal_updates": result.state.proposal_updates}
     else:
-        result = train_baseline(base, target, cfg.build_trainer(), eval_options)
+        result = train_baseline(base, target, config, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.final_beta}
 
@@ -189,7 +192,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
 
     metrics_path = out_dir / "metrics.csv"
     header = metrics_csv_header(constraint_set.ids, eval_options.exact)
-    _write_csv(metrics_path, header, _history_rows(history))
+    _write_csv(metrics_path, header, [metrics_csv_row(record) for record in history])
     artifacts["metrics"] = metrics_path
 
     model_path = out_dir / "model.json"
@@ -202,17 +205,12 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     artifacts["samples"] = samples_path
 
     zipf_path = out_dir / "zipf.csv"
-    zbatch = policy.sample_batch(eval_options.sample_size, np.random.default_rng(cfg.seed))
-    table = zipf_table(zbatch.sequences(), base.space.vocabulary)
-    _write_csv(
-        zipf_path,
-        ["rank", "token", "frequency"],
-        [[str(r), tok, str(f)] for r, tok, f in table.rows],
-    )
+    rng_zipf = np.random.default_rng(cfg.seed)
+    _zipf_file(zipf_path, policy, base.space.vocabulary, eval_options.sample_size, rng_zipf)
     artifacts["zipf"] = zipf_path
 
     run_doc_path = out_dir / "run.json"
-    _write_json(run_doc_path, {"method": method, **{k: v for k, v in extra_doc.items()}})
+    _write_json(run_doc_path, {"method": method, **extra_doc})
     artifacts["run"] = run_doc_path
     _manifest(out_dir, cfg, artifacts, started)
     return EXIT_OK
@@ -259,8 +257,8 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
 
 def run_oracle(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     base = cfg.build_base()
-    base.space.guard()
     constraint_set = cfg.build_constraints(base.space)
+    base.space.guard()
     _, target = _build_target(cfg, base, constraint_set)
     z, p = target.exact_normalize()
     a_dist = base.exact_distribution()
@@ -306,14 +304,8 @@ def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
             [metrics_csv_row(record)],
         )
         artifacts["metrics"] = path
-    batch = model.sample_batch(eval_options.sample_size, rng)
-    table = zipf_table(batch.sequences(), model.space.vocabulary)
     zipf_path = out_dir / "zipf.csv"
-    _write_csv(
-        zipf_path,
-        ["rank", "token", "frequency"],
-        [[str(r), tok, str(f)] for r, tok, f in table.rows],
-    )
+    _zipf_file(zipf_path, model, model.space.vocabulary, eval_options.sample_size, rng)
     artifacts["zipf"] = zipf_path
     samples_path = out_dir / "samples.txt"
     _samples_file(samples_path, model, model.space.vocabulary, eval_options.sample_size, rng)

@@ -4,6 +4,7 @@ field-path diagnostics, then materialized into the module-level objects."""
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,18 +15,12 @@ from .baselines import (
     REINFORCE_PHI,
     REJECTION_MLE,
     BaselineConfig,
+    RejectionConfig,
 )
 from .dpg import ADAPTIVITIES, DpgConfig, LoopConfig
 from .ebm import FitConfig
 from .errors import ConfigError
-from .features import (
-    ConstraintSet,
-    ConstraintSpec,
-    PrefixMatch,
-    TokenPresence,
-    TokenRatio,
-    WordlistPresence,
-)
+from .features import FEATURE_KINDS, ConstraintSet, ConstraintSpec
 from .lm import TabularARModel, mle_fit
 from .metrics import EvalOptions
 from .seqspace import SequenceSpace, tokenize_corpus
@@ -33,9 +28,10 @@ from .seqspace import SequenceSpace, tokenize_corpus
 GDC_METHOD = "gdc"
 
 # Each JSON block's keys with their types, and its required keys. Defaults and
-# range checks are the field defaults and checks of the dataclasses a block
-# builds (FitConfig, DpgConfig, BaselineConfig, EvalOptions); loading a
-# config builds each of them once so that a bad value fails at load time.
+# range checks are the field defaults and checks of the objects a block builds
+# (FitConfig, DpgConfig, BaselineConfig, RejectionConfig, EvalOptions at load;
+# the base model and the constraints once the vocabulary is known); each
+# object names the offending field and `_at` puts the block path in front.
 TOP_KEYS = {
     "seed": int, "space": dict, "base_model": dict, "constraints": list, "fit": dict,
     "trainer": dict, "eval": dict, "output": str,
@@ -83,35 +79,43 @@ ABLATION_KEYS = {"variants": list, "seeds": list}
 ABLATION_SEEDS = (0, 1, 2)
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
+def _expect(cond: bool, path: str, rule: str) -> None:
     if not cond:
-        raise ConfigError(f"{path}: {message}")
+        raise ConfigError(rule, path)
 
 
 @contextmanager
-def _at(path: str):
-    """Prefix the field path of a block to the ConfigErrors raised inside."""
+def _at(path: str, key: str | None = None):
+    """Prefix the block path `path` to the field named by the ConfigErrors
+    raised inside; `key` replaces that field when the JSON key feeding it has
+    another name (a list of values, as in `eval.ablation`)."""
     try:
         yield
     except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        field = key or e.field
+        if field is None:
+            raise ConfigError(f"{path}: {e}") from None
+        raise ConfigError(e.rule, f"{path}.{field}") from None
 
 
 def _check(block, path: str, keys: dict, required=()) -> dict:
     """Check one JSON object against its key table: required keys present,
-    no unknown key, every value of its key's type (an int passes as float)."""
+    no unknown key, every value of its key's type (an int passes as float, and
+    a float must be finite: JSON has no NaN or Infinity, but Python reads them)."""
     _expect(isinstance(block, dict), path, "must be an object")
     for key in required:
-        _expect(key in block, f"{path}.{key}", "missing required field")
+        _expect(key in block, f"{path}.{key}", "is a required field and missing")
     for key, value in block.items():
-        _expect(key in keys, f"{path}.{key}", f"unknown key; expected one of {sorted(keys)}")
+        _expect(key in keys, f"{path}.{key}", f"is an unknown key; expected one of {sorted(keys)}")
         kind = keys[key]
         allowed = (int, float) if kind is float else kind
         _expect(
             isinstance(value, allowed) and (kind is bool or not isinstance(value, bool)),
             f"{path}.{key}",
-            f"expected {kind.__name__}, got {type(value).__name__}",
+            f"must be {kind.__name__}, got {type(value).__name__}",
         )
+        finite = not isinstance(value, float) or math.isfinite(value)
+        _expect(finite, f"{path}.{key}", "must be finite")
     return block
 
 
@@ -167,15 +171,14 @@ class ExperimentConfig:
         _expect(
             len(sources) == 1,
             "config.base_model",
-            "exactly one of 'corpus' or 'model_file' must be present",
+            "needs exactly one of 'corpus' or 'model_file'",
         )
         _check(base_model, "config.base_model", *BASE_MODEL_SCHEMAS[sources[0]])
-        if sources == ["corpus"]:
-            _expect(base_model["order"] >= 1, "config.base_model.order", "must be >= 1")
-            _expect(base_model["smoothing"] >= 0, "config.base_model.smoothing", "must be >= 0")
         constraints = raw.get("constraints", [])
         for i, c in enumerate(constraints):
-            cls._validate_constraint(c, f"config.constraints[{i}]")
+            path = f"config.constraints[{i}]"
+            keys, required = _schema(c, path, "kind", FEATURE_SCHEMAS)
+            _check(c, path, {**CONSTRAINT_KEYS, **keys}, ("id", "target", *required))
         trainer = raw.get("trainer", {})
         if trainer:
             keys, required = _schema(trainer, "config.trainer", "method", TRAINER_SCHEMAS)
@@ -195,15 +198,17 @@ class ExperimentConfig:
         )
 
     def __post_init__(self):
-        """Build every config object once, so that a bad value fails at load
-        (and again after `dataclasses.replace`, as for a seed override)."""
+        """Build every config object that needs no vocabulary once, so that a
+        bad value fails at load (and again after `dataclasses.replace`, as for
+        a seed override). The base model and the constraints are checked when
+        `build_base` and `build_constraints` build them."""
         threshold = self.eval.get("threshold")
         _expect(threshold is None or threshold > 0, "config.eval.threshold", "must be > 0")
         for seed in self.ablation_seeds:
             _expect(
                 isinstance(seed, int) and not isinstance(seed, bool),
                 "config.eval.ablation.seeds",
-                "seeds must be integers",
+                "must be integers",
             )
         with _at("config"):
             LoopConfig(seed=self.seed)
@@ -212,45 +217,15 @@ class ExperimentConfig:
         with _at("config.eval"):
             self.build_eval_options()
             LoopConfig(**_fields(self.eval, "eval_every"))
-        with _at("config.eval.ablation"):
+        with _at("config.eval.ablation", "variants"):
             for variant in self.ablation_variants:
                 DpgConfig(adaptivity=variant)
+        with _at("config.eval.ablation", "seeds"):
             for seed in self.ablation_seeds:
                 LoopConfig(seed=seed)
-        if self.trainer and self.method == REJECTION_MLE:
-            for key in ("sample_budget", "fit_order"):
-                _expect(self.trainer[key] >= 1, f"config.trainer.{key}", "must be >= 1")
-            _expect(
-                self.trainer.get("fit_smoothing", 0.0) >= 0,
-                "config.trainer.fit_smoothing",
-                "must be >= 0",
-            )
-        elif self.trainer:
+        if self.trainer:
             with _at("config.trainer"):
                 self.build_trainer()
-
-    @staticmethod
-    def _validate_constraint(c, path: str) -> None:
-        keys, required = _schema(c, path, "kind", FEATURE_SCHEMAS)
-        _check(c, path, {**CONSTRAINT_KEYS, **keys}, ("id", "target", *required))
-        kind, target = c["kind"], c["target"]
-        if c.get("pointwise"):
-            _expect(target == 1.0, f"{path}.target", "pointwise target must be 1.0")
-            _expect(
-                kind != "token-ratio",
-                f"{path}.kind",
-                "token-ratio is real-valued; pointwise constraints need a binary feature",
-            )
-        elif kind != "token-ratio":
-            _expect(
-                0.0 < target < 1.0,
-                f"{path}.target",
-                "distributional target for a binary feature must lie strictly in (0, 1)",
-            )
-        else:
-            _expect(0.0 <= target <= 1.0, f"{path}.target", "must lie in [0, 1]")
-        if kind in ("wordlist-presence", "prefix-match"):
-            _expect(len(c["tokens"]) > 0, f"{path}.tokens", "must be non-empty")
 
     @property
     def ablation_variants(self) -> list[str]:
@@ -263,7 +238,7 @@ class ExperimentConfig:
     @property
     def method(self) -> str:
         """The trainer block's method; the commands that train need the block."""
-        _expect(bool(self.trainer), "config.trainer", "missing required block")
+        _expect(bool(self.trainer), "config.trainer", "is a required block and missing")
         return self.trainer["method"]
 
     # -- materialization -----------------------------------------------------
@@ -275,7 +250,7 @@ class ExperimentConfig:
             _expect(
                 model.space.lmax == self.lmax,
                 "config.space.lmax",
-                f"model file has lmax {model.space.lmax}, config says {self.lmax}",
+                f"is {self.lmax}, but the model file has lmax {model.space.lmax}",
             )
             return model
         corpus_path = self.config_dir / self.base_model["corpus"]
@@ -285,38 +260,27 @@ class ExperimentConfig:
             raise ConfigError(f"config.base_model.corpus: file not found: {corpus_path}")
         tokenized = tokenize_corpus(text, self.lmax)
         space = SequenceSpace(vocabulary=tokenized.vocabulary, lmax=self.lmax)
-        return mle_fit(
-            space,
-            tokenized.sequences,
-            order=self.base_model["order"],
-            smoothing=self.base_model["smoothing"],
-        )
+        with _at("config.base_model"):
+            return mle_fit(
+                space,
+                tokenized.sequences,
+                order=self.base_model["order"],
+                smoothing=self.base_model["smoothing"],
+            )
 
     def build_constraints(self, space: SequenceSpace) -> ConstraintSet:
-        vocab = space.vocabulary
         specs = []
         for i, c in enumerate(self.constraints):
-            kind = c["kind"]
+            own = {key: value for key, value in c.items() if key not in CONSTRAINT_KEYS}
             with _at(f"config.constraints[{i}]"):
-                if kind == "token-presence":
-                    feature = TokenPresence(vocab, c["token"], feature_id=c["id"])
-                elif kind == "wordlist-presence":
-                    feature = WordlistPresence(vocab, c["tokens"], feature_id=c["id"])
-                elif kind == "prefix-match":
-                    feature = PrefixMatch(vocab, c["tokens"], feature_id=c["id"])
-                else:
-                    feature = TokenRatio(
-                        vocab,
-                        c["numerator"],
-                        c["denominator"],
-                        feature_id=c["id"],
-                        **_fields(c, "empty_default"),
+                feature = FEATURE_KINDS[c["kind"]](space.vocabulary, feature_id=c["id"], **own)
+                specs.append(
+                    ConstraintSpec(
+                        feature=feature, target=float(c["target"]), **_fields(c, "pointwise")
                     )
-                spec = ConstraintSpec(
-                    feature=feature, target=float(c["target"]), **_fields(c, "pointwise")
                 )
-                specs.append(spec)
-        return ConstraintSet(specs)
+        with _at("config.constraints"):
+            return ConstraintSet(specs)
 
     def build_fit_config(self) -> FitConfig:
         return FitConfig(
@@ -328,29 +292,24 @@ class ExperimentConfig:
 
     def build_trainer(
         self, adaptivity: str | None = None, seed: int | None = None
-    ) -> DpgConfig | BaselineConfig:
-        """The trainer block as the config of its method, with eval.eval_every.
+    ) -> DpgConfig | BaselineConfig | RejectionConfig:
+        """The trainer block as the config of its method; a trained method also
+        takes eval.eval_every.
 
         `adaptivity` and `seed` replace the block's and the config's (one cell
         of the ablation grid). The trainer keys are the dataclass field names.
         """
         method = self.method
-        _expect(
-            method != REJECTION_MLE,
-            "config.trainer.method",
-            "rejection-mle is fitted by rejection_mle, not trained",
-        )
         t = {key: value for key, value in self.trainer.items() if key != "method"}
-        t.update(_fields(self.eval, "eval_every"), seed=self.seed if seed is None else seed)
+        t["seed"] = self.seed if seed is None else seed
+        if method == REJECTION_MLE:
+            return RejectionConfig(**t)
+        t.update(_fields(self.eval, "eval_every"))
         if method != GDC_METHOD:
             return BaselineConfig(kind=method, **t)
         if adaptivity is not None:
             t["adaptivity"] = adaptivity
         return DpgConfig(**t)
-
-    def rejection_args(self) -> dict:
-        """Keyword arguments of `rejection_mle` from a rejection-mle trainer block."""
-        return _fields(self.trainer, "sample_budget", order="fit_order", smoothing="fit_smoothing")
 
     def build_eval_options(self) -> EvalOptions:
         return EvalOptions(**_fields(self.eval, "sample_size", exact="exact_oracle"))

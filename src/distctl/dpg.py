@@ -53,15 +53,15 @@ class LoopConfig:
 
     def __post_init__(self):
         if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
+            raise ConfigError("must be >= 0", "iterations")
         if self.samples_per_iteration < 1:
-            raise ConfigError("samples_per_iteration must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+            raise ConfigError("must be >= 1", "samples_per_iteration")
+        if not self.learning_rate > 0:
+            raise ConfigError("must be > 0", "learning_rate")
         if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
+            raise ConfigError("must be >= 1", "eval_every")
         if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+            raise ConfigError("must be >= 0", "seed")
 
 
 @dataclass(kw_only=True)
@@ -72,9 +72,11 @@ class DpgConfig(LoopConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.adaptivity not in ADAPTIVITIES:
-            raise ConfigError(f"adaptivity must be one of {ADAPTIVITIES}, got {self.adaptivity!r}")
+            raise ConfigError(
+                f"must be one of {ADAPTIVITIES}, got {self.adaptivity!r}", "adaptivity"
+            )
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+            raise ConfigError(f"must be one of {OPTIMIZERS}, got {self.optimizer!r}", "optimizer")
 
 
 @dataclass

@@ -39,15 +39,15 @@ class FitConfig:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be > 0")
+            raise ConfigError("must be >= 1", "sample_count")
+        if not self.learning_rate > 0:
+            raise ConfigError("must be > 0", "learning_rate")
+        if not self.tolerance > 0:
+            raise ConfigError("must be > 0", "tolerance")
         if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
-        if self.lambda_clamp <= 0:
-            raise ConfigError("lambda_clamp must be > 0")
+            raise ConfigError("must be >= 1", "max_steps")
+        if not self.lambda_clamp > 0:
+            raise ConfigError("must be > 0", "lambda_clamp")
 
 
 @dataclass

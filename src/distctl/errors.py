@@ -6,7 +6,13 @@ class DistctlError(Exception):
 
 
 class ConfigError(DistctlError):
-    """Invalid configuration; message carries the offending field path."""
+    """Invalid configuration. `field` names the offending value, and the
+    message reads `<field> <rule>`; the config loader prefixes its block path."""
+
+    def __init__(self, rule: str, field: str | None = None):
+        self.rule = rule
+        self.field = field
+        super().__init__(f"{field} {rule}" if field else rule)
 
 
 class UniverseTooLarge(DistctlError):

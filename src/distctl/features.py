@@ -46,7 +46,7 @@ class WordlistPresence(Feature):
 
     def __init__(self, vocab: Vocabulary, tokens: list[str], feature_id: str | None = None):
         if not tokens:
-            raise ConfigError("wordlist-presence needs at least one token")
+            raise ConfigError("must be non-empty", "tokens")
         self.indices = frozenset(vocab.index(t) for t in tokens)
         self.id = feature_id or "has_any_" + "_".join(sorted(tokens))
 
@@ -75,9 +75,9 @@ class TokenRatio(Feature):
         self.num = frozenset(vocab.index(t) for t in numerator)
         self.den = frozenset(vocab.index(t) for t in denominator)
         if not self.num <= self.den:
-            raise ConfigError("token-ratio numerator must be a subset of the denominator")
+            raise ConfigError("must be a subset of the denominator", "numerator")
         if not 0.0 <= empty_default <= 1.0:
-            raise ConfigError("token-ratio empty_default must lie in [0, 1]")
+            raise ConfigError("must lie in [0, 1]", "empty_default")
         self.empty_default = empty_default
         self.id = feature_id or "ratio_" + "_".join(sorted(numerator))
 
@@ -98,7 +98,7 @@ class PrefixMatch(Feature):
 
     def __init__(self, vocab: Vocabulary, tokens: list[str], feature_id: str | None = None):
         if not tokens:
-            raise ConfigError("prefix-match needs a non-empty pattern")
+            raise ConfigError("must be non-empty", "tokens")
         self.pattern = tuple(vocab.index(t) for t in tokens)
         self.id = feature_id or "prefix_" + "_".join(tokens)
 
@@ -111,30 +111,40 @@ class PrefixMatch(Feature):
         return (long_enough & match).astype(float)
 
 
+# Feature class of each constraint `kind` in a config; the constructors'
+# keyword names are the kind's JSON keys.
+FEATURE_KINDS = {
+    "token-presence": TokenPresence,
+    "wordlist-presence": WordlistPresence,
+    "prefix-match": PrefixMatch,
+    "token-ratio": TokenRatio,
+}
+
+
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """One feature with its target moment; pointwise means every x must satisfy it."""
+    """One feature with its target moment; pointwise means every x must satisfy it.
+    Every feature takes values in [0, 1], and so does every target."""
 
     feature: Feature
     target: float
     pointwise: bool = False
 
     def __post_init__(self):
+        name = f"'{self.feature.id}'"
         if self.pointwise:
             if not self.feature.binary:
-                raise ConfigError(
-                    f"constraint '{self.feature.id}': pointwise constraints need a binary feature"
-                )
+                raise ConfigError(f"needs a binary feature; {name} is real-valued", "pointwise")
             if self.target != 1.0:
-                raise ConfigError(
-                    f"constraint '{self.feature.id}': pointwise target must be 1.0"
-                )
+                raise ConfigError(f"must be 1.0 for the pointwise constraint {name}", "target")
         elif self.feature.binary and not 0.0 < self.target < 1.0:
             raise ConfigError(
-                f"constraint '{self.feature.id}': distributional target for a binary "
-                "feature must lie strictly inside (0, 1); use a pointwise constraint "
-                "to express certainty"
+                f"must lie strictly inside (0, 1) for the binary feature {name}; use a "
+                "pointwise constraint to express certainty",
+                "target",
             )
+        elif not 0.0 <= self.target <= 1.0:
+            raise ConfigError(f"must lie in [0, 1] for the real-valued feature {name}", "target")
 
 
 class ConstraintSet:

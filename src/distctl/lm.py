@@ -40,12 +40,20 @@ MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
 
 
+def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
+    """The range rules of an order-`order` model fit, which need no space;
+    `prefix` goes in front of the field names (`fit_` for rejection-mle)."""
+    if order < 1:
+        raise ConfigError("must be >= 1", f"{prefix}order")
+    if not smoothing >= 0:
+        raise ConfigError("must be >= 0", f"{prefix}smoothing")
+
+
 class _Coding:
     """Rolling-context arithmetic shared by every batched model operation."""
 
     def __init__(self, space: SequenceSpace, order: int):
-        if order < 1:
-            raise ConfigError("order must be >= 1")
+        check_fit_args(order)
         self.body_size = space.body_size
         self.m_eff = min(order - 1, max(space.lmax - 1, 0))
         self.n_contexts = string_space_size(self.body_size, self.m_eff)
@@ -442,8 +450,7 @@ def mle_fit(
     """
     if not corpus:
         raise EmptyCorpus("mle_fit needs a non-empty corpus")
-    if smoothing < 0:
-        raise ConfigError("smoothing must be >= 0")
+    check_fit_args(order, smoothing)
     coding = _Coding(space, order)
     counts = np.zeros((coding.n_contexts, space.vocabulary.size))
     probe = TabularARModel.uniform_logits(space, order)

@@ -171,7 +171,7 @@ class EvalOptions:
 
     def __post_init__(self):
         if self.sample_size < 2:
-            raise ConfigError("eval sample_size must be >= 2")
+            raise ConfigError("must be >= 2", "sample_size")
 
 
 @dataclass

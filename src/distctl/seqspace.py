@@ -52,10 +52,15 @@ class Vocabulary:
         return tuple(i for i in range(len(self.tokens)) if i != self.eos_index)
 
     def index(self, token: str) -> int:
+        """The index of a body token. Features see EOS-free bodies only, so a
+        feature on the EOS token would be identically 0."""
         try:
-            return self.tokens.index(token)
+            i = self.tokens.index(token)
         except ValueError:
             raise ConfigError(f"token {token!r} not in vocabulary") from None
+        if i == self.eos_index:
+            raise ConfigError(f"token {token!r} is the end-of-sequence token, not a body token")
+        return i
 
 
 @dataclass(frozen=True)

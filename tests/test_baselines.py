@@ -3,6 +3,7 @@ import pytest
 
 from distctl.baselines import (
     BaselineConfig,
+    RejectionConfig,
     kl_penalized_step,
     reinforce_step,
     rejection_mle,
@@ -39,6 +40,31 @@ def test_config_validation():
         BaselineConfig(kind="reinforce-phi", iterations=-3)
     with pytest.raises(ConfigError):
         BaselineConfig(kind="kl-penalized", beta=-5.0)
+
+
+def test_rejection_config_validation():
+    RejectionConfig(sample_budget=1, fit_order=1, fit_smoothing=0.0)
+    for field, bad in (
+        ("sample_budget", dict(sample_budget=0, fit_order=1)),
+        ("fit_order", dict(sample_budget=1, fit_order=0)),
+        ("fit_smoothing", dict(sample_budget=1, fit_order=1, fit_smoothing=-1.0)),
+        ("seed", dict(sample_budget=1, fit_order=1, seed=-1)),
+    ):
+        with pytest.raises(ConfigError) as err:
+            RejectionConfig(**bad)
+        assert err.value.field == field
+    with pytest.raises(TypeError):
+        RejectionConfig(sample_budget=10)  # fit_order has no default
+
+
+def test_float_range_rules_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ConfigError) as err:
+        RejectionConfig(sample_budget=1, fit_order=1, fit_smoothing=nan)
+    assert str(err.value) == "fit_smoothing must be >= 0"
+    with pytest.raises(ConfigError) as err:
+        BaselineConfig(kind="kl-penalized", beta=nan)
+    assert err.value.field == "beta"
 
 
 def test_reinforce_zero_reward_no_update(task):
@@ -213,7 +239,9 @@ def test_baseline_determinism(task):
 def test_rejection_accepts_everything_with_trivial_predicate(ab_space, ab_uniform):
     always = PredicateTable({}, default=1.0, feature_id="always")
     cs = ConstraintSet([ConstraintSpec(always, 1.0, pointwise=True)])
-    model, stats = rejection_mle(ab_uniform, cs, sample_budget=20000, order=2, smoothing=0.1)
+    model, stats = rejection_mle(
+        ab_uniform, cs, RejectionConfig(sample_budget=20000, fit_order=2, fit_smoothing=0.1)
+    )
     assert stats.acceptance_rate == 1.0
     assert stats.kept == 20000
     assert exact_kl(model.exact_distribution(), ab_uniform.exact_distribution()) < 0.05
@@ -224,7 +252,9 @@ def test_rejection_acceptance_rate_matches_enumeration(ab_space, ab_uniform, pre
     exact_rate, _ = target.exact_normalize()
     budget = 40000
     _, stats = rejection_mle(
-        ab_uniform, presence_a_pointwise, sample_budget=budget, order=2, smoothing=0.5
+        ab_uniform,
+        presence_a_pointwise,
+        RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5),
     )
     se = np.sqrt(exact_rate * (1 - exact_rate) / budget)
     assert abs(stats.acceptance_rate - exact_rate) < 3 * se
@@ -237,7 +267,9 @@ def test_rejection_capacity_gap_documented(rng):
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["b", "a"]), 1.0, pointwise=True)]
     )
-    model, stats = rejection_mle(base, cs, sample_budget=30000, order=1, smoothing=0.0)
+    model, stats = rejection_mle(
+        base, cs, RejectionConfig(sample_budget=30000, fit_order=1, fit_smoothing=0.0)
+    )
     satisfaction = float(
         model.exact_distribution() @ cs.feature_matrix(space.enumeration())[:, 0]
     )
@@ -249,4 +281,6 @@ def test_rejection_no_accepted_samples(ab_space, ab_uniform):
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
     with pytest.raises(NoAcceptedSamples):
-        rejection_mle(ab_uniform, cs, sample_budget=500, order=1, smoothing=1.0)
+        rejection_mle(
+            ab_uniform, cs, RejectionConfig(sample_budget=500, fit_order=1, fit_smoothing=1.0)
+        )

@@ -9,6 +9,7 @@ import pytest
 import distctl
 from distctl.cli import main
 from distctl.config import ExperimentConfig
+from distctl.errors import ConfigError
 
 from helpers import synthetic_corpus
 
@@ -286,6 +287,11 @@ KL_PENALIZED_TRAINER = dict(SMALL_LOOP, method="kl-penalized", beta=0.1)
 POINTWISE_GOLD = {
     "id": "gold", "kind": "token-presence", "token": "gold", "target": 1.0, "pointwise": True,
 }
+GOLD_RATIO = {
+    "id": "ratio", "kind": "token-ratio", "numerator": ["gold"], "denominator": ["gold", "red"],
+    "target": 0.3,
+}
+REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order": 2}
 
 
 @pytest.mark.parametrize(
@@ -365,6 +371,70 @@ POINTWISE_GOLD = {
             ),
             "config.trainer.kl_target",
         ),
+        ("fit", lambda c: c["fit"].update(sample_count=0), "config.fit.sample_count"),
+        ("train", lambda c: c["trainer"].update(learning_rate=0), "config.trainer.learning_rate"),
+        ("train", lambda c: c["eval"].update(sample_size=1), "config.eval.sample_size"),
+        (
+            "fit",
+            lambda c: c["constraints"].append(dict(c["constraints"][0], token="red")),
+            "config.constraints",
+        ),
+        (
+            "fit",
+            lambda c: c.update(constraints=[dict(GOLD_RATIO, numerator=["blue"])]),
+            "config.constraints[0].numerator",
+        ),
+        (
+            "ablation",
+            lambda c: c["eval"].update(ablation={"variants": ["fast"]}),
+            "config.eval.ablation.variants",
+        ),
+        ("fit", lambda c: c["base_model"].update(order=0), "config.base_model.order"),
+        ("fit", lambda c: c["base_model"].update(smoothing=-1), "config.base_model.smoothing"),
+        (
+            "fit",
+            lambda c: c.update(constraints=[dict(GOLD_RATIO, target=1.5)]),
+            "config.constraints[0].target",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD], trainer=dict(REJECTION_TRAINER, sample_budget=0)
+            ),
+            "config.trainer.sample_budget",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[dict(POINTWISE_GOLD, token="<eos>")],
+                eval=dict(c["eval"], exact_oracle=False),
+            ),
+            "config.constraints[0]: token '<eos>'",
+        ),
+        (
+            "fit",
+            lambda c: c["constraints"][0].update(token="<eos>"),
+            "config.constraints[0]: token '<eos>'",
+        ),
+        (
+            "fit",
+            lambda c: c["base_model"].update(smoothing=float("nan")),
+            "config.base_model.smoothing",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD],
+                trainer=dict(REJECTION_TRAINER, fit_smoothing=float("nan")),
+            ),
+            "config.trainer.fit_smoothing",
+        ),
+        ("fit", lambda c: c["fit"].update(tolerance=float("nan")), "config.fit.tolerance"),
+        (
+            "train",
+            lambda c: c["trainer"].update(learning_rate=float("inf")),
+            "config.trainer.learning_rate",
+        ),
     ],
     ids=[
         "rejection-mle-negative-smoothing",
@@ -382,6 +452,22 @@ POINTWISE_GOLD = {
         "gdc-sample-budget",
         "reinforce-phi-adaptivity",
         "kl-target-type",
+        "fit-sample-count",
+        "trainer-learning-rate",
+        "eval-sample-size",
+        "duplicate-constraint-ids",
+        "ratio-numerator-not-in-denominator",
+        "ablation-unknown-variant",
+        "base-model-order",
+        "base-model-smoothing",
+        "ratio-target-above-one",
+        "rejection-mle-zero-budget",
+        "pointwise-eos-token",
+        "distributional-eos-token",
+        "base-model-nan-smoothing",
+        "rejection-mle-nan-smoothing",
+        "fit-nan-tolerance",
+        "trainer-infinite-learning-rate",
     ],
 )
 def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit, field):
@@ -450,6 +536,18 @@ def test_demo_configs_load(path):
     assert cfg.build_fit_config().sample_count >= 1
     assert cfg.build_trainer().iterations > 0
     assert cfg.build_eval_options().exact
+    assert len(cfg.build_constraints(cfg.build_base().space)) > 0
+
+
+def test_rejection_mle_block_fails_at_load():
+    """A bad rejection-mle value is refused before any of its draws."""
+    raw = json.loads(
+        (Path(__file__).parent.parent / "demo" / "pointwise.json").read_text()
+    )
+    raw["trainer"] = dict(REJECTION_TRAINER, sample_budget=10**9, fit_smoothing=-1)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(raw)
+    assert str(err.value) == "config.trainer.fit_smoothing must be >= 0"
 
 
 def test_unknown_token_in_constraint_exits_2(workdir, capsys):

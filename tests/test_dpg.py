@@ -210,3 +210,9 @@ def test_config_validation():
         DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=0.1, adaptivity="bogus")
     with pytest.raises(ConfigError):
         DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=0.1, optimizer="sign")
+
+
+def test_learning_rate_rule_rejects_nan():
+    with pytest.raises(ConfigError) as err:
+        DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=float("nan"))
+    assert err.value.field == "learning_rate"

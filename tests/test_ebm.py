@@ -153,6 +153,13 @@ def test_fit_default_tolerance_is_paper_value():
         FitConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "tolerance", "lambda_clamp"])
+def test_fit_config_rejects_nan(field):
+    with pytest.raises(ConfigError) as err:
+        FitConfig(**{field: float("nan")})
+    assert err.value.field == field
+
+
 def test_fit_unattainable_target(ab_space):
     # base assigns zero mass to sequences containing 'a'
     third = 1.0 / 3.0

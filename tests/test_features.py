@@ -174,6 +174,28 @@ def test_constraint_spec_validation():
     ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"]), 0.0)  # real-valued may sit at 0
 
 
+def test_real_valued_target_must_lie_in_unit_interval():
+    v = small_space(3, 3).vocabulary
+    for target in (1.5, -0.1):
+        with pytest.raises(ConfigError) as err:
+            ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"]), target=target)
+        assert err.value.field == "target"
+    ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"]), target=1.0)
+
+
+def test_eos_is_not_a_feature_token():
+    v = small_space(3, 3).vocabulary
+    eos = v.tokens[v.eos_index]
+    for make in (
+        lambda: TokenPresence(v, eos),
+        lambda: WordlistPresence(v, ["a", eos]),
+        lambda: PrefixMatch(v, [eos]),
+        lambda: TokenRatio(v, [eos], ["a", eos]),
+    ):
+        with pytest.raises(ConfigError, match="end-of-sequence"):
+            make()
+
+
 def test_constraint_set_unique_ids():
     space = small_space(3, 3)
     v = space.vocabulary

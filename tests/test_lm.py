@@ -237,6 +237,15 @@ def test_deserialize_version_mismatch(ab_space):
         TabularARModel.from_document(doc)
 
 
+def test_mle_fit_range_rules_name_their_field(ab_space):
+    corpus = [Sequence((0,))]
+    for field, bad in (("order", dict(order=0)), ("smoothing", dict(order=1, smoothing=-1.0)),
+                       ("smoothing", dict(order=1, smoothing=float("nan")))):
+        with pytest.raises(ConfigError) as err:
+            mle_fit(ab_space, corpus, **bad)
+        assert err.value.field == field
+
+
 def test_trainable_rejects_neg_inf(ab_space):
     model = mle_fit(ab_space, [Sequence((0,))], order=1, smoothing=0.0)
     with pytest.raises(ConfigError):
@@ -271,7 +280,7 @@ def test_batch_and_scalar_log_prob_agree(rng):
     batch = space.enumeration()
     vectorized = model.log_prob_batch(batch)
     scalar = np.array([naive_log_prob(model, s) for s in batch.sequences()])
-    assert np.allclose(vectorized, scalar, atol=1e-12)
+    assert np.allclose(vectorized, scalar, rtol=0, atol=1e-12)
 
 
 # -- batch-proportional paths, checked bitwise against the table-wide ones ----
