@@ -78,10 +78,9 @@ def _resolve_output(args, cfg: ExperimentConfig) -> Path:
     return root / Path(args.config).stem
 
 
-def _write_json(path: Path, doc: dict, indent: int | None = 2) -> None:
-    """Write `doc` as JSON; indent=None writes one line with the C encoder."""
+def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=indent) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -196,7 +195,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     artifacts["metrics"] = metrics_path
 
     model_path = out_dir / "model.json"
-    _write_json(model_path, policy.to_document(), indent=None)
+    policy.write_document(model_path)
     artifacts["model"] = model_path
 
     rng_samples = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])

@@ -118,8 +118,3 @@ def exact_tvd(d1: np.ndarray, d2: np.ndarray) -> float:
     d1, d2 = _check_pair(d1, d2)
     return float(0.5 * np.abs(d1 - d2).sum())
 
-
-def exact_entropy(d: np.ndarray) -> float:
-    d = np.asarray(d, dtype=float)
-    mass = d > 0
-    return float(-np.sum(d[mass] * np.log(d[mass])))

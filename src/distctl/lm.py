@@ -13,7 +13,9 @@ length-then-lex coding used for sequence enumeration.
 from __future__ import annotations
 
 import copy
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +40,7 @@ from .seqspace import (
 
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
+_WRITE_CHUNK_ROWS = 65536  # rows joined into one string per file write
 
 
 def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
@@ -164,58 +167,6 @@ class TabularARModel:
         coding = _Coding(space, order)
         logits = np.zeros((coding.n_contexts, space.vocabulary.size))
         return cls(space=space, order=order, logits=logits, trainable=trainable)
-
-    @classmethod
-    def from_distribution(
-        cls,
-        space: SequenceSpace,
-        probs: np.ndarray,
-        trainable: bool = False,
-    ) -> "TabularARModel":
-        """Full-context model whose distribution equals `probs` (enumeration order)."""
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (space.universe_size,):
-            raise ConfigError("probs must cover the universe in enumeration order")
-        if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
-            raise ConfigError("probs must be a normalized distribution")
-        b = space.body_size
-        lmax = space.lmax
-        offsets = length_offsets(b, lmax)
-        # mass[r] = total probability of sequences having prefix r, built leaf-up
-        mass = probs.copy()
-        for k in range(lmax - 1, -1, -1):
-            lo, hi = offsets[k], offsets[k] + b**k
-            children = mass[offsets[k + 1] : offsets[k + 1] + b ** (k + 1)]
-            mass[lo:hi] += children.reshape(b**k, b).sum(axis=1)
-        order = max(lmax, 1)
-        coding = _Coding(space, order)
-        v = space.vocabulary.size
-        eos = space.vocabulary.eos_index
-        body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logits = np.zeros((coding.n_contexts, v))
-            for k in range(coding.m_eff + 1):
-                lo = int(coding.offsets[k])
-                count = b**k
-                pm = mass[offsets[k] : offsets[k] + count]
-                cond = np.zeros((count, v))
-                cond[:, eos] = probs[offsets[k] : offsets[k] + count]
-                if k < lmax:
-                    kids = mass[offsets[k + 1] : offsets[k + 1] + count * b].reshape(count, b)
-                    cond[:, body] = kids
-                ok = pm > 0
-                cond[ok] /= pm[ok, None]
-                cond[~ok] = 1.0 / v  # unreachable contexts: keep rows usable
-                logits[lo : lo + count] = np.log(cond)
-        if trainable and np.isneginf(logits).any():
-            raise ConfigError("distribution has zeros; a trainable model needs full support")
-        return cls(space=space, order=order, logits=logits, trainable=trainable)
-
-    @classmethod
-    def uniform_over_universe(cls, space: SequenceSpace, trainable: bool = False):
-        """The uniform distribution over the whole universe (not uniform next-token)."""
-        u = np.full(space.universe_size, 1.0 / space.universe_size)
-        return cls.from_distribution(space, u, trainable=trainable)
 
     # -- core ---------------------------------------------------------------
 
@@ -378,7 +329,8 @@ class TabularARModel:
 
     # -- persistence --------------------------------------------------------
 
-    def to_document(self) -> dict:
+    def _header(self) -> dict:
+        """Every key of the model document except `logits`, which comes last."""
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -389,8 +341,31 @@ class TabularARModel:
                 "eos_index": self.space.vocabulary.eos_index,
             },
             "trainable": self.trainable,
-            "logits": self.logits.tolist(),
         }
+
+    def to_document(self) -> dict:
+        return {**self._header(), "logits": self.logits.tolist()}
+
+    def write_document(self, path: str | Path) -> None:
+        """Write `json.dumps(self.to_document()) + "\\n"` to `path`, byte for byte,
+        without building the document.
+
+        A row's JSON text depends only on its bytes, so each distinct row is
+        encoded once and the rows are streamed in chunks. Tables expanded by
+        `to_order` repeat most of their rows.
+        """
+        logits = np.ascontiguousarray(self.logits)
+        n, v = logits.shape
+        row_bytes = logits.view(np.dtype((np.void, v * logits.itemsize))).ravel()
+        distinct, inverse = np.unique(row_bytes, return_inverse=True)
+        texts = [json.dumps(row) for row in distinct.view(logits.dtype).reshape(-1, v).tolist()]
+        head = json.dumps(self._header())
+        with open(path, "w") as f:
+            f.write(head[:-1] + ', "logits": [')
+            for start in range(0, n, _WRITE_CHUNK_ROWS):
+                chunk = inverse[start : start + _WRITE_CHUNK_ROWS].tolist()
+                f.write((", " if start else "") + ", ".join([texts[i] for i in chunk]))
+            f.write("]}\n")
 
     @classmethod
     def from_document(cls, doc: dict) -> "TabularARModel":

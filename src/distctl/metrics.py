@@ -1,11 +1,10 @@
 """Evaluation metrics: constraint expectations, diversity, token-frequency tables.
 
-Dist-n is reported per sequence and pooled over a sample corpus (distinct
-n-grams over total n-grams across all samples; pooling keeps the duplicate
-monotonicity property that a per-sample mean lacks). Self-BLEU-n scores each
-long-enough sample against all others as references, with uniform 1..n weights,
-clipped precisions floored at 1e-9, and the closest-reference-length brevity
-penalty.
+Dist-n is pooled over a sample corpus (distinct n-grams over total n-grams
+across all samples; pooling keeps the duplicate monotonicity property that a
+per-sample mean lacks). Self-BLEU-n scores each long-enough sample against all
+others as references, with uniform 1..n weights, clipped precisions floored at
+1e-9, and the closest-reference-length brevity penalty.
 """
 
 from __future__ import annotations
@@ -41,17 +40,6 @@ def expectation_phi(samples: SampleBatch, constraint_set) -> np.ndarray:
 
 def _ngram_counts(tokens: tuple[int, ...], n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
-
-
-def dist_n(seq: Sequence, n: int) -> float:
-    """Distinct n-grams over total n-grams within one sequence; 1.0 when too short."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    total = len(seq) - n + 1
-    if total < 1:
-        return 1.0
-    counts = _ngram_counts(seq.tokens, n)
-    return len(counts) / total
 
 
 def corpus_dist_n(samples: list[Sequence], n: int) -> float:

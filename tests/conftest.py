@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
-from distctl.lm import TabularARModel
 from distctl.seqspace import SequenceSpace, Vocabulary
+
+from helpers import uniform_over_universe
 
 
 @pytest.fixture
@@ -16,7 +17,7 @@ def ab_space():
 @pytest.fixture
 def ab_uniform(ab_space):
     """Uniform distribution over the 7-sequence universe."""
-    return TabularARModel.uniform_over_universe(ab_space)
+    return uniform_over_universe(ab_space)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from distctl.estimators import (
 )
 from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
 from distctl.lm import TabularARModel
-from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
+from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary, length_offsets
 
 LETTERS = "abcdefghij"
 
@@ -142,6 +142,55 @@ def random_model(
     return model
 
 
+def from_distribution(
+    space: SequenceSpace, probs: np.ndarray, trainable: bool = False
+) -> TabularARModel:
+    """Full-context model whose distribution equals `probs` (enumeration order)."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape != (space.universe_size,):
+        raise ConfigError("probs must cover the universe in enumeration order")
+    if abs(probs.sum() - 1.0) > 1e-9 or (probs < 0).any():
+        raise ConfigError("probs must be a normalized distribution")
+    b = space.body_size
+    lmax = space.lmax
+    offsets = length_offsets(b, lmax)
+    # mass[r] = total probability of sequences having prefix r, built leaf-up
+    mass = probs.copy()
+    for k in range(lmax - 1, -1, -1):
+        lo, hi = offsets[k], offsets[k] + b**k
+        children = mass[offsets[k + 1] : offsets[k + 1] + b ** (k + 1)]
+        mass[lo:hi] += children.reshape(b**k, b).sum(axis=1)
+    order = max(lmax, 1)
+    coding = TabularARModel.uniform_logits(space, order).coding
+    v = space.vocabulary.size
+    eos = space.vocabulary.eos_index
+    body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logits = np.zeros((coding.n_contexts, v))
+        for k in range(coding.m_eff + 1):
+            lo = int(coding.offsets[k])
+            count = b**k
+            pm = mass[offsets[k] : offsets[k] + count]
+            cond = np.zeros((count, v))
+            cond[:, eos] = probs[offsets[k] : offsets[k] + count]
+            if k < lmax:
+                kids = mass[offsets[k + 1] : offsets[k + 1] + count * b].reshape(count, b)
+                cond[:, body] = kids
+            ok = pm > 0
+            cond[ok] /= pm[ok, None]
+            cond[~ok] = 1.0 / v  # unreachable contexts: keep rows usable
+            logits[lo : lo + count] = np.log(cond)
+    if trainable and np.isneginf(logits).any():
+        raise ConfigError("distribution has zeros; a trainable model needs full support")
+    return TabularARModel(space=space, order=order, logits=logits, trainable=trainable)
+
+
+def uniform_over_universe(space: SequenceSpace, trainable: bool = False) -> TabularARModel:
+    """The uniform distribution over the whole universe (not uniform next-token)."""
+    u = np.full(space.universe_size, 1.0 / space.universe_size)
+    return from_distribution(space, u, trainable=trainable)
+
+
 def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:
     """Chain-rule product computed step by step with explicit softmax calls."""
     steps = list(seq.tokens)
@@ -221,6 +270,22 @@ def bisect_lambda(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_entropy(d: np.ndarray) -> float:
+    d = np.asarray(d, dtype=float)
+    mass = d > 0
+    return float(-np.sum(d[mass] * np.log(d[mass])))
+
+
+def dist_n(seq: Sequence, n: int) -> float:
+    """Distinct n-grams over total n-grams within one sequence; 1.0 when too short."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    total = len(seq) - n + 1
+    if total < 1:
+        return 1.0
+    return len(Counter(seq.tokens[i : i + n] for i in range(total))) / total
 
 
 def naive_bleu(candidate: Sequence, references: list[Sequence], n: int) -> float:

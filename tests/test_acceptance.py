@@ -20,19 +20,21 @@ from distctl.ebm import (
     moment_preserving_perturbations,
     snis_objective_grad,
 )
-from distctl.estimators import exact_entropy, exact_kl, exact_tvd
+from distctl.estimators import exact_kl, exact_tvd
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel, mle_fit
-from distctl.metrics import EvalOptions, dist_n, self_bleu_n, zipf_table
+from distctl.metrics import EvalOptions, self_bleu_n, zipf_table
 from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, tokenize_corpus
 
 from helpers import (
     bisect_lambda,
+    dist_n,
     enumerate_sequences,
     estimate_kl_between_models,
     estimate_kl_p_from,
     estimate_tvd,
     estimate_z,
+    exact_entropy,
     grad_log_prob,
     naive_bleu,
     random_model,

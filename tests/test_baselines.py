@@ -12,12 +12,12 @@ from distctl.baselines import (
 from distctl.dpg import DpgConfig, train
 from distctl.ebm import build_pointwise
 from distctl.errors import ConfigError, NoAcceptedSamples
-from distctl.estimators import exact_entropy, exact_kl
+from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions
 
-from helpers import PredicateTable, grad_log_prob, random_model, small_space
+from helpers import PredicateTable, exact_entropy, grad_log_prob, random_model, small_space
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import distctl
 from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
+from distctl.lm import TabularARModel
 
 from helpers import synthetic_corpus
 
@@ -149,6 +150,23 @@ def test_train_byte_identical_reruns(workdir):
         first = (workdir / "run1" / name).read_bytes()
         second = (workdir / "run2" / name).read_bytes()
         assert first == second, name
+
+
+def test_train_writes_model_without_building_the_document(workdir, monkeypatch):
+    """The model write streams the logits; `to_document` would hold every
+    logit as a Python float at once."""
+
+    def refuse(self):
+        raise AssertionError("to_document called while writing model.json")
+
+    monkeypatch.setattr(TabularARModel, "to_document", refuse)
+    assert main(["train", "--config", str(write_config(workdir))]) == 0
+    monkeypatch.undo()
+    text = (workdir / "out" / "model.json").read_text()
+    model = TabularARModel.from_document(json.loads(text))
+    model.write_document(workdir / "rewritten.json")
+    assert (workdir / "rewritten.json").read_text() == text
+    assert json.dumps(model.to_document()) + "\n" == text
 
 
 def test_seed_override_changes_metrics(workdir):

@@ -9,7 +9,7 @@ from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPr
 from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions
 
-from helpers import grad_log_prob, random_model, small_space
+from helpers import from_distribution, grad_log_prob, random_model, small_space
 
 
 def make_pointwise(space, base, token="a"):
@@ -75,7 +75,7 @@ def test_fixed_point_zero_expected_update(rng):
     target = identity_ebm(space, base)
     target.lam = np.array([0.7])
     _, p = target.exact_normalize()
-    policy = TabularARModel.from_distribution(space, p, trainable=True)
+    policy = from_distribution(space, p, trainable=True)
     enum = space.enumeration()
     scores = np.exp(target.log_score_batch(enum))
     update = np.zeros_like(policy.logits)

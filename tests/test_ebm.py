@@ -20,10 +20,16 @@ from distctl.errors import (
 )
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
-from distctl.lm import TabularARModel
 from distctl.seqspace import SampleBatch, Sequence
 
-from helpers import PredicateTable, bisect_lambda, random_model, small_space, snis_standard_error
+from helpers import (
+    PredicateTable,
+    bisect_lambda,
+    from_distribution,
+    random_model,
+    small_space,
+    snis_standard_error,
+)
 
 
 def presence_set(space, token, target, pointwise=False):
@@ -164,7 +170,7 @@ def test_fit_unattainable_target(ab_space):
     # base assigns zero mass to sequences containing 'a'
     third = 1.0 / 3.0
     dist = np.array([third, 0.0, third, 0.0, 0.0, 0.0, third])
-    base = TabularARModel.from_distribution(ab_space, dist)
+    base = from_distribution(ab_space, dist)
     cs = presence_set(ab_space, "a", 0.5)
     with pytest.raises(UnattainableTarget) as err:
         fit_lambda(base, cs, fit_config(n=5000))

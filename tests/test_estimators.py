@@ -7,7 +7,6 @@ from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError, NonpositiveZ, SupportViolation
 from distctl.estimators import (
     ZMovingAverage,
-    exact_entropy,
     exact_kl,
     exact_tvd,
     kl_p_from_logs,
@@ -15,7 +14,6 @@ from distctl.estimators import (
     z_estimate_from_logs,
 )
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
-from distctl.lm import TabularARModel
 from distctl.seqspace import Sequence
 
 from helpers import (
@@ -23,6 +21,8 @@ from helpers import (
     estimate_kl_p_from,
     estimate_tvd,
     estimate_z,
+    exact_entropy,
+    from_distribution,
     naive_log_prob,
     random_model,
     sequence_rank,
@@ -58,7 +58,7 @@ def test_z_matches_enumeration(pointwise_setup, ab_uniform):
 
 def test_z_zero_variance_under_exact_proposal(pointwise_setup, ab_space):
     ebm, z, p = pointwise_setup
-    proposal = TabularARModel.from_distribution(ab_space, p)
+    proposal = from_distribution(ab_space, p)
     samples = proposal.sample_batch(500, np.random.default_rng(2))
     est = estimate_z(ebm, proposal, samples)
     assert est.value == pytest.approx(z, rel=1e-9)
@@ -67,7 +67,7 @@ def test_z_zero_variance_under_exact_proposal(pointwise_setup, ab_space):
 
 def test_z_support_violation(pointwise_setup, ab_space):
     ebm, _, p = pointwise_setup
-    narrow = TabularARModel.from_distribution(ab_space, p)  # misses 'b'-only sequences
+    narrow = from_distribution(ab_space, p)  # misses 'b'-only sequences
     bad = ab_space.enumeration()
     with pytest.raises(SupportViolation):
         estimate_z(ebm, narrow, bad)
@@ -129,7 +129,7 @@ def test_z_unbiasedness_across_replications(pointwise_setup, ab_uniform, ab_spac
 
 def test_kl_p_pi_zero_when_policy_is_p(pointwise_setup, ab_space):
     ebm, z, p = pointwise_setup
-    policy = TabularARModel.from_distribution(ab_space, p)
+    policy = from_distribution(ab_space, p)
     samples = policy.sample_batch(300, np.random.default_rng(3))
     est = estimate_kl_p_from(ebm, policy, policy, samples, z)
     assert abs(est.value) < 1e-12
@@ -146,7 +146,7 @@ def test_kl_p_pi_matches_enumeration(pointwise_setup, ab_uniform):
 
 def test_kl_p_pi_z_misspecification_closed_form(pointwise_setup, ab_space):
     ebm, z, p = pointwise_setup
-    policy = TabularARModel.from_distribution(ab_space, p)
+    policy = from_distribution(ab_space, p)
     samples = policy.sample_batch(400, np.random.default_rng(5))
     est = estimate_kl_p_from(ebm, policy, policy, samples, 2 * z)
     # with pi = q = p each ratio is z, each log term is log z:
@@ -167,7 +167,7 @@ def test_kl_nonpositive_z(pointwise_setup, ab_uniform):
 
 def test_tvd_zero_when_policy_is_p(pointwise_setup, ab_space):
     ebm, z, p = pointwise_setup
-    policy = TabularARModel.from_distribution(ab_space, p)
+    policy = from_distribution(ab_space, p)
     samples = policy.sample_batch(300, np.random.default_rng(6))
     est = estimate_tvd(ebm, policy, policy, samples, z)
     assert est.value == pytest.approx(0.0, abs=1e-12)
@@ -178,7 +178,7 @@ def test_tvd_disjoint_support_near_one(ab_space, ab_uniform, pointwise_setup):
     # policy lives exactly where p does not: sequences without 'a'
     third = 1.0 / 3.0
     off = np.array([third, 0.0, third, 0.0, 0.0, 0.0, third])
-    policy = TabularARModel.from_distribution(ab_space, off)
+    policy = from_distribution(ab_space, off)
     exact = exact_tvd(p, off)
     assert exact == pytest.approx(1.0)
     samples = ab_uniform.sample_batch(100000, np.random.default_rng(7))
@@ -219,7 +219,7 @@ def test_kl_models_point_mass_closed_form(ab_space, ab_uniform):
     s = Sequence((0, 1))
     dist = np.zeros(ab_space.universe_size)
     dist[sequence_rank(ab_space, s)] = 1.0
-    policy = TabularARModel.from_distribution(ab_space, dist)
+    policy = from_distribution(ab_space, dist)
     samples = policy.sample_batch(50, np.random.default_rng(11))
     est = estimate_kl_between_models(policy, ab_uniform, samples)
     assert est.value == pytest.approx(-naive_log_prob(ab_uniform, s), rel=1e-12)
@@ -227,7 +227,7 @@ def test_kl_models_point_mass_closed_form(ab_space, ab_uniform):
 
 def test_kl_models_support_violation(ab_space, ab_uniform):
     third = 1.0 / 3.0
-    ref = TabularARModel.from_distribution(
+    ref = from_distribution(
         ab_space, np.array([third, 0.0, third, 0.0, 0.0, 0.0, third])
     )
     samples = ab_space.enumeration()
@@ -287,7 +287,7 @@ def test_z_variance_shrinks_as_proposal_approaches_target(ab_space, pointwise_se
     assert exact_sds[-1] == pytest.approx(0.0, abs=1e-9)
     # the estimator's reported standard error reflects the exact ordering
     q0 = ab_uniform
-    q1 = TabularARModel.from_distribution(ab_space, p)
+    q1 = from_distribution(ab_space, p)
     s0 = estimate_z(ebm, q0, q0.sample_batch(20000, np.random.default_rng(12)))
     s1 = estimate_z(ebm, q1, q1.sample_batch(20000, np.random.default_rng(12)))
     assert s1.standard_error < s0.standard_error

@@ -17,11 +17,13 @@ from distctl.seqspace import SampleBatch, Sequence
 from helpers import (
     dense_grad_weighted_sum,
     enumerate_sequences,
+    from_distribution,
     grad_log_prob,
     naive_log_prob,
     random_model,
     sequence_rank,
     small_space,
+    uniform_over_universe,
 )
 
 
@@ -113,7 +115,7 @@ def test_sampling_deterministic(ab_space, rng):
 def test_sampling_degenerate_point_mass(ab_space):
     dist = np.zeros(ab_space.universe_size)
     dist[0] = 1.0  # all mass on the empty sequence
-    model = TabularARModel.from_distribution(ab_space, dist)
+    model = from_distribution(ab_space, dist)
     batch = model.sample_batch(200, np.random.default_rng(0))
     assert all(s.tokens == () for s in batch.sequences())
 
@@ -223,6 +225,35 @@ def test_serialize_round_trip_with_neg_inf(ab_space):
     assert np.array_equal(restored.logits, model.logits)
 
 
+def test_write_document_matches_to_document_bytes(tmp_path, rng):
+    space = small_space(3, 4)
+    distinct = random_model(space, 3, rng, trainable=True)
+    expanded = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    for _ in range(3):
+        batch = expanded.sample_batch(8, rng)
+        expanded.apply_update(expanded.grad_weighted_sum(batch, rng.standard_normal(8)), 0.5)
+    neg_inf = mle_fit(space, [Sequence((0, 1)), Sequence((2,)), Sequence(())], order=2)
+    signed_zero = TabularARModel.uniform_logits(small_space(2, 2), order=2)
+    signed_zero.logits[1, 0] = -0.0
+    one_row = TabularARModel.uniform_logits(small_space(2, 1), order=1)
+    # the row shapes each case stands for
+    assert len(np.unique(distinct.logits, axis=0)) == len(distinct.logits)
+    assert len(np.unique(expanded.logits, axis=0)) < len(expanded.logits) // 2
+    assert np.isneginf(neg_inf.logits).any()
+    rows = signed_zero.logits
+    assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
+    assert one_row.logits.shape[0] == 1
+    cases = {"distinct": distinct, "expanded": expanded, "neg-inf": neg_inf,
+             "signed-zero": signed_zero, "one-row": one_row}
+    for name, model in cases.items():
+        path = tmp_path / f"{name}.json"
+        model.write_document(path)
+        text = path.read_text()
+        assert text == json.dumps(model.to_document()) + "\n", name
+        restored = TabularARModel.from_document(json.loads(text))
+        assert restored.logits.tobytes() == model.logits.tobytes(), name
+
+
 def test_deserialize_corrupt_field(ab_space):
     doc = TabularARModel.uniform_logits(ab_space, order=1).to_document()
     doc["logitz"] = doc.pop("logits")
@@ -256,12 +287,12 @@ def test_from_distribution_reproduces_any_distribution(rng):
     space = small_space(3, 3)
     raw = rng.random(space.universe_size)
     dist = raw / raw.sum()
-    model = TabularARModel.from_distribution(space, dist)
+    model = from_distribution(space, dist)
     assert np.allclose(model.exact_distribution(), dist, atol=1e-12)
 
 
 def test_uniform_over_universe(ab_space):
-    model = TabularARModel.uniform_over_universe(ab_space)
+    model = uniform_over_universe(ab_space)
     assert np.allclose(model.exact_distribution(), np.full(7, 1.0 / 7.0))
 
 
@@ -300,7 +331,7 @@ def test_prefix_dp_matches_enumeration_with_neg_inf_rows(rng):
     space = small_space(3, 3)
     dist = rng.random(space.universe_size)
     dist[rng.random(space.universe_size) < 0.4] = 0.0
-    model = TabularARModel.from_distribution(space, dist / dist.sum())
+    model = from_distribution(space, dist / dist.sum())
     assert np.isneginf(model.logits).any()
     expected = np.exp(model.log_prob_batch(space.enumeration()))
     assert np.array_equal(model.exact_distribution(), expected)

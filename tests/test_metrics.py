@@ -7,14 +7,13 @@ from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.metrics import (
     corpus_dist_n,
-    dist_n,
     expectation_phi,
     self_bleu_n,
     zipf_table,
 )
 from distctl.seqspace import SampleBatch, Sequence
 
-from helpers import naive_bleu, small_space
+from helpers import dist_n, naive_bleu, small_space
 
 SEQS = st.lists(
     st.lists(st.integers(0, 2), min_size=0, max_size=6).map(lambda t: Sequence(tuple(t))),
