@@ -112,17 +112,6 @@ class Ebm:
                 out = out + np.log(b)
         return out
 
-    def scaled(self, log_scale_delta: float) -> "Ebm":
-        """Same EBM with every score multiplied by exp(log_scale_delta)."""
-        return Ebm(
-            base=self.base,
-            constraint_set=self.constraint_set,
-            lam=self.lam.copy(),
-            mode=self.mode,
-            lambda_clamp=self.lambda_clamp,
-            log_scale=self.log_scale + log_scale_delta,
-        )
-
     def exact_normalize(self) -> tuple[float, np.ndarray]:
         """Exact partition function and normalized distribution over the universe,
         from the base's prefix-DP log-probs and the cached universe features."""

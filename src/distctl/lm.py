@@ -8,6 +8,17 @@ normalized distribution over the finite universe.
 Contexts are the last min(k-1, t) tokens at step t (begin-of-sequence padding
 is implicit in the shorter-context rows), indexed with the same
 length-then-lex coding used for sequence enumeration.
+
+Emission events: a batch's free emissions are laid out step-aligned, (n, lmax).
+Step t of row i is active when t <= length_i (the body tokens, then EOS at a
+free end; the forced EOS at lmax is no event), its step token is the body
+token or EOS, and its context code is the table row of its context, 0 where
+the step is not active. The step tokens and the mask depend on the space only;
+the codes depend on the model order through m_eff. Each batch keeps one record
+of them, filled lazily, with one code matrix per m_eff it was scored under;
+`sample_batch` stores the codes it computes while sampling. Batches are
+read-only, so the record cannot go stale. A log-prob is one gather of
+(code, token) cells summed step by step, in chain-rule order.
 """
 
 from __future__ import annotations
@@ -57,6 +68,7 @@ class _Coding:
 
     def __init__(self, space: SequenceSpace, order: int):
         check_fit_args(order)
+        self.space = space
         self.body_size = space.body_size
         self.m_eff = min(order - 1, max(space.lmax - 1, 0))
         self.n_contexts = string_space_size(self.body_size, self.m_eff)
@@ -76,12 +88,23 @@ class _Coding:
     def step_offset(self, t: int) -> int:
         return int(self.offsets[min(t, self.m_eff)])
 
-    def roll(self, val: np.ndarray, t: int, ranks: np.ndarray) -> np.ndarray:
-        """Context value after emitting `ranks` at step t."""
-        new = val * self.body_size + ranks
-        if t + 1 > self.m_eff:
-            new %= self.modulus
-        return new
+    def encode(self, tokens: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Context code of every step of a token matrix, (n, lmax) stored
+        step-major, 0 where `active` is false.
+
+        The context value rolls one token per step, val * b + rank of the
+        token, kept to the last m_eff tokens by the modulus (a no-op while
+        the context is shorter). Past a row's end it rolls padding, which
+        the mask discards.
+        """
+        ranks = self.rank_of[np.maximum(tokens.T, 0)]
+        codes = np.zeros(ranks.shape, dtype=np.int64)
+        val = np.zeros(len(tokens), dtype=np.int64)
+        for t in range(len(codes)):
+            codes[t] = self.step_offset(t) + val
+            val = (val * self.body_size + ranks[t]) % self.modulus
+        codes[~active.T] = 0
+        return codes.T
 
 
 class RowGradient(NamedTuple):
@@ -109,30 +132,35 @@ def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - lse
 
 
-def _iter_events(model: "TabularARModel", batch: SampleBatch):
-    """Per step: (row indices, context codes, emitted tokens) of free emissions.
+@dataclass
+class _Events:
+    """A batch's free emissions (see the module docstring). Each matrix is
+    (n, lmax), stored step-major: `.T` is contiguous per step."""
 
-    Free emissions are the body tokens plus the EOS choice for sequences
-    shorter than lmax; the forced EOS at step lmax carries no parameters and
-    is skipped.
-    """
-    coding = model.coding
-    lengths = batch.lengths
-    eos = model.space.vocabulary.eos_index
-    n = len(batch)
-    val = np.zeros(n, dtype=np.int64)
-    for t in range(model.space.lmax):
-        emit_body = lengths > t
-        active = lengths >= t
-        if not active.any():
-            break
-        codes = coding.step_offset(t) + val
-        toks = np.where(emit_body, batch.tokens[:, t], eos)
-        rows = np.nonzero(active)[0]
-        yield rows, codes[rows], toks[rows].astype(np.int64)
-        safe = np.where(emit_body, batch.tokens[:, t], 0)
-        ranks = coding.rank_of[safe]
-        val = np.where(emit_body, coding.roll(val, t, ranks), val)
+    space: SequenceSpace
+    toks: np.ndarray  # int64: body token, EOS at the free end
+    active: np.ndarray  # bool: t <= length
+    codes: dict[int, np.ndarray] = field(default_factory=dict)  # m_eff -> int64 codes
+
+
+def _events(space: SequenceSpace, batch: SampleBatch) -> _Events:
+    """The batch's event record, built on first use under `space`."""
+    record = batch._events
+    if record is None or record.space != space:
+        reach = np.arange(space.lmax + 1)[:, None] <= batch.lengths  # row t: length >= t
+        eos = np.int64(space.vocabulary.eos_index)
+        toks = np.where(reach[1:], batch.tokens.T, eos)
+        record = batch._events = _Events(space, toks.T, reach[:-1].T)
+    return record
+
+
+def _coded_events(coding: _Coding, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, toks, active) of the batch under `coding`; each order is encoded once."""
+    record = _events(coding.space, batch)
+    codes = record.codes.get(coding.m_eff)
+    if codes is None:
+        codes = record.codes[coding.m_eff] = coding.encode(batch.tokens, record.active)
+    return codes, record.toks, record.active
 
 
 @dataclass
@@ -181,14 +209,16 @@ class TabularARModel:
         self._logprob = None
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
-        logprob = self._log_softmax()
+        codes, toks, active = _coded_events(self.coding, batch)
+        steps = np.where(active.T, self._log_softmax()[codes.T, toks.T], 0.0)
         out = np.zeros(len(batch))
-        for rows, codes, toks in _iter_events(self, batch):
-            out[rows] += logprob[codes, toks]
+        for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
+            out += step
         return out
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
-        """Ancestral sampling, vectorized over the batch via the Gumbel-max trick."""
+        """Ancestral sampling, vectorized over the batch via the Gumbel-max trick.
+        The batch keeps the context codes of this model's order."""
         if n < 1:
             raise ConfigError("sample count must be >= 1")
         logprob = self._log_softmax()
@@ -197,24 +227,30 @@ class TabularARModel:
         eos = self.space.vocabulary.eos_index
         tokens = np.full((n, lmax), -1, dtype=np.int32)
         lengths = np.full(n, lmax, dtype=np.int64)
+        codes = np.zeros((lmax, n), dtype=np.int64)  # step-major, as `_Coding.encode`
         val = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
         for t in range(lmax):
             u = rng.random((n, self.space.vocabulary.size))
             if not alive.any():
                 continue  # keep rng consumption independent of outcomes
-            codes = coding.step_offset(t) + val
+            np.multiply(coding.step_offset(t) + val, alive, out=codes[t])  # 0 once ended
+            # Gumbel noise -log(-log u), subtracted in place: a - b == a + (-b)
             with np.errstate(divide="ignore"):
-                gumbel = -np.log(-np.log(u))
-            pick = np.argmax(logprob[codes] + gumbel, axis=1)
+                np.log(u, out=u)
+                np.negative(u, out=u)
+                np.log(u, out=u)
+            pick = np.argmax(np.subtract(logprob[codes[t]], u, out=u), axis=1)
             ended = alive & (pick == eos)
             lengths[ended] = t
             grow = alive & ~ended
             tokens[grow, t] = pick[grow].astype(np.int32)
-            ranks = coding.rank_of[np.where(grow, pick, 0)]
-            val = np.where(grow, coding.roll(val, t, ranks), val)
+            # every row rolls its pick; an ended row's value is unused, its codes stay 0
+            val = (val * coding.body_size + coding.rank_of[pick]) % coding.modulus
             alive = grow
-        return SampleBatch(tokens=tokens, lengths=lengths)
+        batch = SampleBatch(tokens=tokens, lengths=lengths)
+        _events(self.space, batch).codes[coding.m_eff] = codes.T
+        return batch
 
     def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> RowGradient:
         """Sum over the batch of weight_i * grad log_prob(x_i), on the touched rows.
@@ -226,21 +262,23 @@ class TabularARModel:
         """
         if not self.trainable:
             raise NotTrainable("model is frozen")
-        logprob = self._log_softmax()
-        weights = np.asarray(weights, dtype=float)
+        codes, toks, active = _coded_events(self.coding, batch)
         v = self.space.vocabulary.size
-        events = list(_iter_events(self, batch))
-        touched, inverse = np.unique(
-            np.concatenate([codes for _, codes, _ in events]), return_inverse=True
-        )
+        weights = np.asarray(weights, dtype=float)
+        # step-major events: step 0 of every active row, then step 1, ...
+        events = active.T
+        ev_codes = codes.T[events]
+        w = np.broadcast_to(weights, events.shape)[events]
+        touched, inverse = np.unique(ev_codes, return_inverse=True)
+        row_cells = inverse * v
+        onehot_cells = row_cells + toks.T[events]
+        soft_cells = row_cells[:, None] + np.arange(v)
+        soft_values = -w[:, None] * np.exp(self._log_softmax()[ev_codes])
+        bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
         cells, values = [], []
-        start = 0
-        for rows, codes, toks in events:
-            row_cells = inverse[start : start + len(rows)] * v
-            start += len(rows)
-            w = weights[rows]
-            cells += [row_cells + toks, (row_cells[:, None] + np.arange(v)).ravel()]
-            values += [w, (-w[:, None] * np.exp(logprob[codes])).ravel()]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
+            cells += [onehot_cells[lo:hi], soft_cells[lo:hi].ravel()]
+            values += [w[lo:hi], soft_values[lo:hi].ravel()]
         grad = np.bincount(
             np.concatenate(cells), weights=np.concatenate(values), minlength=len(touched) * v
         )
@@ -428,10 +466,8 @@ def mle_fit(
     check_fit_args(order, smoothing)
     coding = _Coding(space, order)
     counts = np.zeros((coding.n_contexts, space.vocabulary.size))
-    probe = TabularARModel.uniform_logits(space, order)
-    batch = SampleBatch.from_sequences(space, corpus)
-    for rows, codes, toks in _iter_events(probe, batch):
-        np.add.at(counts, (codes, toks), 1.0)
+    codes, toks, active = _coded_events(coding, SampleBatch.from_sequences(space, corpus))
+    np.add.at(counts, (codes[active], toks[active]), 1.0)
     counts += smoothing
     with np.errstate(divide="ignore"):
         logits = np.log(counts)

@@ -90,10 +90,19 @@ def length_offsets(base: int, max_len: int) -> np.ndarray:
 
 @dataclass
 class SampleBatch:
-    """Column batch of sequences: int32 token matrix padded with -1, plus lengths."""
+    """Column batch of sequences: int32 token matrix padded with -1, plus lengths.
+
+    Both arrays are made read-only on construction, because the models that
+    score a batch keep its emission events in `_events` (see `lm`).
+    """
 
     tokens: np.ndarray
     lengths: np.ndarray
+    _events: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.tokens.flags.writeable = False
+        self.lengths.flags.writeable = False
 
     def __len__(self) -> int:
         return self.tokens.shape[0]

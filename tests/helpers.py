@@ -22,7 +22,7 @@ from distctl.estimators import (
     z_estimate_from_logs,
 )
 from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
-from distctl.lm import TabularARModel
+from distctl.lm import RowGradient, TabularARModel
 from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary, length_offsets
 
 LETTERS = "abcdefghij"
@@ -189,6 +189,113 @@ def uniform_over_universe(space: SequenceSpace, trainable: bool = False) -> Tabu
     """The uniform distribution over the whole universe (not uniform next-token)."""
     u = np.full(space.universe_size, 1.0 / space.universe_size)
     return from_distribution(space, u, trainable=trainable)
+
+
+def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:
+    """The same EBM with every score multiplied by exp(log_scale_delta)."""
+    return Ebm(
+        base=ebm.base,
+        constraint_set=ebm.constraint_set,
+        lam=ebm.lam.copy(),
+        mode=ebm.mode,
+        lambda_clamp=ebm.lambda_clamp,
+        log_scale=ebm.log_scale + log_scale_delta,
+    )
+
+
+# -- the batch operations encoded step by step ------------------------------------
+
+
+def iter_events(model: TabularARModel, batch: SampleBatch):
+    """Per step: (row indices, context codes, emitted tokens) of free emissions.
+
+    Free emissions are the body tokens plus the EOS choice for sequences
+    shorter than lmax. The context value is rolled one step at a time, on the
+    rows that emitted a body token only.
+    """
+    coding = model.coding
+    lengths = batch.lengths
+    eos = model.space.vocabulary.eos_index
+    val = np.zeros(len(batch), dtype=np.int64)
+    for t in range(model.space.lmax):
+        emit_body = lengths > t
+        active = lengths >= t
+        if not active.any():
+            break
+        codes = coding.step_offset(t) + val
+        toks = np.where(emit_body, batch.tokens[:, t], eos)
+        rows = np.nonzero(active)[0]
+        yield rows, codes[rows], toks[rows].astype(np.int64)
+        rolled = val * coding.body_size + coding.rank_of[np.where(emit_body, batch.tokens[:, t], 0)]
+        if t + 1 > coding.m_eff:
+            rolled %= coding.modulus
+        val = np.where(emit_body, rolled, val)
+
+
+def step_log_prob_batch(model: TabularARModel, batch: SampleBatch) -> np.ndarray:
+    """Log-probs accumulated step by step over the active rows only."""
+    logprob = model._log_softmax()
+    out = np.zeros(len(batch))
+    for rows, codes, toks in iter_events(model, batch):
+        out[rows] += logprob[codes, toks]
+    return out
+
+
+def step_grad_weighted_sum(
+    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
+) -> RowGradient:
+    """Row-sparse batch gradient from per-step event lists, summed per cell by
+    one `np.bincount` over the steps' one-hot then softmax events."""
+    logprob = model._log_softmax()
+    weights = np.asarray(weights, dtype=float)
+    v = model.space.vocabulary.size
+    events = list(iter_events(model, batch))
+    touched, inverse = np.unique(
+        np.concatenate([codes for _, codes, _ in events]), return_inverse=True
+    )
+    cells, values = [], []
+    start = 0
+    for rows, codes, toks in events:
+        row_cells = inverse[start : start + len(rows)] * v
+        start += len(rows)
+        w = weights[rows]
+        cells += [row_cells + toks, (row_cells[:, None] + np.arange(v)).ravel()]
+        values += [w, (-w[:, None] * np.exp(logprob[codes])).ravel()]
+    grad = np.bincount(
+        np.concatenate(cells), weights=np.concatenate(values), minlength=len(touched) * v
+    )
+    return RowGradient(touched, grad.reshape(len(touched), v))
+
+
+def gumbel_sample_batch(model: TabularARModel, n: int, rng: np.random.Generator) -> SampleBatch:
+    """Ancestral Gumbel-max sampling with the noise written -log(-log u) and
+    added to the log-probs, the context rolled on growing rows only."""
+    logprob = model._log_softmax()
+    coding = model.coding
+    lmax = model.space.lmax
+    eos = model.space.vocabulary.eos_index
+    tokens = np.full((n, lmax), -1, dtype=np.int32)
+    lengths = np.full(n, lmax, dtype=np.int64)
+    val = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    for t in range(lmax):
+        u = rng.random((n, model.space.vocabulary.size))
+        if not alive.any():
+            continue
+        codes = coding.step_offset(t) + val
+        with np.errstate(divide="ignore"):
+            gumbel = -np.log(-np.log(u))
+        pick = np.argmax(logprob[codes] + gumbel, axis=1)
+        ended = alive & (pick == eos)
+        lengths[ended] = t
+        grow = alive & ~ended
+        tokens[grow, t] = pick[grow].astype(np.int32)
+        rolled = val * coding.body_size + coding.rank_of[np.where(grow, pick, 0)]
+        if t + 1 > coding.m_eff:
+            rolled %= coding.modulus
+        val = np.where(grow, rolled, val)
+        alive = grow
+    return SampleBatch(tokens=tokens, lengths=lengths)
 
 
 def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:

@@ -9,7 +9,7 @@ from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPr
 from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions
 
-from helpers import from_distribution, grad_log_prob, random_model, small_space
+from helpers import from_distribution, grad_log_prob, random_model, scaled, small_space
 
 
 def make_pointwise(space, base, token="a"):
@@ -102,14 +102,14 @@ def test_scale_invariance_of_updates_and_decisions(ab_space, ab_uniform):
         ab_uniform, target, DpgConfig(learning_rate=0.8, **base_cfg), EvalOptions(sample_size=32)
     )
     for c in (0.5, 2.0):
-        scaled = train(
+        rescaled = train(
             ab_uniform,
-            target.scaled(np.log(c)),
+            scaled(target, np.log(c)),
             DpgConfig(learning_rate=0.8 / c, **base_cfg),
             EvalOptions(sample_size=32),
         )
-        assert np.allclose(scaled.policy.logits, reference.policy.logits, atol=1e-9)
-        assert [d.swapped for d in scaled.state.decisions] == [
+        assert np.allclose(rescaled.policy.logits, reference.policy.logits, atol=1e-9)
+        assert [d.swapped for d in rescaled.state.decisions] == [
             d.swapped for d in reference.state.decisions
         ]
 

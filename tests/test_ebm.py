@@ -20,6 +20,7 @@ from distctl.errors import (
 )
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
+from distctl.metrics import EvalOptions, snapshot
 from distctl.seqspace import SampleBatch, Sequence
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     bisect_lambda,
     from_distribution,
     random_model,
+    scaled,
     small_space,
     snis_standard_error,
 )
@@ -252,10 +254,23 @@ def test_exact_normalize_z_one_at_lambda_zero(ab_space, ab_uniform):
 def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
     ebm = build_pointwise(ab_uniform, presence_a_pointwise)
     z, p = ebm.exact_normalize()
-    z2, p2 = ebm.scaled(np.log(2.0)).exact_normalize()
+    z2, p2 = scaled(ebm, np.log(2.0)).exact_normalize()
     assert z2 == pytest.approx(2 * z, rel=1e-12)
     assert np.allclose(p2, p)
 
+
+
+def test_exact_oracles_leave_the_enumeration_unencoded(rng):
+    # scoring the cached universe would pin a code matrix per model order to it
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    policy = base.to_order(space.lmax, trainable=True)
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
+    ebm.exact_normalize()
+    ebm.exact_moments()
+    policy.exact_distribution()
+    snapshot(0, "gdc", policy, base, ebm, rng, EvalOptions(sample_size=64, exact=True))
+    assert space.enumeration()._events is None
 
 
 @pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
@@ -264,7 +279,7 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
     base = random_model(space, 2, rng, scale=1.0)
     cs = presence_set(space, "a", 1.0 if pointwise else 0.4, pointwise=pointwise)
     if pointwise:
-        ebm = build_pointwise(base, cs).scaled(0.3)
+        ebm = scaled(build_pointwise(base, cs), 0.3)
     else:
         ebm = Ebm(base=base, constraint_set=cs, lam=np.array([-1.7]), log_scale=0.3)
     scores = np.exp(ebm.log_score_batch(space.enumeration()))

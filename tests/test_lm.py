@@ -19,10 +19,13 @@ from helpers import (
     enumerate_sequences,
     from_distribution,
     grad_log_prob,
+    gumbel_sample_batch,
     naive_log_prob,
     random_model,
     sequence_rank,
     small_space,
+    step_grad_weighted_sum,
+    step_log_prob_batch,
     uniform_over_universe,
 )
 
@@ -317,8 +320,14 @@ def test_batch_and_scalar_log_prob_agree(rng):
 # -- batch-proportional paths, checked bitwise against the table-wide ones ----
 
 
-@pytest.mark.parametrize("order_of", [lambda lmax: 1, lambda lmax: 2, lambda lmax: lmax,
-                                      lambda lmax: lmax + 1], ids=["1", "2", "lmax", "lmax+1"])
+ORDERS = pytest.mark.parametrize(
+    "order_of",
+    [lambda lmax: 1, lambda lmax: 2, lambda lmax: lmax, lambda lmax: lmax + 1],
+    ids=["1", "2", "lmax", "lmax+1"],
+)
+
+
+@ORDERS
 def test_prefix_dp_matches_enumeration_bitwise(order_of, rng):
     for body, lmax in [(1, 1), (2, 3), (3, 4), (4, 3)]:
         space = small_space(body, lmax)
@@ -389,3 +398,84 @@ def test_non_finite_update_raises_and_leaves_model_unchanged(rng):
         model.apply_update(RowGradient(np.array([0]), np.array([[1e308, 0.0, 0.0]])), 1e10)
     assert np.array_equal(model.logits, before)
     assert np.array_equal(model._log_softmax(), logprob)
+
+
+# -- emission events, checked bitwise against the step-by-step encoding ---------
+
+
+def long_sampler(space, order, rng):
+    """A random model whose EOS is unlikely, so most rows run to many steps."""
+    model = random_model(space, order, rng)
+    model.logits[:, space.vocabulary.eos_index] -= 2.0
+    model.invalidate()
+    return model
+
+
+def assert_scores_match_step_by_step(model, batch, rng):
+    assert np.array_equal(model.log_prob_batch(batch), step_log_prob_batch(model, batch))
+    weights = rng.standard_normal(len(batch)) * 3.0
+    grad = model.grad_weighted_sum(batch, weights)
+    reference = step_grad_weighted_sum(model, batch, weights)
+    assert np.array_equal(grad.rows, reference.rows)
+    assert np.array_equal(grad.values, reference.values)
+
+
+@ORDERS
+def test_event_layout_matches_step_by_step_bitwise(order_of, rng):
+    # lmax 9: a numpy row sum over 9 steps would switch to pairwise order,
+    # so only the step-order sum matches bit for bit
+    for body, lmax in [(1, 1), (2, 3), (3, 4), (2, 9)]:
+        space = small_space(body, lmax)
+        model = random_model(space, order_of(lmax), rng, scale=1.5, trainable=True)
+        sampler = long_sampler(space, 1 if model.coding.m_eff > 0 else lmax, rng)
+        batch = sampler.sample_batch(300, rng)
+        assert_scores_match_step_by_step(model, batch, rng)
+        assert np.array_equal(sampler.log_prob_batch(batch), step_log_prob_batch(sampler, batch))
+        assert set(batch._events.codes) == {model.coding.m_eff, sampler.coding.m_eff}
+        rebuilt = SampleBatch.from_sequences(space, batch.sequences())
+        assert_scores_match_step_by_step(model, rebuilt, rng)
+        assert set(rebuilt._events.codes) == {model.coding.m_eff}
+
+
+@ORDERS
+def test_sample_batch_keeps_the_encoders_codes(order_of, rng):
+    for body, lmax in [(2, 3), (3, 4), (2, 9)]:
+        space = small_space(body, lmax)
+        model = long_sampler(space, order_of(lmax), rng)
+        batch = model.sample_batch(300, rng)
+        rebuilt = SampleBatch(tokens=batch.tokens.copy(), lengths=batch.lengths.copy())
+        model.log_prob_batch(rebuilt)
+        m = model.coding.m_eff
+        assert np.array_equal(batch._events.codes[m], rebuilt._events.codes[m])
+        assert np.array_equal(batch._events.toks, rebuilt._events.toks)
+        assert np.array_equal(batch._events.active, rebuilt._events.active)
+
+
+@ORDERS
+def test_sample_batch_matches_gumbel_reference_bitwise(order_of, rng):
+    for body, lmax in [(1, 2), (2, 3), (3, 4), (2, 9)]:
+        space = small_space(body, lmax)
+        model = long_sampler(space, order_of(lmax), rng)
+        logits = model.logits.copy()
+        logits[:, :-1][rng.random((len(logits), body)) < 0.3] = -np.inf  # EOS stays finite
+        for candidate in (model, TabularARModel(space, model.order, logits)):
+            ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+            batch = candidate.sample_batch(400, ours)
+            reference = gumbel_sample_batch(candidate, 400, theirs)
+            assert np.array_equal(batch.tokens, reference.tokens)
+            assert np.array_equal(batch.lengths, reference.lengths)
+            assert ours.random() == theirs.random()
+
+
+def test_batches_are_read_only(ab_space, rng):
+    model = random_model(ab_space, 2, rng)
+    batches = [
+        model.sample_batch(8, rng),
+        SampleBatch.from_sequences(ab_space, [Sequence((0, 1)), Sequence(())]),
+        small_space(2, 2).enumeration(),
+    ]
+    for batch in batches:
+        with pytest.raises(ValueError):
+            batch.tokens[0, 0] = 1
+        with pytest.raises(ValueError):
+            batch.lengths[0] = 0
