@@ -151,7 +151,7 @@ def _samples_file(path: Path, policy, vocab, n: int, rng) -> None:
 
 def _zipf_file(path: Path, policy, vocab, n: int, rng) -> None:
     batch = policy.sample_batch(n, rng)
-    table = zipf_table(batch.sequences(), vocab)
+    table = zipf_table(batch, vocab)
     rows = [[str(r), tok, str(f)] for r, tok, f in table.rows]
     _write_csv(path, ["rank", "token", "frequency"], rows)
 

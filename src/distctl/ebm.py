@@ -70,14 +70,13 @@ class FitReport:
 
 @dataclass
 class Ebm:
-    """score(x) = exp(log_scale) * base(x) * tilt(x), tilt per mode."""
+    """score(x) = base(x) * tilt(x), tilt per mode."""
 
     base: TabularARModel
     constraint_set: ConstraintSet
     lam: np.ndarray
     mode: str = EXPONENTIAL
     lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
-    log_scale: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -101,7 +100,7 @@ class Ebm:
     ) -> np.ndarray:
         """Log-scores of `batch` from its base log-probs; `universe` marks the
         enumeration, whose feature matrix is cached."""
-        out = log_base + self.log_scale
+        out = log_base
         if self.mode == EXPONENTIAL:
             if len(self.constraint_set):
                 phi = self.phi_universe() if universe else self.constraint_set.feature_matrix(batch)
@@ -229,7 +228,6 @@ def fit_lambda(
     base: TabularARModel,
     constraint_set: ConstraintSet,
     config: FitConfig,
-    warm_start: np.ndarray | None = None,
 ) -> tuple[FitReport, Ebm]:
     """Fit exponential-tilt parameters so estimated moments hit their targets.
 
@@ -254,12 +252,7 @@ def fit_lambda(
             raise UnattainableTarget(spec.feature.id, float(targets[j]), lo, hi)
 
     clamp = config.lambda_clamp
-    if warm_start is not None:
-        lam = np.clip(np.asarray(warm_start, dtype=float).copy(), -clamp, clamp)
-        if lam.shape != targets.shape:
-            raise ConfigError("warm_start length must match the constraint count")
-    else:
-        lam = np.zeros(len(constraint_set))
+    lam = np.zeros(len(constraint_set))
 
     lr = config.learning_rate
     steps_used = 0

@@ -17,8 +17,9 @@ the step is not active. The step tokens and the mask depend on the space only;
 the codes depend on the model order through m_eff. Each batch keeps one record
 of them, filled lazily, with one code matrix per m_eff it was scored under;
 `sample_batch` stores the codes it computes while sampling. Batches are
-read-only, so the record cannot go stale. A log-prob is one gather of
-(code, token) cells summed step by step, in chain-rule order.
+read-only, so the record cannot go stale. A log-prob is one flat `take` of
+the cells code * V + token of the log-softmax table, summed step by step, in
+chain-rule order.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ class TabularARModel:
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
         codes, toks, active = _coded_events(self.coding, batch)
-        steps = np.where(active.T, self._log_softmax()[codes.T, toks.T], 0.0)
+        logprob = self._log_softmax()
+        steps = np.where(active.T, logprob.take(codes.T * logprob.shape[1] + toks.T), 0.0)
         out = np.zeros(len(batch))
         for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
             out += step

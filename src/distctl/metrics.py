@@ -9,8 +9,6 @@ others as references, with uniform 1..n weights, clipped precisions floored at
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .estimators import (
     kl_p_from_logs,
 )
 from .lm import TabularARModel
-from .seqspace import SampleBatch, Sequence, Vocabulary
+from .seqspace import SampleBatch, Vocabulary
 
 PRECISION_FLOOR = 1e-9
 
@@ -38,89 +36,120 @@ def expectation_phi(samples: SampleBatch, constraint_set) -> np.ndarray:
     return constraint_set.feature_matrix(samples).mean(axis=0)
 
 
-def _ngram_counts(tokens: tuple[int, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+@dataclass(frozen=True)
+class NgramCounts:
+    """What pooled Dist-n and Self-BLEU-n need of a batch's m-grams, m = 1..max_n.
+
+    `distinct[m - 1]` is the number of distinct m-grams in the corpus, and
+    `clipped[m - 1][i]` is the number of row i's m-grams matched by another
+    row: each distinct gram counts min(row i's count, the largest count among
+    the other rows).
+    """
+
+    distinct: list[int]
+    clipped: list[np.ndarray]
 
 
-def corpus_dist_n(samples: list[Sequence], n: int) -> float:
-    """Pooled distinct/total n-gram ratio across the whole sample corpus."""
+def ngram_counts(samples: SampleBatch, max_n: int) -> NgramCounts:
+    """Count the batch's m-grams for m = 1..max_n in one pass over the token matrix.
+
+    An m-gram's id is its (m-1)-gram prefix's dense id times the token base
+    plus its last token, re-densified by `np.unique` at every m, so ids stay
+    below rows * width * base whatever n and the vocabulary size.
+    """
+    tokens = samples.tokens.astype(np.int64)
+    lengths = samples.lengths
+    n_rows, width = tokens.shape
+    base = int(tokens.max(initial=-1)) + 1  # the -1 padding is always masked out
+    rows = np.broadcast_to(np.arange(n_rows)[:, None], tokens.shape)
+    distinct: list[int] = []
+    clipped: list[np.ndarray] = []
+    ids = tokens
+    for m in range(1, max_n + 1):
+        starts = max(width - m + 1, 0)
+        valid = np.arange(starts) + m <= lengths[:, None]
+        if not valid.any():  # no row is m long, so no row is longer either
+            distinct.append(0)
+            clipped.append(np.zeros(n_rows))
+            continue
+        if m > 1:
+            ids = ids[:, :starts] * base + tokens[:, m - 1 :]
+        grams, dense = np.unique(ids[valid], return_inverse=True)
+        ids = np.zeros((n_rows, starts), dtype=np.int64)
+        ids[valid] = dense
+        distinct.append(len(grams))
+        # per-row count of each gram, then per gram: best count, its row, second best
+        row_gram = rows[:, :starts][valid] * len(grams) + dense
+        pairs, pair_of = np.unique(row_gram, return_inverse=True)
+        count = np.bincount(pair_of)
+        row, gram = np.divmod(pairs, len(grams))
+        order = np.argsort(gram * (int(count.max()) + 1) - count)  # by gram, then count descending
+        ranked = np.append(count[order], 0)
+        head = np.flatnonzero(np.diff(gram[order], prepend=-1))  # one per gram, by id
+        best, owner = ranked[head], row[order[head]]
+        second = np.where(np.diff(head, append=len(order)) > 1, ranked[head + 1], 0)
+        # ties for the best count leave best == second, so any owner gives the same clip
+        other = np.where(row == owner[gram], second[gram], best[gram])
+        clipped.append(np.bincount(row, weights=np.minimum(count, other), minlength=n_rows))
+    return NgramCounts(distinct=distinct, clipped=clipped)
+
+
+def _counts_up_to(samples: SampleBatch, n: int, counts: NgramCounts | None) -> NgramCounts:
+    if counts is None:
+        return ngram_counts(samples, n)
+    if len(counts.distinct) < n:
+        raise ConfigError(f"n-gram counts stop at {len(counts.distinct)}, below n = {n}")
+    return counts
+
+
+def corpus_dist_n(samples: SampleBatch, n: int, counts: NgramCounts | None = None) -> float:
+    """Pooled distinct/total n-gram ratio across the whole sample corpus.
+
+    `counts` (from `ngram_counts(samples, >= n)`) shares one count across calls.
+    """
     if n < 1:
         raise ConfigError("n must be >= 1")
-    distinct: set = set()
-    total = 0
-    for s in samples:
-        if len(s) >= n:
-            c = _ngram_counts(s.tokens, n)
-            distinct.update(c)
-            total += len(s) - n + 1
+    total = int(np.maximum(samples.lengths - n + 1, 0).sum())
     if total == 0:
         return 1.0
-    return len(distinct) / total
+    return _counts_up_to(samples, n, counts).distinct[n - 1] / total
 
 
-def _closest_reference_length(sorted_lengths: list[int], own: int) -> int:
-    """Closest length among the other samples; ties prefer the shorter.
-
-    `sorted_lengths` covers every sample including the candidate, so one
-    instance of the candidate's own length is dropped first.
-    """
-    pos = bisect.bisect_left(sorted_lengths, own)
-    rest = sorted_lengths[:pos] + sorted_lengths[pos + 1 :]
-    if not rest:
-        return own
-    j = bisect.bisect_left(rest, own)
-    options = [rest[k] for k in (j - 1, j) if 0 <= k < len(rest)]
-    return min(options, key=lambda r: (abs(r - own), r))
+def _closest_other_length(lengths: np.ndarray) -> np.ndarray:
+    """Indexed by a length L: the closest length among the other samples of a
+    sample of length L; ties prefer the shorter."""
+    hist = np.bincount(lengths)
+    span = np.arange(len(hist))
+    others = hist - np.eye(len(hist), dtype=hist.dtype)  # row L: all samples but one of length L
+    distance = 2 * np.abs(span - span[:, None]) + (span > span[:, None])  # odd when longer
+    return np.argmin(np.where(others > 0, distance, 2 * len(hist) + 1), axis=1)
 
 
-def self_bleu_n(samples: list[Sequence], n: int) -> float:
+def self_bleu_n(samples: SampleBatch, n: int, counts: NgramCounts | None = None) -> float:
     """Mean over long-enough samples of BLEU-n against all other samples.
 
-    Runs in time linear in the corpus size by keeping, for every n-gram, the
-    two largest per-sequence counts (so "max over references except self" is a
-    lookup instead of a rescan).
+    Each order m's clipped matches come from `ngram_counts`, which keeps the
+    two largest per-sequence counts of every gram, so "max over references
+    except self" is a lookup instead of a rescan. `counts` (from
+    `ngram_counts(samples, >= n)`) shares one count across calls.
     """
     if len(samples) < 2:
         raise TooFewSamples("self-BLEU needs at least two samples")
     if n < 1:
         raise ConfigError("n must be >= 1")
-    candidates = [i for i, s in enumerate(samples) if len(s) >= n]
-    if not candidates:
+    lengths = samples.lengths
+    candidates = np.flatnonzero(lengths >= n)
+    if len(candidates) == 0:
         return 0.0
-    # tops[m][gram] = (best count, owner index, second-best count)
-    tops: list[dict] = [dict() for _ in range(n)]
-    for i, s in enumerate(samples):
-        for m in range(1, n + 1):
-            if len(s) < m:
-                continue
-            for gram, c in _ngram_counts(s.tokens, m).items():
-                entry = tops[m - 1].get(gram)
-                if entry is None:
-                    tops[m - 1][gram] = (c, i, 0)
-                else:
-                    c1, owner, c2 = entry
-                    if c > c1:
-                        tops[m - 1][gram] = (c, i, c1)
-                    elif c > c2:
-                        tops[m - 1][gram] = (c1, owner, c)
-    sorted_lengths = sorted(len(s) for s in samples)
-    scores = []
-    for i in candidates:
-        s = samples[i]
-        log_precision = 0.0
-        for m in range(1, n + 1):
-            own = _ngram_counts(s.tokens, m)
-            clipped = 0
-            for gram, c in own.items():
-                c1, owner, c2 = tops[m - 1][gram]
-                max_other = c1 if owner != i else c2
-                clipped += min(c, max_other)
-            p = clipped / (len(s) - m + 1)
-            log_precision += np.log(max(p, PRECISION_FLOOR)) / n
-        r = _closest_reference_length(sorted_lengths, len(s))
-        bp = 1.0 if len(s) > r else float(np.exp(1.0 - r / len(s)))
-        scores.append(bp * float(np.exp(log_precision)))
-    return float(np.mean(scores))
+    counts = _counts_up_to(samples, n, counts)
+    own = lengths[candidates]
+    log_precision = np.zeros(len(candidates))
+    for m in range(1, n + 1):
+        p = counts.clipped[m - 1][candidates] / (own - m + 1)
+        log_precision += np.log(np.maximum(p, PRECISION_FLOOR)) / n
+    r = _closest_other_length(lengths)[own]
+    bp = np.where(own > r, 1.0, np.exp(1.0 - r / own))
+    return float(np.mean(bp * np.exp(log_precision)))
 
 
 @dataclass
@@ -138,14 +167,13 @@ class ZipfTable:
         return len(self.rows)
 
 
-def zipf_table(samples: list[Sequence], vocab: Vocabulary) -> ZipfTable:
-    counts = Counter()
-    for s in samples:
-        counts.update(s.tokens)
-    if not counts:
+def zipf_table(samples: SampleBatch, vocab: Vocabulary) -> ZipfTable:
+    body = samples.tokens[np.arange(samples.width) < samples.lengths[:, None]]
+    if not body.size:
         raise EmptyCorpus("zipf table needs at least one token")
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    rows = [(rank + 1, vocab.tokens[tok], freq) for rank, (tok, freq) in enumerate(ordered)]
+    counts = np.bincount(body, minlength=vocab.size)
+    ordered = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    rows = [(rank + 1, vocab.tokens[tok], int(counts[tok])) for rank, tok in enumerate(ordered)]
     return ZipfTable(rows=rows)
 
 
@@ -200,15 +228,15 @@ def snapshot(
         kl_p_pi = kl_p_from_logs(log_p_score, log_pi, log_pi, z)
     else:
         kl_p_pi = Estimate(value=float("nan"), standard_error=float("nan"), sample_count=len(batch))
-    seqs = batch.sequences()
+    grams = ngram_counts(batch, 5)
     record = MetricsRecord(
         step=step,
         method=method,
         e_phi=e_phi,
         kl_p_pi=kl_p_pi,
         kl_pi_a=kl_pi_a,
-        dist_n={k: corpus_dist_n(seqs, k) for k in (1, 2, 3)},
-        self_bleu_n={k: self_bleu_n(seqs, k) for k in (3, 4, 5)},
+        dist_n={k: corpus_dist_n(batch, k, grams) for k in (1, 2, 3)},
+        self_bleu_n={k: self_bleu_n(batch, k, grams) for k in (3, 4, 5)},
         z_estimate=zma_value,
     )
     if options.exact:

@@ -7,13 +7,15 @@ enumerations.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from distctl.ebm import Ebm
-from distctl.errors import ConfigError
+from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
     Estimate,
     kl_models_from_logs,
@@ -191,15 +193,25 @@ def uniform_over_universe(space: SequenceSpace, trainable: bool = False) -> Tabu
     return from_distribution(space, u, trainable=trainable)
 
 
+@dataclass
+class ScaledEbm(Ebm):
+    """An EBM whose every score is multiplied by exp(log_scale)."""
+
+    log_scale: float = 0.0
+
+    def _log_scores(self, log_base, batch, universe=False):
+        return super()._log_scores(log_base + self.log_scale, batch, universe)
+
+
 def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:
     """The same EBM with every score multiplied by exp(log_scale_delta)."""
-    return Ebm(
+    return ScaledEbm(
         base=ebm.base,
         constraint_set=ebm.constraint_set,
         lam=ebm.lam.copy(),
         mode=ebm.mode,
         lambda_clamp=ebm.lambda_clamp,
-        log_scale=ebm.log_scale + log_scale_delta,
+        log_scale=getattr(ebm, "log_scale", 0.0) + log_scale_delta,
     )
 
 
@@ -415,6 +427,107 @@ def naive_bleu(candidate: Sequence, references: list[Sequence], n: int) -> float
     r = min((len(ref) for ref in references), key=lambda L: (abs(L - c), L))
     bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
     return bp * float(np.exp(log_p))
+
+
+def _ngram_counts(tokens: tuple[int, ...], n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def naive_corpus_dist_n(samples: list[Sequence], n: int) -> float:
+    """Pooled distinct/total n-gram ratio, one sequence at a time."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    distinct: set = set()
+    total = 0
+    for s in samples:
+        if len(s) >= n:
+            distinct.update(_ngram_counts(s.tokens, n))
+            total += len(s) - n + 1
+    if total == 0:
+        return 1.0
+    return len(distinct) / total
+
+
+def _closest_reference_length(sorted_lengths: list[int], own: int) -> int:
+    """Closest length among the other samples; ties prefer the shorter.
+
+    `sorted_lengths` covers every sample including the candidate, so one
+    instance of the candidate's own length is dropped first.
+    """
+    pos = bisect.bisect_left(sorted_lengths, own)
+    rest = sorted_lengths[:pos] + sorted_lengths[pos + 1 :]
+    if not rest:
+        return own
+    j = bisect.bisect_left(rest, own)
+    options = [rest[k] for k in (j - 1, j) if 0 <= k < len(rest)]
+    return min(options, key=lambda r: (abs(r - own), r))
+
+
+def naive_self_bleu_n(samples: list[Sequence], n: int) -> float:
+    """Mean over long-enough samples of BLEU-n against all other samples, one
+    sequence at a time: for every n-gram, the two largest per-sequence counts
+    make "max over references except self" a lookup."""
+    if len(samples) < 2:
+        raise TooFewSamples("self-BLEU needs at least two samples")
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    candidates = [i for i, s in enumerate(samples) if len(s) >= n]
+    if not candidates:
+        return 0.0
+    # tops[m][gram] = (best count, owner index, second-best count)
+    tops: list[dict] = [dict() for _ in range(n)]
+    for i, s in enumerate(samples):
+        for m in range(1, n + 1):
+            if len(s) < m:
+                continue
+            for gram, c in _ngram_counts(s.tokens, m).items():
+                entry = tops[m - 1].get(gram)
+                if entry is None:
+                    tops[m - 1][gram] = (c, i, 0)
+                else:
+                    c1, owner, c2 = entry
+                    if c > c1:
+                        tops[m - 1][gram] = (c, i, c1)
+                    elif c > c2:
+                        tops[m - 1][gram] = (c1, owner, c)
+    sorted_lengths = sorted(len(s) for s in samples)
+    scores = []
+    for i in candidates:
+        s = samples[i]
+        log_precision = 0.0
+        for m in range(1, n + 1):
+            clipped = 0
+            for gram, c in _ngram_counts(s.tokens, m).items():
+                c1, owner, c2 = tops[m - 1][gram]
+                clipped += min(c, c1 if owner != i else c2)
+            p = clipped / (len(s) - m + 1)
+            log_precision += np.log(max(p, 1e-9)) / n
+        r = _closest_reference_length(sorted_lengths, len(s))
+        bp = 1.0 if len(s) > r else float(np.exp(1.0 - r / len(s)))
+        scores.append(bp * float(np.exp(log_precision)))
+    return float(np.mean(scores))
+
+
+def naive_zipf_rows(samples: list[Sequence], vocab: Vocabulary) -> list[tuple[int, str, int]]:
+    """(rank, token, frequency) rows from a `Counter`, frequency descending,
+    ties by vocabulary index."""
+    counts = Counter()
+    for s in samples:
+        counts.update(s.tokens)
+    if not counts:
+        raise EmptyCorpus("zipf table needs at least one token")
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(rank + 1, vocab.tokens[tok], freq) for rank, (tok, freq) in enumerate(ordered)]
+
+
+def batch_of(seqs: list[Sequence], width: int | None = None) -> SampleBatch:
+    """Token-matrix batch of `seqs`, padded with -1 to `width` (default: the
+    longest sequence), without a space: tokens may be any non-negative ints."""
+    width = max([len(s) for s in seqs] + [0]) if width is None else width
+    tokens = np.full((len(seqs), width), -1, dtype=np.int32)
+    for i, s in enumerate(seqs):
+        tokens[i, : len(s)] = s.tokens
+    return SampleBatch(tokens=tokens, lengths=np.array([len(s) for s in seqs], dtype=np.int64))
 
 
 def snis_standard_error(weights: np.ndarray, phi: np.ndarray, mu: float) -> float:

@@ -27,6 +27,7 @@ from distctl.metrics import EvalOptions, self_bleu_n, zipf_table
 from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, tokenize_corpus
 
 from helpers import (
+    batch_of,
     bisect_lambda,
     dist_n,
     enumerate_sequences,
@@ -429,12 +430,12 @@ def test_criterion_9_metric_oracles():
                 if len(c) >= n
             ]
         )
-        checks.append(abs(self_bleu_n(corpus, n) - expected) <= 1e-9)
+        checks.append(abs(self_bleu_n(batch_of(corpus), n) - expected) <= 1e-9)
     degenerate = [Sequence((0, 1, 2, 0, 1)) for _ in range(4)]
-    checks.append(abs(self_bleu_n(degenerate, 5) - 1.0) <= 1e-9)
+    checks.append(abs(self_bleu_n(batch_of(degenerate), 5) - 1.0) <= 1e-9)
     space = small_space(3, 6)
     samples = [Sequence((0, 0, 1)), Sequence((2,)), Sequence((1, 1, 1, 2))]
-    table = zipf_table(samples, space.vocabulary)
+    table = zipf_table(SampleBatch.from_sequences(space, samples), space.vocabulary)
     checks.append(table.total == sum(len(s) for s in samples))
     ok = all(checks)
     report(9, ok, f"{sum(checks)}/{len(checks)} fixture identities hold exactly")

@@ -174,8 +174,8 @@ def test_reward_p_loses_diversity_to_gdc():
     )
     assert exact_entropy(reward_p.policy.exact_distribution()) < 0.05
     rng = np.random.default_rng(99)
-    gdc_samples = gdc.policy.sample_batch(1000, rng).sequences()
-    rp_samples = reward_p.policy.sample_batch(1000, rng).sequences()
+    gdc_samples = gdc.policy.sample_batch(1000, rng)
+    rp_samples = reward_p.policy.sample_batch(1000, rng)
     assert self_bleu_n(rp_samples, 5) > self_bleu_n(gdc_samples, 5)
     gdc_tail = zipf_table(gdc_samples, space.vocabulary).tail_length
     rp_tail = zipf_table(rp_samples, space.vocabulary).tail_length

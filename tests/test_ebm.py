@@ -184,28 +184,6 @@ def test_fit_rejects_all_pointwise(ab_uniform, presence_a_pointwise):
         fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100))
 
 
-def test_fit_warm_start_dominates(rng):
-    space = small_space(3, 5)
-    base = random_model(space, 2, rng, scale=0.7)
-    v = space.vocabulary
-    first = ConstraintSpec(TokenPresence(v, "a"), 0.7)
-    second = ConstraintSpec(TokenPresence(v, "b"), 0.3)
-    cfg = fit_config(n=30000, tol=1e-5)
-    report_s, _ = fit_lambda(base, ConstraintSet([first]), cfg)
-    assert report_s.converged
-    for seed in (0, 1, 2):
-        cfg2 = fit_config(n=30000, tol=1e-5, seed=seed)
-        cold, _ = fit_lambda(base, ConstraintSet([first, second]), cfg2)
-        warm, _ = fit_lambda(
-            base,
-            ConstraintSet([first, second]),
-            cfg2,
-            warm_start=np.array([report_s.lam[0], 0.0]),
-        )
-        assert warm.converged and cold.converged
-        assert warm.steps_used <= cold.steps_used
-
-
 # -- pointwise product and normalization --------------------------------------
 
 
@@ -281,7 +259,7 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
     if pointwise:
         ebm = scaled(build_pointwise(base, cs), 0.3)
     else:
-        ebm = Ebm(base=base, constraint_set=cs, lam=np.array([-1.7]), log_scale=0.3)
+        ebm = scaled(Ebm(base=base, constraint_set=cs, lam=np.array([-1.7])), 0.3)
     scores = np.exp(ebm.log_score_batch(space.enumeration()))
     z, p = ebm.exact_normalize()
     assert z == float(scores.sum())

@@ -3,17 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distctl.ebm import Ebm
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.metrics import (
+    EvalOptions,
     corpus_dist_n,
     expectation_phi,
+    ngram_counts,
     self_bleu_n,
+    snapshot,
     zipf_table,
 )
-from distctl.seqspace import SampleBatch, Sequence
+from distctl.seqspace import SampleBatch, Sequence, Vocabulary
 
-from helpers import dist_n, naive_bleu, small_space
+from helpers import (
+    batch_of,
+    dist_n,
+    naive_bleu,
+    naive_corpus_dist_n,
+    naive_self_bleu_n,
+    naive_zipf_rows,
+    random_model,
+    small_space,
+)
 
 SEQS = st.lists(
     st.lists(st.integers(0, 2), min_size=0, max_size=6).map(lambda t: Sequence(tuple(t))),
@@ -35,8 +48,6 @@ def test_expectation_phi_empty_set(ab_space):
 
 def test_expectation_phi_matches_enumeration(rng):
     space = small_space(3, 4)
-    from helpers import random_model
-
     model = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.5)])
     exact = float(model.exact_distribution() @ cs.feature_matrix(space.enumeration())[:, 0])
@@ -62,24 +73,24 @@ def test_dist_n_fixtures():
 def test_corpus_dist_n_pools_ngrams():
     corpus = [Sequence((0, 1)), Sequence((0, 1))]
     # pooled: 2 distinct unigrams out of 4 tokens
-    assert corpus_dist_n(corpus, 1) == pytest.approx(0.5)
-    assert corpus_dist_n([Sequence(())], 1) == 1.0
+    assert corpus_dist_n(batch_of(corpus), 1) == pytest.approx(0.5)
+    assert corpus_dist_n(batch_of([Sequence(())]), 1) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(SEQS, st.integers(1, 3))
 def test_duplicate_never_increases_corpus_dist(samples, n):
-    before = corpus_dist_n(samples, n)
+    before = corpus_dist_n(batch_of(samples), n)
     dup = samples + [samples[0]]
-    assert corpus_dist_n(dup, n) <= before + 1e-12
+    assert corpus_dist_n(batch_of(dup), n) <= before + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEQS, st.integers(1, 3))
 def test_dist_and_self_bleu_permutation_invariant(samples, n):
-    reversed_corpus = list(reversed(samples))
-    assert corpus_dist_n(samples, n) == corpus_dist_n(reversed_corpus, n)
-    assert self_bleu_n(samples, n) == pytest.approx(self_bleu_n(reversed_corpus, n), abs=1e-12)
+    batch, reversed_batch = batch_of(samples), batch_of(list(reversed(samples)))
+    assert corpus_dist_n(batch, n) == corpus_dist_n(reversed_batch, n)
+    assert self_bleu_n(batch, n) == pytest.approx(self_bleu_n(reversed_batch, n), abs=1e-12)
 
 
 # -- self-BLEU ---------------------------------------------------------------
@@ -88,12 +99,12 @@ def test_dist_and_self_bleu_permutation_invariant(samples, n):
 def test_self_bleu_identical_corpus():
     corpus = [Sequence((0, 1, 2, 0)) for _ in range(5)]
     for n in (3, 4):
-        assert self_bleu_n(corpus, n) == pytest.approx(1.0)
+        assert self_bleu_n(batch_of(corpus), n) == pytest.approx(1.0)
 
 
 def test_self_bleu_disjoint_vocabularies():
     corpus = [Sequence((0, 0, 0, 0)), Sequence((1, 1, 1, 1))]
-    assert self_bleu_n(corpus, 3) <= 1e-8
+    assert self_bleu_n(batch_of(corpus), 3) <= 1e-8
 
 
 def test_self_bleu_matches_naive_oracle():
@@ -109,12 +120,13 @@ def test_self_bleu_matches_naive_oracle():
                 continue
             refs = [corpus[j] for j in range(len(corpus)) if j != i]
             expected.append(naive_bleu(cand, refs, n))
-        assert self_bleu_n(corpus, n) == pytest.approx(float(np.mean(expected)), abs=1e-9)
+        assert self_bleu_n(batch_of(corpus), n) == pytest.approx(float(np.mean(expected)), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEQS, st.integers(1, 3))
 def test_self_bleu_matches_naive_oracle_random(samples, n):
+    batch = batch_of(samples)
     expected = []
     for i, cand in enumerate(samples):
         if len(cand) < n:
@@ -122,43 +134,144 @@ def test_self_bleu_matches_naive_oracle_random(samples, n):
         refs = [samples[j] for j in range(len(samples)) if j != i]
         expected.append(naive_bleu(cand, refs, n))
     if not expected:
-        assert self_bleu_n(samples, n) == 0.0
+        assert self_bleu_n(batch, n) == 0.0
     else:
-        assert self_bleu_n(samples, n) == pytest.approx(float(np.mean(expected)), abs=1e-9)
+        assert self_bleu_n(batch, n) == pytest.approx(float(np.mean(expected)), abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(SEQS, st.integers(1, 3))
 def test_duplicate_never_decreases_self_bleu(samples, n):
-    before = self_bleu_n(samples, n)
+    before = self_bleu_n(batch_of(samples), n)
     dup = samples + [samples[0]]
-    assert self_bleu_n(dup, n) >= before - 1e-12
+    assert self_bleu_n(batch_of(dup), n) >= before - 1e-12
 
 
 def test_self_bleu_short_sequences_excluded():
     corpus = [Sequence((0,)), Sequence((0, 1, 2)), Sequence((0, 1, 2))]
     # the single-token sequence is no candidate but still serves as a reference
-    assert self_bleu_n(corpus, 3) == pytest.approx(1.0)
-    assert self_bleu_n([Sequence((0,)), Sequence((1,))], 3) == 0.0
+    assert self_bleu_n(batch_of(corpus), 3) == pytest.approx(1.0)
+    assert self_bleu_n(batch_of([Sequence((0,)), Sequence((1,))]), 3) == 0.0
 
 
 def test_self_bleu_too_few_samples():
     with pytest.raises(TooFewSamples):
-        self_bleu_n([Sequence((0, 1, 2))], 3)
+        self_bleu_n(batch_of([Sequence((0, 1, 2))]), 3)
+
+
+# -- batch metrics against the per-sequence references ---------------------------
+
+
+@st.composite
+def token_batches(draw):
+    """(vocabulary size, width, sequences) with vocabulary 1-12 and width 1-7."""
+    vocab_size = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, vocab_size - 1), max_size=width)
+    rows = draw(st.lists(row, min_size=2, max_size=16))
+    return vocab_size, width, [Sequence(tuple(r)) for r in rows]
+
+
+def assert_equals_references(seqs, width, ns=range(1, 6)):
+    batch = batch_of(seqs, width)
+    counts = ngram_counts(batch, max(ns))
+    for n in ns:
+        dist = naive_corpus_dist_n(seqs, n)
+        assert corpus_dist_n(batch, n) == corpus_dist_n(batch, n, counts) == dist
+        bleu = naive_self_bleu_n(seqs, n)
+        assert self_bleu_n(batch, n) == self_bleu_n(batch, n, counts) == bleu
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_batches())
+def test_batch_metrics_equal_per_sequence_references(drawn):
+    vocab_size, width, seqs = drawn
+    assert_equals_references(seqs, width)
+    vocab = Vocabulary.from_body_tokens([f"t{i}" for i in range(vocab_size)])
+    if any(len(s) for s in seqs):
+        assert zipf_table(batch_of(seqs, width), vocab).rows == naive_zipf_rows(seqs, vocab)
+    else:
+        with pytest.raises(EmptyCorpus):
+            zipf_table(batch_of(seqs, width), vocab)
+
+
+EDGE_CORPORA = {
+    # the unigram (0,) has its top count, 2, in both rows 0 and 1
+    "top-count-tie": ([(0, 0, 1, 2), (0, 0, 2, 1), (1, 2, 0)], 4),
+    "empty-rows": ([(), (0, 1, 2), (), (0, 1)], 3),
+    "n-above-width": ([(0, 1), (1,), (1, 0)], 2),
+    # every other length equals the own one: the closest reference length is it
+    "equal-lengths": ([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 0, 0)], 3),
+    "duplicated": ([(0, 1, 2, 0), (1, 1), (0, 1, 2, 0), (1, 1)], 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
+def test_batch_metrics_edge_cases(name):
+    rows, width = EDGE_CORPORA[name]
+    seqs = [Sequence(r) for r in rows]
+    assert_equals_references(seqs, width)
+    batch = batch_of(seqs, width)
+    for n in range(1, 6):
+        candidates = [i for i, s in enumerate(seqs) if len(s) >= n]
+        if not candidates:
+            assert corpus_dist_n(batch, n) == 1.0 and self_bleu_n(batch, n) == 0.0
+            continue
+        refs = [[r for j, r in enumerate(seqs) if j != i] for i in candidates]
+        textbook = np.mean([naive_bleu(seqs[i], rs, n) for i, rs in zip(candidates, refs)])
+        assert self_bleu_n(batch, n) == pytest.approx(float(textbook), abs=1e-9)
+
+
+def test_batch_metrics_large_vocabulary():
+    # base-V ids of 5-grams over V = 2**16 tokens wrap in int64 at V**4 == 2**64,
+    # which would merge grams that differ only in their first token
+    top = 2**16 - 1
+    twins = [Sequence((top, 1, 2, 3, 4)), Sequence((top - 1, 1, 2, 3, 4))]
+    assert corpus_dist_n(batch_of(twins), 5) == 1.0
+    precisions = [4 / 5, 3 / 4, 2 / 3, 1 / 2, 1e-9]  # the floor: no shared 5-gram
+    assert self_bleu_n(batch_of(twins), 5) == pytest.approx(np.exp(np.mean(np.log(precisions))))
+    rng = np.random.default_rng(5)
+    seqs = twins + [
+        Sequence(tuple(int(t) for t in rng.choice([1, 2, top - 1, top], size=k)))
+        for k in rng.integers(0, 8, size=40)
+    ]
+    assert_equals_references(seqs, 7, ns=[5])
+
+
+def test_ngram_counts_must_reach_n():
+    batch = batch_of([Sequence((0, 1, 2)), Sequence((1, 2))])
+    counts = ngram_counts(batch, 2)
+    with pytest.raises(ConfigError):
+        self_bleu_n(batch, 3, counts)
+
+
+def test_snapshot_builds_no_sequences(monkeypatch, rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    policy = base.to_order(space.lmax, trainable=True)
+    cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
+    target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
+
+    def no_sequences(self):
+        raise AssertionError("snapshot built per-sequence objects")
+
+    monkeypatch.setattr(SampleBatch, "sequences", no_sequences)
+    record = snapshot(0, "gdc", policy, base, target, rng, EvalOptions(sample_size=64, exact=True))
+    assert sorted(record.dist_n) == [1, 2, 3] and sorted(record.self_bleu_n) == [3, 4, 5]
 
 
 # -- zipf ---------------------------------------------------------------------
 
 
 def test_zipf_rows(ab_space):
-    table = zipf_table([Sequence((0, 0, 1))], ab_space.vocabulary)
+    table = zipf_table(batch_of([Sequence((0, 0, 1))]), ab_space.vocabulary)
     assert table.rows == [(1, "a", 2), (2, "b", 1)]
     assert table.total == 3
 
 
 def test_zipf_tie_break_by_vocab_index():
     space = small_space(3, 4)
-    table = zipf_table([Sequence((2, 1))], space.vocabulary)
+    table = zipf_table(batch_of([Sequence((2, 1))]), space.vocabulary)
     assert [rank for rank, _, _ in table.rows] == [1, 2]
     assert [tok for _, tok, _ in table.rows] == ["b", "c"]
 
@@ -166,14 +279,14 @@ def test_zipf_tie_break_by_vocab_index():
 def test_zipf_near_flat_on_balanced_corpus():
     space = small_space(3, 4)
     corpus = [Sequence((0, 1, 2)) for _ in range(10)]
-    table = zipf_table(corpus, space.vocabulary)
+    table = zipf_table(batch_of(corpus), space.vocabulary)
     freqs = [f for _, _, f in table.rows]
     assert max(freqs) == min(freqs) == 10
 
 
 def test_zipf_empty_corpus(ab_space):
     with pytest.raises(EmptyCorpus):
-        zipf_table([Sequence(())], ab_space.vocabulary)
+        zipf_table(batch_of([Sequence(())]), ab_space.vocabulary)
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,9 +296,9 @@ def test_zipf_sum_identity(samples):
     total = sum(len(s) for s in samples)
     if total == 0:
         with pytest.raises(EmptyCorpus):
-            zipf_table(samples, space.vocabulary)
+            zipf_table(batch_of(samples), space.vocabulary)
         return
-    table = zipf_table(samples, space.vocabulary)
+    table = zipf_table(batch_of(samples), space.vocabulary)
     assert table.total == total
     freqs = [f for _, _, f in table.rows]
     assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
