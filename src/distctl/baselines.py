@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpg import LoopConfig, TrainState, run_loop
+from .dpg import LoopConfig, TrainResult, TrainState, run_loop
 from .ebm import Ebm
-from .errors import ConfigError, NoAcceptedSamples
+from .errors import ConfigError, NoAcceptedSamples, NoPointwiseConstraints
 from .features import ConstraintSet
 from .lm import TabularARModel, check_fit_args, mle_fit
-from .metrics import EvalOptions, MetricsRecord
+from .metrics import EvalOptions
 from .seqspace import SampleBatch
 
 REINFORCE_PHI = "reinforce-phi"
@@ -132,7 +132,11 @@ class RejectionStats:
 def rejection_mle(
     base: TabularARModel, constraint_set: ConstraintSet, config: RejectionConfig
 ) -> tuple[TabularARModel, RejectionStats]:
-    """Sample the base, keep sequences passing the pointwise predicate, MLE-fit on them."""
+    """Sample the base, keep the sequences whose pointwise features are all 1,
+    MLE-fit on them."""
+    pointwise = np.array([c.pointwise for c in constraint_set], dtype=bool)
+    if not pointwise.any():
+        raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget
     rng = np.random.default_rng(config.seed)
     kept = []
@@ -141,7 +145,7 @@ def rejection_mle(
         n = min(_REJECTION_CHUNK, budget - drawn)
         batch = base.sample_batch(n, rng)
         drawn += n
-        accept = constraint_set.pointwise_predicate_batch(batch) == 1.0
+        accept = (constraint_set.feature_matrix(batch)[:, pointwise] == 1.0).all(axis=1)
         for i in np.nonzero(accept)[0]:
             kept.append(batch.row(int(i)))
     stats = RejectionStats(drawn=drawn, kept=len(kept))
@@ -153,22 +157,16 @@ def rejection_mle(
     return model, stats
 
 
-@dataclass
-class BaselineResult:
-    policy: TabularARModel
-    history: list[MetricsRecord]
-    final_beta: float | None = None
-
-
 def train_baseline(
     base: TabularARModel,
     target: Ebm,
     config: BaselineConfig,
     eval_options: EvalOptions | None = None,
-) -> BaselineResult:
+) -> TrainResult:
     """Run a policy-gradient baseline through the distributional trainer's loop.
     The feature reward is the sum over constraint features (a single
-    constraint's reward is just its feature)."""
+    constraint's reward is just its feature). The final state keeps the final
+    beta."""
     constraint_set = target.constraint_set
 
     def phi_reward(batch: SampleBatch) -> np.ndarray:
@@ -192,4 +190,5 @@ def train_baseline(
             reinforce_step(state.policy, reward, k, lr, rng)
 
     state = run_loop(base, target, config, config.kind, step, eval_options)
-    return BaselineResult(policy=state.policy, history=state.history, final_beta=beta)
+    state.beta = beta
+    return TrainResult(policy=state.policy, history=state.history, state=state)

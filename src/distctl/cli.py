@@ -1,7 +1,8 @@
 """Experiment runner: fit, train, ablation, oracle, and eval subcommands.
 
 One JSON config per experiment; numeric outputs are CSV only. Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 universe guard.
+0 success, else the `exit_code` of the library error that stopped the run
+(2 configuration error, 3 numerical failure, 4 universe guard).
 """
 
 from __future__ import annotations
@@ -18,29 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import REJECTION_MLE, rejection_mle, train_baseline
+from .baselines import REJECTION_MLE, RejectionConfig, rejection_mle, train_baseline
 from .config import GDC_METHOD, ExperimentConfig
-from .dpg import train
+from .dpg import seed_streams, train
 from .ebm import (
     Ebm,
     build_pointwise,
     fit_lambda,
     moment_preserving_perturbations,
 )
-from .errors import (
-    ConfigError,
-    DegenerateWeights,
-    DistctlError,
-    EmptyCorpus,
-    EmptySupport,
-    NoAcceptedSamples,
-    NonFiniteLogits,
-    NonpositiveZ,
-    SchemaMismatch,
-    SupportViolation,
-    UnattainableTarget,
-    UniverseTooLarge,
-)
+from .errors import ConfigError, DistctlError
 from .estimators import exact_kl
 from .features import ConstraintSet
 from .metrics import (
@@ -53,20 +41,6 @@ from .metrics import (
 OUTPUT_ROOT_ENV = "DISTCTL_OUTPUT_ROOT"
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_UNIVERSE = 4
-
-_CONFIG_ERRORS = (ConfigError, SchemaMismatch, EmptyCorpus)
-_NUMERICAL_ERRORS = (
-    UnattainableTarget,
-    NoAcceptedSamples,
-    EmptySupport,
-    DegenerateWeights,
-    NonpositiveZ,
-    SupportViolation,
-    NonFiniteLogits,
-)
 
 
 def _resolve_output(args, cfg: ExperimentConfig) -> Path:
@@ -119,6 +93,14 @@ def _build_target(cfg: ExperimentConfig, base, constraint_set: ConstraintSet):
     return report, target
 
 
+def _check_policy_table(base, config) -> None:
+    """Refuse, before the fit draws anything, a policy whose context table
+    cannot exist: a trained policy conditions on the whole prefix (see
+    `dpg.init_state`), a rejection-mle fit on its last fit_order - 1 tokens."""
+    order = config.fit_order if isinstance(config, RejectionConfig) else base.space.lmax
+    base.space.guard(min(order, base.space.lmax) - 1, "policy context table")
+
+
 def _fit_document(report, target: Ebm, constraint_set: ConstraintSet) -> dict:
     doc = {"mode": target.mode, "constraint_ids": constraint_set.ids}
     if report is not None:
@@ -164,17 +146,15 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     eval_options = cfg.build_eval_options()
     if eval_options.exact:
         base.space.guard()
-    report, target = _build_target(cfg, base, constraint_set)
     method, config = cfg.method, cfg.build_trainer()
+    _check_policy_table(base, config)
+    report, target = _build_target(cfg, base, constraint_set)
     artifacts: dict = {}
+    _, rng_eval, rng_samples = seed_streams(cfg.seed)
 
     if method == REJECTION_MLE:
-        model, stats = rejection_mle(base, constraint_set, config)
-        rng_eval = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-        history = [
-            snapshot(0, REJECTION_MLE, model, base, target, rng_eval, eval_options)
-        ]
-        policy = model
+        policy, stats = rejection_mle(base, constraint_set, config)
+        history = [snapshot(0, REJECTION_MLE, policy, target, rng_eval, eval_options)]
         extra_doc = {"acceptance_rate": stats.acceptance_rate, "kept": stats.kept, "drawn": stats.drawn}
     elif method == GDC_METHOD:
         result = train(base, target, config, eval_options)
@@ -183,7 +163,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     else:
         result = train_baseline(base, target, config, eval_options)
         history, policy = result.history, result.policy
-        extra_doc = {"final_beta": result.final_beta}
+        extra_doc = {"final_beta": result.state.beta}
 
     report_path = out_dir / "fit_report.json"
     _write_json(report_path, _fit_document(report, target, constraint_set))
@@ -198,7 +178,6 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     policy.write_document(model_path)
     artifacts["model"] = model_path
 
-    rng_samples = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
     samples_path = out_dir / "samples.txt"
     _samples_file(samples_path, policy, base.space.vocabulary, eval_options.sample_size, rng_samples)
     artifacts["samples"] = samples_path
@@ -227,6 +206,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     eval_options = cfg.build_eval_options()
     if eval_options.exact:
         base.space.guard()
+    _check_policy_table(base, cfg.build_trainer())
     _, target = _build_target(cfg, base, constraint_set)
     threshold = cfg.eval.get("threshold")
 
@@ -295,7 +275,7 @@ def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     rng = np.random.default_rng(cfg.seed)
     artifacts = {}
     if target is not None:
-        record = snapshot(0, "eval", model, model, target, rng, eval_options)
+        record = snapshot(0, "eval", model, target, rng, eval_options)
         path = out_dir / "metrics.csv"
         _write_csv(
             path,
@@ -345,18 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return run_oracle(cfg, out_dir, started)
         return run_eval(cfg, out_dir, started)
-    except UniverseTooLarge as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNIVERSE
-    except _CONFIG_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DistctlError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return e.exit_code
 
 
 if __name__ == "__main__":

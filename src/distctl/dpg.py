@@ -117,6 +117,7 @@ class TrainState:
     history: list[MetricsRecord] = field(default_factory=list)
     decisions: list[IterationDecision] = field(default_factory=list)
     adam: AdamState | None = None
+    beta: float | None = None  # a kl-penalized run's final beta
     proposal_updates: int = 0
     iteration: int = 0
     samples_drawn: int = 0
@@ -127,6 +128,14 @@ class TrainResult:
     policy: TabularARModel
     history: list[MetricsRecord]
     state: TrainState
+
+
+def seed_streams(seed: int) -> list[np.random.Generator]:
+    """A run's independent RNG streams, spawned from its seed: training,
+    evaluation snapshots, and the samples file, in that order. A spawned
+    stream depends only on its index, so adding one leaves the others as
+    they were."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
 def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
@@ -207,9 +216,7 @@ def run_loop(
     if target.base.space != base.space:
         raise ConfigError("target EBM and trained base must share one sequence space")
     eval_options = eval_options or EvalOptions()
-    rng_train, rng_eval = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
-    ]
+    rng_train, rng_eval, _ = seed_streams(config.seed)
     state = init_state(base, config)
     for i in range(config.iterations + 1):
         if i > 0:
@@ -219,9 +226,7 @@ def run_loop(
                 raise NonFiniteLogits(f"iteration {i}: {e}") from None
         if i % config.eval_every == 0:
             state.history.append(
-                snapshot(
-                    i, method, state.policy, base, target, rng_eval, eval_options, state.zma.value
-                )
+                snapshot(i, method, state.policy, target, rng_eval, eval_options, state.zma.value)
             )
     return state
 

@@ -87,36 +87,38 @@ class Ebm:
             raise ConfigError("lambda length must match the constraint count")
         if np.abs(self.lam).max(initial=0.0) > self.lambda_clamp + 1e-12:
             raise ConfigError("lambda exceeds lambda_clamp")
+        if self.mode == POINTWISE_PRODUCT and not self.constraint_set.all_pointwise:
+            raise MixedConstraints(
+                "pointwise-product shortcut needs an all-pointwise constraint set; "
+                "hybrid sets go through fit_lambda"
+            )
 
     @property
     def space(self):
         return self.base.space
 
     def log_score_batch(self, batch: SampleBatch) -> np.ndarray:
-        return self._log_scores(self.base.log_prob_batch(batch), batch)
+        return self.log_scores(
+            self.base.log_prob_batch(batch), self.constraint_set.feature_matrix(batch)
+        )
 
-    def _log_scores(
-        self, log_base: np.ndarray, batch: SampleBatch, universe: bool = False
-    ) -> np.ndarray:
-        """Log-scores of `batch` from its base log-probs; `universe` marks the
-        enumeration, whose feature matrix is cached."""
-        out = log_base
-        if self.mode == EXPONENTIAL:
-            if len(self.constraint_set):
-                phi = self.phi_universe() if universe else self.constraint_set.feature_matrix(batch)
-                out = out + phi @ self.lam
-        else:
-            b = self.constraint_set.pointwise_predicate_batch(batch)
+    def log_scores(self, log_base: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Log-scores of rows from their base log-probs and feature matrix: the
+        tilt phi @ lam, or log b(x), b the product of the (all pointwise, 0 or
+        1) feature columns."""
+        if self.mode == POINTWISE_PRODUCT:
             with np.errstate(divide="ignore"):
-                out = out + np.log(b)
-        return out
+                return log_base + np.log(phi.prod(axis=1))
+        if not len(self.constraint_set):
+            return log_base
+        return log_base + phi @ self.lam
 
     def exact_normalize(self) -> tuple[float, np.ndarray]:
         """Exact partition function and normalized distribution over the universe,
         from the base's prefix-DP log-probs and the cached universe features."""
         if "exact" not in self._cache:
             log_base = self.base.exact_log_distribution()
-            scores = np.exp(self._log_scores(log_base, self.space.enumeration(), universe=True))
+            scores = np.exp(self.log_scores(log_base, self.phi_universe()))
             z = float(scores.sum())
             if z <= 0.0:
                 raise EmptySupport("EBM scores sum to zero over the universe")
@@ -211,11 +213,6 @@ def snis_objective_grad(
 
 def build_pointwise(base: TabularARModel, constraint_set: ConstraintSet) -> Ebm:
     """Base-times-predicate EBM; only legal when every constraint is pointwise."""
-    if not constraint_set.all_pointwise:
-        raise MixedConstraints(
-            "pointwise-product shortcut needs an all-pointwise constraint set; "
-            "hybrid sets go through fit_lambda"
-        )
     return Ebm(
         base=base,
         constraint_set=constraint_set,

@@ -2,7 +2,17 @@
 
 
 class DistctlError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. `exit_code` is the CLI's exit status
+    when the error stops a run: 2 for a configuration error unless a subclass
+    says otherwise."""
+
+    exit_code = 2
+
+
+class NumericalError(DistctlError):
+    """A numerical failure of the method itself (CLI exit 3)."""
+
+    exit_code = 3
 
 
 class ConfigError(DistctlError):
@@ -17,6 +27,8 @@ class ConfigError(DistctlError):
 
 class UniverseTooLarge(DistctlError):
     """Sequence universe exceeds the exhaustive-enumeration guard."""
+
+    exit_code = 4
 
 
 class EmptyCorpus(DistctlError):
@@ -39,11 +51,11 @@ class MixedConstraints(DistctlError):
     """Pointwise-product construction requires an all-pointwise set."""
 
 
-class DegenerateWeights(DistctlError):
+class DegenerateWeights(NumericalError):
     """Importance weights collapsed to an unusable (zero/non-finite) sum."""
 
 
-class UnattainableTarget(DistctlError):
+class UnattainableTarget(NumericalError):
     """Constraint target lies outside the sampled feature hull."""
 
     def __init__(self, constraint_id: str, target: float, low: float, high: float):
@@ -57,15 +69,15 @@ class UnattainableTarget(DistctlError):
         )
 
 
-class EmptySupport(DistctlError):
+class EmptySupport(NumericalError):
     """Unnormalized scores sum to zero; no distribution exists."""
 
 
-class SupportViolation(DistctlError):
+class SupportViolation(NumericalError):
     """A required support-covering condition fails on the given samples."""
 
 
-class NonpositiveZ(DistctlError):
+class NonpositiveZ(NumericalError):
     """Partition-function estimate is not positive where one is required."""
 
 
@@ -73,9 +85,9 @@ class TooFewSamples(DistctlError):
     """Metric needs more samples than were provided."""
 
 
-class NoAcceptedSamples(DistctlError):
+class NoAcceptedSamples(NumericalError):
     """Rejection sampling exhausted its budget without a single acceptance."""
 
 
-class NonFiniteLogits(DistctlError):
+class NonFiniteLogits(NumericalError):
     """A training update would make a logit NaN or infinite."""

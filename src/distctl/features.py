@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoPointwiseConstraints
+from .errors import ConfigError
 from .seqspace import SampleBatch, Vocabulary
 
 
@@ -171,24 +171,12 @@ class ConstraintSet:
         return np.array([c.target for c in self.constraints])
 
     @property
-    def pointwise_members(self) -> list[ConstraintSpec]:
-        return [c for c in self.constraints if c.pointwise]
-
-    @property
     def all_pointwise(self) -> bool:
         return len(self.constraints) > 0 and all(c.pointwise for c in self.constraints)
 
     def feature_matrix(self, batch: SampleBatch) -> np.ndarray:
-        """(n_samples, n_constraints) feature values, columns in constraint order."""
+        """(n_samples, n_constraints) feature values, columns in constraint order.
+        This is the library's one evaluation of features."""
         if not self.constraints:
             return np.zeros((len(batch), 0))
         return np.column_stack([c.feature.evaluate_batch(batch) for c in self.constraints])
-
-    def pointwise_predicate_batch(self, batch: SampleBatch) -> np.ndarray:
-        members = self.pointwise_members
-        if not members:
-            raise NoPointwiseConstraints("constraint set has no pointwise members")
-        out = np.ones(len(batch))
-        for c in members:
-            out *= c.feature.evaluate_batch(batch)
-        return out

@@ -38,10 +38,8 @@ from .errors import (
     NonFiniteLogits,
     NotTrainable,
     SchemaMismatch,
-    UniverseTooLarge,
 )
 from .seqspace import (
-    ENUMERATION_GUARD,
     SampleBatch,
     Sequence,
     SequenceSpace,
@@ -72,12 +70,8 @@ class _Coding:
         self.space = space
         self.body_size = space.body_size
         self.m_eff = min(order - 1, max(space.lmax - 1, 0))
+        space.guard(self.m_eff, "context table")
         self.n_contexts = string_space_size(self.body_size, self.m_eff)
-        if self.n_contexts > ENUMERATION_GUARD:
-            raise UniverseTooLarge(
-                f"context table would hold {self.n_contexts} rows "
-                f"(> {ENUMERATION_GUARD})"
-            )
         self.offsets = length_offsets(self.body_size, self.m_eff)
         self.modulus = self.body_size**self.m_eff if self.m_eff > 0 else 1
         # vocabulary index -> body rank (EOS slot unused)
@@ -188,15 +182,6 @@ class TabularARModel:
         if np.isneginf(self.logits).all(axis=1).any():
             raise ConfigError("a context row has no admissible next token")
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def uniform_logits(cls, space: SequenceSpace, order: int = 1, trainable: bool = False):
-        """Uniform next-token distribution at every context (all-zero logits)."""
-        coding = _Coding(space, order)
-        logits = np.zeros((coding.n_contexts, space.vocabulary.size))
-        return cls(space=space, order=order, logits=logits, trainable=trainable)
-
     # -- core ---------------------------------------------------------------
 
     def _log_softmax(self) -> np.ndarray:
@@ -204,10 +189,6 @@ class TabularARModel:
         if self._logprob is None:
             self._logprob = _row_log_softmax(self.logits)
         return self._logprob
-
-    def invalidate(self):
-        """Drop the cached log-softmax after editing `logits` in place."""
-        self._logprob = None
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
         codes, toks, active = _coded_events(self.coding, batch)

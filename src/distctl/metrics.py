@@ -27,15 +27,6 @@ from .seqspace import SampleBatch, Vocabulary
 PRECISION_FLOOR = 1e-9
 
 
-def expectation_phi(samples: SampleBatch, constraint_set) -> np.ndarray:
-    """Per-feature sample means, in constraint order."""
-    if len(samples) < 1:
-        raise ConfigError("expectation_phi needs at least one sample")
-    if len(constraint_set) == 0:
-        return np.zeros(0)
-    return constraint_set.feature_matrix(samples).mean(axis=0)
-
-
 @dataclass(frozen=True)
 class NgramCounts:
     """What pooled Dist-n and Self-BLEU-n need of a batch's m-grams, m = 1..max_n.
@@ -158,14 +149,6 @@ class ZipfTable:
 
     rows: list[tuple[int, str, int]]
 
-    @property
-    def total(self) -> int:
-        return sum(freq for _, _, freq in self.rows)
-
-    @property
-    def tail_length(self) -> int:
-        return len(self.rows)
-
 
 def zipf_table(samples: SampleBatch, vocab: Vocabulary) -> ZipfTable:
     body = samples.tokens[np.arange(samples.width) < samples.lengths[:, None]]
@@ -208,19 +191,19 @@ def snapshot(
     step: int,
     method: str,
     policy: TabularARModel,
-    base: TabularARModel,
     target: Ebm,
     rng_eval: np.random.Generator,
     options: EvalOptions,
     zma_value: float = 0.0,
 ) -> MetricsRecord:
-    """Evaluate the policy on fresh samples; optionally add enumeration-exact columns."""
+    """Evaluate the policy on fresh samples; optionally add enumeration-exact columns.
+    The batch's features and base log-probs are evaluated once each."""
     batch = policy.sample_batch(options.sample_size, rng_eval)
-    constraint_set = target.constraint_set
-    e_phi = expectation_phi(batch, constraint_set)
+    phi = target.constraint_set.feature_matrix(batch)
     log_pi = policy.log_prob_batch(batch)
-    kl_pi_a = kl_models_from_logs(log_pi, base.log_prob_batch(batch))
-    log_p_score = target.log_score_batch(batch)
+    log_a = target.base.log_prob_batch(batch)
+    kl_pi_a = kl_models_from_logs(log_pi, log_a)
+    log_p_score = target.log_scores(log_a, phi)
     z = zma_value
     if z <= 0.0:
         z = float(np.mean(np.exp(log_p_score - log_pi)))
@@ -232,7 +215,7 @@ def snapshot(
     record = MetricsRecord(
         step=step,
         method=method,
-        e_phi=e_phi,
+        e_phi=phi.mean(axis=0),
         kl_p_pi=kl_p_pi,
         kl_pi_a=kl_pi_a,
         dist_n={k: corpus_dist_n(batch, k, grams) for k in (1, 2, 3)},

@@ -152,11 +152,23 @@ class SequenceSpace:
     def universe_size(self) -> int:
         return string_space_size(self.body_size, self.lmax)
 
-    def guard(self) -> None:
-        if self.universe_size > ENUMERATION_GUARD:
+    def guard(self, max_len: int | None = None, what: str = "universe") -> None:
+        """Raise UniverseTooLarge if the strings of 0..max_len body tokens
+        (default lmax: the universe) number more than ENUMERATION_GUARD; `what`
+        names them in the message. With two or more body tokens, strings up to
+        the guard's bit length already outnumber it, so the count never runs
+        longer than that whatever `max_len`, and the message holds no
+        unbounded number."""
+        max_len = self.lmax if max_len is None else max_len
+        b = self.body_size
+        if b < 2:
+            count = max_len + 1 if b else 1
+        else:
+            count = string_space_size(b, min(max_len, ENUMERATION_GUARD.bit_length()))
+        if count > ENUMERATION_GUARD:
             raise UniverseTooLarge(
-                f"universe has {self.universe_size} sequences "
-                f"(> {ENUMERATION_GUARD} enumeration guard)"
+                f"{what} would hold more than {ENUMERATION_GUARD} rows, one per string "
+                f"of 0..{max_len} of the {b} body tokens (enumeration guard)"
             )
 
     def validate(self, seq: Sequence) -> None:

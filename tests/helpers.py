@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from distctl.ebm import Ebm
+from distctl.ebm import EXPONENTIAL, Ebm
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
     Estimate,
@@ -25,7 +25,14 @@ from distctl.estimators import (
 )
 from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
 from distctl.lm import RowGradient, TabularARModel
-from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary, length_offsets
+from distctl.seqspace import (
+    SampleBatch,
+    Sequence,
+    SequenceSpace,
+    Vocabulary,
+    length_offsets,
+    string_space_size,
+)
 
 LETTERS = "abcdefghij"
 
@@ -98,6 +105,15 @@ def feature_value(feature: Feature, x: Sequence) -> float:
     raise TypeError(f"no reference for feature {type(feature).__name__}")
 
 
+def expectation_phi(samples: SampleBatch, constraint_set) -> np.ndarray:
+    """Per-feature sample means, in constraint order."""
+    if len(samples) < 1:
+        raise ConfigError("expectation_phi needs at least one sample")
+    if len(constraint_set) == 0:
+        return np.zeros(0)
+    return constraint_set.feature_matrix(samples).mean(axis=0)
+
+
 # -- importance-sampling estimates from models --------------------------------------
 
 
@@ -131,6 +147,18 @@ def estimate_kl_between_models(
     return kl_models_from_logs(policy.log_prob_batch(samples), reference.log_prob_batch(samples))
 
 
+def uniform_model(space: SequenceSpace, order: int = 1, trainable: bool = False) -> TabularARModel:
+    """Uniform next-token distribution at every context (all-zero logits)."""
+    m_eff = min(order - 1, space.lmax - 1)
+    logits = np.zeros((string_space_size(space.body_size, m_eff), space.vocabulary.size))
+    return TabularARModel(space=space, order=order, logits=logits, trainable=trainable)
+
+
+def invalidate(model: TabularARModel) -> None:
+    """Drop a model's cached log-softmax after editing its `logits` in place."""
+    model._logprob = None
+
+
 def random_model(
     space: SequenceSpace,
     order: int,
@@ -138,9 +166,9 @@ def random_model(
     scale: float = 1.0,
     trainable: bool = False,
 ) -> TabularARModel:
-    model = TabularARModel.uniform_logits(space, order=order, trainable=trainable)
+    model = uniform_model(space, order=order, trainable=trainable)
     model.logits += scale * rng.standard_normal(model.logits.shape)
-    model.invalidate()
+    invalidate(model)
     return model
 
 
@@ -163,7 +191,7 @@ def from_distribution(
         children = mass[offsets[k + 1] : offsets[k + 1] + b ** (k + 1)]
         mass[lo:hi] += children.reshape(b**k, b).sum(axis=1)
     order = max(lmax, 1)
-    coding = TabularARModel.uniform_logits(space, order).coding
+    coding = uniform_model(space, order).coding
     v = space.vocabulary.size
     eos = space.vocabulary.eos_index
     body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
@@ -199,8 +227,22 @@ class ScaledEbm(Ebm):
 
     log_scale: float = 0.0
 
-    def _log_scores(self, log_base, batch, universe=False):
-        return super()._log_scores(log_base + self.log_scale, batch, universe)
+    def log_scores(self, log_base, phi):
+        return super().log_scores(log_base + self.log_scale, phi)
+
+
+def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
+    """Log-scores with b(x) built member by member: one feature evaluation per
+    pointwise constraint, multiplied in constraint order; the tilt is phi @ lam."""
+    log_base = ebm.base.log_prob_batch(batch)
+    if ebm.mode == EXPONENTIAL:
+        return log_base + ebm.constraint_set.feature_matrix(batch) @ ebm.lam
+    b = np.ones(len(batch))
+    for c in ebm.constraint_set:
+        if c.pointwise:
+            b *= c.feature.evaluate_batch(batch)
+    with np.errstate(divide="ignore"):
+        return log_base + np.log(b)
 
 
 def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:
@@ -518,6 +560,11 @@ def naive_zipf_rows(samples: list[Sequence], vocab: Vocabulary) -> list[tuple[in
         raise EmptyCorpus("zipf table needs at least one token")
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(rank + 1, vocab.tokens[tok], freq) for rank, (tok, freq) in enumerate(ordered)]
+
+
+def zipf_total(table) -> int:
+    """Token count of a Zipf table: the sum of its frequency column."""
+    return sum(freq for _, _, freq in table.rows)
 
 
 def batch_of(seqs: list[Sequence], width: int | None = None) -> SampleBatch:

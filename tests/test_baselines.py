@@ -14,10 +14,17 @@ from distctl.ebm import build_pointwise
 from distctl.errors import ConfigError, NoAcceptedSamples
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
-from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions
 
-from helpers import PredicateTable, exact_entropy, grad_log_prob, random_model, small_space
+from helpers import (
+    PredicateTable,
+    exact_entropy,
+    grad_log_prob,
+    invalidate,
+    random_model,
+    small_space,
+    uniform_model,
+)
 
 
 @pytest.fixture
@@ -151,10 +158,10 @@ def test_reward_p_loses_diversity_to_gdc():
     from distctl.metrics import self_bleu_n, zipf_table
 
     space = small_space(4, 6)
-    base = TabularARModel.uniform_logits(space, order=2)
+    base = uniform_model(space, order=2)
     base.logits[:, space.vocabulary.eos_index] = -6.0
     base.logits += 0.3 * np.random.default_rng(3).standard_normal(base.logits.shape)
-    base.invalidate()
+    invalidate(base)
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
@@ -177,8 +184,8 @@ def test_reward_p_loses_diversity_to_gdc():
     gdc_samples = gdc.policy.sample_batch(1000, rng)
     rp_samples = reward_p.policy.sample_batch(1000, rng)
     assert self_bleu_n(rp_samples, 5) > self_bleu_n(gdc_samples, 5)
-    gdc_tail = zipf_table(gdc_samples, space.vocabulary).tail_length
-    rp_tail = zipf_table(rp_samples, space.vocabulary).tail_length
+    gdc_tail = len(zipf_table(gdc_samples, space.vocabulary).rows)
+    rp_tail = len(zipf_table(rp_samples, space.vocabulary).rows)
     assert gdc_tail >= rp_tail
 
 
@@ -251,13 +258,15 @@ def test_rejection_acceptance_rate_matches_enumeration(ab_space, ab_uniform, pre
     target = build_pointwise(ab_uniform, presence_a_pointwise)
     exact_rate, _ = target.exact_normalize()
     budget = 40000
-    _, stats = rejection_mle(
-        ab_uniform,
-        presence_a_pointwise,
-        RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5),
-    )
+    config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)
+    _, stats = rejection_mle(ab_uniform, presence_a_pointwise, config)
     se = np.sqrt(exact_rate * (1 - exact_rate) / budget)
     assert abs(stats.acceptance_rate - exact_rate) < 3 * se
+    # a distributional column does not take part in the accept test
+    mixed = ConstraintSet(
+        list(presence_a_pointwise) + [ConstraintSpec(TokenPresence(ab_space.vocabulary, "b"), 0.5)]
+    )
+    assert rejection_mle(ab_uniform, mixed, config)[1] == stats
 
 
 def test_rejection_capacity_gap_documented(rng):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import distctl
+from distctl import errors
 from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
@@ -57,6 +59,19 @@ def write_config(workdir, name="exp.json", **overrides):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def demo_config(tmp_path, name, **space):
+    """A demo config written to `tmp_path`, reading the demo corpus and writing
+    to `tmp_path/out`; `space` keys replace the demo's."""
+    demo = Path(__file__).parent.parent / "demo"
+    cfg = json.loads((demo / f"{name}.json").read_text())
+    cfg["base_model"]["corpus"] = str(demo / cfg["base_model"]["corpus"])
+    cfg["space"].update(space)
+    cfg["output"] = "out"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg
 
 
 def test_fit_distributional(workdir):
@@ -528,16 +543,12 @@ def test_public_names_resolve():
 
 @pytest.mark.parametrize("adaptivity", ["kl", "none"])
 def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivity):
-    demo = Path(__file__).parent.parent / "demo"
-    cfg = json.loads((demo / "distributional.json").read_text())
-    cfg["base_model"]["corpus"] = str(demo / cfg["base_model"]["corpus"])
+    path, cfg = demo_config(tmp_path, "distributional")
     cfg["fit"]["sample_count"] = 5000
     cfg["trainer"].update(
         iterations=5, samples_per_iteration=64, learning_rate=1e308, adaptivity=adaptivity
     )
     cfg["eval"].update(exact_oracle=False)
-    cfg["output"] = "out"
-    path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
     err = capsys.readouterr().err
@@ -577,7 +588,7 @@ def test_unknown_token_in_constraint_exits_2(workdir, capsys):
     assert "constraints[0]" in err and "platinum" in err
 
 
-def test_universe_guard_exits_4(tmp_path):
+def test_universe_guard_exits_4(tmp_path, capsys):
     rng = np.random.default_rng(1)
     tokens = [f"w{i}" for i in range(30)]
     text = synthetic_corpus(rng, tokens, [1.0] * 30, n_lines=300, min_len=3, max_len=8)
@@ -592,7 +603,66 @@ def test_universe_guard_exits_4(tmp_path):
         "eval": {"exact_oracle": True},
         "output": "out",
     }))
-    assert main(["oracle", "--config", str(cfg)]) == 4
+    long_demo, _ = demo_config(tmp_path, "distributional", lmax=10_000)
+    for path in (cfg, long_demo):
+        assert main(["oracle", "--config", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: universe would hold more than 10000000 rows")
+        assert len(err) < 200
+
+
+@pytest.mark.parametrize("command, name", [("train", "distributional"), ("ablation", "ablation")])
+def test_policy_over_the_guard_exits_4_before_sampling(tmp_path, capsys, monkeypatch, command, name):
+    path, cfg = demo_config(tmp_path, name, lmax=10_000)
+    cfg["eval"]["exact_oracle"] = False
+    path.write_text(json.dumps(cfg))
+
+    def no_draws(self, n, rng):
+        raise AssertionError("sampled before checking the policy's context table")
+
+    monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
+    assert main([command, "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: policy context table would hold more than")
+
+
+# Exit code of each error class, as the README lists them.
+README_EXIT_CODES = {
+    errors.ConfigError: 2,
+    errors.SchemaMismatch: 2,
+    errors.EmptyCorpus: 2,
+    errors.NotTrainable: 2,
+    errors.NoPointwiseConstraints: 2,
+    errors.MixedConstraints: 2,
+    errors.TooFewSamples: 2,
+    errors.UnattainableTarget: 3,
+    errors.NoAcceptedSamples: 3,
+    errors.EmptySupport: 3,
+    errors.DegenerateWeights: 3,
+    errors.NonpositiveZ: 3,
+    errors.SupportViolation: 3,
+    errors.NonFiniteLogits: 3,
+    errors.UniverseTooLarge: 4,
+}
+ERROR_CLASSES = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.DistctlError)
+    and cls not in (errors.DistctlError, errors.NumericalError)
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_exits_with_its_readme_code(cls, monkeypatch, capsys):
+    code = README_EXIT_CODES[cls]
+    assert cls.exit_code == code
+    error = cls.__new__(cls)
+    Exception.__init__(error, "boom")
+
+    def load(config_cls, path):
+        raise error
+
+    monkeypatch.setattr(ExperimentConfig, "load", classmethod(load))
+    assert main(["fit", "--config", "exp.json"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_output_root_env(workdir, monkeypatch):

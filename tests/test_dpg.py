@@ -6,10 +6,17 @@ from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
-from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions
 
-from helpers import from_distribution, grad_log_prob, random_model, scaled, small_space
+from helpers import (
+    from_distribution,
+    grad_log_prob,
+    invalidate,
+    random_model,
+    scaled,
+    small_space,
+    uniform_model,
+)
 
 
 def make_pointwise(space, base, token="a"):
@@ -159,9 +166,9 @@ def test_tvd_adaptivity_runs_and_swaps(ab_space, ab_uniform):
 
 def test_adaptive_beats_non_adaptive_on_rare_constraint():
     space = small_space(3, 5)
-    base = TabularARModel.uniform_logits(space, order=1)
+    base = uniform_model(space, order=1)
     base.logits[:, space.vocabulary.index("c")] -= 2.5
-    base.invalidate()
+    invalidate(base)
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["c", "c"]), 1.0, pointwise=True)]
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distctl.ebm import (
+    POINTWISE_PRODUCT,
     Ebm,
     FitConfig,
     build_pointwise,
@@ -19,7 +20,13 @@ from distctl.errors import (
     UnattainableTarget,
 )
 from distctl.estimators import exact_kl
-from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
+from distctl.features import (
+    ConstraintSet,
+    ConstraintSpec,
+    PrefixMatch,
+    TokenPresence,
+    WordlistPresence,
+)
 from distctl.metrics import EvalOptions, snapshot
 from distctl.seqspace import SampleBatch, Sequence
 
@@ -27,6 +34,7 @@ from helpers import (
     PredicateTable,
     bisect_lambda,
     from_distribution,
+    member_log_scores,
     random_model,
     scaled,
     small_space,
@@ -220,6 +228,8 @@ def test_build_pointwise_rejects_hybrid(ab_space, ab_uniform):
     ])
     with pytest.raises(MixedConstraints):
         build_pointwise(ab_uniform, cs)
+    with pytest.raises(MixedConstraints):
+        Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(0), mode=POINTWISE_PRODUCT)
 
 
 def test_exact_normalize_z_one_at_lambda_zero(ab_space, ab_uniform):
@@ -247,7 +257,7 @@ def test_exact_oracles_leave_the_enumeration_unencoded(rng):
     ebm.exact_normalize()
     ebm.exact_moments()
     policy.exact_distribution()
-    snapshot(0, "gdc", policy, base, ebm, rng, EvalOptions(sample_size=64, exact=True))
+    snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
     assert space.enumeration()._events is None
 
 
@@ -264,6 +274,47 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
     z, p = ebm.exact_normalize()
     assert z == float(scores.sum())
     assert np.array_equal(p, scores / z)
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
+def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    v = space.vocabulary
+    features = [TokenPresence(v, "a"), PrefixMatch(v, ["b"]), WordlistPresence(v, ["a", "c"])]
+    if pointwise:
+        cs = ConstraintSet([ConstraintSpec(f, 1.0, pointwise=True) for f in features])
+        ebm = build_pointwise(base, cs)
+    else:
+        cs = ConstraintSet(
+            [ConstraintSpec(features[0], 1.0, pointwise=True)]
+            + [ConstraintSpec(f, 0.4) for f in features[1:]]
+        )
+        ebm = Ebm(base=base, constraint_set=cs, lam=np.array([2.5, -1.3, 0.7]))
+    enum = space.enumeration()
+    reference = member_log_scores(ebm, enum)
+    assert np.array_equal(ebm.log_score_batch(enum), reference)
+    z, p = ebm.exact_normalize()
+    assert z == float(np.exp(reference).sum())
+    assert np.array_equal(p, np.exp(reference) / z)
+
+
+def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    ebm = build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True))
+    policy = base.to_order(space.lmax, trainable=True)
+    universe_passes = []
+    evaluate_batch = TokenPresence.evaluate_batch
+
+    def counted(self, batch):
+        universe_passes.append(batch is space.enumeration())
+        return evaluate_batch(self, batch)
+
+    monkeypatch.setattr(TokenPresence, "evaluate_batch", counted)
+    ebm.exact_normalize()
+    snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
+    assert sum(universe_passes) == 1
 
 
 # -- information-geometry properties -------------------------------------------

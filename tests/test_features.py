@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from distctl.baselines import RejectionConfig, rejection_mle
+from distctl.ebm import build_pointwise
 from distctl.errors import ConfigError, NoPointwiseConstraints
 from distctl.features import (
     ConstraintSet,
@@ -10,9 +12,16 @@ from distctl.features import (
     TokenRatio,
     WordlistPresence,
 )
+from distctl.lm import TabularARModel
 from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
 
-from helpers import PredicateTable, enumerate_sequences, feature_value, small_space
+from helpers import (
+    PredicateTable,
+    enumerate_sequences,
+    feature_value,
+    small_space,
+    uniform_model,
+)
 
 
 @pytest.fixture
@@ -133,17 +142,29 @@ def test_hybrid_vector_example():
     assert np.array_equal(cs.feature_matrix(x), [[1.0, 0.0]])
 
 
-def test_pointwise_predicate():
+def product_b(space, cs, batch):
+    """b(x) of a product-mode EBM: its score over a base log-prob of 0."""
+    ebm = build_pointwise(uniform_model(space), cs)
+    return np.exp(ebm.log_scores(np.zeros(len(batch)), cs.feature_matrix(batch)))
+
+
+def test_pointwise_predicate(monkeypatch):
     space = small_space(3, 3)
     v = space.vocabulary
     cs = ConstraintSet([
         ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "b"), 1.0, pointwise=True),
     ])
-    assert np.array_equal(cs.pointwise_predicate_batch(rows(space, (0, 1), (0,))), [1.0, 0.0])
+    assert np.array_equal(product_b(space, cs, rows(space, (0, 1), (0,))), [1.0, 0.0])
     distributional = ConstraintSet([ConstraintSpec(TokenPresence(v, "a"), 0.5)])
+    base = uniform_model(space)
+
+    def no_draws(self, n, rng):
+        raise AssertionError("rejection sampling drew before checking its constraints")
+
+    monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
     with pytest.raises(NoPointwiseConstraints):
-        distributional.pointwise_predicate_batch(rows(space, (0,)))
+        rejection_mle(base, distributional, RejectionConfig(sample_budget=10, fit_order=1))
 
 
 def test_pointwise_predicate_iff_all_satisfied():
@@ -157,7 +178,7 @@ def test_pointwise_predicate_iff_all_satisfied():
         1.0 if all(feature_value(c.feature, x) == 1.0 for c in cs) else 0.0
         for x in enumerate_sequences(space)
     ]
-    assert np.array_equal(cs.pointwise_predicate_batch(space.enumeration()), expected)
+    assert np.array_equal(product_b(space, cs, space.enumeration()), expected)
 
 
 def test_constraint_spec_validation():

@@ -20,12 +20,14 @@ from helpers import (
     from_distribution,
     grad_log_prob,
     gumbel_sample_batch,
+    invalidate,
     naive_log_prob,
     random_model,
     sequence_rank,
     small_space,
     step_grad_weighted_sum,
     step_log_prob_batch,
+    uniform_model,
     uniform_over_universe,
 )
 
@@ -64,13 +66,13 @@ def test_mle_empty_corpus(ab_space):
 
 def test_log_prob_uniform_binary():
     space = small_space(1, 1)
-    model = TabularARModel.uniform_logits(space, order=1)
+    model = uniform_model(space, order=1)
     batch = SampleBatch.from_sequences(space, [Sequence(()), Sequence((0,))])
     assert model.log_prob_batch(batch) == pytest.approx([np.log(0.5), np.log(0.5)])
 
 
 def test_forced_eos_at_lmax(ab_space):
-    model = TabularARModel.uniform_logits(ab_space, order=1)
+    model = uniform_model(ab_space, order=1)
     # P([a,a]) = (1/3) * (1/3) * 1: the step at lmax carries no EOS factor
     batch = SampleBatch.from_sequences(ab_space, [Sequence((0, 0))])
     assert model.log_prob_batch(batch)[0] == pytest.approx(np.log(1.0 / 9.0))
@@ -103,7 +105,7 @@ def test_mle_model_matches_chain_rule_oracle(ab_space):
 
 def test_sampling_frequency():
     space = small_space(1, 1)
-    model = TabularARModel.uniform_logits(space, order=1)
+    model = uniform_model(space, order=1)
     seqs = model.sample_batch(10000, np.random.default_rng(11)).sequences()
     freq = sum(1 for s in seqs if s.tokens == (0,)) / 10000
     assert abs(freq - 0.5) < 0.02  # 3 sigma of Bin(10000, 1/2) is 0.015
@@ -143,16 +145,16 @@ def test_sampling_chi_square_goodness_of_fit(body, lmax, order, scale, rng):
 
 
 def test_grad_zero_when_softmax_saturated(ab_space):
-    model = TabularARModel.uniform_logits(ab_space, order=1, trainable=True)
+    model = uniform_model(ab_space, order=1, trainable=True)
     model.logits[0, 0] = 60.0  # next token 'a' is near-deterministic
-    model.invalidate()
+    invalidate(model)
     grad = grad_log_prob(model, Sequence((0, 0)))
     assert np.abs(grad[0]).max() < 1e-20
 
 
 def test_grad_uniform_binary_half():
     space = small_space(1, 2)
-    model = TabularARModel.uniform_logits(space, order=1, trainable=True)
+    model = uniform_model(space, order=1, trainable=True)
     grad = grad_log_prob(model, Sequence((0, 0)))
     # two free steps, each contributing (1 - 1/2) on 'a' and -1/2 on EOS
     assert grad[0, 0] == pytest.approx(1.0)
@@ -182,7 +184,7 @@ def test_grad_matches_finite_differences(rng):
 
 
 def test_grad_requires_trainable(ab_space):
-    model = TabularARModel.uniform_logits(ab_space, order=1)
+    model = uniform_model(ab_space, order=1)
     with pytest.raises(NotTrainable):
         grad_log_prob(model, Sequence((0,)))
     with pytest.raises(NotTrainable):
@@ -202,7 +204,7 @@ def test_apply_update_identity_and_reversibility(ab_space, rng):
 
 
 def test_apply_update_monotone_in_target_token(ab_space):
-    model = TabularARModel.uniform_logits(ab_space, order=1, trainable=True)
+    model = uniform_model(ab_space, order=1, trainable=True)
     before = np.exp(model._log_softmax()[0, 0])
     grad = np.zeros_like(model.logits)
     grad[0, 0] = 5.0
@@ -236,9 +238,9 @@ def test_write_document_matches_to_document_bytes(tmp_path, rng):
         batch = expanded.sample_batch(8, rng)
         expanded.apply_update(expanded.grad_weighted_sum(batch, rng.standard_normal(8)), 0.5)
     neg_inf = mle_fit(space, [Sequence((0, 1)), Sequence((2,)), Sequence(())], order=2)
-    signed_zero = TabularARModel.uniform_logits(small_space(2, 2), order=2)
+    signed_zero = uniform_model(small_space(2, 2), order=2)
     signed_zero.logits[1, 0] = -0.0
-    one_row = TabularARModel.uniform_logits(small_space(2, 1), order=1)
+    one_row = uniform_model(small_space(2, 1), order=1)
     # the row shapes each case stands for
     assert len(np.unique(distinct.logits, axis=0)) == len(distinct.logits)
     assert len(np.unique(expanded.logits, axis=0)) < len(expanded.logits) // 2
@@ -258,14 +260,14 @@ def test_write_document_matches_to_document_bytes(tmp_path, rng):
 
 
 def test_deserialize_corrupt_field(ab_space):
-    doc = TabularARModel.uniform_logits(ab_space, order=1).to_document()
+    doc = uniform_model(ab_space, order=1).to_document()
     doc["logitz"] = doc.pop("logits")
     with pytest.raises(SchemaMismatch):
         TabularARModel.from_document(doc)
 
 
 def test_deserialize_version_mismatch(ab_space):
-    doc = TabularARModel.uniform_logits(ab_space, order=1).to_document()
+    doc = uniform_model(ab_space, order=1).to_document()
     doc["version"] = MODEL_VERSION + 1
     with pytest.raises(SchemaMismatch, match="version"):
         TabularARModel.from_document(doc)
@@ -366,7 +368,7 @@ def test_sparse_updates_refresh_log_softmax_bitwise(rng):
         batch = model.sample_batch(int(rng.integers(1, 64)), rng)
         model.apply_update(model.grad_weighted_sum(batch, rng.standard_normal(len(batch))), 0.7)
     refreshed = model._log_softmax().copy()
-    model.invalidate()
+    invalidate(model)
     assert np.array_equal(refreshed, model._log_softmax())
 
 
@@ -407,7 +409,7 @@ def long_sampler(space, order, rng):
     """A random model whose EOS is unlikely, so most rows run to many steps."""
     model = random_model(space, order, rng)
     model.logits[:, space.vocabulary.eos_index] -= 2.0
-    model.invalidate()
+    invalidate(model)
     return model
 
 

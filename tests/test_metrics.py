@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distctl.ebm import Ebm
+from distctl.ebm import POINTWISE_PRODUCT, Ebm
+from distctl.lm import TabularARModel
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.metrics import (
     EvalOptions,
     corpus_dist_n,
-    expectation_phi,
     ngram_counts,
     self_bleu_n,
     snapshot,
@@ -20,12 +20,14 @@ from distctl.seqspace import SampleBatch, Sequence, Vocabulary
 from helpers import (
     batch_of,
     dist_n,
+    expectation_phi,
     naive_bleu,
     naive_corpus_dist_n,
     naive_self_bleu_n,
     naive_zipf_rows,
     random_model,
     small_space,
+    zipf_total,
 )
 
 SEQS = st.lists(
@@ -256,8 +258,36 @@ def test_snapshot_builds_no_sequences(monkeypatch, rng):
         raise AssertionError("snapshot built per-sequence objects")
 
     monkeypatch.setattr(SampleBatch, "sequences", no_sequences)
-    record = snapshot(0, "gdc", policy, base, target, rng, EvalOptions(sample_size=64, exact=True))
+    record = snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64, exact=True))
     assert sorted(record.dist_n) == [1, 2, 3] and sorted(record.self_bleu_n) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
+def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    policy = base.to_order(space.lmax, trainable=True)
+    spec = ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0 if pointwise else 0.4, pointwise)
+    cs = ConstraintSet([spec])
+    if pointwise:
+        target = Ebm(base=base, constraint_set=cs, lam=np.zeros(0), mode=POINTWISE_PRODUCT)
+    else:
+        target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
+    calls = []
+    feature_matrix, log_prob_batch = ConstraintSet.feature_matrix, TabularARModel.log_prob_batch
+
+    def counted_features(self, batch):
+        calls.append("features")
+        return feature_matrix(self, batch)
+
+    def counted_log_probs(self, batch):
+        calls.append("base" if self is base else "policy")
+        return log_prob_batch(self, batch)
+
+    monkeypatch.setattr(ConstraintSet, "feature_matrix", counted_features)
+    monkeypatch.setattr(TabularARModel, "log_prob_batch", counted_log_probs)
+    snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64))
+    assert sorted(calls) == ["base", "features", "policy"]
 
 
 # -- zipf ---------------------------------------------------------------------
@@ -266,7 +296,7 @@ def test_snapshot_builds_no_sequences(monkeypatch, rng):
 def test_zipf_rows(ab_space):
     table = zipf_table(batch_of([Sequence((0, 0, 1))]), ab_space.vocabulary)
     assert table.rows == [(1, "a", 2), (2, "b", 1)]
-    assert table.total == 3
+    assert zipf_total(table) == 3
 
 
 def test_zipf_tie_break_by_vocab_index():
@@ -299,6 +329,6 @@ def test_zipf_sum_identity(samples):
             zipf_table(batch_of(samples), space.vocabulary)
         return
     table = zipf_table(batch_of(samples), space.vocabulary)
-    assert table.total == total
+    assert zipf_total(table) == total
     freqs = [f for _, _, f in table.rows]
     assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))

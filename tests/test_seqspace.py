@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distctl.errors import ConfigError, EmptyCorpus, UniverseTooLarge
+from distctl.lm import TabularARModel
 from distctl.seqspace import (
+    ENUMERATION_GUARD,
     SampleBatch,
     Sequence,
     SequenceSpace,
@@ -81,6 +85,27 @@ def test_universe_guard():
         list(enumerate_sequences(space))
     with pytest.raises(UniverseTooLarge):
         space.enumeration()
+
+
+def test_guard_decides_a_long_space_at_once():
+    space = small_space(5, 10_000)
+    with pytest.raises(UniverseTooLarge, match="universe would hold more than 10000000 rows") as err:
+        space.guard()
+    assert len(str(err.value)) < 200
+    with pytest.raises(UniverseTooLarge, match="context table") as err:
+        TabularARModel(space=space, order=10_000, logits=np.zeros((1, 6)))
+    assert len(str(err.value)) < 200
+    started = time.perf_counter()
+    with pytest.raises(UniverseTooLarge):
+        small_space(5, 100_000).guard()
+    assert time.perf_counter() - started < 1.0  # a full sum of 100,001 powers takes minutes
+    one_token = small_space(1, ENUMERATION_GUARD)
+    with pytest.raises(UniverseTooLarge):
+        one_token.guard()
+    small_space(1, ENUMERATION_GUARD - 1).guard()
+    under = small_space(5, 9)  # 2,441,406 sequences
+    under.guard()
+    assert under.universe_size == sum(5**k for k in range(10))
 
 
 def test_sequence_rank_matches_enumeration_order():
