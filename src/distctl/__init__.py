@@ -27,7 +27,6 @@ from .dpg import DpgConfig, TrainResult, train
 from .baselines import BaselineConfig, RejectionConfig, rejection_mle, train_baseline
 from .seqspace import (
     SampleBatch,
-    Sequence,
     SequenceSpace,
     Vocabulary,
     tokenize_corpus,
@@ -49,7 +48,6 @@ __all__ = [
     "PrefixMatch",
     "RejectionConfig",
     "SampleBatch",
-    "Sequence",
     "SequenceSpace",
     "TabularARModel",
     "TokenPresence",

@@ -139,17 +139,18 @@ def rejection_mle(
         raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget
     rng = np.random.default_rng(config.seed)
-    kept = []
+    tokens, lengths = [], []
     drawn = 0
     while drawn < budget:
         n = min(_REJECTION_CHUNK, budget - drawn)
         batch = base.sample_batch(n, rng)
         drawn += n
         accept = (constraint_set.feature_matrix(batch)[:, pointwise] == 1.0).all(axis=1)
-        for i in np.nonzero(accept)[0]:
-            kept.append(batch.row(int(i)))
+        tokens.append(batch.tokens[accept])
+        lengths.append(batch.lengths[accept])
+    kept = SampleBatch(tokens=np.concatenate(tokens), lengths=np.concatenate(lengths))
     stats = RejectionStats(drawn=drawn, kept=len(kept))
-    if not kept:
+    if not stats.kept:
         raise NoAcceptedSamples(
             f"no sample satisfied the pointwise predicate within budget {budget}"
         )

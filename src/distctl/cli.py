@@ -37,6 +37,7 @@ from .metrics import (
     snapshot,
     zipf_table,
 )
+from .seqspace import SampleBatch
 
 OUTPUT_ROOT_ENV = "DISTCTL_OUTPUT_ROOT"
 
@@ -96,8 +97,18 @@ def _build_target(cfg: ExperimentConfig, base, constraint_set: ConstraintSet):
 def _check_policy_table(base, config) -> None:
     """Refuse, before the fit draws anything, a policy whose context table
     cannot exist: a trained policy conditions on the whole prefix (see
-    `dpg.init_state`), a rejection-mle fit on its last fit_order - 1 tokens."""
-    order = config.fit_order if isinstance(config, RejectionConfig) else base.space.lmax
+    `dpg.init_state`), a rejection-mle fit on its last fit_order - 1 tokens.
+    A trained policy also starts at the base, so the base needs every cell."""
+    if isinstance(config, RejectionConfig):
+        order = config.fit_order
+    else:
+        order = base.space.lmax
+        if np.isneginf(base.logits).any():
+            raise ConfigError(
+                "has zero-probability cells, and a trained policy starts at the base "
+                "(use smoothing > 0)",
+                "config.base_model",
+            )
     base.space.guard(min(order, base.space.lmax) - 1, "policy context table")
 
 
@@ -124,15 +135,17 @@ def run_fit(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     return EXIT_OK
 
 
-def _samples_file(path: Path, policy, vocab, n: int, rng) -> None:
+def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
+    """Write `n` samples of `policy`, one line each, and return their batch."""
     batch = policy.sample_batch(n, rng)
-    lines = [" ".join(vocab.tokens[t] for t in s.tokens) for s in batch.sequences()]
+    rows = zip(batch.tokens.tolist(), batch.lengths.tolist())
+    lines = [" ".join(vocab.tokens[t] for t in row[:k]) for row, k in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
+    return batch
 
 
-def _zipf_file(path: Path, policy, vocab, n: int, rng) -> None:
-    batch = policy.sample_batch(n, rng)
+def _zipf_file(path: Path, batch: SampleBatch, vocab) -> None:
     table = zipf_table(batch, vocab)
     rows = [[str(r), tok, str(f)] for r, tok, f in table.rows]
     _write_csv(path, ["rank", "token", "frequency"], rows)
@@ -178,13 +191,13 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     policy.write_document(model_path)
     artifacts["model"] = model_path
 
+    vocab = base.space.vocabulary
     samples_path = out_dir / "samples.txt"
-    _samples_file(samples_path, policy, base.space.vocabulary, eval_options.sample_size, rng_samples)
+    samples = _samples_file(samples_path, policy, vocab, eval_options.sample_size, rng_samples)
     artifacts["samples"] = samples_path
 
     zipf_path = out_dir / "zipf.csv"
-    rng_zipf = np.random.default_rng(cfg.seed)
-    _zipf_file(zipf_path, policy, base.space.vocabulary, eval_options.sample_size, rng_zipf)
+    _zipf_file(zipf_path, samples, vocab)
     artifacts["zipf"] = zipf_path
 
     run_doc_path = out_dir / "run.json"
@@ -221,12 +234,8 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
             result = train(base, target, config, eval_options)
             for record in result.history:
                 row = [variant, str(seed), str(record.step * config.samples_per_iteration)]
-                if threshold is not None:
-                    below = (
-                        record.kl_p_pi_exact is not None
-                        and record.kl_p_pi_exact < threshold
-                    )
-                    row.append(str(int(below)))
+                if threshold is not None:  # needs exact_oracle, so every record is exact
+                    row.append(str(int(record.kl_p_pi_exact < threshold)))
                 rows.append(row + metrics_csv_row(record))
     path = out_dir / "ablation.csv"
     _write_csv(path, header, rows)
@@ -283,12 +292,13 @@ def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
             [metrics_csv_row(record)],
         )
         artifacts["metrics"] = path
-    zipf_path = out_dir / "zipf.csv"
-    _zipf_file(zipf_path, model, model.space.vocabulary, eval_options.sample_size, rng)
-    artifacts["zipf"] = zipf_path
+    vocab = model.space.vocabulary
     samples_path = out_dir / "samples.txt"
-    _samples_file(samples_path, model, model.space.vocabulary, eval_options.sample_size, rng)
+    samples = _samples_file(samples_path, model, vocab, eval_options.sample_size, rng)
     artifacts["samples"] = samples_path
+    zipf_path = out_dir / "zipf.csv"
+    _zipf_file(zipf_path, samples, vocab)
+    artifacts["zipf"] = zipf_path
     _manifest(out_dir, cfg, artifacts, started)
     return EXIT_OK
 

@@ -215,8 +215,9 @@ class ExperimentConfig:
         with _at("config.fit"):
             self.build_fit_config()
         with _at("config.eval"):
-            self.build_eval_options()
+            exact = self.build_eval_options().exact
             LoopConfig(**_fields(self.eval, "eval_every"))
+        _expect(threshold is None or exact, "config.eval.threshold", "needs exact_oracle")
         with _at("config.eval.ablation", "variants"):
             for variant in self.ablation_variants:
                 DpgConfig(adaptivity=variant)
@@ -258,12 +259,11 @@ class ExperimentConfig:
             text = corpus_path.read_text()
         except FileNotFoundError:
             raise ConfigError(f"config.base_model.corpus: file not found: {corpus_path}")
-        tokenized = tokenize_corpus(text, self.lmax)
-        space = SequenceSpace(vocabulary=tokenized.vocabulary, lmax=self.lmax)
+        corpus = tokenize_corpus(text, self.lmax)
         with _at("config.base_model"):
             return mle_fit(
-                space,
-                tokenized.sequences,
+                corpus.space,
+                corpus.batch,
                 order=self.base_model["order"],
                 smoothing=self.base_model["smoothing"],
             )

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .seqspace import (
     SampleBatch,
-    Sequence,
     SequenceSpace,
     Vocabulary,
     length_offsets,
@@ -435,21 +434,22 @@ def _expect_field(ok: bool, key: str, expected: str) -> None:
 
 def mle_fit(
     space: SequenceSpace,
-    corpus: list[Sequence],
+    corpus: SampleBatch,
     order: int,
     smoothing: float = 0.0,
 ) -> TabularARModel:
-    """Add-lambda-smoothed maximum-likelihood k-gram fit.
+    """Add-lambda-smoothed maximum-likelihood k-gram fit on the rows of a
+    batch of `space`.
 
     Only free emissions are counted: the forced EOS at full length is not an
     observation. Contexts never visited by the corpus get a uniform row.
     """
-    if not corpus:
+    if len(corpus) == 0:
         raise EmptyCorpus("mle_fit needs a non-empty corpus")
     check_fit_args(order, smoothing)
     coding = _Coding(space, order)
     counts = np.zeros((coding.n_contexts, space.vocabulary.size))
-    codes, toks, active = _coded_events(coding, SampleBatch.from_sequences(space, corpus))
+    codes, toks, active = _coded_events(coding, corpus)
     np.add.at(counts, (codes[active], toks[active]), 1.0)
     counts += smoothing
     with np.errstate(divide="ignore"):

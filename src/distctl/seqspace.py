@@ -1,11 +1,12 @@
-"""Finite sequence universes: vocabulary, sequences, enumeration, corpus ingestion.
+"""Finite sequence universes: vocabulary, sequence batches, enumeration, corpus ingestion.
 
 A space holds every sequence of body tokens (EOS excluded) with length
-0..lmax. The universe is materialized once, as one SampleBatch
-(`SequenceSpace.enumeration`); there is no per-sequence iterator. Its order
-(length ascending, then lexicographic by vocabulary index) is the alignment
-contract for every exact oracle in the package: any array "over the
-universe" is indexed in this order.
+0..lmax. A sequence is a row of a SampleBatch: a corpus is read into one
+batch (`tokenize_corpus`), and the universe is materialized once, as one
+batch (`SequenceSpace.enumeration`). The universe's order (length
+ascending, then lexicographic by vocabulary index) is the alignment contract
+for every exact oracle in the package: any array "over the universe" is
+indexed in this order.
 """
 
 from __future__ import annotations
@@ -63,20 +64,6 @@ class Vocabulary:
         return i
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """EOS-free body of a sequence, as a tuple of vocabulary indices."""
-
-    tokens: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def length(self) -> int:
-        return len(self.tokens)
-
-
 def string_space_size(base: int, max_len: int) -> int:
     """Number of strings over `base` symbols with length 0..max_len (exact int)."""
     return sum(base**k for k in range(max_len + 1))
@@ -110,26 +97,6 @@ class SampleBatch:
     @property
     def width(self) -> int:
         return self.tokens.shape[1]
-
-    def sequences(self) -> list[Sequence]:
-        return [
-            Sequence(tuple(int(t) for t in row[:n]))
-            for row, n in zip(self.tokens, self.lengths)
-        ]
-
-    def row(self, i: int) -> Sequence:
-        return Sequence(tuple(int(t) for t in self.tokens[i, : self.lengths[i]]))
-
-    @classmethod
-    def from_sequences(cls, space: "SequenceSpace", seqs: list[Sequence]) -> "SampleBatch":
-        width = space.lmax
-        tokens = np.full((len(seqs), width), -1, dtype=np.int32)
-        lengths = np.zeros(len(seqs), dtype=np.int64)
-        for i, s in enumerate(seqs):
-            space.validate(s)
-            tokens[i, : len(s)] = s.tokens
-            lengths[i] = len(s)
-        return cls(tokens=tokens, lengths=lengths)
 
 
 @dataclass(frozen=True)
@@ -171,16 +138,6 @@ class SequenceSpace:
                 f"of 0..{max_len} of the {b} body tokens (enumeration guard)"
             )
 
-    def validate(self, seq: Sequence) -> None:
-        if len(seq) > self.lmax:
-            raise ConfigError(f"sequence length {len(seq)} exceeds lmax {self.lmax}")
-        eos = self.vocabulary.eos_index
-        for t in seq.tokens:
-            if t == eos:
-                raise ConfigError("EOS may not appear in a sequence body")
-            if not 0 <= t < self.vocabulary.size:
-                raise ConfigError(f"token index {t} out of vocabulary range")
-
     def enumeration(self) -> SampleBatch:
         """The whole universe as one cached SampleBatch, in enumeration order.
 
@@ -208,33 +165,29 @@ class SequenceSpace:
 
 @dataclass
 class TokenizedCorpus:
-    sequences: list[Sequence]
-    vocabulary: Vocabulary
+    space: SequenceSpace
+    batch: SampleBatch
     truncated: int
 
 
 def tokenize_corpus(text: str, lmax: int, eos_token: str = DEFAULT_EOS) -> TokenizedCorpus:
-    """Whitespace-tokenize one sequence per line; build vocabulary plus EOS.
+    """Whitespace-tokenize one sequence per line into the space of its
+    vocabulary (plus EOS) and `lmax`, and a batch of that space's width.
 
     Lines longer than lmax are truncated (tallied, not rejected); lines with no
     tokens are skipped.
     """
     if not text.strip():
         raise EmptyCorpus("corpus text is empty")
-    rows: list[list[str]] = []
-    truncated = 0
-    for line in text.splitlines():
-        words = line.split()
-        if not words:
-            continue
-        if len(words) > lmax:
-            words = words[:lmax]
-            truncated += 1
-        rows.append(words)
+    rows = [words for words in map(str.split, text.splitlines()) if words]
     if not rows:
         raise EmptyCorpus("corpus has no tokenized lines")
     body = sorted({w for row in rows for w in row})
-    vocab = Vocabulary.from_body_tokens(body, eos_token=eos_token)
-    index = {w: i for i, w in enumerate(vocab.tokens)}
-    seqs = [Sequence(tuple(index[w] for w in row)) for row in rows]
-    return TokenizedCorpus(sequences=seqs, vocabulary=vocab, truncated=truncated)
+    space = SequenceSpace(Vocabulary.from_body_tokens(body, eos_token=eos_token), lmax)
+    index = {w: i for i, w in enumerate(body)}
+    full = np.array([len(row) for row in rows], dtype=np.int64)
+    lengths = np.minimum(full, lmax)
+    tokens = np.full((len(rows), lmax), -1, dtype=np.int32)
+    tokens[np.arange(lmax) < lengths[:, None]] = [index[w] for row in rows for w in row[:lmax]]
+    batch = SampleBatch(tokens=tokens, lengths=lengths)
+    return TokenizedCorpus(space=space, batch=batch, truncated=int((full > lmax).sum()))

@@ -27,7 +27,6 @@ from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, Wo
 from distctl.lm import RowGradient, TabularARModel
 from distctl.seqspace import (
     SampleBatch,
-    Sequence,
     SequenceSpace,
     Vocabulary,
     length_offsets,
@@ -35,6 +34,45 @@ from distctl.seqspace import (
 )
 
 LETTERS = "abcdefghij"
+
+
+@dataclass(frozen=True)
+class Sequence:
+    """EOS-free body of a sequence, as a tuple of vocabulary indices."""
+
+    tokens: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
+
+
+def validate(space: SequenceSpace, seq: Sequence) -> None:
+    """Raise ConfigError unless `seq` is a sequence of `space`."""
+    if len(seq) > space.lmax:
+        raise ConfigError(f"sequence length {len(seq)} exceeds lmax {space.lmax}")
+    eos = space.vocabulary.eos_index
+    for t in seq.tokens:
+        if t == eos:
+            raise ConfigError("EOS may not appear in a sequence body")
+        if not 0 <= t < space.vocabulary.size:
+            raise ConfigError(f"token index {t} out of vocabulary range")
+
+
+def batch_from(space: SequenceSpace, seqs: list[Sequence]) -> SampleBatch:
+    """The batch of `seqs` at the width of `space`, each validated first."""
+    for s in seqs:
+        validate(space, s)
+    return batch_of(seqs, space.lmax)
+
+
+def sequences(batch: SampleBatch) -> list[Sequence]:
+    """The rows of a batch, one Sequence each."""
+    rows = zip(batch.tokens.tolist(), batch.lengths.tolist())
+    return [Sequence(tuple(row[:n])) for row, n in rows]
 
 
 def small_space(body: int, lmax: int) -> SequenceSpace:
@@ -84,7 +122,7 @@ class PredicateTable(Feature):
             raise ConfigError("binary predicate-table may only hold 0/1 values")
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        return np.array([self.table.get(x, self.default) for x in batch.sequences()], dtype=float)
+        return np.array([self.table.get(x, self.default) for x in sequences(batch)], dtype=float)
 
 
 def feature_value(feature: Feature, x: Sequence) -> float:
@@ -370,7 +408,7 @@ def grad_log_prob(model: TabularARModel, x: Sequence) -> np.ndarray:
     """Score-function gradient of log model(x) as a dense logits-shaped table
     (one-hot minus softmax at each visited context), from the library's
     row-sparse gradient."""
-    batch = SampleBatch.from_sequences(model.space, [x])
+    batch = batch_from(model.space, [x])
     return model.grad_weighted_sum(batch, np.ones(1)).dense(len(model.logits))
 
 

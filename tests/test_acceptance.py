@@ -24,9 +24,11 @@ from distctl.estimators import exact_kl, exact_tvd
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel, mle_fit
 from distctl.metrics import EvalOptions, self_bleu_n, zipf_table
-from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, tokenize_corpus
+from distctl.seqspace import tokenize_corpus
 
 from helpers import (
+    Sequence,
+    batch_from,
     batch_of,
     bisect_lambda,
     dist_n,
@@ -40,6 +42,7 @@ from helpers import (
     invalidate,
     naive_bleu,
     random_model,
+    sequences,
     small_space,
     synthetic_corpus,
     uniform_model,
@@ -62,8 +65,8 @@ def anchor():
         n_lines=200, min_len=2, max_len=5,
     )
     tok = tokenize_corpus(text, lmax=5)
-    space = SequenceSpace(vocabulary=tok.vocabulary, lmax=5)
-    base = mle_fit(space, tok.sequences, order=2, smoothing=0.25)
+    space = tok.space
+    base = mle_fit(space, tok.batch, order=2, smoothing=0.25)
     constraint_set = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "c"), 0.5)]
     )
@@ -284,8 +287,8 @@ def test_criterion_7_baseline_ordering():
         n_lines=200, min_len=2, max_len=5,
     )
     tok = tokenize_corpus(text, lmax=5)
-    space = SequenceSpace(vocabulary=tok.vocabulary, lmax=5)
-    base = mle_fit(space, tok.sequences, order=2, smoothing=0.25)
+    space = tok.space
+    base = mle_fit(space, tok.batch, order=2, smoothing=0.25)
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "c"), 1.0, pointwise=True)]
     )
@@ -356,7 +359,7 @@ def test_criterion_8_gradient_identities():
         model = random_model(space, int(rng.integers(1, 4)), rng, trainable=True)
         seqs = list(enumerate_sequences(space))
         x = seqs[int(rng.integers(len(seqs)))]
-        one = SampleBatch.from_sequences(space, [x])
+        one = batch_from(space, [x])
         grad = grad_log_prob(model, x)
         direction = rng.standard_normal(model.logits.shape)
         eps = 1e-6
@@ -385,7 +388,7 @@ def test_criterion_8_gradient_identities():
         p = scores / z
         expected_update = np.zeros_like(policy.logits)
         grad_ce = np.zeros_like(policy.logits)
-        for i, seq in enumerate(enum.sequences()):
+        for i, seq in enumerate(sequences(enum)):
             g = grad_log_prob(policy, seq)
             expected_update += q[i] * (scores[i] / q[i]) * g
             grad_ce -= p[i] * g
@@ -438,7 +441,7 @@ def test_criterion_9_metric_oracles():
     checks.append(abs(self_bleu_n(batch_of(degenerate), 5) - 1.0) <= 1e-9)
     space = small_space(3, 6)
     samples = [Sequence((0, 0, 1)), Sequence((2,)), Sequence((1, 1, 1, 2))]
-    table = zipf_table(SampleBatch.from_sequences(space, samples), space.vocabulary)
+    table = zipf_table(batch_from(space, samples), space.vocabulary)
     checks.append(zipf_total(table) == sum(len(s) for s in samples))
     ok = all(checks)
     report(9, ok, f"{sum(checks)}/{len(checks)} fixture identities hold exactly")
@@ -451,8 +454,8 @@ def test_criterion_10_hybrid_constraints():
         n_lines=300, min_len=2, max_len=5,
     )
     tok = tokenize_corpus(text, lmax=5)
-    space = SequenceSpace(vocabulary=tok.vocabulary, lmax=5)
-    base = mle_fit(space, tok.sequences, order=2, smoothing=0.25)
+    space = tok.space
+    base = mle_fit(space, tok.batch, order=2, smoothing=0.25)
     cs = ConstraintSet([
         ConstraintSpec(TokenPresence(space.vocabulary, "c", feature_id="A"), 1.0,
                        pointwise=True),

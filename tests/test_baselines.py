@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distctl.baselines import (
+    _REJECTION_CHUNK,
     BaselineConfig,
     RejectionConfig,
     kl_penalized_step,
@@ -14,14 +15,18 @@ from distctl.ebm import build_pointwise
 from distctl.errors import ConfigError, NoAcceptedSamples
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
+from distctl.lm import mle_fit
 from distctl.metrics import EvalOptions
 
 from helpers import (
     PredicateTable,
+    batch_from,
     exact_entropy,
+    feature_value,
     grad_log_prob,
     invalidate,
     random_model,
+    sequences,
     small_space,
     uniform_model,
 )
@@ -88,7 +93,7 @@ def test_reinforce_constant_reward_zero_expected_update(rng):
     enum = space.enumeration()
     pi = policy.exact_distribution()
     expected = np.zeros_like(policy.logits)
-    for i, seq in enumerate(enum.sequences()):
+    for i, seq in enumerate(sequences(enum)):
         expected += pi[i] * 3.0 * grad_log_prob(policy, seq)
     assert np.abs(expected).max() < 1e-12
 
@@ -267,6 +272,24 @@ def test_rejection_acceptance_rate_matches_enumeration(ab_space, ab_uniform, pre
         list(presence_a_pointwise) + [ConstraintSpec(TokenPresence(ab_space.vocabulary, "b"), 0.5)]
     )
     assert rejection_mle(ab_uniform, mixed, config)[1] == stats
+
+
+def test_rejection_fit_equals_a_row_by_row_reference(rng):
+    space = small_space(3, 3)
+    base = random_model(space, 2, rng)
+    feature = TokenPresence(space.vocabulary, "a")
+    cs = ConstraintSet([ConstraintSpec(feature, 1.0, pointwise=True)])
+    budget = 2 * _REJECTION_CHUNK + 1000
+    config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)
+    model, stats = rejection_mle(base, cs, config)
+    draws = np.random.default_rng(config.seed)
+    kept = []
+    for n in (_REJECTION_CHUNK, _REJECTION_CHUNK, 1000):  # the chunks rejection_mle draws
+        batch = base.sample_batch(n, draws)
+        kept += [x for x in sequences(batch) if feature_value(feature, x) == 1.0]
+    assert (stats.drawn, stats.kept) == (budget, len(kept))
+    reference = mle_fit(space, batch_from(space, kept), order=2, smoothing=0.5)
+    assert model.logits.tobytes() == reference.logits.tobytes()
 
 
 def test_rejection_capacity_gap_documented(rng):

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,19 @@ def test_eval_on_persisted_model(workdir):
     assert (workdir / "eval-out" / "metrics.csv").exists()
 
 
+def test_samples_and_zipf_describe_one_batch(workdir):
+    cfg = write_config(workdir)
+    assert main(["train", "--config", str(cfg)]) == 0
+    eval_cfg = write_config(
+        workdir, name="eval.json", base_model={"model_file": "out/model.json"}, output="eval-out"
+    )
+    assert main(["eval", "--config", str(eval_cfg)]) == 0
+    for out in (workdir / "out", workdir / "eval-out"):
+        counts = Counter((out / "samples.txt").read_text().split())
+        frequencies = {token: int(f) for _, token, f in read_csv(out / "zipf.csv")[1:]}
+        assert counts == frequencies, out.name
+
+
 def test_config_errors_exit_2(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({"seed": 0}))
@@ -468,6 +482,11 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
             lambda c: c["trainer"].update(learning_rate=float("inf")),
             "config.trainer.learning_rate",
         ),
+        (
+            "ablation",
+            lambda c: c["eval"].update(threshold=0.5, exact_oracle=False),
+            "config.eval.threshold needs exact_oracle",
+        ),
     ],
     ids=[
         "rejection-mle-negative-smoothing",
@@ -501,6 +520,7 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
         "rejection-mle-nan-smoothing",
         "fit-nan-tolerance",
         "trainer-infinite-learning-rate",
+        "threshold-without-exact-oracle",
     ],
 )
 def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit, field):
@@ -615,6 +635,7 @@ def test_universe_guard_exits_4(tmp_path, capsys):
 def test_policy_over_the_guard_exits_4_before_sampling(tmp_path, capsys, monkeypatch, command, name):
     path, cfg = demo_config(tmp_path, name, lmax=10_000)
     cfg["eval"]["exact_oracle"] = False
+    cfg["eval"].pop("threshold", None)  # a threshold needs exact_oracle
     path.write_text(json.dumps(cfg))
 
     def no_draws(self, n, rng):
@@ -623,6 +644,45 @@ def test_policy_over_the_guard_exits_4_before_sampling(tmp_path, capsys, monkeyp
     monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
     assert main([command, "--config", str(path)]) == 4
     assert capsys.readouterr().err.startswith("error: policy context table would hold more than")
+
+
+@pytest.mark.parametrize(
+    "command, name, trainer",
+    [
+        ("train", "distributional", None),
+        ("train", "pointwise", KL_PENALIZED_TRAINER),
+        ("ablation", "ablation", None),
+    ],
+    ids=["gdc-fit", "kl-penalized", "ablation"],
+)
+def test_zero_probability_base_exits_2_before_sampling(
+    tmp_path, capsys, monkeypatch, command, name, trainer
+):
+    path, cfg = demo_config(tmp_path, name)
+    cfg["base_model"]["smoothing"] = 0
+    cfg["trainer"] = trainer or cfg["trainer"]
+    path.write_text(json.dumps(cfg))
+    assert np.isneginf(ExperimentConfig.load(path).build_base().logits).any()
+
+    def no_draws(self, n, rng):
+        raise AssertionError("sampled before checking the base")
+
+    monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.base_model has zero-probability cells")
+
+
+def test_zero_probability_base_still_fits_rejection_mle(tmp_path):
+    path, cfg = demo_config(tmp_path, "pointwise")
+    cfg["base_model"]["smoothing"] = 0
+    # An unsmoothed order-2 refit only emits transitions the base sampled, so
+    # the sampled KL to the base stays finite; the exact KL from the target
+    # would not (the refit misses part of the target's support).
+    cfg["trainer"] = dict(REJECTION_TRAINER, sample_budget=2000, fit_smoothing=0)
+    cfg["eval"]["exact_oracle"] = False
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 0
 
 
 # Exit code of each error class, as the README lists them.

@@ -14,6 +14,7 @@ from helpers import (
     invalidate,
     random_model,
     scaled,
+    sequences,
     small_space,
     uniform_model,
 )
@@ -69,7 +70,7 @@ def test_exact_expected_update_is_minus_z_grad_ce(rng):
         p = scores / z
         expected_update = np.zeros_like(policy.logits)
         grad_ce = np.zeros_like(policy.logits)
-        for i, seq in enumerate(enum.sequences()):
+        for i, seq in enumerate(sequences(enum)):
             g = grad_log_prob(policy, seq)
             expected_update += q[i] * (scores[i] / q[i]) * g
             grad_ce += -p[i] * g
@@ -86,7 +87,7 @@ def test_fixed_point_zero_expected_update(rng):
     enum = space.enumeration()
     scores = np.exp(target.log_score_batch(enum))
     update = np.zeros_like(policy.logits)
-    for i, seq in enumerate(enum.sequences()):
+    for i, seq in enumerate(sequences(enum)):
         update += scores[i] * grad_log_prob(policy, seq)
     assert np.abs(update).max() < 1e-10
 

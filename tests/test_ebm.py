@@ -28,10 +28,11 @@ from distctl.features import (
     WordlistPresence,
 )
 from distctl.metrics import EvalOptions, snapshot
-from distctl.seqspace import SampleBatch, Sequence
 
 from helpers import (
     PredicateTable,
+    Sequence,
+    batch_from,
     bisect_lambda,
     from_distribution,
     member_log_scores,
@@ -64,7 +65,7 @@ def fit_config(n=100000, lr=0.5, tol=1e-6, steps=20000, seed=0, clamp=20.0):
 
 def scores(ebm, *seqs):
     """Unnormalized scores of the given sequences."""
-    return np.exp(ebm.log_score_batch(SampleBatch.from_sequences(ebm.space, list(seqs))))
+    return np.exp(ebm.log_score_batch(batch_from(ebm.space, list(seqs))))
 
 
 def test_score_identity_at_lambda_zero(ab_space, ab_uniform):

@@ -14,9 +14,9 @@ from distctl.estimators import (
     z_estimate_from_logs,
 )
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
-from distctl.seqspace import Sequence
 
 from helpers import (
+    Sequence,
     estimate_kl_between_models,
     estimate_kl_p_from,
     estimate_tvd,

@@ -13,12 +13,15 @@ from distctl.features import (
     WordlistPresence,
 )
 from distctl.lm import TabularARModel
-from distctl.seqspace import SampleBatch, Sequence, SequenceSpace, Vocabulary
+from distctl.seqspace import SequenceSpace, Vocabulary
 
 from helpers import (
     PredicateTable,
+    Sequence,
+    batch_from,
     enumerate_sequences,
     feature_value,
+    sequences,
     small_space,
     uniform_model,
 )
@@ -32,7 +35,7 @@ def pronoun_space():
 
 def rows(space, *seqs):
     """A batch of the given token tuples."""
-    return SampleBatch.from_sequences(space, [Sequence(tuple(s)) for s in seqs])
+    return batch_from(space, [Sequence(tuple(s)) for s in seqs])
 
 
 def test_token_presence(pronoun_space):
@@ -98,7 +101,7 @@ def test_batch_matches_scalar_over_enumeration(make):
     f = make(space.vocabulary)
     batch = space.enumeration()
     vectorized = f.evaluate_batch(batch)
-    scalar = np.array([feature_value(f, s) for s in batch.sequences()])
+    scalar = np.array([feature_value(f, s) for s in sequences(batch)])
     assert np.array_equal(vectorized, scalar)
 
 

@@ -12,9 +12,11 @@ from distctl.errors import (
     SchemaMismatch,
 )
 from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, mle_fit
-from distctl.seqspace import SampleBatch, Sequence
+from distctl.seqspace import SampleBatch
 
 from helpers import (
+    Sequence,
+    batch_from,
     dense_grad_weighted_sum,
     enumerate_sequences,
     from_distribution,
@@ -24,6 +26,7 @@ from helpers import (
     naive_log_prob,
     random_model,
     sequence_rank,
+    sequences,
     small_space,
     step_grad_weighted_sum,
     step_log_prob_batch,
@@ -34,7 +37,7 @@ from helpers import (
 
 def test_mle_next_token_ratio_before_eos(ab_space):
     corpus = [Sequence((0,)), Sequence((0,)), Sequence((1,))]
-    model = mle_fit(ab_space, corpus, order=1, smoothing=0.0)
+    model = mle_fit(ab_space, batch_from(ab_space, corpus), order=1, smoothing=0.0)
     probs = np.exp(model.logits[0] - np.log(np.sum(np.exp(model.logits[0]))))
     # transitions at the first position: a, a, b plus three EOS events
     assert probs[0] / (probs[0] + probs[1]) == pytest.approx(2.0 / 3.0)
@@ -42,18 +45,18 @@ def test_mle_next_token_ratio_before_eos(ab_space):
 
 def test_mle_smoothing_gives_full_support(ab_space):
     corpus = [Sequence((0,))]
-    model = mle_fit(ab_space, corpus, order=2, smoothing=1.0)
+    model = mle_fit(ab_space, batch_from(ab_space, corpus), order=2, smoothing=1.0)
     assert (model.exact_distribution() > 0).all()
 
 
 def test_mle_concentrates_on_single_sequence(ab_space):
     target = Sequence((0, 1))
-    model = mle_fit(ab_space, [target], order=1, smoothing=0.0)
+    model = mle_fit(ab_space, batch_from(ab_space, [target]), order=1, smoothing=0.0)
     dist = model.exact_distribution()
     assert dist[sequence_rank(ab_space, target)] == dist.max()
     # with a repeated token the maximum is unique
     repeated = Sequence((0, 0))
-    model2 = mle_fit(ab_space, [repeated], order=1, smoothing=0.0)
+    model2 = mle_fit(ab_space, batch_from(ab_space, [repeated]), order=1, smoothing=0.0)
     dist2 = model2.exact_distribution()
     assert np.argmax(dist2) == sequence_rank(ab_space, repeated)
     assert dist2[sequence_rank(ab_space, repeated)] == pytest.approx(1.0)
@@ -61,20 +64,20 @@ def test_mle_concentrates_on_single_sequence(ab_space):
 
 def test_mle_empty_corpus(ab_space):
     with pytest.raises(EmptyCorpus):
-        mle_fit(ab_space, [], order=1)
+        mle_fit(ab_space, batch_from(ab_space, []), order=1)
 
 
 def test_log_prob_uniform_binary():
     space = small_space(1, 1)
     model = uniform_model(space, order=1)
-    batch = SampleBatch.from_sequences(space, [Sequence(()), Sequence((0,))])
+    batch = batch_from(space, [Sequence(()), Sequence((0,))])
     assert model.log_prob_batch(batch) == pytest.approx([np.log(0.5), np.log(0.5)])
 
 
 def test_forced_eos_at_lmax(ab_space):
     model = uniform_model(ab_space, order=1)
     # P([a,a]) = (1/3) * (1/3) * 1: the step at lmax carries no EOS factor
-    batch = SampleBatch.from_sequences(ab_space, [Sequence((0, 0))])
+    batch = batch_from(ab_space, [Sequence((0, 0))])
     assert model.log_prob_batch(batch)[0] == pytest.approx(np.log(1.0 / 9.0))
 
 
@@ -90,31 +93,31 @@ def test_log_prob_matches_chain_rule_oracle(rng):
         space = small_space(int(rng.integers(2, 4)), int(rng.integers(2, 5)))
         model = random_model(space, int(rng.integers(1, 4)), rng)
         seqs = list(enumerate_sequences(space))[:: max(1, space.universe_size // 10)]
-        batch = SampleBatch.from_sequences(space, seqs)
+        batch = batch_from(space, seqs)
         expected = [naive_log_prob(model, seq) for seq in seqs]
         assert model.log_prob_batch(batch) == pytest.approx(expected, rel=1e-10)
 
 
 def test_mle_model_matches_chain_rule_oracle(ab_space):
     corpus = [Sequence((0,)), Sequence((0, 1)), Sequence((1,)), Sequence((0,))]
-    model = mle_fit(ab_space, corpus, order=2, smoothing=0.5)
+    model = mle_fit(ab_space, batch_from(ab_space, corpus), order=2, smoothing=0.5)
     batch = ab_space.enumeration()
-    expected = [naive_log_prob(model, seq) for seq in batch.sequences()]
+    expected = [naive_log_prob(model, seq) for seq in sequences(batch)]
     assert model.log_prob_batch(batch) == pytest.approx(expected, rel=1e-10)
 
 
 def test_sampling_frequency():
     space = small_space(1, 1)
     model = uniform_model(space, order=1)
-    seqs = model.sample_batch(10000, np.random.default_rng(11)).sequences()
+    seqs = sequences(model.sample_batch(10000, np.random.default_rng(11)))
     freq = sum(1 for s in seqs if s.tokens == (0,)) / 10000
     assert abs(freq - 0.5) < 0.02  # 3 sigma of Bin(10000, 1/2) is 0.015
 
 
 def test_sampling_deterministic(ab_space, rng):
     model = random_model(ab_space, 2, rng)
-    first = model.sample_batch(500, np.random.default_rng(3)).sequences()
-    assert first == model.sample_batch(500, np.random.default_rng(3)).sequences()
+    first = sequences(model.sample_batch(500, np.random.default_rng(3)))
+    assert first == sequences(model.sample_batch(500, np.random.default_rng(3)))
 
 
 def test_sampling_degenerate_point_mass(ab_space):
@@ -122,7 +125,7 @@ def test_sampling_degenerate_point_mass(ab_space):
     dist[0] = 1.0  # all mass on the empty sequence
     model = from_distribution(ab_space, dist)
     batch = model.sample_batch(200, np.random.default_rng(0))
-    assert all(s.tokens == () for s in batch.sequences())
+    assert all(s.tokens == () for s in sequences(batch))
 
 
 @pytest.mark.parametrize("body,lmax,order,scale", [(3, 3, 2, 0.8), (2, 4, 1, 1.2), (4, 3, 3, 0.5)])
@@ -131,7 +134,7 @@ def test_sampling_chi_square_goodness_of_fit(body, lmax, order, scale, rng):
     model = random_model(space, order, rng, scale=scale)
     exact = model.exact_distribution()
     batch = model.sample_batch(100000, np.random.default_rng(123))
-    ranks = [sequence_rank(space, s) for s in batch.sequences()]
+    ranks = [sequence_rank(space, s) for s in sequences(batch)]
     counts = np.bincount(ranks, minlength=space.universe_size)
     expected = exact * len(ranks)
     keep = expected >= 5
@@ -167,7 +170,7 @@ def test_grad_matches_finite_differences(rng):
         model = random_model(space, int(rng.integers(1, 4)), rng, trainable=True)
         seqs = list(enumerate_sequences(space))
         x = seqs[int(rng.integers(len(seqs)))]
-        one = SampleBatch.from_sequences(space, [x])
+        one = batch_from(space, [x])
         grad = grad_log_prob(model, x)
         direction = rng.standard_normal(model.logits.shape)
         eps = 1e-6
@@ -223,7 +226,7 @@ def test_serialize_round_trip(ab_space, rng):
 
 
 def test_serialize_round_trip_with_neg_inf(ab_space):
-    model = mle_fit(ab_space, [Sequence((0,))], order=1, smoothing=0.0)
+    model = mle_fit(ab_space, batch_from(ab_space, [Sequence((0,))]), order=1, smoothing=0.0)
     assert np.isneginf(model.logits).any()
     doc = json.loads(json.dumps(model.to_document()))
     restored = TabularARModel.from_document(doc)
@@ -237,7 +240,8 @@ def test_write_document_matches_to_document_bytes(tmp_path, rng):
     for _ in range(3):
         batch = expanded.sample_batch(8, rng)
         expanded.apply_update(expanded.grad_weighted_sum(batch, rng.standard_normal(8)), 0.5)
-    neg_inf = mle_fit(space, [Sequence((0, 1)), Sequence((2,)), Sequence(())], order=2)
+    corpus = batch_from(space, [Sequence((0, 1)), Sequence((2,)), Sequence(())])
+    neg_inf = mle_fit(space, corpus, order=2)
     signed_zero = uniform_model(small_space(2, 2), order=2)
     signed_zero.logits[1, 0] = -0.0
     one_row = uniform_model(small_space(2, 1), order=1)
@@ -278,12 +282,12 @@ def test_mle_fit_range_rules_name_their_field(ab_space):
     for field, bad in (("order", dict(order=0)), ("smoothing", dict(order=1, smoothing=-1.0)),
                        ("smoothing", dict(order=1, smoothing=float("nan")))):
         with pytest.raises(ConfigError) as err:
-            mle_fit(ab_space, corpus, **bad)
+            mle_fit(ab_space, batch_from(ab_space, corpus), **bad)
         assert err.value.field == field
 
 
 def test_trainable_rejects_neg_inf(ab_space):
-    model = mle_fit(ab_space, [Sequence((0,))], order=1, smoothing=0.0)
+    model = mle_fit(ab_space, batch_from(ab_space, [Sequence((0,))]), order=1, smoothing=0.0)
     with pytest.raises(ConfigError):
         TabularARModel(space=ab_space, order=1, logits=model.logits, trainable=True)
 
@@ -315,7 +319,7 @@ def test_batch_and_scalar_log_prob_agree(rng):
     model = random_model(space, 3, rng)
     batch = space.enumeration()
     vectorized = model.log_prob_batch(batch)
-    scalar = np.array([naive_log_prob(model, s) for s in batch.sequences()])
+    scalar = np.array([naive_log_prob(model, s) for s in sequences(batch)])
     assert np.allclose(vectorized, scalar, rtol=0, atol=1e-12)
 
 
@@ -434,7 +438,7 @@ def test_event_layout_matches_step_by_step_bitwise(order_of, rng):
         assert_scores_match_step_by_step(model, batch, rng)
         assert np.array_equal(sampler.log_prob_batch(batch), step_log_prob_batch(sampler, batch))
         assert set(batch._events.codes) == {model.coding.m_eff, sampler.coding.m_eff}
-        rebuilt = SampleBatch.from_sequences(space, batch.sequences())
+        rebuilt = batch_from(space, sequences(batch))
         assert_scores_match_step_by_step(model, rebuilt, rng)
         assert set(rebuilt._events.codes) == {model.coding.m_eff}
 
@@ -473,7 +477,7 @@ def test_batches_are_read_only(ab_space, rng):
     model = random_model(ab_space, 2, rng)
     batches = [
         model.sample_batch(8, rng),
-        SampleBatch.from_sequences(ab_space, [Sequence((0, 1)), Sequence(())]),
+        batch_from(ab_space, [Sequence((0, 1)), Sequence(())]),
         small_space(2, 2).enumeration(),
     ]
     for batch in batches:

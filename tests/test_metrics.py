@@ -15,9 +15,11 @@ from distctl.metrics import (
     snapshot,
     zipf_table,
 )
-from distctl.seqspace import SampleBatch, Sequence, Vocabulary
+from distctl.seqspace import Vocabulary
 
 from helpers import (
+    Sequence,
+    batch_from,
     batch_of,
     dist_n,
     expectation_phi,
@@ -39,12 +41,12 @@ SEQS = st.lists(
 
 def test_expectation_phi_all_satisfying(ab_space):
     cs = ConstraintSet([ConstraintSpec(TokenPresence(ab_space.vocabulary, "a"), 0.5)])
-    batch = SampleBatch.from_sequences(ab_space, [Sequence((0,)), Sequence((0, 1))])
+    batch = batch_from(ab_space, [Sequence((0,)), Sequence((0, 1))])
     assert np.array_equal(expectation_phi(batch, cs), [1.0])
 
 
 def test_expectation_phi_empty_set(ab_space):
-    batch = SampleBatch.from_sequences(ab_space, [Sequence((0,))])
+    batch = batch_from(ab_space, [Sequence((0,))])
     assert expectation_phi(batch, ConstraintSet([])).shape == (0,)
 
 
@@ -247,21 +249,6 @@ def test_ngram_counts_must_reach_n():
         self_bleu_n(batch, 3, counts)
 
 
-def test_snapshot_builds_no_sequences(monkeypatch, rng):
-    space = small_space(3, 4)
-    base = random_model(space, 2, rng)
-    policy = base.to_order(space.lmax, trainable=True)
-    cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
-    target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
-
-    def no_sequences(self):
-        raise AssertionError("snapshot built per-sequence objects")
-
-    monkeypatch.setattr(SampleBatch, "sequences", no_sequences)
-    record = snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64, exact=True))
-    assert sorted(record.dist_n) == [1, 2, 3] and sorted(record.self_bleu_n) == [3, 4, 5]
-
-
 @pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
 def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
     space = small_space(3, 4)
@@ -286,8 +273,9 @@ def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
 
     monkeypatch.setattr(ConstraintSet, "feature_matrix", counted_features)
     monkeypatch.setattr(TabularARModel, "log_prob_batch", counted_log_probs)
-    snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64))
+    record = snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64))
     assert sorted(calls) == ["base", "features", "policy"]
+    assert sorted(record.dist_n) == [1, 2, 3] and sorted(record.self_bleu_n) == [3, 4, 5]
 
 
 # -- zipf ---------------------------------------------------------------------

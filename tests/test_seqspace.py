@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distctl
+from distctl import seqspace
 from distctl.errors import ConfigError, EmptyCorpus, UniverseTooLarge
 from distctl.lm import TabularARModel
 from distctl.seqspace import (
     ENUMERATION_GUARD,
     SampleBatch,
-    Sequence,
     SequenceSpace,
     Vocabulary,
     tokenize_corpus,
 )
 
-from helpers import enumerate_sequences, sequence_rank, small_space
+from helpers import (
+    Sequence,
+    batch_from,
+    enumerate_sequences,
+    sequence_rank,
+    sequences,
+    small_space,
+    validate,
+)
 
 
 def test_vocabulary_rejects_duplicates_and_bad_eos():
@@ -57,7 +66,7 @@ def test_enumeration_matches_closed_form_and_is_valid(body, lmax):
     assert len(seqs) == space.universe_size
     assert len(set(s.tokens for s in seqs)) == len(seqs)
     for s in seqs:
-        space.validate(s)
+        validate(space, s)
 
 
 def test_enumeration_count_at_size_caps():
@@ -116,33 +125,62 @@ def test_sequence_rank_matches_enumeration_order():
 
 def test_sample_batch_round_trip(ab_space):
     seqs = [Sequence(()), Sequence((0,)), Sequence((1, 0))]
-    batch = SampleBatch.from_sequences(ab_space, seqs)
-    assert batch.sequences() == seqs
-    assert batch.row(2) == seqs[2]
+    batch = batch_from(ab_space, seqs)
+    assert sequences(batch) == seqs
+    assert batch.tokens.tolist() == [[-1, -1], [0, -1], [1, 0]]
+    assert batch.lengths.tolist() == [0, 1, 2]
     with pytest.raises(ConfigError):
-        SampleBatch.from_sequences(ab_space, [Sequence((0, 1, 0))])  # too long
+        batch_from(ab_space, [Sequence((0, 1, 0))])  # too long
     with pytest.raises(ConfigError):
-        SampleBatch.from_sequences(ab_space, [Sequence((2,))])  # EOS in body
+        batch_from(ab_space, [Sequence((2,))])  # EOS in body
 
 
 def test_tokenize_basic():
     out = tokenize_corpus("a b\nb", lmax=4)
-    assert [s.tokens for s in out.sequences] == [(0, 1), (1,)]
-    assert out.vocabulary.tokens == ("a", "b", "<eos>")
+    assert [s.tokens for s in sequences(out.batch)] == [(0, 1), (1,)]
+    assert out.space.vocabulary.tokens == ("a", "b", "<eos>")
+    assert out.space.lmax == out.batch.width == 4
     assert out.truncated == 0
 
 
 def test_tokenize_truncates_long_lines():
     out = tokenize_corpus("x x x x x x", lmax=3)
-    assert len(out.sequences) == 1
-    assert out.sequences[0].tokens == (0, 0, 0)
+    assert len(out.batch) == 1
+    assert sequences(out.batch)[0].tokens == (0, 0, 0)
     assert out.truncated == 1
 
 
 def test_tokenize_vocab_size_includes_eos():
     lines = "\n".join("alpha beta gamma delta eps" for _ in range(100))
     out = tokenize_corpus(lines, lmax=8)
-    assert out.vocabulary.size == 6
+    assert out.space.vocabulary.size == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(
+        st.lists(st.sampled_from(["a", "b", "cc", "d9", "eos"]), max_size=7), min_size=1, max_size=12
+    ),
+    lmax=st.integers(1, 4),
+    gap=st.sampled_from([" ", "  ", "\t", " \t "]),
+)
+def test_tokenize_corpus_matches_a_per_line_reference(lines, lmax, gap):
+    text = "\n".join(gap + gap.join(words) for words in lines)
+    if not any(lines):
+        with pytest.raises(EmptyCorpus):
+            tokenize_corpus(text, lmax)
+        return
+    out = tokenize_corpus(text, lmax)
+    kept = [words for words in lines if words]
+    body = sorted({w for words in kept for w in words})
+    space = SequenceSpace(Vocabulary.from_body_tokens(body), lmax)
+    index = space.vocabulary.index
+    reference = batch_from(space, [Sequence(tuple(index(w) for w in ws[:lmax])) for ws in kept])
+    assert out.space == space
+    assert out.truncated == sum(len(words) > lmax for words in kept)
+    for name in ("tokens", "lengths"):
+        got, want = getattr(out.batch, name), getattr(reference, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_tokenize_empty_corpus():
@@ -168,6 +206,16 @@ def test_enumeration_batch_alignment():
         space = small_space(body, lmax)
         batch = space.enumeration()
         listed = list(enumerate_sequences(space))
-        assert batch.sequences() == listed
+        assert sequences(batch) == listed
         assert np.all(batch.lengths == [len(s) for s in listed])
         assert np.all(batch.tokens[np.arange(lmax) >= batch.lengths[:, None]] == -1)
+
+
+def test_library_has_one_sequence_representation():
+    """A sequence is a row of a SampleBatch; the per-sequence type and its
+    conversions live in the test helpers."""
+    assert not hasattr(distctl, "Sequence") and "Sequence" not in distctl.__all__
+    assert not hasattr(seqspace, "Sequence")
+    for name in ("sequences", "row", "from_sequences"):
+        assert not hasattr(SampleBatch, name), name
+    assert not hasattr(SequenceSpace, "validate")
