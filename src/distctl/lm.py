@@ -442,11 +442,18 @@ def mle_fit(
     batch of `space`.
 
     Only free emissions are counted: the forced EOS at full length is not an
-    observation. Contexts never visited by the corpus get a uniform row.
+    observation. Contexts never visited by the corpus get a uniform row. A
+    batch of another width, or with a body token outside the space's body
+    (EOS included), is refused.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("mle_fit needs a non-empty corpus")
     check_fit_args(order, smoothing)
+    if corpus.width != space.lmax or not ((corpus.lengths >= 0) & (corpus.lengths <= space.lmax)).all():
+        raise ConfigError(f"must be a batch of width {space.lmax} with lengths 0..{space.lmax}", "corpus")
+    body = corpus.tokens[np.arange(space.lmax) < corpus.lengths[:, None]]
+    if ((body < 0) | (body >= space.vocabulary.size) | (body == space.vocabulary.eos_index)).any():
+        raise ConfigError("must hold body tokens of the space's vocabulary, EOS excluded", "corpus")
     coding = _Coding(space, order)
     counts = np.zeros((coding.n_contexts, space.vocabulary.size))
     codes, toks, active = _coded_events(coding, corpus)

@@ -174,15 +174,16 @@ def tokenize_corpus(text: str, lmax: int, eos_token: str = DEFAULT_EOS) -> Token
     """Whitespace-tokenize one sequence per line into the space of its
     vocabulary (plus EOS) and `lmax`, and a batch of that space's width.
 
-    Lines longer than lmax are truncated (tallied, not rejected); lines with no
-    tokens are skipped.
+    Lines longer than lmax are truncated (tallied, not rejected), and a word
+    seen only past position lmax is not in the vocabulary; lines with no tokens
+    are skipped.
     """
     if not text.strip():
         raise EmptyCorpus("corpus text is empty")
     rows = [words for words in map(str.split, text.splitlines()) if words]
     if not rows:
         raise EmptyCorpus("corpus has no tokenized lines")
-    body = sorted({w for row in rows for w in row})
+    body = sorted({w for row in rows for w in row[:lmax]})
     space = SequenceSpace(Vocabulary.from_body_tokens(body, eos_token=eos_token), lmax)
     index = {w: i for i, w in enumerate(body)}
     full = np.array([len(row) for row in rows], dtype=np.int64)

@@ -17,6 +17,7 @@ from distctl.seqspace import SampleBatch
 from helpers import (
     Sequence,
     batch_from,
+    batch_of,
     dense_grad_weighted_sum,
     enumerate_sequences,
     from_distribution,
@@ -284,6 +285,16 @@ def test_mle_fit_range_rules_name_their_field(ab_space):
         with pytest.raises(ConfigError) as err:
             mle_fit(ab_space, batch_from(ab_space, corpus), **bad)
         assert err.value.field == field
+
+
+def test_mle_fit_refuses_a_batch_not_of_its_space(ab_space):
+    eos = ab_space.vocabulary.eos_index
+    wide = SampleBatch(tokens=np.zeros((1, ab_space.lmax + 1), dtype=np.int32), lengths=np.array([1]))
+    bad_tokens = ([eos], [ab_space.vocabulary.size], [-1])
+    for batch in [wide] + [batch_of([Sequence(tuple(t))], ab_space.lmax) for t in bad_tokens]:
+        with pytest.raises(ConfigError) as err:
+            mle_fit(ab_space, batch, order=1)
+        assert err.value.field == "corpus"
 
 
 def test_trainable_rejects_neg_inf(ab_space):

@@ -150,6 +150,12 @@ def test_tokenize_truncates_long_lines():
     assert out.truncated == 1
 
 
+def test_tokenize_vocabulary_skips_words_past_lmax():
+    out = tokenize_corpus("a b c", lmax=1)
+    assert out.space.vocabulary.tokens == ("a", "<eos>")
+    assert out.truncated == 1
+
+
 def test_tokenize_vocab_size_includes_eos():
     lines = "\n".join("alpha beta gamma delta eps" for _ in range(100))
     out = tokenize_corpus(lines, lmax=8)
@@ -172,7 +178,7 @@ def test_tokenize_corpus_matches_a_per_line_reference(lines, lmax, gap):
         return
     out = tokenize_corpus(text, lmax)
     kept = [words for words in lines if words]
-    body = sorted({w for words in kept for w in words})
+    body = sorted({w for words in kept for w in words[:lmax]})
     space = SequenceSpace(Vocabulary.from_body_tokens(body), lmax)
     index = space.vocabulary.index
     reference = batch_from(space, [Sequence(tuple(index(w) for w in ws[:lmax])) for ws in kept])
