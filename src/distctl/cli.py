@@ -66,7 +66,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _manifest(out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: float) -> Path:
+class _Phases:
+    """Wall seconds of a run's consecutive phases: `end(name)` closes the phase
+    that began where the previous one ended, the first one at `started`."""
+
+    def __init__(self, started: float):
+        self.seconds: dict[str, float] = {}
+        self._mark = started
+
+    def end(self, name: str) -> None:
+        now = time.monotonic()
+        self.seconds[name] = now - self._mark
+        self._mark = now
+
+
+def _manifest(
+    out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: float, phases: _Phases | None = None
+) -> Path:
     doc = {
         "version": __version__,
         "config": {
@@ -81,6 +97,8 @@ def _manifest(out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: fl
         "artifacts": {name: str(p) for name, p in artifacts.items()},
         "wall_clock_seconds": time.monotonic() - started,
     }
+    if phases is not None:
+        doc["phase_seconds"] = phases.seconds
     path = out_dir / "manifest.json"
     _write_json(path, doc)
     return path
@@ -152,6 +170,7 @@ def _zipf_file(path: Path, batch: SampleBatch, vocab) -> None:
 
 
 def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+    phases = _Phases(started)
     base = cfg.build_base()
     constraint_set = cfg.build_constraints(base.space)
     if len(constraint_set) == 0:
@@ -161,7 +180,9 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         base.space.guard()
     method, config = cfg.method, cfg.build_trainer()
     _check_policy_table(base, config)
+    phases.end("build")
     report, target = _build_target(cfg, base, constraint_set)
+    phases.end("fit")
     artifacts: dict = {}
     _, rng_eval, rng_samples = seed_streams(cfg.seed)
 
@@ -177,6 +198,7 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         result = train_baseline(base, target, config, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.state.beta}
+    phases.end("train")
 
     report_path = out_dir / "fit_report.json"
     _write_json(report_path, _fit_document(report, target, constraint_set))
@@ -203,7 +225,8 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     run_doc_path = out_dir / "run.json"
     _write_json(run_doc_path, {"method": method, **extra_doc})
     artifacts["run"] = run_doc_path
-    _manifest(out_dir, cfg, artifacts, started)
+    phases.end("write")
+    _manifest(out_dir, cfg, artifacts, started, phases)
     return EXIT_OK
 
 
@@ -212,6 +235,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         raise ConfigError(
             f"config.trainer.method: the ablation grid trains {GDC_METHOD!r}, not {cfg.method!r}"
         )
+    phases = _Phases(started)
     variants = cfg.ablation_variants
     seeds = cfg.ablation_seeds
     base = cfg.build_base()
@@ -220,7 +244,9 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     if eval_options.exact:
         base.space.guard()
     _check_policy_table(base, cfg.build_trainer())
+    phases.end("build")
     _, target = _build_target(cfg, base, constraint_set)
+    phases.end("fit")
     threshold = cfg.eval.get("threshold")
 
     header = ["variant", "seed", "samples_drawn"]
@@ -237,9 +263,11 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
                 if threshold is not None:  # needs exact_oracle, so every record is exact
                     row.append(str(int(record.kl_p_pi_exact < threshold)))
                 rows.append(row + metrics_csv_row(record))
+    phases.end("train")
     path = out_dir / "ablation.csv"
     _write_csv(path, header, rows)
-    _manifest(out_dir, cfg, {"ablation": path}, started)
+    phases.end("write")
+    _manifest(out_dir, cfg, {"ablation": path}, started, phases)
     return EXIT_OK
 
 

@@ -3,10 +3,11 @@
 Each iteration draws a batch from the frozen proposal, applies importance
 weighted score-function updates to the policy (weight = score(x)/q(x)), folds
 the batch's partition-function estimate into a moving average, and, when
-adaptivity is on, replaces the proposal with a frozen copy of the policy
-whenever the policy's estimated divergence from the target drops strictly
-below the proposal's. Both divergence estimates reuse the iteration's samples
-and the shared moving-average Z.
+adaptivity is on, swaps the proposal for the policy whenever the policy's
+estimated divergence from the target drops strictly below the proposal's.
+Both divergence estimates reuse the iteration's samples and the shared
+moving-average Z. A swap brings the frozen proposal up to date in place: it
+copies only the context rows the policy has updated since the last swap.
 
 `run_loop` is the one training loop: it owns the RNG streams, the policy
 initialisation and the snapshot cadence, and the comparison trainers in
@@ -117,6 +118,7 @@ class TrainState:
     history: list[MetricsRecord] = field(default_factory=list)
     decisions: list[IterationDecision] = field(default_factory=list)
     adam: AdamState | None = None
+    stale: np.ndarray | None = None  # context rows updated since the last swap (DPG)
     beta: float | None = None  # a kl-penalized run's final beta
     proposal_updates: int = 0
     iteration: int = 0
@@ -141,14 +143,16 @@ def seed_streams(seed: int) -> list[np.random.Generator]:
 def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
     """Policy starts as the base distribution re-expressed at trainable capacity.
 
-    A DPG run also starts its proposal as a frozen copy of the policy; the
-    comparison trainers sample from the policy itself and have none.
+    A DPG run also starts its proposal as a frozen copy of the policy, the
+    run's only copy of the whole table; the comparison trainers sample from
+    the policy itself and have none.
     """
     policy = base.to_order(max(base.order, base.space.lmax), trainable=True)
     if not isinstance(config, DpgConfig):
         return TrainState(policy=policy)
     adam = AdamState.like(policy.logits) if config.optimizer == OPTIMIZER_ADAM else None
-    return TrainState(policy=policy, proposal=policy.frozen_copy(), adam=adam)
+    stale = np.zeros(len(policy.logits), dtype=bool)
+    return TrainState(policy=policy, proposal=policy.frozen_copy(), adam=adam, stale=stale)
 
 
 def dpg_iteration(
@@ -164,10 +168,12 @@ def dpg_iteration(
     grad = state.policy.grad_weighted_sum(samples, weights)
     if state.adam is not None:
         # the preconditioned step moves every row
-        update = state.adam.step(grad.dense(len(state.policy.logits)) / k)
-        state.policy.apply_update(RowGradient.full(update), config.learning_rate)
+        grad = RowGradient.full(state.adam.step(grad.dense(len(state.policy.logits)) / k))
+        learning_rate = config.learning_rate
     else:
-        state.policy.apply_update(grad, config.learning_rate / k)
+        learning_rate = config.learning_rate / k
+    state.policy.apply_update(grad, learning_rate)
+    state.stale[grad.rows] = True
 
     z_hat = float(weights.mean())
     state.zma = state.zma.fold(z_hat)
@@ -180,7 +186,8 @@ def dpg_iteration(
         div_policy = estimator(log_p_score, log_q, log_pi, state.zma.value).value
         div_proposal = estimator(log_p_score, log_q, log_q, state.zma.value).value
         if div_policy < div_proposal:
-            state.proposal = state.policy.frozen_copy()
+            state.proposal.copy_rows_from(state.policy, np.flatnonzero(state.stale))
+            state.stale[:] = False
             state.proposal_updates += 1
             swapped = True
     state.decisions.append(

@@ -126,11 +126,17 @@ class Ebm:
         return self._cache["exact"]
 
     def phi_universe(self) -> np.ndarray:
-        """Cached constraint-feature matrix over the enumerated universe."""
+        """Cached constraint-feature matrix over the universe, in enumeration
+        order. It is filled block by block (`SequenceSpace.enumeration_blocks`),
+        so the universe's token matrix is never built."""
         if "phi_univ" not in self._cache:
-            self._cache["phi_univ"] = self.constraint_set.feature_matrix(
-                self.space.enumeration()
-            )
+            blocks = self.space.enumeration_blocks()
+            phi = np.empty((self.space.universe_size, len(self.constraint_set)))
+            row = 0
+            for block in blocks:
+                phi[row : row + len(block)] = self.constraint_set.feature_matrix(block)
+                row += len(block)
+            self._cache["phi_univ"] = phi
         return self._cache["phi_univ"]
 
     def exact_moments(self) -> np.ndarray:

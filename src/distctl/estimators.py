@@ -47,12 +47,6 @@ def importance_ratios(log_p_score: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     return np.exp(log_p_score - log_q)
 
 
-def z_estimate_from_logs(log_p_score: np.ndarray, log_q: np.ndarray) -> Estimate:
-    r = importance_ratios(log_p_score, log_q)
-    value, se = _mean_se(r)
-    return Estimate(value=value, standard_error=se, sample_count=len(r))
-
-
 def kl_p_from_logs(
     log_p_score: np.ndarray, log_q: np.ndarray, log_pi: np.ndarray, z: float
 ) -> Estimate:
@@ -112,9 +106,3 @@ def exact_kl(d1: np.ndarray, d2: np.ndarray) -> float:
     if (d2[mass] <= 0).any():
         raise SupportViolation("second distribution misses support of the first")
     return float(np.sum(d1[mass] * np.log(d1[mass] / d2[mass])))
-
-
-def exact_tvd(d1: np.ndarray, d2: np.ndarray) -> float:
-    d1, d2 = _check_pair(d1, d2)
-    return float(0.5 * np.abs(d1 - d2).sum())
-

@@ -184,7 +184,8 @@ class TabularARModel:
     # -- core ---------------------------------------------------------------
 
     def _log_softmax(self) -> np.ndarray:
-        """The cached log-softmax table; `apply_update` refreshes the rows it changes."""
+        """The cached log-softmax table; `apply_update` and `copy_rows_from`
+        keep the rows they change up to date."""
         if self._logprob is None:
             self._logprob = _row_log_softmax(self.logits)
         return self._logprob
@@ -327,6 +328,13 @@ class TabularARModel:
         twin.trainable = False
         twin._logprob = logprob.copy()
         return twin
+
+    def copy_rows_from(self, source: "TabularARModel", rows: np.ndarray) -> None:
+        """Copy `rows` of the logits and of the cached log-softmax from `source`,
+        a model of the same shape, into this model in place. Those rows then
+        hold `source`'s bits; nothing is recomputed or re-validated."""
+        self.logits[rows] = source.logits[rows]
+        self._log_softmax()[rows] = source._log_softmax()[rows]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window."""

@@ -2,15 +2,18 @@
 
 A space holds every sequence of body tokens (EOS excluded) with length
 0..lmax. A sequence is a row of a SampleBatch: a corpus is read into one
-batch (`tokenize_corpus`), and the universe is materialized once, as one
-batch (`SequenceSpace.enumeration`). The universe's order (length
-ascending, then lexicographic by vocabulary index) is the alignment contract
-for every exact oracle in the package: any array "over the universe" is
-indexed in this order.
+batch (`tokenize_corpus`), and the universe is produced as consecutive
+batches of at most ENUMERATION_CHUNK_ROWS rows
+(`SequenceSpace.enumeration_blocks`), or as their concatenation
+(`SequenceSpace.enumeration`). The universe's order (length ascending, then
+lexicographic by vocabulary index) is the alignment contract for every exact
+oracle in the package: any array "over the universe" is indexed in this
+order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, EmptyCorpus, UniverseTooLarge
 
 ENUMERATION_GUARD = 10**7
+ENUMERATION_CHUNK_ROWS = 1 << 16  # rows of one enumeration block at most
 
 DEFAULT_EOS = "<eos>"
 
@@ -138,28 +142,45 @@ class SequenceSpace:
                 f"of 0..{max_len} of the {b} body tokens (enumeration guard)"
             )
 
-    def enumeration(self) -> SampleBatch:
-        """The whole universe as one cached SampleBatch, in enumeration order.
+    def enumeration_blocks(self) -> Iterator[SampleBatch]:
+        """The universe in enumeration order, as consecutive batches of at most
+        ENUMERATION_CHUNK_ROWS rows, each inside one length block. The guard
+        runs before the first block is asked for."""
+        self.guard()
+        b = self.body_size
+        return (
+            self._block(k, lo, min(lo + ENUMERATION_CHUNK_ROWS, b**k))
+            for k in range(self.lmax + 1)
+            for lo in range(0, b**k, ENUMERATION_CHUNK_ROWS)
+        )
 
-        Within the length-k block, column j holds the j-th of k base-b digits
-        of the row's rank: b**j runs of each body token, each run b**(k-1-j)
-        rows long. The block is contiguous, so its reshape is a view and the
-        columns are written in place.
-        """
+    def _block(self, k: int, lo: int, hi: int) -> SampleBatch:
+        """Ranks lo..hi-1 of the length-k strings. Column j holds the j-th of
+        the rank's k base-b digits, most significant first: over all ranks, runs
+        of b**(k-1-j) equal tokens that cycle through the body, of which the
+        first and last runs met here may be cut short."""
+        b = self.body_size
+        body = np.asarray(self.vocabulary.body_indices, dtype=np.int32)
+        tokens = np.full((hi - lo, self.lmax), -1, dtype=np.int32)
+        for j in range(k):
+            run = b ** (k - 1 - j)
+            first = lo // run
+            values = body[np.arange(first, (hi - 1) // run + 1) % b]
+            counts = np.full(len(values), run)
+            counts[0] -= lo - first * run
+            counts[-1] -= (first + len(values)) * run - hi
+            tokens[:, j] = np.repeat(values, counts)
+        return SampleBatch(tokens=tokens, lengths=np.full(hi - lo, k, dtype=np.int64))
+
+    def enumeration(self) -> SampleBatch:
+        """The whole universe as one cached SampleBatch: the concatenation of
+        `enumeration_blocks()`."""
         if "enum" not in self._cache:
-            self.guard()
-            b, n = self.body_size, self.universe_size
-            tokens = np.full((n, self.lmax), -1, dtype=np.int32)
-            lengths = np.zeros(n, dtype=np.int64)
-            body = np.asarray(self.vocabulary.body_indices, dtype=np.int32)
-            row = 0
-            for k in range(self.lmax + 1):
-                for j in range(k):
-                    runs = tokens[row : row + b**k].reshape(b**j, b, b ** (k - 1 - j), self.lmax)
-                    runs[..., j] = body[:, None]
-                lengths[row : row + b**k] = k
-                row += b**k
-            self._cache["enum"] = SampleBatch(tokens=tokens, lengths=lengths)
+            blocks = list(self.enumeration_blocks())
+            self._cache["enum"] = SampleBatch(
+                tokens=np.concatenate([block.tokens for block in blocks]),
+                lengths=np.concatenate([block.lengths for block in blocks]),
+            )
         return self._cache["enum"]
 
 

@@ -18,10 +18,11 @@ from distctl.ebm import EXPONENTIAL, Ebm
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
     Estimate,
+    _check_pair,
+    importance_ratios,
     kl_models_from_logs,
     kl_p_from_logs,
     tvd_p_from_logs,
-    z_estimate_from_logs,
 )
 from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
 from distctl.lm import RowGradient, TabularARModel
@@ -153,6 +154,13 @@ def expectation_phi(samples: SampleBatch, constraint_set) -> np.ndarray:
 
 
 # -- importance-sampling estimates from models --------------------------------------
+
+
+def z_estimate_from_logs(log_p_score: np.ndarray, log_q: np.ndarray) -> Estimate:
+    """Z as the mean importance ratio P/q of the samples, with its standard error."""
+    r = importance_ratios(log_p_score, log_q)
+    se = float(np.std(r, ddof=1) / np.sqrt(len(r))) if len(r) > 1 else 0.0
+    return Estimate(value=float(np.mean(r)), standard_error=se, sample_count=len(r))
 
 
 def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> Estimate:
@@ -469,6 +477,13 @@ def bisect_lambda(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_tvd(d1: np.ndarray, d2: np.ndarray) -> float:
+    """Total variation distance of two distributions over one universe, with
+    the input checks of `estimators.exact_kl`."""
+    d1, d2 = _check_pair(d1, d2)
+    return float(0.5 * np.abs(d1 - d2).sum())
 
 
 def exact_entropy(d: np.ndarray) -> float:

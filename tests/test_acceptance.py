@@ -20,7 +20,7 @@ from distctl.ebm import (
     moment_preserving_perturbations,
     snis_objective_grad,
 )
-from distctl.estimators import exact_kl, exact_tvd
+from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel, mle_fit
 from distctl.metrics import EvalOptions, self_bleu_n, zipf_table
@@ -38,6 +38,7 @@ from helpers import (
     estimate_tvd,
     estimate_z,
     exact_entropy,
+    exact_tvd,
     grad_log_prob,
     invalidate,
     naive_bleu,

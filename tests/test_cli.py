@@ -14,6 +14,7 @@ from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
 from distctl.lm import TabularARModel
+from distctl.seqspace import SequenceSpace
 
 from helpers import synthetic_corpus
 
@@ -273,6 +274,30 @@ def test_ablation_grid(workdir):
     assert rows[0][:4] == ["variant", "seed", "samples_drawn", "below_threshold"]
     combos = {(r[0], r[1]) for r in rows[1:]}
     assert combos == {("kl", "0"), ("kl", "1"), ("none", "0"), ("none", "1")}
+
+
+PHASES = ["build", "fit", "train", "write"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_manifest_times_each_phase(workdir, command):
+    ablation = {"variants": ["kl", "none"], "seeds": [0]}
+    cfg = write_config(workdir, eval={"eval_every": 5, "sample_size": 32, "ablation": ablation})
+    assert main([command, "--config", str(cfg)]) == 0
+    manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+    phases = manifest["phase_seconds"]
+    assert list(phases) == PHASES
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(phases.values()) <= manifest["wall_clock_seconds"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "train"])
+def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
+    def refuse(space):
+        raise AssertionError("the universe's token matrix was built")
+
+    monkeypatch.setattr(SequenceSpace, "enumeration", refuse)
+    assert main([command, "--config", str(write_config(workdir))]) == 0
 
 
 def test_oracle_identity_and_pointwise(workdir):

@@ -6,6 +6,7 @@ from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
+from distctl.lm import RowGradient, TabularARModel
 from distctl.metrics import EvalOptions
 
 from helpers import (
@@ -154,6 +155,77 @@ def test_adaptivity_deferred_until_z_positive(rng):
     # with 4 tiny batches on a rare prefix the moving average stays at zero
     assert state.zma.value == 0.0
     assert len(skipped) == 4 and not any(d.swapped for d in state.decisions)
+
+
+# (adaptivity, optimizer, learning rate, lambda, seed): each run has several
+# non-swap iterations between two swaps, so a swap must copy the rows of
+# every update since the last one, not only the last update's.
+SWAP_RUNS = {
+    "kl": ("kl", "sgd", 16.0, 1.0, 1),
+    "tvd": ("tvd", "sgd", 0.5, 0.3, 1),
+    "adam": ("kl", "adam", 2.0, 1.0, 2),
+}
+
+
+def swap_run(name, iterations=30):
+    adaptivity, optimizer, learning_rate, lam, seed = SWAP_RUNS[name]
+    space = small_space(3, 4)
+    base = random_model(space, 2, np.random.default_rng(seed), scale=0.5)
+    target = identity_ebm(space, base)
+    target.lam = np.array([lam])
+    config = DpgConfig(
+        iterations=iterations, samples_per_iteration=8, learning_rate=learning_rate,
+        adaptivity=adaptivity, optimizer=optimizer, seed=seed,
+    )
+    return base, target, config
+
+
+def table_bytes(model):
+    return model.logits.tobytes(), model._log_softmax().tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_RUNS))
+def test_in_place_swap_matches_a_whole_table_copy_bitwise(name):
+    base, target, config = swap_run(name)
+    state, reference = init_state(base, config), init_state(base, config)
+    rng, rng_reference = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
+    for _ in range(config.iterations):
+        dpg_iteration(state, target, config, rng)
+        dpg_iteration(reference, target, config, rng_reference)
+        if reference.decisions[-1].swapped:  # the whole-table swap
+            reference.proposal = reference.policy.frozen_copy()
+        assert table_bytes(state.proposal) == table_bytes(reference.proposal)
+        assert state.policy.logits.tobytes() == reference.policy.logits.tobytes()
+    swaps = [d.iteration for d in state.decisions if d.swapped]
+    assert swaps == [d.iteration for d in reference.decisions if d.swapped]
+    assert max(b - a for a, b in zip(swaps, swaps[1:])) > 3
+
+
+def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
+    base, target, config = swap_run("kl")
+    state = init_state(base, config)
+    train_rng = np.random.default_rng(config.seed)
+    while not state.proposal_updates:
+        dpg_iteration(state, target, config, train_rng)
+    before = table_bytes(state.proposal)
+    state.policy.apply_update(RowGradient.full(rng.normal(size=state.policy.logits.shape)), 0.5)
+    assert table_bytes(state.proposal) == before
+    assert state.proposal.logits.tobytes() != state.policy.logits.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_RUNS))
+def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
+    base, target, config = swap_run(name)
+    copies = []
+    frozen_copy = TabularARModel.frozen_copy
+
+    def counted(self):
+        copies.append(self)
+        return frozen_copy(self)
+
+    monkeypatch.setattr(TabularARModel, "frozen_copy", counted)
+    result = train(base, target, config, EvalOptions(sample_size=16))
+    assert result.state.proposal_updates > 1 and len(copies) == 1
 
 
 def test_tvd_adaptivity_runs_and_swaps(ab_space, ab_uniform):

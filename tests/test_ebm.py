@@ -19,27 +19,33 @@ from distctl.errors import (
     MixedConstraints,
     UnattainableTarget,
 )
+from distctl import seqspace
 from distctl.estimators import exact_kl
 from distctl.features import (
     ConstraintSet,
     ConstraintSpec,
     PrefixMatch,
     TokenPresence,
+    TokenRatio,
     WordlistPresence,
 )
 from distctl.metrics import EvalOptions, snapshot
+from distctl.seqspace import SequenceSpace
 
 from helpers import (
     PredicateTable,
     Sequence,
     batch_from,
+    batch_of,
     bisect_lambda,
+    enumerate_sequences,
     from_distribution,
     member_log_scores,
     random_model,
     scaled,
     small_space,
     snis_standard_error,
+    uniform_model,
 )
 
 
@@ -305,17 +311,58 @@ def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
     base = random_model(space, 2, rng)
     ebm = build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True))
     policy = base.to_order(space.lmax, trainable=True)
-    universe_passes = []
+    universe_blocks, evaluated = [], []
+    enumeration_blocks = SequenceSpace.enumeration_blocks
     evaluate_batch = TokenPresence.evaluate_batch
 
+    def recorded_blocks(self):
+        for block in enumeration_blocks(self):
+            universe_blocks.append(block)
+            yield block
+
     def counted(self, batch):
-        universe_passes.append(batch is space.enumeration())
+        evaluated.append(batch)
         return evaluate_batch(self, batch)
 
+    monkeypatch.setattr(SequenceSpace, "enumeration_blocks", recorded_blocks)
     monkeypatch.setattr(TokenPresence, "evaluate_batch", counted)
     ebm.exact_normalize()
     snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
-    assert sum(universe_passes) == 1
+    universe_rows = sum(len(b) for b in evaluated if any(b is u for u in universe_blocks))
+    assert universe_rows == space.universe_size
+
+
+def test_exact_oracles_never_build_the_enumeration(rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    policy = base.to_order(space.lmax, trainable=True)
+    for ebm in (
+        Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
+        build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True)),
+    ):
+        ebm.exact_normalize()
+        ebm.exact_moments()
+        snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
+        assert "enum" not in space._cache
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_phi_universe_blockwise_equals_the_full_matrix_bitwise(monkeypatch, chunk):
+    space = small_space(4, 4)
+    v = space.vocabulary
+    cs = ConstraintSet(
+        [
+            ConstraintSpec(TokenPresence(v, "a"), 0.4),
+            ConstraintSpec(WordlistPresence(v, ["b", "d"]), 0.3),
+            ConstraintSpec(PrefixMatch(v, ["c", "a"]), 0.2),
+            ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5), 0.5),
+        ]
+    )
+    full = cs.feature_matrix(batch_of(list(enumerate_sequences(space)), space.lmax))
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
+    base = uniform_model(space)
+    phi = Ebm(base=base, constraint_set=cs, lam=np.zeros(len(cs))).phi_universe()
+    assert phi.shape == full.shape and phi.tobytes() == full.tobytes()
 
 
 # -- information-geometry properties -------------------------------------------

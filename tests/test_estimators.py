@@ -8,10 +8,8 @@ from distctl.errors import ConfigError, NonpositiveZ, SupportViolation
 from distctl.estimators import (
     ZMovingAverage,
     exact_kl,
-    exact_tvd,
     kl_p_from_logs,
     tvd_p_from_logs,
-    z_estimate_from_logs,
 )
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 
@@ -22,11 +20,13 @@ from helpers import (
     estimate_tvd,
     estimate_z,
     exact_entropy,
+    exact_tvd,
     from_distribution,
     naive_log_prob,
     random_model,
     sequence_rank,
     small_space,
+    z_estimate_from_logs,
 )
 
 

@@ -20,6 +20,7 @@ from distctl.seqspace import (
 from helpers import (
     Sequence,
     batch_from,
+    batch_of,
     enumerate_sequences,
     sequence_rank,
     sequences,
@@ -67,6 +68,29 @@ def test_enumeration_matches_closed_form_and_is_valid(body, lmax):
     assert len(set(s.tokens for s in seqs)) == len(seqs)
     for s in seqs:
         validate(space, s)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 9, 1 << 16])
+@pytest.mark.parametrize("body, lmax", [(1, 4), (2, 5), (3, 4), (4, 3)])
+def test_enumeration_blocks_tile_the_universe_in_order(monkeypatch, chunk, body, lmax):
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
+    space = small_space(body, lmax)
+    reference = batch_of(list(enumerate_sequences(space)), lmax)
+    blocks = list(space.enumeration_blocks())
+    for block in blocks:
+        assert 1 <= len(block) <= chunk and len(set(block.lengths.tolist())) == 1
+    tokens = np.concatenate([block.tokens for block in blocks])
+    assert tokens.dtype == np.int32 and np.array_equal(tokens, reference.tokens)
+    assert np.array_equal(np.concatenate([block.lengths for block in blocks]), reference.lengths)
+    enum = space.enumeration()
+    assert np.array_equal(enum.tokens, reference.tokens)
+    assert np.array_equal(enum.lengths, reference.lengths)
+
+
+def test_enumeration_blocks_guard_before_the_first_block():
+    space = small_space(10, 8)
+    with pytest.raises(UniverseTooLarge):
+        space.enumeration_blocks()
 
 
 def test_enumeration_count_at_size_caps():
