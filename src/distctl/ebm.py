@@ -130,7 +130,7 @@ class Ebm:
         order. It is filled block by block (`SequenceSpace.enumeration_blocks`),
         so the universe's token matrix is never built."""
         if "phi_univ" not in self._cache:
-            blocks = self.space.enumeration_blocks()
+            blocks = self.space.enumeration_blocks()  # runs the guard before the allocation
             phi = np.empty((self.space.universe_size, len(self.constraint_set)))
             row = 0
             for block in blocks:
