@@ -81,7 +81,7 @@ class _Phases:
 
 
 def _manifest(
-    out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: float, phases: _Phases | None = None
+    out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: float, phases: _Phases
 ) -> Path:
     doc = {
         "version": __version__,
@@ -96,9 +96,8 @@ def _manifest(
         },
         "artifacts": {name: str(p) for name, p in artifacts.items()},
         "wall_clock_seconds": time.monotonic() - started,
+        "phase_seconds": phases.seconds,
     }
-    if phases is not None:
-        doc["phase_seconds"] = phases.seconds
     path = out_dir / "manifest.json"
     _write_json(path, doc)
     return path
@@ -140,14 +139,18 @@ def _fit_document(report, target: Ebm, constraint_set: ConstraintSet) -> dict:
 
 
 def run_fit(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+    phases = _Phases(started)
     base = cfg.build_base()
     constraint_set = cfg.build_constraints(base.space)
     if len(constraint_set) == 0:
         raise ConfigError("config.constraints: fit needs at least one constraint")
+    phases.end("build")
     report, target = _build_target(cfg, base, constraint_set)
+    phases.end("fit")
     report_path = out_dir / "fit_report.json"
     _write_json(report_path, _fit_document(report, target, constraint_set))
-    _manifest(out_dir, cfg, {"fit_report": report_path}, started)
+    phases.end("write")
+    _manifest(out_dir, cfg, {"fit_report": report_path}, started, phases)
     if report is not None and not report.converged:
         print(f"fit did not converge: objective {report.objective:.6g}", file=sys.stderr)
     return EXIT_OK
@@ -272,10 +275,13 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
 
 
 def run_oracle(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+    phases = _Phases(started)
     base = cfg.build_base()
     constraint_set = cfg.build_constraints(base.space)
     base.space.guard()
+    phases.end("build")
     _, target = _build_target(cfg, base, constraint_set)
+    phases.end("fit")
     z, p = target.exact_normalize()
     a_dist = base.exact_distribution()
     kl_p_a = exact_kl(p, a_dist)
@@ -292,27 +298,33 @@ def run_oracle(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         "pythagorean_residual_max": max(residuals) if residuals else None,
         "universe_size": base.space.universe_size,
     }
+    phases.end("oracle")
     path = out_dir / "oracle.json"
     _write_json(path, doc)
-    _manifest(out_dir, cfg, {"oracle": path}, started)
+    phases.end("write")
+    _manifest(out_dir, cfg, {"oracle": path}, started, phases)
     return EXIT_OK
 
 
 def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     if "model_file" not in cfg.base_model:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
+    phases = _Phases(started)
     model = cfg.build_base()
     constraint_set = cfg.build_constraints(model.space)
     eval_options = cfg.build_eval_options()
     if eval_options.exact:
         model.space.guard()
+    phases.end("build")
     target = (
         _build_target(cfg, model, constraint_set)[1] if len(constraint_set) else None
     )
+    phases.end("fit")
     rng = np.random.default_rng(cfg.seed)
+    record = snapshot(0, "eval", model, target, rng, eval_options) if target is not None else None
+    phases.end("eval")
     artifacts = {}
-    if target is not None:
-        record = snapshot(0, "eval", model, target, rng, eval_options)
+    if record is not None:
         path = out_dir / "metrics.csv"
         _write_csv(
             path,
@@ -327,7 +339,8 @@ def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
     zipf_path = out_dir / "zipf.csv"
     _zipf_file(zipf_path, samples, vocab)
     artifacts["zipf"] = zipf_path
-    _manifest(out_dir, cfg, artifacts, started)
+    phases.end("write")
+    _manifest(out_dir, cfg, artifacts, started, phases)
     return EXIT_OK
 
 

@@ -118,11 +118,13 @@ class Ebm:
         from the base's prefix-DP log-probs and the cached universe features."""
         if "exact" not in self._cache:
             log_base = self.base.exact_log_distribution()
-            scores = np.exp(self.log_scores(log_base, self.phi_universe()))
+            scores = self.log_scores(log_base, self.phi_universe())
+            np.exp(scores, out=scores)
             z = float(scores.sum())
             if z <= 0.0:
                 raise EmptySupport("EBM scores sum to zero over the universe")
-            self._cache["exact"] = (z, scores / z)
+            scores /= z
+            self._cache["exact"] = (z, scores)
         return self._cache["exact"]
 
     def phi_universe(self) -> np.ndarray:

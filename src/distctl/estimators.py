@@ -101,8 +101,17 @@ def _check_pair(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def exact_kl(d1: np.ndarray, d2: np.ndarray) -> float:
+    """KL(d1 || d2), the sum over d1's support of d1 * log(d1 / d2).
+
+    Both inputs are compacted to d1's support only when d1 has zeros, and the
+    terms are built in one buffer, so a full-support d1 costs one array."""
     d1, d2 = _check_pair(d1, d2)
     mass = d1 > 0
-    if (d2[mass] <= 0).any():
+    if not mass.all():
+        d1, d2 = d1[mass], d2[mass]
+    if (d2 <= 0).any():
         raise SupportViolation("second distribution misses support of the first")
-    return float(np.sum(d1[mass] * np.log(d1[mass] / d2[mass])))
+    terms = np.divide(d1, d2)
+    np.log(terms, out=terms)
+    np.multiply(d1, terms, out=terms)
+    return float(np.sum(terms))

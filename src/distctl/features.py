@@ -2,7 +2,12 @@
 
 Every feature is total over the universe, including the empty sequence, and
 is evaluated on whole batches only; the tests hold each one equal to a
-per-sequence reference over full enumerations.
+per-sequence reference over full enumerations and random batches.
+
+The token features read the positions of their hits: a token comparison over
+the batch's token matrix, kept to the cells inside each row's body (`_hit_rows`).
+A presence feature scatters 1.0 into the rows hit, and a ratio counts each
+row's hits with `np.bincount`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,18 @@ from .errors import ConfigError
 from .seqspace import SampleBatch, Vocabulary
 
 
-def _valid_mask(batch: SampleBatch) -> np.ndarray:
-    return np.arange(batch.width)[None, :] < batch.lengths[:, None]
+def _hit_rows(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
+    """The row of each True cell of `hit`, an (n, width) mask over the batch's
+    tokens, that lies inside its row's body (column < length), in row order."""
+    rows, cols = np.divmod(np.flatnonzero(hit), batch.width)
+    return rows[cols < batch.lengths[rows]]
+
+
+def _presence(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
+    """1.0 for each row with a hit inside its body, else 0.0."""
+    out = np.zeros(len(batch))
+    out[_hit_rows(batch, hit)] = 1.0
+    return out
 
 
 class Feature:
@@ -35,8 +50,7 @@ class TokenPresence(Feature):
         self.id = feature_id or f"has_{token}"
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        hit = (batch.tokens == self.index) & _valid_mask(batch)
-        return hit.any(axis=1).astype(float)
+        return _presence(batch, batch.tokens == self.index)
 
 
 class WordlistPresence(Feature):
@@ -51,8 +65,7 @@ class WordlistPresence(Feature):
         self.id = feature_id or "has_any_" + "_".join(sorted(tokens))
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        hit = np.isin(batch.tokens, list(self.indices)) & _valid_mask(batch)
-        return hit.any(axis=1).astype(float)
+        return _presence(batch, np.isin(batch.tokens, list(self.indices)))
 
 
 class TokenRatio(Feature):
@@ -82,10 +95,10 @@ class TokenRatio(Feature):
         self.id = feature_id or "ratio_" + "_".join(sorted(numerator))
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        mask = _valid_mask(batch)
-        num = (np.isin(batch.tokens, list(self.num)) & mask).sum(axis=1)
-        den = (np.isin(batch.tokens, list(self.den)) & mask).sum(axis=1)
-        out = np.full(len(batch), self.empty_default, dtype=float)
+        n = len(batch)
+        num = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.num))), minlength=n)
+        den = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.den))), minlength=n)
+        out = np.full(n, self.empty_default, dtype=float)
         nonzero = den > 0
         out[nonzero] = num[nonzero] / den[nonzero]
         return out

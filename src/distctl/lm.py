@@ -172,14 +172,15 @@ class TabularARModel:
         expected = (self.coding.n_contexts, self.space.vocabulary.size)
         if self.logits.shape != expected:
             raise ConfigError(f"logits shape {self.logits.shape} != expected {expected}")
-        if np.isnan(self.logits).any():
-            raise ConfigError("logits contain NaN")
-        if np.isposinf(self.logits).any():
-            raise ConfigError("logits contain +inf")
-        if self.trainable and np.isneginf(self.logits).any():
-            raise ConfigError("-inf logit sentinel is only permitted in frozen models")
-        if np.isneginf(self.logits).all(axis=1).any():
-            raise ConfigError("a context row has no admissible next token")
+        if not np.isfinite(self.logits).all():  # one pass; the checks below name the fault
+            if np.isnan(self.logits).any():
+                raise ConfigError("logits contain NaN")
+            if np.isposinf(self.logits).any():
+                raise ConfigError("logits contain +inf")
+            if self.trainable and np.isneginf(self.logits).any():
+                raise ConfigError("-inf logit sentinel is only permitted in frozen models")
+            if np.isneginf(self.logits).all(axis=1).any():
+                raise ConfigError("a context row has no admissible next token")
 
     # -- core ---------------------------------------------------------------
 
@@ -292,32 +293,38 @@ class TabularARModel:
     def exact_log_distribution(self) -> np.ndarray:
         """Log-probability of every sequence, aligned with space.enumeration().
 
-        A prefix DP, length by length: a length-k prefix's log-prob is its
+        A prefix DP, length by length, in place in the returned array: the
+        slot of length k first holds the prefixes' log-probs, each its
         length-(k-1) parent's plus the next-token entry of the parent's
-        context row, and the EOS column closes each length below lmax.
+        context row. Their children are written into the slot of length k+1,
+        and then the EOS column closes the slot in place. The slot of lmax
+        keeps its prefixes, as EOS is forced there. Every sum is taken in
+        chain-rule order, as `log_prob_batch` takes it.
         """
         self.space.guard()
         logprob = self._log_softmax()
         coding = self.coding
         b, lmax = coding.body_size, self.space.lmax
         eos = self.space.vocabulary.eos_index
-        body = np.asarray(self.space.vocabulary.body_indices, dtype=np.int64)
-        offsets = length_offsets(b, lmax)
+        offsets = length_offsets(b, lmax + 1)  # offsets[lmax + 1]: the universe size
         out = np.empty(self.space.universe_size)
-        prefix = np.zeros(1)
+        out[0] = 0.0  # the empty prefix
         for k in range(lmax):
             m = min(k, coding.m_eff)
             lo = int(coding.offsets[m])
             block = logprob[lo : lo + b**m]  # rows of the contexts "last m symbols"
-            grid = prefix.reshape(-1, b**m)  # column = the prefix's context value
-            out[offsets[k] : offsets[k] + b**k] = (grid + block[:, eos]).ravel()
-            prefix = (grid[:, :, None] + block[:, body]).ravel()
-        out[offsets[lmax] :] = prefix
+            grid = out[offsets[k] : offsets[k + 1]].reshape(-1, b**m)  # column = context value
+            children = out[offsets[k + 1] : offsets[k + 2]].reshape(*grid.shape, b)
+            # body tokens are the vocabulary in order with the EOS column left out
+            np.add(grid[:, :, None], block[:, :eos], out=children[:, :, :eos])
+            np.add(grid[:, :, None], block[:, eos + 1 :], out=children[:, :, eos:])
+            grid += block[:, eos]
         return out
 
     def exact_distribution(self) -> np.ndarray:
         """Probability of every sequence, aligned with space.enumeration()."""
-        return np.exp(self.exact_log_distribution())
+        out = self.exact_log_distribution()
+        return np.exp(out, out=out)
 
     def frozen_copy(self) -> "TabularARModel":
         """Frozen snapshot: a copy of the logits and of the cached log-softmax.
@@ -337,7 +344,13 @@ class TabularARModel:
         self._log_softmax()[rows] = source._log_softmax()[rows]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
-        """Re-express the same distribution with a longer context window."""
+        """Re-express the same distribution with a longer context window.
+
+        Each context row of the result is the row of its last `self.order - 1`
+        symbols. The log-softmax is row-wise, so the result inherits its
+        log-softmax as the same gather of this model's cached rows, bit for bit
+        what recomputing it would give, and nothing is recomputed.
+        """
         new_coding = _Coding(self.space, order)
         old = self.coding
         if new_coding.m_eff < old.m_eff:
@@ -351,9 +364,11 @@ class TabularARModel:
             # suffix value of the last ko symbols of each length-k string
             vals = np.arange(count, dtype=np.int64) % (b**ko if ko > 0 else 1)
             rows[lo : lo + count] = old.offsets[ko] + vals
-        return TabularARModel(
-            space=self.space, order=order, logits=self.logits[rows].copy(), trainable=trainable
+        lifted = TabularARModel(
+            space=self.space, order=order, logits=self.logits[rows], trainable=trainable
         )
+        lifted._logprob = self._log_softmax()[rows]
+        return lifted
 
     # -- persistence --------------------------------------------------------
 

@@ -279,16 +279,39 @@ def test_ablation_grid(workdir):
 PHASES = ["build", "fit", "train", "write"]
 
 
+def assert_phases(manifest_path, names):
+    manifest = json.loads(manifest_path.read_text())
+    phases = manifest["phase_seconds"]
+    assert list(phases) == names
+    assert all(seconds >= 0.0 for seconds in phases.values())
+    assert sum(phases.values()) <= manifest["wall_clock_seconds"]
+
+
 @pytest.mark.parametrize("command", ["train", "ablation"])
 def test_manifest_times_each_phase(workdir, command):
     ablation = {"variants": ["kl", "none"], "seeds": [0]}
     cfg = write_config(workdir, eval={"eval_every": 5, "sample_size": 32, "ablation": ablation})
     assert main([command, "--config", str(cfg)]) == 0
-    manifest = json.loads((workdir / "out" / "manifest.json").read_text())
-    phases = manifest["phase_seconds"]
-    assert list(phases) == PHASES
-    assert all(seconds >= 0.0 for seconds in phases.values())
-    assert sum(phases.values()) <= manifest["wall_clock_seconds"]
+    assert_phases(workdir / "out" / "manifest.json", PHASES)
+
+
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("fit", ["build", "fit", "write"]),
+        ("oracle", ["build", "fit", "oracle", "write"]),
+        ("eval", ["build", "fit", "eval", "write"]),
+    ],
+)
+def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names):
+    cfg = write_config(workdir)
+    if command == "eval":
+        assert main(["train", "--config", str(cfg)]) == 0
+        cfg = write_config(workdir, name="eval.json", base_model={"model_file": "out/model.json"},
+                           output="eval-out")
+    assert main([command, "--config", str(cfg)]) == 0
+    out = "eval-out" if command == "eval" else "out"
+    assert_phases(workdir / out / "manifest.json", names)
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])

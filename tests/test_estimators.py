@@ -248,10 +248,32 @@ def test_exact_kl_identity_and_hand_values():
 
 
 def test_exact_kl_support_violation():
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SupportViolation, match="misses support of the first"):
         exact_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    with pytest.raises(SupportViolation, match="misses support of the first"):  # compacted path
+        exact_kl(np.array([0.0, 0.5, 0.5]), np.array([0.5, 0.5, 0.0]))
     # zero mass in the first distribution is fine
     assert exact_kl(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(np.log(2))
+
+
+def masked_kl(d1: np.ndarray, d2: np.ndarray) -> float:
+    """KL(d1 || d2) by its definition over d1's support, summed in one np.sum."""
+    mass = d1 > 0
+    return float(np.sum(d1[mass] * np.log(d1[mass] / d2[mass])))
+
+
+@pytest.mark.parametrize("zero_mass", [False, True], ids=["full-support", "zero-mass"])
+def test_exact_kl_is_the_masked_formula_bitwise(zero_mass, rng):
+    for n in (2, 3, 7, 1000, 100003):
+        d1, d2 = rng.random(n) ** 3, rng.random(n) ** 3
+        if zero_mass:
+            off = rng.random(n) < 0.3
+            off[0], off[-1] = True, False
+            d1[off] = 0.0
+            d2[off] *= rng.integers(0, 2, size=int(off.sum()))  # some zeros off the support
+        d1, d2 = d1 / d1.sum(), d2 / d2.sum()
+        assert exact_kl(d1, d2) == masked_kl(d1, d2)
+        assert (d1 > 0).all() != zero_mass
 
 
 def test_exact_oracles_validate_inputs():

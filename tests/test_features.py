@@ -13,7 +13,7 @@ from distctl.features import (
     WordlistPresence,
 )
 from distctl.lm import TabularARModel
-from distctl.seqspace import SequenceSpace, Vocabulary
+from distctl.seqspace import SampleBatch, SequenceSpace, Vocabulary
 
 from helpers import (
     PredicateTable,
@@ -90,12 +90,16 @@ def test_wordlist_presence(pronoun_space):
         WordlistPresence(v, [])
 
 
-@pytest.mark.parametrize("make", [
+FEATURES = pytest.mark.parametrize("make", [
     lambda v: TokenPresence(v, "a"),
     lambda v: WordlistPresence(v, ["a", "c"]),
     lambda v: TokenRatio(v, ["a"], ["a", "b"]),
     lambda v: PrefixMatch(v, ["b", "a"]),
+    lambda v: TokenRatio(v, ["a", "c"], ["a", "b", "c"], empty_default=0.25),
 ])
+
+
+@FEATURES
 def test_batch_matches_scalar_over_enumeration(make):
     space = small_space(3, 4)
     f = make(space.vocabulary)
@@ -103,6 +107,24 @@ def test_batch_matches_scalar_over_enumeration(make):
     vectorized = f.evaluate_batch(batch)
     scalar = np.array([feature_value(f, s) for s in sequences(batch)])
     assert np.array_equal(vectorized, scalar)
+
+
+@FEATURES
+def test_batch_matches_scalar_on_random_batches(make, rng):
+    """Random batches with empty and full-width rows, and padding cells that
+    hold body tokens: only the cells inside a row's body may count."""
+    space = small_space(4, 5)
+    f = make(space.vocabulary)
+    for n in (2, 7, 200):
+        lengths = rng.integers(0, space.lmax + 1, size=n)
+        lengths[:2] = 0, space.lmax
+        tokens = rng.integers(0, space.body_size, size=(n, space.lmax)).astype(np.int32)
+        garbage = np.arange(space.lmax) >= lengths[:, None]
+        tokens[garbage & (rng.random(tokens.shape) < 0.5)] = -1
+        batch = SampleBatch(tokens=tokens, lengths=lengths)
+        bodies = [Sequence(tuple(row[:k])) for row, k in zip(tokens.tolist(), lengths.tolist())]
+        scalar = np.array([feature_value(f, x) for x in bodies])
+        assert np.array_equal(f.evaluate_batch(batch), scalar)
 
 
 def test_binary_features_are_binary_over_enumeration():

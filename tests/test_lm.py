@@ -11,8 +11,8 @@ from distctl.errors import (
     NotTrainable,
     SchemaMismatch,
 )
-from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, mle_fit
-from distctl.seqspace import SampleBatch
+from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, _row_log_softmax, mle_fit
+from distctl.seqspace import SampleBatch, SequenceSpace, Vocabulary
 
 from helpers import (
     Sequence,
@@ -346,11 +346,18 @@ ORDERS = pytest.mark.parametrize(
 
 @ORDERS
 def test_prefix_dp_matches_enumeration_bitwise(order_of, rng):
+    """The in-place prefix DP sums each sequence's log-probs in chain-rule
+    order, EOS last, as `log_prob_batch` does, wherever EOS sits in the
+    vocabulary: first, in the middle or last."""
     for body, lmax in [(1, 1), (2, 3), (3, 4), (4, 3)]:
-        space = small_space(body, lmax)
-        model = random_model(space, order_of(lmax), rng, scale=1.5)
-        expected = np.exp(model.log_prob_batch(space.enumeration()))
-        assert np.array_equal(model.exact_distribution(), expected)
+        letters = list("abcd"[:body])
+        for eos in sorted({0, body // 2, body}):
+            tokens = tuple(letters[:eos]) + ("<eos>",) + tuple(letters[eos:])
+            space = SequenceSpace(vocabulary=Vocabulary(tokens, eos_index=eos), lmax=lmax)
+            model = random_model(space, order_of(lmax), rng, scale=1.5)
+            expected = model.log_prob_batch(space.enumeration())
+            assert np.array_equal(model.exact_log_distribution(), expected)
+            assert np.array_equal(model.exact_distribution(), np.exp(expected))
 
 
 def test_prefix_dp_matches_enumeration_with_neg_inf_rows(rng):
@@ -385,6 +392,37 @@ def test_sparse_updates_refresh_log_softmax_bitwise(rng):
     refreshed = model._log_softmax().copy()
     invalidate(model)
     assert np.array_equal(refreshed, model._log_softmax())
+
+
+@pytest.mark.parametrize("trainable", [False, True])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-base", "warm-base"])
+def test_lifted_log_softmax_is_the_recomputed_one_bitwise(trainable, warm, rng):
+    space = small_space(3, 4)
+    for order in (1, 2, 3):
+        base = random_model(space, order, rng, scale=2.0)
+        if warm:
+            base.log_prob_batch(space.enumeration())
+        lifted = base.to_order(space.lmax, trainable=trainable)
+        assert lifted._logprob is not None  # inherited, not left to compute
+        assert np.array_equal(lifted._log_softmax(), _row_log_softmax(lifted.logits))
+        assert not np.shares_memory(lifted._log_softmax(), base._log_softmax())
+
+
+@pytest.mark.parametrize("trainable, cells, message", [
+    (False, {(0, 0): np.nan}, "logits contain NaN"),
+    (False, {(1, 1): np.inf}, r"logits contain \+inf"),
+    (False, {(0, 0): np.inf, (1, 0): np.nan, (2, 0): -np.inf}, "logits contain NaN"),
+    (True, {(2, 1): -np.inf}, "-inf logit sentinel is only permitted"),
+    (False, {3: -np.inf}, "a context row has no admissible next token"),
+    (True, {3: -np.inf}, "-inf logit sentinel is only permitted"),
+])
+def test_bad_logits_name_their_fault(trainable, cells, message, rng):
+    space = small_space(3, 3)
+    logits = random_model(space, 2, rng).logits.copy()
+    for cell, value in cells.items():
+        logits[cell] = value
+    with pytest.raises(ConfigError, match=message):
+        TabularARModel(space=space, order=2, logits=logits, trainable=trainable)
 
 
 def test_frozen_copy_is_a_snapshot(rng):

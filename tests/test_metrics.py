@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,3 +322,25 @@ def test_zipf_sum_identity(samples):
     assert zipf_total(table) == total
     freqs = [f for _, _, f in table.rows]
     assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
+
+
+def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng):
+    """Once the target's exact distribution and universe features are cached,
+    an exact snapshot allocates the policy's distribution plus one buffer of
+    KL terms: its tracemalloc peak stays within 2.5 universe-sized float64
+    arrays (the DP writes in place and exact_kl divides, logs and multiplies
+    in one buffer)."""
+    space = small_space(8, 6)  # 299,593 sequences
+    base = random_model(space, 2, rng)
+    cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
+    target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
+    policy = base.to_order(space.lmax, trainable=True)
+    options = EvalOptions(sample_size=64, exact=True)
+    snapshot(0, "gdc", policy, target, rng, options)  # fills the target's caches
+    tracemalloc.start()
+    try:
+        snapshot(1, "gdc", policy, target, rng, options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * space.universe_size
