@@ -1,9 +1,12 @@
 """Comparison trainers: reward-maximizing policy gradient, KL-penalized reward,
 and rejection sampling followed by a supervised k-gram fit.
 
-The KL-penalized trainer is a plain score-function policy gradient on the
-penalized per-sample reward (no PPO machinery); with beta = 0 it reduces
-bitwise to the plain feature-reward trainer.
+The policy-gradient trainers are iterations of `dpg.run_loop` with DPG's
+signature: `baseline_iteration` draws an on-policy batch and feeds one
+per-sample weight to the same score-function update as `dpg_iteration`.
+The weight is the reward of the trainer's kind; the KL-penalized trainer
+subtracts beta * log(pi/a) from the feature reward (no PPO machinery), so
+with beta = 0 it reduces bitwise to the plain feature-reward trainer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ REJECTION_MLE = "rejection-mle"
 
 TRAINER_KINDS = (REINFORCE_PHI, REINFORCE_P, KL_PENALIZED)
 
-# Multiplicative step of the adaptive-beta controller in `kl_penalized_step`.
+# Multiplicative step of the beta controller in `baseline_iteration`.
 BETA_STEP = 0.1
 
 # Rows that `rejection_mle` draws from the base at a time.
@@ -38,8 +41,7 @@ _REJECTION_CHUNK = 8192
 class BaselineConfig(LoopConfig):
     kind: str
     beta: float | None = None
-    beta_adaptive: bool = False
-    kl_target: float | None = None
+    kl_target: float | None = None  # set: a controller moves beta toward this KL(pi || a)
 
     def __post_init__(self):
         super().__post_init__()
@@ -49,57 +51,39 @@ class BaselineConfig(LoopConfig):
             raise ConfigError("must be given exactly when kind is kl-penalized", "beta")
         if self.beta is not None and not self.beta >= 0:
             raise ConfigError("must be >= 0", "beta")
-        if self.beta_adaptive and self.kl_target is None:
-            raise ConfigError("needs a kl_target", "beta_adaptive")
+        if self.kl_target is not None and self.kind != KL_PENALIZED:
+            raise ConfigError("must be given only when kind is kl-penalized", "kl_target")
 
 
-def reinforce_step(
-    policy: TabularARModel,
-    reward_fn,
-    k: int,
-    learning_rate: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def baseline_iteration(
+    state: TrainState, target: Ebm, config: BaselineConfig, rng: np.random.Generator
+) -> TrainState:
     """One policy-gradient step on samples from the policy itself.
 
-    Applies learning_rate * mean_k(reward * grad log pi); returns the rewards.
+    Applies learning_rate * mean_k(weight * grad log pi), where the weight is
+    the feature sum (reinforce-phi), the target score (reinforce-P), or the
+    feature sum - beta * log(pi(x)/a(x)) with a the target's base
+    (kl-penalized). With a `kl_target`, beta then moves multiplicatively by
+    (1 + BETA_STEP): up while the estimated KL(pi||a) exceeds the target,
+    down otherwise.
     """
-    samples = policy.sample_batch(k, rng)
-    rewards = np.asarray(reward_fn(samples), dtype=float)
-    grad = policy.grad_weighted_sum(samples, rewards)
-    policy.apply_update(grad, learning_rate / k)
-    return rewards
-
-
-def kl_penalized_step(
-    policy: TabularARModel,
-    base: TabularARModel,
-    reward_fn,
-    beta: float,
-    k: int,
-    learning_rate: float,
-    rng: np.random.Generator,
-    beta_adaptive: bool = False,
-    kl_target: float | None = None,
-) -> float:
-    """Policy-gradient step on reward(x) - beta * log(pi(x)/a(x)); returns new beta.
-
-    When adaptive, beta moves multiplicatively by (1 + BETA_STEP): up while the
-    estimated KL(pi||a) exceeds the target, down otherwise.
-    """
-    samples = policy.sample_batch(k, rng)
-    rewards = np.asarray(reward_fn(samples), dtype=float)
-    log_ratio = policy.log_prob_batch(samples) - base.log_prob_batch(samples)
-    penalized = rewards - beta * log_ratio
-    grad = policy.grad_weighted_sum(samples, penalized)
-    policy.apply_update(grad, learning_rate / k)
-    if beta_adaptive:
-        estimated_kl = float(log_ratio.mean())
-        if estimated_kl > kl_target:
-            beta = beta * (1.0 + BETA_STEP)
+    k = config.samples_per_iteration
+    samples = state.policy.sample_batch(k, rng)
+    if config.kind == REINFORCE_P:
+        weights = np.exp(target.log_score_batch(samples))
+    else:
+        weights = target.constraint_set.feature_matrix(samples).sum(axis=1)
+    if config.kind == KL_PENALIZED:
+        log_ratio = state.policy.log_prob_batch(samples) - target.base.log_prob_batch(samples)
+        weights = weights - state.beta * log_ratio
+    grad = state.policy.grad_weighted_sum(samples, weights)
+    state.policy.apply_update(grad, config.learning_rate / k)
+    if config.kl_target is not None:
+        if float(log_ratio.mean()) > config.kl_target:
+            state.beta = state.beta * (1.0 + BETA_STEP)
         else:
-            beta = beta / (1.0 + BETA_STEP)
-    return beta
+            state.beta = state.beta / (1.0 + BETA_STEP)
+    return state
 
 
 @dataclass(kw_only=True)
@@ -164,32 +148,8 @@ def train_baseline(
     config: BaselineConfig,
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
-    """Run a policy-gradient baseline through the distributional trainer's loop.
-    The feature reward is the sum over constraint features (a single
-    constraint's reward is just its feature). The final state keeps the final
-    beta."""
-    constraint_set = target.constraint_set
-
-    def phi_reward(batch: SampleBatch) -> np.ndarray:
-        return constraint_set.feature_matrix(batch).sum(axis=1)
-
-    def score_reward(batch: SampleBatch) -> np.ndarray:
-        return np.exp(target.log_score_batch(batch))
-
-    k, lr = config.samples_per_iteration, config.learning_rate
-    beta = config.beta
-
-    def step(state: TrainState, rng: np.random.Generator) -> None:
-        nonlocal beta
-        if config.kind == KL_PENALIZED:
-            beta = kl_penalized_step(
-                state.policy, base, phi_reward, beta, k, lr, rng,
-                beta_adaptive=config.beta_adaptive, kl_target=config.kl_target,
-            )
-        else:
-            reward = phi_reward if config.kind == REINFORCE_PHI else score_reward
-            reinforce_step(state.policy, reward, k, lr, rng)
-
-    state = run_loop(base, target, config, config.kind, step, eval_options)
-    state.beta = beta
-    return TrainResult(policy=state.policy, history=state.history, state=state)
+    """A policy-gradient baseline through the distributional trainer's loop,
+    one `baseline_iteration` per loop step. The feature reward is the sum over
+    constraint features (a single constraint's reward is just its feature).
+    The final state keeps the final beta."""
+    return run_loop(base, target, config, config.kind, baseline_iteration, eval_options)

@@ -66,41 +66,65 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-class _Phases:
-    """Wall seconds of a run's consecutive phases: `end(name)` closes the phase
-    that began where the previous one ended, the first one at `started`."""
+class _Run:
+    """One command's run: its config, output directory, phase seconds and
+    artifacts. `end(name)` closes the phase that began where the previous one
+    ended (the first one at `started`); `close` ends the `write` phase and
+    writes manifest.json."""
 
-    def __init__(self, started: float):
-        self.seconds: dict[str, float] = {}
+    def __init__(self, cfg: ExperimentConfig, out_dir: Path, started: float):
+        self.cfg = cfg
+        self.out_dir = out_dir
+        self.started = started
+        self.phase_seconds: dict[str, float] = {}
+        self.artifacts: dict[str, Path] = {}
         self._mark = started
 
     def end(self, name: str) -> None:
         now = time.monotonic()
-        self.seconds[name] = now - self._mark
+        self.phase_seconds[name] = now - self._mark
         self._mark = now
 
+    def artifact(self, name: str, ext: str) -> Path:
+        """The path `out_dir/<name>.<ext>`, recorded in write order."""
+        path = self.out_dir / f"{name}.{ext}"
+        self.artifacts[name] = path
+        return path
 
-def _manifest(
-    out_dir: Path, cfg: ExperimentConfig, artifacts: dict, started: float, phases: _Phases
-) -> Path:
-    doc = {
-        "version": __version__,
-        "config": {
-            "seed": cfg.seed,
-            "space": {"lmax": cfg.lmax},
-            "base_model": cfg.base_model,
-            "constraints": cfg.constraints,
-            "fit": cfg.fit,
-            "trainer": cfg.trainer,
-            "eval": cfg.eval,
-        },
-        "artifacts": {name: str(p) for name, p in artifacts.items()},
-        "wall_clock_seconds": time.monotonic() - started,
-        "phase_seconds": phases.seconds,
-    }
-    path = out_dir / "manifest.json"
-    _write_json(path, doc)
-    return path
+    def close(self) -> None:
+        self.end("write")
+        cfg = self.cfg
+        doc = {
+            "version": __version__,
+            "config": {
+                "seed": cfg.seed,
+                "space": {"lmax": cfg.lmax},
+                "base_model": cfg.base_model,
+                "constraints": cfg.constraints,
+                "fit": cfg.fit,
+                "trainer": cfg.trainer,
+                "eval": cfg.eval,
+            },
+            "artifacts": {name: str(p) for name, p in self.artifacts.items()},
+            "wall_clock_seconds": time.monotonic() - self.started,
+            "phase_seconds": self.phase_seconds,
+        }
+        _write_json(self.out_dir / "manifest.json", doc)
+
+
+def _build(cfg: ExperimentConfig, needs_constraints: str = ""):
+    """The base model, the constraint set and the eval options, with the
+    universe guard when the exact oracle is on. A non-empty
+    `needs_constraints` names the work that refuses an empty constraint set,
+    which is checked before the guard."""
+    base = cfg.build_base()
+    constraint_set = cfg.build_constraints(base.space)
+    if needs_constraints and len(constraint_set) == 0:
+        raise ConfigError(f"config.constraints: {needs_constraints} needs at least one constraint")
+    eval_options = cfg.build_eval_options()
+    if eval_options.exact:
+        base.space.guard()
+    return base, constraint_set, eval_options
 
 
 def _build_target(cfg: ExperimentConfig, base, constraint_set: ConstraintSet):
@@ -138,22 +162,18 @@ def _fit_document(report, target: Ebm, constraint_set: ConstraintSet) -> dict:
     return doc
 
 
-def run_fit(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
-    phases = _Phases(started)
+def run_fit(run: _Run) -> None:
+    cfg = run.cfg
     base = cfg.build_base()
     constraint_set = cfg.build_constraints(base.space)
     if len(constraint_set) == 0:
         raise ConfigError("config.constraints: fit needs at least one constraint")
-    phases.end("build")
+    run.end("build")
     report, target = _build_target(cfg, base, constraint_set)
-    phases.end("fit")
-    report_path = out_dir / "fit_report.json"
-    _write_json(report_path, _fit_document(report, target, constraint_set))
-    phases.end("write")
-    _manifest(out_dir, cfg, {"fit_report": report_path}, started, phases)
+    run.end("fit")
+    _write_json(run.artifact("fit_report", "json"), _fit_document(report, target, constraint_set))
     if report is not None and not report.converged:
         print(f"fit did not converge: objective {report.objective:.6g}", file=sys.stderr)
-    return EXIT_OK
 
 
 def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
@@ -166,29 +186,28 @@ def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
     return batch
 
 
-def _zipf_file(path: Path, batch: SampleBatch, vocab) -> None:
-    table = zipf_table(batch, vocab)
-    rows = [[str(r), tok, str(f)] for r, tok, f in table.rows]
-    _write_csv(path, ["rank", "token", "frequency"], rows)
+def _write_metrics(run: _Run, constraint_set: ConstraintSet, eval_options, history) -> None:
+    header = metrics_csv_header(constraint_set.ids, eval_options.exact)
+    _write_csv(run.artifact("metrics", "csv"), header, [metrics_csv_row(r) for r in history])
 
 
-def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
-    phases = _Phases(started)
-    base = cfg.build_base()
-    constraint_set = cfg.build_constraints(base.space)
-    if len(constraint_set) == 0:
-        raise ConfigError("config.constraints: training needs at least one constraint")
-    eval_options = cfg.build_eval_options()
-    if eval_options.exact:
-        base.space.guard()
+def _write_samples(run: _Run, policy, eval_options, rng) -> None:
+    """samples.txt, then zipf.csv: the token frequencies of that one batch."""
+    vocab, n = policy.space.vocabulary, eval_options.sample_size
+    batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, rng)
+    rows = [[str(r), tok, str(f)] for r, tok, f in zipf_table(batch, vocab).rows]
+    _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
+
+
+def run_train(run: _Run) -> None:
+    cfg = run.cfg
+    base, constraint_set, eval_options = _build(cfg, "training")
     method, config = cfg.method, cfg.build_trainer()
     _check_policy_table(base, config)
-    phases.end("build")
+    run.end("build")
     report, target = _build_target(cfg, base, constraint_set)
-    phases.end("fit")
-    artifacts: dict = {}
+    run.end("fit")
     _, rng_eval, rng_samples = seed_streams(cfg.seed)
-
     if method == REJECTION_MLE:
         policy, stats = rejection_mle(base, constraint_set, config)
         history = [snapshot(0, REJECTION_MLE, policy, target, rng_eval, eval_options)]
@@ -201,64 +220,33 @@ def run_train(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         result = train_baseline(base, target, config, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.state.beta}
-    phases.end("train")
-
-    report_path = out_dir / "fit_report.json"
-    _write_json(report_path, _fit_document(report, target, constraint_set))
-    artifacts["fit_report"] = report_path
-
-    metrics_path = out_dir / "metrics.csv"
-    header = metrics_csv_header(constraint_set.ids, eval_options.exact)
-    _write_csv(metrics_path, header, [metrics_csv_row(record) for record in history])
-    artifacts["metrics"] = metrics_path
-
-    model_path = out_dir / "model.json"
-    policy.write_document(model_path)
-    artifacts["model"] = model_path
-
-    vocab = base.space.vocabulary
-    samples_path = out_dir / "samples.txt"
-    samples = _samples_file(samples_path, policy, vocab, eval_options.sample_size, rng_samples)
-    artifacts["samples"] = samples_path
-
-    zipf_path = out_dir / "zipf.csv"
-    _zipf_file(zipf_path, samples, vocab)
-    artifacts["zipf"] = zipf_path
-
-    run_doc_path = out_dir / "run.json"
-    _write_json(run_doc_path, {"method": method, **extra_doc})
-    artifacts["run"] = run_doc_path
-    phases.end("write")
-    _manifest(out_dir, cfg, artifacts, started, phases)
-    return EXIT_OK
+    run.end("train")
+    _write_json(run.artifact("fit_report", "json"), _fit_document(report, target, constraint_set))
+    _write_metrics(run, constraint_set, eval_options, history)
+    policy.write_document(run.artifact("model", "json"))
+    _write_samples(run, policy, eval_options, rng_samples)
+    _write_json(run.artifact("run", "json"), {"method": method, **extra_doc})
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+def run_ablation(run: _Run) -> None:
+    cfg = run.cfg
     if cfg.method != GDC_METHOD:
         raise ConfigError(
             f"config.trainer.method: the ablation grid trains {GDC_METHOD!r}, not {cfg.method!r}"
         )
-    phases = _Phases(started)
-    variants = cfg.ablation_variants
-    seeds = cfg.ablation_seeds
-    base = cfg.build_base()
-    constraint_set = cfg.build_constraints(base.space)
-    eval_options = cfg.build_eval_options()
-    if eval_options.exact:
-        base.space.guard()
+    base, constraint_set, eval_options = _build(cfg)
     _check_policy_table(base, cfg.build_trainer())
-    phases.end("build")
+    run.end("build")
     _, target = _build_target(cfg, base, constraint_set)
-    phases.end("fit")
+    run.end("fit")
     threshold = cfg.eval.get("threshold")
-
     header = ["variant", "seed", "samples_drawn"]
     if threshold is not None:
         header.append("below_threshold")
     header += metrics_csv_header(constraint_set.ids, eval_options.exact)
     rows = []
-    for variant in variants:
-        for seed in seeds:
+    for variant in cfg.ablation_variants:
+        for seed in cfg.ablation_seeds:
             config = cfg.build_trainer(adaptivity=variant, seed=seed)
             result = train(base, target, config, eval_options)
             for record in result.history:
@@ -266,22 +254,17 @@ def run_ablation(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
                 if threshold is not None:  # needs exact_oracle, so every record is exact
                     row.append(str(int(record.kl_p_pi_exact < threshold)))
                 rows.append(row + metrics_csv_row(record))
-    phases.end("train")
-    path = out_dir / "ablation.csv"
-    _write_csv(path, header, rows)
-    phases.end("write")
-    _manifest(out_dir, cfg, {"ablation": path}, started, phases)
-    return EXIT_OK
+    run.end("train")
+    _write_csv(run.artifact("ablation", "csv"), header, rows)
 
 
-def run_oracle(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
-    phases = _Phases(started)
-    base = cfg.build_base()
-    constraint_set = cfg.build_constraints(base.space)
-    base.space.guard()
-    phases.end("build")
+def run_oracle(run: _Run) -> None:
+    cfg = run.cfg
+    base, constraint_set, _ = _build(cfg)
+    base.space.guard()  # the oracle is exact whether or not eval.exact_oracle is on
+    run.end("build")
     _, target = _build_target(cfg, base, constraint_set)
-    phases.end("fit")
+    run.end("fit")
     z, p = target.exact_normalize()
     a_dist = base.exact_distribution()
     kl_p_a = exact_kl(p, a_dist)
@@ -298,50 +281,30 @@ def run_oracle(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
         "pythagorean_residual_max": max(residuals) if residuals else None,
         "universe_size": base.space.universe_size,
     }
-    phases.end("oracle")
-    path = out_dir / "oracle.json"
-    _write_json(path, doc)
-    phases.end("write")
-    _manifest(out_dir, cfg, {"oracle": path}, started, phases)
-    return EXIT_OK
+    run.end("oracle")
+    _write_json(run.artifact("oracle", "json"), doc)
 
 
-def run_eval(cfg: ExperimentConfig, out_dir: Path, started: float) -> int:
+def run_eval(run: _Run) -> None:
+    cfg = run.cfg
     if "model_file" not in cfg.base_model:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
-    phases = _Phases(started)
-    model = cfg.build_base()
-    constraint_set = cfg.build_constraints(model.space)
-    eval_options = cfg.build_eval_options()
-    if eval_options.exact:
-        model.space.guard()
-    phases.end("build")
-    target = (
-        _build_target(cfg, model, constraint_set)[1] if len(constraint_set) else None
-    )
-    phases.end("fit")
+    model, constraint_set, eval_options = _build(cfg)
+    run.end("build")
+    target = _build_target(cfg, model, constraint_set)[1] if len(constraint_set) else None
+    run.end("fit")
     rng = np.random.default_rng(cfg.seed)
     record = snapshot(0, "eval", model, target, rng, eval_options) if target is not None else None
-    phases.end("eval")
-    artifacts = {}
+    run.end("eval")
     if record is not None:
-        path = out_dir / "metrics.csv"
-        _write_csv(
-            path,
-            metrics_csv_header(constraint_set.ids, eval_options.exact),
-            [metrics_csv_row(record)],
-        )
-        artifacts["metrics"] = path
-    vocab = model.space.vocabulary
-    samples_path = out_dir / "samples.txt"
-    samples = _samples_file(samples_path, model, vocab, eval_options.sample_size, rng)
-    artifacts["samples"] = samples_path
-    zipf_path = out_dir / "zipf.csv"
-    _zipf_file(zipf_path, samples, vocab)
-    artifacts["zipf"] = zipf_path
-    phases.end("write")
-    _manifest(out_dir, cfg, artifacts, started, phases)
-    return EXIT_OK
+        _write_metrics(run, constraint_set, eval_options, [record])
+    _write_samples(run, model, eval_options, rng)
+
+
+COMMANDS = {
+    "fit": run_fit, "train": run_train, "ablation": run_ablation, "oracle": run_oracle,
+    "eval": run_eval,
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -350,7 +313,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Constraint-controlled sequence model experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit", "train", "ablation", "oracle", "eval"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--output", help="output directory (overrides config)")
@@ -367,15 +330,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed_override)
         out_dir = _resolve_output(args, cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "fit":
-            return run_fit(cfg, out_dir, started)
-        if args.command == "train":
-            return run_train(cfg, out_dir, started)
-        if args.command == "ablation":
-            return run_ablation(cfg, out_dir, started)
-        if args.command == "oracle":
-            return run_oracle(cfg, out_dir, started)
-        return run_eval(cfg, out_dir, started)
+        run = _Run(cfg, out_dir, started)
+        COMMANDS[args.command](run)
+        run.close()
+        return EXIT_OK
     except DistctlError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

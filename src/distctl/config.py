@@ -61,10 +61,7 @@ TRAINER_SCHEMAS = {  # method -> (keys besides `method`, required)
     GDC_METHOD: ({**LOOP_KEYS, "adaptivity": str, "optimizer": str}, tuple(LOOP_KEYS)),
     REINFORCE_PHI: (LOOP_KEYS, tuple(LOOP_KEYS)),
     REINFORCE_P: (LOOP_KEYS, tuple(LOOP_KEYS)),
-    KL_PENALIZED: (
-        {**LOOP_KEYS, "beta": float, "beta_adaptive": bool, "kl_target": float},
-        tuple(LOOP_KEYS),
-    ),
+    KL_PENALIZED: ({**LOOP_KEYS, "beta": float, "kl_target": float}, tuple(LOOP_KEYS)),
     REJECTION_MLE: (
         {"sample_budget": int, "fit_order": int, "fit_smoothing": float},
         ("sample_budget", "fit_order"),

@@ -10,8 +10,9 @@ moving-average Z. A swap brings the frozen proposal up to date in place: it
 copies only the context rows the policy has updated since the last swap.
 
 `run_loop` is the one training loop: it owns the RNG streams, the policy
-initialisation and the snapshot cadence, and the comparison trainers in
-`baselines` plug their own per-iteration step into it.
+initialisation and the snapshot cadence. Every trainer is an iteration of it
+with one signature, `iteration(state, target, config, rng)`: `dpg_iteration`
+here, and `baselines.baseline_iteration` for the comparison trainers.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class TrainState:
     decisions: list[IterationDecision] = field(default_factory=list)
     adam: AdamState | None = None
     stale: np.ndarray | None = None  # context rows updated since the last swap (DPG)
-    beta: float | None = None  # a kl-penalized run's final beta
+    beta: float | None = None  # a kl-penalized run's beta, moved by its controller
     proposal_updates: int = 0
     iteration: int = 0
     samples_drawn: int = 0
@@ -149,7 +150,7 @@ def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
     """
     policy = base.to_order(max(base.order, base.space.lmax), trainable=True)
     if not isinstance(config, DpgConfig):
-        return TrainState(policy=policy)
+        return TrainState(policy=policy, beta=getattr(config, "beta", None))
     adam = AdamState.like(policy.logits) if config.optimizer == OPTIMIZER_ADAM else None
     stale = np.zeros(len(policy.logits), dtype=bool)
     return TrainState(policy=policy, proposal=policy.frozen_copy(), adam=adam, stale=stale)
@@ -208,16 +209,16 @@ def run_loop(
     target: Ebm,
     config: LoopConfig,
     method: str,
-    step: Callable[[TrainState, np.random.Generator], None],
+    iteration: Callable[[TrainState, Ebm, LoopConfig, np.random.Generator], TrainState],
     eval_options: EvalOptions | None = None,
-) -> TrainState:
-    """Run `step(state, rng_train)` for `config.iterations` iterations, with a
-    metric snapshot before the first and after every `config.eval_every`-th.
-    `method` labels the snapshots.
+) -> TrainResult:
+    """Run `iteration(state, target, config, rng_train)` for `config.iterations`
+    iterations, with a metric snapshot before the first and after every
+    `config.eval_every`-th. `method` labels the snapshots.
 
     Training and evaluation consume independent RNG streams spawned from the
-    seed, so snapshot cadence never perturbs the training trajectory. A step
-    whose update would make a logit non-finite stops the run with
+    seed, so snapshot cadence never perturbs the training trajectory. An
+    iteration whose update would make a logit non-finite stops the run with
     NonFiniteLogits naming the iteration.
     """
     if target.base.space != base.space:
@@ -228,14 +229,14 @@ def run_loop(
     for i in range(config.iterations + 1):
         if i > 0:
             try:
-                step(state, rng_train)
+                iteration(state, target, config, rng_train)
             except NonFiniteLogits as e:
                 raise NonFiniteLogits(f"iteration {i}: {e}") from None
         if i % config.eval_every == 0:
             state.history.append(
                 snapshot(i, method, state.policy, target, rng_eval, eval_options, state.zma.value)
             )
-    return state
+    return TrainResult(policy=state.policy, history=state.history, state=state)
 
 
 def train(
@@ -245,9 +246,4 @@ def train(
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
     """Adaptive DPG toward `target`, one `dpg_iteration` per loop step."""
-
-    def step(state: TrainState, rng: np.random.Generator) -> None:
-        dpg_iteration(state, target, config, rng)
-
-    state = run_loop(base, target, config, "gdc", step, eval_options)
-    return TrainResult(policy=state.policy, history=state.history, state=state)
+    return run_loop(base, target, config, "gdc", dpg_iteration, eval_options)

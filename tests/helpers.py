@@ -455,6 +455,47 @@ def dense_grad_weighted_sum(
     return grad
 
 
+def reinforce_step(
+    policy: TabularARModel, reward_fn, k: int, learning_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Reference policy-gradient step on samples from the policy itself:
+    applies learning_rate * mean_k(reward * grad log pi); returns the rewards."""
+    samples = policy.sample_batch(k, rng)
+    rewards = np.asarray(reward_fn(samples), dtype=float)
+    grad = policy.grad_weighted_sum(samples, rewards)
+    policy.apply_update(grad, learning_rate / k)
+    return rewards
+
+
+def kl_penalized_step(
+    policy: TabularARModel,
+    base: TabularARModel,
+    reward_fn,
+    beta: float,
+    k: int,
+    learning_rate: float,
+    rng: np.random.Generator,
+    kl_target: float | None = None,
+    beta_step: float = 0.1,
+) -> float:
+    """Reference step on reward(x) - beta * log(pi(x)/a(x)); returns the new
+    beta. With a `kl_target`, beta moves by (1 + beta_step) after the update:
+    up while the batch estimate of KL(pi||a) exceeds the target, down otherwise."""
+    samples = policy.sample_batch(k, rng)
+    rewards = np.asarray(reward_fn(samples), dtype=float)
+    log_ratio = policy.log_prob_batch(samples) - base.log_prob_batch(samples)
+    penalized = rewards - beta * log_ratio
+    grad = policy.grad_weighted_sum(samples, penalized)
+    policy.apply_update(grad, learning_rate / k)
+    if kl_target is not None:
+        estimated_kl = float(log_ratio.mean())
+        if estimated_kl > kl_target:
+            beta = beta * (1.0 + beta_step)
+        else:
+            beta = beta / (1.0 + beta_step)
+    return beta
+
+
 def exact_moment_curve(base_dist: np.ndarray, phi: np.ndarray, lam: float) -> float:
     """Exact tilted moment E_{p_lam}[phi] over an enumerated universe."""
     w = base_dist * np.exp(lam * phi)

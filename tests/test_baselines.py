@@ -3,14 +3,14 @@ import pytest
 
 from distctl.baselines import (
     _REJECTION_CHUNK,
+    BETA_STEP,
     BaselineConfig,
     RejectionConfig,
-    kl_penalized_step,
-    reinforce_step,
+    baseline_iteration,
     rejection_mle,
     train_baseline,
 )
-from distctl.dpg import DpgConfig, train
+from distctl.dpg import DpgConfig, TrainState, init_state, train
 from distctl.ebm import build_pointwise
 from distctl.errors import ConfigError, NoAcceptedSamples
 from distctl.estimators import exact_kl
@@ -25,7 +25,9 @@ from helpers import (
     feature_value,
     grad_log_prob,
     invalidate,
+    kl_penalized_step,
     random_model,
+    reinforce_step,
     sequences,
     small_space,
     uniform_model,
@@ -52,6 +54,9 @@ def test_config_validation():
         BaselineConfig(kind="reinforce-phi", iterations=-3)
     with pytest.raises(ConfigError):
         BaselineConfig(kind="kl-penalized", beta=-5.0)
+    with pytest.raises(ConfigError) as err:
+        BaselineConfig(kind="reinforce-phi", kl_target=0.2)  # no beta to control
+    assert err.value.field == "kl_target"
 
 
 def test_rejection_config_validation():
@@ -79,11 +84,14 @@ def test_float_range_rules_reject_nan():
     assert err.value.field == "beta"
 
 
-def test_reinforce_zero_reward_no_update(task):
-    base, target = task
-    policy = base.to_order(2, trainable=True)
+def test_reinforce_zero_reward_no_update(ab_uniform):
+    never = PredicateTable({}, default=0.0, feature_id="never")
+    cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
+    target = build_pointwise(ab_uniform, cs)
+    policy = ab_uniform.to_order(2, trainable=True)
     before = policy.logits.copy()
-    reinforce_step(policy, lambda b: np.zeros(len(b)), 64, 0.5, np.random.default_rng(0))
+    config = BaselineConfig(kind="reinforce-phi", samples_per_iteration=64, learning_rate=0.5)
+    baseline_iteration(TrainState(policy=policy), target, config, np.random.default_rng(0))
     assert np.array_equal(policy.logits, before)
 
 
@@ -138,15 +146,14 @@ def test_reinforce_p_entropy_collapses_monotonically():
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
     target = build_pointwise(base, cs)
-    policy = base.to_order(space.lmax, trainable=True)
+    state = TrainState(policy=base.to_order(space.lmax, trainable=True))
+    policy = state.policy
+    config = BaselineConfig(kind="reinforce-P", samples_per_iteration=1024, learning_rate=30.0)
     rng_train = np.random.default_rng(1)
-
-    def score_reward(batch):
-        return np.exp(target.log_score_batch(batch))
 
     entropies = [exact_entropy(policy.exact_distribution())]
     for i in range(1, 601):
-        reinforce_step(policy, score_reward, 1024, 30.0, rng_train)
+        baseline_iteration(state, target, config, rng_train)
         if i % 150 == 0:
             entropies.append(exact_entropy(policy.exact_distribution()))
     assert all(a >= b - 1e-9 for a, b in zip(entropies, entropies[1:]))
@@ -196,17 +203,73 @@ def test_reward_p_loses_diversity_to_gdc():
 
 def test_kl_penalized_beta_zero_is_reinforce_bitwise(task):
     base, target = task
-    cs = target.constraint_set
-    pol_a = base.to_order(2, trainable=True)
-    pol_b = base.to_order(2, trainable=True)
-
-    def reward(batch):
-        return cs.feature_matrix(batch).sum(axis=1)
+    state_a = TrainState(policy=base.to_order(2, trainable=True))
+    state_b = TrainState(policy=base.to_order(2, trainable=True), beta=0.0)
+    pol_a, pol_b = state_a.policy, state_b.policy
+    loop = dict(samples_per_iteration=64, learning_rate=0.7)
+    reinforce = BaselineConfig(kind="reinforce-phi", **loop)
+    penalized = BaselineConfig(kind="kl-penalized", beta=0.0, **loop)
 
     for step in range(5):
-        reinforce_step(pol_a, reward, 64, 0.7, np.random.default_rng(step))
-        kl_penalized_step(pol_b, base, reward, 0.0, 64, 0.7, np.random.default_rng(step))
+        baseline_iteration(state_a, target, reinforce, np.random.default_rng(step))
+        baseline_iteration(state_b, target, penalized, np.random.default_rng(step))
     assert np.array_equal(pol_a.logits, pol_b.logits)
+
+
+@pytest.mark.parametrize(
+    "kind, beta, kl_target",
+    [
+        ("reinforce-phi", None, None),
+        ("reinforce-P", None, None),
+        ("kl-penalized", 0.15, None),
+        ("kl-penalized", 1.0, 0.02),
+    ],
+    ids=["reinforce-phi", "reinforce-P", "kl-penalized-fixed-beta", "kl-penalized-kl-target"],
+)
+def test_baseline_iteration_is_the_reference_step_bitwise(kind, beta, kl_target):
+    """`baseline_iteration` against the per-kind reference steps of
+    `helpers`, on one RNG seed: the same logits and the same beta, bit for
+    bit, after every iteration."""
+    space = small_space(2, 3)
+    base = random_model(space, 2, np.random.default_rng(4), scale=0.8)
+    cs = ConstraintSet(
+        [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
+    )
+    target = build_pointwise(base, cs)
+    config = BaselineConfig(
+        kind=kind, beta=beta, kl_target=kl_target, samples_per_iteration=64, learning_rate=2.0
+    )
+    state = init_state(base, config)
+    reference = init_state(base, config).policy
+    start = reference.logits.copy()
+    ref_beta = beta
+
+    def phi_reward(batch):
+        return cs.feature_matrix(batch).sum(axis=1)
+
+    def score_reward(batch):
+        return np.exp(target.log_score_batch(batch))
+
+    rng, rng_reference = np.random.default_rng(9), np.random.default_rng(9)
+    betas = []
+    for _ in range(12):
+        baseline_iteration(state, target, config, rng)
+        if kind == "kl-penalized":
+            ref_beta = kl_penalized_step(
+                reference, base, phi_reward, ref_beta, 64, 2.0, rng_reference,
+                kl_target=kl_target, beta_step=BETA_STEP,
+            )
+        else:
+            reward = phi_reward if kind == "reinforce-phi" else score_reward
+            reinforce_step(reference, reward, 64, 2.0, rng_reference)
+        assert state.policy.logits.tobytes() == reference.logits.tobytes()
+        assert repr(state.beta) == repr(ref_beta)
+        betas.append(state.beta)
+    assert not np.array_equal(reference.logits, start)
+    if kl_target is None:
+        assert set(betas) == {beta}
+    else:  # the controller moved beta both ways
+        assert max(betas) > beta > min(betas)
 
 
 def test_kl_penalized_huge_beta_pins_policy(task):
@@ -226,7 +289,7 @@ def test_kl_penalized_controller_tracks_target(task):
     for seed in (0, 1):
         cfg = BaselineConfig(
             kind="kl-penalized", iterations=400, samples_per_iteration=256,
-            learning_rate=0.5, beta=1.0, beta_adaptive=True, kl_target=0.2,
+            learning_rate=0.5, beta=1.0, kl_target=0.2,
             eval_every=10000, seed=seed,
         )
         result = train_baseline(base, target, cfg, EvalOptions(sample_size=32))

@@ -277,14 +277,26 @@ def test_ablation_grid(workdir):
 
 
 PHASES = ["build", "fit", "train", "write"]
+# Each command's artifacts, in write order.
+ARTIFACTS = {
+    "fit": ["fit_report"],
+    "train": ["fit_report", "metrics", "model", "samples", "zipf", "run"],
+    "ablation": ["ablation"],
+    "oracle": ["oracle"],
+    "eval": ["metrics", "samples", "zipf"],
+}
 
 
-def assert_phases(manifest_path, names):
+def assert_manifest(manifest_path, names, artifacts):
+    """The manifest times exactly the phases `names` and lists exactly
+    `artifacts`, in that order, each an existing file."""
     manifest = json.loads(manifest_path.read_text())
     phases = manifest["phase_seconds"]
     assert list(phases) == names
     assert all(seconds >= 0.0 for seconds in phases.values())
     assert sum(phases.values()) <= manifest["wall_clock_seconds"]
+    assert list(manifest["artifacts"]) == artifacts
+    assert all(Path(path).is_file() for path in manifest["artifacts"].values())
 
 
 @pytest.mark.parametrize("command", ["train", "ablation"])
@@ -292,7 +304,7 @@ def test_manifest_times_each_phase(workdir, command):
     ablation = {"variants": ["kl", "none"], "seeds": [0]}
     cfg = write_config(workdir, eval={"eval_every": 5, "sample_size": 32, "ablation": ablation})
     assert main([command, "--config", str(cfg)]) == 0
-    assert_phases(workdir / "out" / "manifest.json", PHASES)
+    assert_manifest(workdir / "out" / "manifest.json", PHASES, ARTIFACTS[command])
 
 
 @pytest.mark.parametrize(
@@ -311,7 +323,12 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
                            output="eval-out")
     assert main([command, "--config", str(cfg)]) == 0
     out = "eval-out" if command == "eval" else "out"
-    assert_phases(workdir / out / "manifest.json", names)
+    assert_manifest(workdir / out / "manifest.json", names, ARTIFACTS[command])
+    if command == "eval":  # without constraints there is no snapshot, so no metrics.csv
+        cfg = write_config(workdir, name="eval-unconstrained.json", constraints=[],
+                           base_model={"model_file": "out/model.json"}, output="bare-out")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert_manifest(workdir / "bare-out" / "manifest.json", names, ["samples", "zipf"])
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
@@ -427,11 +444,17 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
             "train",
             lambda c: c.update(
                 constraints=[POINTWISE_GOLD],
-                trainer=dict(
-                    KL_PENALIZED_TRAINER, beta_adaptive=True, kl_target=0.5, beta_step=-1.0
-                ),
+                trainer=dict(KL_PENALIZED_TRAINER, kl_target=0.5, beta_step=-1.0),
             ),
             "config.trainer.beta_step",
+        ),
+        (
+            "train",
+            lambda c: c.update(
+                constraints=[POINTWISE_GOLD],
+                trainer=dict(KL_PENALIZED_TRAINER, beta_adaptive=True, kl_target=0.5),
+            ),
+            "config.trainer.beta_adaptive",
         ),
         (
             "fit",
@@ -547,6 +570,7 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
         "policy-order-removed",
         "batch-update-removed",
         "beta-step-removed",
+        "beta-adaptive-removed",
         "empty-default-type",
         "unknown-constraint-key",
         "gdc-sample-budget",
