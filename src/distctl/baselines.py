@@ -53,6 +53,8 @@ class BaselineConfig(LoopConfig):
             raise ConfigError("must be >= 0", "beta")
         if self.kl_target is not None and self.kind != KL_PENALIZED:
             raise ConfigError("must be given only when kind is kl-penalized", "kl_target")
+        if self.kl_target is not None and not self.kl_target >= 0:
+            raise ConfigError("must be >= 0", "kl_target")
 
 
 def baseline_iteration(
@@ -69,6 +71,7 @@ def baseline_iteration(
     """
     k = config.samples_per_iteration
     samples = state.policy.sample_batch(k, rng)
+    state.samples_drawn += k
     if config.kind == REINFORCE_P:
         weights = np.exp(target.log_score_batch(samples))
     else:
@@ -83,6 +86,7 @@ def baseline_iteration(
             state.beta = state.beta * (1.0 + BETA_STEP)
         else:
             state.beta = state.beta / (1.0 + BETA_STEP)
+    state.iteration += 1
     return state
 
 

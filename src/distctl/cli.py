@@ -195,7 +195,7 @@ def _write_samples(run: _Run, policy, eval_options, rng) -> None:
     """samples.txt, then zipf.csv: the token frequencies of that one batch."""
     vocab, n = policy.space.vocabulary, eval_options.sample_size
     batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, rng)
-    rows = [[str(r), tok, str(f)] for r, tok, f in zipf_table(batch, vocab).rows]
+    rows = [[str(r), tok, str(f)] for r, tok, f in zipf_table(batch, vocab)]
     _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
 
 

@@ -93,7 +93,8 @@ class AdamState:
     def like(cls, logits: np.ndarray) -> "AdamState":
         return cls(m=np.zeros_like(logits), v=np.zeros_like(logits))
 
-    def step(self, grad: np.ndarray, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
+    def step(self, grad: np.ndarray):
+        b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         self.m = b1 * self.m + (1 - b1) * grad
         self.v = b2 * self.v + (1 - b2) * grad * grad

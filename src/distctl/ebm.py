@@ -70,18 +70,17 @@ class FitReport:
 
 @dataclass
 class Ebm:
-    """score(x) = base(x) * tilt(x), tilt per mode."""
+    """score(x) = base(x) * tilt(x). `mode` reads the shape from lam and the
+    constraint set: the product base(x) * b(x) when lam is empty and the set
+    (all pointwise) is not, else the tilt exp(lam . phi(x)), one lam each."""
 
     base: TabularARModel
     constraint_set: ConstraintSet
     lam: np.ndarray
-    mode: str = EXPONENTIAL
     lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.mode not in (EXPONENTIAL, POINTWISE_PRODUCT):
-            raise ConfigError(f"unknown EBM mode {self.mode!r}")
         self.lam = np.asarray(self.lam, dtype=float)
         if self.mode == EXPONENTIAL and len(self.lam) != len(self.constraint_set):
             raise ConfigError("lambda length must match the constraint count")
@@ -92,6 +91,11 @@ class Ebm:
                 "pointwise-product shortcut needs an all-pointwise constraint set; "
                 "hybrid sets go through fit_lambda"
             )
+
+    @property
+    def mode(self) -> str:
+        product = len(self.constraint_set) and not len(self.lam)
+        return POINTWISE_PRODUCT if product else EXPONENTIAL
 
     @property
     def space(self):
@@ -109,8 +113,6 @@ class Ebm:
         if self.mode == POINTWISE_PRODUCT:
             with np.errstate(divide="ignore"):
                 return log_base + np.log(phi.prod(axis=1))
-        if not len(self.constraint_set):
-            return log_base
         return log_base + phi @ self.lam
 
     def exact_normalize(self) -> tuple[float, np.ndarray]:
@@ -152,14 +154,13 @@ def moment_preserving_perturbations(
     phi: np.ndarray,
     count: int,
     rng: np.random.Generator,
-    step: float = 0.5,
 ) -> list[np.ndarray]:
     """Distributions near p with exactly p's feature moments and normalization.
 
     Random directions are projected orthogonal to the all-ones vector and every
-    feature column (restricted to p's support), then added with a step small
-    enough to preserve positivity. Used to sample the constraint manifold
-    around an exponential-family point.
+    feature column (restricted to p's support), then added with half the
+    largest step that preserves positivity. Used to sample the constraint
+    manifold around an exponential-family point.
     """
     p = np.asarray(p, dtype=float)
     active = p > 0
@@ -178,7 +179,7 @@ def moment_preserving_perturbations(
         negative = v < 0
         if not negative.any():
             continue
-        t = step * float(np.min(p[negative] / -v[negative]))
+        t = 0.5 * float(np.min(p[negative] / -v[negative]))
         c = p + t * v
         c[c < 0] = 0.0  # guard against rounding at the positivity boundary
         out.append(c / c.sum())
@@ -221,12 +222,7 @@ def snis_objective_grad(
 
 def build_pointwise(base: TabularARModel, constraint_set: ConstraintSet) -> Ebm:
     """Base-times-predicate EBM; only legal when every constraint is pointwise."""
-    return Ebm(
-        base=base,
-        constraint_set=constraint_set,
-        lam=np.zeros(0),
-        mode=POINTWISE_PRODUCT,
-    )
+    return Ebm(base=base, constraint_set=constraint_set, lam=np.zeros(0))
 
 
 def fit_lambda(
@@ -279,11 +275,4 @@ def fit_lambda(
         steps_used=steps_used,
         converged=converged,
     )
-    ebm = Ebm(
-        base=base,
-        constraint_set=constraint_set,
-        lam=lam,
-        mode=EXPONENTIAL,
-        lambda_clamp=clamp,
-    )
-    return report, ebm
+    return report, Ebm(base=base, constraint_set=constraint_set, lam=lam, lambda_clamp=clamp)

@@ -19,7 +19,6 @@ from .errors import ConfigError, NonpositiveZ, SupportViolation
 class Estimate:
     value: float
     standard_error: float
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,7 @@ def kl_p_from_logs(
     mass = r > 0.0
     terms[mass] = r[mass] * (log_p_score[mass] - log_pi[mass])
     mean, se = _mean_se(terms)
-    return Estimate(
-        value=-np.log(z) + mean / z,
-        standard_error=se / z,
-        sample_count=len(terms),
-    )
+    return Estimate(value=-np.log(z) + mean / z, standard_error=se / z)
 
 
 def tvd_p_from_logs(
@@ -75,7 +70,7 @@ def tvd_p_from_logs(
         raise SupportViolation("proposal assigns zero probability to a drawn sample")
     terms = 0.5 * np.abs(np.exp(log_pi - log_q) - np.exp(log_p_score - log_q) / z)
     value, se = _mean_se(terms)
-    return Estimate(value=value, standard_error=se, sample_count=len(terms))
+    return Estimate(value=value, standard_error=se)
 
 
 def kl_models_from_logs(log_pi: np.ndarray, log_a: np.ndarray) -> Estimate:
@@ -83,7 +78,7 @@ def kl_models_from_logs(log_pi: np.ndarray, log_a: np.ndarray) -> Estimate:
     if np.isneginf(log_a).any():
         raise SupportViolation("reference model assigns zero probability to a drawn sample")
     value, se = _mean_se(log_pi - log_a)
-    return Estimate(value=value, standard_error=se, sample_count=len(log_pi))
+    return Estimate(value=value, standard_error=se)
 
 
 # -- exact oracles over enumerated universes ---------------------------------

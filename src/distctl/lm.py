@@ -291,7 +291,7 @@ class TabularARModel:
         return self
 
     def exact_log_distribution(self) -> np.ndarray:
-        """Log-probability of every sequence, aligned with space.enumeration().
+        """Log-probability of every sequence, in enumeration order.
 
         A prefix DP, length by length, in place in the returned array: the
         slot of length k first holds the prefixes' log-probs, each its
@@ -322,7 +322,7 @@ class TabularARModel:
         return out
 
     def exact_distribution(self) -> np.ndarray:
-        """Probability of every sequence, aligned with space.enumeration()."""
+        """Probability of every sequence, in enumeration order."""
         out = self.exact_log_distribution()
         return np.exp(out, out=out)
 

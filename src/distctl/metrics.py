@@ -143,21 +143,14 @@ def self_bleu_n(samples: SampleBatch, n: int, counts: NgramCounts | None = None)
     return float(np.mean(bp * np.exp(log_precision)))
 
 
-@dataclass
-class ZipfTable:
+def zipf_table(samples: SampleBatch, vocab: Vocabulary) -> list[tuple[int, str, int]]:
     """(rank, token, frequency) rows, frequency non-increasing, ties by vocab index."""
-
-    rows: list[tuple[int, str, int]]
-
-
-def zipf_table(samples: SampleBatch, vocab: Vocabulary) -> ZipfTable:
     body = samples.tokens[np.arange(samples.width) < samples.lengths[:, None]]
     if not body.size:
         raise EmptyCorpus("zipf table needs at least one token")
     counts = np.bincount(body, minlength=vocab.size)
     ordered = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    rows = [(rank + 1, vocab.tokens[tok], int(counts[tok])) for rank, tok in enumerate(ordered)]
-    return ZipfTable(rows=rows)
+    return [(rank + 1, vocab.tokens[tok], int(counts[tok])) for rank, tok in enumerate(ordered)]
 
 
 # -- per-evaluation snapshots -------------------------------------------------
@@ -210,7 +203,7 @@ def snapshot(
     if z > 0.0:
         kl_p_pi = kl_p_from_logs(log_p_score, log_pi, log_pi, z)
     else:
-        kl_p_pi = Estimate(value=float("nan"), standard_error=float("nan"), sample_count=len(batch))
+        kl_p_pi = Estimate(value=float("nan"), standard_error=float("nan"))
     grams = ngram_counts(batch, 5)
     record = MetricsRecord(
         step=step,

@@ -4,11 +4,10 @@ A space holds every sequence of body tokens (EOS excluded) with length
 0..lmax. A sequence is a row of a SampleBatch: a corpus is read into one
 batch (`tokenize_corpus`), and the universe is produced as consecutive
 batches of at most ENUMERATION_CHUNK_ROWS rows
-(`SequenceSpace.enumeration_blocks`), or as their concatenation
-(`SequenceSpace.enumeration`). The universe's order (length ascending, then
-lexicographic by vocabulary index) is the alignment contract for every exact
-oracle in the package: any array "over the universe" is indexed in this
-order.
+(`SequenceSpace.enumeration_blocks`); no library path joins them into one
+matrix. The universe's order (length ascending, then lexicographic by
+vocabulary index) is the alignment contract for every exact oracle in the
+package: any array "over the universe" is indexed in this order.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ class Vocabulary:
             raise ConfigError(f"eos_index {self.eos_index} out of range")
 
     @classmethod
-    def from_body_tokens(cls, body: list[str], eos_token: str = DEFAULT_EOS) -> "Vocabulary":
-        if eos_token in body:
-            raise ConfigError(f"reserved EOS token {eos_token!r} collides with a body token")
-        return cls(tokens=tuple(body) + (eos_token,), eos_index=len(body))
+    def from_body_tokens(cls, body: list[str]) -> "Vocabulary":
+        if DEFAULT_EOS in body:
+            raise ConfigError(f"reserved EOS token {DEFAULT_EOS!r} collides with a body token")
+        return cls(tokens=tuple(body) + (DEFAULT_EOS,), eos_index=len(body))
 
     @property
     def size(self) -> int:
@@ -109,7 +108,6 @@ class SequenceSpace:
 
     vocabulary: Vocabulary
     lmax: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lmax < 1:
@@ -172,17 +170,6 @@ class SequenceSpace:
             tokens[:, j] = np.repeat(values, counts)
         return SampleBatch(tokens=tokens, lengths=np.full(hi - lo, k, dtype=np.int64))
 
-    def enumeration(self) -> SampleBatch:
-        """The whole universe as one cached SampleBatch: the concatenation of
-        `enumeration_blocks()`."""
-        if "enum" not in self._cache:
-            blocks = list(self.enumeration_blocks())
-            self._cache["enum"] = SampleBatch(
-                tokens=np.concatenate([block.tokens for block in blocks]),
-                lengths=np.concatenate([block.lengths for block in blocks]),
-            )
-        return self._cache["enum"]
-
 
 @dataclass
 class TokenizedCorpus:
@@ -191,7 +178,7 @@ class TokenizedCorpus:
     truncated: int
 
 
-def tokenize_corpus(text: str, lmax: int, eos_token: str = DEFAULT_EOS) -> TokenizedCorpus:
+def tokenize_corpus(text: str, lmax: int) -> TokenizedCorpus:
     """Whitespace-tokenize one sequence per line into the space of its
     vocabulary (plus EOS) and `lmax`, and a batch of that space's width.
 
@@ -205,7 +192,7 @@ def tokenize_corpus(text: str, lmax: int, eos_token: str = DEFAULT_EOS) -> Token
     if not rows:
         raise EmptyCorpus("corpus has no tokenized lines")
     body = sorted({w for row in rows for w in row[:lmax]})
-    space = SequenceSpace(Vocabulary.from_body_tokens(body, eos_token=eos_token), lmax)
+    space = SequenceSpace(Vocabulary.from_body_tokens(body), lmax)
     index = {w: i for i, w in enumerate(body)}
     full = np.array([len(row) for row in rows], dtype=np.int64)
     lengths = np.minimum(full, lmax)

@@ -84,6 +84,18 @@ def small_space(body: int, lmax: int) -> SequenceSpace:
 # -- the universe, one sequence at a time ---------------------------------------
 
 
+def enumeration(space: SequenceSpace) -> SampleBatch:
+    """The whole universe as one SampleBatch: the concatenation of
+    `space.enumeration_blocks()`. Built fresh on every call: spaces compare by
+    value, so a batch cached per space would carry the emission events one
+    test scored on it into another test."""
+    blocks = list(space.enumeration_blocks())
+    return SampleBatch(
+        tokens=np.concatenate([block.tokens for block in blocks]),
+        lengths=np.concatenate([block.lengths for block in blocks]),
+    )
+
+
 def enumerate_sequences(space: SequenceSpace):
     """Yield every sequence once: shortest first, lexicographic by vocabulary
     index within a length."""
@@ -160,7 +172,7 @@ def z_estimate_from_logs(log_p_score: np.ndarray, log_q: np.ndarray) -> Estimate
     """Z as the mean importance ratio P/q of the samples, with its standard error."""
     r = importance_ratios(log_p_score, log_q)
     se = float(np.std(r, ddof=1) / np.sqrt(len(r))) if len(r) > 1 else 0.0
-    return Estimate(value=float(np.mean(r)), standard_error=se, sample_count=len(r))
+    return Estimate(value=float(np.mean(r)), standard_error=se)
 
 
 def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> Estimate:
@@ -297,7 +309,6 @@ def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:
         base=ebm.base,
         constraint_set=ebm.constraint_set,
         lam=ebm.lam.copy(),
-        mode=ebm.mode,
         lambda_clamp=ebm.lambda_clamp,
         log_scale=getattr(ebm, "log_scale", 0.0) + log_scale_delta,
     )
@@ -656,9 +667,9 @@ def naive_zipf_rows(samples: list[Sequence], vocab: Vocabulary) -> list[tuple[in
     return [(rank + 1, vocab.tokens[tok], freq) for rank, (tok, freq) in enumerate(ordered)]
 
 
-def zipf_total(table) -> int:
+def zipf_total(rows) -> int:
     """Token count of a Zipf table: the sum of its frequency column."""
-    return sum(freq for _, _, freq in table.rows)
+    return sum(freq for _, _, freq in rows)
 
 
 def batch_of(seqs: list[Sequence], width: int | None = None) -> SampleBatch:

@@ -33,6 +33,7 @@ from helpers import (
     bisect_lambda,
     dist_n,
     enumerate_sequences,
+    enumeration,
     estimate_kl_between_models,
     estimate_kl_p_from,
     estimate_tvd,
@@ -382,7 +383,7 @@ def test_criterion_8_gradient_identities():
         target = Ebm(base=base, constraint_set=cs, lam=rng.uniform(-1, 1, size=1))
         policy = random_model(space, space.lmax, rng, scale=0.4, trainable=True)
         proposal = random_model(space, 2, rng, scale=0.5)
-        enum = space.enumeration()
+        enum = enumeration(space)
         q = proposal.exact_distribution()
         scores = np.exp(target.log_score_batch(enum))
         z = scores.sum()
@@ -462,7 +463,7 @@ def test_criterion_10_hybrid_constraints():
                        pointwise=True),
         ConstraintSpec(TokenPresence(space.vocabulary, "d", feature_id="B"), 0.5),
     ])
-    phi = cs.feature_matrix(space.enumeration())
+    phi = cs.feature_matrix(enumeration(space))
     base_moments = base.exact_distribution() @ phi
     config = FitConfig(
         sample_count=100000,

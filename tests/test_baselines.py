@@ -21,6 +21,7 @@ from distctl.metrics import EvalOptions
 from helpers import (
     PredicateTable,
     batch_from,
+    enumeration,
     exact_entropy,
     feature_value,
     grad_log_prob,
@@ -82,6 +83,9 @@ def test_float_range_rules_reject_nan():
     with pytest.raises(ConfigError) as err:
         BaselineConfig(kind="kl-penalized", beta=nan)
     assert err.value.field == "beta"
+    with pytest.raises(ConfigError) as err:
+        BaselineConfig(kind="kl-penalized", beta=0.15, kl_target=nan)
+    assert str(err.value) == "kl_target must be >= 0"
 
 
 def test_reinforce_zero_reward_no_update(ab_uniform):
@@ -98,7 +102,7 @@ def test_reinforce_zero_reward_no_update(ab_uniform):
 def test_reinforce_constant_reward_zero_expected_update(rng):
     space = small_space(2, 3)
     policy = random_model(space, space.lmax, rng, scale=0.5, trainable=True)
-    enum = space.enumeration()
+    enum = enumeration(space)
     pi = policy.exact_distribution()
     expected = np.zeros_like(policy.logits)
     for i, seq in enumerate(sequences(enum)):
@@ -196,8 +200,8 @@ def test_reward_p_loses_diversity_to_gdc():
     gdc_samples = gdc.policy.sample_batch(1000, rng)
     rp_samples = reward_p.policy.sample_batch(1000, rng)
     assert self_bleu_n(rp_samples, 5) > self_bleu_n(gdc_samples, 5)
-    gdc_tail = len(zipf_table(gdc_samples, space.vocabulary).rows)
-    rp_tail = len(zipf_table(rp_samples, space.vocabulary).rows)
+    gdc_tail = len(zipf_table(gdc_samples, space.vocabulary))
+    rp_tail = len(zipf_table(rp_samples, space.vocabulary))
     assert gdc_tail >= rp_tail
 
 
@@ -308,6 +312,19 @@ def test_baseline_determinism(task):
     assert np.array_equal(one.policy.logits, two.policy.logits)
 
 
+@pytest.mark.parametrize(
+    "kind, beta", [("reinforce-phi", None), ("reinforce-P", None), ("kl-penalized", 0.15)]
+)
+def test_baseline_counts_iterations_and_samples(task, kind, beta):
+    base, target = task
+    cfg = BaselineConfig(
+        kind=kind, beta=beta, iterations=5, samples_per_iteration=8, eval_every=10000
+    )
+    state = train_baseline(base, target, cfg, EvalOptions(sample_size=32)).state
+    assert (state.iteration, state.samples_drawn) == (5, 40)
+    assert state.decisions == []  # the swap decisions are DPG's
+
+
 # -- rejection sampling + supervised fit ----------------------------------------
 
 
@@ -366,7 +383,7 @@ def test_rejection_capacity_gap_documented(rng):
         base, cs, RejectionConfig(sample_budget=30000, fit_order=1, fit_smoothing=0.0)
     )
     satisfaction = float(
-        model.exact_distribution() @ cs.feature_matrix(space.enumeration())[:, 0]
+        model.exact_distribution() @ cs.feature_matrix(enumeration(space))[:, 0]
     )
     assert stats.kept > 100
     assert satisfaction < 0.9

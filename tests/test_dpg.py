@@ -10,6 +10,7 @@ from distctl.lm import RowGradient, TabularARModel
 from distctl.metrics import EvalOptions
 
 from helpers import (
+    enumeration,
     from_distribution,
     grad_log_prob,
     invalidate,
@@ -64,7 +65,7 @@ def test_exact_expected_update_is_minus_z_grad_ce(rng):
         target.lam = rng.uniform(-1.0, 1.0, size=1)
         policy = random_model(space, space.lmax, rng, scale=0.4, trainable=True)
         proposal = random_model(space, 2, rng, scale=0.6)
-        enum = space.enumeration()
+        enum = enumeration(space)
         q = proposal.exact_distribution()
         scores = np.exp(target.log_score_batch(enum))
         z = scores.sum()
@@ -85,7 +86,7 @@ def test_fixed_point_zero_expected_update(rng):
     target.lam = np.array([0.7])
     _, p = target.exact_normalize()
     policy = from_distribution(space, p, trainable=True)
-    enum = space.enumeration()
+    enum = enumeration(space)
     scores = np.exp(target.log_score_batch(enum))
     update = np.zeros_like(policy.logits)
     for i, seq in enumerate(sequences(enum)):

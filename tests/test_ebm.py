@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from distctl.ebm import (
-    POINTWISE_PRODUCT,
     Ebm,
     FitConfig,
     build_pointwise,
@@ -39,6 +38,7 @@ from helpers import (
     batch_of,
     bisect_lambda,
     enumerate_sequences,
+    enumeration,
     from_distribution,
     member_log_scores,
     random_model,
@@ -77,7 +77,7 @@ def scores(ebm, *seqs):
 def test_score_identity_at_lambda_zero(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.5)
     ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(1))
-    enum = ab_space.enumeration()
+    enum = enumeration(ab_space)
     expected = np.exp(ab_uniform.log_prob_batch(enum))
     assert np.exp(ebm.log_score_batch(enum)) == pytest.approx(expected, rel=1e-12)
 
@@ -114,7 +114,7 @@ def test_snis_matches_enumeration_oracle(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.5)
     lam = np.array([1.0])
     a_dist = ab_uniform.exact_distribution()
-    phi_univ = cs.feature_matrix(ab_space.enumeration())[:, 0]
+    phi_univ = cs.feature_matrix(enumeration(ab_space))[:, 0]
     tilt = a_dist * np.exp(lam[0] * phi_univ)
     exact = float(tilt @ phi_univ / tilt.sum())
     samples = ab_uniform.sample_batch(100000, np.random.default_rng(5))
@@ -164,7 +164,7 @@ def test_fit_matches_bisection_oracle(ab_space, ab_uniform):
     report, ebm = fit_lambda(ab_uniform, cs, fit_config())
     assert report.converged
     a_dist = ab_uniform.exact_distribution()
-    phi = cs.feature_matrix(ab_space.enumeration())[:, 0]
+    phi = cs.feature_matrix(enumeration(ab_space))[:, 0]
     oracle = bisect_lambda(a_dist, phi, 0.9)
     assert abs(report.lam[0] - oracle) < 0.05
 
@@ -236,7 +236,7 @@ def test_build_pointwise_rejects_hybrid(ab_space, ab_uniform):
     with pytest.raises(MixedConstraints):
         build_pointwise(ab_uniform, cs)
     with pytest.raises(MixedConstraints):
-        Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(0), mode=POINTWISE_PRODUCT)
+        Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(0))
 
 
 def test_exact_normalize_z_one_at_lambda_zero(ab_space, ab_uniform):
@@ -256,7 +256,7 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 
 
 def test_exact_oracles_leave_the_enumeration_unencoded(rng):
-    # scoring the cached universe would pin a code matrix per model order to it
+    # a universe batch is built per call, so no scoring can pin a code matrix to it
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
@@ -265,7 +265,7 @@ def test_exact_oracles_leave_the_enumeration_unencoded(rng):
     ebm.exact_moments()
     policy.exact_distribution()
     snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
-    assert space.enumeration()._events is None
+    assert enumeration(space)._events is None
 
 
 @pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
@@ -277,19 +277,23 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
         ebm = scaled(build_pointwise(base, cs), 0.3)
     else:
         ebm = scaled(Ebm(base=base, constraint_set=cs, lam=np.array([-1.7])), 0.3)
-    scores = np.exp(ebm.log_score_batch(space.enumeration()))
+    scores = np.exp(ebm.log_score_batch(enumeration(space)))
     z, p = ebm.exact_normalize()
     assert z == float(scores.sum())
     assert np.array_equal(p, scores / z)
 
 
-@pytest.mark.parametrize("pointwise", [False, True], ids=["exponential", "pointwise-product"])
+@pytest.mark.parametrize(
+    "pointwise", [False, True, None], ids=["exponential", "pointwise-product", "empty"]
+)
 def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
     v = space.vocabulary
     features = [TokenPresence(v, "a"), PrefixMatch(v, ["b"]), WordlistPresence(v, ["a", "c"])]
-    if pointwise:
+    if pointwise is None:
+        ebm = Ebm(base=base, constraint_set=ConstraintSet([]), lam=np.zeros(0))
+    elif pointwise:
         cs = ConstraintSet([ConstraintSpec(f, 1.0, pointwise=True) for f in features])
         ebm = build_pointwise(base, cs)
     else:
@@ -298,7 +302,7 @@ def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
             + [ConstraintSpec(f, 0.4) for f in features[1:]]
         )
         ebm = Ebm(base=base, constraint_set=cs, lam=np.array([2.5, -1.3, 0.7]))
-    enum = space.enumeration()
+    enum = enumeration(space)
     reference = member_log_scores(ebm, enum)
     assert np.array_equal(ebm.log_score_batch(enum), reference)
     z, p = ebm.exact_normalize()
@@ -343,7 +347,7 @@ def test_exact_oracles_never_build_the_enumeration(rng):
         ebm.exact_normalize()
         ebm.exact_moments()
         snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
-        assert "enum" not in space._cache
+    assert not hasattr(SequenceSpace, "enumeration")
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
@@ -392,7 +396,7 @@ def test_pythagorean_identity(rng):
     base = random_model(space, 2, rng, scale=0.5)
     cs = presence_set(space, "b", 0.6)
     a_dist = base.exact_distribution()
-    phi = cs.feature_matrix(space.enumeration())
+    phi = cs.feature_matrix(enumeration(space))
     lam_star = bisect_lambda(a_dist, phi[:, 0], 0.6)
     p = exact_tilted(a_dist, phi, np.array([lam_star]))
     kl_p_a = exact_kl(p, a_dist)
@@ -410,7 +414,7 @@ def test_pythagorean_identity_with_mixture_witness(rng):
     base = random_model(space, 2, rng, scale=0.5)
     cs = presence_set(space, "b", 0.6)
     a_dist = base.exact_distribution()
-    phi = cs.feature_matrix(space.enumeration())[:, 0]
+    phi = cs.feature_matrix(enumeration(space))[:, 0]
     lam_star = bisect_lambda(a_dist, phi, 0.6)
     p = exact_tilted(a_dist, phi[:, None], np.array([lam_star]))
     on = a_dist * (phi == 1.0)
@@ -426,7 +430,7 @@ def test_information_projection_optimality(rng):
     base = random_model(space, 2, rng, scale=0.5)
     cs = presence_set(space, "a", 0.4)
     a_dist = base.exact_distribution()
-    phi = cs.feature_matrix(space.enumeration())
+    phi = cs.feature_matrix(enumeration(space))
     lam_star = bisect_lambda(a_dist, phi[:, 0], 0.4)
     p = exact_tilted(a_dist, phi, np.array([lam_star]))
     kl_p_a = exact_kl(p, a_dist)

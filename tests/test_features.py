@@ -20,6 +20,7 @@ from helpers import (
     Sequence,
     batch_from,
     enumerate_sequences,
+    enumeration,
     feature_value,
     sequences,
     small_space,
@@ -103,7 +104,7 @@ FEATURES = pytest.mark.parametrize("make", [
 def test_batch_matches_scalar_over_enumeration(make):
     space = small_space(3, 4)
     f = make(space.vocabulary)
-    batch = space.enumeration()
+    batch = enumeration(space)
     vectorized = f.evaluate_batch(batch)
     scalar = np.array([feature_value(f, s) for s in sequences(batch)])
     assert np.array_equal(vectorized, scalar)
@@ -131,7 +132,7 @@ def test_binary_features_are_binary_over_enumeration():
     space = small_space(3, 4)
     v = space.vocabulary
     for f in (TokenPresence(v, "b"), WordlistPresence(v, ["a"]), PrefixMatch(v, ["c"])):
-        values = f.evaluate_batch(space.enumeration())
+        values = f.evaluate_batch(enumeration(space))
         assert set(np.unique(values)) <= {0.0, 1.0}
 
 
@@ -203,7 +204,7 @@ def test_pointwise_predicate_iff_all_satisfied():
         1.0 if all(feature_value(c.feature, x) == 1.0 for c in cs) else 0.0
         for x in enumerate_sequences(space)
     ]
-    assert np.array_equal(product_b(space, cs, space.enumeration()), expected)
+    assert np.array_equal(product_b(space, cs, enumeration(space)), expected)
 
 
 def test_constraint_spec_validation():

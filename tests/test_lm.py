@@ -20,6 +20,7 @@ from helpers import (
     batch_of,
     dense_grad_weighted_sum,
     enumerate_sequences,
+    enumeration,
     from_distribution,
     grad_log_prob,
     gumbel_sample_batch,
@@ -102,7 +103,7 @@ def test_log_prob_matches_chain_rule_oracle(rng):
 def test_mle_model_matches_chain_rule_oracle(ab_space):
     corpus = [Sequence((0,)), Sequence((0, 1)), Sequence((1,)), Sequence((0,))]
     model = mle_fit(ab_space, batch_from(ab_space, corpus), order=2, smoothing=0.5)
-    batch = ab_space.enumeration()
+    batch = enumeration(ab_space)
     expected = [naive_log_prob(model, seq) for seq in sequences(batch)]
     assert model.log_prob_batch(batch) == pytest.approx(expected, rel=1e-10)
 
@@ -222,7 +223,7 @@ def test_serialize_round_trip(ab_space, rng):
     doc = json.loads(json.dumps(model.to_document()))
     restored = TabularARModel.from_document(doc)
     assert np.array_equal(restored.logits, model.logits)
-    enum = ab_space.enumeration()
+    enum = enumeration(ab_space)
     assert np.array_equal(restored.log_prob_batch(enum), model.log_prob_batch(enum))
 
 
@@ -328,7 +329,7 @@ def test_to_order_preserves_distribution(rng):
 def test_batch_and_scalar_log_prob_agree(rng):
     space = small_space(3, 4)
     model = random_model(space, 3, rng)
-    batch = space.enumeration()
+    batch = enumeration(space)
     vectorized = model.log_prob_batch(batch)
     scalar = np.array([naive_log_prob(model, s) for s in sequences(batch)])
     assert np.allclose(vectorized, scalar, rtol=0, atol=1e-12)
@@ -355,7 +356,7 @@ def test_prefix_dp_matches_enumeration_bitwise(order_of, rng):
             tokens = tuple(letters[:eos]) + ("<eos>",) + tuple(letters[eos:])
             space = SequenceSpace(vocabulary=Vocabulary(tokens, eos_index=eos), lmax=lmax)
             model = random_model(space, order_of(lmax), rng, scale=1.5)
-            expected = model.log_prob_batch(space.enumeration())
+            expected = model.log_prob_batch(enumeration(space))
             assert np.array_equal(model.exact_log_distribution(), expected)
             assert np.array_equal(model.exact_distribution(), np.exp(expected))
 
@@ -366,7 +367,7 @@ def test_prefix_dp_matches_enumeration_with_neg_inf_rows(rng):
     dist[rng.random(space.universe_size) < 0.4] = 0.0
     model = from_distribution(space, dist / dist.sum())
     assert np.isneginf(model.logits).any()
-    expected = np.exp(model.log_prob_batch(space.enumeration()))
+    expected = np.exp(model.log_prob_batch(enumeration(space)))
     assert np.array_equal(model.exact_distribution(), expected)
 
 
@@ -385,7 +386,7 @@ def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
 def test_sparse_updates_refresh_log_softmax_bitwise(rng):
     space = small_space(4, 4)
     model = random_model(space, space.lmax, rng, trainable=True)
-    model.log_prob_batch(space.enumeration())  # fill the cache before updating
+    model.log_prob_batch(enumeration(space))  # fill the cache before updating
     for _ in range(20):
         batch = model.sample_batch(int(rng.integers(1, 64)), rng)
         model.apply_update(model.grad_weighted_sum(batch, rng.standard_normal(len(batch))), 0.7)
@@ -401,7 +402,7 @@ def test_lifted_log_softmax_is_the_recomputed_one_bitwise(trainable, warm, rng):
     for order in (1, 2, 3):
         base = random_model(space, order, rng, scale=2.0)
         if warm:
-            base.log_prob_batch(space.enumeration())
+            base.log_prob_batch(enumeration(space))
         lifted = base.to_order(space.lmax, trainable=trainable)
         assert lifted._logprob is not None  # inherited, not left to compute
         assert np.array_equal(lifted._log_softmax(), _row_log_softmax(lifted.logits))
@@ -527,7 +528,7 @@ def test_batches_are_read_only(ab_space, rng):
     batches = [
         model.sample_batch(8, rng),
         batch_from(ab_space, [Sequence((0, 1)), Sequence(())]),
-        small_space(2, 2).enumeration(),
+        enumeration(small_space(2, 2)),
     ]
     for batch in batches:
         with pytest.raises(ValueError):

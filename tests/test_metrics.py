@@ -24,6 +24,7 @@ from helpers import (
     batch_from,
     batch_of,
     dist_n,
+    enumeration,
     expectation_phi,
     naive_bleu,
     naive_corpus_dist_n,
@@ -56,7 +57,7 @@ def test_expectation_phi_matches_enumeration(rng):
     space = small_space(3, 4)
     model = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.5)])
-    exact = float(model.exact_distribution() @ cs.feature_matrix(space.enumeration())[:, 0])
+    exact = float(model.exact_distribution() @ cs.feature_matrix(enumeration(space))[:, 0])
     batch = model.sample_batch(100000, np.random.default_rng(0))
     est = float(expectation_phi(batch, cs)[0])
     se = np.sqrt(exact * (1 - exact) / len(batch))
@@ -195,7 +196,7 @@ def test_batch_metrics_equal_per_sequence_references(drawn):
     assert_equals_references(seqs, width)
     vocab = Vocabulary.from_body_tokens([f"t{i}" for i in range(vocab_size)])
     if any(len(s) for s in seqs):
-        assert zipf_table(batch_of(seqs, width), vocab).rows == naive_zipf_rows(seqs, vocab)
+        assert zipf_table(batch_of(seqs, width), vocab) == naive_zipf_rows(seqs, vocab)
     else:
         with pytest.raises(EmptyCorpus):
             zipf_table(batch_of(seqs, width), vocab)
@@ -259,7 +260,8 @@ def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
     spec = ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0 if pointwise else 0.4, pointwise)
     cs = ConstraintSet([spec])
     if pointwise:
-        target = Ebm(base=base, constraint_set=cs, lam=np.zeros(0), mode=POINTWISE_PRODUCT)
+        target = Ebm(base=base, constraint_set=cs, lam=np.zeros(0))
+        assert target.mode == POINTWISE_PRODUCT
     else:
         target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
     calls = []
@@ -285,22 +287,22 @@ def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
 
 def test_zipf_rows(ab_space):
     table = zipf_table(batch_of([Sequence((0, 0, 1))]), ab_space.vocabulary)
-    assert table.rows == [(1, "a", 2), (2, "b", 1)]
+    assert table == [(1, "a", 2), (2, "b", 1)]
     assert zipf_total(table) == 3
 
 
 def test_zipf_tie_break_by_vocab_index():
     space = small_space(3, 4)
     table = zipf_table(batch_of([Sequence((2, 1))]), space.vocabulary)
-    assert [rank for rank, _, _ in table.rows] == [1, 2]
-    assert [tok for _, tok, _ in table.rows] == ["b", "c"]
+    assert [rank for rank, _, _ in table] == [1, 2]
+    assert [tok for _, tok, _ in table] == ["b", "c"]
 
 
 def test_zipf_near_flat_on_balanced_corpus():
     space = small_space(3, 4)
     corpus = [Sequence((0, 1, 2)) for _ in range(10)]
     table = zipf_table(batch_of(corpus), space.vocabulary)
-    freqs = [f for _, _, f in table.rows]
+    freqs = [f for _, _, f in table]
     assert max(freqs) == min(freqs) == 10
 
 
@@ -320,7 +322,7 @@ def test_zipf_sum_identity(samples):
         return
     table = zipf_table(batch_of(samples), space.vocabulary)
     assert zipf_total(table) == total
-    freqs = [f for _, _, f in table.rows]
+    freqs = [f for _, _, f in table]
     assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
 
 
