@@ -199,15 +199,15 @@ def _write_samples(run: _Run, policy, eval_options, rng) -> None:
     _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
 
 
-def run_train(run: _Run) -> None:
-    cfg = run.cfg
-    base, constraint_set, eval_options = _build(cfg, "training")
-    method, config = cfg.method, cfg.build_trainer()
-    _check_policy_table(base, config)
-    run.end("build")
-    report, target = _build_target(cfg, base, constraint_set)
+def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_options, rng_eval):
+    """Fit the target and run the trainer. Returns only what the write phase
+    needs: the fit document, the policy, its metric history and run.json's
+    document. The target's exact caches (its distribution and universe
+    features) and the trainer's state (a DPG run's proposal) are freed on
+    return, before `model.json` is written."""
+    report, target = _build_target(run.cfg, base, constraint_set)
     run.end("fit")
-    _, rng_eval, rng_samples = seed_streams(cfg.seed)
+    method = run.cfg.method
     if method == REJECTION_MLE:
         policy, stats = rejection_mle(base, constraint_set, config)
         history = [snapshot(0, REJECTION_MLE, policy, target, rng_eval, eval_options)]
@@ -221,11 +221,25 @@ def run_train(run: _Run) -> None:
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.state.beta}
     run.end("train")
-    _write_json(run.artifact("fit_report", "json"), _fit_document(report, target, constraint_set))
+    fit_doc = _fit_document(report, target, constraint_set)
+    return fit_doc, policy, history, {"method": method, **extra_doc}
+
+
+def run_train(run: _Run) -> None:
+    cfg = run.cfg
+    base, constraint_set, eval_options = _build(cfg, "training")
+    config = cfg.build_trainer()
+    _check_policy_table(base, config)
+    run.end("build")
+    _, rng_eval, rng_samples = seed_streams(cfg.seed)
+    fit_doc, policy, history, run_doc = _fit_and_train(
+        run, base, constraint_set, config, eval_options, rng_eval
+    )
+    _write_json(run.artifact("fit_report", "json"), fit_doc)
     _write_metrics(run, constraint_set, eval_options, history)
     policy.write_document(run.artifact("model", "json"))
     _write_samples(run, policy, eval_options, rng_samples)
-    _write_json(run.artifact("run", "json"), {"method": method, **extra_doc})
+    _write_json(run.artifact("run", "json"), run_doc)
 
 
 def run_ablation(run: _Run) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ebm import Ebm
-from .errors import ConfigError, NonFiniteLogits
+from .errors import ConfigError, NumericalError
 from .estimators import (
     ZMovingAverage,
     importance_ratios,
@@ -218,9 +218,10 @@ def run_loop(
     `config.eval_every`-th. `method` labels the snapshots.
 
     Training and evaluation consume independent RNG streams spawned from the
-    seed, so snapshot cadence never perturbs the training trajectory. An
-    iteration whose update would make a logit non-finite stops the run with
-    NonFiniteLogits naming the iteration.
+    seed, so snapshot cadence never perturbs the training trajectory. A
+    NumericalError raised by iteration i or by its snapshot (i = 0: the
+    snapshot before the first) stops the run with its message prefixed
+    `iteration i: `.
     """
     if target.base.space != base.space:
         raise ConfigError("target EBM and trained base must share one sequence space")
@@ -228,15 +229,16 @@ def run_loop(
     rng_train, rng_eval, _ = seed_streams(config.seed)
     state = init_state(base, config)
     for i in range(config.iterations + 1):
-        if i > 0:
-            try:
+        try:
+            if i > 0:
                 iteration(state, target, config, rng_train)
-            except NonFiniteLogits as e:
-                raise NonFiniteLogits(f"iteration {i}: {e}") from None
-        if i % config.eval_every == 0:
-            state.history.append(
-                snapshot(i, method, state.policy, target, rng_eval, eval_options, state.zma.value)
-            )
+            if i % config.eval_every == 0:
+                record = snapshot(
+                    i, method, state.policy, target, rng_eval, eval_options, state.zma.value
+                )
+                state.history.append(record)
+        except NumericalError as e:
+            raise e.at_iteration(i)
     return TrainResult(policy=state.policy, history=state.history, state=state)
 
 

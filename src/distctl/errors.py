@@ -10,9 +10,18 @@ class DistctlError(Exception):
 
 
 class NumericalError(DistctlError):
-    """A numerical failure of the method itself (CLI exit 3)."""
+    """A numerical failure of the method itself (CLI exit 3). `iteration` is
+    the training iteration it stopped, once a training loop has named it."""
 
     exit_code = 3
+    iteration: int | None = None
+
+    def at_iteration(self, i: int) -> "NumericalError":
+        """Prefix `iteration i: ` to the message, unless an iteration is named already."""
+        if self.iteration is None:
+            self.iteration = i
+            self.args = (f"iteration {i}: {self}",)
+        return self
 
 
 class ConfigError(DistctlError):

@@ -49,7 +49,8 @@ from .seqspace import (
 
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
-_WRITE_CHUNK_ROWS = 65536  # rows joined into one string per file write
+_WRITE_CHUNK_ROWS = 65536  # rows keyed, checked and joined into one string at a time
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 / golden ratio
 
 
 def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
@@ -117,6 +118,18 @@ class RowGradient(NamedTuple):
         out = np.zeros((n_contexts, self.values.shape[1]))
         out[self.rows] = self.values
         return out
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each row of a uint64 matrix: every word is xored in,
+    then mixed by a multiply and a shift. Equal rows get equal keys; a
+    collision of different rows is rare, and `write_document` checks for it."""
+    keys = np.zeros(len(words), dtype=np.uint64)
+    for column in words.T:
+        keys ^= column
+        keys *= _KEY_MULTIPLIER
+        keys ^= keys >> np.uint64(29)
+    return keys
 
 
 def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -327,21 +340,23 @@ class TabularARModel:
         return np.exp(out, out=out)
 
     def frozen_copy(self) -> "TabularARModel":
-        """Frozen snapshot: a copy of the logits and of the cached log-softmax.
-        It recomputes and re-validates nothing (the logits already passed)."""
-        logprob = self._log_softmax()
+        """Frozen snapshot holding one table: a copy of the cached log-softmax,
+        which is also its logits (a row's softmax does not change under a
+        shift, so the distribution is the same). It recomputes and re-validates
+        nothing (the logits already passed)."""
         twin = copy.copy(self)
-        twin.logits = self.logits.copy()
+        twin.logits = twin._logprob = self._log_softmax().copy()
         twin.trainable = False
-        twin._logprob = logprob.copy()
         return twin
 
     def copy_rows_from(self, source: "TabularARModel", rows: np.ndarray) -> None:
-        """Copy `rows` of the logits and of the cached log-softmax from `source`,
-        a model of the same shape, into this model in place. Those rows then
-        hold `source`'s bits; nothing is recomputed or re-validated."""
-        self.logits[rows] = source.logits[rows]
-        self._log_softmax()[rows] = source._log_softmax()[rows]
+        """Copy `rows` of `source`'s cached log-softmax into this frozen copy
+        (see `frozen_copy`), in place; `source` has the same shape. Those rows
+        then hold `source`'s log-softmax bits; nothing is recomputed or
+        re-validated."""
+        if self.logits is not self._logprob:
+            raise ConfigError("copy_rows_from writes only into a frozen_copy")
+        self._logprob[rows] = source._log_softmax()[rows]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window.
@@ -395,19 +410,37 @@ class TabularARModel:
 
         A row's JSON text depends only on its bytes, so each distinct row is
         encoded once and the rows are streamed in chunks. Tables expanded by
-        `to_order` repeat most of their rows.
+        `to_order` repeat most of their rows. Rows are grouped by a 64-bit key
+        of their words (`_row_keys`), and each row is checked bytewise against
+        its group's first row: a row whose key collides with a different row's
+        is encoded on its own.
         """
         logits = np.ascontiguousarray(self.logits)
-        n, v = logits.shape
-        row_bytes = logits.view(np.dtype((np.void, v * logits.itemsize))).ravel()
-        distinct, inverse = np.unique(row_bytes, return_inverse=True)
-        texts = [json.dumps(row) for row in distinct.view(logits.dtype).reshape(-1, v).tolist()]
+        n = len(logits)
+        words = logits.view(np.uint64)
+        chunks = [slice(lo, lo + _WRITE_CHUNK_ROWS) for lo in range(0, n, _WRITE_CHUNK_ROWS)]
+        keys = np.empty(n, dtype=np.uint64)
+        for chunk in chunks:
+            keys[chunk] = _row_keys(words[chunk])
+        # np.sort, not np.unique: the latter's hash-table path costs a small
+        # process about 1 MB of resident code on first use
+        ranked = np.sort(keys)
+        distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        del ranked
+        group = np.searchsorted(distinct, keys)  # each row's group: its key's rank
+        del keys
+        first = np.full(len(distinct), n)
+        np.minimum.at(first, group, np.arange(n))  # each group's first row
+        texts = [json.dumps(row) for row in logits[first].tolist()]
         head = json.dumps(self._header())
         with open(path, "w") as f:
             f.write(head[:-1] + ', "logits": [')
-            for start in range(0, n, _WRITE_CHUNK_ROWS):
-                chunk = inverse[start : start + _WRITE_CHUNK_ROWS].tolist()
-                f.write((", " if start else "") + ", ".join([texts[i] for i in chunk]))
+            for chunk in chunks:
+                rows = [texts[g] for g in group[chunk].tolist()]
+                differs = (words[chunk] != words[first[group[chunk]]]).any(axis=1)
+                for i in np.flatnonzero(differs).tolist():  # a key collision
+                    rows[i] = json.dumps(logits[chunk.start + i].tolist())
+                f.write((", " if chunk.start else "") + ", ".join(rows))
             f.write("]}\n")
 
     @classmethod

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 
@@ -203,6 +204,17 @@ def estimate_kl_between_models(
 ) -> Estimate:
     """KL(policy || reference) from samples drawn from the policy."""
     return kl_models_from_logs(policy.log_prob_batch(samples), reference.log_prob_batch(samples))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes of the call): the
+    most memory the call held at once, of what it allocated itself."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def uniform_model(space: SequenceSpace, order: int = 1, trainable: bool = False) -> TabularARModel:

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 import distctl
-from distctl import errors
+from distctl import errors, seqspace
 from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
 from distctl.lm import TabularARModel
 from distctl.seqspace import SequenceSpace
 
-from helpers import synthetic_corpus
+from helpers import synthetic_corpus, traced_peak
 
 
 @pytest.fixture
@@ -332,8 +332,22 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
-def test_exact_commands_never_build_the_enumeration(workdir, command):
-    assert main([command, "--config", str(write_config(workdir))]) == 0
+def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
+    """A whole exact command holds at most 20 universe-sized float64 arrays at
+    once; the oracle's five moment-preserving perturbations and their
+    least-squares basis are most of it. On this long, narrow space (two body
+    tokens, lmax 14) the universe's token matrix alone would be 7 such arrays,
+    its lengths one more, and the blocks it is joined from as many again."""
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
+    text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
+                            n_lines=120, min_len=1, max_len=8)
+    (workdir / "narrow.txt").write_text(text)
+    cfg = write_config(workdir, space={"lmax": 14},
+                       base_model={"corpus": "narrow.txt", "order": 2, "smoothing": 0.5},
+                       fit={"sample_count": 2000, "tolerance": 1e-4, "max_steps": 5000})
+    code, peak = traced_peak(main, [command, "--config", str(cfg)])
+    assert code == 0
+    assert peak <= 20 * 8 * (2**15 - 1)  # 32,767 sequences
     assert not hasattr(SequenceSpace, "enumeration")
 
 
@@ -651,6 +665,18 @@ def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivit
     err = capsys.readouterr().err
     assert re.search(r"error: iteration [1-5]: .* non-finite", err)
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_a_failed_snapshot_exits_3_naming_its_iteration(tmp_path, capsys):
+    # learning rate 1e5 drives the policy off the target's support by the first
+    # snapshot after the start, and the exact KL refuses it
+    path, cfg = demo_config(tmp_path, "distributional")
+    cfg["trainer"].update(iterations=40, learning_rate=1e5)
+    cfg["eval"].update(eval_every=10, exact_oracle=True)
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: iteration 10: second distribution misses support of the first\n"
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))

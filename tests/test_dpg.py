@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from distctl.dpg import DpgConfig, dpg_iteration, init_state, train
+from distctl import dpg
+from distctl.dpg import DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
 from distctl.ebm import Ebm, build_pointwise
-from distctl.errors import ConfigError
+from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import RowGradient, TabularARModel
@@ -18,6 +19,7 @@ from helpers import (
     scaled,
     sequences,
     small_space,
+    traced_peak,
     uniform_model,
 )
 
@@ -227,6 +229,41 @@ def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
     monkeypatch.setattr(TabularARModel, "frozen_copy", counted)
     result = train(base, target, config, EvalOptions(sample_size=16))
     assert result.state.proposal_updates > 1 and len(copies) == 1
+
+
+def test_dpg_init_state_allocates_three_tables(rng):
+    """The lifted policy's logits and log-softmax, and the proposal's one table:
+    its frozen copy of the log-softmax, which also serves as its logits."""
+    space = small_space(8, 6)  # a 37,449-row policy table
+    base = random_model(space, 2, rng)
+    state, peak = traced_peak(init_state, base, DpgConfig(iterations=1))
+    assert peak <= 3.2 * state.policy.logits.nbytes
+
+
+@pytest.mark.parametrize(
+    "where, named, message",
+    [("iteration", None, "iteration 3: z"), ("iteration", 7, "iteration 7: z"),
+     ("snapshot", None, "iteration 0: z")],
+    ids=["iteration", "already-named", "snapshot"],
+)
+def test_run_loop_names_the_iteration_of_a_numerical_error_once(
+    monkeypatch, ab_space, ab_uniform, where, named, message
+):
+    def fail():
+        error = NonpositiveZ("z")
+        raise error if named is None else error.at_iteration(named)
+
+    def iteration(state, target, config, rng):
+        if state.iteration == 2:  # the third iteration: loop step 3
+            fail()
+        state.iteration += 1
+
+    if where == "snapshot":
+        monkeypatch.setattr(dpg, "snapshot", lambda *args: fail())
+    with pytest.raises(NonpositiveZ) as err:
+        run_loop(ab_uniform, identity_ebm(ab_space, ab_uniform), LoopConfig(iterations=5),
+                 "test", iteration)
+    assert str(err.value) == message
 
 
 def test_tvd_adaptivity_runs_and_swaps(ab_space, ab_uniform):

@@ -45,6 +45,7 @@ from helpers import (
     scaled,
     small_space,
     snis_standard_error,
+    traced_peak,
     uniform_model,
 )
 
@@ -255,16 +256,42 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 
 
 
-def test_exact_oracles_leave_the_enumeration_unencoded(rng):
+# The exact oracles' memory bound. A target's normalization holds at most five
+# universe-sized float64 arrays at once (the product form: log-probs, features,
+# their product, its log and the sum), and with its caches filled a snapshot
+# adds the policy's distribution. The universe's token matrix of a length-8
+# space would add four more, and its lengths one; its per-block batches stay
+# small while ENUMERATION_CHUNK_ROWS is.
+ORACLE_SPACE = (4, 8)  # 87,381 sequences
+ORACLE_UNIVERSE_ARRAYS = 6
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
+
+
+def exact_oracles_peak(ebm, policy, rng):
+    """The tracemalloc peak of every exact oracle a snapshot's target and policy
+    have, in universe-sized float64 arrays."""
+
+    def oracles():
+        ebm.exact_normalize()
+        ebm.exact_moments()
+        policy.exact_distribution()
+        snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
+
+    _, peak = traced_peak(oracles)
+    return peak / (8 * ebm.space.universe_size)
+
+
+def test_exact_oracles_leave_the_enumeration_unencoded(small_blocks, rng):
     # a universe batch is built per call, so no scoring can pin a code matrix to it
-    space = small_space(3, 4)
+    space = small_space(*ORACLE_SPACE)
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
     ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
-    ebm.exact_normalize()
-    ebm.exact_moments()
-    policy.exact_distribution()
-    snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
+    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS
     assert enumeration(space)._events is None
 
 
@@ -336,17 +363,15 @@ def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
     assert universe_rows == space.universe_size
 
 
-def test_exact_oracles_never_build_the_enumeration(rng):
-    space = small_space(3, 4)
+def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
+    space = small_space(*ORACLE_SPACE)
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
     for ebm in (
         Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
         build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True)),
     ):
-        ebm.exact_normalize()
-        ebm.exact_moments()
-        snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
+        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS, ebm.mode
     assert not hasattr(SequenceSpace, "enumeration")
 
 

@@ -273,7 +273,10 @@ def test_exact_kl_is_the_masked_formula_bitwise(zero_mass, rng):
             d1[off] = 0.0
             d2[off] *= rng.integers(0, 2, size=int(off.sum()))  # some zeros off the support
         d1, d2 = d1 / d1.sum(), d2 / d2.sum()
+        kept = d2.copy()
         assert exact_kl(d1, d2) == masked_kl(d1, d2)
+        assert d2.tobytes() == kept.tobytes()  # the default leaves its inputs alone
+        assert exact_kl(d1, d2, overwrite_d2=True) == masked_kl(d1, kept)
         assert (d1 > 0).all() != zero_mass
 
 

@@ -11,6 +11,7 @@ from distctl.errors import (
     NotTrainable,
     SchemaMismatch,
 )
+from distctl import lm
 from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, _row_log_softmax, mle_fit
 from distctl.seqspace import SampleBatch, SequenceSpace, Vocabulary
 
@@ -32,6 +33,7 @@ from helpers import (
     small_space,
     step_grad_weighted_sum,
     step_log_prob_batch,
+    traced_peak,
     uniform_model,
     uniform_over_universe,
 )
@@ -235,7 +237,22 @@ def test_serialize_round_trip_with_neg_inf(ab_space):
     assert np.array_equal(restored.logits, model.logits)
 
 
-def test_write_document_matches_to_document_bytes(tmp_path, rng):
+def test_write_document_holds_no_table_sized_buffer(monkeypatch, tmp_path, rng):
+    """Writing a lifted policy holds a few row-sized arrays (row keys, their
+    sorted distinct values, each row's group) and one chunk's text, never a
+    copy of the table: the traced peak of a second write (the first pays
+    numpy's lazy imports) stays below half the table's bytes."""
+    monkeypatch.setattr(lm, "_WRITE_CHUNK_ROWS", 1024)  # 65 chunks, each small beside the table
+    space = small_space(9, 6)
+    model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    assert model.logits.shape == (66430, 10)
+    model.write_document(tmp_path / "first.json")
+    _, peak = traced_peak(model.write_document, tmp_path / "model.json")
+    assert peak < 0.5 * model.logits.nbytes
+    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+
+
+def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
     space = small_space(3, 4)
     distinct = random_model(space, 3, rng, trainable=True)
     expanded = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
@@ -256,13 +273,16 @@ def test_write_document_matches_to_document_bytes(tmp_path, rng):
     assert one_row.logits.shape[0] == 1
     cases = {"distinct": distinct, "expanded": expanded, "neg-inf": neg_inf,
              "signed-zero": signed_zero, "one-row": one_row}
-    for name, model in cases.items():
-        path = tmp_path / f"{name}.json"
-        model.write_document(path)
-        text = path.read_text()
-        assert text == json.dumps(model.to_document()) + "\n", name
-        restored = TabularARModel.from_document(json.loads(text))
-        assert restored.logits.tobytes() == model.logits.tobytes(), name
+    for keys in ("mixed", "colliding"):
+        if keys == "colliding":  # every row shares one key: only the bytewise check groups them
+            monkeypatch.setattr(lm, "_row_keys", lambda words: np.zeros(len(words), np.uint64))
+        for name, model in cases.items():
+            path = tmp_path / f"{name}-{keys}.json"
+            model.write_document(path)
+            text = path.read_text()
+            assert text == json.dumps(model.to_document()) + "\n", (name, keys)
+            restored = TabularARModel.from_document(json.loads(text))
+            assert restored.logits.tobytes() == model.logits.tobytes(), (name, keys)
 
 
 def test_deserialize_corrupt_field(ab_space):
@@ -441,6 +461,17 @@ def test_frozen_copy_is_a_snapshot(rng):
         frozen.grad_weighted_sum(batch, np.ones(len(batch)))
     with pytest.raises(NotTrainable):
         frozen.apply_update(RowGradient.full(np.zeros_like(logits)), 0.1)
+
+
+def test_frozen_copy_holds_one_table(rng):
+    space = small_space(3, 3)
+    policy = random_model(space, space.lmax, rng, trainable=True)
+    frozen = policy.frozen_copy()
+    assert frozen.logits is frozen._log_softmax()
+    assert frozen.logits.tobytes() == policy._log_softmax().tobytes()
+    assert np.array_equal(frozen.exact_distribution(), policy.exact_distribution())
+    with pytest.raises(ConfigError, match="frozen_copy"):  # its logits would go stale
+        policy.copy_rows_from(frozen, np.arange(2))
 
 
 def test_non_finite_update_raises_and_leaves_model_unchanged(rng):

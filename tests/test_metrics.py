@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +30,7 @@ from helpers import (
     naive_zipf_rows,
     random_model,
     small_space,
+    traced_peak,
     zipf_total,
 )
 
@@ -328,10 +327,10 @@ def test_zipf_sum_identity(samples):
 
 def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng):
     """Once the target's exact distribution and universe features are cached,
-    an exact snapshot allocates the policy's distribution plus one buffer of
-    KL terms: its tracemalloc peak stays within 2.5 universe-sized float64
-    arrays (the DP writes in place and exact_kl divides, logs and multiplies
-    in one buffer)."""
+    an exact snapshot allocates the policy's distribution and little else: its
+    tracemalloc peak stays within 1.5 universe-sized float64 arrays (the DP
+    writes in place, and exact_kl builds its terms in the policy
+    distribution's own buffer once the expected features are read from it)."""
     space = small_space(8, 6)  # 299,593 sequences
     base = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
@@ -339,10 +338,5 @@ def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng
     policy = base.to_order(space.lmax, trainable=True)
     options = EvalOptions(sample_size=64, exact=True)
     snapshot(0, "gdc", policy, target, rng, options)  # fills the target's caches
-    tracemalloc.start()
-    try:
-        snapshot(1, "gdc", policy, target, rng, options)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 8 * space.universe_size
+    _, peak = traced_peak(snapshot, 1, "gdc", policy, target, rng, options)
+    assert peak <= 1.5 * 8 * space.universe_size
