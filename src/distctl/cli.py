@@ -203,8 +203,9 @@ def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_
     """Fit the target and run the trainer. Returns only what the write phase
     needs: the fit document, the policy, its metric history and run.json's
     document. The target's exact caches (its distribution and universe
-    features) and the trainer's state (a DPG run's proposal) are freed on
-    return, before `model.json` is written."""
+    features) and the trainer's state are freed on return, before
+    `model.json` is written; a DPG run's proposal is gone already, dropped
+    after its last iteration (`dpg.run_loop`)."""
     report, target = _build_target(run.cfg, base, constraint_set)
     run.end("fit")
     method = run.cfg.method
@@ -284,15 +285,15 @@ def run_oracle(run: _Run) -> None:
     kl_p_a = exact_kl(p, a_dist)
     phi = target.phi_universe()
     rng = np.random.default_rng(cfg.seed)
-    residuals = []
-    for c in moment_preserving_perturbations(p, phi, count=5, rng=rng):
-        residual = abs(exact_kl(c, a_dist) - exact_kl(c, p) - kl_p_a)
-        residuals.append(residual)
+    perturbations = moment_preserving_perturbations(p, phi, count=5, rng=rng)
+    residual_max = max(  # folded in one perturbation at a time
+        (abs(exact_kl(c, a_dist) - exact_kl(c, p) - kl_p_a) for c in perturbations), default=None
+    )
     doc = {
         "z": z,
         "exact_moments": [float(m) for m in target.exact_moments()],
         "kl_p_a": kl_p_a,
-        "pythagorean_residual_max": max(residuals) if residuals else None,
+        "pythagorean_residual_max": residual_max,
         "universe_size": base.space.universe_size,
     }
     run.end("oracle")

@@ -9,6 +9,12 @@ Both divergence estimates reuse the iteration's samples and the shared
 moving-average Z. A swap brings the frozen proposal up to date in place: it
 copies only the context rows the policy has updated since the last swap.
 
+The proposal is state that only the iterations read. The first iteration
+makes it, with its stale-row mask and Adam's moments, from the policy while
+the policy is still the lifted base; `run_loop` drops all three after the
+last iteration. So the snapshot before the first iteration and the one after
+the last run beside the policy's two tables, not three.
+
 `run_loop` is the one training loop: it owns the RNG streams, the policy
 initialisation and the snapshot cadence. Every trainer is an iteration of it
 with one signature, `iteration(state, target, config, rng)`: `dpg_iteration`
@@ -115,16 +121,22 @@ class IterationDecision:
 @dataclass
 class TrainState:
     policy: TabularARModel
-    proposal: TabularARModel | None = None
+    # DPG only, and only from the first iteration through the last (`end_iterations`):
+    proposal: TabularARModel | None = None  # the frozen proposal the training draws come from
+    stale: np.ndarray | None = None  # context rows updated since the last swap
+    adam: AdamState | None = None  # the optimizer's moments, when it is Adam
     zma: ZMovingAverage = field(default_factory=ZMovingAverage)
     history: list[MetricsRecord] = field(default_factory=list)
     decisions: list[IterationDecision] = field(default_factory=list)
-    adam: AdamState | None = None
-    stale: np.ndarray | None = None  # context rows updated since the last swap (DPG)
     beta: float | None = None  # a kl-penalized run's beta, moved by its controller
     proposal_updates: int = 0
     iteration: int = 0
     samples_drawn: int = 0
+
+    def end_iterations(self) -> None:
+        """Drop what only the iterations read: the proposal, its stale-row
+        mask and Adam's moments."""
+        self.proposal = self.stale = self.adam = None
 
 
 @dataclass
@@ -145,21 +157,23 @@ def seed_streams(seed: int) -> list[np.random.Generator]:
 def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
     """Policy starts as the base distribution re-expressed at trainable capacity.
 
-    A DPG run also starts its proposal as a frozen copy of the policy, the
-    run's only copy of the whole table; the comparison trainers sample from
-    the policy itself and have none.
+    A DPG run's proposal waits for its first iteration (`dpg_iteration`); the
+    comparison trainers sample from the policy itself and have none.
     """
     policy = base.to_order(max(base.order, base.space.lmax), trainable=True)
-    if not isinstance(config, DpgConfig):
-        return TrainState(policy=policy, beta=getattr(config, "beta", None))
-    adam = AdamState.like(policy.logits) if config.optimizer == OPTIMIZER_ADAM else None
-    stale = np.zeros(len(policy.logits), dtype=bool)
-    return TrainState(policy=policy, proposal=policy.frozen_copy(), adam=adam, stale=stale)
+    return TrainState(policy=policy, beta=getattr(config, "beta", None))
 
 
 def dpg_iteration(
     state: TrainState, target: Ebm, config: DpgConfig, rng: np.random.Generator
 ) -> TrainState:
+    """One DPG step. The first one starts the proposal as a frozen copy of
+    the policy, the run's only copy of the whole table."""
+    if state.proposal is None:
+        state.proposal = state.policy.frozen_copy()
+        state.stale = np.zeros(len(state.policy.logits), dtype=bool)
+        if config.optimizer == OPTIMIZER_ADAM:
+            state.adam = AdamState.like(state.policy.logits)
     k = config.samples_per_iteration
     samples = state.proposal.sample_batch(k, rng)
     state.samples_drawn += k
@@ -215,7 +229,9 @@ def run_loop(
 ) -> TrainResult:
     """Run `iteration(state, target, config, rng_train)` for `config.iterations`
     iterations, with a metric snapshot before the first and after every
-    `config.eval_every`-th. `method` labels the snapshots.
+    `config.eval_every`-th. `method` labels the snapshots. After the last
+    iteration the state drops what only the iterations read
+    (`TrainState.end_iterations`), before that step's snapshot.
 
     Training and evaluation consume independent RNG streams spawned from the
     seed, so snapshot cadence never perturbs the training trajectory. A
@@ -232,6 +248,8 @@ def run_loop(
         try:
             if i > 0:
                 iteration(state, target, config, rng_train)
+                if i == config.iterations:
+                    state.end_iterations()
             if i % config.eval_every == 0:
                 record = snapshot(
                     i, method, state.policy, target, rng_eval, eval_options, state.zma.value

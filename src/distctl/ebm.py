@@ -7,6 +7,7 @@ product (shortcut when every constraint is pointwise).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +155,9 @@ def moment_preserving_perturbations(
     phi: np.ndarray,
     count: int,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Distributions near p with exactly p's feature moments and normalization.
+) -> Iterator[np.ndarray]:
+    """Distributions near p with exactly p's feature moments and normalization,
+    yielded one at a time: at most `count` of them.
 
     Random directions are projected orthogonal to the all-ones vector and every
     feature column (restricted to p's support), then added with half the
@@ -165,9 +167,8 @@ def moment_preserving_perturbations(
     p = np.asarray(p, dtype=float)
     active = p > 0
     basis = np.column_stack([np.ones(int(active.sum())), phi[active]])
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 50 * count:
+    made = attempts = 0
+    while made < count and attempts < 50 * count:
         attempts += 1
         r = rng.standard_normal(int(active.sum()))
         residual = r - basis @ np.linalg.lstsq(basis, r, rcond=None)[0]
@@ -182,8 +183,9 @@ def moment_preserving_perturbations(
         t = 0.5 * float(np.min(p[negative] / -v[negative]))
         c = p + t * v
         c[c < 0] = 0.0  # guard against rounding at the positivity boundary
-        out.append(c / c.sum())
-    return out
+        c /= c.sum()
+        made += 1
+        yield c
 
 
 def snis_weights(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:

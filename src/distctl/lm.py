@@ -15,11 +15,18 @@ free end; the forced EOS at lmax is no event), its step token is the body
 token or EOS, and its context code is the table row of its context, 0 where
 the step is not active. The step tokens and the mask depend on the space only;
 the codes depend on the model order through m_eff. Each batch keeps one record
-of them, filled lazily, with one code matrix per m_eff it was scored under;
-`sample_batch` stores the codes it computes while sampling. Batches are
-read-only, so the record cannot go stale. A log-prob is one flat `take` of
-the cells code * V + token of the log-softmax table, summed step by step, in
-chain-rule order.
+of them, each matrix built on first read, with one code matrix per m_eff it
+was scored under; `sample_batch` stores the codes it computes while sampling.
+A batch that is only featurized (the lambda-fit's draw, a rejection-sampling
+chunk) never builds its step tokens or mask. Batches are read-only, so the
+record cannot go stale. A log-prob is one flat `take` of the cells
+code * V + token of the log-softmax table, summed step by step, in chain-rule
+order.
+
+Sampling draws each step's uniforms and forms its Gumbel scores over row
+chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
+one (n, V) draw, so the result does not depend on the chunk size, and the
+step's scratch is chunk x V, not n x V.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,6 +58,7 @@ from .seqspace import (
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
 _WRITE_CHUNK_ROWS = 65536  # rows keyed, checked and joined into one string at a time
+_SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 / golden ratio
 
 
@@ -132,6 +141,16 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _gumbel_argmax(logprob: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each row's argmax of its context row's log-probs plus Gumbel noise
+    -log(-log u), the noise formed in `u` and subtracted in place: a - b == a + (-b)."""
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        np.log(u, out=u)
+    return np.argmax(np.subtract(logprob[codes], u, out=u), axis=1)
+
+
 def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax; a row's result does not depend on the other rows."""
     m = np.max(logits, axis=1, keepdims=True)
@@ -141,23 +160,33 @@ def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Events:
-    """A batch's free emissions (see the module docstring). Each matrix is
-    (n, lmax), stored step-major: `.T` is contiguous per step."""
+    """A batch's free emissions (see the module docstring), each matrix built
+    on first read. Each is (n, lmax), stored step-major: `.T` is contiguous
+    per step."""
 
     space: SequenceSpace
-    toks: np.ndarray  # int64: body token, EOS at the free end
-    active: np.ndarray  # bool: t <= length
+    tokens: np.ndarray  # the batch's, read-only
+    lengths: np.ndarray
     codes: dict[int, np.ndarray] = field(default_factory=dict)  # m_eff -> int64 codes
+
+    @cached_property
+    def toks(self) -> np.ndarray:
+        """int64: body token, EOS at the free end."""
+        grows = np.arange(1, self.space.lmax + 1)[:, None] <= self.lengths  # row t: length > t
+        eos = np.int64(self.space.vocabulary.eos_index)
+        return np.where(grows, self.tokens.T, eos).T
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        """bool: t <= length."""
+        return (np.arange(self.space.lmax)[:, None] <= self.lengths).T
 
 
 def _events(space: SequenceSpace, batch: SampleBatch) -> _Events:
-    """The batch's event record, built on first use under `space`."""
+    """The batch's event record under `space`, made on first use."""
     record = batch._events
     if record is None or record.space != space:
-        reach = np.arange(space.lmax + 1)[:, None] <= batch.lengths  # row t: length >= t
-        eos = np.int64(space.vocabulary.eos_index)
-        toks = np.where(reach[1:], batch.tokens.T, eos)
-        record = batch._events = _Events(space, toks.T, reach[:-1].T)
+        record = batch._events = _Events(space, batch.tokens, batch.lengths)
     return record
 
 
@@ -227,17 +256,16 @@ class TabularARModel:
         codes = np.zeros((lmax, n), dtype=np.int64)  # step-major, as `_Coding.encode`
         val = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
+        pick = np.zeros(n, dtype=np.intp)  # a chunk with no live row keeps its stale picks
+        chunks = [slice(lo, min(lo + _SAMPLE_CHUNK_ROWS, n)) for lo in range(0, n, _SAMPLE_CHUNK_ROWS)]
         for t in range(lmax):
-            u = rng.random((n, self.space.vocabulary.size))
-            if not alive.any():
-                continue  # keep rng consumption independent of outcomes
             np.multiply(coding.step_offset(t) + val, alive, out=codes[t])  # 0 once ended
-            # Gumbel noise -log(-log u), subtracted in place: a - b == a + (-b)
-            with np.errstate(divide="ignore"):
-                np.log(u, out=u)
-                np.negative(u, out=u)
-                np.log(u, out=u)
-            pick = np.argmax(np.subtract(logprob[codes[t]], u, out=u), axis=1)
+            for rows in chunks:
+                # drawn row-major, chunk after chunk: the stream of one (n, V) draw,
+                # consumed whatever the outcomes
+                u = rng.random((rows.stop - rows.start, self.space.vocabulary.size))
+                if alive[rows].any():
+                    pick[rows] = _gumbel_argmax(logprob, codes[t, rows], u)
             ended = alive & (pick == eos)
             lengths[ended] = t
             grow = alive & ~ended
@@ -376,9 +404,9 @@ class TabularARModel:
             lo = int(new_coding.offsets[k])
             count = b**k
             ko = min(old.m_eff, k)
+            modulus = b**ko if ko > 0 else 1
             # suffix value of the last ko symbols of each length-k string
-            vals = np.arange(count, dtype=np.int64) % (b**ko if ko > 0 else 1)
-            rows[lo : lo + count] = old.offsets[ko] + vals
+            rows[lo : lo + count] = old.offsets[ko] + np.arange(count, dtype=np.int64) % modulus
         lifted = TabularARModel(
             space=self.space, order=order, logits=self.logits[rows], trainable=trainable
         )

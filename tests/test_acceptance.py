@@ -128,7 +128,7 @@ def test_criterion_2_pythagorean_identity(anchor):
     p = tilt / tilt.sum()
     kl_p_a = exact_kl(p, a_dist)
     rng = np.random.default_rng(5)
-    witnesses = moment_preserving_perturbations(p, phi, count=5, rng=rng)
+    witnesses = list(moment_preserving_perturbations(p, phi, count=5, rng=rng))
     on = a_dist * (phi[:, 0] == 1.0)
     off = a_dist * (phi[:, 0] == 0.0)
     witnesses.append(0.5 * on / on.sum() + 0.5 * off / off.sum())

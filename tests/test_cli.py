@@ -333,11 +333,12 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
 def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
-    """A whole exact command holds at most 20 universe-sized float64 arrays at
-    once; the oracle's five moment-preserving perturbations and their
-    least-squares basis are most of it. On this long, narrow space (two body
-    tokens, lmax 14) the universe's token matrix alone would be 7 such arrays,
-    its lengths one more, and the blocks it is joined from as many again."""
+    """A whole exact command holds at most 13 universe-sized float64 arrays at
+    once: both commands read about 12, and the oracle takes its
+    moment-preserving perturbations one at a time. On this long, narrow space
+    (two body tokens, lmax 14) the universe's token matrix alone would be 7
+    such arrays, its lengths one more, and the blocks it is joined from as
+    many again."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
     text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
                             n_lines=120, min_len=1, max_len=8)
@@ -347,7 +348,7 @@ def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, comman
                        fit={"sample_count": 2000, "tolerance": 1e-4, "max_steps": 5000})
     code, peak = traced_peak(main, [command, "--config", str(cfg)])
     assert code == 0
-    assert peak <= 20 * 8 * (2**15 - 1)  # 32,767 sequences
+    assert peak <= 13 * 8 * (2**15 - 1)  # 32,767 sequences
     assert not hasattr(SequenceSpace, "enumeration")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,13 +233,40 @@ def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
     assert result.state.proposal_updates > 1 and len(copies) == 1
 
 
-def test_dpg_init_state_allocates_three_tables(rng):
-    """The lifted policy's logits and log-softmax, and the proposal's one table:
-    its frozen copy of the log-softmax, which also serves as its logits."""
+def test_dpg_init_state_allocates_two_tables(rng):
+    """The lifted policy's logits and log-softmax. The proposal waits for the
+    first iteration, so init_state copies no table."""
     space = small_space(8, 6)  # a 37,449-row policy table
     base = random_model(space, 2, rng)
     state, peak = traced_peak(init_state, base, DpgConfig(iterations=1))
-    assert peak <= 3.2 * state.policy.logits.nbytes
+    assert peak <= 2.2 * state.policy.logits.nbytes
+    assert state.proposal is None and state.stale is None and state.adam is None
+
+
+def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng):
+    """The proposal, its stale-row mask and Adam's moments exist only while
+    iterations run: the snapshots before the first and after the last run
+    beside the policy's two tables, and one between them beside all five."""
+    space = small_space(8, 6)  # a 37,449-row policy table
+    base = random_model(space, 2, rng)
+    states, seen = [], []
+    make_state = dpg.init_state
+    monkeypatch.setattr(dpg, "init_state", lambda *args: states.append(make_state(*args)) or states[0])
+
+    def record(step, *args):
+        state = states[0]
+        held = (state.proposal, state.stale, state.adam)
+        seen.append((step, [x is None for x in held], tracemalloc.get_traced_memory()[0]))
+
+    monkeypatch.setattr(dpg, "snapshot", record)
+    config = DpgConfig(iterations=4, eval_every=2, samples_per_iteration=8, optimizer="adam")
+    traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration)
+    table = states[0].policy.logits.nbytes
+    assert [(step, gone) for step, gone, _ in seen] == [
+        (0, [True] * 3), (2, [False] * 3), (4, [True] * 3)
+    ]
+    held = [current / table for _, _, current in seen]
+    assert held[0] <= 2.2 and held[2] <= 2.2 and held[1] >= 4.9
 
 
 @pytest.mark.parametrize(

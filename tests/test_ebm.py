@@ -425,7 +425,7 @@ def test_pythagorean_identity(rng):
     lam_star = bisect_lambda(a_dist, phi[:, 0], 0.6)
     p = exact_tilted(a_dist, phi, np.array([lam_star]))
     kl_p_a = exact_kl(p, a_dist)
-    perturbed = moment_preserving_perturbations(p, phi, count=6, rng=rng)
+    perturbed = list(moment_preserving_perturbations(p, phi, count=6, rng=rng))
     assert len(perturbed) >= 5
     for c in perturbed:
         assert abs(float(c @ phi[:, 0]) - 0.6) < 1e-9

@@ -12,6 +12,7 @@ from distctl.errors import (
     SchemaMismatch,
 )
 from distctl import lm
+from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.lm import MODEL_VERSION, RowGradient, TabularARModel, _row_log_softmax, mle_fit
 from distctl.seqspace import SampleBatch, SequenceSpace, Vocabulary
 
@@ -533,13 +534,28 @@ def test_sample_batch_keeps_the_encoders_codes(order_of, rng):
         rebuilt = SampleBatch(tokens=batch.tokens.copy(), lengths=batch.lengths.copy())
         model.log_prob_batch(rebuilt)
         m = model.coding.m_eff
-        assert np.array_equal(batch._events.codes[m], rebuilt._events.codes[m])
-        assert np.array_equal(batch._events.toks, rebuilt._events.toks)
-        assert np.array_equal(batch._events.active, rebuilt._events.active)
+        sampled, scored = lm._events(space, batch), lm._events(space, rebuilt)
+        assert np.array_equal(sampled.codes[m], scored.codes[m])
+        assert np.array_equal(sampled.toks, scored.toks)
+        assert np.array_equal(sampled.active, scored.active)
 
 
-@ORDERS
-def test_sample_batch_matches_gumbel_reference_bitwise(order_of, rng):
+def test_a_featurized_batch_builds_no_step_tokens_or_mask(rng):
+    space = small_space(3, 5)
+    model = long_sampler(space, 2, rng)
+    batch = model.sample_batch(200, rng)
+    ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.5)]).feature_matrix(batch)
+    record = lm._events(space, batch)
+    assert set(record.codes) == {model.coding.m_eff}  # kept from sampling
+    assert not {"toks", "active"} & set(vars(record))
+    model.log_prob_batch(batch)
+    assert {"toks", "active"} <= set(vars(record))
+
+
+def sample_like_the_gumbel_reference(order_of, rng):
+    """Sample every case with both samplers from one seed; assert the batches
+    are equal and the streams end at the same place. Returns our batches."""
+    batches = []
     for body, lmax in [(1, 2), (2, 3), (3, 4), (2, 9)]:
         space = small_space(body, lmax)
         model = long_sampler(space, order_of(lmax), rng)
@@ -552,6 +568,41 @@ def test_sample_batch_matches_gumbel_reference_bitwise(order_of, rng):
             assert np.array_equal(batch.tokens, reference.tokens)
             assert np.array_equal(batch.lengths, reference.lengths)
             assert ours.random() == theirs.random()
+            batches.append(batch)
+    return batches
+
+
+@ORDERS
+def test_sample_batch_matches_gumbel_reference_bitwise(order_of, rng):
+    sample_like_the_gumbel_reference(order_of, rng)
+
+
+@ORDERS
+def test_sample_batch_matches_gumbel_reference_bitwise_across_chunks(monkeypatch, order_of, rng):
+    """Chunks of 7 rows: several per step, a ragged last one (400 = 57 * 7 + 1),
+    and chunks whose rows have all ended while other rows still grow."""
+    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
+    batches = sample_like_the_gumbel_reference(order_of, rng)
+    # a chunk whose longest row ends before the last step skips that step's scores
+    assert any(
+        batch.lengths[lo : lo + 7].max() < batch.width - 1
+        for batch in batches for lo in range(0, len(batch), 7)
+    )
+
+
+def test_sample_batch_scratch_is_chunk_sized(rng):
+    """On a wide vocabulary, sampling holds its outputs (tokens, lengths and
+    codes), a few batch-sized rows of step state, and a few chunk x V
+    buffers: never an n x V one."""
+    wide = Vocabulary.from_body_tokens([f"w{i}" for i in range(199)])
+    space, n = SequenceSpace(vocabulary=wide, lmax=3), 24_000
+    model = random_model(space, 1, rng)
+    model._log_softmax()
+    chunk = lm._SAMPLE_CHUNK_ROWS * space.vocabulary.size * 8
+    assert n >= 4 * lm._SAMPLE_CHUNK_ROWS and n * space.vocabulary.size * 8 > 4 * chunk
+    batch, peak = traced_peak(model.sample_batch, n, rng)
+    outputs = batch.tokens.nbytes + batch.lengths.nbytes + lm._events(space, batch).codes[0].nbytes
+    assert peak <= outputs + 8 * n * 8 + 3 * chunk
 
 
 def test_batches_are_read_only(ab_space, rng):
