@@ -256,7 +256,7 @@ class TabularARModel:
         codes = np.zeros((lmax, n), dtype=np.int64)  # step-major, as `_Coding.encode`
         val = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
-        pick = np.zeros(n, dtype=np.intp)  # a chunk with no live row keeps its stale picks
+        pick = np.zeros(n, dtype=np.intp)  # a chunk with no live row keeps old picks, masked off
         chunks = [slice(lo, min(lo + _SAMPLE_CHUNK_ROWS, n)) for lo in range(0, n, _SAMPLE_CHUNK_ROWS)]
         for t in range(lmax):
             np.multiply(coding.step_offset(t) + val, alive, out=codes[t])  # 0 once ended
