@@ -112,18 +112,32 @@ class _Run:
         _write_json(self.out_dir / "manifest.json", doc)
 
 
-def _build(cfg: ExperimentConfig, needs_constraints: str = ""):
-    """The base model, the constraint set and the eval options, with the
-    universe guard when the exact oracle is on. A non-empty
-    `needs_constraints` names the work that refuses an empty constraint set,
-    which is checked before the guard."""
-    base = cfg.build_base()
-    constraint_set = cfg.build_constraints(base.space)
-    if needs_constraints and len(constraint_set) == 0:
-        raise ConfigError(f"config.constraints: {needs_constraints} needs at least one constraint")
+def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exact: bool = False):
+    """The base model, the constraint set and the eval options.
+
+    What needs only the base's space runs before the base is fitted: the
+    constraint set (a non-empty `needs_constraints` names the work that
+    refuses an empty one), then the universe guard when the command is
+    `exact` or the exact oracle is on, then a `trainer`'s policy-table guard.
+    A trainer's check of the base's cells follows the fit."""
     eval_options = cfg.build_eval_options()
-    if eval_options.exact:
-        base.space.guard()
+    constraint_set = None
+
+    def check_space(space):
+        nonlocal constraint_set
+        constraint_set = cfg.build_constraints(space)
+        if needs_constraints and len(constraint_set) == 0:
+            raise ConfigError(
+                f"config.constraints: {needs_constraints} needs at least one constraint"
+            )
+        if exact or eval_options.exact:
+            space.guard()
+        if trainer is not None:
+            _guard_policy_table(space, trainer)
+
+    base = cfg.build_base(check_space)
+    if trainer is not None:
+        _check_base_cells(base, trainer)
     return base, constraint_set, eval_options
 
 
@@ -135,22 +149,23 @@ def _build_target(cfg: ExperimentConfig, base, constraint_set: ConstraintSet):
     return report, target
 
 
-def _check_policy_table(base, config) -> None:
-    """Refuse, before the fit draws anything, a policy whose context table
-    cannot exist: a trained policy conditions on the whole prefix (see
-    `dpg.init_state`), a rejection-mle fit on its last fit_order - 1 tokens.
-    A trained policy also starts at the base, so the base needs every cell."""
-    if isinstance(config, RejectionConfig):
-        order = config.fit_order
-    else:
-        order = base.space.lmax
-        if np.isneginf(base.logits).any():
-            raise ConfigError(
-                "has zero-probability cells, and a trained policy starts at the base "
-                "(use smoothing > 0)",
-                "config.base_model",
-            )
-    base.space.guard(min(order, base.space.lmax) - 1, "policy context table")
+def _guard_policy_table(space, config) -> None:
+    """Refuse a policy whose context table cannot exist: a trained policy
+    conditions on the whole prefix (see `dpg.init_state`), a rejection-mle
+    fit on its last fit_order - 1 tokens."""
+    order = config.fit_order if isinstance(config, RejectionConfig) else space.lmax
+    space.guard(min(order, space.lmax) - 1, "policy context table")
+
+
+def _check_base_cells(base, config) -> None:
+    """Refuse, before the fit draws anything, a base with zero-probability
+    cells for a trained policy, which starts at the base."""
+    if not isinstance(config, RejectionConfig) and np.isneginf(base.logits).any():
+        raise ConfigError(
+            "has zero-probability cells, and a trained policy starts at the base "
+            "(use smoothing > 0)",
+            "config.base_model",
+        )
 
 
 def _fit_document(report, target: Ebm, constraint_set: ConstraintSet) -> dict:
@@ -228,9 +243,8 @@ def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_
 
 def run_train(run: _Run) -> None:
     cfg = run.cfg
-    base, constraint_set, eval_options = _build(cfg, "training")
     config = cfg.build_trainer()
-    _check_policy_table(base, config)
+    base, constraint_set, eval_options = _build(cfg, "training", trainer=config)
     run.end("build")
     _, rng_eval, rng_samples = seed_streams(cfg.seed)
     fit_doc, policy, history, run_doc = _fit_and_train(
@@ -249,8 +263,7 @@ def run_ablation(run: _Run) -> None:
         raise ConfigError(
             f"config.trainer.method: the ablation grid trains {GDC_METHOD!r}, not {cfg.method!r}"
         )
-    base, constraint_set, eval_options = _build(cfg)
-    _check_policy_table(base, cfg.build_trainer())
+    base, constraint_set, eval_options = _build(cfg, trainer=cfg.build_trainer())
     run.end("build")
     _, target = _build_target(cfg, base, constraint_set)
     run.end("fit")
@@ -275,8 +288,8 @@ def run_ablation(run: _Run) -> None:
 
 def run_oracle(run: _Run) -> None:
     cfg = run.cfg
-    base, constraint_set, _ = _build(cfg)
-    base.space.guard()  # the oracle is exact whether or not eval.exact_oracle is on
+    # the oracle is exact whether or not eval.exact_oracle is on
+    base, constraint_set, _ = _build(cfg, exact=True)
     run.end("build")
     _, target = _build_target(cfg, base, constraint_set)
     run.end("fit")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,7 +242,11 @@ class ExperimentConfig:
 
     # -- materialization -----------------------------------------------------
 
-    def build_base(self) -> TabularARModel:
+    def build_base(
+        self, check_space: Callable[[SequenceSpace], None] = lambda space: None
+    ) -> TabularARModel:
+        """The base model. `check_space` gets the base's space first: before
+        a corpus base is fitted, or once a persisted model is read."""
         if "model_file" in self.base_model:
             doc = json.loads((self.config_dir / self.base_model["model_file"]).read_text())
             model = TabularARModel.from_document(doc)
@@ -250,6 +255,7 @@ class ExperimentConfig:
                 "config.space.lmax",
                 f"is {self.lmax}, but the model file has lmax {model.space.lmax}",
             )
+            check_space(model.space)
             return model
         corpus_path = self.config_dir / self.base_model["corpus"]
         try:
@@ -257,6 +263,7 @@ class ExperimentConfig:
         except FileNotFoundError:
             raise ConfigError(f"config.base_model.corpus: file not found: {corpus_path}")
         corpus = tokenize_corpus(text, self.lmax)
+        check_space(corpus.space)
         with _at("config.base_model"):
             return mle_fit(
                 corpus.space,

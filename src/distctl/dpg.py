@@ -12,8 +12,10 @@ copies only the context rows the policy has updated since the last swap.
 The proposal is state that only the iterations read. The first iteration
 makes it, with its stale-row mask and Adam's moments, from the policy while
 the policy is still the lifted base; `run_loop` drops all three after the
-last iteration. So the snapshot before the first iteration and the one after
-the last run beside the policy's two tables, not three.
+last iteration. The policy and the proposal are lifted models (see `lm`):
+each stores the base's rows once plus a row per context it has written, so
+the mask, the moments and Adam's dense gradient are sized by the number of
+contexts, not by a model's store.
 
 `run_loop` is the one training loop: it owns the RNG streams, the policy
 initialisation and the snapshot cadence. Every trainer is an iteration of it
@@ -96,8 +98,10 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def like(cls, logits: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(logits), v=np.zeros_like(logits))
+    def like(cls, model: TabularARModel) -> "AdamState":
+        """Zero moments, one row per context of `model`."""
+        shape = (model.coding.n_contexts, model.space.vocabulary.size)
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
     def step(self, grad: np.ndarray):
         b1, b2, eps = 0.9, 0.999, 1e-8
@@ -168,12 +172,13 @@ def dpg_iteration(
     state: TrainState, target: Ebm, config: DpgConfig, rng: np.random.Generator
 ) -> TrainState:
     """One DPG step. The first one starts the proposal as a frozen copy of
-    the policy, the run's only copy of the whole table."""
+    the policy (its row map and stored rows), the run's only such copy."""
+    n_contexts = state.policy.coding.n_contexts
     if state.proposal is None:
         state.proposal = state.policy.frozen_copy()
-        state.stale = np.zeros(len(state.policy.logits), dtype=bool)
+        state.stale = np.zeros(n_contexts, dtype=bool)
         if config.optimizer == OPTIMIZER_ADAM:
-            state.adam = AdamState.like(state.policy.logits)
+            state.adam = AdamState.like(state.policy)
     k = config.samples_per_iteration
     samples = state.proposal.sample_batch(k, rng)
     state.samples_drawn += k
@@ -184,7 +189,7 @@ def dpg_iteration(
     grad = state.policy.grad_weighted_sum(samples, weights)
     if state.adam is not None:
         # the preconditioned step moves every row
-        grad = RowGradient.full(state.adam.step(grad.dense(len(state.policy.logits)) / k))
+        grad = RowGradient.full(state.adam.step(grad.dense(n_contexts) / k))
         learning_rate = config.learning_rate
     else:
         learning_rate = config.learning_rate / k

@@ -23,6 +23,19 @@ record cannot go stale. A log-prob is one flat `take` of the cells
 code * V + token of the log-softmax table, summed step by step, in chain-rule
 order.
 
+A model's `logits` holds its stored rows. A model that `mle_fit`,
+`from_document` or direct construction makes is dense: one stored row per
+context, in context order, and no `row_map`. A `to_order` lift keeps the
+source's rows once and a `row_map` from each context to its stored row, so
+most contexts share a row. The first write to a context (`apply_update`,
+`copy_rows_from`) gives it a row of its own, appended to the store (copy on
+write); the rows stored at construction are never written. Every reader
+goes through the map; a dense model's map is the identity, left implicit.
+On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
+10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
+of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
+proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB.
+
 Sampling draws each step's uniforms and forms its Gumbel scores over row
 chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
 one (n, V) draw, so the result does not depend on the chunk size, and the
@@ -59,6 +72,7 @@ MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
 _WRITE_CHUNK_ROWS = 65536  # rows keyed, checked and joined into one string at a time
 _SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
+_GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
 _KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 / golden ratio
 
 
@@ -151,6 +165,13 @@ def _gumbel_argmax(logprob: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.
     return np.argmax(np.subtract(logprob[codes], u, out=u), axis=1)
 
 
+def _grown(table: np.ndarray, count: int) -> np.ndarray:
+    """A copy of `table` with `count` rows appended, left unset."""
+    out = np.empty((len(table) + count, table.shape[1]))
+    out[: len(table)] = table
+    return out
+
+
 def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax; a row's result does not depend on the other rows."""
     m = np.max(logits, axis=1, keepdims=True)
@@ -201,19 +222,34 @@ def _coded_events(coding: _Coding, batch: SampleBatch) -> tuple[np.ndarray, np.n
 
 @dataclass
 class TabularARModel:
-    """Softmax next-token table over all reachable contexts."""
+    """Softmax next-token table over all reachable contexts.
+
+    `logits` holds the stored rows: without a `row_map`, one per context;
+    with one, `row_map[c]` is the stored row of context c, and the rows
+    stored at construction (`_shared`) may serve many contexts (see the
+    module docstring).
+    """
 
     space: SequenceSpace
     order: int
     logits: np.ndarray
     trainable: bool = False
+    row_map: np.ndarray | None = field(default=None, repr=False)
     _logprob: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.coding = _Coding(self.space, self.order)
-        expected = (self.coding.n_contexts, self.space.vocabulary.size)
+        n, v = self.coding.n_contexts, self.space.vocabulary.size
+        if self.row_map is None:
+            expected = (n, v)
+        else:
+            expected = (len(self.logits), v)
+            ok = self.row_map.shape == (n,) and self.row_map.dtype == np.int64
+            if not (ok and 0 <= self.row_map.min() and self.row_map.max() < len(self.logits)):
+                raise ConfigError(f"row_map must be {n} int64 stored-row indices")
         if self.logits.shape != expected:
             raise ConfigError(f"logits shape {self.logits.shape} != expected {expected}")
+        self._shared = len(self.logits) if self.row_map is not None else 0
         if not np.isfinite(self.logits).all():  # one pass; the checks below name the fault
             if np.isnan(self.logits).any():
                 raise ConfigError("logits contain NaN")
@@ -233,10 +269,33 @@ class TabularARModel:
             self._logprob = _row_log_softmax(self.logits)
         return self._logprob
 
+    def _stored(self, contexts):
+        """The stored row of each context (a slice stays a slice when dense)."""
+        return contexts if self.row_map is None else self.row_map[contexts]
+
+    def _own(self, contexts: np.ndarray, stored: np.ndarray) -> np.ndarray:
+        """`stored`, the stored rows of `contexts`, after copy on write: each
+        context whose row is shared gets a new row of its own, appended to the
+        store and left for the caller to fill."""
+        fresh = stored < self._shared
+        count = int(fresh.sum())
+        if not count:
+            return stored
+        n = len(self.logits)
+        stored[fresh] = self.row_map[contexts[fresh]] = np.arange(n, n + count)
+        frozen = self._logprob is self.logits
+        self.logits = _grown(self.logits, count)
+        if frozen:
+            self._logprob = self.logits
+        elif self._logprob is not None:
+            self._logprob = _grown(self._logprob, count)
+        return stored
+
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
         codes, toks, active = _coded_events(self.coding, batch)
         logprob = self._log_softmax()
-        steps = np.where(active.T, logprob.take(codes.T * logprob.shape[1] + toks.T), 0.0)
+        cells = self._stored(codes.T) * logprob.shape[1] + toks.T
+        steps = np.where(active.T, logprob.take(cells), 0.0)
         out = np.zeros(len(batch))
         for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
             out += step
@@ -265,7 +324,7 @@ class TabularARModel:
                 # consumed whatever the outcomes
                 u = rng.random((rows.stop - rows.start, self.space.vocabulary.size))
                 if alive[rows].any():
-                    pick[rows] = _gumbel_argmax(logprob, codes[t, rows], u)
+                    pick[rows] = _gumbel_argmax(logprob, self._stored(codes[t, rows]), u)
             ended = alive & (pick == eos)
             lengths[ended] = t
             grow = alive & ~ended
@@ -298,7 +357,7 @@ class TabularARModel:
         row_cells = inverse * v
         onehot_cells = row_cells + toks.T[events]
         soft_cells = row_cells[:, None] + np.arange(v)
-        soft_values = -w[:, None] * np.exp(self._log_softmax()[ev_codes])
+        soft_values = -w[:, None] * np.exp(self._log_softmax()[self._stored(ev_codes)])
         bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
         cells, values = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
@@ -311,24 +370,27 @@ class TabularARModel:
 
     def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":
         """Add learning_rate * grad to its rows and refresh only those rows of
-        the cached log-softmax. Raises NonFiniteLogits, leaving the model as it
-        was, if the update would make a logit NaN or infinite."""
+        the cached log-softmax; a context written for the first time gets its
+        own stored row. Raises NonFiniteLogits, leaving the model as it was, if
+        the update would make a logit NaN or infinite."""
         if not self.trainable:
             raise NotTrainable("model is frozen")
         rows, values = grad
         if values.shape != (len(rows), self.logits.shape[1]):
             raise ConfigError("gradient shape does not match logits")
+        stored = self._stored(rows)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            updated = self.logits[rows] + learning_rate * values
+            updated = self.logits[stored] + learning_rate * values
         finite = np.isfinite(updated)
         if not finite.all():
             raise NonFiniteLogits(
                 f"update with learning rate {learning_rate:g} makes "
                 f"{int((~finite).sum())} logits non-finite"
             )
-        self.logits[rows] = updated
+        stored = self._own(rows, stored)
+        self.logits[stored] = updated
         if self._logprob is not None:
-            self._logprob[rows] = _row_log_softmax(updated)
+            self._logprob[stored] = _row_log_softmax(updated)
         return self
 
     def exact_log_distribution(self) -> np.ndarray:
@@ -340,7 +402,9 @@ class TabularARModel:
         context row. Their children are written into the slot of length k+1,
         and then the EOS column closes the slot in place. The slot of lmax
         keeps its prefixes, as EOS is forced there. Every sum is taken in
-        chain-rule order, as `log_prob_batch` takes it.
+        chain-rule order, as `log_prob_batch` takes it. The context rows are
+        read in chunks of at most `_GATHER_CHUNK_ROWS`, so a mapped model
+        gathers chunk-sized blocks, never one the size of its context table.
         """
         self.space.guard()
         logprob = self._log_softmax()
@@ -352,14 +416,17 @@ class TabularARModel:
         out[0] = 0.0  # the empty prefix
         for k in range(lmax):
             m = min(k, coding.m_eff)
-            lo = int(coding.offsets[m])
-            block = logprob[lo : lo + b**m]  # rows of the contexts "last m symbols"
+            lo = int(coding.offsets[m])  # rows of the contexts "last m symbols"
             grid = out[offsets[k] : offsets[k + 1]].reshape(-1, b**m)  # column = context value
             children = out[offsets[k + 1] : offsets[k + 2]].reshape(*grid.shape, b)
-            # body tokens are the vocabulary in order with the EOS column left out
-            np.add(grid[:, :, None], block[:, :eos], out=children[:, :, :eos])
-            np.add(grid[:, :, None], block[:, eos + 1 :], out=children[:, :, eos:])
-            grid += block[:, eos]
+            for start in range(0, b**m, _GATHER_CHUNK_ROWS):
+                cols = slice(start, min(start + _GATHER_CHUNK_ROWS, b**m))
+                block = logprob[self._stored(slice(lo + cols.start, lo + cols.stop))]
+                parents, kids = grid[:, cols], children[:, cols]
+                # body tokens are the vocabulary in order with the EOS column left out
+                np.add(parents[:, :, None], block[:, :eos], out=kids[:, :, :eos])
+                np.add(parents[:, :, None], block[:, eos + 1 :], out=kids[:, :, eos:])
+                parents += block[:, eos]
         return out
 
     def exact_distribution(self) -> np.ndarray:
@@ -368,31 +435,34 @@ class TabularARModel:
         return np.exp(out, out=out)
 
     def frozen_copy(self) -> "TabularARModel":
-        """Frozen snapshot holding one table: a copy of the cached log-softmax,
+        """Frozen snapshot holding one store: a copy of the cached log-softmax,
         which is also its logits (a row's softmax does not change under a
-        shift, so the distribution is the same). It recomputes and re-validates
-        nothing (the logits already passed)."""
+        shift, so the distribution is the same), and a copy of the row map. It
+        recomputes and re-validates nothing (the logits already passed)."""
         twin = copy.copy(self)
         twin.logits = twin._logprob = self._log_softmax().copy()
+        if self.row_map is not None:
+            twin.row_map = self.row_map.copy()
         twin.trainable = False
         return twin
 
     def copy_rows_from(self, source: "TabularARModel", rows: np.ndarray) -> None:
-        """Copy `rows` of `source`'s cached log-softmax into this frozen copy
-        (see `frozen_copy`), in place; `source` has the same shape. Those rows
-        then hold `source`'s log-softmax bits; nothing is recomputed or
-        re-validated."""
+        """Copy the context rows `rows` of `source`'s cached log-softmax into
+        this frozen copy (see `frozen_copy`), in place; `source` has the same
+        contexts. Those rows then hold `source`'s log-softmax bits; nothing is
+        recomputed or re-validated."""
         if self.logits is not self._logprob:
             raise ConfigError("copy_rows_from writes only into a frozen_copy")
-        self._logprob[rows] = source._log_softmax()[rows]
+        stored = self._own(rows, self._stored(rows))  # may grow the store: index after
+        self._logprob[stored] = source._log_softmax()[source._stored(rows)]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window.
 
-        Each context row of the result is the row of its last `self.order - 1`
-        symbols. The log-softmax is row-wise, so the result inherits its
-        log-softmax as the same gather of this model's cached rows, bit for bit
-        what recomputing it would give, and nothing is recomputed.
+        Each context of the result reads the row of its last `self.order - 1`
+        symbols: the result stores this model's rows once, with a row map,
+        and its cached log-softmax is a copy of this model's, bit for bit
+        what recomputing it would give.
         """
         new_coding = _Coding(self.space, order)
         old = self.coding
@@ -401,16 +471,19 @@ class TabularARModel:
         b = new_coding.body_size
         rows = np.zeros(new_coding.n_contexts, dtype=np.int64)
         for k in range(new_coding.m_eff + 1):
-            lo = int(new_coding.offsets[k])
-            count = b**k
+            block = rows[int(new_coding.offsets[k]) : int(new_coding.offsets[k]) + b**k]
             ko = min(old.m_eff, k)
-            modulus = b**ko if ko > 0 else 1
             # suffix value of the last ko symbols of each length-k string
-            rows[lo : lo + count] = old.offsets[ko] + np.arange(count, dtype=np.int64) % modulus
+            np.remainder(np.arange(len(block)), b**ko, out=block)
+            block += old.offsets[ko]
         lifted = TabularARModel(
-            space=self.space, order=order, logits=self.logits[rows], trainable=trainable
+            space=self.space,
+            order=order,
+            logits=self.logits.copy(),
+            trainable=trainable,
+            row_map=self._stored(rows),
         )
-        lifted._logprob = self._log_softmax()[rows]
+        lifted._logprob = self._log_softmax().copy()
         return lifted
 
     # -- persistence --------------------------------------------------------
@@ -430,18 +503,19 @@ class TabularARModel:
         }
 
     def to_document(self) -> dict:
-        return {**self._header(), "logits": self.logits.tolist()}
+        return {**self._header(), "logits": self.logits[self._stored(slice(None))].tolist()}
 
     def write_document(self, path: str | Path) -> None:
         """Write `json.dumps(self.to_document()) + "\\n"` to `path`, byte for byte,
         without building the document.
 
-        A row's JSON text depends only on its bytes, so each distinct row is
-        encoded once and the rows are streamed in chunks. Tables expanded by
-        `to_order` repeat most of their rows. Rows are grouped by a 64-bit key
-        of their words (`_row_keys`), and each row is checked bytewise against
-        its group's first row: a row whose key collides with a different row's
-        is encoded on its own.
+        A row's JSON text depends only on its bytes, so each distinct stored
+        row is encoded once, and the context rows are streamed in chunks. A
+        lifted table stores each of its source's rows once, and a trained
+        store may repeat rows too (Adam moves every row). Stored rows are
+        grouped by a 64-bit key of their words (`_row_keys`), and each is
+        checked bytewise against its group's first row: a row whose key
+        collides with a different row's is encoded on its own.
         """
         logits = np.ascontiguousarray(self.logits)
         n = len(logits)
@@ -455,20 +529,24 @@ class TabularARModel:
         ranked = np.sort(keys)
         distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
         del ranked
-        group = np.searchsorted(distinct, keys)  # each row's group: its key's rank
+        # each stored row's text: its group's, the rank of its key (see below)
+        text_of = np.searchsorted(distinct, keys)
         del keys
         first = np.full(len(distinct), n)
-        np.minimum.at(first, group, np.arange(n))  # each group's first row
+        np.minimum.at(first, text_of, np.arange(n))  # each group's first row
         texts = [json.dumps(row) for row in logits[first].tolist()]
+        for chunk in chunks:
+            differs = (words[chunk] != words[first[text_of[chunk]]]).any(axis=1)
+            for i in np.flatnonzero(differs).tolist():  # a key collision: a text of its own
+                text_of[chunk.start + i] = len(texts)
+                texts.append(json.dumps(logits[chunk.start + i].tolist()))
         head = json.dumps(self._header())
+        n_contexts = self.coding.n_contexts
         with open(path, "w") as f:
             f.write(head[:-1] + ', "logits": [')
-            for chunk in chunks:
-                rows = [texts[g] for g in group[chunk].tolist()]
-                differs = (words[chunk] != words[first[group[chunk]]]).any(axis=1)
-                for i in np.flatnonzero(differs).tolist():  # a key collision
-                    rows[i] = json.dumps(logits[chunk.start + i].tolist())
-                f.write((", " if chunk.start else "") + ", ".join(rows))
+            for lo in range(0, n_contexts, _WRITE_CHUNK_ROWS):
+                rows = text_of[self._stored(slice(lo, lo + _WRITE_CHUNK_ROWS))].tolist()
+                f.write((", " if lo else "") + ", ".join([texts[t] for t in rows]))
             f.write("]}\n")
 
     @classmethod

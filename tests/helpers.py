@@ -224,6 +224,23 @@ def uniform_model(space: SequenceSpace, order: int = 1, trainable: bool = False)
     return TabularARModel(space=space, order=order, logits=logits, trainable=trainable)
 
 
+def dense_logits(model: TabularARModel) -> np.ndarray:
+    """The logits row of every context, in context order: the stored rows of
+    a dense model, or a lifted model's stored rows gathered through its map."""
+    return model.logits if model.row_map is None else model.logits[model.row_map]
+
+
+def dense_log_softmax(model: TabularARModel) -> np.ndarray:
+    """The cached log-softmax row of every context, in context order."""
+    logprob = model._log_softmax()
+    return logprob if model.row_map is None else logprob[model.row_map]
+
+
+def dense_table_bytes(model: TabularARModel) -> int:
+    """Bytes of one float64 table with a row per context: n_contexts x V x 8."""
+    return model.coding.n_contexts * model.space.vocabulary.size * 8
+
+
 def invalidate(model: TabularARModel) -> None:
     """Drop a model's cached log-softmax after editing its `logits` in place."""
     model._logprob = None
@@ -357,7 +374,7 @@ def iter_events(model: TabularARModel, batch: SampleBatch):
 
 def step_log_prob_batch(model: TabularARModel, batch: SampleBatch) -> np.ndarray:
     """Log-probs accumulated step by step over the active rows only."""
-    logprob = model._log_softmax()
+    logprob = dense_log_softmax(model)
     out = np.zeros(len(batch))
     for rows, codes, toks in iter_events(model, batch):
         out[rows] += logprob[codes, toks]
@@ -369,7 +386,7 @@ def step_grad_weighted_sum(
 ) -> RowGradient:
     """Row-sparse batch gradient from per-step event lists, summed per cell by
     one `np.bincount` over the steps' one-hot then softmax events."""
-    logprob = model._log_softmax()
+    logprob = dense_log_softmax(model)
     weights = np.asarray(weights, dtype=float)
     v = model.space.vocabulary.size
     events = list(iter_events(model, batch))
@@ -393,7 +410,7 @@ def step_grad_weighted_sum(
 def gumbel_sample_batch(model: TabularARModel, n: int, rng: np.random.Generator) -> SampleBatch:
     """Ancestral Gumbel-max sampling with the noise written -log(-log u) and
     added to the log-probs, the context rolled on growing rows only."""
-    logprob = model._log_softmax()
+    logprob = dense_log_softmax(model)
     coding = model.coding
     lmax = model.space.lmax
     eos = model.space.vocabulary.eos_index
@@ -428,7 +445,7 @@ def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:
         steps.append(model.space.vocabulary.eos_index)
     lp = 0.0
     for t, tok in enumerate(steps):
-        row = model.logits[_context_row(model, steps[:t])]
+        row = dense_logits(model)[_context_row(model, steps[:t])]
         probs = np.exp(row - row.max())
         probs = probs / probs.sum()
         lp += float(np.log(probs[tok]))
@@ -440,7 +457,7 @@ def grad_log_prob(model: TabularARModel, x: Sequence) -> np.ndarray:
     (one-hot minus softmax at each visited context), from the library's
     row-sparse gradient."""
     batch = batch_from(model.space, [x])
-    return model.grad_weighted_sum(batch, np.ones(1)).dense(len(model.logits))
+    return model.grad_weighted_sum(batch, np.ones(1)).dense(model.coding.n_contexts)
 
 
 def _context_row(model: TabularARModel, history: list[int]) -> int:
@@ -461,7 +478,7 @@ def dense_grad_weighted_sum(
 ) -> np.ndarray:
     """Reference batch gradient on a dense table: per step, `np.add.at` of the
     one-hot events, then of the softmax events, over the batch in order."""
-    logits = model.logits
+    logits = dense_logits(model)
     m = np.max(logits, axis=1, keepdims=True)
     prob = np.exp(logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))))
     eos = model.space.vocabulary.eos_index

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import distctl
+from distctl import config as config_module
 from distctl import errors, seqspace
 from distctl.cli import main
 from distctl.config import ExperimentConfig
@@ -748,6 +749,27 @@ def test_policy_over_the_guard_exits_4_before_sampling(tmp_path, capsys, monkeyp
     monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
     assert main([command, "--config", str(path)]) == 4
     assert capsys.readouterr().err.startswith("error: policy context table would hold more than")
+
+
+@pytest.mark.parametrize(
+    "command, exact, message",
+    [("oracle", False, "universe"), ("train", True, "universe"),
+     ("train", False, "policy context table")],
+    ids=["oracle", "train-exact", "train"],
+)
+def test_guards_run_before_the_base_fit(tmp_path, capsys, monkeypatch, command, exact, message):
+    """A command's guards need only the space, so they run before the base
+    is fitted: a long space costs no fit before the command exits 4."""
+    path, cfg = demo_config(tmp_path, "distributional", lmax=20_000)
+    cfg["eval"]["exact_oracle"] = exact
+    path.write_text(json.dumps(cfg))
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted the base before the guards")
+
+    monkeypatch.setattr(config_module, "mle_fit", no_fit)
+    assert main([command, "--config", str(path)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {message} would hold more than")
 
 
 @pytest.mark.parametrize(

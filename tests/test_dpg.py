@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from distctl import dpg
+from distctl.baselines import BaselineConfig, train_baseline
 from distctl.dpg import DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
 from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import RowGradient, TabularARModel
-from distctl.metrics import EvalOptions
+from distctl.metrics import EvalOptions, metrics_csv_row
 
 from helpers import (
+    dense_log_softmax,
+    dense_logits,
+    dense_table_bytes,
     enumeration,
     from_distribution,
     grad_log_prob,
@@ -186,7 +190,8 @@ def swap_run(name, iterations=30):
 
 
 def table_bytes(model):
-    return model.logits.tobytes(), model._log_softmax().tobytes()
+    """The bytes of the model's logits and log-softmax, one row per context."""
+    return dense_logits(model).tobytes(), dense_log_softmax(model).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_RUNS))
@@ -200,7 +205,7 @@ def test_in_place_swap_matches_a_whole_table_copy_bitwise(name):
         if reference.decisions[-1].swapped:  # the whole-table swap
             reference.proposal = reference.policy.frozen_copy()
         assert table_bytes(state.proposal) == table_bytes(reference.proposal)
-        assert state.policy.logits.tobytes() == reference.policy.logits.tobytes()
+        assert table_bytes(state.policy) == table_bytes(reference.policy)
     swaps = [d.iteration for d in state.decisions if d.swapped]
     assert swaps == [d.iteration for d in reference.decisions if d.swapped]
     assert max(b - a for a, b in zip(swaps, swaps[1:])) > 3
@@ -213,9 +218,69 @@ def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
     while not state.proposal_updates:
         dpg_iteration(state, target, config, train_rng)
     before = table_bytes(state.proposal)
-    state.policy.apply_update(RowGradient.full(rng.normal(size=state.policy.logits.shape)), 0.5)
+    shape = dense_logits(state.policy).shape
+    state.policy.apply_update(RowGradient.full(rng.normal(size=shape)), 0.5)
     assert table_bytes(state.proposal) == before
-    assert state.proposal.logits.tobytes() != state.policy.logits.tobytes()
+    assert table_bytes(state.proposal)[0] != table_bytes(state.policy)[0]
+
+
+# trainer -> config: every DPG optimizer and adaptivity, and each comparison trainer
+TWIN_RUNS = {
+    **{
+        f"{optimizer}-{adaptivity}": DpgConfig(
+            iterations=30, samples_per_iteration=8, eval_every=10, seed=1,
+            learning_rate=0.5 if optimizer == "sgd" else 2.0,
+            adaptivity=adaptivity, optimizer=optimizer,
+        )
+        for optimizer in ("sgd", "adam") for adaptivity in ("kl", "tvd", "none")
+    },
+    **{
+        kind: BaselineConfig(
+            kind=kind, iterations=30, samples_per_iteration=8, eval_every=10, seed=1,
+            learning_rate=2.0, **extra,
+        )
+        for kind, extra in [
+            ("reinforce-phi", {}), ("reinforce-P", {}),
+            ("kl-penalized", {"beta": 0.15, "kl_target": 0.01}),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_RUNS))
+def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
+    """A run whose policy is the mapped lift of the base, and one whose
+    policy is its dense twin (the same rows, one stored row per context),
+    end with the same logits and log-softmax bits, the same metric history
+    and the same model.json bytes."""
+    config = TWIN_RUNS[name]
+    space = small_space(3, 4)
+    base = random_model(space, 2, np.random.default_rng(1), scale=0.5)
+    target = identity_ebm(space, base)
+    target.lam = np.array([1.0])
+    options = EvalOptions(sample_size=16, exact=True)
+    trainer = train if isinstance(config, DpgConfig) else train_baseline
+    mapped = trainer(base, target, config, options)
+    lift = TabularARModel.to_order
+
+    def dense_lift(self, order, trainable=False):
+        lifted = lift(self, order, trainable)
+        return TabularARModel(space=space, order=order, logits=dense_logits(lifted),
+                              trainable=trainable)
+
+    monkeypatch.setattr(TabularARModel, "to_order", dense_lift)
+    dense = trainer(base, target, config, options)
+    assert mapped.policy.row_map is not None and dense.policy.row_map is None
+    assert table_bytes(mapped.policy) == table_bytes(dense.policy)
+    assert [metrics_csv_row(r) for r in mapped.history] == [
+        metrics_csv_row(r) for r in dense.history
+    ]
+    mapped.policy.write_document(tmp_path / "mapped.json")
+    dense.policy.write_document(tmp_path / "dense.json")
+    assert (tmp_path / "mapped.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+    if getattr(config, "adaptivity", "none") != "none":
+        assert mapped.state.proposal_updates > 1
+        assert mapped.state.proposal_updates == dense.state.proposal_updates
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_RUNS))
@@ -233,21 +298,45 @@ def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
     assert result.state.proposal_updates > 1 and len(copies) == 1
 
 
-def test_dpg_init_state_allocates_two_tables(rng):
-    """The lifted policy's logits and log-softmax. The proposal waits for the
-    first iteration, so init_state copies no table."""
-    space = small_space(8, 6)  # a 37,449-row policy table
+def test_dpg_init_state_allocates_no_table(rng):
+    """The lifted policy stores the base's rows once, with a row map of one
+    int64 per context; the proposal waits for the first iteration. So
+    init_state allocates about a ninth of a dense table (one row of V = 9
+    floats per context), and about as much scratch while it builds the map."""
+    space = small_space(8, 6)  # a 37,449-context policy
     base = random_model(space, 2, rng)
     state, peak = traced_peak(init_state, base, DpgConfig(iterations=1))
-    assert peak <= 2.2 * state.policy.logits.nbytes
+    assert peak <= 0.25 * dense_table_bytes(state.policy)
+    assert len(state.policy.logits) == len(base.logits)
     assert state.proposal is None and state.stale is None and state.adam is None
+
+
+def test_dpg_first_iteration_copies_only_written_rows(rng):
+    """init_state and the first SGD iteration of a 66,430-context lifted
+    policy hold the policy's and the proposal's row maps, the stale mask and
+    the few rows the batch wrote: well below one dense table, where dense
+    models would hold three (the policy's logits and log-softmax, the
+    proposal's copy)."""
+    space = small_space(9, 6)
+    base = random_model(space, 2, rng)
+    config = DpgConfig(iterations=1, samples_per_iteration=64)
+
+    def first_iteration():
+        state = init_state(base, config)
+        return dpg_iteration(state, identity_ebm(space, base), config, np.random.default_rng(0))
+
+    state, peak = traced_peak(first_iteration)
+    assert state.policy.coding.n_contexts == 66430
+    assert peak <= 0.35 * dense_table_bytes(state.policy)
 
 
 def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng):
     """The proposal, its stale-row mask and Adam's moments exist only while
-    iterations run: the snapshots before the first and after the last run
-    beside the policy's two tables, and one between them beside all five."""
-    space = small_space(8, 6)  # a 37,449-row policy table
+    iterations run. The snapshot before the first runs beside the lifted
+    policy's row map and the base's rows. Adam writes every row, so the one
+    after the last runs beside the policy's two dense-sized tables, and one
+    between them beside all five."""
+    space = small_space(8, 6)  # a 37,449-context policy
     base = random_model(space, 2, rng)
     states, seen = [], []
     make_state = dpg.init_state
@@ -261,12 +350,12 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
     monkeypatch.setattr(dpg, "snapshot", record)
     config = DpgConfig(iterations=4, eval_every=2, samples_per_iteration=8, optimizer="adam")
     traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration)
-    table = states[0].policy.logits.nbytes
+    table = dense_table_bytes(states[0].policy)
     assert [(step, gone) for step, gone, _ in seen] == [
         (0, [True] * 3), (2, [False] * 3), (4, [True] * 3)
     ]
     held = [current / table for _, _, current in seen]
-    assert held[0] <= 2.2 and held[2] <= 2.2 and held[1] >= 4.9
+    assert held[0] <= 0.15 and held[2] <= 2.2 and held[1] >= 4.9
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,9 @@ from helpers import (
     batch_from,
     batch_of,
     dense_grad_weighted_sum,
+    dense_log_softmax,
+    dense_logits,
+    dense_table_bytes,
     enumerate_sequences,
     enumeration,
     from_distribution,
@@ -239,18 +242,24 @@ def test_serialize_round_trip_with_neg_inf(ab_space):
 
 
 def test_write_document_holds_no_table_sized_buffer(monkeypatch, tmp_path, rng):
-    """Writing a lifted policy holds a few row-sized arrays (row keys, their
-    sorted distinct values, each row's group) and one chunk's text, never a
-    copy of the table: the traced peak of a second write (the first pays
-    numpy's lazy imports) stays below half the table's bytes."""
+    """Writing a lifted policy holds a few arrays of one entry per stored row
+    (row keys, their sorted distinct values, each row's text) and one chunk's
+    row map and text, never a copy of the table. Against the dense table (one
+    row of V floats per context), the traced peak of a second write (the first
+    pays numpy's lazy imports) stays below a tenth of it while the store holds
+    the base's rows only, and below 0.3 of it once every context has a row of
+    its own."""
     monkeypatch.setattr(lm, "_WRITE_CHUNK_ROWS", 1024)  # 65 chunks, each small beside the table
     space = small_space(9, 6)
     model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
-    assert model.logits.shape == (66430, 10)
-    model.write_document(tmp_path / "first.json")
-    _, peak = traced_peak(model.write_document, tmp_path / "model.json")
-    assert peak < 0.5 * model.logits.nbytes
-    assert (tmp_path / "model.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+    assert model.coding.n_contexts == 66430 and len(model.logits) == 10
+    for bound in (0.1, 0.3):
+        model.write_document(tmp_path / "first.json")
+        _, peak = traced_peak(model.write_document, tmp_path / "model.json")
+        assert peak < bound * dense_table_bytes(model)
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+        # every context gets a stored row of its own, equal to its base row
+        model.apply_update(RowGradient.full(np.zeros_like(dense_logits(model))), 1.0)
 
 
 def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
@@ -267,15 +276,18 @@ def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
     one_row = uniform_model(small_space(2, 1), order=1)
     # the row shapes each case stands for
     assert len(np.unique(distinct.logits, axis=0)) == len(distinct.logits)
-    assert len(np.unique(expanded.logits, axis=0)) < len(expanded.logits) // 2
+    assert len(np.unique(dense_logits(expanded), axis=0)) < expanded.coding.n_contexts // 2
     assert np.isneginf(neg_inf.logits).any()
     rows = signed_zero.logits
     assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
     assert one_row.logits.shape[0] == 1
-    cases = {"distinct": distinct, "expanded": expanded, "neg-inf": neg_inf,
+    private = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    private.apply_update(RowGradient.full(np.zeros_like(dense_logits(private))), 1.0)
+    assert len(np.unique(private.logits, axis=0)) < len(private.logits) // 2
+    cases = {"distinct": distinct, "expanded": expanded, "private": private, "neg-inf": neg_inf,
              "signed-zero": signed_zero, "one-row": one_row}
     for keys in ("mixed", "colliding"):
-        if keys == "colliding":  # every row shares one key: only the bytewise check groups them
+        if keys == "colliding":  # all stored rows share one key: only the bytewise check groups them
             monkeypatch.setattr(lm, "_row_keys", lambda words: np.zeros(len(words), np.uint64))
         for name, model in cases.items():
             path = tmp_path / f"{name}-{keys}.json"
@@ -283,7 +295,7 @@ def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
             text = path.read_text()
             assert text == json.dumps(model.to_document()) + "\n", (name, keys)
             restored = TabularARModel.from_document(json.loads(text))
-            assert restored.logits.tobytes() == model.logits.tobytes(), (name, keys)
+            assert restored.logits.tobytes() == dense_logits(model).tobytes(), (name, keys)
 
 
 def test_deserialize_corrupt_field(ab_space):
@@ -486,6 +498,84 @@ def test_non_finite_update_raises_and_leaves_model_unchanged(rng):
         model.apply_update(RowGradient(np.array([0]), np.array([[1e308, 0.0, 0.0]])), 1e10)
     assert np.array_equal(model.logits, before)
     assert np.array_equal(model._log_softmax(), logprob)
+
+
+# -- copy on write: a lifted model's row map ------------------------------------
+
+
+def test_updates_give_each_touched_context_one_row_of_its_own(rng):
+    """After k updates a lifted model stores the base's rows, untouched, then
+    one row for each context that an applied RowGradient touched; every other
+    context still reads its base row."""
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    model = base.to_order(space.lmax, trainable=True)
+    shared = len(base.logits)
+    assert len(model.logits) == shared and model.row_map.shape == (model.coding.n_contexts,)
+    touched = set()
+    for k in range(1, 6):
+        batch = model.sample_batch(4, rng)
+        grad = model.grad_weighted_sum(batch, rng.standard_normal(len(batch)))
+        model.apply_update(grad, 0.5)
+        touched |= set(grad.rows.tolist())
+        assert len(model.logits) == shared + len(touched), k
+    assert len(touched) < model.coding.n_contexts // 2
+    assert model.logits[:shared].tobytes() == base.logits.tobytes()
+    own = model.row_map >= shared
+    assert set(np.flatnonzero(own).tolist()) == touched
+    assert sorted(model.row_map[own].tolist()) == list(range(shared, len(model.logits)))
+    assert np.array_equal(model.row_map[~own], base.to_order(space.lmax).row_map[~own])
+    refreshed = model._log_softmax().copy()
+    invalidate(model)
+    assert np.array_equal(refreshed, model._log_softmax())
+
+
+def test_a_refused_update_leaves_a_lifted_model_as_it_was(rng):
+    space = small_space(2, 3)
+    model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    model.apply_update(RowGradient(np.array([2]), rng.standard_normal((1, 3))), 0.5)
+    before = [model.logits.copy(), model._log_softmax().copy(), model.row_map.copy()]
+    # context 1 still shares a base row, context 2 has its own
+    grad = RowGradient(np.array([1, 2]), np.array([[0.0, 0.0, 0.0], [1.0, -np.inf, 0.0]]))
+    with pytest.raises(NonFiniteLogits):
+        model.apply_update(grad, 0.5)
+    after = [model.logits, model._log_softmax(), model.row_map]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
+def test_copy_rows_from_copies_on_write_into_a_frozen_copy(rng):
+    space = small_space(3, 3)
+    policy = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    frozen = policy.frozen_copy()
+    assert len(frozen.logits) == len(policy.logits) and frozen.logits is frozen._log_softmax()
+    assert not np.shares_memory(frozen.row_map, policy.row_map)
+    shared = len(frozen.logits)
+    policy.apply_update(RowGradient(np.array([1, 5]), rng.standard_normal((2, 4))), 1.0)
+    frozen.copy_rows_from(policy, np.array([1, 5]))
+    assert len(frozen.logits) == shared + 2 and frozen.logits is frozen._log_softmax()
+    policy.apply_update(RowGradient(np.array([5]), rng.standard_normal((1, 4))), 1.0)
+    frozen.copy_rows_from(policy, np.array([5]))  # its own row now: written in place
+    assert len(frozen.logits) == shared + 2
+    assert dense_log_softmax(frozen).tobytes() == dense_log_softmax(policy).tobytes()
+    assert np.array_equal(frozen.exact_distribution(), policy.exact_distribution())
+
+
+def test_write_document_encodes_each_distinct_stored_row_once(monkeypatch, tmp_path, rng):
+    """Once every context has a row of its own, as Adam leaves a store, the
+    store repeats the base's rows; each distinct row is still encoded once."""
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    model = base.to_order(space.lmax, trainable=True)
+    model.apply_update(RowGradient.full(np.zeros_like(dense_logits(model))), 1.0)
+    assert len(model.logits) == len(base.logits) + model.coding.n_contexts
+    expected = json.dumps(model.to_document()) + "\n"
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj: encoded.append(obj) or dumps(obj))
+    model.write_document(tmp_path / "model.json")
+    monkeypatch.undo()
+    assert (tmp_path / "model.json").read_text() == expected
+    assert len([obj for obj in encoded if isinstance(obj, list)]) == len(base.logits)
 
 
 # -- emission events, checked bitwise against the step-by-step encoding ---------

@@ -21,6 +21,7 @@ from helpers import (
     Sequence,
     batch_from,
     batch_of,
+    dense_table_bytes,
     dist_n,
     enumeration,
     expectation_phi,
@@ -328,9 +329,11 @@ def test_zipf_sum_identity(samples):
 def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng):
     """Once the target's exact distribution and universe features are cached,
     an exact snapshot allocates the policy's distribution and little else: its
-    tracemalloc peak stays within 1.5 universe-sized float64 arrays (the DP
-    writes in place, and exact_kl builds its terms in the policy
-    distribution's own buffer once the expected features are read from it)."""
+    tracemalloc peak stays within 1.3 universe-sized float64 arrays (the DP
+    writes in place and gathers the lifted policy's rows a chunk at a time,
+    and exact_kl builds its terms in the policy distribution's own buffer once
+    the expected features are read from it). The policy's dense table would
+    be 1.12 such arrays, so the snapshot builds nothing of its size."""
     space = small_space(8, 6)  # 299,593 sequences
     base = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
@@ -339,4 +342,5 @@ def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng
     options = EvalOptions(sample_size=64, exact=True)
     snapshot(0, "gdc", policy, target, rng, options)  # fills the target's caches
     _, peak = traced_peak(snapshot, 1, "gdc", policy, target, rng, options)
-    assert peak <= 1.5 * 8 * space.universe_size
+    assert dense_table_bytes(policy) > 1.1 * 8 * space.universe_size
+    assert peak <= 1.3 * 8 * space.universe_size
