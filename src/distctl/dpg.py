@@ -14,8 +14,9 @@ makes it, with its stale-row mask and Adam's moments, from the policy while
 the policy is still the lifted base; `run_loop` drops all three after the
 last iteration. The policy and the proposal are lifted models (see `lm`):
 each stores the base's rows once plus a row per context it has written, so
-the mask, the moments and Adam's dense gradient are sized by the number of
-contexts, not by a model's store.
+the mask and the moments are sized by the number of contexts, not by a
+model's store. Adam steps only the contexts some gradient has touched, so
+under either optimizer an iteration writes the rows it steps, not the table.
 
 `run_loop` is the one training loop: it owns the RNG streams, the policy
 initialisation and the snapshot cadence. Every trainer is an iteration of it
@@ -91,26 +92,34 @@ class DpgConfig(LoopConfig):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for the batch-gradient preconditioner."""
+    """First/second moment accumulators for the batch-gradient preconditioner,
+    one row per context, and a mask of the contexts some gradient has
+    touched. An untouched context has zero moments, so its step is exactly
+    0.0: `step` updates and returns the touched rows only."""
 
     m: np.ndarray
     v: np.ndarray
+    touched: np.ndarray
     t: int = 0
 
     @classmethod
     def like(cls, model: TabularARModel) -> "AdamState":
         """Zero moments, one row per context of `model`."""
         shape = (model.coding.n_contexts, model.space.vocabulary.size)
-        return cls(m=np.zeros(shape), v=np.zeros(shape))
+        return cls(m=np.zeros(shape), v=np.zeros(shape), touched=np.zeros(shape[0], dtype=bool))
 
-    def step(self, grad: np.ndarray):
+    def step(self, grad: RowGradient) -> RowGradient:
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        self.m = b1 * self.m + (1 - b1) * grad
-        self.v = b2 * self.v + (1 - b2) * grad * grad
-        m_hat = self.m / (1 - b1**self.t)
-        v_hat = self.v / (1 - b2**self.t)
-        return m_hat / (np.sqrt(v_hat) + eps)
+        self.touched[grad.rows] = True
+        rows = np.flatnonzero(self.touched)
+        g = np.zeros((len(rows), self.m.shape[1]))  # zero on the rows this batch missed
+        g[np.searchsorted(rows, grad.rows)] = grad.values
+        m = self.m[rows] = b1 * self.m[rows] + (1 - b1) * g
+        v = self.v[rows] = b2 * self.v[rows] + (1 - b2) * g * g
+        m_hat = m / (1 - b1**self.t)
+        v_hat = v / (1 - b2**self.t)
+        return RowGradient(rows, m_hat / (np.sqrt(v_hat) + eps))
 
 
 @dataclass
@@ -173,10 +182,9 @@ def dpg_iteration(
 ) -> TrainState:
     """One DPG step. The first one starts the proposal as a frozen copy of
     the policy (its row map and stored rows), the run's only such copy."""
-    n_contexts = state.policy.coding.n_contexts
     if state.proposal is None:
         state.proposal = state.policy.frozen_copy()
-        state.stale = np.zeros(n_contexts, dtype=bool)
+        state.stale = np.zeros(state.policy.coding.n_contexts, dtype=bool)
         if config.optimizer == OPTIMIZER_ADAM:
             state.adam = AdamState.like(state.policy)
     k = config.samples_per_iteration
@@ -188,8 +196,7 @@ def dpg_iteration(
 
     grad = state.policy.grad_weighted_sum(samples, weights)
     if state.adam is not None:
-        # the preconditioned step moves every row
-        grad = RowGradient.full(state.adam.step(grad.dense(n_contexts) / k))
+        grad = state.adam.step(RowGradient(grad.rows, grad.values / k))
         learning_rate = config.learning_rate
     else:
         learning_rate = config.learning_rate / k

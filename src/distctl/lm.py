@@ -70,10 +70,9 @@ from .seqspace import (
 
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 1
-_WRITE_CHUNK_ROWS = 65536  # rows keyed, checked and joined into one string at a time
+_WRITE_CHUNK_ROWS = 65536  # context rows grouped and joined into one string at a time
 _SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
-_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 / golden ratio
 
 
 def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
@@ -130,29 +129,6 @@ class RowGradient(NamedTuple):
 
     rows: np.ndarray  # sorted, unique context indices
     values: np.ndarray  # (len(rows), vocabulary size)
-
-    @classmethod
-    def full(cls, grad: np.ndarray) -> "RowGradient":
-        """Every row of a logits-shaped gradient."""
-        return cls(np.arange(len(grad)), grad)
-
-    def dense(self, n_contexts: int) -> np.ndarray:
-        """The gradient scattered into a zero logits-shaped table."""
-        out = np.zeros((n_contexts, self.values.shape[1]))
-        out[self.rows] = self.values
-        return out
-
-
-def _row_keys(words: np.ndarray) -> np.ndarray:
-    """A 64-bit key of each row of a uint64 matrix: every word is xored in,
-    then mixed by a multiply and a shift. Equal rows get equal keys; a
-    collision of different rows is rare, and `write_document` checks for it."""
-    keys = np.zeros(len(words), dtype=np.uint64)
-    for column in words.T:
-        keys ^= column
-        keys *= _KEY_MULTIPLIER
-        keys ^= keys >> np.uint64(29)
-    return keys
 
 
 def _gumbel_argmax(logprob: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -509,44 +485,26 @@ class TabularARModel:
         """Write `json.dumps(self.to_document()) + "\\n"` to `path`, byte for byte,
         without building the document.
 
-        A row's JSON text depends only on its bytes, so each distinct stored
-        row is encoded once, and the context rows are streamed in chunks. A
-        lifted table stores each of its source's rows once, and a trained
-        store may repeat rows too (Adam moves every row). Stored rows are
-        grouped by a 64-bit key of their words (`_row_keys`), and each is
-        checked bytewise against its group's first row: a row whose key
-        collides with a different row's is encoded on its own.
+        A row's JSON text depends only on its bytes. The context rows are
+        written `_WRITE_CHUNK_ROWS` at a time: the chunk's stored rows, then
+        their distinct byte strings, each encoded once, and the chunk's text
+        joined through the two inverses. A lifted store serves many contexts
+        from one row, and a store may repeat rows too, so few rows are encoded.
         """
         logits = np.ascontiguousarray(self.logits)
-        n = len(logits)
-        words = logits.view(np.uint64)
-        chunks = [slice(lo, lo + _WRITE_CHUNK_ROWS) for lo in range(0, n, _WRITE_CHUNK_ROWS)]
-        keys = np.empty(n, dtype=np.uint64)
-        for chunk in chunks:
-            keys[chunk] = _row_keys(words[chunk])
-        # np.sort, not np.unique: the latter's hash-table path costs a small
-        # process about 1 MB of resident code on first use
-        ranked = np.sort(keys)
-        distinct = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-        del ranked
-        # each stored row's text: its group's, the rank of its key (see below)
-        text_of = np.searchsorted(distinct, keys)
-        del keys
-        first = np.full(len(distinct), n)
-        np.minimum.at(first, text_of, np.arange(n))  # each group's first row
-        texts = [json.dumps(row) for row in logits[first].tolist()]
-        for chunk in chunks:
-            differs = (words[chunk] != words[first[text_of[chunk]]]).any(axis=1)
-            for i in np.flatnonzero(differs).tolist():  # a key collision: a text of its own
-                text_of[chunk.start + i] = len(texts)
-                texts.append(json.dumps(logits[chunk.start + i].tolist()))
+        row_bytes = logits.view(np.dtype((np.void, logits.shape[1] * logits.itemsize))).ravel()
         head = json.dumps(self._header())
         n_contexts = self.coding.n_contexts
         with open(path, "w") as f:
             f.write(head[:-1] + ', "logits": [')
             for lo in range(0, n_contexts, _WRITE_CHUNK_ROWS):
-                rows = text_of[self._stored(slice(lo, lo + _WRITE_CHUNK_ROWS))].tolist()
-                f.write((", " if lo else "") + ", ".join([texts[t] for t in rows]))
+                contexts = np.arange(lo, min(lo + _WRITE_CHUNK_ROWS, n_contexts))
+                stored, row_of = np.unique(self._stored(contexts), return_inverse=True)
+                distinct, text_of = np.unique(row_bytes[stored], return_inverse=True)
+                rows = distinct.view(logits.dtype).reshape(len(distinct), -1)
+                texts = [json.dumps(row) for row in rows.tolist()]
+                chunk = [texts[t] for t in text_of[row_of].tolist()]
+                f.write((", " if lo else "") + ", ".join(chunk))
             f.write("]}\n")
 
     @classmethod

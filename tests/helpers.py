@@ -241,6 +241,37 @@ def dense_table_bytes(model: TabularARModel) -> int:
     return model.coding.n_contexts * model.space.vocabulary.size * 8
 
 
+def full_gradient(grad: np.ndarray) -> RowGradient:
+    """Every row of a logits-shaped gradient, one per context."""
+    return RowGradient(np.arange(len(grad)), grad)
+
+
+def dense_gradient(grad: RowGradient, n_contexts: int) -> np.ndarray:
+    """A row-sparse gradient scattered into a zero logits-shaped table."""
+    out = np.zeros((n_contexts, grad.values.shape[1]))
+    out[grad.rows] = grad.values
+    return out
+
+
+def dense_adam_step(adam, grad: RowGradient) -> RowGradient:
+    """Reference Adam step on the whole table: every context's moments move,
+    the ones no gradient has touched included, and the step covers every
+    context. It has `AdamState.step`'s signature, to be patched in for it.
+
+    It gives the row-sparse step's results bit for bit, but for one case: a
+    logit of exactly -0.0 in a context no gradient has touched. Its step is
+    0.0 here, and -0.0 + 0.0 writes 0.0, where the row-sparse step leaves the
+    -0.0 alone. No demo or benchmark base has such a logit."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    g = dense_gradient(grad, len(adam.m))
+    adam.t += 1
+    adam.m = b1 * adam.m + (1 - b1) * g
+    adam.v = b2 * adam.v + (1 - b2) * g * g
+    m_hat = adam.m / (1 - b1**adam.t)
+    v_hat = adam.v / (1 - b2**adam.t)
+    return full_gradient(m_hat / (np.sqrt(v_hat) + eps))
+
+
 def invalidate(model: TabularARModel) -> None:
     """Drop a model's cached log-softmax after editing its `logits` in place."""
     model._logprob = None
@@ -457,7 +488,7 @@ def grad_log_prob(model: TabularARModel, x: Sequence) -> np.ndarray:
     (one-hot minus softmax at each visited context), from the library's
     row-sparse gradient."""
     batch = batch_from(model.space, [x])
-    return model.grad_weighted_sum(batch, np.ones(1)).dense(model.coding.n_contexts)
+    return dense_gradient(model.grad_weighted_sum(batch, np.ones(1)), model.coding.n_contexts)
 
 
 def _context_row(model: TabularARModel, history: list[int]) -> int:

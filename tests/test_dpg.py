@@ -5,20 +5,22 @@ import pytest
 
 from distctl import dpg
 from distctl.baselines import BaselineConfig, train_baseline
-from distctl.dpg import DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
+from distctl.dpg import ADAPTIVITIES, DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
 from distctl.ebm import Ebm, build_pointwise
 from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
-from distctl.lm import RowGradient, TabularARModel
+from distctl.lm import TabularARModel
 from distctl.metrics import EvalOptions, metrics_csv_row
 
 from helpers import (
+    dense_adam_step,
     dense_log_softmax,
     dense_logits,
     dense_table_bytes,
     enumeration,
     from_distribution,
+    full_gradient,
     grad_log_prob,
     invalidate,
     random_model,
@@ -177,7 +179,10 @@ SWAP_RUNS = {
 
 
 def swap_run(name, iterations=30):
-    adaptivity, optimizer, learning_rate, lam, seed = SWAP_RUNS[name]
+    return dpg_run(*SWAP_RUNS[name], iterations)
+
+
+def dpg_run(adaptivity, optimizer, learning_rate, lam, seed, iterations=30):
     space = small_space(3, 4)
     base = random_model(space, 2, np.random.default_rng(seed), scale=0.5)
     target = identity_ebm(space, base)
@@ -219,7 +224,7 @@ def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
         dpg_iteration(state, target, config, train_rng)
     before = table_bytes(state.proposal)
     shape = dense_logits(state.policy).shape
-    state.policy.apply_update(RowGradient.full(rng.normal(size=shape)), 0.5)
+    state.policy.apply_update(full_gradient(rng.normal(size=shape)), 0.5)
     assert table_bytes(state.proposal) == before
     assert table_bytes(state.proposal)[0] != table_bytes(state.policy)[0]
 
@@ -311,15 +316,12 @@ def test_dpg_init_state_allocates_no_table(rng):
     assert state.proposal is None and state.stale is None and state.adam is None
 
 
-def test_dpg_first_iteration_copies_only_written_rows(rng):
-    """init_state and the first SGD iteration of a 66,430-context lifted
-    policy hold the policy's and the proposal's row maps, the stale mask and
-    the few rows the batch wrote: well below one dense table, where dense
-    models would hold three (the policy's logits and log-softmax, the
-    proposal's copy)."""
+def first_iteration_peak(rng, optimizer):
+    """(state, traced peak in dense tables) of init_state and the first
+    iteration of a 66,430-context lifted policy."""
     space = small_space(9, 6)
     base = random_model(space, 2, rng)
-    config = DpgConfig(iterations=1, samples_per_iteration=64)
+    config = DpgConfig(iterations=1, samples_per_iteration=64, optimizer=optimizer)
 
     def first_iteration():
         state = init_state(base, config)
@@ -327,15 +329,88 @@ def test_dpg_first_iteration_copies_only_written_rows(rng):
 
     state, peak = traced_peak(first_iteration)
     assert state.policy.coding.n_contexts == 66430
-    assert peak <= 0.35 * dense_table_bytes(state.policy)
+    return state, peak / dense_table_bytes(state.policy)
+
+
+def test_dpg_first_iteration_copies_only_written_rows(rng):
+    """init_state and the first SGD iteration of a 66,430-context lifted
+    policy hold the policy's and the proposal's row maps, the stale mask and
+    the few rows the batch wrote: well below one dense table, where dense
+    models would hold three (the policy's logits and log-softmax, the
+    proposal's copy)."""
+    _, tables = first_iteration_peak(rng, "sgd")
+    assert tables <= 0.35
+
+
+def test_dpg_first_adam_iteration_holds_the_moments_and_the_written_rows(rng):
+    """Under Adam the first iteration adds the two dense moment tables and
+    nothing else table-sized: the step covers the touched contexts only, so
+    the policy writes the batch's rows, not one row per context."""
+    state, tables = first_iteration_peak(rng, "adam")
+    assert tables <= 2.4
+    assert len(state.policy.logits) < 0.01 * state.policy.coding.n_contexts
+
+
+def test_adam_gives_only_the_contexts_it_has_stepped_rows_of_their_own(rng):
+    """After k Adam iterations the policy stores the base's rows plus one row
+    for each context in the moment mask, the contexts some gradient has
+    touched: an untouched context's step is zero, so it is not written."""
+    space = small_space(9, 6)  # a 66,430-context policy
+    base = random_model(space, 2, rng)
+    target = identity_ebm(space, base)
+    config = DpgConfig(iterations=5, samples_per_iteration=8, optimizer="adam")
+    state = init_state(base, config)
+    train_rng = np.random.default_rng(0)
+    shared = len(base.logits)
+    for k in range(1, 6):
+        dpg_iteration(state, target, config, train_rng)
+        touched = state.adam.touched
+        assert len(state.policy.logits) == shared + touched.sum(), k
+        assert np.array_equal(state.policy.row_map >= shared, touched), k
+    assert touched.sum() < 0.01 * len(touched)
+
+
+# SWAP_RUNS["adam"], and an Adam run of each adaptivity
+ADAM_RUNS = {"swap": SWAP_RUNS["adam"], **{a: (a, "adam", 2.0, 1.0, 1) for a in ADAPTIVITIES}}
+
+
+@pytest.mark.parametrize("name", sorted(ADAM_RUNS))
+def test_row_sparse_adam_matches_the_dense_reference_bitwise(monkeypatch, name):
+    """Adam DPG with the row-sparse step and with the whole-table reference
+    (`helpers.dense_adam_step`) gives the same policy and proposal bits and
+    the same swap decisions after every iteration. The reference steps and
+    writes every context; the row-sparse step only the touched ones."""
+    base, target, config = dpg_run(*ADAM_RUNS[name])
+
+    def run():
+        state = init_state(base, config)
+        rng = np.random.default_rng(config.seed)
+        trace, stored = [], []
+        for _ in range(config.iterations):
+            dpg_iteration(state, target, config, rng)
+            trace.append(
+                (table_bytes(state.policy), table_bytes(state.proposal), state.decisions[-1].swapped)
+            )
+            stored.append(len(state.policy.logits))
+        return state, trace, stored
+
+    sparse, sparse_trace, sparse_stored = run()
+    monkeypatch.setattr(dpg.AdamState, "step", dense_adam_step)
+    _, dense_trace, dense_stored = run()
+    for i, (one, other) in enumerate(zip(sparse_trace, dense_trace)):
+        assert one == other, i
+    every_context = len(base.logits) + sparse.policy.coding.n_contexts
+    assert dense_stored[0] == every_context and sparse_stored[0] < every_context
+    if config.adaptivity != "none":
+        assert sparse.proposal_updates > 1
 
 
 def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng):
     """The proposal, its stale-row mask and Adam's moments exist only while
     iterations run. The snapshot before the first runs beside the lifted
-    policy's row map and the base's rows. Adam writes every row, so the one
-    after the last runs beside the policy's two dense-sized tables, and one
-    between them beside all five."""
+    policy's row map and the base's rows, and the one after the last beside
+    those and the few rows Adam has stepped. One between them also runs
+    beside Adam's two dense moment tables."""
     space = small_space(8, 6)  # a 37,449-context policy
     base = random_model(space, 2, rng)
     states, seen = [], []
@@ -355,7 +430,7 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
         (0, [True] * 3), (2, [False] * 3), (4, [True] * 3)
     ]
     held = [current / table for _, _, current in seen]
-    assert held[0] <= 0.15 and held[2] <= 2.2 and held[1] >= 4.9
+    assert held[0] <= 0.15 and held[2] <= 0.15 and held[1] >= 2.0
 
 
 @pytest.mark.parametrize(

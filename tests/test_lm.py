@@ -21,12 +21,14 @@ from helpers import (
     batch_from,
     batch_of,
     dense_grad_weighted_sum,
+    dense_gradient,
     dense_log_softmax,
     dense_logits,
     dense_table_bytes,
     enumerate_sequences,
     enumeration,
     from_distribution,
+    full_gradient,
     grad_log_prob,
     gumbel_sample_batch,
     invalidate,
@@ -199,17 +201,17 @@ def test_grad_requires_trainable(ab_space):
     with pytest.raises(NotTrainable):
         grad_log_prob(model, Sequence((0,)))
     with pytest.raises(NotTrainable):
-        model.apply_update(RowGradient.full(np.zeros_like(model.logits)), 0.1)
+        model.apply_update(full_gradient(np.zeros_like(model.logits)), 0.1)
 
 
 def test_apply_update_identity_and_reversibility(ab_space, rng):
     model = random_model(ab_space, 2, rng, trainable=True)
     before = model.logits.copy()
-    model.apply_update(RowGradient.full(np.zeros_like(before)), 0.5)
+    model.apply_update(full_gradient(np.zeros_like(before)), 0.5)
     assert np.array_equal(model.logits, before)
     grad = rng.standard_normal(before.shape)
-    model.apply_update(RowGradient.full(grad), 0.25)
-    model.apply_update(RowGradient.full(-grad), 0.25)
+    model.apply_update(full_gradient(grad), 0.25)
+    model.apply_update(full_gradient(-grad), 0.25)
     # add-then-subtract of the identical increment restores up to one rounding ulp
     assert np.allclose(model.logits, before, rtol=0.0, atol=1e-14)
 
@@ -219,7 +221,7 @@ def test_apply_update_monotone_in_target_token(ab_space):
     before = np.exp(model._log_softmax()[0, 0])
     grad = np.zeros_like(model.logits)
     grad[0, 0] = 5.0
-    model.apply_update(RowGradient.full(grad), 1.0)
+    model.apply_update(full_gradient(grad), 1.0)
     after = np.exp(model._log_softmax()[0, 0])
     assert after > before
 
@@ -242,13 +244,12 @@ def test_serialize_round_trip_with_neg_inf(ab_space):
 
 
 def test_write_document_holds_no_table_sized_buffer(monkeypatch, tmp_path, rng):
-    """Writing a lifted policy holds a few arrays of one entry per stored row
-    (row keys, their sorted distinct values, each row's text) and one chunk's
-    row map and text, never a copy of the table. Against the dense table (one
-    row of V floats per context), the traced peak of a second write (the first
-    pays numpy's lazy imports) stays below a tenth of it while the store holds
-    the base's rows only, and below 0.3 of it once every context has a row of
-    its own."""
+    """Writing a lifted policy holds one chunk's row map, stored rows, their
+    distinct texts and the chunk's text, never a copy of the table. Against
+    the dense table (one row of V floats per context), the traced peak of a
+    second write (the first pays numpy's lazy imports) stays below a tenth of
+    it while the store holds the base's rows only, and below 0.3 of it once
+    every context has a row of its own."""
     monkeypatch.setattr(lm, "_WRITE_CHUNK_ROWS", 1024)  # 65 chunks, each small beside the table
     space = small_space(9, 6)
     model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
@@ -259,7 +260,7 @@ def test_write_document_holds_no_table_sized_buffer(monkeypatch, tmp_path, rng):
         assert peak < bound * dense_table_bytes(model)
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "first.json").read_bytes()
         # every context gets a stored row of its own, equal to its base row
-        model.apply_update(RowGradient.full(np.zeros_like(dense_logits(model))), 1.0)
+        model.apply_update(full_gradient(np.zeros_like(dense_logits(model))), 1.0)
 
 
 def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
@@ -282,20 +283,22 @@ def test_write_document_matches_to_document_bytes(monkeypatch, tmp_path, rng):
     assert np.array_equal(rows[0], rows[1]) and rows[0].tobytes() != rows[1].tobytes()
     assert one_row.logits.shape[0] == 1
     private = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
-    private.apply_update(RowGradient.full(np.zeros_like(dense_logits(private))), 1.0)
+    private.apply_update(full_gradient(np.zeros_like(dense_logits(private))), 1.0)
     assert len(np.unique(private.logits, axis=0)) < len(private.logits) // 2
     cases = {"distinct": distinct, "expanded": expanded, "private": private, "neg-inf": neg_inf,
              "signed-zero": signed_zero, "one-row": one_row}
-    for keys in ("mixed", "colliding"):
-        if keys == "colliding":  # all stored rows share one key: only the bytewise check groups them
-            monkeypatch.setattr(lm, "_row_keys", lambda words: np.zeros(len(words), np.uint64))
+    # 7-row chunks: a ragged last chunk, base rows read from many chunks, and
+    # signed-zero's -0.0 and 0.0 rows in one chunk
+    assert expanded.coding.n_contexts % 7 and signed_zero.coding.n_contexts <= 7
+    for chunk_rows in (lm._WRITE_CHUNK_ROWS, 7):
+        monkeypatch.setattr(lm, "_WRITE_CHUNK_ROWS", chunk_rows)
         for name, model in cases.items():
-            path = tmp_path / f"{name}-{keys}.json"
+            path = tmp_path / f"{name}-{chunk_rows}.json"
             model.write_document(path)
             text = path.read_text()
-            assert text == json.dumps(model.to_document()) + "\n", (name, keys)
+            assert text == json.dumps(model.to_document()) + "\n", (name, chunk_rows)
             restored = TabularARModel.from_document(json.loads(text))
-            assert restored.logits.tobytes() == dense_logits(model).tobytes(), (name, keys)
+            assert restored.logits.tobytes() == dense_logits(model).tobytes(), (name, chunk_rows)
 
 
 def test_deserialize_corrupt_field(ab_space):
@@ -412,7 +415,7 @@ def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
         weights = rng.standard_normal(len(batch)) * 3.0
         grad = model.grad_weighted_sum(batch, weights)
         assert np.array_equal(grad.rows, np.unique(grad.rows))
-        dense = grad.dense(len(model.logits))
+        dense = dense_gradient(grad, len(model.logits))
         assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
 
 
@@ -473,7 +476,7 @@ def test_frozen_copy_is_a_snapshot(rng):
     with pytest.raises(NotTrainable):
         frozen.grad_weighted_sum(batch, np.ones(len(batch)))
     with pytest.raises(NotTrainable):
-        frozen.apply_update(RowGradient.full(np.zeros_like(logits)), 0.1)
+        frozen.apply_update(full_gradient(np.zeros_like(logits)), 0.1)
 
 
 def test_frozen_copy_holds_one_table(rng):
@@ -566,7 +569,7 @@ def test_write_document_encodes_each_distinct_stored_row_once(monkeypatch, tmp_p
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
     model = base.to_order(space.lmax, trainable=True)
-    model.apply_update(RowGradient.full(np.zeros_like(dense_logits(model))), 1.0)
+    model.apply_update(full_gradient(np.zeros_like(dense_logits(model))), 1.0)
     assert len(model.logits) == len(base.logits) + model.coding.n_contexts
     expected = json.dumps(model.to_document()) + "\n"
     encoded = []
