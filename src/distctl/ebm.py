@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seqspace
 from .errors import (
     ConfigError,
     DegenerateWeights,
@@ -117,11 +118,17 @@ class Ebm:
         return log_base + phi @ self.lam
 
     def exact_normalize(self) -> tuple[float, np.ndarray]:
-        """Exact partition function and normalized distribution over the universe,
-        from the base's prefix-DP log-probs and the cached universe features."""
+        """Exact partition function and normalized distribution over the universe.
+        The tilt is applied in place in the base's prefix-DP log-probs, one
+        ENUMERATION_CHUNK_ROWS block at a time, each block through `log_scores`
+        with its cached universe features cast to float; then the exp, the sum
+        and the divide, in place too. Beside the cached features, the
+        distribution is the only universe-sized array it makes."""
         if "exact" not in self._cache:
-            log_base = self.base.exact_log_distribution()
-            scores = self.log_scores(log_base, self.phi_universe())
+            scores = self.base.exact_log_distribution()
+            phi = self.phi_universe()
+            for rows in self._universe_blocks():
+                scores[rows] = self.log_scores(scores[rows], phi[rows].astype(float))
             np.exp(scores, out=scores)
             z = float(scores.sum())
             if z <= 0.0:
@@ -132,11 +139,17 @@ class Ebm:
 
     def phi_universe(self) -> np.ndarray:
         """Cached constraint-feature matrix over the universe, in enumeration
-        order. It is filled block by block (`SequenceSpace.enumeration_blocks`),
-        so the universe's token matrix is never built."""
+        order: bool when every feature is binary, one byte per sequence per
+        feature, else float64. It is filled block by block from
+        `feature_matrix` (`SequenceSpace.enumeration_blocks`), so the universe's
+        token matrix is never built."""
         if "phi_univ" not in self._cache:
             blocks = self.space.enumeration_blocks()  # runs the guard before the allocation
-            phi = np.empty((self.space.universe_size, len(self.constraint_set)))
+            binary = all(c.feature.binary for c in self.constraint_set)
+            phi = np.empty(
+                (self.space.universe_size, len(self.constraint_set)),
+                dtype=bool if binary else float,
+            )
             row = 0
             for block in blocks:
                 phi[row : row + len(block)] = self.constraint_set.feature_matrix(block)
@@ -144,10 +157,22 @@ class Ebm:
             self._cache["phi_univ"] = phi
         return self._cache["phi_univ"]
 
+    def universe_moments(self, dist: np.ndarray) -> np.ndarray:
+        """E_dist[phi] of a distribution over the universe, in enumeration
+        order, summed one ENUMERATION_CHUNK_ROWS block at a time; on a
+        one-block universe that is `dist @ phi` itself."""
+        phi = self.phi_universe()
+        return sum(dist[rows] @ phi[rows].astype(float) for rows in self._universe_blocks())
+
     def exact_moments(self) -> np.ndarray:
-        """Exact constraint moments of the normalized distribution."""
-        _, p = self.exact_normalize()
-        return p @ self.phi_universe()
+        """Exact constraint moments of the normalized distribution, summed
+        block by block (`universe_moments`)."""
+        return self.universe_moments(self.exact_normalize()[1])
+
+    def _universe_blocks(self) -> Iterator[slice]:
+        """Consecutive row slices of the universe, ENUMERATION_CHUNK_ROWS rows at most."""
+        n, step = self.space.universe_size, seqspace.ENUMERATION_CHUNK_ROWS
+        return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def moment_preserving_perturbations(

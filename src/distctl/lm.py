@@ -34,7 +34,10 @@ goes through the map; a dense model's map is the identity, left implicit.
 On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
 10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
 of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
-proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB.
+proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. The
+exact snapshots' universe-sized arrays then set it; since their features are
+bool and their tilt is applied in place (`ebm.Ebm.exact_normalize`), it is
+145.8 MB.
 
 Sampling draws each step's uniforms and forms its Gumbel scores over row
 chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of

@@ -218,7 +218,7 @@ def snapshot(
     if options.exact:
         _, p = target.exact_normalize()
         pi_dist = policy.exact_distribution()
-        record.e_phi_exact = pi_dist @ target.phi_universe()
+        record.e_phi_exact = target.universe_moments(pi_dist)
         record.kl_p_pi_exact = exact_kl(p, pi_dist, overwrite_d2=True)  # pi_dist is read last
     return record
 

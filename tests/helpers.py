@@ -217,6 +217,11 @@ def traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def universe_arrays(nbytes: float, space: SequenceSpace) -> float:
+    """`nbytes` in universe-sized float64 arrays of `space`: 8 bytes per sequence."""
+    return nbytes / (8 * space.universe_size)
+
+
 def uniform_model(space: SequenceSpace, order: int = 1, trainable: bool = False) -> TabularARModel:
     """Uniform next-token distribution at every context (all-zero logits)."""
     m_eff = min(order - 1, space.lmax - 1)
@@ -361,6 +366,23 @@ def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
             b *= c.feature.evaluate_batch(batch)
     with np.errstate(divide="ignore"):
         return log_base + np.log(b)
+
+
+def whole_matrix_normalize(ebm: Ebm) -> tuple[float, np.ndarray]:
+    """(Z, p) with the tilt applied to the whole universe in one expression:
+    the base's exact log-probs plus phi @ lam, or plus log b(x) with b the row
+    product of phi for a pointwise-product target, phi the cached universe
+    features cast to float."""
+    log_base = ebm.base.exact_log_distribution()
+    phi = ebm.phi_universe().astype(float)
+    if ebm.mode == EXPONENTIAL:
+        scores = log_base + phi @ ebm.lam
+    else:
+        with np.errstate(divide="ignore"):
+            scores = log_base + np.log(phi.prod(axis=1))
+    weights = np.exp(scores)
+    z = float(weights.sum())
+    return z, weights / z
 
 
 def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:

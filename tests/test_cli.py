@@ -15,9 +15,9 @@ from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
 from distctl.lm import TabularARModel
-from distctl.seqspace import SequenceSpace
+from distctl.seqspace import SequenceSpace, Vocabulary
 
-from helpers import synthetic_corpus, traced_peak
+from helpers import synthetic_corpus, traced_peak, universe_arrays
 
 
 @pytest.fixture
@@ -332,14 +332,18 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
         assert_manifest(workdir / "bare-out" / "manifest.json", names, ["samples", "zipf"])
 
 
+# Tracemalloc peaks of the whole exact commands below, in universe-sized
+# float64 arrays: the oracle reads 10.69 and train 10.08.
+EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 11.5, "train": 11.0}
+
+
 @pytest.mark.parametrize("command", ["oracle", "train"])
 def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
-    """A whole exact command holds at most 13 universe-sized float64 arrays at
-    once: both commands read about 12, and the oracle takes its
-    moment-preserving perturbations one at a time. On this long, narrow space
-    (two body tokens, lmax 14) the universe's token matrix alone would be 7
-    such arrays, its lengths one more, and the blocks it is joined from as
-    many again."""
+    """A whole exact command holds about 11 universe-sized float64 arrays at
+    once, and the oracle takes its moment-preserving perturbations one at a
+    time. On this long, narrow space (two body tokens, lmax 14) the
+    universe's token matrix alone would be 7 such arrays, its lengths one
+    more, and the blocks it is joined from as many again."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
     text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
                             n_lines=120, min_len=1, max_len=8)
@@ -349,7 +353,8 @@ def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, comman
                        fit={"sample_count": 2000, "tolerance": 1e-4, "max_steps": 5000})
     code, peak = traced_peak(main, [command, "--config", str(cfg)])
     assert code == 0
-    assert peak <= 13 * 8 * (2**15 - 1)  # 32,767 sequences
+    space = SequenceSpace(Vocabulary.from_body_tokens(["gold", "red"]), 14)  # 32,767 sequences
+    assert universe_arrays(peak, space) <= EXACT_COMMAND_UNIVERSE_ARRAYS[command]
     assert not hasattr(SequenceSpace, "enumeration")
 
 

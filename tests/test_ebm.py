@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from distctl.ebm import (
+    EXPONENTIAL,
+    POINTWISE_PRODUCT,
     Ebm,
     FitConfig,
     build_pointwise,
@@ -47,6 +49,8 @@ from helpers import (
     snis_standard_error,
     traced_peak,
     uniform_model,
+    universe_arrays,
+    whole_matrix_normalize,
 )
 
 
@@ -256,14 +260,19 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 
 
 
-# The exact oracles' memory bound. A target's normalization holds at most five
-# universe-sized float64 arrays at once (the product form: log-probs, features,
-# their product, its log and the sum), and with its caches filled a snapshot
-# adds the policy's distribution. The universe's token matrix of a length-8
-# space would add four more, and its lengths one; its per-block batches stay
-# small while ENUMERATION_CHUNK_ROWS is.
+# The exact oracles' memory bounds, in universe-sized float64 arrays. A
+# target's normalization holds the base's exact log-probs, which become its
+# distribution in place, and the universe features, here one bool per
+# sequence; the tilt's temporaries are block-sized. With its caches filled, a
+# snapshot adds the policy's distribution, and `exact_kl` its support masks.
+# A pointwise-product target's distribution has zeros, so `exact_kl` also
+# copies both distributions onto its support, nearly two arrays more. At
+# 256-row blocks the peaks read 2.68 (exponential) and 4.21 (pointwise
+# product). The universe's token matrix of a length-8 space would add four
+# arrays, and its lengths one; its per-block batches stay small while
+# ENUMERATION_CHUNK_ROWS is.
 ORACLE_SPACE = (4, 8)  # 87,381 sequences
-ORACLE_UNIVERSE_ARRAYS = 6
+ORACLE_UNIVERSE_ARRAYS = {EXPONENTIAL: 2.9, POINTWISE_PRODUCT: 4.6}
 
 
 @pytest.fixture
@@ -282,7 +291,7 @@ def exact_oracles_peak(ebm, policy, rng):
         snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
 
     _, peak = traced_peak(oracles)
-    return peak / (8 * ebm.space.universe_size)
+    return universe_arrays(peak, ebm.space)
 
 
 def test_exact_oracles_leave_the_enumeration_unencoded(small_blocks, rng):
@@ -291,7 +300,7 @@ def test_exact_oracles_leave_the_enumeration_unencoded(small_blocks, rng):
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
     ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
-    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS
+    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[EXPONENTIAL]
     assert enumeration(space)._events is None
 
 
@@ -371,8 +380,20 @@ def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
         Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
         build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True)),
     ):
-        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS, ebm.mode
+        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[ebm.mode], ebm.mode
     assert not hasattr(SequenceSpace, "enumeration")
+
+
+def test_cold_exact_normalize_holds_one_universe_array(small_blocks, rng):
+    """A cold normalization makes the base's exact log-probs, which become the
+    distribution in place, and the universe features, one bool per sequence:
+    it reads 1.23 universe-sized float64 arrays. A whole-universe tilt over
+    float64 features read 3.05."""
+    space = small_space(*ORACLE_SPACE)
+    base = random_model(space, 2, rng)
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
+    _, peak = traced_peak(ebm.exact_normalize)
+    assert universe_arrays(peak, space) <= 1.3
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
@@ -392,6 +413,65 @@ def test_phi_universe_blockwise_equals_the_full_matrix_bitwise(monkeypatch, chun
     base = uniform_model(space)
     phi = Ebm(base=base, constraint_set=cs, lam=np.zeros(len(cs))).phi_universe()
     assert phi.shape == full.shape and phi.tobytes() == full.tobytes()
+
+
+TARGET_KINDS = ["binary", "mixed", POINTWISE_PRODUCT]
+
+
+def blockwise_target(kind, rng):
+    """A target on a 1,365-sequence space (many 256-row blocks): three binary
+    constraints (presence, wordlist and prefix-match), the same three plus a
+    token-ratio, or the three as a pointwise product."""
+    space = small_space(4, 5)
+    base = random_model(space, 2, rng, scale=1.0)
+    v = space.vocabulary
+    features = [TokenPresence(v, "a"), WordlistPresence(v, ["b", "d"]), PrefixMatch(v, ["c"])]
+    if kind == POINTWISE_PRODUCT:
+        specs = [ConstraintSpec(f, 1.0, pointwise=True) for f in features]
+        return build_pointwise(base, ConstraintSet(specs))
+    if kind == "mixed":
+        features.append(TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5))
+    cs = ConstraintSet([ConstraintSpec(f, 0.4) for f in features])
+    return Ebm(base=base, constraint_set=cs, lam=rng.uniform(-3.0, 3.0, len(cs)))
+
+
+@pytest.mark.parametrize("chunk", [256, 7])  # whole blocks; a ragged last block
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_blockwise_tilt_equals_the_whole_matrix_tilt_bitwise(monkeypatch, rng, kind, chunk):
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
+    ebm = blockwise_target(kind, rng)
+    z_ref, p_ref = whole_matrix_normalize(ebm)
+    z, p = ebm.exact_normalize()
+    assert z == z_ref
+    assert p.tobytes() == p_ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["binary", "mixed"])
+def test_phi_universe_is_bool_only_when_every_feature_is_binary(monkeypatch, rng, kind):
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 7)
+    ebm = blockwise_target(kind, rng)
+    phi = ebm.phi_universe()
+    assert phi.dtype == (bool if kind == "binary" else np.float64)
+    full = ebm.constraint_set.feature_matrix(enumeration(ebm.space))
+    assert phi.astype(float).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["binary", "mixed"])
+def test_universe_moments_agree_with_the_whole_matrix(monkeypatch, rng, kind):
+    """Blockwise sums associate differently: within 1e-12 relative of
+    `d @ phi` on many blocks, and equal to it on one block."""
+    ebm = blockwise_target(kind, rng)
+    policy = random_model(ebm.space, 3, rng)
+    dists = [ebm.exact_normalize()[1], policy.exact_distribution()]
+    phi = ebm.phi_universe().astype(float)
+    for chunk in (256, 7):
+        monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
+        for d in dists:
+            np.testing.assert_allclose(ebm.universe_moments(d), d @ phi, rtol=1e-12, atol=0)
+    monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 1 << 16)
+    for d in dists:
+        assert ebm.universe_moments(d).tobytes() == (d @ phi).tobytes()
+    assert ebm.exact_moments().tobytes() == (dists[0] @ phi).tobytes()
 
 
 # -- information-geometry properties -------------------------------------------

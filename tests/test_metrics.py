@@ -32,6 +32,7 @@ from helpers import (
     random_model,
     small_space,
     traced_peak,
+    universe_arrays,
     zipf_total,
 )
 
@@ -342,5 +343,5 @@ def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng
     options = EvalOptions(sample_size=64, exact=True)
     snapshot(0, "gdc", policy, target, rng, options)  # fills the target's caches
     _, peak = traced_peak(snapshot, 1, "gdc", policy, target, rng, options)
-    assert dense_table_bytes(policy) > 1.1 * 8 * space.universe_size
-    assert peak <= 1.3 * 8 * space.universe_size
+    assert universe_arrays(dense_table_bytes(policy), space) > 1.1
+    assert universe_arrays(peak, space) <= 1.3
