@@ -9,7 +9,7 @@ checkable against exhaustive-enumeration oracles on small universes.
 
 __version__ = "0.1.0"
 
-from .ebm import Ebm, FitConfig, FitReport, build_pointwise, fit_lambda
+from .ebm import Ebm, FitConfig, FitReport, fit_lambda
 from .errors import DistctlError
 from .estimators import Estimate, ZMovingAverage
 from .features import (
@@ -56,7 +56,6 @@ __all__ = [
     "Vocabulary",
     "WordlistPresence",
     "ZMovingAverage",
-    "build_pointwise",
     "fit_lambda",
     "mle_fit",
     "rejection_mle",

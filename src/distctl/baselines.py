@@ -122,7 +122,7 @@ def rejection_mle(
 ) -> tuple[TabularARModel, RejectionStats]:
     """Sample the base, keep the sequences whose pointwise features are all 1,
     MLE-fit on them."""
-    pointwise = np.array([c.pointwise for c in constraint_set], dtype=bool)
+    pointwise = constraint_set.pointwise
     if not pointwise.any():
         raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget

@@ -22,12 +22,7 @@ from . import __version__
 from .baselines import REJECTION_MLE, RejectionConfig, rejection_mle, train_baseline
 from .config import GDC_METHOD, ExperimentConfig
 from .dpg import seed_streams, train
-from .ebm import (
-    Ebm,
-    build_pointwise,
-    fit_lambda,
-    moment_preserving_perturbations,
-)
+from .ebm import FitReport, fit_lambda, moment_preserving_perturbations
 from .errors import ConfigError, DistctlError
 from .estimators import exact_kl
 from .features import ConstraintSet
@@ -141,14 +136,6 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
     return base, constraint_set, eval_options
 
 
-def _build_target(cfg: ExperimentConfig, base, constraint_set: ConstraintSet):
-    """Pointwise sets take the product shortcut; anything else is fitted."""
-    if constraint_set.all_pointwise:
-        return None, build_pointwise(base, constraint_set)
-    report, target = fit_lambda(base, constraint_set, cfg.build_fit_config())
-    return report, target
-
-
 def _guard_policy_table(space, config) -> None:
     """Refuse a policy whose context table cannot exist: a trained policy
     conditions on the whole prefix (see `dpg.init_state`), a rejection-mle
@@ -168,13 +155,11 @@ def _check_base_cells(base, config) -> None:
         )
 
 
-def _fit_document(report, target: Ebm, constraint_set: ConstraintSet) -> dict:
-    doc = {"mode": target.mode, "constraint_ids": constraint_set.ids}
-    if report is not None:
-        doc.update(report.to_document())
-    else:
-        doc["lambda"] = []
-    return doc
+def _fit_document(report: FitReport, constraint_set: ConstraintSet) -> dict:
+    """fit_report.json: `lambda` and `achieved_moments` pair, in order, with
+    `lambda_ids`, the distributional constraints' ids."""
+    lambda_ids = [c.feature.id for c in constraint_set if not c.pointwise]
+    return {"lambda_ids": lambda_ids, "constraint_ids": constraint_set.ids, **report.to_document()}
 
 
 def run_fit(run: _Run) -> None:
@@ -184,10 +169,10 @@ def run_fit(run: _Run) -> None:
     if len(constraint_set) == 0:
         raise ConfigError("config.constraints: fit needs at least one constraint")
     run.end("build")
-    report, target = _build_target(cfg, base, constraint_set)
+    report, _ = fit_lambda(base, constraint_set, cfg.build_fit_config())
     run.end("fit")
-    _write_json(run.artifact("fit_report", "json"), _fit_document(report, target, constraint_set))
-    if report is not None and not report.converged:
+    _write_json(run.artifact("fit_report", "json"), _fit_document(report, constraint_set))
+    if not report.converged:
         print(f"fit did not converge: objective {report.objective:.6g}", file=sys.stderr)
 
 
@@ -221,7 +206,7 @@ def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_
     features) and the trainer's state are freed on return, before
     `model.json` is written; a DPG run's proposal is gone already, dropped
     after its last iteration (`dpg.run_loop`)."""
-    report, target = _build_target(run.cfg, base, constraint_set)
+    report, target = fit_lambda(base, constraint_set, run.cfg.build_fit_config())
     run.end("fit")
     method = run.cfg.method
     if method == REJECTION_MLE:
@@ -237,7 +222,7 @@ def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.state.beta}
     run.end("train")
-    fit_doc = _fit_document(report, target, constraint_set)
+    fit_doc = _fit_document(report, constraint_set)
     return fit_doc, policy, history, {"method": method, **extra_doc}
 
 
@@ -265,7 +250,7 @@ def run_ablation(run: _Run) -> None:
         )
     base, constraint_set, eval_options = _build(cfg, trainer=cfg.build_trainer())
     run.end("build")
-    _, target = _build_target(cfg, base, constraint_set)
+    _, target = fit_lambda(base, constraint_set, cfg.build_fit_config())
     run.end("fit")
     threshold = cfg.eval.get("threshold")
     header = ["variant", "seed", "samples_drawn"]
@@ -291,7 +276,7 @@ def run_oracle(run: _Run) -> None:
     # the oracle is exact whether or not eval.exact_oracle is on
     base, constraint_set, _ = _build(cfg, exact=True)
     run.end("build")
-    _, target = _build_target(cfg, base, constraint_set)
+    _, target = fit_lambda(base, constraint_set, cfg.build_fit_config())
     run.end("fit")
     z, p = target.exact_normalize()
     a_dist = base.exact_distribution()
@@ -319,7 +304,8 @@ def run_eval(run: _Run) -> None:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
     model, constraint_set, eval_options = _build(cfg)
     run.end("build")
-    target = _build_target(cfg, model, constraint_set)[1] if len(constraint_set) else None
+    fit_config = cfg.build_fit_config()
+    target = fit_lambda(model, constraint_set, fit_config)[1] if len(constraint_set) else None
     run.end("fit")
     rng = np.random.default_rng(cfg.seed)
     record = snapshot(0, "eval", model, target, rng, eval_options) if target is not None else None

@@ -1,8 +1,10 @@
 """Unnormalized target models built from a base model and moment constraints.
 
-Two shapes: an exponential tilt of the base (general case, parameters fitted
-by self-normalized importance sampling plus SGD) and a base-times-predicate
-product (shortcut when every constraint is pointwise).
+Every target has one shape, the I-projection of the base onto its constraints:
+P(x) = a(x) * b(x) * exp(lam . phi(x)), with a the base, b the product of the
+pointwise (0 or 1) features and phi the distributional features. lam is
+fitted by self-normalized importance sampling plus SGD on the base samples
+with b = 1; a pointwise-only target has no lam to fit.
 """
 
 from __future__ import annotations
@@ -17,15 +19,11 @@ from .errors import (
     ConfigError,
     DegenerateWeights,
     EmptySupport,
-    MixedConstraints,
     UnattainableTarget,
 )
 from .features import ConstraintSet
 from .lm import TabularARModel
 from .seqspace import SampleBatch
-
-EXPONENTIAL = "exponential"
-POINTWISE_PRODUCT = "pointwise-product"
 
 DEFAULT_LAMBDA_CLAMP = 20.0
 
@@ -72,9 +70,9 @@ class FitReport:
 
 @dataclass
 class Ebm:
-    """score(x) = base(x) * tilt(x). `mode` reads the shape from lam and the
-    constraint set: the product base(x) * b(x) when lam is empty and the set
-    (all pointwise) is not, else the tilt exp(lam . phi(x)), one lam each."""
+    """score(x) = base(x) * b(x) * exp(lam . phi(x)): b is the product of the
+    constraint set's pointwise (0 or 1) columns, phi its distributional columns,
+    one lam each in constraint order (a pointwise-only target has an empty lam)."""
 
     base: TabularARModel
     constraint_set: ConstraintSet
@@ -84,20 +82,13 @@ class Ebm:
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
-        if self.mode == EXPONENTIAL and len(self.lam) != len(self.constraint_set):
-            raise ConfigError("lambda length must match the constraint count")
+        pointwise = self.constraint_set.pointwise
+        self.pointwise_columns = np.flatnonzero(pointwise)
+        self.lambda_columns = np.flatnonzero(~pointwise)
+        if len(self.lam) != len(self.lambda_columns):
+            raise ConfigError("lambda length must match the distributional constraint count")
         if np.abs(self.lam).max(initial=0.0) > self.lambda_clamp + 1e-12:
             raise ConfigError("lambda exceeds lambda_clamp")
-        if self.mode == POINTWISE_PRODUCT and not self.constraint_set.all_pointwise:
-            raise MixedConstraints(
-                "pointwise-product shortcut needs an all-pointwise constraint set; "
-                "hybrid sets go through fit_lambda"
-            )
-
-    @property
-    def mode(self) -> str:
-        product = len(self.constraint_set) and not len(self.lam)
-        return POINTWISE_PRODUCT if product else EXPONENTIAL
 
     @property
     def space(self):
@@ -109,13 +100,17 @@ class Ebm:
         )
 
     def log_scores(self, log_base: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Log-scores of rows from their base log-probs and feature matrix: the
-        tilt phi @ lam, or log b(x), b the product of the (all pointwise, 0 or
-        1) feature columns."""
-        if self.mode == POINTWISE_PRODUCT:
+        """Log-scores of rows from their base log-probs and feature matrix:
+        log b(x), b the product of the pointwise columns, then the tilt of the
+        distributional columns by lam. A term whose columns are absent is not
+        added at all."""
+        scores = log_base
+        if len(self.pointwise_columns):
             with np.errstate(divide="ignore"):
-                return log_base + np.log(phi.prod(axis=1))
-        return log_base + phi @ self.lam
+                scores = scores + np.log(phi[:, self.pointwise_columns].prod(axis=1))
+        if len(self.lambda_columns):
+            scores = scores + phi[:, self.lambda_columns] @ self.lam
+        return scores
 
     def exact_normalize(self) -> tuple[float, np.ndarray]:
         """Exact partition function and normalized distribution over the universe.
@@ -247,41 +242,47 @@ def snis_objective_grad(
     return float(gap @ gap), -2.0 * (cov @ gap)
 
 
-def build_pointwise(base: TabularARModel, constraint_set: ConstraintSet) -> Ebm:
-    """Base-times-predicate EBM; only legal when every constraint is pointwise."""
-    return Ebm(base=base, constraint_set=constraint_set, lam=np.zeros(0))
-
-
 def fit_lambda(
     base: TabularARModel,
     constraint_set: ConstraintSet,
     config: FitConfig,
 ) -> tuple[FitReport, Ebm]:
-    """Fit exponential-tilt parameters so estimated moments hit their targets.
+    """The target of a constraint set, with lam fitted so the estimated
+    moments of its distributional constraints hit their targets.
 
-    Draws the base-model sample set once, then descends the squared moment gap
-    with the analytic SNIS gradient, clamping lambdas each step. Pointwise
-    members ride along in the exponential with target 1.0.
+    A set with no distributional constraint has no lam: the fit returns at
+    once, converged at step 0, and draws nothing. Otherwise it draws the
+    base-model sample set once and keeps the rows whose pointwise columns are
+    all 1 (b(x) = 0 elsewhere, so they carry no weight); then it checks each
+    target against the kept rows' feature hull and descends the squared moment
+    gap with the analytic SNIS gradient, clamping lambdas each step.
     """
     if len(constraint_set) == 0:
         raise ConfigError("fit_lambda needs at least one constraint")
-    if constraint_set.all_pointwise:
-        raise ConfigError(
-            "all constraints are pointwise; use build_pointwise instead of fit_lambda"
-        )
+    clamp = config.lambda_clamp
+    pointwise = constraint_set.pointwise
+    if pointwise.all():
+        empty = np.zeros(0)
+        report = FitReport(empty, empty, objective=0.0, steps_used=0, converged=True)
+        return report, Ebm(base=base, constraint_set=constraint_set, lam=empty, lambda_clamp=clamp)
     rng = np.random.default_rng(config.seed)
     samples = base.sample_batch(config.sample_count, rng)
     phi = constraint_set.feature_matrix(samples)
-    targets = constraint_set.targets
+    specs = [c for c in constraint_set if not c.pointwise]
+    targets = constraint_set.targets[~pointwise]
+    if pointwise.any():
+        kept = (phi[:, pointwise] == 1.0).all(axis=1)
+        if not kept.any():
+            ids = ", ".join(repr(c.feature.id) for c in constraint_set if c.pointwise)
+            raise EmptySupport(f"no base sample satisfies the pointwise constraints {ids}")
+        phi = phi[kept][:, ~pointwise]
 
-    for j, spec in enumerate(constraint_set):
+    for j, spec in enumerate(specs):
         lo, hi = float(phi[:, j].min()), float(phi[:, j].max())
         if targets[j] < lo or targets[j] > hi:
             raise UnattainableTarget(spec.feature.id, float(targets[j]), lo, hi)
 
-    clamp = config.lambda_clamp
-    lam = np.zeros(len(constraint_set))
-
+    lam = np.zeros(len(specs))
     lr = config.learning_rate
     steps_used = 0
     converged = False

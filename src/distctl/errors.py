@@ -56,10 +56,6 @@ class NoPointwiseConstraints(DistctlError):
     """Pointwise predicate requested on a set with no pointwise constraints."""
 
 
-class MixedConstraints(DistctlError):
-    """Pointwise-product construction requires an all-pointwise set."""
-
-
 class DegenerateWeights(NumericalError):
     """Importance weights collapsed to an unusable (zero/non-finite) sum."""
 
@@ -96,6 +92,10 @@ class TooFewSamples(DistctlError):
 
 class NoAcceptedSamples(NumericalError):
     """Rejection sampling exhausted its budget without a single acceptance."""
+
+
+class NonFiniteEstimate(NumericalError):
+    """An importance-sampling estimate's terms would overflow to a non-finite value."""
 
 
 class NonFiniteLogits(NumericalError):

@@ -8,11 +8,12 @@ live at the bottom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonpositiveZ, SupportViolation
+from .errors import ConfigError, NonFiniteEstimate, NonpositiveZ, SupportViolation
 
 
 @dataclass
@@ -34,9 +35,14 @@ class ZMovingAverage:
 
 
 def _mean_se(terms: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the terms, or NonFiniteEstimate if either
+    is not finite (overflowing terms are inf or nan)."""
     n = len(terms)
     se = float(np.std(terms, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(terms)), se
+    mean = float(np.mean(terms))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFiniteEstimate("estimate is non-finite: its terms overflow")
+    return mean, se
 
 
 def importance_ratios(log_p_score: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -52,11 +58,12 @@ def kl_p_from_logs(
     """KL(p || pi) via -log z + (1/z) E_q[(P/q) log(P/pi)], p = P/Z."""
     if z <= 0.0:
         raise NonpositiveZ(f"KL estimator needs z > 0, got {z}")
-    r = importance_ratios(log_p_score, log_q)
-    terms = np.zeros_like(r)
-    mass = r > 0.0
-    terms[mass] = r[mass] * (log_p_score[mass] - log_pi[mass])
-    mean, se = _mean_se(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = importance_ratios(log_p_score, log_q)
+        terms = np.zeros_like(r)
+        mass = r > 0.0
+        terms[mass] = r[mass] * (log_p_score[mass] - log_pi[mass])
+        mean, se = _mean_se(terms)
     return Estimate(value=-np.log(z) + mean / z, standard_error=se / z)
 
 
@@ -68,8 +75,9 @@ def tvd_p_from_logs(
         raise NonpositiveZ(f"TVD estimator needs z > 0, got {z}")
     if np.isneginf(log_q).any():
         raise SupportViolation("proposal assigns zero probability to a drawn sample")
-    terms = 0.5 * np.abs(np.exp(log_pi - log_q) - np.exp(log_p_score - log_q) / z)
-    value, se = _mean_se(terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = 0.5 * np.abs(np.exp(log_pi - log_q) - np.exp(log_p_score - log_q) / z)
+        value, se = _mean_se(terms)
     return Estimate(value=value, standard_error=se)
 
 

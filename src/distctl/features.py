@@ -184,8 +184,9 @@ class ConstraintSet:
         return np.array([c.target for c in self.constraints])
 
     @property
-    def all_pointwise(self) -> bool:
-        return len(self.constraints) > 0 and all(c.pointwise for c in self.constraints)
+    def pointwise(self) -> np.ndarray:
+        """Which constraints are pointwise: one bool per constraint, in order."""
+        return np.array([c.pointwise for c in self.constraints], dtype=bool)
 
     def feature_matrix(self, batch: SampleBatch) -> np.ndarray:
         """(n_samples, n_constraints) feature values, columns in constraint order.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from distctl.ebm import EXPONENTIAL, Ebm
+from distctl.ebm import Ebm, FitConfig
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
     Estimate,
@@ -25,14 +25,23 @@ from distctl.estimators import (
     kl_p_from_logs,
     tvd_p_from_logs,
 )
-from distctl.features import Feature, PrefixMatch, TokenPresence, TokenRatio, WordlistPresence
-from distctl.lm import RowGradient, TabularARModel
+from distctl.features import (
+    ConstraintSet,
+    ConstraintSpec,
+    Feature,
+    PrefixMatch,
+    TokenPresence,
+    TokenRatio,
+    WordlistPresence,
+)
+from distctl.lm import RowGradient, TabularARModel, mle_fit
 from distctl.seqspace import (
     SampleBatch,
     SequenceSpace,
     Vocabulary,
     length_offsets,
     string_space_size,
+    tokenize_corpus,
 )
 
 LETTERS = "abcdefghij"
@@ -355,31 +364,32 @@ class ScaledEbm(Ebm):
 
 
 def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
-    """Log-scores with b(x) built member by member: one feature evaluation per
-    pointwise constraint, multiplied in constraint order; the tilt is phi @ lam."""
-    log_base = ebm.base.log_prob_batch(batch)
-    if ebm.mode == EXPONENTIAL:
-        return log_base + ebm.constraint_set.feature_matrix(batch) @ ebm.lam
+    """log a(x) + log b(x) + lam . phi(x), one feature evaluation per member in
+    constraint order: b(x) multiplies the pointwise members' values, and the
+    distributional members' values are stacked into phi."""
     b = np.ones(len(batch))
+    phi = []
     for c in ebm.constraint_set:
+        values = c.feature.evaluate_batch(batch)
         if c.pointwise:
-            b *= c.feature.evaluate_batch(batch)
+            b *= values
+        else:
+            phi.append(values)
+    tilt = np.column_stack(phi) @ ebm.lam if phi else 0.0
     with np.errstate(divide="ignore"):
-        return log_base + np.log(b)
+        return ebm.base.log_prob_batch(batch) + np.log(b) + tilt
 
 
 def whole_matrix_normalize(ebm: Ebm) -> tuple[float, np.ndarray]:
-    """(Z, p) with the tilt applied to the whole universe in one expression:
-    the base's exact log-probs plus phi @ lam, or plus log b(x) with b the row
-    product of phi for a pointwise-product target, phi the cached universe
+    """(Z, p) with the score applied to the whole universe in one expression:
+    the base's exact log-probs, plus log of the row product of the pointwise
+    columns, plus the distributional columns @ lam, of the cached universe
     features cast to float."""
     log_base = ebm.base.exact_log_distribution()
     phi = ebm.phi_universe().astype(float)
-    if ebm.mode == EXPONENTIAL:
-        scores = log_base + phi @ ebm.lam
-    else:
-        with np.errstate(divide="ignore"):
-            scores = log_base + np.log(phi.prod(axis=1))
+    pointwise = np.array([c.pointwise for c in ebm.constraint_set], dtype=bool)
+    with np.errstate(divide="ignore"):
+        scores = log_base + np.log(phi[:, pointwise].prod(axis=1)) + phi[:, ~pointwise] @ ebm.lam
     weights = np.exp(scores)
     z = float(weights.sum())
     return z, weights / z
@@ -789,3 +799,37 @@ def synthetic_corpus(
         length = int(rng.integers(min_len, max_len + 1))
         lines.append(list(rng.choice(tokens, size=length, p=probs)))
     return corpus_text(lines)
+
+
+def hybrid_task() -> tuple[TabularARModel, ConstraintSet, FitConfig]:
+    """Criterion 10's hybrid task: an order-2 base fitted on a 300-line corpus
+    over four tokens (lmax 5), the pointwise constraint A ('c' present) and
+    the distributional B ('d' present, target 0.5), both rare under the base,
+    and the fit config the criterion uses."""
+    rng = np.random.default_rng(33)
+    text = synthetic_corpus(
+        rng, tokens=["a", "b", "c", "d"], weights=[0.52, 0.40, 0.045, 0.035],
+        n_lines=300, min_len=2, max_len=5,
+    )
+    tok = tokenize_corpus(text, lmax=5)
+    base = mle_fit(tok.space, tok.batch, order=2, smoothing=0.25)
+    v = tok.space.vocabulary
+    cs = ConstraintSet([
+        ConstraintSpec(TokenPresence(v, "c", feature_id="A"), 1.0, pointwise=True),
+        ConstraintSpec(TokenPresence(v, "d", feature_id="B"), 0.5),
+    ])
+    config = FitConfig(sample_count=100000, learning_rate=1.0, seed=0, tolerance=1e-4, max_steps=30000)
+    return base, cs, config
+
+
+def exact_hybrid_projection(base: TabularARModel, cs: ConstraintSet) -> tuple[float, np.ndarray]:
+    """(lam*, p*) of a set with one pointwise and one distributional constraint,
+    in that order: p* = a * b * exp(lam* phi) normalized, with lam* bisected on
+    the base conditioned on b, by naive per-sequence feature values."""
+    seqs = list(enumerate_sequences(base.space))
+    b, phi = (np.array([feature_value(c.feature, x) for x in seqs]) for c in cs)
+    conditioned = base.exact_distribution() * b
+    conditioned /= conditioned.sum()
+    lam = bisect_lambda(conditioned, phi, cs.targets[1])
+    p = conditioned * np.exp(lam * phi)
+    return lam, p / p.sum()

@@ -15,7 +15,6 @@ from distctl.dpg import DpgConfig, dpg_iteration, init_state, train
 from distctl.ebm import (
     Ebm,
     FitConfig,
-    build_pointwise,
     fit_lambda,
     moment_preserving_perturbations,
     snis_objective_grad,
@@ -39,8 +38,10 @@ from helpers import (
     estimate_tvd,
     estimate_z,
     exact_entropy,
+    exact_hybrid_projection,
     exact_tvd,
     grad_log_prob,
+    hybrid_task,
     invalidate,
     naive_bleu,
     random_model,
@@ -147,11 +148,12 @@ def test_criterion_2_pythagorean_identity(anchor):
 
 def test_criterion_3_pointwise_limit_equivalence(anchor):
     space, base = anchor["space"], anchor["base"]
-    cs = ConstraintSet(
-        [ConstraintSpec(TokenPresence(space.vocabulary, "c"), 1.0, pointwise=True)]
-    )
-    clamped = Ebm(base=base, constraint_set=cs, lam=np.array([20.0]), lambda_clamp=20.0)
-    product = build_pointwise(base, cs)
+    feature = TokenPresence(space.vocabulary, "c")
+    cs = ConstraintSet([ConstraintSpec(feature, 1.0, pointwise=True)])
+    # the same feature as a distributional constraint, tilted to the clamp
+    tilted = ConstraintSet([ConstraintSpec(feature, 0.5)])
+    clamped = Ebm(base=base, constraint_set=tilted, lam=np.array([20.0]), lambda_clamp=20.0)
+    product = Ebm(base=base, constraint_set=cs, lam=[])
     _, p_clamped = clamped.exact_normalize()
     _, p_product = product.exact_normalize()
     kl = exact_kl(p_product, p_clamped)
@@ -173,7 +175,7 @@ def test_criterion_4_estimator_battery():
             cs = ConstraintSet(
                 [ConstraintSpec(TokenPresence(space.vocabulary, token), 1.0, pointwise=True)]
             )
-            target = build_pointwise(base, cs)
+            target = Ebm(base=base, constraint_set=cs, lam=[])
         else:
             cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, token), 0.5)])
             lam = float(rng.uniform(-1.5, 1.5))
@@ -243,7 +245,7 @@ def test_criterion_6_adaptivity_ablation():
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["c", "c"]), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     rarity, p = target.exact_normalize()
     assert rarity <= 1e-3
 
@@ -294,7 +296,7 @@ def test_criterion_7_baseline_ordering():
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "c"), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     a_dist = base.exact_distribution()
     ev = EvalOptions(sample_size=64)
     iterations, k = 300, 256
@@ -450,31 +452,13 @@ def test_criterion_9_metric_oracles():
 
 
 def test_criterion_10_hybrid_constraints():
-    rng = np.random.default_rng(33)
-    text = synthetic_corpus(
-        rng, tokens=["a", "b", "c", "d"], weights=[0.52, 0.40, 0.045, 0.035],
-        n_lines=300, min_len=2, max_len=5,
-    )
-    tok = tokenize_corpus(text, lmax=5)
-    space = tok.space
-    base = mle_fit(space, tok.batch, order=2, smoothing=0.25)
-    cs = ConstraintSet([
-        ConstraintSpec(TokenPresence(space.vocabulary, "c", feature_id="A"), 1.0,
-                       pointwise=True),
-        ConstraintSpec(TokenPresence(space.vocabulary, "d", feature_id="B"), 0.5),
-    ])
-    phi = cs.feature_matrix(enumeration(space))
+    base, cs, config = hybrid_task()
+    phi = cs.feature_matrix(enumeration(base.space))
     base_moments = base.exact_distribution() @ phi
-    config = FitConfig(
-        sample_count=100000,
-        learning_rate=1.0,
-        seed=0,
-        tolerance=1e-4,
-        max_steps=30000,
-    )
     fit_report, ebm = fit_lambda(base, cs, config)
     moments = ebm.exact_moments()
     z, p = ebm.exact_normalize()
+    kl_star = exact_kl(exact_hybrid_projection(base, cs)[1], p)
     z_hat = estimate_z(ebm, base, base.sample_batch(20000, np.random.default_rng(1))).value
     dpg_config = DpgConfig(
         iterations=800,
@@ -500,6 +484,6 @@ def test_criterion_10_hybrid_constraints():
         10,
         ok,
         f"base moments ({base_moments[0]:.3f}, {base_moments[1]:.3f}); fitted exact "
-        f"E_p[A]={moments[0]:.4f} (> 0.98), E_p[B]={moments[1]:.4f} (|gap| < 0.02); "
-        f"policy gaps ({gaps[0]:.4f}, {gaps[1]:.4f}) (< 0.05)",
+        f"E_p[A]={moments[0]:.4f} (> 0.98), E_p[B]={moments[1]:.4f} (|gap| < 0.02), "
+        f"KL(p*||p)={kl_star:.1e} in {fit_report.steps_used} steps; policy gaps ({gaps[0]:.4f}, {gaps[1]:.4f}) (< 0.05)",
     )

@@ -11,7 +11,7 @@ from distctl.baselines import (
     train_baseline,
 )
 from distctl.dpg import DpgConfig, TrainState, init_state, train
-from distctl.ebm import build_pointwise
+from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NoAcceptedSamples
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
@@ -38,7 +38,7 @@ from helpers import (
 
 @pytest.fixture
 def task(ab_space, ab_uniform, presence_a_pointwise):
-    return ab_uniform, build_pointwise(ab_uniform, presence_a_pointwise)
+    return ab_uniform, Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
 
 
 def test_config_validation():
@@ -92,7 +92,7 @@ def test_float_range_rules_reject_nan():
 def test_reinforce_zero_reward_no_update(ab_uniform):
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
-    target = build_pointwise(ab_uniform, cs)
+    target = Ebm(base=ab_uniform, constraint_set=cs, lam=[])
     policy = ab_uniform.to_order(2, trainable=True)
     before = dense_logits(policy).copy()
     config = BaselineConfig(kind="reinforce-phi", samples_per_iteration=64, learning_rate=0.5)
@@ -133,7 +133,7 @@ def test_reinforce_reaches_reward_but_drifts_far(task):
 def test_reinforce_p_zero_score_no_update(ab_space, ab_uniform):
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
-    target = build_pointwise(ab_uniform, cs)
+    target = Ebm(base=ab_uniform, constraint_set=cs, lam=[])
     cfg = BaselineConfig(
         kind="reinforce-P", iterations=3, samples_per_iteration=32,
         learning_rate=1.0, eval_every=100, seed=0,
@@ -150,7 +150,7 @@ def test_reinforce_p_entropy_collapses_monotonically():
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     state = TrainState(policy=base.to_order(space.lmax, trainable=True))
     policy = state.policy
     config = BaselineConfig(kind="reinforce-P", samples_per_iteration=1024, learning_rate=30.0)
@@ -182,7 +182,7 @@ def test_reward_p_loses_diversity_to_gdc():
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     ev = EvalOptions(sample_size=64)
     gdc = train(
         base, target,
@@ -240,7 +240,7 @@ def test_baseline_iteration_is_the_reference_step_bitwise(kind, beta, kl_target)
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     config = BaselineConfig(
         kind=kind, beta=beta, kl_target=kl_target, samples_per_iteration=64, learning_rate=2.0
     )
@@ -341,7 +341,7 @@ def test_rejection_accepts_everything_with_trivial_predicate(ab_space, ab_unifor
 
 
 def test_rejection_acceptance_rate_matches_enumeration(ab_space, ab_uniform, presence_a_pointwise):
-    target = build_pointwise(ab_uniform, presence_a_pointwise)
+    target = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     exact_rate, _ = target.exact_normalize()
     budget = 40000
     config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)

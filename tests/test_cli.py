@@ -81,7 +81,9 @@ def test_fit_distributional(workdir):
     cfg = write_config(workdir)
     assert main(["fit", "--config", str(cfg)]) == 0
     report = json.loads((workdir / "out" / "fit_report.json").read_text())
-    assert report["mode"] == "exponential"
+    assert "mode" not in report
+    assert report["lambda_ids"] == report["constraint_ids"] == ["gold"]
+    assert len(report["lambda"]) == len(report["achieved_moments"]) == 1
     assert report["converged"] is True
     manifest = json.loads((workdir / "out" / "manifest.json").read_text())
     for path in manifest["artifacts"].values():
@@ -89,7 +91,7 @@ def test_fit_distributional(workdir):
     assert "wall_clock_seconds" in manifest
 
 
-def test_fit_pointwise_reports_product_mode(workdir):
+def test_fit_pointwise_reports_no_lambda(workdir):
     cfg = write_config(
         workdir,
         constraints=[
@@ -104,8 +106,15 @@ def test_fit_pointwise_reports_product_mode(workdir):
     )
     assert main(["fit", "--config", str(cfg)]) == 0
     report = json.loads((workdir / "out" / "fit_report.json").read_text())
-    assert report["mode"] == "pointwise-product"
-    assert report["lambda"] == []
+    assert report == {
+        "lambda_ids": [],
+        "constraint_ids": ["gold"],
+        "lambda": [],
+        "achieved_moments": [],
+        "objective": 0.0,
+        "steps_used": 0,
+        "converged": True,
+    }
 
 
 def test_fit_unattainable_exits_3(workdir):
@@ -823,7 +832,6 @@ README_EXIT_CODES = {
     errors.EmptyCorpus: 2,
     errors.NotTrainable: 2,
     errors.NoPointwiseConstraints: 2,
-    errors.MixedConstraints: 2,
     errors.TooFewSamples: 2,
     errors.UnattainableTarget: 3,
     errors.NoAcceptedSamples: 3,
@@ -832,6 +840,7 @@ README_EXIT_CODES = {
     errors.NonpositiveZ: 3,
     errors.SupportViolation: 3,
     errors.NonFiniteLogits: 3,
+    errors.NonFiniteEstimate: 3,
     errors.UniverseTooLarge: 4,
 }
 ERROR_CLASSES = [

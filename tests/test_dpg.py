@@ -6,7 +6,7 @@ import pytest
 from distctl import dpg
 from distctl.baselines import BaselineConfig, train_baseline
 from distctl.dpg import ADAPTIVITIES, DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
-from distctl.ebm import Ebm, build_pointwise
+from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
@@ -36,7 +36,7 @@ def make_pointwise(space, base, token="a"):
     cs = ConstraintSet(
         [ConstraintSpec(TokenPresence(space.vocabulary, token), 1.0, pointwise=True)]
     )
-    return build_pointwise(base, cs)
+    return Ebm(base=base, constraint_set=cs, lam=[])
 
 
 def identity_ebm(space, base):
@@ -156,7 +156,7 @@ def test_adaptivity_deferred_until_z_positive(rng):
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["c", "c", "c"]), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     config = DpgConfig(iterations=4, samples_per_iteration=4, learning_rate=0.1, seed=2)
     state = init_state(base, config)
     rng_train = np.random.default_rng(0)
@@ -476,7 +476,7 @@ def test_adaptive_beats_non_adaptive_on_rare_constraint():
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["c", "c"]), 1.0, pointwise=True)]
     )
-    target = build_pointwise(base, cs)
+    target = Ebm(base=base, constraint_set=cs, lam=[])
     z, p = target.exact_normalize()
     assert z < 1e-3  # genuinely rare under the base
 

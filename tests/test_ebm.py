@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from distctl.ebm import (
-    EXPONENTIAL,
-    POINTWISE_PRODUCT,
     Ebm,
     FitConfig,
-    build_pointwise,
     fit_lambda,
     moment_preserving_perturbations,
     snis_moments,
@@ -17,7 +14,6 @@ from distctl.errors import (
     ConfigError,
     DegenerateWeights,
     EmptySupport,
-    MixedConstraints,
     UnattainableTarget,
 )
 from distctl import seqspace
@@ -41,7 +37,9 @@ from helpers import (
     bisect_lambda,
     enumerate_sequences,
     enumeration,
+    exact_hybrid_projection,
     from_distribution,
+    hybrid_task,
     member_log_scores,
     random_model,
     scaled,
@@ -88,7 +86,7 @@ def test_score_identity_at_lambda_zero(ab_space, ab_uniform):
 
 
 def test_score_pointwise_zero(ab_space, ab_uniform, presence_a_pointwise):
-    ebm = build_pointwise(ab_uniform, presence_a_pointwise)
+    ebm = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     none_a, one_a = scores(ebm, Sequence((1, 1)), Sequence((0,)))
     assert none_a == 0.0
     assert one_a == pytest.approx(1.0 / 7.0)
@@ -199,16 +197,88 @@ def test_fit_unattainable_target(ab_space):
     assert "has_a" in str(err.value)
 
 
-def test_fit_rejects_all_pointwise(ab_uniform, presence_a_pointwise):
+def test_fit_returns_at_once_on_all_pointwise(monkeypatch, ab_uniform, presence_a_pointwise):
+    def no_draws(*args):
+        raise AssertionError("a pointwise-only fit draws nothing")
+
+    monkeypatch.setattr(type(ab_uniform), "sample_batch", no_draws)
+    report, ebm = fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100))
+    assert report.lam.shape == report.achieved_moments.shape == (0,)
+    assert (report.steps_used, report.converged) == (0, True)
+    assert ebm.lam.shape == (0,) and list(ebm.pointwise_columns) == [0]
+
+
+def test_fit_rejects_an_empty_set(ab_uniform):
     with pytest.raises(ConfigError):
-        fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100))
+        fit_lambda(ab_uniform, ConstraintSet([]), fit_config(n=100))
+
+
+# -- hybrid sets: a * b * exp(lam . phi) ----------------------------------------
+
+
+def hybrid_set(pointwise, distributional, target):
+    return ConstraintSet([
+        ConstraintSpec(pointwise, 1.0, pointwise=True),
+        ConstraintSpec(distributional, target),
+    ])
+
+
+def test_hybrid_exact_moments_at_the_bisected_lambda():
+    base, cs, _ = hybrid_task()
+    lam_star, p_star = exact_hybrid_projection(base, cs)
+    assert lam_star == pytest.approx(2.169, abs=1e-3)
+    ebm = Ebm(base=base, constraint_set=cs, lam=[lam_star])
+    np.testing.assert_allclose(ebm.exact_moments(), [1.0, 0.5], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(ebm.exact_normalize()[1], p_star, rtol=1e-9, atol=0)
+
+
+def test_hybrid_target_is_zero_off_b(rng):
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    v = space.vocabulary
+    cs = hybrid_set(TokenPresence(v, "a"), PrefixMatch(v, ["b"]), 0.4)
+    ebm = Ebm(base=base, constraint_set=cs, lam=[1.3])
+    b = cs.feature_matrix(enumeration(space))[:, 0]
+    _, p = ebm.exact_normalize()
+    assert (p[b == 0] == 0.0).all()
+    assert (p[b == 1] > 0.0).all()
+    assert ebm.exact_moments()[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hybrid_hull_check_reads_the_rows_with_b_one(ab_space, ab_uniform):
+    # has_a at 0.5 lies inside [0, 1] over every row, but is 1 on every row with b = 1
+    v = ab_space.vocabulary
+    cs = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "a", feature_id="a_too"), 0.5)
+    with pytest.raises(UnattainableTarget) as err:
+        fit_lambda(ab_uniform, cs, fit_config(n=5000))
+    assert "a_too" in str(err.value)
+
+
+def test_hybrid_fit_with_no_row_of_b_one_raises_empty_support(ab_space, ab_uniform):
+    never = PredicateTable({}, default=0.0, feature_id="never")
+    cs = hybrid_set(never, TokenPresence(ab_space.vocabulary, "a"), 0.5)
+    with pytest.raises(EmptySupport) as err:
+        fit_lambda(ab_uniform, cs, fit_config(n=5000))
+    assert "'never'" in str(err.value)
+
+
+def test_hybrid_fit_is_near_the_exact_projection():
+    """On criterion 10's task the fit weighs only the rows with b = 1: its
+    target puts no mass off b and sits within 2e-3 nats of the projection."""
+    base, cs, config = hybrid_task()
+    report, ebm = fit_lambda(base, cs, config)
+    _, p_star = exact_hybrid_projection(base, cs)
+    _, p = ebm.exact_normalize()
+    assert report.converged
+    assert ebm.exact_moments()[0] == pytest.approx(1.0, abs=1e-12)
+    assert exact_kl(p_star, p) < 2e-3
 
 
 # -- pointwise product and normalization --------------------------------------
 
 
 def test_build_pointwise_uniform_example(ab_uniform, presence_a_pointwise):
-    ebm = build_pointwise(ab_uniform, presence_a_pointwise)
+    ebm = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     z, p = ebm.exact_normalize()
     assert z == pytest.approx(4.0 / 7.0, rel=1e-12)
     expected = np.array([0.0, 0.25, 0.0, 0.25, 0.25, 0.25, 0.0])
@@ -218,7 +288,7 @@ def test_build_pointwise_uniform_example(ab_uniform, presence_a_pointwise):
 def test_build_pointwise_b_identically_one(ab_space, ab_uniform):
     always = PredicateTable({}, default=1.0, feature_id="always")
     cs = ConstraintSet([ConstraintSpec(always, 1.0, pointwise=True)])
-    ebm = build_pointwise(ab_uniform, cs)
+    ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=[])
     z, p = ebm.exact_normalize()
     assert z == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(p, ab_uniform.exact_distribution())
@@ -227,21 +297,9 @@ def test_build_pointwise_b_identically_one(ab_space, ab_uniform):
 def test_build_pointwise_empty_support(ab_space, ab_uniform):
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
-    ebm = build_pointwise(ab_uniform, cs)
+    ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=[])
     with pytest.raises(EmptySupport):
         ebm.exact_normalize()
-
-
-def test_build_pointwise_rejects_hybrid(ab_space, ab_uniform):
-    v = ab_space.vocabulary
-    cs = ConstraintSet([
-        ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
-        ConstraintSpec(TokenPresence(v, "b"), 0.5),
-    ])
-    with pytest.raises(MixedConstraints):
-        build_pointwise(ab_uniform, cs)
-    with pytest.raises(MixedConstraints):
-        Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(0))
 
 
 def test_exact_normalize_z_one_at_lambda_zero(ab_space, ab_uniform):
@@ -251,8 +309,16 @@ def test_exact_normalize_z_one_at_lambda_zero(ab_space, ab_uniform):
     assert z == pytest.approx(1.0, abs=1e-9)
 
 
+def test_lambda_pairs_with_the_distributional_columns_only(ab_space, ab_uniform):
+    v = ab_space.vocabulary
+    cs = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "b"), 0.5)
+    for lam in ([], [0.5, 0.5]):
+        with pytest.raises(ConfigError):
+            Ebm(base=ab_uniform, constraint_set=cs, lam=lam)
+
+
 def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
-    ebm = build_pointwise(ab_uniform, presence_a_pointwise)
+    ebm = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     z, p = ebm.exact_normalize()
     z2, p2 = scaled(ebm, np.log(2.0)).exact_normalize()
     assert z2 == pytest.approx(2 * z, rel=1e-12)
@@ -265,14 +331,14 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 # distribution in place, and the universe features, here one bool per
 # sequence; the tilt's temporaries are block-sized. With its caches filled, a
 # snapshot adds the policy's distribution, and `exact_kl` its support masks.
-# A pointwise-product target's distribution has zeros, so `exact_kl` also
-# copies both distributions onto its support, nearly two arrays more. At
-# 256-row blocks the peaks read 2.68 (exponential) and 4.21 (pointwise
-# product). The universe's token matrix of a length-8 space would add four
+# A target with a pointwise constraint has zeros in its distribution, so
+# `exact_kl` also copies both distributions onto its support, nearly two arrays
+# more. At 256-row blocks the peaks read 2.68 (a tilt alone) and 4.21 (a
+# pointwise product). Keyed by whether the target has a pointwise constraint. The universe's token matrix of a length-8 space would add four
 # arrays, and its lengths one; its per-block batches stay small while
 # ENUMERATION_CHUNK_ROWS is.
 ORACLE_SPACE = (4, 8)  # 87,381 sequences
-ORACLE_UNIVERSE_ARRAYS = {EXPONENTIAL: 2.9, POINTWISE_PRODUCT: 4.6}
+ORACLE_UNIVERSE_ARRAYS = {False: 2.9, True: 4.6}
 
 
 @pytest.fixture
@@ -300,7 +366,7 @@ def test_exact_oracles_leave_the_enumeration_unencoded(small_blocks, rng):
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
     ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
-    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[EXPONENTIAL]
+    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[False]
     assert enumeration(space)._events is None
 
 
@@ -310,7 +376,7 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
     base = random_model(space, 2, rng, scale=1.0)
     cs = presence_set(space, "a", 1.0 if pointwise else 0.4, pointwise=pointwise)
     if pointwise:
-        ebm = scaled(build_pointwise(base, cs), 0.3)
+        ebm = scaled(Ebm(base=base, constraint_set=cs, lam=[]), 0.3)
     else:
         ebm = scaled(Ebm(base=base, constraint_set=cs, lam=np.array([-1.7])), 0.3)
     scores = np.exp(ebm.log_score_batch(enumeration(space)))
@@ -320,24 +386,20 @@ def test_exact_normalize_matches_enumeration_bitwise(pointwise, rng):
 
 
 @pytest.mark.parametrize(
-    "pointwise", [False, True, None], ids=["exponential", "pointwise-product", "empty"]
+    "pointwise", [(False,) * 3, (True,) * 3, (True, False, False), ()],
+    ids=["exponential", "pointwise-product", "hybrid", "empty"],
 )
 def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
     v = space.vocabulary
     features = [TokenPresence(v, "a"), PrefixMatch(v, ["b"]), WordlistPresence(v, ["a", "c"])]
-    if pointwise is None:
-        ebm = Ebm(base=base, constraint_set=ConstraintSet([]), lam=np.zeros(0))
-    elif pointwise:
-        cs = ConstraintSet([ConstraintSpec(f, 1.0, pointwise=True) for f in features])
-        ebm = build_pointwise(base, cs)
-    else:
-        cs = ConstraintSet(
-            [ConstraintSpec(features[0], 1.0, pointwise=True)]
-            + [ConstraintSpec(f, 0.4) for f in features[1:]]
-        )
-        ebm = Ebm(base=base, constraint_set=cs, lam=np.array([2.5, -1.3, 0.7]))
+    cs = ConstraintSet([
+        ConstraintSpec(f, 1.0, pointwise=True) if pw else ConstraintSpec(f, 0.4)
+        for f, pw in zip(features, pointwise)
+    ])
+    lam = np.array([2.5, -1.3, 0.7])[: pointwise.count(False)]
+    ebm = Ebm(base=base, constraint_set=cs, lam=lam)
     enum = enumeration(space)
     reference = member_log_scores(ebm, enum)
     assert np.array_equal(ebm.log_score_batch(enum), reference)
@@ -349,7 +411,7 @@ def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
 def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
-    ebm = build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True))
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 1.0, pointwise=True), lam=[])
     policy = base.to_order(space.lmax, trainable=True)
     universe_blocks, evaluated = [], []
     enumeration_blocks = SequenceSpace.enumeration_blocks
@@ -378,9 +440,10 @@ def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
     policy = base.to_order(space.lmax, trainable=True)
     for ebm in (
         Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
-        build_pointwise(base, presence_set(space, "a", 1.0, pointwise=True)),
+        Ebm(base=base, constraint_set=presence_set(space, "a", 1.0, pointwise=True), lam=[]),
     ):
-        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[ebm.mode], ebm.mode
+        pointwise = bool(len(ebm.pointwise_columns))
+        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[pointwise], pointwise
     assert not hasattr(SequenceSpace, "enumeration")
 
 
@@ -415,24 +478,26 @@ def test_phi_universe_blockwise_equals_the_full_matrix_bitwise(monkeypatch, chun
     assert phi.shape == full.shape and phi.tobytes() == full.tobytes()
 
 
-TARGET_KINDS = ["binary", "mixed", POINTWISE_PRODUCT]
+TARGET_KINDS = ["binary", "mixed", "pointwise-product", "hybrid"]
 
 
 def blockwise_target(kind, rng):
     """A target on a 1,365-sequence space (many 256-row blocks): three binary
     constraints (presence, wordlist and prefix-match), the same three plus a
-    token-ratio, or the three as a pointwise product."""
+    token-ratio, the three as a pointwise product, or the presence one
+    pointwise beside the other two and the token-ratio."""
     space = small_space(4, 5)
     base = random_model(space, 2, rng, scale=1.0)
     v = space.vocabulary
     features = [TokenPresence(v, "a"), WordlistPresence(v, ["b", "d"]), PrefixMatch(v, ["c"])]
-    if kind == POINTWISE_PRODUCT:
-        specs = [ConstraintSpec(f, 1.0, pointwise=True) for f in features]
-        return build_pointwise(base, ConstraintSet(specs))
-    if kind == "mixed":
+    if kind in ("mixed", "hybrid"):
         features.append(TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5))
-    cs = ConstraintSet([ConstraintSpec(f, 0.4) for f in features])
-    return Ebm(base=base, constraint_set=cs, lam=rng.uniform(-3.0, 3.0, len(cs)))
+    pointwise = {"pointwise-product": len(features), "hybrid": 1}.get(kind, 0)
+    cs = ConstraintSet([
+        ConstraintSpec(f, 1.0, pointwise=True) if j < pointwise else ConstraintSpec(f, 0.4)
+        for j, f in enumerate(features)
+    ])
+    return Ebm(base=base, constraint_set=cs, lam=rng.uniform(-3.0, 3.0, len(cs) - pointwise))
 
 
 @pytest.mark.parametrize("chunk", [256, 7])  # whole blocks; a ragged last block
@@ -478,13 +543,15 @@ def test_universe_moments_agree_with_the_whole_matrix(monkeypatch, rng, kind):
 
 
 def test_pointwise_limit_of_clamped_exponential(ab_space, ab_uniform, presence_a_pointwise):
+    # the same feature as a distributional constraint, tilted to the clamp
+    (spec,) = presence_a_pointwise
     exponential = Ebm(
         base=ab_uniform,
-        constraint_set=presence_a_pointwise,
+        constraint_set=ConstraintSet([ConstraintSpec(spec.feature, 0.5)]),
         lam=np.array([20.0]),
         lambda_clamp=20.0,
     )
-    product = build_pointwise(ab_uniform, presence_a_pointwise)
+    product = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     _, p_exp = exponential.exact_normalize()
     _, p_prod = product.exact_normalize()
     # KL taken from the product side: the exponential keeps full support

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distctl.ebm import Ebm, build_pointwise
-from distctl.errors import ConfigError, NonpositiveZ, SupportViolation
+from distctl.ebm import Ebm
+from distctl.errors import ConfigError, NonFiniteEstimate, NonpositiveZ, SupportViolation
 from distctl.estimators import (
     ZMovingAverage,
     exact_kl,
@@ -33,7 +33,7 @@ from helpers import (
 
 @pytest.fixture
 def pointwise_setup(ab_space, ab_uniform, presence_a_pointwise):
-    ebm = build_pointwise(ab_uniform, presence_a_pointwise)
+    ebm = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     z, p = ebm.exact_normalize()
     return ebm, z, p
 
@@ -194,6 +194,20 @@ def test_tvd_matches_enumeration(pointwise_setup, ab_uniform):
     samples = ab_uniform.sample_batch(100000, np.random.default_rng(8))
     est = estimate_tvd(ebm, ab_uniform, ab_uniform, samples, z)
     assert abs(est.value - exact) <= 3 * est.standard_error
+
+
+# -- overflow ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("estimator", [kl_p_from_logs, tvd_p_from_logs], ids=["kl", "tvd"])
+def test_overflowing_terms_raise_non_finite_estimate(estimator):
+    # a policy pushed to log-probs near -1e308: P/q * log(P/pi) overflows for
+    # KL, and pi/q = exp(800) for TVD
+    log_p_score = np.array([5.0, 1.0, -2.0])
+    log_q = np.zeros(3)
+    log_pi = np.array([-1.2e308, 800.0, -3.0])
+    with pytest.raises(NonFiniteEstimate, match="non-finite"):
+        estimator(log_p_score, log_q, log_pi, 1.0)
 
 
 # -- KL(pi || a) ---------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distctl.baselines import RejectionConfig, rejection_mle
-from distctl.ebm import build_pointwise
+from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NoPointwiseConstraints
 from distctl.features import (
     ConstraintSet,
@@ -169,8 +169,8 @@ def test_hybrid_vector_example():
 
 
 def product_b(space, cs, batch):
-    """b(x) of a product-mode EBM: its score over a base log-prob of 0."""
-    ebm = build_pointwise(uniform_model(space), cs)
+    """b(x) of a pointwise-only EBM: its score over a base log-prob of 0."""
+    ebm = Ebm(base=uniform_model(space), constraint_set=cs, lam=[])
     return np.exp(ebm.log_scores(np.zeros(len(batch)), cs.feature_matrix(batch)))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distctl.ebm import POINTWISE_PRODUCT, Ebm
+from distctl.ebm import Ebm
 from distctl.lm import TabularARModel
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
@@ -262,7 +262,7 @@ def test_snapshot_evaluates_features_and_base_once(pointwise, monkeypatch, rng):
     cs = ConstraintSet([spec])
     if pointwise:
         target = Ebm(base=base, constraint_set=cs, lam=np.zeros(0))
-        assert target.mode == POINTWISE_PRODUCT
+        assert list(target.pointwise_columns) == [0] and not len(target.lambda_columns)
     else:
         target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
     calls = []
