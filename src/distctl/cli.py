@@ -146,11 +146,12 @@ def _guard_policy_table(space, config) -> None:
 
 def _check_base_cells(base, config) -> None:
     """Refuse, before the fit draws anything, a base with zero-probability
-    cells for a trained policy, which starts at the base."""
-    if not isinstance(config, RejectionConfig) and np.isneginf(base.logits).any():
+    cells for a policy that gives every cell mass, so KL(pi || a) is infinite."""
+    rejection = isinstance(config, RejectionConfig)
+    if (not rejection or config.fit_smoothing > 0) and np.isneginf(base.logits).any():
+        policy = "a refit with fit_smoothing > 0" if rejection else "a trained policy"
         raise ConfigError(
-            "has zero-probability cells, and a trained policy starts at the base "
-            "(use smoothing > 0)",
+            f"has zero-probability cells, and {policy} gives every cell mass (use smoothing > 0)",
             "config.base_model",
         )
 

@@ -73,10 +73,9 @@ def tvd_p_from_logs(
     """TVD(p, pi) via (1/2) E_q |pi/q - P/(z q)|."""
     if z <= 0.0:
         raise NonpositiveZ(f"TVD estimator needs z > 0, got {z}")
-    if np.isneginf(log_q).any():
-        raise SupportViolation("proposal assigns zero probability to a drawn sample")
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = 0.5 * np.abs(np.exp(log_pi - log_q) - np.exp(log_p_score - log_q) / z)
+        r = importance_ratios(log_p_score, log_q)
+        terms = 0.5 * np.abs(np.exp(log_pi - log_q) - r / z)
         value, se = _mean_se(terms)
     return Estimate(value=value, standard_error=se)
 

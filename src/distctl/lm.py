@@ -23,8 +23,8 @@ record cannot go stale. A log-prob is one flat `take` of the cells
 code * V + token of the log-softmax table, summed step by step, in chain-rule
 order.
 
-A model's `logits` holds its stored rows. A model that `mle_fit`,
-`from_document` or direct construction makes is dense: one stored row per
+A model's `logits` holds its stored rows. A model that `mle_fit`, a
+version-1 document or direct construction makes is dense: one stored row per
 context, in context order, and no `row_map`. A `to_order` lift keeps the
 source's rows once and a `row_map` from each context to its stored row, so
 most contexts share a row. The first write to a context (`apply_update`,
@@ -38,6 +38,11 @@ proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. The
 exact snapshots' universe-sized arrays then set it; since their features are
 bool and their tilt is applied in place (`ebm.Ebm.exact_normalize`), it is
 145.8 MB.
+
+The model document (version 2) holds each distinct row some context reads
+once, in `rows`, and each context's index into them, in `row_map`; it reads
+back as a mapped model. A version-1 document (`logits`, one row per context
+in context order) still reads, as a dense model.
 
 Sampling draws each step's uniforms and forms its Gumbel scores over row
 chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
@@ -72,8 +77,7 @@ from .seqspace import (
 )
 
 MODEL_FORMAT = "distctl-tabular-ar"
-MODEL_VERSION = 1
-_WRITE_CHUNK_ROWS = 65536  # context rows grouped and joined into one string at a time
+MODEL_VERSION = 2
 _SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
 
@@ -455,20 +459,28 @@ class TabularARModel:
             # suffix value of the last ko symbols of each length-k string
             np.remainder(np.arange(len(block)), b**ko, out=block)
             block += old.offsets[ko]
+        if self.row_map is not None:  # in place; "raise" would buffer a copy, "clip" never clips
+            np.take(self.row_map, rows, out=rows, mode="clip")
         lifted = TabularARModel(
             space=self.space,
             order=order,
             logits=self.logits.copy(),
             trainable=trainable,
-            row_map=self._stored(rows),
+            row_map=rows,
         )
         lifted._logprob = self._log_softmax().copy()
         return lifted
 
     # -- persistence --------------------------------------------------------
 
-    def _header(self) -> dict:
-        """Every key of the model document except `logits`, which comes last."""
+    def to_document(self) -> dict:
+        """The model document: the stored rows the contexts read (`np.unique` of
+        their indices), grouped exactly by their bytes, so -0.0 and 0.0 stay apart."""
+        logits = np.ascontiguousarray(self.logits)
+        row_bytes = logits.view(np.dtype((np.void, logits.shape[1] * logits.itemsize))).ravel()
+        read = self.row_map if self.row_map is not None else np.arange(len(logits))
+        stored, row_of = np.unique(read, return_inverse=True)
+        distinct, distinct_of = np.unique(row_bytes[stored], return_inverse=True)
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -479,52 +491,29 @@ class TabularARModel:
                 "eos_index": self.space.vocabulary.eos_index,
             },
             "trainable": self.trainable,
+            "rows": distinct.view(logits.dtype).reshape(len(distinct), -1).tolist(),
+            "row_map": distinct_of[row_of].tolist(),
         }
 
-    def to_document(self) -> dict:
-        return {**self._header(), "logits": self.logits[self._stored(slice(None))].tolist()}
-
     def write_document(self, path: str | Path) -> None:
-        """Write `json.dumps(self.to_document()) + "\\n"` to `path`, byte for byte,
-        without building the document.
-
-        A row's JSON text depends only on its bytes. The context rows are
-        written `_WRITE_CHUNK_ROWS` at a time: the chunk's stored rows, then
-        their distinct byte strings, each encoded once, and the chunk's text
-        joined through the two inverses. A lifted store serves many contexts
-        from one row, and a store may repeat rows too, so few rows are encoded.
-        """
-        logits = np.ascontiguousarray(self.logits)
-        row_bytes = logits.view(np.dtype((np.void, logits.shape[1] * logits.itemsize))).ravel()
-        head = json.dumps(self._header())
-        n_contexts = self.coding.n_contexts
-        with open(path, "w") as f:
-            f.write(head[:-1] + ', "logits": [')
-            for lo in range(0, n_contexts, _WRITE_CHUNK_ROWS):
-                contexts = np.arange(lo, min(lo + _WRITE_CHUNK_ROWS, n_contexts))
-                stored, row_of = np.unique(self._stored(contexts), return_inverse=True)
-                distinct, text_of = np.unique(row_bytes[stored], return_inverse=True)
-                rows = distinct.view(logits.dtype).reshape(len(distinct), -1)
-                texts = [json.dumps(row) for row in rows.tolist()]
-                chunk = [texts[t] for t in text_of[row_of].tolist()]
-                f.write((", " if lo else "") + ", ".join(chunk))
-            f.write("]}\n")
+        """Write `model.json`: the document as single-line JSON."""
+        Path(path).write_text(json.dumps(self.to_document()) + "\n")
 
     @classmethod
     def from_document(cls, doc: dict) -> "TabularARModel":
         if not isinstance(doc, dict):
             raise SchemaMismatch("model document must be a mapping")
-        expected_keys = {"format", "version", "order", "lmax", "vocabulary", "trainable", "logits"}
+        table_keys = {"logits"} if doc.get("version") == 1 else {"rows", "row_map"}
+        expected_keys = {"format", "version", "order", "lmax", "vocabulary", "trainable"} | table_keys
         if set(doc) != expected_keys:
             missing = expected_keys - set(doc)
             extra = set(doc) - expected_keys
             raise SchemaMismatch(f"model document keys mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         if doc["format"] != MODEL_FORMAT:
             raise SchemaMismatch(f"unexpected document format {doc['format']!r}")
-        if doc["version"] != MODEL_VERSION:
-            raise SchemaMismatch(
-                f"unsupported model version {doc['version']!r} (expected {MODEL_VERSION})"
-            )
+        version = doc["version"]
+        if version not in (1, MODEL_VERSION):
+            raise SchemaMismatch(f"unsupported model version {version!r} (expected {MODEL_VERSION} or 1)")
         vocab_doc = doc["vocabulary"]
         if not isinstance(vocab_doc, dict) or set(vocab_doc) != {"tokens", "eos_index"}:
             raise SchemaMismatch("vocabulary block keys mismatch")
@@ -537,17 +526,27 @@ class TabularARModel:
         for key, value in ints.items():
             _expect_field(isinstance(value, int) and not isinstance(value, bool), key, "an integer")
         _expect_field(isinstance(doc["trainable"], bool), "trainable", "a boolean")
+        key = "logits" if version == 1 else "rows"
         try:
-            logits = np.asarray(doc["logits"])
+            rows = np.asarray(doc[key])
         except ValueError:  # ragged rows
-            logits = None
+            rows = None
         _expect_field(
-            logits is not None and logits.ndim == 2 and logits.dtype.kind in "iuf",
-            "logits", "a 2-D array of numbers",
+            rows is not None and rows.ndim == 2 and rows.dtype.kind in "iuf",
+            key, "a 2-D array of numbers",
         )
         space = SequenceSpace(vocabulary=Vocabulary(tuple(tokens), eos_index), lmax=doc["lmax"])
-        logits = logits.astype(float, copy=False)
-        return cls(space=space, order=doc["order"], logits=logits, trainable=doc["trainable"])
+        fields = dict(space=space, order=doc["order"], logits=rows.astype(float, copy=False),
+                      trainable=doc["trainable"])
+        if version == 1:
+            return cls(**fields)
+        row_map, n = doc["row_map"], _Coding(space, doc["order"]).n_contexts
+        _expect_field(
+            isinstance(row_map, list) and len(row_map) == n
+            and all(type(i) is int and 0 <= i < len(rows) for i in row_map),
+            "row_map", f"a list of {n} integers in 0..{len(rows) - 1}",
+        )
+        return cls(row_map=np.array(row_map, dtype=np.int64), **fields)
 
 
 def _expect_field(ok: bool, key: str, expected: str) -> None:

@@ -179,21 +179,43 @@ def test_train_byte_identical_reruns(workdir):
         assert first == second, name
 
 
-def test_train_writes_model_without_building_the_document(workdir, monkeypatch):
-    """The model write streams the logits; `to_document` would hold every
-    logit as a Python float at once."""
-
-    def refuse(self):
-        raise AssertionError("to_document called while writing model.json")
-
-    monkeypatch.setattr(TabularARModel, "to_document", refuse)
+def test_model_json_reads_back_as_a_mapped_model_that_writes_the_same_bytes(workdir):
     assert main(["train", "--config", str(write_config(workdir))]) == 0
-    monkeypatch.undo()
     text = (workdir / "out" / "model.json").read_text()
-    model = TabularARModel.from_document(json.loads(text))
+    doc = json.loads(text)
+    model = TabularARModel.from_document(doc)
+    assert model.row_map is not None and len(model.logits) == len(doc["rows"])
+    assert len(doc["rows"]) < len(doc["row_map"])
     model.write_document(workdir / "rewritten.json")
     assert (workdir / "rewritten.json").read_text() == text
-    assert json.dumps(model.to_document()) + "\n" == text
+
+
+def test_train_from_a_persisted_trained_policy(workdir, monkeypatch):
+    """The lifted policy of a base read from model.json stores each of the
+    file's rows once, and its run matches the run from a version-1 (dense)
+    copy of the file bit for bit."""
+    assert main(["train", "--config", str(write_config(workdir))]) == 0
+    doc = json.loads((workdir / "out" / "model.json").read_text())
+    dense = {k: v for k, v in doc.items() if k not in ("rows", "row_map")}
+    dense.update(version=1, logits=[doc["rows"][i] for i in doc["row_map"]])
+    (workdir / "dense-model.json").write_text(json.dumps(dense))
+    lift = TabularARModel.to_order
+    stored = []
+
+    def recording_lift(self, order, trainable=False):
+        lifted = lift(self, order, trainable)
+        stored.append(len(lifted.logits))
+        return lifted
+
+    monkeypatch.setattr(TabularARModel, "to_order", recording_lift)
+    for name, model_file in (("mapped", "out/model.json"), ("dense", "dense-model.json")):
+        cfg = write_config(workdir, name=f"from-{name}.json", base_model={"model_file": model_file},
+                           output=name)
+        assert main(["train", "--config", str(cfg)]) == 0
+    assert stored == [len(doc["rows"]), len(doc["row_map"])]
+    assert (workdir / "mapped" / "metrics.csv").read_bytes() == (
+        workdir / "dense" / "metrics.csv"
+    ).read_bytes()
 
 
 def test_seed_override_changes_metrics(workdir):
@@ -646,13 +668,20 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
         (lambda doc: doc.update(order="2"), "'order'"),
         (lambda doc: doc.update(order=True), "'order'"),
         (lambda doc: doc.update(trainable=1), "'trainable'"),
-        (lambda doc: doc.update(logits="x"), "'logits'"),
-        (lambda doc: doc["logits"][1].pop(), "'logits'"),
+        (lambda doc: doc.update(rows="x"), "'rows'"),
+        (lambda doc: doc["rows"][1].pop(), "'rows'"),
+        (lambda doc: doc["row_map"].pop(), "'row_map'"),
+        (lambda doc: doc["row_map"].__setitem__(1, len(doc["rows"])), "'row_map'"),
+        (lambda doc: doc["row_map"].__setitem__(1, -1), "'row_map'"),
+        (lambda doc: doc["row_map"].__setitem__(1, 0.0), "'row_map'"),
+        (lambda doc: doc["row_map"].__setitem__(1, False), "'row_map'"),
+        (lambda doc: doc.update(version=3), "unsupported model version 3"),
         (lambda doc: doc["vocabulary"].update(eos_index="4"), "'vocabulary.eos_index'"),
         (lambda doc: doc["vocabulary"].update(tokens="abc"), "'vocabulary.tokens'"),
     ],
-    ids=["lmax-string", "order-string", "order-bool", "trainable-int", "logits-string",
-         "logits-ragged", "eos-index-string", "tokens-string"],
+    ids=["lmax-string", "order-string", "order-bool", "trainable-int", "rows-string",
+         "rows-ragged", "row-map-short", "row-map-out-of-range", "row-map-negative",
+         "row-map-float", "row-map-bool", "version-3", "eos-index-string", "tokens-string"],
 )
 def test_malformed_model_file_exits_2_naming_the_field(workdir, capsys, edit, field):
     doc = ExperimentConfig.load(write_config(workdir)).build_base().to_document()
@@ -792,8 +821,9 @@ def test_guards_run_before_the_base_fit(tmp_path, capsys, monkeypatch, command, 
         ("train", "distributional", None),
         ("train", "pointwise", KL_PENALIZED_TRAINER),
         ("ablation", "ablation", None),
+        ("train", "pointwise", dict(REJECTION_TRAINER, sample_budget=2000, fit_smoothing=1.0)),
     ],
-    ids=["gdc-fit", "kl-penalized", "ablation"],
+    ids=["gdc-fit", "kl-penalized", "ablation", "rejection-mle-smoothed"],
 )
 def test_zero_probability_base_exits_2_before_sampling(
     tmp_path, capsys, monkeypatch, command, name, trainer
