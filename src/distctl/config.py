@@ -117,6 +117,22 @@ def _check(block, path: str, keys: dict, required=()) -> dict:
     return block
 
 
+def _read(path: Path, name: str, parse_json: bool = False):
+    """The text of the file at `path`, or its JSON value with `parse_json`.
+    A file that is missing, cannot be read (a directory, say), is not UTF-8
+    text or not JSON is a ConfigError whose message begins with `name`."""
+    try:
+        text = path.read_text()
+        return json.loads(text) if parse_json else text
+    except FileNotFoundError:
+        problem = f"not found: {path}"
+    except json.JSONDecodeError as e:
+        problem = f"is not valid JSON: {e}"
+    except (OSError, UnicodeDecodeError) as e:
+        problem = f"cannot be read: {e}"
+    raise ConfigError(f"{name} {problem}")
+
+
 def _schema(block, path: str, key: str, schemas: dict) -> tuple[dict, tuple]:
     """The (keys, required) schema that the value of `key` selects for a block."""
     _expect(isinstance(block, dict), path, "must be an object")
@@ -151,12 +167,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from None
+        raw = _read(path, "config file", parse_json=True)
         return cls.from_dict(raw, config_dir=path.parent)
 
     @classmethod
@@ -248,7 +259,8 @@ class ExperimentConfig:
         """The base model. `check_space` gets the base's space first: before
         a corpus base is fitted, or once a persisted model is read."""
         if "model_file" in self.base_model:
-            doc = json.loads((self.config_dir / self.base_model["model_file"]).read_text())
+            path = self.config_dir / self.base_model["model_file"]
+            doc = _read(path, "config.base_model.model_file: file", parse_json=True)
             model = TabularARModel.from_document(doc)
             _expect(
                 model.space.lmax == self.lmax,
@@ -257,12 +269,8 @@ class ExperimentConfig:
             )
             check_space(model.space)
             return model
-        corpus_path = self.config_dir / self.base_model["corpus"]
-        try:
-            text = corpus_path.read_text()
-        except FileNotFoundError:
-            raise ConfigError(f"config.base_model.corpus: file not found: {corpus_path}")
-        corpus = tokenize_corpus(text, self.lmax)
+        path = self.config_dir / self.base_model["corpus"]
+        corpus = tokenize_corpus(_read(path, "config.base_model.corpus: file"), self.lmax)
         check_space(corpus.space)
         with _at("config.base_model"):
             return mle_fit(

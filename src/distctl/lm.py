@@ -23,14 +23,15 @@ record cannot go stale. A log-prob is one flat `take` of the cells
 code * V + token of the log-softmax table, summed step by step, in chain-rule
 order.
 
-A model's `logits` holds its stored rows. A model that `mle_fit`, a
-version-1 document or direct construction makes is dense: one stored row per
-context, in context order, and no `row_map`. A `to_order` lift keeps the
-source's rows once and a `row_map` from each context to its stored row, so
-most contexts share a row. The first write to a context (`apply_update`,
+A model holds one state from construction: its stored rows (`logits`, the
+store), a `row_map` from each context to its stored row, and the store's
+log-softmax. A model built with no map (by `mle_fit`, from a version-1
+document or directly) gets the identity map: one stored row per context, in
+context order. A `to_order` lift keeps the source's rows once, so most
+contexts share a row. The first write to a context (`apply_update`,
 `copy_rows_from`) gives it a row of its own, appended to the store (copy on
 write); the rows stored at construction are never written. Every reader
-goes through the map; a dense model's map is the identity, left implicit.
+goes through the map.
 On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
 10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
 of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
@@ -41,8 +42,8 @@ bool and their tilt is applied in place (`ebm.Ebm.exact_normalize`), it is
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
-back as a mapped model. A version-1 document (`logits`, one row per context
-in context order) still reads, as a dense model.
+back with that map. A version-1 document (`logits`, one row per context
+in context order) still reads, with the identity map.
 
 Sampling draws each step's uniforms and forms its Gumbel scores over row
 chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
@@ -207,32 +208,35 @@ def _coded_events(coding: _Coding, batch: SampleBatch) -> tuple[np.ndarray, np.n
 class TabularARModel:
     """Softmax next-token table over all reachable contexts.
 
-    `logits` holds the stored rows: without a `row_map`, one per context;
-    with one, `row_map[c]` is the stored row of context c, and the rows
-    stored at construction (`_shared`) may serve many contexts (see the
-    module docstring).
+    `logits` holds the stored rows and `row_map[c]` is the stored row of
+    context c; with no map given, it is the identity and `logits` needs one
+    row per context. The rows stored at construction (`_shared`) may serve
+    many contexts and are never written (see the module docstring).
+    `_logprob` is the store's log-softmax, computed at construction.
     """
 
     space: SequenceSpace
     order: int
     logits: np.ndarray
     trainable: bool = False
-    row_map: np.ndarray | None = field(default=None, repr=False)
-    _logprob: np.ndarray | None = field(default=None, init=False, repr=False)
+    row_map: np.ndarray | None = field(default=None, repr=False)  # None: the identity
+    _logprob: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coding = _Coding(self.space, self.order)
         n, v = self.coding.n_contexts, self.space.vocabulary.size
-        if self.row_map is None:
+        given = self.row_map
+        if given is None:
             expected = (n, v)
+            self.row_map = np.arange(n, dtype=np.int64)
         else:
             expected = (len(self.logits), v)
-            ok = self.row_map.shape == (n,) and self.row_map.dtype == np.int64
-            if not (ok and 0 <= self.row_map.min() and self.row_map.max() < len(self.logits)):
+            ok = given.shape == (n,) and given.dtype == np.int64
+            if not (ok and 0 <= given.min() and given.max() < len(self.logits)):
                 raise ConfigError(f"row_map must be {n} int64 stored-row indices")
         if self.logits.shape != expected:
             raise ConfigError(f"logits shape {self.logits.shape} != expected {expected}")
-        self._shared = len(self.logits) if self.row_map is not None else 0
+        self._shared = len(self.logits)
         if not np.isfinite(self.logits).all():  # one pass; the checks below name the fault
             if np.isnan(self.logits).any():
                 raise ConfigError("logits contain NaN")
@@ -242,19 +246,10 @@ class TabularARModel:
                 raise ConfigError("-inf logit sentinel is only permitted in frozen models")
             if np.isneginf(self.logits).all(axis=1).any():
                 raise ConfigError("a context row has no admissible next token")
+        # `apply_update` and `copy_rows_from` keep the rows they change up to date
+        self._logprob = _row_log_softmax(self.logits)
 
     # -- core ---------------------------------------------------------------
-
-    def _log_softmax(self) -> np.ndarray:
-        """The cached log-softmax table; `apply_update` and `copy_rows_from`
-        keep the rows they change up to date."""
-        if self._logprob is None:
-            self._logprob = _row_log_softmax(self.logits)
-        return self._logprob
-
-    def _stored(self, contexts):
-        """The stored row of each context (a slice stays a slice when dense)."""
-        return contexts if self.row_map is None else self.row_map[contexts]
 
     def _own(self, contexts: np.ndarray, stored: np.ndarray) -> np.ndarray:
         """`stored`, the stored rows of `contexts`, after copy on write: each
@@ -268,16 +263,13 @@ class TabularARModel:
         stored[fresh] = self.row_map[contexts[fresh]] = np.arange(n, n + count)
         frozen = self._logprob is self.logits
         self.logits = _grown(self.logits, count)
-        if frozen:
-            self._logprob = self.logits
-        elif self._logprob is not None:
-            self._logprob = _grown(self._logprob, count)
+        self._logprob = self.logits if frozen else _grown(self._logprob, count)
         return stored
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
         codes, toks, active = _coded_events(self.coding, batch)
-        logprob = self._log_softmax()
-        cells = self._stored(codes.T) * logprob.shape[1] + toks.T
+        logprob = self._logprob
+        cells = self.row_map[codes.T] * logprob.shape[1] + toks.T
         steps = np.where(active.T, logprob.take(cells), 0.0)
         out = np.zeros(len(batch))
         for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
@@ -289,7 +281,7 @@ class TabularARModel:
         The batch keeps the context codes of this model's order."""
         if n < 1:
             raise ConfigError("sample count must be >= 1")
-        logprob = self._log_softmax()
+        logprob = self._logprob
         coding = self.coding
         lmax = self.space.lmax
         eos = self.space.vocabulary.eos_index
@@ -307,7 +299,7 @@ class TabularARModel:
                 # consumed whatever the outcomes
                 u = rng.random((rows.stop - rows.start, self.space.vocabulary.size))
                 if alive[rows].any():
-                    pick[rows] = _gumbel_argmax(logprob, self._stored(codes[t, rows]), u)
+                    pick[rows] = _gumbel_argmax(logprob, self.row_map[codes[t, rows]], u)
             ended = alive & (pick == eos)
             lengths[ended] = t
             grow = alive & ~ended
@@ -340,7 +332,7 @@ class TabularARModel:
         row_cells = inverse * v
         onehot_cells = row_cells + toks.T[events]
         soft_cells = row_cells[:, None] + np.arange(v)
-        soft_values = -w[:, None] * np.exp(self._log_softmax()[self._stored(ev_codes)])
+        soft_values = -w[:, None] * np.exp(self._logprob[self.row_map[ev_codes]])
         bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
         cells, values = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
@@ -353,7 +345,7 @@ class TabularARModel:
 
     def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":
         """Add learning_rate * grad to its rows and refresh only those rows of
-        the cached log-softmax; a context written for the first time gets its
+        the log-softmax; a context written for the first time gets its
         own stored row. Raises NonFiniteLogits, leaving the model as it was, if
         the update would make a logit NaN or infinite."""
         if not self.trainable:
@@ -361,7 +353,7 @@ class TabularARModel:
         rows, values = grad
         if values.shape != (len(rows), self.logits.shape[1]):
             raise ConfigError("gradient shape does not match logits")
-        stored = self._stored(rows)
+        stored = self.row_map[rows]
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             updated = self.logits[stored] + learning_rate * values
         finite = np.isfinite(updated)
@@ -372,8 +364,7 @@ class TabularARModel:
             )
         stored = self._own(rows, stored)
         self.logits[stored] = updated
-        if self._logprob is not None:
-            self._logprob[stored] = _row_log_softmax(updated)
+        self._logprob[stored] = _row_log_softmax(updated)
         return self
 
     def exact_log_distribution(self) -> np.ndarray:
@@ -386,11 +377,11 @@ class TabularARModel:
         and then the EOS column closes the slot in place. The slot of lmax
         keeps its prefixes, as EOS is forced there. Every sum is taken in
         chain-rule order, as `log_prob_batch` takes it. The context rows are
-        read in chunks of at most `_GATHER_CHUNK_ROWS`, so a mapped model
-        gathers chunk-sized blocks, never one the size of its context table.
+        read through the map in chunks of at most `_GATHER_CHUNK_ROWS`, so the
+        gathered blocks are chunk-sized, never the size of the context table.
         """
         self.space.guard()
-        logprob = self._log_softmax()
+        logprob = self._logprob
         coding = self.coding
         b, lmax = coding.body_size, self.space.lmax
         eos = self.space.vocabulary.eos_index
@@ -404,7 +395,7 @@ class TabularARModel:
             children = out[offsets[k + 1] : offsets[k + 2]].reshape(*grid.shape, b)
             for start in range(0, b**m, _GATHER_CHUNK_ROWS):
                 cols = slice(start, min(start + _GATHER_CHUNK_ROWS, b**m))
-                block = logprob[self._stored(slice(lo + cols.start, lo + cols.stop))]
+                block = logprob[self.row_map[lo + cols.start : lo + cols.stop]]
                 parents, kids = grid[:, cols], children[:, cols]
                 # body tokens are the vocabulary in order with the EOS column left out
                 np.add(parents[:, :, None], block[:, :eos], out=kids[:, :, :eos])
@@ -418,34 +409,31 @@ class TabularARModel:
         return np.exp(out, out=out)
 
     def frozen_copy(self) -> "TabularARModel":
-        """Frozen snapshot holding one store: a copy of the cached log-softmax,
-        which is also its logits (a row's softmax does not change under a
-        shift, so the distribution is the same), and a copy of the row map. It
+        """Frozen snapshot holding one store: a copy of the log-softmax, which
+        is also its logits (a row's softmax does not change under a shift, so
+        the distribution is the same), and a copy of the row map. It
         recomputes and re-validates nothing (the logits already passed)."""
         twin = copy.copy(self)
-        twin.logits = twin._logprob = self._log_softmax().copy()
-        if self.row_map is not None:
-            twin.row_map = self.row_map.copy()
+        twin.logits = twin._logprob = self._logprob.copy()
+        twin.row_map = self.row_map.copy()
         twin.trainable = False
         return twin
 
     def copy_rows_from(self, source: "TabularARModel", rows: np.ndarray) -> None:
-        """Copy the context rows `rows` of `source`'s cached log-softmax into
+        """Copy the context rows `rows` of `source`'s log-softmax into
         this frozen copy (see `frozen_copy`), in place; `source` has the same
         contexts. Those rows then hold `source`'s log-softmax bits; nothing is
         recomputed or re-validated."""
         if self.logits is not self._logprob:
             raise ConfigError("copy_rows_from writes only into a frozen_copy")
-        stored = self._own(rows, self._stored(rows))  # may grow the store: index after
-        self._logprob[stored] = source._log_softmax()[source._stored(rows)]
+        stored = self._own(rows, self.row_map[rows])  # may grow the store: index after
+        self._logprob[stored] = source._logprob[source.row_map[rows]]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window.
 
         Each context of the result reads the row of its last `self.order - 1`
-        symbols: the result stores this model's rows once, with a row map,
-        and its cached log-softmax is a copy of this model's, bit for bit
-        what recomputing it would give.
+        symbols: the result stores this model's rows once, with a row map.
         """
         new_coding = _Coding(self.space, order)
         old = self.coding
@@ -459,17 +447,15 @@ class TabularARModel:
             # suffix value of the last ko symbols of each length-k string
             np.remainder(np.arange(len(block)), b**ko, out=block)
             block += old.offsets[ko]
-        if self.row_map is not None:  # in place; "raise" would buffer a copy, "clip" never clips
-            np.take(self.row_map, rows, out=rows, mode="clip")
-        lifted = TabularARModel(
+        # in place; "raise" would buffer a copy, "clip" never clips
+        np.take(self.row_map, rows, out=rows, mode="clip")
+        return TabularARModel(
             space=self.space,
             order=order,
             logits=self.logits.copy(),
             trainable=trainable,
             row_map=rows,
         )
-        lifted._logprob = self._log_softmax().copy()
-        return lifted
 
     # -- persistence --------------------------------------------------------
 
@@ -478,8 +464,7 @@ class TabularARModel:
         their indices), grouped exactly by their bytes, so -0.0 and 0.0 stay apart."""
         logits = np.ascontiguousarray(self.logits)
         row_bytes = logits.view(np.dtype((np.void, logits.shape[1] * logits.itemsize))).ravel()
-        read = self.row_map if self.row_map is not None else np.arange(len(logits))
-        stored, row_of = np.unique(read, return_inverse=True)
+        stored, row_of = np.unique(self.row_map, return_inverse=True)
         distinct, distinct_of = np.unique(row_bytes[stored], return_inverse=True)
         return {
             "format": MODEL_FORMAT,

@@ -34,7 +34,7 @@ from distctl.features import (
     TokenRatio,
     WordlistPresence,
 )
-from distctl.lm import RowGradient, TabularARModel, mle_fit
+from distctl.lm import RowGradient, TabularARModel, _row_log_softmax, mle_fit
 from distctl.seqspace import (
     SampleBatch,
     SequenceSpace,
@@ -239,15 +239,14 @@ def uniform_model(space: SequenceSpace, order: int = 1, trainable: bool = False)
 
 
 def dense_logits(model: TabularARModel) -> np.ndarray:
-    """The logits row of every context, in context order: the stored rows of
-    a dense model, or a lifted model's stored rows gathered through its map."""
-    return model.logits if model.row_map is None else model.logits[model.row_map]
+    """The logits row of every context, in context order: the stored rows
+    gathered through the model's map."""
+    return model.logits[model.row_map]
 
 
 def dense_log_softmax(model: TabularARModel) -> np.ndarray:
-    """The cached log-softmax row of every context, in context order."""
-    logprob = model._log_softmax()
-    return logprob if model.row_map is None else logprob[model.row_map]
+    """The log-softmax row of every context, in context order."""
+    return model._logprob[model.row_map]
 
 
 def dense_table_bytes(model: TabularARModel) -> int:
@@ -287,8 +286,8 @@ def dense_adam_step(adam, grad: RowGradient) -> RowGradient:
 
 
 def invalidate(model: TabularARModel) -> None:
-    """Drop a model's cached log-softmax after editing its `logits` in place."""
-    model._logprob = None
+    """Recompute a model's log-softmax after editing its `logits` in place."""
+    model._logprob = _row_log_softmax(model.logits)
 
 
 def random_model(

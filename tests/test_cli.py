@@ -10,7 +10,7 @@ import pytest
 
 import distctl
 from distctl import config as config_module
-from distctl import errors, seqspace
+from distctl import cli, errors, seqspace
 from distctl.cli import main
 from distctl.config import ExperimentConfig
 from distctl.errors import ConfigError
@@ -184,7 +184,7 @@ def test_model_json_reads_back_as_a_mapped_model_that_writes_the_same_bytes(work
     text = (workdir / "out" / "model.json").read_text()
     doc = json.loads(text)
     model = TabularARModel.from_document(doc)
-    assert model.row_map is not None and len(model.logits) == len(doc["rows"])
+    assert len(model.logits) == len(doc["rows"])
     assert len(doc["rows"]) < len(doc["row_map"])
     model.write_document(workdir / "rewritten.json")
     assert (workdir / "rewritten.json").read_text() == text
@@ -267,6 +267,34 @@ def test_paired_gdc_vs_reinforce_runs(workdir):
     assert left[0] == right[0]  # comparable columns
     assert {row[1] for row in left[1:]} == {"gdc"}
     assert {row[1] for row in right[1:]} == {"reinforce-phi"}
+
+
+def test_the_trainer_hooks_the_benchmark_launcher_binds(workdir, monkeypatch):
+    """The benchmark's launcher times each trainer call by rebinding
+    `cli.train` and `cli.train_baseline`, and reads the config's
+    `iterations` and `samples_per_iteration` and the result's
+    `state.proposal_updates`: one call of each, on a gdc and a
+    reinforce-phi train."""
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(base, target, config, *args, **kwargs):
+            result = fn(base, target, config, *args, **kwargs)
+            samples = config.iterations * config.samples_per_iteration
+            calls.append((name, samples, result.state.proposal_updates))
+            return result
+
+        return wrapper
+
+    for name in ("train", "train_baseline"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    for method in ("gdc", "reinforce-phi"):
+        path = write_config(workdir, name=f"{method}.json", output=method,
+                            trainer=dict(SMALL_LOOP, method=method),
+                            eval={"eval_every": 1, "sample_size": 16})
+        assert main(["train", "--config", str(path)]) == 0, method
+    assert [(name, samples) for name, samples, _ in calls] == [("train", 16), ("train_baseline", 16)]
+    assert all(isinstance(swaps, int) for *_, swaps in calls)
 
 
 def test_rejection_mle_method(workdir):
@@ -441,6 +469,42 @@ def test_config_errors_exit_2(workdir, capsys):
     assert "constraints[0].target" in err
     missing = workdir / "nope.json"
     assert main(["fit", "--config", str(missing)]) == 2
+
+
+def binary_file(workdir):
+    path = workdir / "binary.bin"
+    path.write_bytes(bytes(range(256)))
+    return path
+
+
+def directory(workdir):
+    path = workdir / "a-directory"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize(
+    "source, make, field",
+    [
+        ("config", directory, "config file"),
+        ("config", binary_file, "config file"),
+        ("corpus", directory, "config.base_model.corpus"),
+        ("corpus", binary_file, "config.base_model.corpus"),
+        ("model_file", directory, "config.base_model.model_file"),
+        ("model_file", lambda workdir: workdir / "missing.json", "config.base_model.model_file"),
+        ("model_file", lambda workdir: workdir / "corpus.txt", "config.base_model.model_file"),
+    ],
+    ids=["config-directory", "config-binary", "corpus-directory", "corpus-binary",
+         "model-file-directory", "model-file-missing", "model-file-not-json"],
+)
+def test_unreadable_input_files_exit_2_naming_their_field(workdir, capsys, source, make, field):
+    path = make(workdir)
+    if source == "corpus":
+        path = write_config(workdir, base_model={"corpus": path.name, "order": 2, "smoothing": 0.5})
+    elif source == "model_file":
+        path = write_config(workdir, base_model={"model_file": path.name})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
 
 
 SMALL_LOOP = {"iterations": 2, "samples_per_iteration": 8, "learning_rate": 0.5}

@@ -254,10 +254,11 @@ TWIN_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(TWIN_RUNS))
 def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
-    """A run whose policy is the mapped lift of the base, and one whose
-    policy is its dense twin (the same rows, one stored row per context),
-    end with the same logits and log-softmax bits, the same metric history
-    and the same model.json bytes."""
+    """A run whose policy is the shared lift of the base, and one whose
+    policy is a twin in which every context owns its row at construction
+    (the same rows, one stored row per context, the identity map), end with
+    the same logits and log-softmax bits, the same metric history and the
+    same model.json bytes."""
     config = TWIN_RUNS[name]
     space = small_space(3, 4)
     base = random_model(space, 2, np.random.default_rng(1), scale=0.5)
@@ -275,7 +276,10 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
 
     monkeypatch.setattr(TabularARModel, "to_order", dense_lift)
     dense = trainer(base, target, config, options)
-    assert mapped.policy.row_map is not None and dense.policy.row_map is None
+    # both copy on write the same contexts; the twin's map stays one-to-one
+    n_contexts = dense.policy.coding.n_contexts
+    assert len(dense.policy.logits) - n_contexts == len(mapped.policy.logits) - len(base.logits)
+    assert len(np.unique(dense.policy.row_map)) == n_contexts
     assert table_bytes(mapped.policy) == table_bytes(dense.policy)
     assert [metrics_csv_row(r) for r in mapped.history] == [
         metrics_csv_row(r) for r in dense.history

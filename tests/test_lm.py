@@ -208,21 +208,21 @@ def test_apply_update_identity_and_reversibility(ab_space, rng):
     model = random_model(ab_space, 2, rng, trainable=True)
     before = model.logits.copy()
     model.apply_update(full_gradient(np.zeros_like(before)), 0.5)
-    assert np.array_equal(model.logits, before)
+    assert np.array_equal(dense_logits(model), before)
     grad = rng.standard_normal(before.shape)
     model.apply_update(full_gradient(grad), 0.25)
     model.apply_update(full_gradient(-grad), 0.25)
     # add-then-subtract of the identical increment restores up to one rounding ulp
-    assert np.allclose(model.logits, before, rtol=0.0, atol=1e-14)
+    assert np.allclose(dense_logits(model), before, rtol=0.0, atol=1e-14)
 
 
 def test_apply_update_monotone_in_target_token(ab_space):
     model = uniform_model(ab_space, order=1, trainable=True)
-    before = np.exp(model._log_softmax()[0, 0])
+    before = np.exp(dense_log_softmax(model)[0, 0])
     grad = np.zeros_like(model.logits)
     grad[0, 0] = 5.0
     model.apply_update(full_gradient(grad), 1.0)
-    after = np.exp(model._log_softmax()[0, 0])
+    after = np.exp(dense_log_softmax(model)[0, 0])
     assert after > before
 
 
@@ -234,7 +234,6 @@ def round_trip(model):
 def test_serialize_round_trip(ab_space, rng):
     model = random_model(ab_space, 2, rng)
     restored = round_trip(model)
-    assert restored.row_map is not None
     assert np.array_equal(dense_logits(restored), model.logits)
     enum = enumeration(ab_space)
     assert np.array_equal(restored.log_prob_batch(enum), model.log_prob_batch(enum))
@@ -311,7 +310,7 @@ def test_reads_version_1_as_a_dense_model(rng):
     doc = {**model.to_document(), "version": 1, "logits": model.logits.tolist()}
     del doc["rows"], doc["row_map"]
     dense = TabularARModel.from_document(json.loads(json.dumps(doc)))
-    assert dense.row_map is None
+    assert np.array_equal(dense.row_map, np.arange(dense.coding.n_contexts))
     assert dense.logits.tobytes() == model.logits.tobytes()
     assert dense_logits(round_trip(dense)).tobytes() == dense.logits.tobytes()
 
@@ -446,9 +445,9 @@ def test_sparse_updates_refresh_log_softmax_bitwise(rng):
     for _ in range(20):
         batch = model.sample_batch(int(rng.integers(1, 64)), rng)
         model.apply_update(model.grad_weighted_sum(batch, rng.standard_normal(len(batch))), 0.7)
-    refreshed = model._log_softmax().copy()
+    refreshed = model._logprob.copy()
     invalidate(model)
-    assert np.array_equal(refreshed, model._log_softmax())
+    assert np.array_equal(refreshed, model._logprob)
 
 
 @pytest.mark.parametrize("trainable", [False, True])
@@ -456,13 +455,14 @@ def test_sparse_updates_refresh_log_softmax_bitwise(rng):
 def test_lifted_log_softmax_is_the_recomputed_one_bitwise(trainable, warm, rng):
     space = small_space(3, 4)
     for order in (1, 2, 3):
-        base = random_model(space, order, rng, scale=2.0)
-        if warm:
-            base.log_prob_batch(enumeration(space))
+        base = random_model(space, order, rng, scale=2.0, trainable=warm)
+        for _ in range(3 if warm else 0):  # rows appended, their log-softmax refreshed one by one
+            batch = base.sample_batch(8, rng)
+            base.apply_update(base.grad_weighted_sum(batch, rng.standard_normal(8)), 0.5)
         lifted = base.to_order(space.lmax, trainable=trainable)
-        assert lifted._logprob is not None  # inherited, not left to compute
-        assert np.array_equal(lifted._log_softmax(), _row_log_softmax(lifted.logits))
-        assert not np.shares_memory(lifted._log_softmax(), base._log_softmax())
+        assert lifted._logprob.tobytes() == base._logprob.tobytes()  # recomputed: the same bits
+        assert np.array_equal(lifted._logprob, _row_log_softmax(lifted.logits))
+        assert not np.shares_memory(lifted._logprob, base._logprob)
 
 
 @pytest.mark.parametrize("trainable, cells, message", [
@@ -503,8 +503,8 @@ def test_frozen_copy_holds_one_table(rng):
     space = small_space(3, 3)
     policy = random_model(space, space.lmax, rng, trainable=True)
     frozen = policy.frozen_copy()
-    assert frozen.logits is frozen._log_softmax()
-    assert frozen.logits.tobytes() == policy._log_softmax().tobytes()
+    assert frozen.logits is frozen._logprob
+    assert frozen.logits.tobytes() == policy._logprob.tobytes()
     assert np.array_equal(frozen.exact_distribution(), policy.exact_distribution())
     with pytest.raises(ConfigError, match="frozen_copy"):  # its logits would go stale
         policy.copy_rows_from(frozen, np.arange(2))
@@ -513,14 +513,14 @@ def test_frozen_copy_holds_one_table(rng):
 def test_non_finite_update_raises_and_leaves_model_unchanged(rng):
     space = small_space(2, 3)
     model = random_model(space, space.lmax, rng, trainable=True)
-    before, logprob = model.logits.copy(), model._log_softmax().copy()
+    before, logprob = model.logits.copy(), model._logprob.copy()
     grad = RowGradient(np.array([1]), np.array([[1.0, -np.inf, 0.0]]))
     with pytest.raises(NonFiniteLogits):
         model.apply_update(grad, 0.5)
     with pytest.raises(NonFiniteLogits):
         model.apply_update(RowGradient(np.array([0]), np.array([[1e308, 0.0, 0.0]])), 1e10)
     assert np.array_equal(model.logits, before)
-    assert np.array_equal(model._log_softmax(), logprob)
+    assert np.array_equal(model._logprob, logprob)
 
 
 # -- copy on write: a lifted model's row map ------------------------------------
@@ -548,21 +548,40 @@ def test_updates_give_each_touched_context_one_row_of_its_own(rng):
     assert set(np.flatnonzero(own).tolist()) == touched
     assert sorted(model.row_map[own].tolist()) == list(range(shared, len(model.logits)))
     assert np.array_equal(model.row_map[~own], base.to_order(space.lmax).row_map[~own])
-    refreshed = model._log_softmax().copy()
+    refreshed = model._logprob.copy()
     invalidate(model)
-    assert np.array_equal(refreshed, model._log_softmax())
+    assert np.array_equal(refreshed, model._logprob)
+
+
+def test_a_constructed_model_copies_on_write(rng):
+    """A trainable model built from a full table, as `mle_fit` builds one, has
+    the identity map; its first update appends one row per written context,
+    in context order, and leaves the constructed rows' bytes alone."""
+    space = small_space(3, 4)
+    n = random_model(space, 3, rng).coding.n_contexts
+    table = rng.standard_normal((n, space.vocabulary.size))
+    model = TabularARModel(space=space, order=3, logits=table.copy(), trainable=True)
+    assert np.array_equal(model.row_map, np.arange(n))
+    written = np.array([1, 4, 7])
+    model.apply_update(RowGradient(written, rng.standard_normal((3, space.vocabulary.size))), 0.5)
+    assert len(model.logits) == n + len(written)
+    assert model.logits[:n].tobytes() == table.tobytes()
+    assert np.array_equal(model.row_map[written], np.arange(n, n + len(written)))
+    untouched = np.setdiff1d(np.arange(n), written)
+    assert np.array_equal(model.row_map[untouched], untouched)
+    assert np.array_equal(model._logprob, _row_log_softmax(model.logits))
 
 
 def test_a_refused_update_leaves_a_lifted_model_as_it_was(rng):
     space = small_space(2, 3)
     model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
     model.apply_update(RowGradient(np.array([2]), rng.standard_normal((1, 3))), 0.5)
-    before = [model.logits.copy(), model._log_softmax().copy(), model.row_map.copy()]
+    before = [model.logits.copy(), model._logprob.copy(), model.row_map.copy()]
     # context 1 still shares a base row, context 2 has its own
     grad = RowGradient(np.array([1, 2]), np.array([[0.0, 0.0, 0.0], [1.0, -np.inf, 0.0]]))
     with pytest.raises(NonFiniteLogits):
         model.apply_update(grad, 0.5)
-    after = [model.logits, model._log_softmax(), model.row_map]
+    after = [model.logits, model._logprob, model.row_map]
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
 
@@ -570,12 +589,12 @@ def test_copy_rows_from_copies_on_write_into_a_frozen_copy(rng):
     space = small_space(3, 3)
     policy = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
     frozen = policy.frozen_copy()
-    assert len(frozen.logits) == len(policy.logits) and frozen.logits is frozen._log_softmax()
+    assert len(frozen.logits) == len(policy.logits) and frozen.logits is frozen._logprob
     assert not np.shares_memory(frozen.row_map, policy.row_map)
     shared = len(frozen.logits)
     policy.apply_update(RowGradient(np.array([1, 5]), rng.standard_normal((2, 4))), 1.0)
     frozen.copy_rows_from(policy, np.array([1, 5]))
-    assert len(frozen.logits) == shared + 2 and frozen.logits is frozen._log_softmax()
+    assert len(frozen.logits) == shared + 2 and frozen.logits is frozen._logprob
     policy.apply_update(RowGradient(np.array([5]), rng.standard_normal((1, 4))), 1.0)
     frozen.copy_rows_from(policy, np.array([5]))  # its own row now: written in place
     assert len(frozen.logits) == shared + 2
@@ -706,7 +725,7 @@ def test_sample_batch_scratch_is_chunk_sized(rng):
     wide = Vocabulary.from_body_tokens([f"w{i}" for i in range(199)])
     space, n = SequenceSpace(vocabulary=wide, lmax=3), 24_000
     model = random_model(space, 1, rng)
-    model._log_softmax()
+    model._logprob
     chunk = lm._SAMPLE_CHUNK_ROWS * space.vocabulary.size * 8
     assert n >= 4 * lm._SAMPLE_CHUNK_ROWS and n * space.vocabulary.size * 8 > 4 * chunk
     batch, peak = traced_peak(model.sample_batch, n, rng)
