@@ -108,14 +108,13 @@ class _Run:
 
 
 def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exact: bool = False):
-    """The base model, the constraint set and the eval options.
+    """The base model and the constraint set.
 
     What needs only the base's space runs before the base is fitted: the
     constraint set (a non-empty `needs_constraints` names the work that
     refuses an empty one), then the universe guard when the command is
     `exact` or the exact oracle is on, then a `trainer`'s policy-table guard.
     A trainer's check of the base's cells follows the fit."""
-    eval_options = cfg.build_eval_options()
     constraint_set = None
 
     def check_space(space):
@@ -125,7 +124,7 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
             raise ConfigError(
                 f"config.constraints: {needs_constraints} needs at least one constraint"
             )
-        if exact or eval_options.exact:
+        if exact or cfg.eval_options.exact:
             space.guard()
         if trainer is not None:
             _guard_policy_table(space, trainer)
@@ -133,7 +132,7 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
     base = cfg.build_base(check_space)
     if trainer is not None:
         _check_base_cells(base, trainer)
-    return base, constraint_set, eval_options
+    return base, constraint_set
 
 
 def _guard_policy_table(space, config) -> None:
@@ -170,7 +169,7 @@ def run_fit(run: _Run) -> None:
     if len(constraint_set) == 0:
         raise ConfigError("config.constraints: fit needs at least one constraint")
     run.end("build")
-    report, _ = fit_lambda(base, constraint_set, cfg.build_fit_config())
+    report, _ = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
     _write_json(run.artifact("fit_report", "json"), _fit_document(report, constraint_set))
     if not report.converged:
@@ -187,29 +186,30 @@ def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
     return batch
 
 
-def _write_metrics(run: _Run, constraint_set: ConstraintSet, eval_options, history) -> None:
-    header = metrics_csv_header(constraint_set.ids, eval_options.exact)
+def _write_metrics(run: _Run, constraint_set: ConstraintSet, history) -> None:
+    header = metrics_csv_header(constraint_set.ids, run.cfg.eval_options.exact)
     _write_csv(run.artifact("metrics", "csv"), header, [metrics_csv_row(r) for r in history])
 
 
-def _write_samples(run: _Run, policy, eval_options, rng) -> None:
+def _write_samples(run: _Run, policy, rng) -> None:
     """samples.txt, then zipf.csv: the token frequencies of that one batch."""
-    vocab, n = policy.space.vocabulary, eval_options.sample_size
+    vocab, n = policy.space.vocabulary, run.cfg.eval_options.sample_size
     batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, rng)
     rows = [[str(r), tok, str(f)] for r, tok, f in zipf_table(batch, vocab)]
     _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
 
 
-def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_options, rng_eval):
+def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet, rng_eval):
     """Fit the target and run the trainer. Returns only what the write phase
     needs: the fit document, the policy, its metric history and run.json's
     document. The target's exact caches (its distribution and universe
     features) and the trainer's state are freed on return, before
     `model.json` is written; a DPG run's proposal is gone already, dropped
     after its last iteration (`dpg.run_loop`)."""
-    report, target = fit_lambda(base, constraint_set, run.cfg.build_fit_config())
+    cfg = run.cfg
+    report, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
-    method = run.cfg.method
+    config, eval_options = cfg.trainer_config, cfg.eval_options
     if method == REJECTION_MLE:
         policy, stats = rejection_mle(base, constraint_set, config)
         history = [snapshot(0, REJECTION_MLE, policy, target, rng_eval, eval_options)]
@@ -229,17 +229,17 @@ def _fit_and_train(run: _Run, base, constraint_set: ConstraintSet, config, eval_
 
 def run_train(run: _Run) -> None:
     cfg = run.cfg
-    config = cfg.build_trainer()
-    base, constraint_set, eval_options = _build(cfg, "training", trainer=config)
+    method = cfg.method  # refuses a config without a trainer block before the build
+    base, constraint_set = _build(cfg, "training", trainer=cfg.trainer_config)
     run.end("build")
     _, rng_eval, rng_samples = seed_streams(cfg.seed)
     fit_doc, policy, history, run_doc = _fit_and_train(
-        run, base, constraint_set, config, eval_options, rng_eval
+        run, method, base, constraint_set, rng_eval
     )
     _write_json(run.artifact("fit_report", "json"), fit_doc)
-    _write_metrics(run, constraint_set, eval_options, history)
+    _write_metrics(run, constraint_set, history)
     policy.write_document(run.artifact("model", "json"))
-    _write_samples(run, policy, eval_options, rng_samples)
+    _write_samples(run, policy, rng_samples)
     _write_json(run.artifact("run", "json"), run_doc)
 
 
@@ -249,20 +249,20 @@ def run_ablation(run: _Run) -> None:
         raise ConfigError(
             f"config.trainer.method: the ablation grid trains {GDC_METHOD!r}, not {cfg.method!r}"
         )
-    base, constraint_set, eval_options = _build(cfg, trainer=cfg.build_trainer())
+    base, constraint_set = _build(cfg, trainer=cfg.trainer_config)
     run.end("build")
-    _, target = fit_lambda(base, constraint_set, cfg.build_fit_config())
+    _, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
     threshold = cfg.eval.get("threshold")
     header = ["variant", "seed", "samples_drawn"]
     if threshold is not None:
         header.append("below_threshold")
-    header += metrics_csv_header(constraint_set.ids, eval_options.exact)
+    header += metrics_csv_header(constraint_set.ids, cfg.eval_options.exact)
     rows = []
     for variant in cfg.ablation_variants:
         for seed in cfg.ablation_seeds:
-            config = cfg.build_trainer(adaptivity=variant, seed=seed)
-            result = train(base, target, config, eval_options)
+            config = dataclasses.replace(cfg.trainer_config, adaptivity=variant, seed=seed)
+            result = train(base, target, config, cfg.eval_options)
             for record in result.history:
                 row = [variant, str(seed), str(record.step * config.samples_per_iteration)]
                 if threshold is not None:  # needs exact_oracle, so every record is exact
@@ -275,9 +275,9 @@ def run_ablation(run: _Run) -> None:
 def run_oracle(run: _Run) -> None:
     cfg = run.cfg
     # the oracle is exact whether or not eval.exact_oracle is on
-    base, constraint_set, _ = _build(cfg, exact=True)
+    base, constraint_set = _build(cfg, exact=True)
     run.end("build")
-    _, target = fit_lambda(base, constraint_set, cfg.build_fit_config())
+    _, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
     z, p = target.exact_normalize()
     a_dist = base.exact_distribution()
@@ -303,17 +303,16 @@ def run_eval(run: _Run) -> None:
     cfg = run.cfg
     if "model_file" not in cfg.base_model:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
-    model, constraint_set, eval_options = _build(cfg)
+    model, constraint_set = _build(cfg)
     run.end("build")
-    fit_config = cfg.build_fit_config()
-    target = fit_lambda(model, constraint_set, fit_config)[1] if len(constraint_set) else None
+    target = fit_lambda(model, constraint_set, cfg.fit_config)[1] if len(constraint_set) else None
     run.end("fit")
     rng = np.random.default_rng(cfg.seed)
-    record = snapshot(0, "eval", model, target, rng, eval_options) if target is not None else None
+    record = snapshot(0, "eval", model, target, rng, cfg.eval_options) if target is not None else None
     run.end("eval")
     if record is not None:
-        _write_metrics(run, constraint_set, eval_options, [record])
-    _write_samples(run, model, eval_options, rng)
+        _write_metrics(run, constraint_set, [record])
+    _write_samples(run, model, rng)
 
 
 COMMANDS = {

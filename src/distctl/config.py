@@ -7,7 +7,8 @@ import json
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .baselines import (
@@ -29,10 +30,12 @@ from .seqspace import SequenceSpace, tokenize_corpus
 GDC_METHOD = "gdc"
 
 # Each JSON block's keys with their types, and its required keys. Defaults and
-# range checks are the field defaults and checks of the objects a block builds
-# (FitConfig, DpgConfig, BaselineConfig, RejectionConfig, EvalOptions at load;
-# the base model and the constraints once the vocabulary is known); each
-# object names the offending field and `_at` puts the block path in front.
+# range checks are the field defaults and checks of the objects a block builds:
+# at load, `cfg.fit_config` (a FitConfig), `cfg.trainer_config` (a DpgConfig,
+# BaselineConfig or RejectionConfig) and `cfg.eval_options` (EvalOptions); the
+# base model and the constraints once the vocabulary is known. Each object
+# names the offending field and `_at` puts the block path in front. A cell of
+# the ablation grid is `cfg.trainer_config` with `adaptivity` and `seed` replaced.
 TOP_KEYS = {
     "seed": int, "space": dict, "base_model": dict, "constraints": list, "fit": dict,
     "trainer": dict, "eval": dict, "output": str,
@@ -163,6 +166,10 @@ class ExperimentConfig:
     eval: dict
     output: str | None
     config_dir: Path
+    # built from the blocks above by __post_init__
+    fit_config: FitConfig = field(init=False)
+    eval_options: EvalOptions = field(init=False)
+    trainer_config: DpgConfig | BaselineConfig | RejectionConfig | None = field(init=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -209,8 +216,10 @@ class ExperimentConfig:
     def __post_init__(self):
         """Build every config object that needs no vocabulary once, so that a
         bad value fails at load (and again after `dataclasses.replace`, as for
-        a seed override). The base model and the constraints are checked when
-        `build_base` and `build_constraints` build them."""
+        a seed override), and keep those the commands run on: `fit_config`,
+        `eval_options` and `trainer_config` (None without a trainer block).
+        The base model and the constraints are checked when `build_base` and
+        `build_constraints` build them."""
         threshold = self.eval.get("threshold")
         _expect(threshold is None or threshold > 0, "config.eval.threshold", "must be > 0")
         for seed in self.ablation_seeds:
@@ -222,10 +231,13 @@ class ExperimentConfig:
         with _at("config"):
             LoopConfig(seed=self.seed)
         with _at("config.fit"):
-            self.build_fit_config()
+            self.fit_config = FitConfig(seed=self.seed, **self.fit)
         with _at("config.eval"):
-            exact = self.build_eval_options().exact
+            self.eval_options = EvalOptions(
+                **_fields(self.eval, "sample_size", exact="exact_oracle")
+            )
             LoopConfig(**_fields(self.eval, "eval_every"))
+        exact = self.eval_options.exact
         _expect(threshold is None or exact, "config.eval.threshold", "needs exact_oracle")
         with _at("config.eval.ablation", "variants"):
             for variant in self.ablation_variants:
@@ -233,9 +245,20 @@ class ExperimentConfig:
         with _at("config.eval.ablation", "seeds"):
             for seed in self.ablation_seeds:
                 LoopConfig(seed=seed)
+        self.trainer_config = None
         if self.trainer:
+            # the trainer keys are the field names of its method's config; a
+            # trained method also takes eval.eval_every
+            method = self.trainer["method"]
+            t = {key: value for key, value in self.trainer.items() if key != "method"}
+            t["seed"] = self.seed
+            if method == REJECTION_MLE:
+                build = RejectionConfig
+            else:
+                t.update(_fields(self.eval, "eval_every"))
+                build = DpgConfig if method == GDC_METHOD else partial(BaselineConfig, kind=method)
             with _at("config.trainer"):
-                self.build_trainer()
+                self.trainer_config = build(**t)
 
     @property
     def ablation_variants(self) -> list[str]:
@@ -293,35 +316,3 @@ class ExperimentConfig:
                 )
         with _at("config.constraints"):
             return ConstraintSet(specs)
-
-    def build_fit_config(self) -> FitConfig:
-        return FitConfig(
-            seed=self.seed,
-            **_fields(
-                self.fit, "sample_count", "learning_rate", "tolerance", "max_steps", "lambda_clamp"
-            ),
-        )
-
-    def build_trainer(
-        self, adaptivity: str | None = None, seed: int | None = None
-    ) -> DpgConfig | BaselineConfig | RejectionConfig:
-        """The trainer block as the config of its method; a trained method also
-        takes eval.eval_every.
-
-        `adaptivity` and `seed` replace the block's and the config's (one cell
-        of the ablation grid). The trainer keys are the dataclass field names.
-        """
-        method = self.method
-        t = {key: value for key, value in self.trainer.items() if key != "method"}
-        t["seed"] = self.seed if seed is None else seed
-        if method == REJECTION_MLE:
-            return RejectionConfig(**t)
-        t.update(_fields(self.eval, "eval_every"))
-        if method != GDC_METHOD:
-            return BaselineConfig(kind=method, **t)
-        if adaptivity is not None:
-            t["adaptivity"] = adaptivity
-        return DpgConfig(**t)
-
-    def build_eval_options(self) -> EvalOptions:
-        return EvalOptions(**_fields(self.eval, "sample_size", exact="exact_oracle"))

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import importlib.util
 import inspect
 import json
 import re
@@ -295,6 +297,77 @@ def test_the_trainer_hooks_the_benchmark_launcher_binds(workdir, monkeypatch):
         assert main(["train", "--config", str(path)]) == 0, method
     assert [(name, samples) for name, samples, _ in calls] == [("train", 16), ("train_baseline", 16)]
     assert all(isinstance(swaps, int) for *_, swaps in calls)
+
+
+def test_the_benchmark_launcher_sets_up_a_demo():
+    """The benchmark times `bench/launch.py setup` on a demo config: its calls
+    into `distctl.config` (load, the base, the constraints) must resolve."""
+    root = Path(__file__).parent.parent
+    spec = importlib.util.spec_from_file_location("launch", root / "bench" / "launch.py")
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    assert launch.main(["setup", str(root / "demo" / "distributional.json")]) == 0
+
+
+def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
+    """The fit and the trainer get the objects the config built at load, and
+    a seed override reaches both; an ablation cell is the trainer config with
+    the variant's adaptivity and the grid's seed."""
+    runs, fits, calls = [], [], []
+
+    class RecordingRun(cli._Run):
+        def __init__(self, cfg, *args):
+            super().__init__(cfg, *args)
+            runs.append(cfg)
+
+    def recording(fn, into):
+        def wrapper(base, target_or_constraints, config, *args, **kwargs):
+            into.append((config, args))
+            return fn(base, target_or_constraints, config, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "_Run", RecordingRun)
+    monkeypatch.setattr(cli, "fit_lambda", recording(cli.fit_lambda, fits))
+    monkeypatch.setattr(cli, "train", recording(cli.train, calls))
+    ablation = {"variants": ["kl", "none"], "seeds": [0, 2]}
+    path = write_config(workdir, trainer=dict(SMALL_LOOP, method="gdc", optimizer="adam"),
+                        eval={"eval_every": 1, "sample_size": 16, "ablation": ablation})
+    assert main(["train", "--config", str(path), "--seed-override", "5"]) == 0
+    cfg = runs[0]
+    assert cfg.seed == cfg.fit_config.seed == cfg.trainer_config.seed == 5
+    [(fit_config, _)] = fits
+    [(config, (eval_options,))] = calls
+    assert fit_config is cfg.fit_config
+    assert config is cfg.trainer_config and eval_options is cfg.eval_options
+    calls.clear()
+    assert main(["ablation", "--config", str(path), "--seed-override", "5"]) == 0
+    cfg = runs[1]
+    assert cfg.trainer_config.seed == 5
+    cells = [(config.adaptivity, config.seed) for config, _ in calls]
+    assert cells == [("kl", 0), ("kl", 2), ("none", 0), ("none", 2)]
+    assert all(
+        config == dataclasses.replace(cfg.trainer_config, adaptivity=adaptivity, seed=seed)
+        and eval_options is cfg.eval_options
+        for (config, (eval_options,)), (adaptivity, seed) in zip(calls, cells)
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_a_missing_trainer_block_exits_2_before_the_base_is_built(
+    workdir, capsys, monkeypatch, command
+):
+    path = write_config(workdir)
+    cfg = json.loads(path.read_text())
+    del cfg["trainer"]
+    path.write_text(json.dumps(cfg))
+
+    def no_base(*args, **kwargs):
+        raise AssertionError("built the base before refusing the config")
+
+    monkeypatch.setattr(ExperimentConfig, "build_base", no_base)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: config.trainer is a required block and missing\n"
 
 
 def test_rejection_mle_method(workdir):
@@ -794,9 +867,9 @@ DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=[p.stem for p in DEMO_CONFIGS])
 def test_demo_configs_load(path):
     cfg = ExperimentConfig.load(path)
-    assert cfg.build_fit_config().sample_count >= 1
-    assert cfg.build_trainer().iterations > 0
-    assert cfg.build_eval_options().exact
+    assert cfg.fit_config.sample_count >= 1
+    assert cfg.trainer_config.iterations > 0
+    assert cfg.eval_options.exact
     assert len(cfg.build_constraints(cfg.build_base().space)) > 0
 
 
