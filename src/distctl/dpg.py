@@ -6,16 +6,16 @@ the batch's partition-function estimate into a moving average, and, when
 adaptivity is on, swaps the proposal for the policy whenever the policy's
 estimated divergence from the target drops strictly below the proposal's.
 Both divergence estimates reuse the iteration's samples and the shared
-moving-average Z. A swap brings the frozen proposal up to date in place: it
-copies only the context rows the policy has updated since the last swap.
+moving-average Z. A swap replaces the proposal with a fresh frozen copy of
+the policy, releasing the old one first so that only one copy is held.
 
 The proposal is state that only the iterations read. The first iteration
-makes it, with its stale-row mask and Adam's moments, from the policy while
-the policy is still the lifted base; `run_loop` drops all three after the
-last iteration. The policy and the proposal are lifted models (see `lm`):
-each stores the base's rows once plus a row per context it has written, so
-the mask and the moments are sized by the number of contexts, not by a
-model's store. Adam steps only the contexts some gradient has touched, so
+makes it, and Adam's moments, from the policy while the policy is still the
+lifted base; `run_loop` drops both after the last iteration. The policy and
+the proposal are lifted models (see `lm`): each stores the base's rows once
+plus a row per context the policy has written, so a copy costs the row map
+and those rows, and the moments are sized by the number of contexts, not by
+a model's store. Adam steps only the contexts some gradient has touched, so
 under either optimizer an iteration writes the rows it steps, not the table.
 
 `run_loop` is the one training loop: it owns the RNG streams, the policy
@@ -136,7 +136,6 @@ class TrainState:
     policy: TabularARModel
     # DPG only, and only from the first iteration through the last (`end_iterations`):
     proposal: TabularARModel | None = None  # the frozen proposal the training draws come from
-    stale: np.ndarray | None = None  # context rows updated since the last swap
     adam: AdamState | None = None  # the optimizer's moments, when it is Adam
     zma: ZMovingAverage = field(default_factory=ZMovingAverage)
     history: list[MetricsRecord] = field(default_factory=list)
@@ -147,9 +146,8 @@ class TrainState:
     samples_drawn: int = 0
 
     def end_iterations(self) -> None:
-        """Drop what only the iterations read: the proposal, its stale-row
-        mask and Adam's moments."""
-        self.proposal = self.stale = self.adam = None
+        """Drop what only the iterations read: the proposal and Adam's moments."""
+        self.proposal = self.adam = None
 
 
 @dataclass
@@ -181,10 +179,9 @@ def dpg_iteration(
     state: TrainState, target: Ebm, config: DpgConfig, rng: np.random.Generator
 ) -> TrainState:
     """One DPG step. The first one starts the proposal as a frozen copy of
-    the policy (its row map and stored rows), the run's only such copy."""
+    the policy (its row map and stored rows); each swap takes a new one."""
     if state.proposal is None:
         state.proposal = state.policy.frozen_copy()
-        state.stale = np.zeros(state.policy.coding.n_contexts, dtype=bool)
         if config.optimizer == OPTIMIZER_ADAM:
             state.adam = AdamState.like(state.policy)
     k = config.samples_per_iteration
@@ -201,7 +198,6 @@ def dpg_iteration(
     else:
         learning_rate = config.learning_rate / k
     state.policy.apply_update(grad, learning_rate)
-    state.stale[grad.rows] = True
 
     z_hat = float(weights.mean())
     state.zma = state.zma.fold(z_hat)
@@ -214,8 +210,8 @@ def dpg_iteration(
         div_policy = estimator(log_p_score, log_q, log_pi, state.zma.value).value
         div_proposal = estimator(log_p_score, log_q, log_q, state.zma.value).value
         if div_policy < div_proposal:
-            state.proposal.copy_rows_from(state.policy, np.flatnonzero(state.stale))
-            state.stale[:] = False
+            state.proposal = None  # released first, so one proposal is held at a time
+            state.proposal = state.policy.frozen_copy()
             state.proposal_updates += 1
             swapped = True
     state.decisions.append(

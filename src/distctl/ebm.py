@@ -56,6 +56,7 @@ class FitReport:
     achieved_moments: np.ndarray
     objective: float
     steps_used: int
+    rows_used: int  # the drawn rows the fit weighs: those with b = 1
     converged: bool
 
     def to_document(self) -> dict:
@@ -64,6 +65,7 @@ class FitReport:
             "achieved_moments": [float(v) for v in self.achieved_moments],
             "objective": float(self.objective),
             "steps_used": self.steps_used,
+            "rows_used": self.rows_used,
             "converged": self.converged,
         }
 
@@ -255,7 +257,9 @@ def fit_lambda(
     base-model sample set once and keeps the rows whose pointwise columns are
     all 1 (b(x) = 0 elsewhere, so they carry no weight); then it checks each
     target against the kept rows' feature hull and descends the squared moment
-    gap with the analytic SNIS gradient, clamping lambdas each step.
+    gap with the analytic SNIS gradient, clamping lambdas each step. The
+    report's `rows_used` counts the kept rows: `sample_count` when no
+    constraint is pointwise, 0 when nothing is drawn.
     """
     if len(constraint_set) == 0:
         raise ConfigError("fit_lambda needs at least one constraint")
@@ -263,7 +267,7 @@ def fit_lambda(
     pointwise = constraint_set.pointwise
     if pointwise.all():
         empty = np.zeros(0)
-        report = FitReport(empty, empty, objective=0.0, steps_used=0, converged=True)
+        report = FitReport(empty, empty, objective=0.0, steps_used=0, rows_used=0, converged=True)
         return report, Ebm(base=base, constraint_set=constraint_set, lam=empty, lambda_clamp=clamp)
     rng = np.random.default_rng(config.seed)
     samples = base.sample_batch(config.sample_count, rng)
@@ -301,6 +305,7 @@ def fit_lambda(
         achieved_moments=snis_moments(lam, phi),
         objective=objective,
         steps_used=steps_used,
+        rows_used=len(phi),
         converged=converged,
     )
     return report, Ebm(base=base, constraint_set=constraint_set, lam=lam, lambda_clamp=clamp)

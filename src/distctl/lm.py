@@ -28,10 +28,10 @@ store), a `row_map` from each context to its stored row, and the store's
 log-softmax. A model built with no map (by `mle_fit`, from a version-1
 document or directly) gets the identity map: one stored row per context, in
 context order. A `to_order` lift keeps the source's rows once, so most
-contexts share a row. The first write to a context (`apply_update`,
-`copy_rows_from`) gives it a row of its own, appended to the store (copy on
-write); the rows stored at construction are never written. Every reader
-goes through the map.
+contexts share a row. The first write to a context (`apply_update`) gives
+it a row of its own, appended to the store (copy on write); the rows stored
+at construction are never written, and a `frozen_copy` is never written at
+all. Every reader goes through the map.
 On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
 10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
 of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
@@ -246,7 +246,7 @@ class TabularARModel:
                 raise ConfigError("-inf logit sentinel is only permitted in frozen models")
             if np.isneginf(self.logits).all(axis=1).any():
                 raise ConfigError("a context row has no admissible next token")
-        # `apply_update` and `copy_rows_from` keep the rows they change up to date
+        # `apply_update` keeps the rows it changes up to date
         self._logprob = _row_log_softmax(self.logits)
 
     # -- core ---------------------------------------------------------------
@@ -261,9 +261,8 @@ class TabularARModel:
             return stored
         n = len(self.logits)
         stored[fresh] = self.row_map[contexts[fresh]] = np.arange(n, n + count)
-        frozen = self._logprob is self.logits
         self.logits = _grown(self.logits, count)
-        self._logprob = self.logits if frozen else _grown(self._logprob, count)
+        self._logprob = _grown(self._logprob, count)
         return stored
 
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
@@ -412,22 +411,13 @@ class TabularARModel:
         """Frozen snapshot holding one store: a copy of the log-softmax, which
         is also its logits (a row's softmax does not change under a shift, so
         the distribution is the same), and a copy of the row map. It
-        recomputes and re-validates nothing (the logits already passed)."""
+        recomputes and re-validates nothing (the logits already passed), and
+        nothing writes it afterwards: a DPG swap takes a new copy."""
         twin = copy.copy(self)
         twin.logits = twin._logprob = self._logprob.copy()
         twin.row_map = self.row_map.copy()
         twin.trainable = False
         return twin
-
-    def copy_rows_from(self, source: "TabularARModel", rows: np.ndarray) -> None:
-        """Copy the context rows `rows` of `source`'s log-softmax into
-        this frozen copy (see `frozen_copy`), in place; `source` has the same
-        contexts. Those rows then hold `source`'s log-softmax bits; nothing is
-        recomputed or re-validated."""
-        if self.logits is not self._logprob:
-            raise ConfigError("copy_rows_from writes only into a frozen_copy")
-        stored = self._own(rows, self.row_map[rows])  # may grow the store: index after
-        self._logprob[stored] = source._logprob[source.row_map[rows]]
 
     def to_order(self, order: int, trainable: bool = False) -> "TabularARModel":
         """Re-express the same distribution with a longer context window.

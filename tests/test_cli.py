@@ -115,6 +115,7 @@ def test_fit_pointwise_reports_no_lambda(workdir):
         "achieved_moments": [],
         "objective": 0.0,
         "steps_used": 0,
+        "rows_used": 0,
         "converged": True,
     }
 

@@ -169,8 +169,8 @@ def test_adaptivity_deferred_until_z_positive(rng):
 
 
 # (adaptivity, optimizer, learning rate, lambda, seed): each run has several
-# non-swap iterations between two swaps, so a swap must copy the rows of
-# every update since the last one, not only the last update's.
+# non-swap iterations between two swaps, so a kept proposal must stay as it
+# was over several updates, and a swap must bring in all of them.
 SWAP_RUNS = {
     "kl": ("kl", "sgd", 16.0, 1.0, 1),
     "tvd": ("tvd", "sgd", 0.5, 0.3, 1),
@@ -200,19 +200,25 @@ def table_bytes(model):
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_RUNS))
-def test_in_place_swap_matches_a_whole_table_copy_bitwise(name):
+def test_a_swap_takes_the_policy_and_a_kept_proposal_stays_as_it_was(name):
+    """After each iteration, a proposal that the iteration swapped in holds
+    the policy's log-softmax bytes, context by context, and one it kept
+    holds the bytes it held before (at the first iteration: the lifted
+    base's, from which it was made)."""
     base, target, config = swap_run(name)
-    state, reference = init_state(base, config), init_state(base, config)
-    rng, rng_reference = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
-    for _ in range(config.iterations):
+    state = init_state(base, config)
+    rng = np.random.default_rng(config.seed)
+    held = dense_log_softmax(state.policy).tobytes()
+    for i in range(config.iterations):
         dpg_iteration(state, target, config, rng)
-        dpg_iteration(reference, target, config, rng_reference)
-        if reference.decisions[-1].swapped:  # the whole-table swap
-            reference.proposal = reference.policy.frozen_copy()
-        assert table_bytes(state.proposal) == table_bytes(reference.proposal)
-        assert table_bytes(state.policy) == table_bytes(reference.policy)
+        now = dense_log_softmax(state.proposal).tobytes()
+        if state.decisions[-1].swapped:
+            assert now == dense_log_softmax(state.policy).tobytes(), i
+        else:
+            assert now == held, i
+            assert now != dense_log_softmax(state.policy).tobytes(), i
+        held = now
     swaps = [d.iteration for d in state.decisions if d.swapped]
-    assert swaps == [d.iteration for d in reference.decisions if d.swapped]
     assert max(b - a for a, b in zip(swaps, swaps[1:])) > 3
 
 
@@ -293,7 +299,9 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_RUNS))
-def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
+def test_a_dpg_run_takes_one_frozen_copy_per_swap(monkeypatch, name):
+    """The first iteration copies the policy into the proposal, and each swap
+    takes a new copy: `proposal_updates + 1` copies in all."""
     base, target, config = swap_run(name)
     copies = []
     frozen_copy = TabularARModel.frozen_copy
@@ -304,7 +312,8 @@ def test_a_dpg_run_copies_the_whole_table_once(monkeypatch, name):
 
     monkeypatch.setattr(TabularARModel, "frozen_copy", counted)
     result = train(base, target, config, EvalOptions(sample_size=16))
-    assert result.state.proposal_updates > 1 and len(copies) == 1
+    assert result.state.proposal_updates > 1
+    assert len(copies) == result.state.proposal_updates + 1
 
 
 def test_dpg_init_state_allocates_no_table(rng):
@@ -317,7 +326,7 @@ def test_dpg_init_state_allocates_no_table(rng):
     state, peak = traced_peak(init_state, base, DpgConfig(iterations=1))
     assert peak <= 0.25 * dense_table_bytes(state.policy)
     assert len(state.policy.logits) == len(base.logits)
-    assert state.proposal is None and state.stale is None and state.adam is None
+    assert state.proposal is None and state.adam is None
 
 
 def first_iteration_peak(rng, optimizer):
@@ -338,12 +347,40 @@ def first_iteration_peak(rng, optimizer):
 
 def test_dpg_first_iteration_copies_only_written_rows(rng):
     """init_state and the first SGD iteration of a 66,430-context lifted
-    policy hold the policy's and the proposal's row maps, the stale mask and
-    the few rows the batch wrote: well below one dense table, where dense
-    models would hold three (the policy's logits and log-softmax, the
-    proposal's copy)."""
+    policy hold the policy's and the proposal's row maps and the few rows
+    the batch wrote: well below one dense table, where dense models would
+    hold three (the policy's logits and log-softmax, the proposal's copy)."""
     _, tables = first_iteration_peak(rng, "sgd")
     assert tables <= 0.35
+
+
+def test_a_swap_holds_one_proposal_at_a_time(rng):
+    """A swap releases the old proposal before it copies the policy, so a
+    swapping iteration of a 66,430-context lifted policy peaks less than half
+    a proposal (its row map and store) above the memory it started with; one
+    that copied first would hold two proposals at once."""
+    space = small_space(9, 6)
+    base = random_model(space, 2, rng)
+    target = identity_ebm(space, base)
+    target.lam = np.array([1.0])
+    config = DpgConfig(iterations=1, samples_per_iteration=64)
+    train_rng = np.random.default_rng(0)
+    tracemalloc.start()  # before the proposals exist, so their release is counted
+    try:
+        state = init_state(base, config)
+        dpg_iteration(state, target, config, train_rng)  # makes the first proposal
+        for _ in range(20):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dpg_iteration(state, target, config, train_rng)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            if state.decisions[-1].swapped:
+                break
+    finally:
+        tracemalloc.stop()
+    assert state.decisions[-1].swapped and state.policy.coding.n_contexts == 66430
+    proposal = state.proposal.row_map.nbytes + state.proposal.logits.nbytes
+    assert peak < 0.5 * proposal
 
 
 def test_dpg_first_adam_iteration_holds_the_moments_and_the_written_rows(rng):
@@ -410,11 +447,11 @@ def test_row_sparse_adam_matches_the_dense_reference_bitwise(monkeypatch, name):
 
 
 def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng):
-    """The proposal, its stale-row mask and Adam's moments exist only while
-    iterations run. The snapshot before the first runs beside the lifted
-    policy's row map and the base's rows, and the one after the last beside
-    those and the few rows Adam has stepped. One between them also runs
-    beside Adam's two dense moment tables."""
+    """The proposal and Adam's moments exist only while iterations run. The
+    snapshot before the first runs beside the lifted policy's row map and
+    the base's rows, and the one after the last beside those and the few
+    rows Adam has stepped. One between them also runs beside Adam's two
+    dense moment tables."""
     space = small_space(8, 6)  # a 37,449-context policy
     base = random_model(space, 2, rng)
     states, seen = [], []
@@ -423,7 +460,7 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
 
     def record(step, *args):
         state = states[0]
-        held = (state.proposal, state.stale, state.adam)
+        held = (state.proposal, state.adam)
         seen.append((step, [x is None for x in held], tracemalloc.get_traced_memory()[0]))
 
     monkeypatch.setattr(dpg, "snapshot", record)
@@ -431,7 +468,7 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
     traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration)
     table = dense_table_bytes(states[0].policy)
     assert [(step, gone) for step, gone, _ in seen] == [
-        (0, [True] * 3), (2, [False] * 3), (4, [True] * 3)
+        (0, [True] * 2), (2, [False] * 2), (4, [True] * 2)
     ]
     held = [current / table for _, _, current in seen]
     assert held[0] <= 0.15 and held[2] <= 0.15 and held[1] >= 2.0

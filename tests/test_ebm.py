@@ -262,6 +262,25 @@ def test_hybrid_fit_with_no_row_of_b_one_raises_empty_support(ab_space, ab_unifo
     assert "'never'" in str(err.value)
 
 
+def test_fit_reports_the_rows_it_weighs(ab_space, ab_uniform, presence_a_pointwise):
+    """`rows_used` is the number of drawn rows with b = 1 for a hybrid set,
+    every drawn row for a distributional-only set, and 0 for a pointwise-only
+    set, which draws nothing."""
+    v = ab_space.vocabulary
+    config = fit_config(n=5000, tol=1e-4)
+    draw = ab_uniform.sample_batch(config.sample_count, np.random.default_rng(config.seed))
+    with_a = int((draw.tokens == v.index("a")).any(axis=1).sum())
+    assert 0 < with_a < config.sample_count
+    hybrid_a = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "b"), 0.6)
+    hybrid, _ = fit_lambda(ab_uniform, hybrid_a, config)
+    assert hybrid.rows_used == with_a
+    assert hybrid.to_document()["rows_used"] == with_a
+    distributional, _ = fit_lambda(ab_uniform, presence_set(ab_space, "b", 0.6), config)
+    assert distributional.rows_used == config.sample_count
+    pointwise, _ = fit_lambda(ab_uniform, presence_a_pointwise, config)
+    assert pointwise.rows_used == 0
+
+
 def test_hybrid_fit_is_near_the_exact_projection():
     """On criterion 10's task the fit weighs only the rows with b = 1: its
     target puts no mass off b and sits within 2e-3 nats of the projection."""

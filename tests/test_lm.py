@@ -501,13 +501,13 @@ def test_frozen_copy_is_a_snapshot(rng):
 
 def test_frozen_copy_holds_one_table(rng):
     space = small_space(3, 3)
-    policy = random_model(space, space.lmax, rng, trainable=True)
+    policy = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
+    policy.apply_update(RowGradient(np.array([1, 5]), rng.standard_normal((2, 4))), 1.0)
     frozen = policy.frozen_copy()
     assert frozen.logits is frozen._logprob
     assert frozen.logits.tobytes() == policy._logprob.tobytes()
     assert np.array_equal(frozen.exact_distribution(), policy.exact_distribution())
-    with pytest.raises(ConfigError, match="frozen_copy"):  # its logits would go stale
-        policy.copy_rows_from(frozen, np.arange(2))
+    assert not np.shares_memory(frozen.row_map, policy.row_map)
 
 
 def test_non_finite_update_raises_and_leaves_model_unchanged(rng):
@@ -583,23 +583,6 @@ def test_a_refused_update_leaves_a_lifted_model_as_it_was(rng):
         model.apply_update(grad, 0.5)
     after = [model.logits, model._logprob, model.row_map]
     assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
-
-
-def test_copy_rows_from_copies_on_write_into_a_frozen_copy(rng):
-    space = small_space(3, 3)
-    policy = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
-    frozen = policy.frozen_copy()
-    assert len(frozen.logits) == len(policy.logits) and frozen.logits is frozen._logprob
-    assert not np.shares_memory(frozen.row_map, policy.row_map)
-    shared = len(frozen.logits)
-    policy.apply_update(RowGradient(np.array([1, 5]), rng.standard_normal((2, 4))), 1.0)
-    frozen.copy_rows_from(policy, np.array([1, 5]))
-    assert len(frozen.logits) == shared + 2 and frozen.logits is frozen._logprob
-    policy.apply_update(RowGradient(np.array([5]), rng.standard_normal((1, 4))), 1.0)
-    frozen.copy_rows_from(policy, np.array([5]))  # its own row now: written in place
-    assert len(frozen.logits) == shared + 2
-    assert dense_log_softmax(frozen).tobytes() == dense_log_softmax(policy).tobytes()
-    assert np.array_equal(frozen.exact_distribution(), policy.exact_distribution())
 
 
 def test_write_document_encodes_each_distinct_stored_row_once(rng):
