@@ -173,7 +173,8 @@ def run_fit(run: _Run) -> None:
     run.end("fit")
     _write_json(run.artifact("fit_report", "json"), _fit_document(report, constraint_set))
     if not report.converged:
-        print(f"fit did not converge: objective {report.objective:.6g}", file=sys.stderr)
+        gap = np.abs(report.achieved_moments - constraint_set.targets[~constraint_set.pointwise])
+        print(f"fit did not converge: max |gap| {gap.max():.6g}", file=sys.stderr)
 
 
 def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:

@@ -56,10 +56,7 @@ FEATURE_SCHEMAS = {  # kind -> (its own keys, required)
         ("numerator", "denominator"),
     ),
 }
-FIT_KEYS = {
-    "sample_count": int, "learning_rate": float, "tolerance": float, "max_steps": int,
-    "lambda_clamp": float,
-}
+FIT_KEYS = {"sample_count": int, "tolerance": float, "max_steps": int, "lambda_clamp": float}
 LOOP_KEYS = {"iterations": int, "samples_per_iteration": int, "learning_rate": float}
 TRAINER_SCHEMAS = {  # method -> (keys besides `method`, required)
     GDC_METHOD: ({**LOOP_KEYS, "adaptivity": str, "optimizer": str}, tuple(LOOP_KEYS)),

@@ -2,9 +2,9 @@
 
 Every target has one shape, the I-projection of the base onto its constraints:
 P(x) = a(x) * b(x) * exp(lam . phi(x)), with a the base, b the product of the
-pointwise (0 or 1) features and phi the distributional features. lam is
-fitted by self-normalized importance sampling plus SGD on the base samples
-with b = 1; a pointwise-only target has no lam to fit.
+pointwise (0 or 1) features and phi the distributional features. lam is fitted
+by damped Newton on the convex dual, estimated by self-normalized importance
+sampling on the base samples with b = 1; a pointwise-only target has none.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from .lm import TabularARModel
 from .seqspace import SampleBatch
 
 DEFAULT_LAMBDA_CLAMP = 20.0
+MAX_HALVINGS = 30  # a Newton step halved this often without lowering the dual stops the fit
 
 
 @dataclass(kw_only=True)
 class FitConfig:
     sample_count: int = 100000
-    learning_rate: float = 0.5
     seed: int = 0
     tolerance: float = 0.01
     max_steps: int = 10000
@@ -40,8 +40,6 @@ class FitConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ConfigError("must be >= 1", "sample_count")
-        if not self.learning_rate > 0:
-            raise ConfigError("must be > 0", "learning_rate")
         if not self.tolerance > 0:
             raise ConfigError("must be > 0", "tolerance")
         if self.max_steps < 1:
@@ -210,38 +208,38 @@ def moment_preserving_perturbations(
         yield c
 
 
-def snis_weights(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Normalized importance weights exp(lam . phi_i) / sum, shift-stabilized."""
+def snis_weights(lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized importance weights exp(lam . phi_i) / sum, shift-stabilized,
+    and the log of the mean unnormalized weight, log mean_i exp(lam . phi_i)."""
     s = phi @ lam
+    shift = s.max()
     with np.errstate(invalid="ignore"):
-        w = np.exp(s - s.max())
+        w = np.exp(s - shift)
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise DegenerateWeights("importance weights degenerated to an unusable sum")
-    return w / total
+    return w / total, float(shift + np.log(total / len(w)))
 
 
 def snis_moments(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Self-normalized moment estimate from base-model samples' feature rows."""
     if phi.shape[0] < 1:
         raise ConfigError("snis_moments needs at least one sample")
-    return snis_weights(lam, phi) @ phi
+    return snis_weights(lam, phi)[0] @ phi
 
 
-def snis_objective_grad(
+def snis_dual(
     lam: np.ndarray, phi: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Squared moment-gap objective and its analytic gradient in lambda.
-
-    d mu_hat_j / d lam_m is the weighted feature covariance, so the gradient
-    is -2 * Cov_w(phi) @ (targets - mu_hat).
-    """
-    w = snis_weights(lam, phi)
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The convex dual log mean_i exp(lam . phi_i) - lam . targets over the
+    sample rows, with its gradient, the SNIS moment gap mu_hat - targets, and
+    its Hessian, the SNIS-weighted feature covariance. Its minimiser is the lam
+    whose SNIS moments hit the targets."""
+    w, log_mean = snis_weights(lam, phi)
     mu = w @ phi
-    gap = targets - mu
     centered = phi - mu
     cov = (centered * w[:, None]).T @ centered
-    return float(gap @ gap), -2.0 * (cov @ gap)
+    return log_mean - float(lam @ targets), mu - targets, cov
 
 
 def fit_lambda(
@@ -256,10 +254,13 @@ def fit_lambda(
     once, converged at step 0, and draws nothing. Otherwise it draws the
     base-model sample set once and keeps the rows whose pointwise columns are
     all 1 (b(x) = 0 elsewhere, so they carry no weight); then it checks each
-    target against the kept rows' feature hull and descends the squared moment
-    gap with the analytic SNIS gradient, clamping lambdas each step. The
-    report's `rows_used` counts the kept rows: `sample_count` when no
-    constraint is pointwise, 0 when nothing is drawn.
+    target against the kept rows' feature hull and runs damped Newton on
+    `snis_dual`: minimum-norm steps (collinear features still step), clipped to
+    the clamp and halved until the dual decreases. It converges once max |gap|
+    < `tolerance`, and stops short at `max_steps` or when no halving lowers the
+    dual (the root lies outside the clamp box). `objective` is the squared gap
+    at the returned lam; `rows_used` counts the kept rows: `sample_count` when
+    no constraint is pointwise, 0 when nothing is drawn.
     """
     if len(constraint_set) == 0:
         raise ConfigError("fit_lambda needs at least one constraint")
@@ -287,25 +288,26 @@ def fit_lambda(
             raise UnattainableTarget(spec.feature.id, float(targets[j]), lo, hi)
 
     lam = np.zeros(len(specs))
-    lr = config.learning_rate
+    dual, gap, cov = snis_dual(lam, phi, targets)
     steps_used = 0
-    converged = False
-    while True:
-        objective, grad = snis_objective_grad(lam, phi, targets)
-        if objective < config.tolerance:
-            converged = True
-            break
-        if steps_used >= config.max_steps:
-            break
-        lam = np.clip(lam - lr * grad, -clamp, clamp)
+    while np.abs(gap).max() >= config.tolerance and steps_used < config.max_steps:
+        step = np.linalg.lstsq(cov, -gap, rcond=None)[0]
+        for halving in range(MAX_HALVINGS):
+            trial = np.clip(lam + step / 2.0**halving, -clamp, clamp)
+            trial_dual, trial_gap, trial_cov = snis_dual(trial, phi, targets)
+            if trial_dual < dual:
+                break
+        else:
+            break  # the clipped step cannot lower the dual
+        lam, dual, gap, cov = trial, trial_dual, trial_gap, trial_cov
         steps_used += 1
 
     report = FitReport(
         lam=lam.copy(),
         achieved_moments=snis_moments(lam, phi),
-        objective=objective,
+        objective=float(gap @ gap),
         steps_used=steps_used,
         rows_used=len(phi),
-        converged=converged,
+        converged=bool(np.abs(gap).max() < config.tolerance),
     )
     return report, Ebm(base=base, constraint_set=constraint_set, lam=lam, lambda_clamp=clamp)

@@ -817,7 +817,7 @@ def hybrid_task() -> tuple[TabularARModel, ConstraintSet, FitConfig]:
         ConstraintSpec(TokenPresence(v, "c", feature_id="A"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "d", feature_id="B"), 0.5),
     ])
-    config = FitConfig(sample_count=100000, learning_rate=1.0, seed=0, tolerance=1e-4, max_steps=30000)
+    config = FitConfig(sample_count=100000, seed=0, tolerance=1e-4, max_steps=30000)
     return base, cs, config
 
 

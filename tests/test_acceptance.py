@@ -17,7 +17,7 @@ from distctl.ebm import (
     FitConfig,
     fit_lambda,
     moment_preserving_perturbations,
-    snis_objective_grad,
+    snis_dual,
 )
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
@@ -75,7 +75,6 @@ def anchor():
     )
     fit_config = FitConfig(
         sample_count=100000,
-        learning_rate=0.5,
         seed=0,
         tolerance=1e-6,
         max_steps=20000,
@@ -117,6 +116,20 @@ def test_criterion_1_exact_oracle_lambda_fit(anchor):
         f"exact moment {exact_moment:.4f} (|gap| {abs(exact_moment - 0.5):.4f} < 0.02), "
         f"{elapsed:.1f}s",
     )
+
+
+def test_anchor_fit_lands_on_the_snis_root(anchor):
+    """On the anchor task, the fit's lam is the root of the SNIS moment
+    equation over its own kept rows (bisected, uniform over those rows) to
+    1e-8, reached in at most 10 Newton steps."""
+    base, constraint_set = anchor["base"], anchor["constraint_set"]
+    config = FitConfig(sample_count=100000, seed=0, tolerance=1e-12)
+    fit_report, _ = fit_lambda(base, constraint_set, config)
+    rows = base.sample_batch(config.sample_count, np.random.default_rng(config.seed))
+    phi = constraint_set.feature_matrix(rows)[:, 0]
+    root = bisect_lambda(np.full(len(phi), 1.0 / len(phi)), phi, 0.5)
+    assert fit_report.converged and fit_report.steps_used <= 10
+    assert abs(fit_report.lam[0] - root) < 1e-8
 
 
 def test_criterion_2_pythagorean_identity(anchor):
@@ -397,27 +410,32 @@ def test_criterion_8_gradient_identities():
             expected_update += q[i] * (scores[i] / q[i]) * g
             grad_ce -= p[i] * g
         worst_update = max(worst_update, float(np.abs(expected_update - (-z) * grad_ce).max()))
-    # (c) analytic SNIS objective gradient vs finite differences
+    # (c) SNIS dual gradient and Hessian vs central finite differences
     worst_snis = 0.0
     phi = rng.random((3000, 3))
     targets = np.array([0.4, 0.5, 0.6])
     for _ in range(10):
         lam = rng.standard_normal(3)
-        _, grad = snis_objective_grad(lam, phi, targets)
+        _, grad, hess = snis_dual(lam, phi, targets)
         eps = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = eps
-            up, _ = snis_objective_grad(lam + e, phi, targets)
-            down, _ = snis_objective_grad(lam - e, phi, targets)
+            up, up_grad, _ = snis_dual(lam + e, phi, targets)
+            down, down_grad, _ = snis_dual(lam - e, phi, targets)
             numeric = (up - down) / (2 * eps)
             worst_snis = max(worst_snis, abs(numeric - grad[j]) / max(abs(numeric), 1e-10))
+            numeric_row = (up_grad - down_grad) / (2 * eps)
+            worst_snis = max(
+                worst_snis, np.abs(numeric_row - hess[j]).max() / np.abs(numeric_row).max()
+            )
     ok = worst_fd < 1e-6 and worst_update < 1e-8 and worst_snis < 1e-5
     report(
         8,
         ok,
         f"grad-vs-FD worst rel {worst_fd:.2e} (< 1e-6); expected-update identity worst "
-        f"abs {worst_update:.2e} (< 1e-8); SNIS-grad worst rel {worst_snis:.2e} (< 1e-5)",
+        f"abs {worst_update:.2e} (< 1e-8); SNIS-dual grad/Hessian worst rel "
+        f"{worst_snis:.2e} (< 1e-5)",
     )
 
 

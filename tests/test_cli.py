@@ -120,6 +120,15 @@ def test_fit_pointwise_reports_no_lambda(workdir):
     }
 
 
+def test_unconverged_fit_reports_its_max_gap(workdir, capsys):
+    cfg = write_config(workdir, fit={"sample_count": 2000, "tolerance": 1e-12, "max_steps": 1})
+    assert main(["fit", "--config", str(cfg)]) == 0
+    report = json.loads((workdir / "out" / "fit_report.json").read_text())
+    assert report["converged"] is False and report["steps_used"] == 1
+    gap = abs(report["achieved_moments"][0] - 0.5)
+    assert f"fit did not converge: max |gap| {gap:.6g}" in capsys.readouterr().err
+
+
 def test_fit_unattainable_exits_3(workdir):
     # 'gold' never follows 'gold' twice in a tiny budget: use an impossible prefix target
     cfg = write_config(
@@ -735,6 +744,7 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
             "config.trainer.fit_smoothing",
         ),
         ("fit", lambda c: c["fit"].update(tolerance=float("nan")), "config.fit.tolerance"),
+        ("fit", lambda c: c["fit"].update(learning_rate=0.5), "config.fit.learning_rate"),
         (
             "train",
             lambda c: c["trainer"].update(learning_rate=float("inf")),
@@ -785,6 +795,7 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
         "base-model-nan-smoothing",
         "rejection-mle-nan-smoothing",
         "fit-nan-tolerance",
+        "fit-learning-rate-removed",
         "trainer-infinite-learning-rate",
         "threshold-without-exact-oracle",
         "kl-target-negative",

@@ -6,8 +6,8 @@ from distctl.ebm import (
     FitConfig,
     fit_lambda,
     moment_preserving_perturbations,
+    snis_dual,
     snis_moments,
-    snis_objective_grad,
     snis_weights,
 )
 from distctl.errors import (
@@ -58,10 +58,9 @@ def presence_set(space, token, target, pointwise=False):
     )
 
 
-def fit_config(n=100000, lr=0.5, tol=1e-6, steps=20000, seed=0, clamp=20.0):
+def fit_config(n=100000, tol=1e-6, steps=20000, seed=0, clamp=20.0):
     return FitConfig(
         sample_count=n,
-        learning_rate=lr,
         seed=seed,
         tolerance=tol,
         max_steps=steps,
@@ -132,19 +131,23 @@ def test_snis_degenerate_weights():
         snis_weights(np.array([1.0]), np.array([[np.inf], [np.inf]]))
 
 
-def test_snis_gradient_matches_finite_differences(rng):
+def test_snis_dual_derivatives_match_finite_differences(rng):
+    """The dual's gradient and Hessian match central differences of the dual
+    and of its gradient."""
     phi = rng.random((2000, 3))
     targets = np.array([0.3, 0.6, 0.4])
     lam = rng.standard_normal(3)
-    _, grad = snis_objective_grad(lam, phi, targets)
+    _, grad, hess = snis_dual(lam, phi, targets)
     eps = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = eps
-        up, _ = snis_objective_grad(lam + e, phi, targets)
-        down, _ = snis_objective_grad(lam - e, phi, targets)
+        up, up_grad, _ = snis_dual(lam + e, phi, targets)
+        down, down_grad, _ = snis_dual(lam - e, phi, targets)
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grad[j]) / max(abs(numeric), 1e-10) < 1e-5
+        numeric_row = (up_grad - down_grad) / (2 * eps)
+        assert np.abs(numeric_row - hess[j]).max() / np.abs(numeric_row).max() < 1e-5
 
 
 # -- fitting -----------------------------------------------------------------
@@ -173,13 +176,13 @@ def test_fit_matches_bisection_oracle(ab_space, ab_uniform):
 
 
 def test_fit_default_tolerance_is_paper_value():
-    cfg = FitConfig(sample_count=10, learning_rate=0.5)
+    cfg = FitConfig(sample_count=10)
     assert cfg.tolerance == 0.01
     with pytest.raises(ConfigError):
-        FitConfig(learning_rate=0.0)
+        FitConfig(tolerance=0.0)
 
 
-@pytest.mark.parametrize("field", ["learning_rate", "tolerance", "lambda_clamp"])
+@pytest.mark.parametrize("field", ["tolerance", "lambda_clamp"])
 def test_fit_config_rejects_nan(field):
     with pytest.raises(ConfigError) as err:
         FitConfig(**{field: float("nan")})
@@ -206,6 +209,21 @@ def test_fit_returns_at_once_on_all_pointwise(monkeypatch, ab_uniform, presence_
     assert report.lam.shape == report.achieved_moments.shape == (0,)
     assert (report.steps_used, report.converged) == (0, True)
     assert ebm.lam.shape == (0,) and list(ebm.pointwise_columns) == [0]
+
+
+def test_fit_steps_through_a_singular_covariance(ab_space, ab_uniform):
+    """Two constraints with different ids on one token and target have equal
+    feature columns, so the SNIS covariance is singular: the minimum-norm
+    Newton step still converges, splitting the tilt between them."""
+    v = ab_space.vocabulary
+    cs = ConstraintSet([
+        ConstraintSpec(TokenPresence(v, "a", feature_id="a1"), 0.9),
+        ConstraintSpec(TokenPresence(v, "a", feature_id="a2"), 0.9),
+    ])
+    report, _ = fit_lambda(ab_uniform, cs, fit_config(n=20000))
+    assert report.converged and report.steps_used <= 10
+    assert np.abs(report.achieved_moments - 0.9).max() < 1e-6
+    assert report.lam[0] == pytest.approx(report.lam[1], rel=1e-12)
 
 
 def test_fit_rejects_an_empty_set(ab_uniform):
