@@ -2,7 +2,8 @@
 
 One JSON config per experiment; numeric outputs are CSV only. Exit codes:
 0 success, else the `exit_code` of the library error that stopped the run
-(2 configuration error, 3 numerical failure, 4 universe guard).
+(2 configuration error, 3 numerical failure, 4 size guard: the universe's, or
+the constraint features' automaton's).
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from . import __version__
 from .baselines import REJECTION_MLE, RejectionConfig, rejection_mle, train_baseline
 from .config import GDC_METHOD, ExperimentConfig
 from .dpg import seed_streams, train
-from .ebm import FitReport, fit_lambda, moment_preserving_perturbations
+from .ebm import (
+    FitReport,
+    exact_target_automaton,
+    fit_lambda,
+    moment_preserving_perturbations,
+)
 from .errors import ConfigError, DistctlError
 from .estimators import exact_kl
 from .features import ConstraintSet
@@ -114,7 +120,9 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
     constraint set (a non-empty `needs_constraints` names the work that
     refuses an empty one), then the universe guard when the command is
     `exact` or the exact oracle is on, then a `trainer`'s policy-table guard.
-    A trainer's check of the base's cells follows the fit."""
+    The exact target DP's guard, which reads the base's order, and a
+    trainer's check of the base's cells follow the base's fit, before the
+    target's."""
     constraint_set = None
 
     def check_space(space):
@@ -130,6 +138,8 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
             _guard_policy_table(space, trainer)
 
     base = cfg.build_base(check_space)
+    if exact or cfg.eval_options.exact:
+        exact_target_automaton(base, constraint_set)
     if trainer is not None:
         _check_base_cells(base, trainer)
     return base, constraint_set
@@ -203,10 +213,10 @@ def _write_samples(run: _Run, policy, rng) -> None:
 def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet, rng_eval):
     """Fit the target and run the trainer. Returns only what the write phase
     needs: the fit document, the policy, its metric history and run.json's
-    document. The target's exact caches (its distribution and universe
-    features) and the trainer's state are freed on return, before
-    `model.json` is written; a DPG run's proposal is gone already, dropped
-    after its last iteration (`dpg.run_loop`)."""
+    document. The target's exact caches (its DP tables) and the trainer's
+    state are freed on return, before `model.json` is written; a DPG run's
+    proposal is gone already, dropped after its last iteration
+    (`dpg.run_loop`)."""
     cfg = run.cfg
     report, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
@@ -280,19 +290,21 @@ def run_oracle(run: _Run) -> None:
     run.end("build")
     _, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
-    z, p = target.exact_normalize()
+    exact = target.exact_target()
+    # only the Pythagorean check enumerates: KL(c || a) - KL(c || p) - KL(p || a)
+    # vanishes on every c with p's moments
+    _, p = target.exact_normalize()
     a_dist = base.exact_distribution()
-    kl_p_a = exact_kl(p, a_dist)
-    phi = target.phi_universe()
     rng = np.random.default_rng(cfg.seed)
-    perturbations = moment_preserving_perturbations(p, phi, count=5, rng=rng)
+    perturbations = moment_preserving_perturbations(p, target.phi_universe(), count=5, rng=rng)
     residual_max = max(  # folded in one perturbation at a time
-        (abs(exact_kl(c, a_dist) - exact_kl(c, p) - kl_p_a) for c in perturbations), default=None
+        (abs(exact_kl(c, a_dist) - exact_kl(c, p) - exact.kl_p_a) for c in perturbations),
+        default=None,
     )
     doc = {
-        "z": z,
-        "exact_moments": [float(m) for m in target.exact_moments()],
-        "kl_p_a": kl_p_a,
+        "z": exact.z,
+        "exact_moments": [float(m) for m in exact.moments],
+        "kl_p_a": exact.kl_p_a,
         "pythagorean_residual_max": residual_max,
         "universe_size": base.space.universe_size,
     }

@@ -5,6 +5,24 @@ P(x) = a(x) * b(x) * exp(lam . phi(x)), with a the base, b the product of the
 pointwise (0 or 1) features and phi the distributional features. lam is fitted
 by damped Newton on the convex dual, estimated by self-normalized importance
 sampling on the base samples with b = 1; a pointwise-only target has none.
+
+The target's exact quantities come from a DP over (step t, base context c,
+feature state s), with no universe-sized array: the base's next-token
+distribution depends on c only, and b and phi on the state their product
+automaton (`ConstraintSet.automaton`) ends in. A backward pass gives
+beta(t, c, s), the tilted mass of every completion, so Z = beta(0, (), start)
+and the target's own next-token law is
+p(v | t, c, s) = a(v | c) * beta(t + 1, c', s') / beta(t, c, s); p is thus an
+exact autoregressive model, and a prefix h has p-mass a(h) * beta(t, c, s) / Z.
+`Ebm.exact_target` caches the beta tables once per target, one
+(contexts, states) table per step, guarded by `exact_target_automaton`. At
+the last step every child's beta is b * exp(lam . phi) of its state, so
+there a context counts only through its stored base row, and the table is
+kept per row. `Ebm.exact_policy_terms` runs the forward pass that a
+policy's exact KL(p || pi) and E_pi[phi] need, forming p's next-token laws
+as it reads them.
+The enumeration oracles (`exact_normalize`, `phi_universe`) remain for the
+`oracle` command's Pythagorean check.
 """
 
 from __future__ import annotations
@@ -16,12 +34,14 @@ import numpy as np
 
 from . import seqspace
 from .errors import (
+    AutomatonTooLarge,
     ConfigError,
     DegenerateWeights,
     EmptySupport,
+    SupportViolation,
     UnattainableTarget,
 )
-from .features import ConstraintSet
+from .features import Automaton, ConstraintSet
 from .lm import TabularARModel
 from .seqspace import SampleBatch
 
@@ -68,6 +88,271 @@ class FitReport:
         }
 
 
+@dataclass(frozen=True)
+class ExactTarget:
+    """The exact DP of a target (see the module docstring). `beta[t]` is
+    beta(t, c, s) as a (keys, states) table, keyed as `_step_keys` says: for
+    t < lmax - 1 by the b**min(t, m) base contexts, the last min(t, m)
+    tokens as a base-b numeral (m the base's context length), and at the
+    last step by the base's stored rows. At lmax, where EOS is forced, beta
+    is `value` for every context. The tables hold no vocabulary axis:
+    p(v | t, c, s) is formed where it is read."""
+
+    automaton: Automaton  # the constraint set's product automaton
+    value: np.ndarray  # (states,): b * exp(lam . phi) of a sequence ending in the state
+    beta: list[np.ndarray]
+    z: float
+    moments: np.ndarray  # E_p[phi], one per constraint in order
+    kl_p_a: float  # KL(p || a) = E_p[log b + lam . phi] - log Z, on b's support
+
+
+def _step_keys(base: TabularARModel, t: int, contexts):
+    """Where step t's tables put these base contexts: at their numeral, or
+    at the last step, where every child's beta is `value` so that the step
+    reads a context only through its row, at their stored base row."""
+    if t + 1 < base.space.lmax:
+        return contexts
+    return base.row_map[base.coding.step_offset(t) :][contexts]
+
+
+def _step_size(base: TabularARModel, t: int) -> int:
+    """How many keys step t's tables have (`_step_keys`)."""
+    if t + 1 < base.space.lmax:
+        return base.space.body_size ** min(t, base.coding.m_eff)
+    return len(base.log_softmax)
+
+
+def exact_target_automaton(base: TabularARModel, constraint_set: ConstraintSet) -> Automaton:
+    """The constraint set's product automaton, once the target DP's tables
+    over it are known to fit: their cells, the keys of every step
+    (`_step_size`) times the states, may not pass ENUMERATION_GUARD, the
+    most rows the universe guard lets an enumeration hold. Raises
+    AutomatonTooLarge past that, or past MAX_FEATURE_STATES product states."""
+    auto = constraint_set.automaton(base.space)
+    cells = sum(_step_size(base, t) for t in range(base.space.lmax)) * auto.n_states
+    if cells > seqspace.ENUMERATION_GUARD:
+        raise AutomatonTooLarge(
+            f"the exact target's DP would hold {cells} (step, base context, state) cells, "
+            f"more than {seqspace.ENUMERATION_GUARD}"
+        )
+    return auto
+
+
+def _child_contexts(contexts: np.ndarray, rank, b: int, t: int, m: int) -> np.ndarray:
+    """The base context at t + 1 after a context at t takes the body token of
+    this rank (broadcast)."""
+    return (contexts * b + rank) % b ** min(t + 1, m)
+
+
+def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in 0..size-1, ascending, and each key's index among
+    them, as `np.unique(keys, return_inverse=True)` gives them. When the key
+    range is at most a few times the key count they come from a count over
+    it, which makes fewer keys-sized arrays than the sort: a part's arrays
+    set the walk's peak, and `test_metrics`' warm exact snapshot peaks at
+    0.86 universe-sized arrays so, against 1.20 by sorting alone."""
+    if size > 4 * len(keys):
+        return np.unique(keys, return_inverse=True)
+    seen = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+def _exact_target(ebm: "Ebm") -> ExactTarget:
+    """The backward pass for beta, then a forward pass for the base mass of
+    the prefixes at each (key, state), which yields the base mass of the
+    sequences ending in each state; the target reweighs that by `value`.
+    Both run one token at a time over (keys, states) tables, so nothing has
+    a vocabulary axis, and both key the last step by stored base row."""
+    space, base = ebm.space, ebm.base
+    auto = exact_target_automaton(base, ebm.constraint_set)
+    states, log_a = auto.n_states, base.log_softmax
+    body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
+    eos, b, lmax, m = space.vocabulary.eos_index, space.body_size, space.lmax, base.coding.m_eff
+    log_value = ebm.log_scores(np.zeros(states), auto.values)  # log b(s) + lam . phi(s)
+    value = np.exp(log_value)
+    step_states = auto.delta[:, body]
+    after = np.empty((len(log_a[0]), states), dtype=np.int64)  # the state after each token
+    after[eos], after[body] = np.arange(states), step_states.T
+
+    def step_rows(t):  # the base's stored row of each context at step t
+        lo = base.coding.step_offset(t)
+        return base.row_map[lo : lo + b ** min(t, m)]
+
+    # the last step, per stored row: a(v | row) times `value` after v
+    beta = [sum(np.exp(log_a[:, v])[:, None] * value[after[v]] for v in range(len(after)))]
+    for t in reversed(range(lmax - 1)):
+        rows = step_rows(t)
+        contexts = np.arange(len(rows))
+        beta_t = np.exp(log_a[rows, eos])[:, None] * value
+        for r, v in enumerate(body):
+            keys = _step_keys(base, t + 1, _child_contexts(contexts, r, b, t, m))
+            child = beta[-1][keys[:, None], step_states[:, r]]  # a fresh gather, scaled in place
+            beta_t += np.multiply(child, np.exp(log_a[rows, v])[:, None], out=child)
+        beta.append(beta_t)
+    beta.reverse()
+    start_key = int(_step_keys(base, 0, np.zeros(1, dtype=np.int64))[0])
+    z = float(beta[0][start_key, auto.start])
+    if not z > 0.0:
+        raise EmptySupport("EBM scores sum to zero over the universe")
+    alpha = np.zeros((_step_size(base, 0), states))  # base mass of the prefixes per (key, state)
+    alpha[start_key, auto.start] = 1.0
+    ended = np.zeros(states)  # the base mass of the sequences ending in each state
+    for t in range(lmax - 1):
+        rows = step_rows(t)
+        contexts = np.arange(len(rows))
+        ended += np.exp(log_a[rows, eos]) @ alpha
+        cells = _step_size(base, t + 1) * states
+        grown = np.zeros(cells)
+        for r, v in enumerate(body):
+            keys = _step_keys(base, t + 1, _child_contexts(contexts, r, b, t, m))
+            into = keys[:, None] * states + step_states[:, r]
+            grown += np.bincount(into.ravel(), (np.exp(log_a[rows, v])[:, None] * alpha).ravel(),
+                                 cells)
+        alpha = grown.reshape(-1, states)
+    for v in range(len(after)):  # the last step, per stored row: EOS is forced after it
+        ended += np.bincount(after[v], np.exp(log_a[:, v]) @ alpha, states)
+    mass = ended * value / z  # the p-mass of the sequences ending in each state
+    support = mass > 0
+    return ExactTarget(
+        automaton=auto,
+        value=value,
+        beta=beta,
+        z=z,
+        moments=mass @ auto.values,
+        kl_p_a=float(mass[support] @ log_value[support]) - float(np.log(z)),
+    )
+
+
+class _PolicyWalk:
+    """The forward pass of `Ebm.exact_policy_terms`, depth first over parts
+    of at most ENUMERATION_CHUNK_ROWS (joint context, state) pairs.
+
+    A pair holds the joint context, the last max(m_a, m_pi) tokens as a
+    base-b numeral, the automaton's state, and the p- and policy masses of
+    its prefixes. A part's children are made a part at a time, so the pass
+    holds a few parts per step, never a whole step. Once the context drops a
+    token, equal pairs within a part merge; parts stay independent, so a
+    bounded-order policy whose contexts outnumber a part visits some of them
+    once per part. The vocabulary-wide work of a part is done once per
+    (stored policy row, base context, state) group, or at the last step per
+    (stored policy row, stored base row, state), so shared rows are read
+    once; each pair then takes its group's scalars, and
+    the sums run over the pairs in their own order, so the result does not
+    depend on how the policy stores its rows.
+    """
+
+    def __init__(self, target: "Ebm", policy: TabularARModel):
+        space = target.space
+        self.dp = target.exact_target()
+        self.base, self.policy = target.base, policy
+        self.body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
+        self.eos, self.b, self.lmax = space.vocabulary.eos_index, space.body_size, space.lmax
+        self.m_a, self.m_pi = target.base.coding.m_eff, policy.coding.m_eff
+        self.m = max(self.m_a, self.m_pi)
+        self.step_states = self.dp.automaton.delta[:, self.body]
+
+    def terms(self) -> tuple[float, np.ndarray]:
+        """KL(p || pi) and E_pi[phi]: every part's terms, summed in the order
+        the walk visits the parts, each before its children. The walk keeps a
+        stack of child-part generators, one per step, so its depth is lmax
+        whatever Python's recursion limit."""
+        start = np.array([self.dp.automaton.start], dtype=np.int64)
+        pending = [iter([(0, np.zeros(1, dtype=np.int64), start, np.ones(1), np.ones(1))])]
+        kl, e_phi = 0.0, np.zeros(self.dp.automaton.values.shape[1])
+        while pending:
+            part = next(pending[-1], None)
+            if part is None:
+                pending.pop()
+                continue
+            part_kl, part_phi, children = self._visit(*part)
+            kl, e_phi = kl + part_kl, e_phi + part_phi
+            if children is not None:
+                pending.append(children)
+        return kl, e_phi
+
+    def _visit(
+        self, t: int, context: np.ndarray, state: np.ndarray, p_mass: np.ndarray,
+        pi_mass: np.ndarray,
+    ):
+        """The KL(p || pi) and E_pi[phi] terms of one part's pairs at step t,
+        and a generator of its children's parts (None at the last step)."""
+        b, states = self.b, self.dp.automaton.n_states
+        keys = context % b ** min(t, self.m_pi)  # built in place: a part's arrays are the peak
+        keys += self.policy.coding.step_offset(t)
+        keys = self.policy.row_map[keys]
+        n_target = _step_size(self.base, t)
+        keys *= n_target
+        keys += _step_keys(self.base, t, context % b ** min(t, self.m_a))
+        keys *= states
+        keys += state
+        groups, member = _group(keys, len(self.policy.log_softmax) * n_target * states)
+        live = np.bincount(member, p_mass, len(groups)) > 0
+        step_kl, ending, p_body, pi_body = self._group_terms(t, groups, n_target, live)
+        kl, e_phi = float(p_mass @ step_kl[member]), pi_mass @ ending[member]
+        if t + 1 == self.lmax:
+            return kl, e_phi, None
+        children = self._children(t, context, state, p_mass, pi_mass, member, p_body, pi_body)
+        return kl, e_phi, children
+
+    def _children(self, t, context, state, p_mass, pi_mass, member, p_body, pi_body):
+        """The parts of step t + 1, each the children of at most
+        ENUMERATION_CHUNK_ROWS // b parents, made one at a time."""
+        b, m, states = self.b, self.m, self.dp.automaton.n_states
+        parents = max(1, seqspace.ENUMERATION_CHUNK_ROWS // b)
+        for lo in range(0, len(context), parents):
+            part = slice(lo, lo + parents)
+            next_context = (context[part, None] * b + np.arange(b)).ravel()
+            next_state = self.step_states[state[part]].ravel()
+            next_p = (p_mass[part, None] * p_body[member[part]]).ravel()
+            next_pi = (pi_mass[part, None] * pi_body[member[part]]).ravel()
+            if t + 1 > m:  # the joint context drops its oldest token: equal pairs merge
+                keys, inverse = _group(next_context % b**m * states + next_state, b**m * states)
+                next_context, next_state = np.divmod(keys, states)
+                next_p = np.bincount(inverse, next_p, len(keys))
+                next_pi = np.bincount(inverse, next_pi, len(keys))
+            yield t + 1, next_context, next_state, next_p, next_pi
+
+    def _target_next(self, t: int, target_keys: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """(len(states), V): p(v | t, c, s), a(v | c) times beta after v,
+        normalized by its sum beta(t, c, s) (0 where that is 0), at each
+        (step-t key of c, state), keyed as `_step_keys` says."""
+        dp, b, base = self.dp, self.b, self.base
+        if t + 1 == self.lmax:
+            p_next = np.exp(base.log_softmax[target_keys])
+            p_next[:, self.body] *= dp.value[self.step_states[states]]
+        else:
+            rows = base.row_map[base.coding.step_offset(t) :][target_keys]
+            p_next = np.exp(base.log_softmax[rows])
+            children = _child_contexts(target_keys[:, None], np.arange(b), b, t, self.m_a)
+            children = _step_keys(base, t + 1, children)
+            p_next[:, self.body] *= dp.beta[t + 1][children, self.step_states[states]]
+        p_next[:, self.eos] *= dp.value[states]
+        beta = p_next.sum(axis=1, keepdims=True)
+        return np.divide(p_next, beta, out=p_next, where=beta > 0)
+
+    def _group_terms(self, t: int, groups: np.ndarray, n_target: int, live: np.ndarray):
+        """Per group: sum_v p log p - sum_v p log pi where p has mass (else 0),
+        the phi of the sequences that end at this step or, at lmax - 1, at the
+        forced EOS next, and the next body token's p and pi, which the
+        children read."""
+        auto, eos, body = self.dp.automaton, self.eos, self.body
+        g_row, rest = np.divmod(groups, n_target * auto.n_states)
+        g_target, g_state = np.divmod(rest, auto.n_states)
+        log_pi = self.policy.log_softmax[g_row]
+        pi_next = np.exp(log_pi)
+        p_next = self._target_next(t, g_target, g_state)
+        mass = p_next > 0
+        if (mass & (pi_next == 0.0))[live].any():
+            raise SupportViolation("second distribution misses support of the first")
+        log_ratio = np.log(p_next, out=np.zeros_like(p_next), where=mass)
+        np.subtract(log_ratio, log_pi, out=log_ratio, where=mass)
+        step_kl = np.where(live, (p_next * log_ratio).sum(axis=1), 0.0)
+        ending = pi_next[:, eos, None] * auto.values[g_state]
+        if t + 1 == self.lmax:
+            ending += (pi_next[:, body, None] * auto.values[self.step_states[g_state]]).sum(axis=1)
+        return step_kl, ending, p_next[:, body], pi_next[:, body]
+
+
 @dataclass
 class Ebm:
     """score(x) = base(x) * b(x) * exp(lam . phi(x)): b is the product of the
@@ -112,6 +397,22 @@ class Ebm:
             scores = scores + phi[:, self.lambda_columns] @ self.lam
         return scores
 
+    def exact_target(self) -> ExactTarget:
+        """The target's exact DP tables, Z, E_p[phi] and KL(p || a), computed
+        once (see the module docstring). Raises AutomatonTooLarge past the
+        guard of `exact_target_automaton`, and EmptySupport when Z is 0."""
+        if "dp" not in self._cache:
+            self._cache["dp"] = _exact_target(self)
+        return self._cache["dp"]
+
+    def exact_policy_terms(self, policy: TabularARModel) -> tuple[float, np.ndarray]:
+        """Exact KL(p || policy) and E_policy[phi], from a forward pass over
+        the policy's prefixes h of any order (`_PolicyWalk`):
+        KL(p || pi) = sum_h M(h) * sum_v p(v | h) * (log p(v | h) - log pi(v | h)),
+        M(h) the p-mass of h. Raises SupportViolation where p has mass on
+        (h, v) but pi(v | h) is 0, its exp underflowed included."""
+        return _PolicyWalk(self, policy).terms()
+
     def exact_normalize(self) -> tuple[float, np.ndarray]:
         """Exact partition function and normalized distribution over the universe.
         The tilt is applied in place in the base's prefix-DP log-probs, one
@@ -151,18 +452,6 @@ class Ebm:
                 row += len(block)
             self._cache["phi_univ"] = phi
         return self._cache["phi_univ"]
-
-    def universe_moments(self, dist: np.ndarray) -> np.ndarray:
-        """E_dist[phi] of a distribution over the universe, in enumeration
-        order, summed one ENUMERATION_CHUNK_ROWS block at a time; on a
-        one-block universe that is `dist @ phi` itself."""
-        phi = self.phi_universe()
-        return sum(dist[rows] @ phi[rows].astype(float) for rows in self._universe_blocks())
-
-    def exact_moments(self) -> np.ndarray:
-        """Exact constraint moments of the normalized distribution, summed
-        block by block (`universe_moments`)."""
-        return self.universe_moments(self.exact_normalize()[1])
 
     def _universe_blocks(self) -> Iterator[slice]:
         """Consecutive row slices of the universe, ENUMERATION_CHUNK_ROWS rows at most."""

@@ -40,6 +40,12 @@ class UniverseTooLarge(DistctlError):
     exit_code = 4
 
 
+class AutomatonTooLarge(DistctlError):
+    """The constraint features' product automaton exceeds its state guard."""
+
+    exit_code = 4
+
+
 class EmptyCorpus(DistctlError):
     """Corpus contains no usable sequences (or tokens)."""
 

@@ -102,21 +102,16 @@ def _check_pair(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return d1, d2
 
 
-def exact_kl(d1: np.ndarray, d2: np.ndarray, overwrite_d2: bool = False) -> float:
-    """KL(d1 || d2), the sum over d1's support of d1 * log(d1 / d2).
-
-    Both inputs are compacted to d1's support only when d1 has zeros, and the
-    terms are built in one buffer: the compacted copy of d2, else a new array,
-    or d2 itself under `overwrite_d2` (d2 then holds the terms), so a
-    full-support d1 costs one array, or none."""
+def exact_kl(d1: np.ndarray, d2: np.ndarray) -> float:
+    """KL(d1 || d2): the terms d1 * log(d1 / d2) on d1's support, 0 off it,
+    summed over the whole universe. The terms are built in one new array;
+    beside it the only arrays made are masks, one byte per entry."""
     d1, d2 = _check_pair(d1, d2)
     mass = d1 > 0
-    if not mass.all():
-        d1, d2 = d1[mass], d2[mass]
-        overwrite_d2 = True  # d2 is a private copy now
-    if (d2 <= 0).any():
+    if ((d2 <= 0) & mass).any():
         raise SupportViolation("second distribution misses support of the first")
-    terms = np.divide(d1, d2, out=d2 if overwrite_d2 else None)
-    np.log(terms, out=terms)
-    np.multiply(d1, terms, out=terms)
+    terms = np.zeros_like(d1)
+    np.divide(d1, d2, out=terms, where=mass)
+    np.log(terms, out=terms, where=mass)
+    np.multiply(d1, terms, out=terms, where=mass)
     return float(np.sum(terms))

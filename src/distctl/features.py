@@ -8,6 +8,14 @@ The token features read the positions of their hits: a token comparison over
 the batch's token matrix, kept to the cells inside each row's body (`_hit_rows`).
 A presence feature scatters 1.0 into the rows hit, and a ratio counts each
 row's hits with `np.bincount`.
+
+Every feature kind is also a finite automaton over a sequence's body tokens
+(`Feature.automaton`): a start state, a transition on each body token, and
+the feature's value on the state a sequence ends in. A presence feature needs
+one bit, a prefix match its match position plus "failed", and a ratio its
+(numerator, denominator) counts. A constraint set's automaton is the product
+of its members', guarded by MAX_FEATURE_STATES; the exact target DP of `ebm`
+runs over it instead of over the universe.
 """
 
 from __future__ import annotations
@@ -16,8 +24,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .seqspace import SampleBatch, Vocabulary
+from .errors import AutomatonTooLarge, ConfigError
+from .seqspace import SampleBatch, SequenceSpace, Vocabulary
+
+MAX_FEATURE_STATES = 1 << 12  # product states a constraint set's automaton may hold
+
+
+@dataclass(frozen=True)
+class Automaton:
+    """A function of a sequence as a finite automaton: it starts in `start`,
+    steps from state s to `delta[s, v]` on body token v (a vocabulary index;
+    the EOS column is never read), and is worth `values[s]` on a sequence that
+    ends in state s. `values` is (n_states,) for one feature, and
+    (n_states, n_features) for a constraint set's product."""
+
+    start: int
+    delta: np.ndarray  # (n_states, vocabulary size) int64
+    values: np.ndarray
+
+    @property
+    def n_states(self) -> int:
+        return len(self.delta)
 
 
 def _hit_rows(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
@@ -34,9 +61,27 @@ def _presence(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
     return out
 
 
+def _guard_states(count: int) -> None:
+    """Raise AutomatonTooLarge past MAX_FEATURE_STATES states."""
+    if count > MAX_FEATURE_STATES:
+        raise AutomatonTooLarge(
+            f"the constraint features' automaton would hold {count} states, "
+            f"more than {MAX_FEATURE_STATES}"
+        )
+
+
+def _presence_automaton(space: SequenceSpace, indices) -> Automaton:
+    """One bit: set by the first of `indices`, then kept."""
+    delta = np.zeros((2, space.vocabulary.size), dtype=np.int64)
+    delta[0, list(indices)] = 1
+    delta[1] = 1
+    return Automaton(start=0, delta=delta, values=np.array([0.0, 1.0]))
+
+
 class Feature:
     """Base feature: a named, range-declared function of a sequence, which
-    each kind evaluates with `evaluate_batch(batch)`, one value per row."""
+    each kind evaluates with `evaluate_batch(batch)`, one value per row, and
+    declares as a finite automaton with `automaton(space)`."""
 
     id: str
     binary: bool
@@ -52,6 +97,9 @@ class TokenPresence(Feature):
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         return _presence(batch, batch.tokens == self.index)
 
+    def automaton(self, space: SequenceSpace) -> Automaton:
+        return _presence_automaton(space, [self.index])
+
 
 class WordlistPresence(Feature):
     """1 iff the sequence contains at least one token from the list."""
@@ -66,6 +114,9 @@ class WordlistPresence(Feature):
 
     def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
         return _presence(batch, np.isin(batch.tokens, list(self.indices)))
+
+    def automaton(self, space: SequenceSpace) -> Automaton:
+        return _presence_automaton(space, self.indices)
 
 
 class TokenRatio(Feature):
@@ -98,10 +149,26 @@ class TokenRatio(Feature):
         n = len(batch)
         num = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.num))), minlength=n)
         den = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.den))), minlength=n)
-        out = np.full(n, self.empty_default, dtype=float)
+        return self._ratio(num, den)
+
+    def _ratio(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """num / den for each pair of counts, `empty_default` where den is 0."""
+        out = np.full(len(num), self.empty_default, dtype=float)
         nonzero = den > 0
         out[nonzero] = num[nonzero] / den[nonzero]
         return out
+
+    def automaton(self, space: SequenceSpace) -> Automaton:
+        """State num * (lmax + 1) + den: the counts so far, each at most lmax
+        (the step past lmax is never taken, and is clipped to stay a state)."""
+        side = space.lmax + 1
+        _guard_states(side * side)
+        num, den = np.divmod(np.arange(side * side), side)
+        grows_num = np.isin(np.arange(space.vocabulary.size), list(self.num))
+        grows_den = np.isin(np.arange(space.vocabulary.size), list(self.den))
+        new_num = np.minimum(num[:, None] + grows_num, space.lmax)
+        new_den = np.minimum(den[:, None] + grows_den, space.lmax)
+        return Automaton(start=0, delta=new_num * side + new_den, values=self._ratio(num, den))
 
 
 class PrefixMatch(Feature):
@@ -122,6 +189,16 @@ class PrefixMatch(Feature):
         long_enough = batch.lengths >= k
         match = (batch.tokens[:, :k] == np.asarray(self.pattern)).all(axis=1)
         return (long_enough & match).astype(float)
+
+    def automaton(self, space: SequenceSpace) -> Automaton:
+        """State j < k: the first j tokens match; k: matched; k + 1: failed."""
+        k = len(self.pattern)
+        delta = np.full((k + 2, space.vocabulary.size), k + 1, dtype=np.int64)
+        delta[np.arange(k), self.pattern] = np.arange(1, k + 1)
+        delta[k] = k
+        values = np.zeros(k + 2)
+        values[k] = 1.0
+        return Automaton(start=0, delta=delta, values=values)
 
 
 # Feature class of each constraint `kind` in a config; the constructors'
@@ -187,6 +264,22 @@ class ConstraintSet:
     def pointwise(self) -> np.ndarray:
         """Which constraints are pointwise: one bool per constraint, in order."""
         return np.array([c.pointwise for c in self.constraints], dtype=bool)
+
+    def automaton(self, space: SequenceSpace) -> Automaton:
+        """The product of the members' automata, the first member's state the
+        most significant digit; its values are one column per constraint, in
+        order. Raises AutomatonTooLarge past MAX_FEATURE_STATES states."""
+        parts = [c.feature.automaton(space) for c in self.constraints]
+        _guard_states(int(np.prod([a.n_states for a in parts], dtype=object)))
+        start = 0
+        delta = np.zeros((1, space.vocabulary.size), dtype=np.int64)
+        values = np.zeros((1, 0))
+        for a in parts:  # append one digit: state s * n + s_a
+            n = a.n_states
+            start = start * n + a.start
+            delta = (delta[:, None, :] * n + a.delta[None, :, :]).reshape(-1, delta.shape[1])
+            values = np.column_stack([np.repeat(values, n, axis=0), np.tile(a.values, len(values))])
+        return Automaton(start=start, delta=delta, values=values)
 
     def feature_matrix(self, batch: SampleBatch) -> np.ndarray:
         """(n_samples, n_constraints) feature values, columns in constraint order.

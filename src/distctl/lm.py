@@ -35,10 +35,10 @@ all. Every reader goes through the map.
 On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
 10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
 of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
-proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. The
-exact snapshots' universe-sized arrays then set it; since their features are
-bool and their tilt is applied in place (`ebm.Ebm.exact_normalize`), it is
-145.8 MB.
+proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. With
+the exact oracle on, the snapshots add no universe-sized array (their columns
+come from the target's DP, `ebm.Ebm.exact_policy_terms`), so the peak is
+101.3 MB (median of ten seeds), as with the oracle off.
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
@@ -248,6 +248,12 @@ class TabularARModel:
                 raise ConfigError("a context row has no admissible next token")
         # `apply_update` keeps the rows it changes up to date
         self._logprob = _row_log_softmax(self.logits)
+
+    @property
+    def log_softmax(self) -> np.ndarray:
+        """The store's log-softmax, read-only to callers: context c's
+        next-token log-probs are row `row_map[c]`."""
+        return self._logprob
 
     # -- core ---------------------------------------------------------------
 

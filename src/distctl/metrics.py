@@ -15,12 +15,7 @@ import numpy as np
 
 from .ebm import Ebm
 from .errors import ConfigError, EmptyCorpus, TooFewSamples
-from .estimators import (
-    Estimate,
-    exact_kl,
-    kl_models_from_logs,
-    kl_p_from_logs,
-)
+from .estimators import Estimate, kl_models_from_logs, kl_p_from_logs
 from .lm import TabularARModel
 from .seqspace import SampleBatch, Vocabulary
 
@@ -189,8 +184,9 @@ def snapshot(
     options: EvalOptions,
     zma_value: float = 0.0,
 ) -> MetricsRecord:
-    """Evaluate the policy on fresh samples; optionally add enumeration-exact columns.
-    The batch's features and base log-probs are evaluated once each."""
+    """Evaluate the policy on fresh samples; optionally add the exact columns,
+    from the target's DP (`Ebm.exact_policy_terms`), with no universe-sized
+    array. The batch's features and base log-probs are evaluated once each."""
     batch = policy.sample_batch(options.sample_size, rng_eval)
     phi = target.constraint_set.feature_matrix(batch)
     log_pi = policy.log_prob_batch(batch)
@@ -216,10 +212,7 @@ def snapshot(
         z_estimate=zma_value,
     )
     if options.exact:
-        _, p = target.exact_normalize()
-        pi_dist = policy.exact_distribution()
-        record.e_phi_exact = target.universe_moments(pi_dist)
-        record.kl_p_pi_exact = exact_kl(p, pi_dist, overwrite_d2=True)  # pi_dist is read last
+        record.kl_p_pi_exact, record.e_phi_exact = target.exact_policy_terms(policy)
     return record
 
 

@@ -379,6 +379,20 @@ def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
         return ebm.base.log_prob_batch(batch) + np.log(b) + tilt
 
 
+def universe_moments(ebm: Ebm, dist: np.ndarray) -> np.ndarray:
+    """E_dist[phi] of a distribution over the universe, in enumeration order,
+    summed one ENUMERATION_CHUNK_ROWS block at a time over the target's cached
+    universe features; on a one-block universe that is `dist @ phi` itself."""
+    phi = ebm.phi_universe()
+    return sum(dist[rows] @ phi[rows].astype(float) for rows in ebm._universe_blocks())
+
+
+def exact_moments(ebm: Ebm) -> np.ndarray:
+    """The target's constraint moments by enumeration: `universe_moments` of
+    its normalized distribution."""
+    return universe_moments(ebm, ebm.exact_normalize()[1])
+
+
 def whole_matrix_normalize(ebm: Ebm) -> tuple[float, np.ndarray]:
     """(Z, p) with the score applied to the whole universe in one expression:
     the base's exact log-probs, plus log of the row product of the pointwise

@@ -475,17 +475,20 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 
 # Tracemalloc peaks of the whole exact commands below, in universe-sized
-# float64 arrays: the oracle reads 10.69 and train 10.08.
-EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 11.5, "train": 11.0}
+# float64 arrays: the oracle reads 10.67 and train 7.91. A train's exact
+# snapshots enumerate nothing (they read 10.08 when they did), so its peak is
+# the training's own: the same run with exact_oracle off reads 7.80.
+EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 11.5, "train": 8.0}
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
 def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
-    """A whole exact command holds about 11 universe-sized float64 arrays at
-    once, and the oracle takes its moment-preserving perturbations one at a
-    time. On this long, narrow space (two body tokens, lmax 14) the
-    universe's token matrix alone would be 7 such arrays, its lengths one
-    more, and the blocks it is joined from as many again."""
+    """The oracle holds about 11 universe-sized float64 arrays at once, and
+    takes its moment-preserving perturbations one at a time; a train holds
+    about 8, none of them its snapshots'. On this long, narrow space (two
+    body tokens, lmax 14) the universe's token matrix alone would be 7 such
+    arrays, its lengths one more, and the blocks it is joined from as many
+    again."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
     text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
                             n_lines=120, min_len=1, max_len=8)
@@ -964,6 +967,37 @@ def test_guards_run_before_the_base_fit(tmp_path, capsys, monkeypatch, command, 
     assert capsys.readouterr().err.startswith(f"error: {message} would hold more than")
 
 
+@pytest.mark.parametrize("command", ["oracle", "train", "ablation"])
+@pytest.mark.parametrize("guard", ["states", "cells"])
+def test_exact_target_over_its_guard_exits_4_before_the_fit(workdir, capsys, monkeypatch, command,
+                                                              guard):
+    """The exact target DP's guard reads the base, so it follows the base's
+    fit but comes before the target's: thirteen presence constraints make
+    8,192 product states, and an order-5 base's 85 contexts before the last
+    step, plus its stored rows, times a ratio's 36 states make more than
+    2,000 cells, a guard that the 1,365-sequence universe passes."""
+    if guard == "states":
+        constraints = [{"id": f"gold{i}", "kind": "token-presence", "token": "gold",
+                        "target": 0.5} for i in range(13)]
+        overrides = {"constraints": constraints}
+        message = "the constraint features' automaton would hold 8192 states"
+    else:
+        monkeypatch.setattr(seqspace, "ENUMERATION_GUARD", 2000)
+        ratio = {"id": "r", "kind": "token-ratio", "numerator": ["gold"],
+                 "denominator": ["gold", "red"], "target": 0.3}
+        overrides = {"constraints": [ratio],
+                     "base_model": {"corpus": "corpus.txt", "order": 5, "smoothing": 0.5}}
+        message = "the exact target's DP would hold "
+    cfg = write_config(workdir, **overrides)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted the target before the exact target's guard")
+
+    monkeypatch.setattr(cli, "fit_lambda", no_fit)
+    assert main([command, "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize(
     "command, name, trainer",
     [
@@ -1021,6 +1055,7 @@ README_EXIT_CODES = {
     errors.NonFiniteLogits: 3,
     errors.NonFiniteEstimate: 3,
     errors.UniverseTooLarge: 4,
+    errors.AutomatonTooLarge: 4,
 }
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distctl.ebm import (
+    DEFAULT_LAMBDA_CLAMP,
     Ebm,
     FitConfig,
     fit_lambda,
@@ -11,10 +12,13 @@ from distctl.ebm import (
     snis_weights,
 )
 from distctl.errors import (
+    AutomatonTooLarge,
     ConfigError,
     DegenerateWeights,
     EmptySupport,
+    SupportViolation,
     UnattainableTarget,
+    UniverseTooLarge,
 )
 from distctl import seqspace
 from distctl.estimators import exact_kl
@@ -26,6 +30,7 @@ from distctl.features import (
     TokenRatio,
     WordlistPresence,
 )
+from distctl.lm import RowGradient, TabularARModel
 from distctl.metrics import EvalOptions, snapshot
 from distctl.seqspace import SequenceSpace
 
@@ -35,9 +40,11 @@ from helpers import (
     batch_from,
     batch_of,
     bisect_lambda,
+    dense_logits,
     enumerate_sequences,
     enumeration,
     exact_hybrid_projection,
+    exact_moments,
     from_distribution,
     hybrid_task,
     member_log_scores,
@@ -48,6 +55,7 @@ from helpers import (
     traced_peak,
     uniform_model,
     universe_arrays,
+    universe_moments,
     whole_matrix_normalize,
 )
 
@@ -246,7 +254,7 @@ def test_hybrid_exact_moments_at_the_bisected_lambda():
     lam_star, p_star = exact_hybrid_projection(base, cs)
     assert lam_star == pytest.approx(2.169, abs=1e-3)
     ebm = Ebm(base=base, constraint_set=cs, lam=[lam_star])
-    np.testing.assert_allclose(ebm.exact_moments(), [1.0, 0.5], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(exact_moments(ebm), [1.0, 0.5], rtol=0, atol=1e-9)
     np.testing.assert_allclose(ebm.exact_normalize()[1], p_star, rtol=1e-9, atol=0)
 
 
@@ -260,7 +268,7 @@ def test_hybrid_target_is_zero_off_b(rng):
     _, p = ebm.exact_normalize()
     assert (p[b == 0] == 0.0).all()
     assert (p[b == 1] > 0.0).all()
-    assert ebm.exact_moments()[0] == pytest.approx(1.0, abs=1e-12)
+    assert exact_moments(ebm)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hybrid_hull_check_reads_the_rows_with_b_one(ab_space, ab_uniform):
@@ -307,7 +315,7 @@ def test_hybrid_fit_is_near_the_exact_projection():
     _, p_star = exact_hybrid_projection(base, cs)
     _, p = ebm.exact_normalize()
     assert report.converged
-    assert ebm.exact_moments()[0] == pytest.approx(1.0, abs=1e-12)
+    assert exact_moments(ebm)[0] == pytest.approx(1.0, abs=1e-12)
     assert exact_kl(p_star, p) < 2e-3
 
 
@@ -366,16 +374,18 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 # The exact oracles' memory bounds, in universe-sized float64 arrays. A
 # target's normalization holds the base's exact log-probs, which become its
 # distribution in place, and the universe features, here one bool per
-# sequence; the tilt's temporaries are block-sized. With its caches filled, a
-# snapshot adds the policy's distribution, and `exact_kl` its support masks.
-# A target with a pointwise constraint has zeros in its distribution, so
-# `exact_kl` also copies both distributions onto its support, nearly two arrays
-# more. At 256-row blocks the peaks read 2.68 (a tilt alone) and 4.21 (a
-# pointwise product). Keyed by whether the target has a pointwise constraint. The universe's token matrix of a length-8 space would add four
-# arrays, and its lengths one; its per-block batches stay small while
+# sequence; the tilt's temporaries are block-sized. With those caches filled,
+# the policy's exact distribution adds one array and its prefix DP's
+# block-sized gathers; the snapshot's exact columns come from the target DP,
+# whose parts hold at most ENUMERATION_CHUNK_ROWS prefixes, so it adds almost
+# nothing. At 256-row blocks both targets read 2.64 (a tilt and a
+# pointwise product); a snapshot that enumerated read 2.68 and 4.21 (its
+# `exact_kl` compacted both distributions onto a pointwise target's support).
+# The universe's token matrix of a length-8 space would add four arrays, and
+# its lengths one; its per-block batches stay small while
 # ENUMERATION_CHUNK_ROWS is.
 ORACLE_SPACE = (4, 8)  # 87,381 sequences
-ORACLE_UNIVERSE_ARRAYS = {False: 2.9, True: 4.6}
+ORACLE_UNIVERSE_ARRAYS = 2.7
 
 
 @pytest.fixture
@@ -389,7 +399,7 @@ def exact_oracles_peak(ebm, policy, rng):
 
     def oracles():
         ebm.exact_normalize()
-        ebm.exact_moments()
+        exact_moments(ebm)
         policy.exact_distribution()
         snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
 
@@ -403,7 +413,7 @@ def test_exact_oracles_leave_the_enumeration_unencoded(small_blocks, rng):
     base = random_model(space, 2, rng)
     policy = base.to_order(space.lmax, trainable=True)
     ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
-    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[False]
+    assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS
     assert enumeration(space)._events is None
 
 
@@ -479,8 +489,7 @@ def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
         Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
         Ebm(base=base, constraint_set=presence_set(space, "a", 1.0, pointwise=True), lam=[]),
     ):
-        pointwise = bool(len(ebm.pointwise_columns))
-        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS[pointwise], pointwise
+        assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS, ebm.lam
     assert not hasattr(SequenceSpace, "enumeration")
 
 
@@ -569,12 +578,235 @@ def test_universe_moments_agree_with_the_whole_matrix(monkeypatch, rng, kind):
     for chunk in (256, 7):
         monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
         for d in dists:
-            np.testing.assert_allclose(ebm.universe_moments(d), d @ phi, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(universe_moments(ebm, d), d @ phi, rtol=1e-12, atol=0)
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 1 << 16)
     for d in dists:
-        assert ebm.universe_moments(d).tobytes() == (d @ phi).tobytes()
-    assert ebm.exact_moments().tobytes() == (dists[0] @ phi).tobytes()
+        assert universe_moments(ebm, d).tobytes() == (d @ phi).tobytes()
+    assert exact_moments(ebm).tobytes() == (dists[0] @ phi).tobytes()
 
+
+# -- the exact DP against enumeration ------------------------------------------
+
+DP_RTOL = 1e-12
+DP_KL_ATOL = 1e-14  # a KL near 0 (lam near 0) is compared absolutely
+
+
+def dp_target(rng, base_order: int, case: int) -> Ebm:
+    """A target on criterion 4's random small spaces (2-4 body tokens, lmax
+    3-5): an order-`base_order` base and one to three of the four feature
+    kinds, each binary one pointwise with probability 0.3. Every fourth case
+    is pointwise-only, so p has zero-mass contexts; the others take every lam
+    at +lambda_clamp, -lambda_clamp or in (-1.5, 1.5), by case."""
+    space = small_space(int(rng.integers(2, 5)), int(rng.integers(3, 6)))
+    v = space.vocabulary
+
+    def token():
+        return v.tokens[v.body_indices[int(rng.integers(space.body_size))]]
+
+    base = random_model(space, base_order, rng, scale=0.6)
+    kinds = [
+        TokenPresence(v, token(), "presence"),
+        WordlistPresence(v, [token(), token()], "wordlist"),
+        PrefixMatch(v, [token() for _ in range(int(rng.integers(1, 3)))], "prefix"),
+        TokenRatio(v, [v.tokens[0]], [v.tokens[0], v.tokens[1]], 0.3, "ratio"),
+    ]
+    pointwise_only = case % 4 == 0
+    chosen = [kinds[i] for i in rng.permutation(3 if pointwise_only else 4)[: rng.integers(1, 4)]]
+    cs = ConstraintSet([
+        ConstraintSpec(f, 1.0, pointwise=True)
+        if pointwise_only or (f.binary and rng.random() < 0.3) else ConstraintSpec(f, 0.5)
+        for f in chosen
+    ])
+    count = int((~cs.pointwise).sum())
+    if case % 3 < 2:
+        lam = np.full(count, [DEFAULT_LAMBDA_CLAMP, -DEFAULT_LAMBDA_CLAMP][case % 3])
+    else:
+        lam = rng.uniform(-1.5, 1.5, size=count)
+    return Ebm(base=base, constraint_set=cs, lam=lam)
+
+
+def dp_policies(rng, ebm: Ebm) -> list[TabularARModel]:
+    """Policies of every order 1..lmax, the base itself, and the base lifted
+    to lmax with some contexts written (shared and owned rows)."""
+    space = ebm.space
+    policies = [random_model(space, k, rng, scale=0.6) for k in range(1, space.lmax + 1)]
+    lifted = ebm.base.to_order(space.lmax, trainable=True)
+    written = np.unique(rng.integers(0, lifted.coding.n_contexts, size=5))
+    grad = rng.standard_normal((len(written), space.vocabulary.size))
+    lifted.apply_update(RowGradient(written, grad), 0.5)
+    return policies + [ebm.base, lifted]
+
+
+@pytest.mark.parametrize("base_order", [1, 2, 3])
+def test_target_dp_matches_enumeration(base_order):
+    rng = np.random.default_rng(4000 + base_order)
+    for case in range(16):
+        ebm = dp_target(rng, base_order, case)
+        try:
+            z, p = ebm.exact_normalize()
+        except EmptySupport:  # a pointwise set no sequence satisfies
+            with pytest.raises(EmptySupport):
+                ebm.exact_target()
+            continue
+        dp = ebm.exact_target()
+        assert dp.z == pytest.approx(z, rel=DP_RTOL, abs=0)
+        np.testing.assert_allclose(dp.moments, exact_moments(ebm), rtol=DP_RTOL, atol=0)
+        kl_p_a = exact_kl(p, ebm.base.exact_distribution())
+        assert dp.kl_p_a == pytest.approx(kl_p_a, rel=DP_RTOL, abs=DP_KL_ATOL)
+        for policy in dp_policies(rng, ebm):
+            pi = policy.exact_distribution()
+            kl, e_phi = ebm.exact_policy_terms(policy)
+            assert kl == pytest.approx(exact_kl(p, pi), rel=DP_RTOL, abs=DP_KL_ATOL), policy.order
+            np.testing.assert_allclose(e_phi, universe_moments(ebm, pi), rtol=DP_RTOL, atol=0)
+
+
+def test_policy_dp_does_not_depend_on_how_the_policy_stores_its_rows(rng):
+    """A lifted policy shares its base's rows; the same distribution with one
+    stored row per context gives the same bits."""
+    space = small_space(3, 5)
+    base = random_model(space, 2, rng)
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
+    lifted = dp_policies(rng, ebm)[-1]
+    dense = TabularARModel(space=space, order=lifted.order, logits=dense_logits(lifted))
+    assert len(lifted.logits) < len(dense.logits)
+    kl, e_phi = ebm.exact_policy_terms(lifted)
+    kl_dense, e_phi_dense = ebm.exact_policy_terms(dense)
+    assert (kl, e_phi.tobytes()) == (kl_dense, e_phi_dense.tobytes())
+
+
+def test_policy_dp_in_small_parts_matches_one_part(monkeypatch, rng):
+    space = small_space(3, 6)
+    ebm = Ebm(base=random_model(space, 2, rng), constraint_set=presence_set(space, "b", 0.3),
+              lam=np.array([-1.2]))
+    for policy in dp_policies(rng, ebm):
+        whole = ebm.exact_policy_terms(policy)
+        monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 7)
+        kl, e_phi = ebm.exact_policy_terms(policy)
+        monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 1 << 16)
+        assert kl == pytest.approx(whole[0], rel=DP_RTOL)
+        np.testing.assert_allclose(e_phi, whole[1], rtol=DP_RTOL, atol=0)
+
+
+def test_policy_dp_refuses_a_row_whose_exp_underflows_where_p_has_mass(rng):
+    """A logit 1e5 below its row's others has a finite log-prob whose exp is
+    0: where p puts mass on that token the exact KL is refused, as the
+    enumerated KL refuses a sequence of probability 0; where p puts none it
+    is not."""
+    space = small_space(3, 3)
+    v = space.vocabulary
+    base = random_model(space, 2, rng)
+    policy = base.to_order(space.lmax, trainable=True)
+    grad = np.zeros((1, v.size))
+    grad[0, v.index("a")] = -1e5
+    policy.apply_update(RowGradient(np.array([0]), grad), 1.0)  # the empty prefix's row
+    row = policy.log_softmax[policy.row_map[0]]
+    assert np.isfinite(row).all() and np.exp(row[v.index("a")]) == 0.0
+    tilted = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
+    with pytest.raises(SupportViolation, match="^second distribution misses support of the first$"):
+        tilted.exact_policy_terms(policy)
+    starts_with_b = ConstraintSet([ConstraintSpec(PrefixMatch(v, ["b"]), 1.0, pointwise=True)])
+    ebm = Ebm(base=base, constraint_set=starts_with_b, lam=[])
+    kl, _ = ebm.exact_policy_terms(policy)
+    assert kl == pytest.approx(exact_kl(ebm.exact_normalize()[1], policy.exact_distribution()),
+                               rel=DP_RTOL)
+
+
+def test_target_dp_runs_past_the_enumeration_guard(rng):
+    """Body 9 and lmax 12 hold 3.2e11 sequences, past the guard, yet Z and
+    E_p[phi] come from the DP. For one presence feature both have a closed
+    form in the base's presence rate, here from the complement: the chance
+    that the order-2 base never emits the token. The policy pass gives
+    KL(p || a) and E_a[phi] back for the base itself."""
+    space = small_space(9, 12)
+    base = random_model(space, 2, rng)
+    lam = 1.1
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "c", 0.5), lam=np.array([lam]))
+    with pytest.raises(UniverseTooLarge):
+        ebm.exact_normalize()
+    probs = np.exp(base.log_softmax[base.row_map])  # row 0: empty context; 1 + r: last token r
+    c, eos = space.vocabulary.index("c"), space.vocabulary.eos_index
+    alive, never = np.eye(len(probs))[0], 0.0  # mass per context of the prefixes without c
+    for _ in range(space.lmax):
+        never += alive @ probs[:, eos]
+        moved = alive[:, None] * probs[:, space.vocabulary.body_indices]
+        moved[:, c] = 0.0
+        alive = np.concatenate([[0.0], moved.sum(axis=0)])
+    has = 1.0 - (never + alive.sum())
+    z = 1.0 + (np.exp(lam) - 1.0) * has
+    dp = ebm.exact_target()
+    assert dp.z == pytest.approx(z, rel=DP_RTOL)
+    assert dp.moments[0] == pytest.approx(np.exp(lam) * has / z, rel=DP_RTOL)
+    assert dp.kl_p_a == pytest.approx(lam * dp.moments[0] - np.log(z), rel=DP_RTOL)
+    kl, e_phi = ebm.exact_policy_terms(base)
+    assert kl == pytest.approx(dp.kl_p_a, rel=DP_RTOL)
+    assert e_phi[0] == pytest.approx(has, rel=DP_RTOL)
+
+
+def test_policy_dp_walks_sequences_longer_than_the_recursion_limit(rng):
+    """At lmax 1,500 the walk is 1,500 steps deep. For an order-1 base a
+    presence rate is a geometric sum, and the base as its own policy gives
+    KL(p || a) back."""
+    space = small_space(2, 1500)
+    base = random_model(space, 1, rng)
+    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.5), lam=np.array([0.7]))
+    q = np.exp(base.log_softmax[0])
+    stay = q[space.vocabulary.index("b")]  # a step that neither ends nor emits "a"
+    never = q[space.vocabulary.eos_index] * (1 - stay**space.lmax) / (1 - stay) + stay**space.lmax
+    kl, e_phi = ebm.exact_policy_terms(base)
+    assert e_phi[0] == pytest.approx(1.0 - never, rel=DP_RTOL)
+    assert kl == pytest.approx(ebm.exact_target().kl_p_a, rel=DP_RTOL)
+
+
+def test_target_dp_guards_the_product_state_count(ab_space, ab_uniform):
+    """Thirteen presence features take 2 ** 13 product states, past the
+    4,096 the guard allows: the DP refuses them by name, exit code 4."""
+    v = ab_space.vocabulary
+    cs = ConstraintSet([ConstraintSpec(TokenPresence(v, "a", f"a{i}"), 0.5) for i in range(13)])
+    ebm = Ebm(base=ab_uniform, constraint_set=cs, lam=np.zeros(13))
+    with pytest.raises(AutomatonTooLarge, match="8192 states, more than 4096") as err:
+        ebm.exact_target()
+    assert err.value.exit_code == 4
+
+
+
+@pytest.mark.parametrize("kind", ["presence", "ratio"])
+def test_target_dp_tables_hold_no_vocabulary_axis(rng, kind):
+    """On a base of order lmax every prefix is its own base context, so the
+    DP's tables are as large as they get: beta(t, c, s) holds b**t contexts
+    times the states at each step t < lmax - 1, and the base's stored rows
+    times the states at the last, and nothing else is kept. Building them
+    peaks at 3.22 (presence, 2 states) and 3.06 (ratio, 81 states) times the
+    tables' own bytes; a version that kept p(v | t, c, s) with its
+    vocabulary axis peaked at 15.9 and 15.6 times them."""
+    space = small_space(4, 8)
+    base = random_model(space, space.lmax, rng)
+    v = space.vocabulary
+    feature = TokenPresence(v, "a") if kind == "presence" else TokenRatio(v, ["a"], ["a", "b"], 0.5)
+    ebm = Ebm(base=base, constraint_set=ConstraintSet([ConstraintSpec(feature, 0.4)]),
+              lam=np.array([0.8]))
+    dp, peak = traced_peak(ebm.exact_target)
+    states, rows = dp.automaton.n_states, len(base.log_softmax)
+    keys = [4**t for t in range(space.lmax - 1)] + [rows]
+    assert [t.shape for t in dp.beta] == [(k, states) for k in keys]
+    tables = sum(t.nbytes for t in dp.beta)
+    assert tables == 8 * states * sum(keys)
+    assert peak <= 4.0 * tables
+
+
+def test_target_dp_guards_its_table_cells(monkeypatch, rng):
+    """An order-lmax base on body 4, lmax 5 gives the DP 85 contexts before
+    the last step and 341 stored rows at it; a ratio's 36 states make 15,336
+    cells, past a guard of 2,000 that the 1,365-sequence universe passes."""
+    space = small_space(4, 5)
+    base = random_model(space, space.lmax, rng)
+    v = space.vocabulary
+    ratio = ConstraintSet([ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"], 0.5), 0.4)])
+    ebm = Ebm(base=base, constraint_set=ratio, lam=np.array([0.8]))
+    monkeypatch.setattr(seqspace, "ENUMERATION_GUARD", 2000)
+    space.guard()
+    with pytest.raises(AutomatonTooLarge, match="15336 .* cells, more than 2000$") as err:
+        ebm.exact_target()
+    assert err.value.exit_code == 4
 
 # -- information-geometry properties -------------------------------------------
 
@@ -651,7 +883,7 @@ def test_fit_exact_moment_reaches_target(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.8)
     report, ebm = fit_lambda(ab_uniform, cs, fit_config())
     assert report.converged
-    assert abs(ebm.exact_moments()[0] - 0.8) < 0.02
+    assert abs(exact_moments(ebm)[0] - 0.8) < 0.02
 
 
 def test_lambda_clamp_is_enforced(ab_space, ab_uniform):

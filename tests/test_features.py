@@ -3,8 +3,9 @@ import pytest
 
 from distctl.baselines import RejectionConfig, rejection_mle
 from distctl.ebm import Ebm
-from distctl.errors import ConfigError, NoPointwiseConstraints
+from distctl.errors import AutomatonTooLarge, ConfigError, NoPointwiseConstraints
 from distctl.features import (
+    MAX_FEATURE_STATES,
     ConstraintSet,
     ConstraintSpec,
     PrefixMatch,
@@ -97,7 +98,56 @@ FEATURES = pytest.mark.parametrize("make", [
     lambda v: TokenRatio(v, ["a"], ["a", "b"]),
     lambda v: PrefixMatch(v, ["b", "a"]),
     lambda v: TokenRatio(v, ["a", "c"], ["a", "b", "c"], empty_default=0.25),
+    lambda v: PrefixMatch(v, ["c"] * 5),  # longer than lmax: never matches
 ])
+
+
+def run_automaton(automaton, x: Sequence):
+    """The value of the state the automaton ends `x` in, one token at a time."""
+    state = automaton.start
+    for token in x.tokens:
+        state = automaton.delta[state, token]
+    return automaton.values[state]
+
+
+@FEATURES
+def test_automaton_ends_every_sequence_at_its_value(make):
+    space = small_space(3, 4)
+    f = make(space.vocabulary)
+    batch = enumeration(space)
+    ends = [run_automaton(f.automaton(space), x) for x in sequences(batch)]
+    assert np.array_equal(ends, f.evaluate_batch(batch))
+
+
+def test_constraint_set_automaton_is_the_product_of_its_members():
+    space = small_space(3, 4)
+    v = space.vocabulary
+    members = [TokenRatio(v, ["a"], ["a", "b"]), PrefixMatch(v, ["b", "a"]),
+               WordlistPresence(v, ["a", "c"])]
+    cs = ConstraintSet([ConstraintSpec(f, 0.5) for f in members])
+    auto = cs.automaton(space)
+    assert auto.n_states == np.prod([f.automaton(space).n_states for f in members])
+    batch = enumeration(space)
+    ends = np.array([run_automaton(auto, x) for x in sequences(batch)])
+    assert np.array_equal(ends, cs.feature_matrix(batch))
+    empty = ConstraintSet([]).automaton(space)
+    assert (empty.n_states, empty.values.shape) == (1, (1, 0))
+
+
+def test_automata_are_guarded_before_they_are_built():
+    """A ratio at lmax 64 would count its tokens in 65 ** 2 = 4,225 states,
+    one at lmax 10,000 in 1e8: each is refused before its table exists, and
+    so is a product past the guard."""
+    space = small_space(3, 63)
+    v = space.vocabulary
+    ratio = TokenRatio(v, ["a"], ["a", "b"])
+    assert ratio.automaton(space).n_states == 64**2 <= MAX_FEATURE_STATES
+    for lmax, count in ((64, 4225), (10_000, 10_001**2)):
+        with pytest.raises(AutomatonTooLarge, match=f"{count} states, more than 4096"):
+            ConstraintSet([ConstraintSpec(ratio, 0.5)]).automaton(small_space(3, lmax))
+    with pytest.raises(AutomatonTooLarge, match="8192 states"):
+        ConstraintSet([ConstraintSpec(ratio, 0.5), ConstraintSpec(TokenPresence(v, "c"), 0.5)]
+                      ).automaton(space)
 
 
 @FEATURES

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distctl import estimators
 from distctl.ebm import Ebm
+from distctl.estimators import exact_kl
 from distctl.lm import TabularARModel
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
@@ -15,7 +17,7 @@ from distctl.metrics import (
     snapshot,
     zipf_table,
 )
-from distctl.seqspace import Vocabulary
+from distctl.seqspace import SequenceSpace, Vocabulary
 
 from helpers import (
     Sequence,
@@ -327,14 +329,40 @@ def test_zipf_sum_identity(samples):
     assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
 
 
-def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng):
-    """Once the target's exact distribution and universe features are cached,
-    an exact snapshot allocates the policy's distribution and little else: its
-    tracemalloc peak stays within 1.3 universe-sized float64 arrays (the DP
-    writes in place and gathers the lifted policy's rows a chunk at a time,
-    and exact_kl builds its terms in the policy distribution's own buffer once
-    the expected features are read from it). The policy's dense table would
-    be 1.12 such arrays, so the snapshot builds nothing of its size."""
+def test_exact_snapshot_calls_no_enumeration_oracle(monkeypatch, rng):
+    """The exact columns come from the target DP alone: every enumeration
+    oracle is made to fail, and the snapshot still matches enumeration."""
+    space = small_space(3, 4)
+    base = random_model(space, 2, rng)
+    cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
+    target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
+    policy = random_model(space, space.lmax, rng)
+    p, pi = target.exact_normalize()[1], policy.exact_distribution()
+    expected = exact_kl(p, pi), pi @ cs.feature_matrix(enumeration(space))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an enumeration oracle was called")
+
+    for owner, name in ((Ebm, "exact_normalize"), (Ebm, "phi_universe"),
+                        (TabularARModel, "exact_distribution"),
+                        (TabularARModel, "exact_log_distribution"),
+                        (SequenceSpace, "enumeration_blocks"), (estimators, "exact_kl")):
+        monkeypatch.setattr(owner, name, refused)
+    record = snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64, exact=True))
+    assert record.kl_p_pi_exact == pytest.approx(expected[0], rel=1e-12)
+    np.testing.assert_allclose(record.e_phi_exact, expected[1], rtol=1e-12, atol=0)
+
+
+def test_warm_exact_snapshot_holds_less_than_one_universe_array(rng):
+    """Once the target's DP tables are cached, an exact snapshot makes no
+    universe-sized array: its exact columns come from the forward pass over
+    the policy's prefixes (`Ebm.exact_policy_terms`), which holds a few
+    arrays of at most one part of ENUMERATION_CHUNK_ROWS prefixes. Here the
+    longest prefixes, 32,768 of them, fit in one part, and the peak reads
+    0.88 universe-sized float64 arrays; the enumerating snapshot read 1.26
+    (the policy's distribution and `exact_kl`'s masks). The policy's dense
+    table would be 1.12 such arrays, so the snapshot builds nothing of its
+    size."""
     space = small_space(8, 6)  # 299,593 sequences
     base = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
@@ -344,4 +372,4 @@ def test_warm_exact_snapshot_allocates_little_beyond_the_policy_distribution(rng
     snapshot(0, "gdc", policy, target, rng, options)  # fills the target's caches
     _, peak = traced_peak(snapshot, 1, "gdc", policy, target, rng, options)
     assert universe_arrays(dense_table_bytes(policy), space) > 1.1
-    assert universe_arrays(peak, space) <= 1.3
+    assert universe_arrays(peak, space) <= 0.95
