@@ -174,10 +174,7 @@ def _fit_document(report: FitReport, constraint_set: ConstraintSet) -> dict:
 
 def run_fit(run: _Run) -> None:
     cfg = run.cfg
-    base = cfg.build_base()
-    constraint_set = cfg.build_constraints(base.space)
-    if len(constraint_set) == 0:
-        raise ConfigError("config.constraints: fit needs at least one constraint")
+    base, constraint_set = _build(cfg, "fit")
     run.end("build")
     report, _ = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")

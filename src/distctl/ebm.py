@@ -171,8 +171,7 @@ def _exact_target(ebm: "Ebm") -> ExactTarget:
     log_value = ebm.log_scores(np.zeros(states), auto.values)  # log b(s) + lam . phi(s)
     value = np.exp(log_value)
     step_states = auto.delta[:, body]
-    after = np.empty((len(log_a[0]), states), dtype=np.int64)  # the state after each token
-    after[eos], after[body] = np.arange(states), step_states.T
+    after = auto.delta.T  # the state after each token, EOS staying
 
     def step_rows(t):  # the base's stored row of each context at step t
         lo = base.coding.step_offset(t)
@@ -191,11 +190,11 @@ def _exact_target(ebm: "Ebm") -> ExactTarget:
         beta.append(beta_t)
     beta.reverse()
     start_key = int(_step_keys(base, 0, np.zeros(1, dtype=np.int64))[0])
-    z = float(beta[0][start_key, auto.start])
+    z = float(beta[0][start_key, 0])  # every automaton starts in state 0
     if not z > 0.0:
         raise EmptySupport("EBM scores sum to zero over the universe")
     alpha = np.zeros((_step_size(base, 0), states))  # base mass of the prefixes per (key, state)
-    alpha[start_key, auto.start] = 1.0
+    alpha[start_key, 0] = 1.0
     ended = np.zeros(states)  # the base mass of the sequences ending in each state
     for t in range(lmax - 1):
         rows = step_rows(t)
@@ -256,8 +255,8 @@ class _PolicyWalk:
         the walk visits the parts, each before its children. The walk keeps a
         stack of child-part generators, one per step, so its depth is lmax
         whatever Python's recursion limit."""
-        start = np.array([self.dp.automaton.start], dtype=np.int64)
-        pending = [iter([(0, np.zeros(1, dtype=np.int64), start, np.ones(1), np.ones(1))])]
+        start = np.zeros(1, dtype=np.int64)  # the empty context, in the automaton's state 0
+        pending = [iter([(0, start, start, np.ones(1), np.ones(1))])]
         kl, e_phi = 0.0, np.zeros(self.dp.automaton.values.shape[1])
         while pending:
             part = next(pending[-1], None)
@@ -468,30 +467,41 @@ def moment_preserving_perturbations(
     """Distributions near p with exactly p's feature moments and normalization,
     yielded one at a time: at most `count` of them.
 
-    Random directions are projected orthogonal to the all-ones vector and every
-    feature column (restricted to p's support), then added with half the
-    largest step that preserves positivity. Used to sample the constraint
-    manifold around an exponential-family point.
+    Random directions on p's support are projected orthogonal to the all-ones
+    vector and every feature column there, through the Gram matrix of
+    [1, phi] on the support, then added with half the largest step that
+    preserves positivity. Used to sample the constraint manifold around an
+    exponential-family point. Its sums run block by block, so a perturbation
+    holds one universe-sized array, the direction that becomes the candidate.
     """
     p = np.asarray(p, dtype=float)
     active = p > 0
-    basis = np.column_stack([np.ones(int(active.sum())), phi[active]])
+    step = seqspace.ENUMERATION_CHUNK_ROWS
+    blocks = [slice(lo, lo + step) for lo in range(0, len(p), step)]
+
+    def basis(rows):  # [1, phi] on one block's rows, 0 off p's support
+        return np.column_stack([active[rows], phi[rows] * active[rows, None]]).astype(float)
+
+    gram = sum(b.T @ b for b in map(basis, blocks))
     made = attempts = 0
     while made < count and attempts < 50 * count:
         attempts += 1
-        r = rng.standard_normal(int(active.sum()))
-        residual = r - basis @ np.linalg.lstsq(basis, r, rcond=None)[0]
-        norm = np.abs(residual).max()
-        if norm < 1e-12:
+        c = np.zeros_like(p)  # the direction, then the candidate
+        c[active] = rng.standard_normal(int(np.count_nonzero(active)))
+        coef = np.linalg.lstsq(gram, sum(basis(rows).T @ c[rows] for rows in blocks),
+                               rcond=None)[0]
+        room = np.inf  # the step that takes the first support cell to 0
+        for rows in blocks:
+            part = c[rows]
+            part -= basis(rows) @ coef
+            negative = part < 0
+            if negative.any():
+                room = min(room, float(np.min(p[rows][negative] / -part[negative])))
+        if np.abs(c).max() < 1e-12 or room == np.inf:
             continue
-        v = np.zeros_like(p)
-        v[active] = residual
-        negative = v < 0
-        if not negative.any():
-            continue
-        t = 0.5 * float(np.min(p[negative] / -v[negative]))
-        c = p + t * v
-        c[c < 0] = 0.0  # guard against rounding at the positivity boundary
+        c *= 0.5 * room
+        c += p
+        np.maximum(c, 0.0, out=c)  # guard against rounding at the positivity boundary
         c /= c.sum()
         made += 1
         yield c

@@ -1,21 +1,13 @@
 """Rule-based feature functions and moment-constraint specifications.
 
 Every feature is total over the universe, including the empty sequence, and
-is evaluated on whole batches only; the tests hold each one equal to a
-per-sequence reference over full enumerations and random batches.
-
-The token features read the positions of their hits: a token comparison over
-the batch's token matrix, kept to the cells inside each row's body (`_hit_rows`).
-A presence feature scatters 1.0 into the rows hit, and a ratio counts each
-row's hits with `np.bincount`.
-
-Every feature kind is also a finite automaton over a sequence's body tokens
-(`Feature.automaton`): a start state, a transition on each body token, and
-the feature's value on the state a sequence ends in. A presence feature needs
-one bit, a prefix match its match position plus "failed", and a ratio its
-(numerator, denominator) counts. A constraint set's automaton is the product
-of its members', guarded by MAX_FEATURE_STATES; the exact target DP of `ebm`
-runs over it instead of over the universe.
+is defined once, as a finite automaton over a sequence's body tokens (see
+`Feature`). A presence feature needs one bit, a prefix match its match
+position plus "failed", and a ratio its (numerator, denominator) counts.
+`ConstraintSet.feature_matrix` folds each feature over a batch, one state per
+row and no table; `ConstraintSet.automaton` tabulates the members' product
+for the exact target DP of `ebm`, guarded by MAX_FEATURE_STATES before any
+table is built.
 """
 
 from __future__ import annotations
@@ -32,13 +24,12 @@ MAX_FEATURE_STATES = 1 << 12  # product states a constraint set's automaton may 
 
 @dataclass(frozen=True)
 class Automaton:
-    """A function of a sequence as a finite automaton: it starts in `start`,
-    steps from state s to `delta[s, v]` on body token v (a vocabulary index;
-    the EOS column is never read), and is worth `values[s]` on a sequence that
-    ends in state s. `values` is (n_states,) for one feature, and
+    """A function of a sequence as a finite automaton: it starts in state 0,
+    steps from state s to `delta[s, v]` on token v (a vocabulary index; on
+    EOS every state stays), and is worth `values[s]` on a sequence that ends
+    in state s. `values` is (n_states,) for one feature, and
     (n_states, n_features) for a constraint set's product."""
 
-    start: int
     delta: np.ndarray  # (n_states, vocabulary size) int64
     values: np.ndarray
 
@@ -47,18 +38,11 @@ class Automaton:
         return len(self.delta)
 
 
-def _hit_rows(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
-    """The row of each True cell of `hit`, an (n, width) mask over the batch's
-    tokens, that lies inside its row's body (column < length), in row order."""
-    rows, cols = np.divmod(np.flatnonzero(hit), batch.width)
-    return rows[cols < batch.lengths[rows]]
-
-
-def _presence(batch: SampleBatch, hit: np.ndarray) -> np.ndarray:
-    """1.0 for each row with a hit inside its body, else 0.0."""
-    out = np.zeros(len(batch))
-    out[_hit_rows(batch, hit)] = 1.0
-    return out
+def _token_hits(vocab: Vocabulary, indices) -> np.ndarray:
+    """1 at each of `indices`, else 0, over the vocabulary and the -1 padding."""
+    hits = np.zeros(vocab.size + 1, dtype=np.int64)
+    hits[list(indices)] = 1
+    return hits
 
 
 def _guard_states(count: int) -> None:
@@ -70,39 +54,35 @@ def _guard_states(count: int) -> None:
         )
 
 
-def _presence_automaton(space: SequenceSpace, indices) -> Automaton:
-    """One bit: set by the first of `indices`, then kept."""
-    delta = np.zeros((2, space.vocabulary.size), dtype=np.int64)
-    delta[0, list(indices)] = 1
-    delta[1] = 1
-    return Automaton(start=0, delta=delta, values=np.array([0.0, 1.0]))
-
-
 class Feature:
     """Base feature: a named, range-declared function of a sequence, which
-    each kind evaluates with `evaluate_batch(batch)`, one value per row, and
-    declares as a finite automaton with `automaton(space)`."""
+    each kind defines as a finite automaton that starts in state 0. A kind
+    declares its state count on sequences of at most `lmax` tokens
+    (`n_states(lmax)`), the state after each of a batch of (state, token)
+    pairs (`step(states, tokens, lmax)`, a token being a vocabulary index or
+    a batch's -1 padding), and the value of each state
+    (`value(states, lmax)`)."""
 
     id: str
     binary: bool
 
-
-class TokenPresence(Feature):
-    binary = True
-
-    def __init__(self, vocab: Vocabulary, token: str, feature_id: str | None = None):
-        self.index = vocab.index(token)
-        self.id = feature_id or f"has_{token}"
-
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        return _presence(batch, batch.tokens == self.index)
-
     def automaton(self, space: SequenceSpace) -> Automaton:
-        return _presence_automaton(space, [self.index])
+        """The feature's transition table over the space's vocabulary, EOS
+        staying. Raises AutomatonTooLarge past MAX_FEATURE_STATES states,
+        before the table is built."""
+        lmax, size = space.lmax, space.vocabulary.size
+        count = self.n_states(lmax)
+        _guard_states(count)
+        states = np.arange(count)
+        tokens = np.tile(np.arange(size), count)
+        delta = self.step(np.repeat(states, size), tokens, lmax).reshape(count, size)
+        delta[:, space.vocabulary.eos_index] = states
+        return Automaton(delta=delta, values=self.value(states, lmax))
 
 
 class WordlistPresence(Feature):
-    """1 iff the sequence contains at least one token from the list."""
+    """1 iff the sequence contains at least one token from the list: one bit,
+    set by the first of them, then kept."""
 
     binary = True
 
@@ -110,20 +90,32 @@ class WordlistPresence(Feature):
         if not tokens:
             raise ConfigError("must be non-empty", "tokens")
         self.indices = frozenset(vocab.index(t) for t in tokens)
+        self.hits = _token_hits(vocab, self.indices)
         self.id = feature_id or "has_any_" + "_".join(sorted(tokens))
 
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        return _presence(batch, np.isin(batch.tokens, list(self.indices)))
+    def n_states(self, lmax: int) -> int:
+        return 2
 
-    def automaton(self, space: SequenceSpace) -> Automaton:
-        return _presence_automaton(space, self.indices)
+    def step(self, states: np.ndarray, tokens: np.ndarray, lmax: int) -> np.ndarray:
+        return states | self.hits[tokens]
+
+    def value(self, states: np.ndarray, lmax: int) -> np.ndarray:
+        return states.astype(float)
+
+
+class TokenPresence(WordlistPresence):
+    def __init__(self, vocab: Vocabulary, token: str, feature_id: str | None = None):
+        super().__init__(vocab, [token], feature_id or f"has_{token}")
+        self.index = vocab.index(token)
 
 
 class TokenRatio(Feature):
     """Count(numerator tokens) / count(denominator tokens), a real in [0, 1].
 
     `empty_default` is returned when the sequence contains no denominator
-    token at all (the empty sequence included).
+    token at all (the empty sequence included). The state is
+    num * (lmax + 1) + den, the counts so far, each at most lmax (a step past
+    lmax is never taken on a sequence, and is clipped to stay a state).
     """
 
     binary = False
@@ -143,36 +135,32 @@ class TokenRatio(Feature):
         if not 0.0 <= empty_default <= 1.0:
             raise ConfigError("must lie in [0, 1]", "empty_default")
         self.empty_default = empty_default
+        self.num_hits, self.den_hits = _token_hits(vocab, self.num), _token_hits(vocab, self.den)
         self.id = feature_id or "ratio_" + "_".join(sorted(numerator))
 
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        n = len(batch)
-        num = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.num))), minlength=n)
-        den = np.bincount(_hit_rows(batch, np.isin(batch.tokens, list(self.den))), minlength=n)
-        return self._ratio(num, den)
+    def n_states(self, lmax: int) -> int:
+        return (lmax + 1) ** 2
 
-    def _ratio(self, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """num / den for each pair of counts, `empty_default` where den is 0."""
-        out = np.full(len(num), self.empty_default, dtype=float)
+    def step(self, states: np.ndarray, tokens: np.ndarray, lmax: int) -> np.ndarray:
+        num, den = np.divmod(states, lmax + 1)
+        num = np.minimum(num + self.num_hits[tokens], lmax)
+        den = np.minimum(den + self.den_hits[tokens], lmax)
+        return num * (lmax + 1) + den
+
+    def value(self, states: np.ndarray, lmax: int) -> np.ndarray:
+        """num / den, `empty_default` where den is 0."""
+        num, den = np.divmod(states, lmax + 1)
+        out = np.full(len(states), self.empty_default, dtype=float)
         nonzero = den > 0
         out[nonzero] = num[nonzero] / den[nonzero]
         return out
 
-    def automaton(self, space: SequenceSpace) -> Automaton:
-        """State num * (lmax + 1) + den: the counts so far, each at most lmax
-        (the step past lmax is never taken, and is clipped to stay a state)."""
-        side = space.lmax + 1
-        _guard_states(side * side)
-        num, den = np.divmod(np.arange(side * side), side)
-        grows_num = np.isin(np.arange(space.vocabulary.size), list(self.num))
-        grows_den = np.isin(np.arange(space.vocabulary.size), list(self.den))
-        new_num = np.minimum(num[:, None] + grows_num, space.lmax)
-        new_den = np.minimum(den[:, None] + grows_den, space.lmax)
-        return Automaton(start=0, delta=new_num * side + new_den, values=self._ratio(num, den))
-
 
 class PrefixMatch(Feature):
-    """1 iff the sequence starts with the given token string."""
+    """1 iff the sequence starts with the given token string. With k pattern
+    tokens, state j < k: the first j tokens match, so pattern token j moves it
+    to j + 1 and any other token to failed; k: matched; k + 1: failed. Both
+    of the last two stay."""
 
     binary = True
 
@@ -180,25 +168,22 @@ class PrefixMatch(Feature):
         if not tokens:
             raise ConfigError("must be non-empty", "tokens")
         self.pattern = tuple(vocab.index(t) for t in tokens)
+        k = len(self.pattern)
+        # per state: the token that advances it (-2: none), its next state on it and on any other
+        self.expected = np.array(self.pattern + (-2, -2))
+        self.on_match = np.array([*range(1, k + 1), k, k + 1])
+        self.on_miss = np.array([k + 1] * k + [k, k + 1])
         self.id = feature_id or "prefix_" + "_".join(tokens)
 
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        k = len(self.pattern)
-        if k > batch.width:
-            return np.zeros(len(batch))
-        long_enough = batch.lengths >= k
-        match = (batch.tokens[:, :k] == np.asarray(self.pattern)).all(axis=1)
-        return (long_enough & match).astype(float)
+    def n_states(self, lmax: int) -> int:
+        return len(self.pattern) + 2
 
-    def automaton(self, space: SequenceSpace) -> Automaton:
-        """State j < k: the first j tokens match; k: matched; k + 1: failed."""
-        k = len(self.pattern)
-        delta = np.full((k + 2, space.vocabulary.size), k + 1, dtype=np.int64)
-        delta[np.arange(k), self.pattern] = np.arange(1, k + 1)
-        delta[k] = k
-        values = np.zeros(k + 2)
-        values[k] = 1.0
-        return Automaton(start=0, delta=delta, values=values)
+    def step(self, states: np.ndarray, tokens: np.ndarray, lmax: int) -> np.ndarray:
+        matched = tokens == self.expected[states]
+        return np.where(matched, self.on_match[states], self.on_miss[states])
+
+    def value(self, states: np.ndarray, lmax: int) -> np.ndarray:
+        return (states == len(self.pattern)).astype(float)
 
 
 # Feature class of each constraint `kind` in a config; the constructors'
@@ -268,22 +253,29 @@ class ConstraintSet:
     def automaton(self, space: SequenceSpace) -> Automaton:
         """The product of the members' automata, the first member's state the
         most significant digit; its values are one column per constraint, in
-        order. Raises AutomatonTooLarge past MAX_FEATURE_STATES states."""
-        parts = [c.feature.automaton(space) for c in self.constraints]
-        _guard_states(int(np.prod([a.n_states for a in parts], dtype=object)))
-        start = 0
+        order. Raises AutomatonTooLarge past MAX_FEATURE_STATES states, before
+        any member's table is built."""
+        counts = [c.feature.n_states(space.lmax) for c in self.constraints]
+        _guard_states(int(np.prod(counts, dtype=object)))
         delta = np.zeros((1, space.vocabulary.size), dtype=np.int64)
         values = np.zeros((1, 0))
-        for a in parts:  # append one digit: state s * n + s_a
+        for c in self.constraints:  # append one digit: state s * n + s_c
+            a = c.feature.automaton(space)
             n = a.n_states
-            start = start * n + a.start
             delta = (delta[:, None, :] * n + a.delta[None, :, :]).reshape(-1, delta.shape[1])
             values = np.column_stack([np.repeat(values, n, axis=0), np.tile(a.values, len(values))])
-        return Automaton(start=start, delta=delta, values=values)
+        return Automaton(delta=delta, values=values)
 
     def feature_matrix(self, batch: SampleBatch) -> np.ndarray:
         """(n_samples, n_constraints) feature values, columns in constraint order.
-        This is the library's one evaluation of features."""
-        if not self.constraints:
-            return np.zeros((len(batch), 0))
-        return np.column_stack([c.feature.evaluate_batch(batch) for c in self.constraints])
+        This is the library's one evaluation of features: each feature's
+        automaton steps once per token column, one state per row, and a cell
+        past its row's length leaves the state as it is."""
+        features = [c.feature for c in self.constraints]
+        states = [np.zeros(len(batch), dtype=np.int64) for _ in features]
+        for col in range(int(batch.lengths.max(initial=0))):
+            inside, tokens = batch.lengths > col, batch.tokens[:, col].astype(np.intp)
+            for j, f in enumerate(features):
+                states[j] = np.where(inside, f.step(states[j], tokens, batch.width), states[j])
+        values = [f.value(s, batch.width) for f, s in zip(features, states)]
+        return np.column_stack(values) if values else np.zeros((len(batch), 0))

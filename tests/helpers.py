@@ -134,7 +134,10 @@ def sequence_rank(space: SequenceSpace, seq: Sequence) -> int:
 
 
 class PredicateTable(Feature):
-    """Explicit sequence-to-value map, for tests that need an arbitrary feature."""
+    """Explicit sequence-to-value map, for tests that need an arbitrary
+    feature. Its automaton is the trie of the table's keys: state 0 is the
+    empty prefix, each other prefix of a key has a state of its own, and one
+    last state holds every sequence that has left the trie."""
 
     def __init__(self, table: dict, default=0.0, binary=True, feature_id="table"):
         self.table = dict(table)
@@ -143,9 +146,42 @@ class PredicateTable(Feature):
         self.id = feature_id
         if binary and not set(self.table.values()) | {default} <= {0.0, 1.0}:
             raise ConfigError("binary predicate-table may only hold 0/1 values")
+        nodes = {(): 0}
+        edges = {}  # (state, token) -> child state
+        for x in self.table:
+            for k in range(1, len(x) + 1):
+                child = nodes.setdefault(x.tokens[:k], len(nodes))
+                edges[nodes[x.tokens[: k - 1]], x.tokens[k - 1]] = child
+        self.off = len(nodes)
+        self.values = np.array(
+            [self.table.get(Sequence(prefix), default) for prefix in nodes] + [default]
+        )
+        keys = sorted(edges)  # then a last edge that no (state, token) reaches, to off
+        self.edge_keys = np.array([self._key(s, t) for s, t in keys] + [np.iinfo(np.int64).max])
+        self.edge_child = np.array([edges[k] for k in keys] + [self.off])
 
-    def evaluate_batch(self, batch: SampleBatch) -> np.ndarray:
-        return np.array([self.table.get(x, self.default) for x in sequences(batch)], dtype=float)
+    @staticmethod
+    def _key(states, tokens):
+        """One int per (state, token), ordered as the pairs are; the -1
+        padding token keys no edge."""
+        return np.asarray(states, dtype=np.int64) * (1 << 32) + tokens
+
+    def n_states(self, lmax: int) -> int:
+        return self.off + 1
+
+    def step(self, states: np.ndarray, tokens: np.ndarray, lmax: int) -> np.ndarray:
+        key = self._key(states, tokens)
+        at = np.searchsorted(self.edge_keys, key)
+        return np.where(self.edge_keys[at] == key, self.edge_child[at], self.off)
+
+    def value(self, states: np.ndarray, lmax: int) -> np.ndarray:
+        return self.values[states]
+
+
+def feature_column(feature: Feature, batch: SampleBatch) -> np.ndarray:
+    """One feature's values on a batch, from the library's evaluation path
+    (`ConstraintSet.feature_matrix`)."""
+    return ConstraintSet([ConstraintSpec(feature, 0.5)]).feature_matrix(batch)[:, 0]
 
 
 def feature_value(feature: Feature, x: Sequence) -> float:
@@ -369,7 +405,7 @@ def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
     b = np.ones(len(batch))
     phi = []
     for c in ebm.constraint_set:
-        values = c.feature.evaluate_batch(batch)
+        values = np.array([feature_value(c.feature, x) for x in sequences(batch)])
         if c.pointwise:
             b *= values
         else:

@@ -475,15 +475,17 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 
 # Tracemalloc peaks of the whole exact commands below, in universe-sized
-# float64 arrays: the oracle reads 10.67 and train 7.91. A train's exact
-# snapshots enumerate nothing (they read 10.08 when they did), so its peak is
-# the training's own: the same run with exact_oracle off reads 7.80.
-EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 11.5, "train": 8.0}
+# float64 arrays: the oracle reads 5.68 and train 7.85-7.97 from run to run.
+# The oracle's perturbations project through a Gram matrix (it read 10.73 when
+# they built a support x (1 + k) basis for `lstsq`). A train's exact
+# snapshots enumerate nothing, so its peak is the training's own: the same
+# run with exact_oracle off reads 7.84-7.93.
+EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 6.0, "train": 8.0}
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
 def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
-    """The oracle holds about 11 universe-sized float64 arrays at once, and
+    """The oracle holds about 6 universe-sized float64 arrays at once, and
     takes its moment-preserving perturbations one at a time; a train holds
     about 8, none of them its snapshots'. On this long, narrow space (two
     body tokens, lmax 14) the universe's token matrix alone would be 7 such
@@ -996,6 +998,32 @@ def test_exact_target_over_its_guard_exits_4_before_the_fit(workdir, capsys, mon
     monkeypatch.setattr(cli, "fit_lambda", no_fit)
     assert main([command, "--config", str(cfg)]) == 4
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("body, exact", [(["gold", "red"], False), (["gold"], False),
+                                         (["gold"], True)], ids=["two", "one", "one-exact"])
+def test_fit_evaluates_a_token_ratio_past_lmax_63_unless_exact(tmp_path, capsys, body, exact):
+    """A token ratio counts in (lmax + 1) ** 2 states, 10,201 at lmax 100,
+    past the automaton guard. A fit reads the ratio on its samples only, one
+    state per row, so it runs; with exact_oracle on it exits 4 naming that
+    count. One body token keeps the universe (101 sequences) inside its own
+    guard, which two would trip first."""
+    text = synthetic_corpus(np.random.default_rng(3), tokens=body, weights=[1.0] * len(body),
+                            n_lines=120, min_len=1, max_len=8)
+    (tmp_path / "corpus.txt").write_text(text)
+    ratio = {"id": "r", "kind": "token-ratio", "numerator": ["gold"], "denominator": body,
+             "target": 0.3}
+    cfg = write_config(tmp_path, space={"lmax": 100}, constraints=[ratio],
+                       fit={"sample_count": 4000, "tolerance": 1e-3, "max_steps": 100},
+                       eval={"exact_oracle": exact})
+    code = main(["fit", "--config", str(cfg)])
+    if exact:
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "error: the constraint features' automaton would hold 10201 states")
+    else:
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "fit_report.json").read_text())["converged"]
 
 
 @pytest.mark.parametrize(

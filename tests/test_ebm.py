@@ -462,7 +462,7 @@ def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
     policy = base.to_order(space.lmax, trainable=True)
     universe_blocks, evaluated = [], []
     enumeration_blocks = SequenceSpace.enumeration_blocks
-    evaluate_batch = TokenPresence.evaluate_batch
+    feature_matrix = ConstraintSet.feature_matrix
 
     def recorded_blocks(self):
         for block in enumeration_blocks(self):
@@ -471,10 +471,10 @@ def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
 
     def counted(self, batch):
         evaluated.append(batch)
-        return evaluate_batch(self, batch)
+        return feature_matrix(self, batch)
 
     monkeypatch.setattr(SequenceSpace, "enumeration_blocks", recorded_blocks)
-    monkeypatch.setattr(TokenPresence, "evaluate_batch", counted)
+    monkeypatch.setattr(ConstraintSet, "feature_matrix", counted)
     ebm.exact_normalize()
     snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
     universe_rows = sum(len(b) for b in evaluated if any(b is u for u in universe_blocks))
@@ -637,27 +637,60 @@ def dp_policies(rng, ebm: Ebm) -> list[TabularARModel]:
     return policies + [ebm.base, lifted]
 
 
+def assert_dp_matches_enumeration(ebm: Ebm, rng) -> None:
+    """Z, E_p[phi] and KL(p || a) of `Ebm.exact_target`, and KL(p || pi) and
+    E_pi[phi] of `exact_policy_terms` for every policy of `dp_policies`, each
+    against enumeration."""
+    try:
+        z, p = ebm.exact_normalize()
+    except EmptySupport:  # a pointwise set no sequence satisfies
+        with pytest.raises(EmptySupport):
+            ebm.exact_target()
+        return
+    dp = ebm.exact_target()
+    assert dp.z == pytest.approx(z, rel=DP_RTOL, abs=0)
+    np.testing.assert_allclose(dp.moments, exact_moments(ebm), rtol=DP_RTOL, atol=0)
+    kl_p_a = exact_kl(p, ebm.base.exact_distribution())
+    assert dp.kl_p_a == pytest.approx(kl_p_a, rel=DP_RTOL, abs=DP_KL_ATOL)
+    for policy in dp_policies(rng, ebm):
+        pi = policy.exact_distribution()
+        kl, e_phi = ebm.exact_policy_terms(policy)
+        assert kl == pytest.approx(exact_kl(p, pi), rel=DP_RTOL, abs=DP_KL_ATOL), policy.order
+        np.testing.assert_allclose(e_phi, universe_moments(ebm, pi), rtol=DP_RTOL, atol=0)
+
+
 @pytest.mark.parametrize("base_order", [1, 2, 3])
 def test_target_dp_matches_enumeration(base_order):
     rng = np.random.default_rng(4000 + base_order)
     for case in range(16):
-        ebm = dp_target(rng, base_order, case)
-        try:
-            z, p = ebm.exact_normalize()
-        except EmptySupport:  # a pointwise set no sequence satisfies
-            with pytest.raises(EmptySupport):
-                ebm.exact_target()
-            continue
-        dp = ebm.exact_target()
-        assert dp.z == pytest.approx(z, rel=DP_RTOL, abs=0)
-        np.testing.assert_allclose(dp.moments, exact_moments(ebm), rtol=DP_RTOL, atol=0)
-        kl_p_a = exact_kl(p, ebm.base.exact_distribution())
-        assert dp.kl_p_a == pytest.approx(kl_p_a, rel=DP_RTOL, abs=DP_KL_ATOL)
-        for policy in dp_policies(rng, ebm):
-            pi = policy.exact_distribution()
-            kl, e_phi = ebm.exact_policy_terms(policy)
-            assert kl == pytest.approx(exact_kl(p, pi), rel=DP_RTOL, abs=DP_KL_ATOL), policy.order
-            np.testing.assert_allclose(e_phi, universe_moments(ebm, pi), rtol=DP_RTOL, atol=0)
+        assert_dp_matches_enumeration(dp_target(rng, base_order, case), rng)
+
+
+def random_table(rng, space, feature_id: str) -> PredicateTable:
+    """A real-valued table on up to eight random sequences of `space`, the
+    empty one among them at times, each worth a uniform draw from [0, 1], as
+    is every other sequence."""
+    body = space.vocabulary.body_indices
+    keys = {
+        Sequence(tuple(int(t) for t in rng.choice(body, size=rng.integers(0, space.lmax + 1))))
+        for _ in range(int(rng.integers(1, 9)))
+    }
+    return PredicateTable({x: float(rng.random()) for x in keys}, default=float(rng.random()),
+                          binary=False, feature_id=feature_id)
+
+
+@pytest.mark.parametrize("base_order", [1, 2])
+def test_target_dp_matches_enumeration_on_arbitrary_features(base_order):
+    """One or two random tables, each an automaton over the trie of its keys,
+    so the DP runs on features that none of the four kinds can express."""
+    rng = np.random.default_rng(4100 + base_order)
+    for _ in range(8):
+        space = small_space(int(rng.integers(2, 4)), int(rng.integers(3, 5)))
+        tables = [random_table(rng, space, f"t{i}") for i in range(int(rng.integers(1, 3)))]
+        cs = ConstraintSet([ConstraintSpec(t, 0.5) for t in tables])
+        base = random_model(space, base_order, rng, scale=0.6)
+        ebm = Ebm(base=base, constraint_set=cs, lam=rng.uniform(-1.5, 1.5, size=len(tables)))
+        assert_dp_matches_enumeration(ebm, rng)
 
 
 def test_policy_dp_does_not_depend_on_how_the_policy_stores_its_rows(rng):

@@ -1,13 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from distctl.baselines import RejectionConfig, rejection_mle
+from distctl.config import FEATURE_SCHEMAS
 from distctl.ebm import Ebm
 from distctl.errors import AutomatonTooLarge, ConfigError, NoPointwiseConstraints
 from distctl.features import (
+    FEATURE_KINDS,
     MAX_FEATURE_STATES,
     ConstraintSet,
     ConstraintSpec,
+    Feature,
     PrefixMatch,
     TokenPresence,
     TokenRatio,
@@ -22,6 +27,7 @@ from helpers import (
     batch_from,
     enumerate_sequences,
     enumeration,
+    feature_column,
     feature_value,
     sequences,
     small_space,
@@ -44,18 +50,18 @@ def test_token_presence(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenPresence(v, "ball")
     batch = rows(pronoun_space, (v.index("ball"), v.index("he")), (v.index("he"),), ())
-    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0, 0.0])
+    assert np.array_equal(feature_column(f, batch), [1.0, 0.0, 0.0])
 
 
 def test_token_ratio_pronoun_rule(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenRatio(v, ["she"], ["she", "he"])
     she, he = v.index("she"), v.index("he")
-    values = f.evaluate_batch(rows(pronoun_space, (she, he, she), ()))
+    values = feature_column(f, rows(pronoun_space, (she, he, she), ()))
     assert values[0] == pytest.approx(2.0 / 3.0)
     assert values[1] == 0.0  # declared default on pronoun-free text
     g = TokenRatio(v, ["she"], ["she", "he"], empty_default=0.5)
-    assert g.evaluate_batch(rows(pronoun_space, (v.index("ball"),)))[0] == 0.5
+    assert feature_column(g, rows(pronoun_space, (v.index("ball"),)))[0] == 0.5
 
 
 def test_token_ratio_validation(pronoun_space):
@@ -71,14 +77,14 @@ def test_prefix_match(pronoun_space):
     f = PrefixMatch(v, ["she", "ball"])
     she, ball, he = v.index("she"), v.index("ball"), v.index("he")
     batch = rows(pronoun_space, (she, ball, he), (she,), ())
-    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0, 0.0])
+    assert np.array_equal(feature_column(f, batch), [1.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         PrefixMatch(v, [])
 
 
 def test_predicate_table():
     table = PredicateTable({Sequence((0,)): 1.0}, default=0.0)
-    assert np.array_equal(table.evaluate_batch(rows(small_space(2, 2), (0,), (1,))), [1.0, 0.0])
+    assert np.array_equal(feature_column(table, rows(small_space(2, 2), (0,), (1,))), [1.0, 0.0])
     with pytest.raises(ConfigError):
         PredicateTable({Sequence((0,)): 0.5}, binary=True)
 
@@ -87,7 +93,7 @@ def test_wordlist_presence(pronoun_space):
     v = pronoun_space.vocabulary
     f = WordlistPresence(v, ["ball", "lab"])
     batch = rows(pronoun_space, (v.index("lab"),), (v.index("he"),))
-    assert np.array_equal(f.evaluate_batch(batch), [1.0, 0.0])
+    assert np.array_equal(feature_column(f, batch), [1.0, 0.0])
     with pytest.raises(ConfigError):
         WordlistPresence(v, [])
 
@@ -99,12 +105,14 @@ FEATURES = pytest.mark.parametrize("make", [
     lambda v: PrefixMatch(v, ["b", "a"]),
     lambda v: TokenRatio(v, ["a", "c"], ["a", "b", "c"], empty_default=0.25),
     lambda v: PrefixMatch(v, ["c"] * 5),  # longer than lmax: never matches
+    lambda v: PredicateTable({Sequence(()): 0.7, Sequence((0, 1)): 1.0, Sequence((1, 0, 2)): 0.3,
+                              Sequence((1,)): 0.0}, default=0.2, binary=False),
 ])
 
 
 def run_automaton(automaton, x: Sequence):
     """The value of the state the automaton ends `x` in, one token at a time."""
-    state = automaton.start
+    state = 0
     for token in x.tokens:
         state = automaton.delta[state, token]
     return automaton.values[state]
@@ -114,9 +122,9 @@ def run_automaton(automaton, x: Sequence):
 def test_automaton_ends_every_sequence_at_its_value(make):
     space = small_space(3, 4)
     f = make(space.vocabulary)
-    batch = enumeration(space)
-    ends = [run_automaton(f.automaton(space), x) for x in sequences(batch)]
-    assert np.array_equal(ends, f.evaluate_batch(batch))
+    xs = sequences(enumeration(space))
+    ends = [run_automaton(f.automaton(space), x) for x in xs]
+    assert np.array_equal(ends, [feature_value(f, x) for x in xs])
 
 
 def test_constraint_set_automaton_is_the_product_of_its_members():
@@ -150,12 +158,44 @@ def test_automata_are_guarded_before_they_are_built():
                       ).automaton(space)
 
 
+def test_a_ratio_past_lmax_63_is_folded_without_its_table(monkeypatch, rng):
+    """At lmax 200 a ratio's table would hold 201 ** 2 states, past the
+    guard, but a batch is folded one state per row and builds none: rows of
+    every length up to 200, padding with body tokens, read as the scalar
+    reference does."""
+    space = small_space(3, 200)
+    f = TokenRatio(space.vocabulary, ["a"], ["a", "b"], empty_default=0.5)
+
+    def no_table(self, space):
+        raise AssertionError("built a transition table to evaluate a batch")
+
+    monkeypatch.setattr(Feature, "automaton", no_table)
+    lengths = rng.integers(0, space.lmax + 1, size=300)
+    lengths[:3] = 0, 64, space.lmax
+    tokens = rng.integers(0, space.body_size, size=(300, space.lmax)).astype(np.int32)
+    batch = SampleBatch(tokens=tokens, lengths=lengths)
+    assert np.array_equal(feature_column(f, batch), [feature_value(f, x) for x in sequences(batch)])
+
+
+def test_every_feature_kind_has_a_config_schema_of_its_keywords():
+    """`config.FEATURE_SCHEMAS` and `FEATURE_KINDS` name the same kinds, and
+    a kind's JSON keys are its constructor's keywords besides `vocab` and
+    `feature_id`, the required ones those without a default."""
+    assert set(FEATURE_SCHEMAS) == set(FEATURE_KINDS)
+    for kind, cls in FEATURE_KINDS.items():
+        params = inspect.signature(cls).parameters
+        keywords = {name: p for name, p in params.items() if name not in ("vocab", "feature_id")}
+        keys, required = FEATURE_SCHEMAS[kind]
+        assert set(keys) == set(keywords), kind
+        assert set(required) == {n for n, p in keywords.items() if p.default is p.empty}, kind
+
+
 @FEATURES
 def test_batch_matches_scalar_over_enumeration(make):
     space = small_space(3, 4)
     f = make(space.vocabulary)
     batch = enumeration(space)
-    vectorized = f.evaluate_batch(batch)
+    vectorized = feature_column(f, batch)
     scalar = np.array([feature_value(f, s) for s in sequences(batch)])
     assert np.array_equal(vectorized, scalar)
 
@@ -175,14 +215,14 @@ def test_batch_matches_scalar_on_random_batches(make, rng):
         batch = SampleBatch(tokens=tokens, lengths=lengths)
         bodies = [Sequence(tuple(row[:k])) for row, k in zip(tokens.tolist(), lengths.tolist())]
         scalar = np.array([feature_value(f, x) for x in bodies])
-        assert np.array_equal(f.evaluate_batch(batch), scalar)
+        assert np.array_equal(feature_column(f, batch), scalar)
 
 
 def test_binary_features_are_binary_over_enumeration():
     space = small_space(3, 4)
     v = space.vocabulary
     for f in (TokenPresence(v, "b"), WordlistPresence(v, ["a"]), PrefixMatch(v, ["c"])):
-        values = f.evaluate_batch(enumeration(space))
+        values = feature_column(f, enumeration(space))
         assert set(np.unique(values)) <= {0.0, 1.0}
 
 
@@ -190,7 +230,7 @@ def test_evaluate_is_pure(pronoun_space):
     v = pronoun_space.vocabulary
     f = TokenRatio(v, ["she"], ["she", "he"])
     x = rows(pronoun_space, (v.index("she"), v.index("he")))
-    assert np.array_equal(f.evaluate_batch(x), f.evaluate_batch(x))
+    assert np.array_equal(feature_column(f, x), feature_column(f, x))
 
 
 def test_evaluate_vector_and_empty_set():
