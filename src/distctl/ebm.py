@@ -18,15 +18,18 @@ exact autoregressive model, and a prefix h has p-mass a(h) * beta(t, c, s) / Z.
 (contexts, states) table per step, guarded by `exact_target_automaton`. At
 the last step every child's beta is b * exp(lam . phi) of its state, so
 there a context counts only through its stored base row, and the table is
-kept per row. `Ebm.exact_policy_terms` runs the forward pass that a
-policy's exact KL(p || pi) and E_pi[phi] need, forming p's next-token laws
-as it reads them.
+kept per row. beta is linear in that terminal value, so the same pass with
+terminal b * exp(lam . phi) * phi_j gives Z * E_p[phi_j]
+(`Ebm.exact_target_terms`, the expectation-semiring sum by linearity).
+`Ebm.exact_policy_terms` runs the forward pass that a policy's exact
+KL(p || pi) and E_pi[phi] need, forming p's next-token laws as it reads them.
 The enumeration oracles (`exact_normalize`, `phi_universe`) remain for the
 `oracle` command's Pythagorean check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -102,8 +105,6 @@ class ExactTarget:
     value: np.ndarray  # (states,): b * exp(lam . phi) of a sequence ending in the state
     beta: list[np.ndarray]
     z: float
-    moments: np.ndarray  # E_p[phi], one per constraint in order
-    kl_p_a: float  # KL(p || a) = E_p[log b + lam . phi] - log Z, on b's support
 
 
 def _step_keys(base: TabularARModel, t: int, contexts):
@@ -157,69 +158,49 @@ def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
 
 
-def _exact_target(ebm: "Ebm") -> ExactTarget:
-    """The backward pass for beta, then a forward pass for the base mass of
-    the prefixes at each (key, state), which yields the base mass of the
-    sequences ending in each state; the target reweighs that by `value`.
-    Both run one token at a time over (keys, states) tables, so nothing has
-    a vocabulary axis, and both key the last step by stored base row."""
-    space, base = ebm.space, ebm.base
-    auto = exact_target_automaton(base, ebm.constraint_set)
-    states, log_a = auto.n_states, base.log_softmax
+def _backward(base: TabularARModel, auto: Automaton, terminal: np.ndarray) -> Iterator[np.ndarray]:
+    """The backward pass for a terminal vector, (states,): the tables
+    beta(t, c, s) = sum over the completions of (c, s) at t of their base
+    probability times `terminal` of the state they end in, yielded from the
+    last step back to step 0. Each step runs one token at a time over
+    (keys, states) tables, so nothing has a vocabulary axis, and keys the
+    last step by stored base row. beta is linear in `terminal`: a consumer
+    that keeps only the last table holds two at a time."""
+    space, log_a = base.space, base.log_softmax
     body = np.asarray(space.vocabulary.body_indices, dtype=np.int64)
-    eos, b, lmax, m = space.vocabulary.eos_index, space.body_size, space.lmax, base.coding.m_eff
-    log_value = ebm.log_scores(np.zeros(states), auto.values)  # log b(s) + lam . phi(s)
-    value = np.exp(log_value)
+    eos, b, m = space.vocabulary.eos_index, space.body_size, base.coding.m_eff
     step_states = auto.delta[:, body]
     after = auto.delta.T  # the state after each token, EOS staying
-
-    def step_rows(t):  # the base's stored row of each context at step t
+    # the last step, per stored row: a(v | row) times `terminal` after v
+    beta = sum(np.exp(log_a[:, v])[:, None] * terminal[after[v]] for v in range(len(after)))
+    yield beta
+    for t in reversed(range(space.lmax - 1)):
         lo = base.coding.step_offset(t)
-        return base.row_map[lo : lo + b ** min(t, m)]
-
-    # the last step, per stored row: a(v | row) times `value` after v
-    beta = [sum(np.exp(log_a[:, v])[:, None] * value[after[v]] for v in range(len(after)))]
-    for t in reversed(range(lmax - 1)):
-        rows = step_rows(t)
+        rows = base.row_map[lo : lo + b ** min(t, m)]  # the stored row of each context at t
         contexts = np.arange(len(rows))
-        beta_t = np.exp(log_a[rows, eos])[:, None] * value
+        beta_t = np.exp(log_a[rows, eos])[:, None] * terminal
         for r, v in enumerate(body):
             keys = _step_keys(base, t + 1, _child_contexts(contexts, r, b, t, m))
-            child = beta[-1][keys[:, None], step_states[:, r]]  # a fresh gather, scaled in place
+            child = beta[keys[:, None], step_states[:, r]]  # a fresh gather, scaled in place
             beta_t += np.multiply(child, np.exp(log_a[rows, v])[:, None], out=child)
-        beta.append(beta_t)
-    beta.reverse()
-    start_key = int(_step_keys(base, 0, np.zeros(1, dtype=np.int64))[0])
-    z = float(beta[0][start_key, 0])  # every automaton starts in state 0
+        beta = beta_t
+        yield beta
+
+
+def _start(base: TabularARModel, beta_0: np.ndarray) -> float:
+    """beta(0, (), start) from step 0's table: every automaton starts in state 0."""
+    return float(beta_0[_step_keys(base, 0, np.zeros(1, dtype=np.int64))[0], 0])
+
+
+def _exact_target(ebm: "Ebm") -> ExactTarget:
+    """The backward pass with terminal `value`, every table kept."""
+    auto = exact_target_automaton(ebm.base, ebm.constraint_set)
+    value = np.exp(ebm.log_scores(np.zeros(auto.n_states), auto.values))
+    beta = list(_backward(ebm.base, auto, value))[::-1]
+    z = _start(ebm.base, beta[0])
     if not z > 0.0:
         raise EmptySupport("EBM scores sum to zero over the universe")
-    alpha = np.zeros((_step_size(base, 0), states))  # base mass of the prefixes per (key, state)
-    alpha[start_key, 0] = 1.0
-    ended = np.zeros(states)  # the base mass of the sequences ending in each state
-    for t in range(lmax - 1):
-        rows = step_rows(t)
-        contexts = np.arange(len(rows))
-        ended += np.exp(log_a[rows, eos]) @ alpha
-        cells = _step_size(base, t + 1) * states
-        grown = np.zeros(cells)
-        for r, v in enumerate(body):
-            keys = _step_keys(base, t + 1, _child_contexts(contexts, r, b, t, m))
-            into = keys[:, None] * states + step_states[:, r]
-            grown += np.bincount(into.ravel(), (np.exp(log_a[rows, v])[:, None] * alpha).ravel(),
-                                 cells)
-        alpha = grown.reshape(-1, states)
-    for v in range(len(after)):  # the last step, per stored row: EOS is forced after it
-        ended += np.bincount(after[v], np.exp(log_a[:, v]) @ alpha, states)
-    mass = ended * value / z  # the p-mass of the sequences ending in each state
-    support = mass > 0
-    return ExactTarget(
-        automaton=auto,
-        value=value,
-        beta=beta,
-        z=z,
-        moments=mass @ auto.values,
-        kl_p_a=float(mass[support] @ log_value[support]) - float(np.log(z)),
-    )
+    return ExactTarget(automaton=auto, value=value, beta=beta, z=z)
 
 
 class _PolicyWalk:
@@ -397,12 +378,27 @@ class Ebm:
         return scores
 
     def exact_target(self) -> ExactTarget:
-        """The target's exact DP tables, Z, E_p[phi] and KL(p || a), computed
-        once (see the module docstring). Raises AutomatonTooLarge past the
-        guard of `exact_target_automaton`, and EmptySupport when Z is 0."""
+        """The target's exact DP tables and Z, computed once (see the module
+        docstring). Raises AutomatonTooLarge past the guard of
+        `exact_target_automaton`, and EmptySupport when Z is 0."""
         if "dp" not in self._cache:
             self._cache["dp"] = _exact_target(self)
         return self._cache["dp"]
+
+    def exact_target_terms(self) -> tuple[float, np.ndarray]:
+        """Exact KL(p || a) and E_p[phi], in the order of `exact_policy_terms`.
+        phi depends only on the state a sequence ends in, so Z * E_p[phi_j] is
+        the backward pass with terminal `value * phi_j`, one column at a time,
+        keeping only its step-0 table. On p's support b = 1, so
+        KL(p || a) = lam . E_p[phi] - log Z over the distributional columns.
+        Nothing is cached: only the `oracle` command reads them."""
+        dp = self.exact_target()
+
+        def start_mass(terminal):  # beta(0, (), start) of the pass, keeping the last table only
+            return _start(self.base, deque(_backward(self.base, dp.automaton, terminal), 1).pop())
+
+        moments = np.array([start_mass(dp.value * phi_j) for phi_j in dp.automaton.values.T]) / dp.z
+        return float(moments[self.lambda_columns] @ self.lam) - float(np.log(dp.z)), moments
 
     def exact_policy_terms(self, policy: TabularARModel) -> tuple[float, np.ndarray]:
         """Exact KL(p || policy) and E_policy[phi], from a forward pass over

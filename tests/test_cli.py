@@ -15,6 +15,7 @@ from distctl import config as config_module
 from distctl import cli, errors, seqspace
 from distctl.cli import main
 from distctl.config import ExperimentConfig
+from distctl.ebm import Ebm
 from distctl.errors import ConfigError
 from distctl.lm import TabularARModel
 from distctl.seqspace import SequenceSpace, Vocabulary
@@ -490,7 +491,8 @@ def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, comman
     about 8, none of them its snapshots'. On this long, narrow space (two
     body tokens, lmax 14) the universe's token matrix alone would be 7 such
     arrays, its lengths one more, and the blocks it is joined from as many
-    again."""
+    again. A train's peak is its model write: it holds about 2.3 arrays
+    until `write_document`, whose lists and JSON text take it to about 7.9."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
     text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
                             n_lines=120, min_len=1, max_len=8)
@@ -515,6 +517,24 @@ def test_oracle_identity_and_pointwise(workdir):
     assert 0.0 < doc["z"] < 1.0
     assert doc["pythagorean_residual_max"] < 1e-4
     assert doc["exact_moments"][0] == pytest.approx(1.0)
+    # no lambda: KL(p || a) = lam . E_p[phi] - log Z is -log Z alone
+    assert doc["kl_p_a"] == pytest.approx(-np.log(doc["z"]), rel=1e-12, abs=0)
+
+
+def test_train_never_computes_the_target_moments(workdir, monkeypatch):
+    """A snapshot reads the target's beta tables only: a train with
+    exact_oracle on writes the same metrics.csv when E_p[phi] and KL(p || a)
+    cannot be computed at all."""
+    assert main(["train", "--config", str(write_config(workdir, output="free"))]) == 0
+
+    def refuse(self):
+        raise AssertionError("a train computed E_p[phi] and KL(p || a)")
+
+    monkeypatch.setattr(Ebm, "exact_target_terms", refuse)
+    assert main(["train", "--config", str(write_config(workdir, output="refused"))]) == 0
+    assert (workdir / "refused" / "metrics.csv").read_bytes() == (
+        workdir / "free" / "metrics.csv"
+    ).read_bytes()
 
 
 def test_eval_on_persisted_model(workdir):

@@ -638,20 +638,21 @@ def dp_policies(rng, ebm: Ebm) -> list[TabularARModel]:
 
 
 def assert_dp_matches_enumeration(ebm: Ebm, rng) -> None:
-    """Z, E_p[phi] and KL(p || a) of `Ebm.exact_target`, and KL(p || pi) and
-    E_pi[phi] of `exact_policy_terms` for every policy of `dp_policies`, each
-    against enumeration."""
+    """Z of `Ebm.exact_target`, KL(p || a) and E_p[phi] of
+    `exact_target_terms`, and KL(p || pi) and E_pi[phi] of
+    `exact_policy_terms` for every policy of `dp_policies`, each against
+    enumeration."""
     try:
         z, p = ebm.exact_normalize()
     except EmptySupport:  # a pointwise set no sequence satisfies
         with pytest.raises(EmptySupport):
             ebm.exact_target()
         return
-    dp = ebm.exact_target()
-    assert dp.z == pytest.approx(z, rel=DP_RTOL, abs=0)
-    np.testing.assert_allclose(dp.moments, exact_moments(ebm), rtol=DP_RTOL, atol=0)
-    kl_p_a = exact_kl(p, ebm.base.exact_distribution())
-    assert dp.kl_p_a == pytest.approx(kl_p_a, rel=DP_RTOL, abs=DP_KL_ATOL)
+    assert ebm.exact_target().z == pytest.approx(z, rel=DP_RTOL, abs=0)
+    kl_p_a, moments = ebm.exact_target_terms()
+    np.testing.assert_allclose(moments, exact_moments(ebm), rtol=DP_RTOL, atol=0)
+    assert kl_p_a == pytest.approx(exact_kl(p, ebm.base.exact_distribution()),
+                                   rel=DP_RTOL, abs=DP_KL_ATOL)
     for policy in dp_policies(rng, ebm):
         pi = policy.exact_distribution()
         kl, e_phi = ebm.exact_policy_terms(policy)
@@ -766,12 +767,12 @@ def test_target_dp_runs_past_the_enumeration_guard(rng):
         alive = np.concatenate([[0.0], moved.sum(axis=0)])
     has = 1.0 - (never + alive.sum())
     z = 1.0 + (np.exp(lam) - 1.0) * has
-    dp = ebm.exact_target()
-    assert dp.z == pytest.approx(z, rel=DP_RTOL)
-    assert dp.moments[0] == pytest.approx(np.exp(lam) * has / z, rel=DP_RTOL)
-    assert dp.kl_p_a == pytest.approx(lam * dp.moments[0] - np.log(z), rel=DP_RTOL)
+    assert ebm.exact_target().z == pytest.approx(z, rel=DP_RTOL)
+    kl_p_a, moments = ebm.exact_target_terms()
+    assert moments[0] == pytest.approx(np.exp(lam) * has / z, rel=DP_RTOL)
+    assert kl_p_a == pytest.approx(lam * moments[0] - np.log(z), rel=DP_RTOL)
     kl, e_phi = ebm.exact_policy_terms(base)
-    assert kl == pytest.approx(dp.kl_p_a, rel=DP_RTOL)
+    assert kl == pytest.approx(kl_p_a, rel=DP_RTOL)
     assert e_phi[0] == pytest.approx(has, rel=DP_RTOL)
 
 
@@ -787,7 +788,7 @@ def test_policy_dp_walks_sequences_longer_than_the_recursion_limit(rng):
     never = q[space.vocabulary.eos_index] * (1 - stay**space.lmax) / (1 - stay) + stay**space.lmax
     kl, e_phi = ebm.exact_policy_terms(base)
     assert e_phi[0] == pytest.approx(1.0 - never, rel=DP_RTOL)
-    assert kl == pytest.approx(ebm.exact_target().kl_p_a, rel=DP_RTOL)
+    assert kl == pytest.approx(ebm.exact_target_terms()[0], rel=DP_RTOL)
 
 
 def test_target_dp_guards_the_product_state_count(ab_space, ab_uniform):
