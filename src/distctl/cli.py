@@ -293,7 +293,8 @@ def run_oracle(run: _Run) -> None:
     _, p = target.exact_normalize()
     a_dist = base.exact_distribution()
     rng = np.random.default_rng(cfg.seed)
-    perturbations = moment_preserving_perturbations(p, target.phi_universe(), count=5, rng=rng)
+    states, values = target.universe_states()
+    perturbations = moment_preserving_perturbations(p, states, values, count=5, rng=rng)
     residual_max = max(  # folded in one perturbation at a time
         (abs(exact_kl(c, a_dist) - exact_kl(c, p) - kl_p_a) for c in perturbations),
         default=None,

@@ -23,8 +23,10 @@ terminal b * exp(lam . phi) * phi_j gives Z * E_p[phi_j]
 (`Ebm.exact_target_terms`, the expectation-semiring sum by linearity).
 `Ebm.exact_policy_terms` runs the forward pass that a policy's exact
 KL(p || pi) and E_pi[phi] need, forming p's next-token laws as it reads them.
-The enumeration oracles (`exact_normalize`, `phi_universe`) remain for the
-`oracle` command's Pythagorean check.
+The `oracle` command's Pythagorean check alone reaches the universe: by
+two prefix passes in enumeration order, the base's log-probs
+(`lm.exact_log_distribution`) and the automaton's final states
+(`Ebm.universe_states`), which `exact_normalize` joins into p.
 """
 
 from __future__ import annotations
@@ -412,14 +414,17 @@ class Ebm:
         """Exact partition function and normalized distribution over the universe.
         The tilt is applied in place in the base's prefix-DP log-probs, one
         ENUMERATION_CHUNK_ROWS block at a time, each block through `log_scores`
-        with its cached universe features cast to float; then the exp, the sum
-        and the divide, in place too. Beside the cached features, the
-        distribution is the only universe-sized array it makes."""
+        with its features gathered from the cached universe states
+        (`universe_states`); then the exp, the sum and the divide, in place
+        too. Beside the states, the distribution is the only universe-sized
+        array it makes."""
         if "exact" not in self._cache:
             scores = self.base.exact_log_distribution()
-            phi = self.phi_universe()
-            for rows in self._universe_blocks():
-                scores[rows] = self.log_scores(scores[rows], phi[rows].astype(float))
+            states, values = self.universe_states()
+            step = seqspace.ENUMERATION_CHUNK_ROWS
+            for lo in range(0, len(scores), step):
+                rows = slice(lo, lo + step)
+                scores[rows] = self.log_scores(scores[rows], values[states[rows]])
             np.exp(scores, out=scores)
             z = float(scores.sum())
             if z <= 0.0:
@@ -428,68 +433,79 @@ class Ebm:
             self._cache["exact"] = (z, scores)
         return self._cache["exact"]
 
-    def phi_universe(self) -> np.ndarray:
-        """Cached constraint-feature matrix over the universe, in enumeration
-        order: bool when every feature is binary, one byte per sequence per
-        feature, else float64. It is filled block by block from
-        `feature_matrix` (`SequenceSpace.enumeration_blocks`), so the universe's
-        token matrix is never built."""
-        if "phi_univ" not in self._cache:
-            blocks = self.space.enumeration_blocks()  # runs the guard before the allocation
-            binary = all(c.feature.binary for c in self.constraint_set)
-            phi = np.empty(
-                (self.space.universe_size, len(self.constraint_set)),
-                dtype=bool if binary else float,
-            )
-            row = 0
-            for block in blocks:
-                phi[row : row + len(block)] = self.constraint_set.feature_matrix(block)
-                row += len(block)
-            self._cache["phi_univ"] = phi
-        return self._cache["phi_univ"]
+    def universe_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (states, values): the state the constraint set's automaton
+        (`ConstraintSet.automaton`) ends in on every sequence, in enumeration
+        order, as the smallest unsigned dtype that holds the state count, and
+        the automaton's values, so that `values[states]` is the universe's
+        feature matrix. The universe guard runs before anything
+        universe-sized is made."""
+        if "states" not in self._cache:
+            self.space.guard()
+            auto = self.constraint_set.automaton(self.space)
+            self._cache["states"] = (_final_states(self.space, auto), auto.values)
+        return self._cache["states"]
 
-    def _universe_blocks(self) -> Iterator[slice]:
-        """Consecutive row slices of the universe, ENUMERATION_CHUNK_ROWS rows at most."""
-        n, step = self.space.universe_size, seqspace.ENUMERATION_CHUNK_ROWS
-        return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+def _final_states(space: seqspace.SequenceSpace, auto: Automaton) -> np.ndarray:
+    """The automaton's state after every sequence, in enumeration order: a
+    prefix pass, length by length, as `lm.exact_log_distribution` runs it.
+    The b children of the length-k prefix of rank i are the length-(k + 1)
+    ranks i * b .. i * b + b - 1, each its parent's state stepped on one body
+    token; parents are gathered ENUMERATION_CHUNK_ROWS at a time."""
+    b, chunk = space.body_size, seqspace.ENUMERATION_CHUNK_ROWS
+    dtype = np.min_scalar_type(auto.n_states - 1)
+    step = auto.delta[:, space.vocabulary.body_indices].astype(dtype)
+    offsets = seqspace.length_offsets(b, space.lmax + 1)
+    states = np.empty(space.universe_size, dtype=dtype)
+    states[0] = 0  # the empty sequence, in the start state
+    for k in range(space.lmax):
+        parents = states[offsets[k] : offsets[k + 1]]
+        children = states[offsets[k + 1] : offsets[k + 2]].reshape(len(parents), b)
+        for lo in range(0, len(parents), chunk):
+            children[lo : lo + chunk] = step[parents[lo : lo + chunk]]
+    return states
 
 
 def moment_preserving_perturbations(
     p: np.ndarray,
-    phi: np.ndarray,
+    states: np.ndarray,
+    values: np.ndarray,
     count: int,
     rng: np.random.Generator,
 ) -> Iterator[np.ndarray]:
     """Distributions near p with exactly p's feature moments and normalization,
-    yielded one at a time: at most `count` of them.
+    yielded one at a time: at most `count` of them. The features of sequence
+    x are `values[states[x]]` (`Ebm.universe_states`; a raw feature matrix
+    is its own values, with `np.arange(n)` as the states).
 
     Random directions on p's support are projected orthogonal to the all-ones
     vector and every feature column there, through the Gram matrix of
     [1, phi] on the support, then added with half the largest step that
     preserves positivity. Used to sample the constraint manifold around an
-    exponential-family point. Its sums run block by block, so a perturbation
-    holds one universe-sized array, the direction that becomes the candidate.
+    exponential-family point. The Gram matrix and each direction's
+    right-hand side are sums per state, so they come from one bincount over
+    the states each; the projection and the positivity room run block by
+    block, so a perturbation holds one universe-sized array, the direction
+    that becomes the candidate.
     """
     p = np.asarray(p, dtype=float)
     active = p > 0
+    basis = np.column_stack([np.ones(len(values)), values])  # [1, phi] of each state
+    gram = basis.T @ (basis * np.bincount(states[active], minlength=len(values))[:, None])
     step = seqspace.ENUMERATION_CHUNK_ROWS
     blocks = [slice(lo, lo + step) for lo in range(0, len(p), step)]
-
-    def basis(rows):  # [1, phi] on one block's rows, 0 off p's support
-        return np.column_stack([active[rows], phi[rows] * active[rows, None]]).astype(float)
-
-    gram = sum(b.T @ b for b in map(basis, blocks))
     made = attempts = 0
     while made < count and attempts < 50 * count:
         attempts += 1
         c = np.zeros_like(p)  # the direction, then the candidate
         c[active] = rng.standard_normal(int(np.count_nonzero(active)))
-        coef = np.linalg.lstsq(gram, sum(basis(rows).T @ c[rows] for rows in blocks),
-                               rcond=None)[0]
+        rhs = basis.T @ np.bincount(states, c, len(values))  # c is 0 off p's support
+        projection = basis @ np.linalg.lstsq(gram, rhs, rcond=None)[0]  # of each state
         room = np.inf  # the step that takes the first support cell to 0
         for rows in blocks:
             part = c[rows]
-            part -= basis(rows) @ coef
+            part -= np.where(active[rows], projection[states[rows]], 0.0)
             negative = part < 0
             if negative.any():
                 room = min(room, float(np.min(p[rows][negative] / -part[negative])))

@@ -1,18 +1,19 @@
-"""Finite sequence universes: vocabulary, sequence batches, enumeration, corpus ingestion.
+"""Finite sequence universes: vocabulary, sequence batches, the universe order, corpora.
 
 A space holds every sequence of body tokens (EOS excluded) with length
 0..lmax. A sequence is a row of a SampleBatch: a corpus is read into one
-batch (`tokenize_corpus`), and the universe is produced as consecutive
-batches of at most ENUMERATION_CHUNK_ROWS rows
-(`SequenceSpace.enumeration_blocks`); no library path joins them into one
-matrix. The universe's order (length ascending, then lexicographic by
-vocabulary index) is the alignment contract for every exact oracle in the
-package: any array "over the universe" is indexed in this order.
-"""
+batch (`tokenize_corpus`). The universe itself is never a batch. Its order
+(length ascending, then lexicographic by vocabulary index) is the alignment
+contract for every exact oracle in the package: any array "over the
+universe" is indexed in this order, and two prefix passes fill one, each
+length-k prefix of rank i having its children at the length-(k + 1) ranks
+i * b .. i * b + b - 1: the base's log-probs (`lm.exact_log_distribution`)
+and the constraint automaton's final states (`ebm.Ebm.universe_states`).
+Both run under the enumeration guard (`SequenceSpace.guard`) and read their
+parents a chunk at a time, so only the result is universe-sized."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, EmptyCorpus, UniverseTooLarge
 
 ENUMERATION_GUARD = 10**7
-ENUMERATION_CHUNK_ROWS = 1 << 16  # rows of one enumeration block at most
+ENUMERATION_CHUNK_ROWS = 1 << 16  # rows, parents or prefixes an exact pass takes at once
 
 DEFAULT_EOS = "<eos>"
 
@@ -139,36 +140,6 @@ class SequenceSpace:
                 f"{what} would hold more than {ENUMERATION_GUARD} rows, one per string "
                 f"of 0..{max_len} of the {b} body tokens (enumeration guard)"
             )
-
-    def enumeration_blocks(self) -> Iterator[SampleBatch]:
-        """The universe in enumeration order, as consecutive batches of at most
-        ENUMERATION_CHUNK_ROWS rows, each inside one length block. The guard
-        runs before the first block is asked for."""
-        self.guard()
-        b = self.body_size
-        return (
-            self._block(k, lo, min(lo + ENUMERATION_CHUNK_ROWS, b**k))
-            for k in range(self.lmax + 1)
-            for lo in range(0, b**k, ENUMERATION_CHUNK_ROWS)
-        )
-
-    def _block(self, k: int, lo: int, hi: int) -> SampleBatch:
-        """Ranks lo..hi-1 of the length-k strings. Column j holds the j-th of
-        the rank's k base-b digits, most significant first: over all ranks, runs
-        of b**(k-1-j) equal tokens that cycle through the body, of which the
-        first and last runs met here may be cut short."""
-        b = self.body_size
-        body = np.asarray(self.vocabulary.body_indices, dtype=np.int32)
-        tokens = np.full((hi - lo, self.lmax), -1, dtype=np.int32)
-        for j in range(k):
-            run = b ** (k - 1 - j)
-            first = lo // run
-            values = body[np.arange(first, (hi - 1) // run + 1) % b]
-            counts = np.full(len(values), run)
-            counts[0] -= lo - first * run
-            counts[-1] -= (first + len(values)) * run - hi
-            tokens[:, j] = np.repeat(values, counts)
-        return SampleBatch(tokens=tokens, lengths=np.full(hi - lo, k, dtype=np.int64))
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from distctl import seqspace
 from distctl.ebm import Ebm, FitConfig
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
@@ -94,12 +95,45 @@ def small_space(body: int, lmax: int) -> SequenceSpace:
 # -- the universe, one sequence at a time ---------------------------------------
 
 
+def enumeration_blocks(space: SequenceSpace):
+    """The universe in enumeration order, as consecutive batches of at most
+    ENUMERATION_CHUNK_ROWS rows, each inside one length block: the tests'
+    referee for the library's prefix passes over the universe order. The
+    guard runs before the first block is asked for."""
+    space.guard()
+    b, chunk = space.body_size, seqspace.ENUMERATION_CHUNK_ROWS
+    return (
+        _block(space, k, lo, min(lo + chunk, b**k))
+        for k in range(space.lmax + 1)
+        for lo in range(0, b**k, chunk)
+    )
+
+
+def _block(space: SequenceSpace, k: int, lo: int, hi: int) -> SampleBatch:
+    """Ranks lo..hi-1 of the length-k strings. Column j holds the j-th of the
+    rank's k base-b digits, most significant first: over all ranks, runs of
+    b**(k-1-j) equal tokens that cycle through the body, of which the first
+    and last runs met here may be cut short."""
+    b = space.body_size
+    body = np.asarray(space.vocabulary.body_indices, dtype=np.int32)
+    tokens = np.full((hi - lo, space.lmax), -1, dtype=np.int32)
+    for j in range(k):
+        run = b ** (k - 1 - j)
+        first = lo // run
+        values = body[np.arange(first, (hi - 1) // run + 1) % b]
+        counts = np.full(len(values), run)
+        counts[0] -= lo - first * run
+        counts[-1] -= (first + len(values)) * run - hi
+        tokens[:, j] = np.repeat(values, counts)
+    return SampleBatch(tokens=tokens, lengths=np.full(hi - lo, k, dtype=np.int64))
+
+
 def enumeration(space: SequenceSpace) -> SampleBatch:
     """The whole universe as one SampleBatch: the concatenation of
-    `space.enumeration_blocks()`. Built fresh on every call: spaces compare by
+    `enumeration_blocks(space)`. Built fresh on every call: spaces compare by
     value, so a batch cached per space would carry the emission events one
     test scored on it into another test."""
-    blocks = list(space.enumeration_blocks())
+    blocks = list(enumeration_blocks(space))
     return SampleBatch(
         tokens=np.concatenate([block.tokens for block in blocks]),
         lengths=np.concatenate([block.lengths for block in blocks]),
@@ -415,12 +449,24 @@ def member_log_scores(ebm: Ebm, batch: SampleBatch) -> np.ndarray:
         return ebm.base.log_prob_batch(batch) + np.log(b) + tilt
 
 
+def universe_features(ebm: Ebm) -> np.ndarray:
+    """The target's feature matrix over the universe, in enumeration order:
+    `feature_matrix` over `enumeration_blocks`, one block at a time, so the
+    universe's token matrix is never built."""
+    phi = np.empty((ebm.space.universe_size, len(ebm.constraint_set)))
+    row = 0
+    for block in enumeration_blocks(ebm.space):
+        phi[row : row + len(block)] = ebm.constraint_set.feature_matrix(block)
+        row += len(block)
+    return phi
+
+
 def universe_moments(ebm: Ebm, dist: np.ndarray) -> np.ndarray:
     """E_dist[phi] of a distribution over the universe, in enumeration order,
-    summed one ENUMERATION_CHUNK_ROWS block at a time over the target's cached
-    universe features; on a one-block universe that is `dist @ phi` itself."""
-    phi = ebm.phi_universe()
-    return sum(dist[rows] @ phi[rows].astype(float) for rows in ebm._universe_blocks())
+    summed one ENUMERATION_CHUNK_ROWS slice of the universe at a time over
+    `universe_features`; on a one-slice universe that is `dist @ phi` itself."""
+    phi, step = universe_features(ebm), seqspace.ENUMERATION_CHUNK_ROWS
+    return sum(dist[lo : lo + step] @ phi[lo : lo + step] for lo in range(0, len(dist), step))
 
 
 def exact_moments(ebm: Ebm) -> np.ndarray:
@@ -432,10 +478,9 @@ def exact_moments(ebm: Ebm) -> np.ndarray:
 def whole_matrix_normalize(ebm: Ebm) -> tuple[float, np.ndarray]:
     """(Z, p) with the score applied to the whole universe in one expression:
     the base's exact log-probs, plus log of the row product of the pointwise
-    columns, plus the distributional columns @ lam, of the cached universe
-    features cast to float."""
+    columns, plus the distributional columns @ lam, of `universe_features`."""
     log_base = ebm.base.exact_log_distribution()
-    phi = ebm.phi_universe().astype(float)
+    phi = universe_features(ebm)
     pointwise = np.array([c.pointwise for c in ebm.constraint_set], dtype=bool)
     with np.errstate(divide="ignore"):
         scores = log_base + np.log(phi[:, pointwise].prod(axis=1)) + phi[:, ~pointwise] @ ebm.lam

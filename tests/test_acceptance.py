@@ -50,6 +50,7 @@ from helpers import (
     small_space,
     synthetic_corpus,
     uniform_model,
+    universe_features,
     zipf_total,
 )
 
@@ -82,7 +83,7 @@ def anchor():
     )
     fit_report, ebm = fit_lambda(base, constraint_set, fit_config)
     z, p = ebm.exact_normalize()
-    phi = ebm.phi_universe()
+    phi = universe_features(ebm)
     return {
         "space": space,
         "base": base,
@@ -143,7 +144,8 @@ def test_criterion_2_pythagorean_identity(anchor):
     p = tilt / tilt.sum()
     kl_p_a = exact_kl(p, a_dist)
     rng = np.random.default_rng(5)
-    witnesses = list(moment_preserving_perturbations(p, phi, count=5, rng=rng))
+    states = np.arange(len(phi))  # a raw feature matrix is its own values
+    witnesses = list(moment_preserving_perturbations(p, states, phi, count=5, rng=rng))
     on = a_dist * (phi[:, 0] == 1.0)
     off = a_dist * (phi[:, 0] == 0.0)
     witnesses.append(0.5 * on / on.sum() + 0.5 * off / off.sum())

@@ -15,12 +15,19 @@ from distctl import config as config_module
 from distctl import cli, errors, seqspace
 from distctl.cli import main
 from distctl.config import ExperimentConfig
-from distctl.ebm import Ebm
+from distctl.ebm import Ebm, fit_lambda
 from distctl.errors import ConfigError
+from distctl.estimators import exact_kl
 from distctl.lm import TabularARModel
 from distctl.seqspace import SequenceSpace, Vocabulary
 
-from helpers import synthetic_corpus, traced_peak, universe_arrays
+from helpers import (
+    synthetic_corpus,
+    traced_peak,
+    universe_arrays,
+    universe_features,
+    whole_matrix_normalize,
+)
 
 
 @pytest.fixture
@@ -476,7 +483,7 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 
 # Tracemalloc peaks of the whole exact commands below, in universe-sized
-# float64 arrays: the oracle reads 5.68 and train 7.85-7.97 from run to run.
+# float64 arrays: the oracle reads 5.41 and train 7.85-7.97 from run to run.
 # The oracle's perturbations project through a Gram matrix (it read 10.73 when
 # they built a support x (1 + k) basis for `lstsq`). A train's exact
 # snapshots enumerate nothing, so its peak is the training's own: the same
@@ -505,6 +512,7 @@ def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, comman
     space = SequenceSpace(Vocabulary.from_body_tokens(["gold", "red"]), 14)  # 32,767 sequences
     assert universe_arrays(peak, space) <= EXACT_COMMAND_UNIVERSE_ARRAYS[command]
     assert not hasattr(SequenceSpace, "enumeration")
+    assert not hasattr(SequenceSpace, "enumeration_blocks")
 
 
 def test_oracle_identity_and_pointwise(workdir):
@@ -519,6 +527,47 @@ def test_oracle_identity_and_pointwise(workdir):
     assert doc["exact_moments"][0] == pytest.approx(1.0)
     # no lambda: KL(p || a) = lam . E_p[phi] - log Z is -log Z alone
     assert doc["kl_p_a"] == pytest.approx(-np.log(doc["z"]), rel=1e-12, abs=0)
+
+
+RATIO = {"id": "ratio", "kind": "token-ratio", "numerator": ["gold"],
+         "denominator": ["gold", "red"], "target": 0.3}
+ORACLE_CONSTRAINTS = {
+    "distributional": [
+        {"id": "gold", "kind": "token-presence", "token": "gold", "target": 0.5},
+        {"id": "start", "kind": "prefix-match", "tokens": ["red"], "target": 0.6},
+    ],
+    "token-ratio": [RATIO],
+    "hybrid": [
+        {"id": "blue", "kind": "token-presence", "token": "blue", "target": 1.0,
+         "pointwise": True},
+        {"id": "colors", "kind": "wordlist-presence", "tokens": ["green", "gold"],
+         "target": 0.7},
+        RATIO,
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_CONSTRAINTS))
+def test_oracle_matches_the_enumeration(workdir, kind):
+    """`z`, `exact_moments` and `kl_p_a` equal the tests' enumeration of the
+    same fitted target to 1e-12 relative, its features from `feature_matrix`
+    over the universe's token blocks, and the Pythagorean residual is a
+    number below 1e-12."""
+    path = write_config(workdir, constraints=ORACLE_CONSTRAINTS[kind])
+    assert main(["oracle", "--config", str(path)]) == 0
+    doc = json.loads((workdir / "out" / "oracle.json").read_text())
+    cfg = ExperimentConfig.load(path)
+    base = cfg.build_base()
+    _, target = fit_lambda(base, cfg.build_constraints(base.space), cfg.fit_config)
+    z, p = whole_matrix_normalize(target)
+    assert doc["universe_size"] == len(p)
+    assert doc["z"] == pytest.approx(z, rel=1e-12, abs=0)
+    np.testing.assert_allclose(doc["exact_moments"], p @ universe_features(target),
+                               rtol=1e-12, atol=0)
+    kl_p_a = exact_kl(p, base.exact_distribution())
+    assert doc["kl_p_a"] == pytest.approx(kl_p_a, rel=1e-12, abs=0)
+    residual = doc["pythagorean_residual_max"]
+    assert isinstance(residual, float) and residual < 1e-12
 
 
 def test_train_never_computes_the_target_moments(workdir, monkeypatch):

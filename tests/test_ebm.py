@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distctl import ebm as ebm_module
 from distctl.ebm import (
     DEFAULT_LAMBDA_CLAMP,
     Ebm,
@@ -38,10 +39,8 @@ from helpers import (
     PredicateTable,
     Sequence,
     batch_from,
-    batch_of,
     bisect_lambda,
     dense_logits,
-    enumerate_sequences,
     enumeration,
     exact_hybrid_projection,
     exact_moments,
@@ -373,17 +372,17 @@ def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
 
 # The exact oracles' memory bounds, in universe-sized float64 arrays. A
 # target's normalization holds the base's exact log-probs, which become its
-# distribution in place, and the universe features, here one bool per
+# distribution in place, and the universe states, here one byte per
 # sequence; the tilt's temporaries are block-sized. With those caches filled,
 # the policy's exact distribution adds one array and its prefix DP's
 # block-sized gathers; the snapshot's exact columns come from the target DP,
 # whose parts hold at most ENUMERATION_CHUNK_ROWS prefixes, so it adds almost
-# nothing. At 256-row blocks both targets read 2.64 (a tilt and a
-# pointwise product); a snapshot that enumerated read 2.68 and 4.21 (its
-# `exact_kl` compacted both distributions onto a pointwise target's support).
-# The universe's token matrix of a length-8 space would add four arrays, and
-# its lengths one; its per-block batches stay small while
-# ENUMERATION_CHUNK_ROWS is.
+# nothing. At 256-row blocks both targets read 2.64-2.65 (a tilt and a
+# pointwise product; 2.64 over bool features); a snapshot that enumerated
+# read 2.68 and 4.21 (its `exact_kl` compacted both distributions onto a
+# pointwise target's support). The universe's token matrix of a length-8
+# space would add four arrays, and its lengths one; the tests' per-block
+# batches stay small while ENUMERATION_CHUNK_ROWS is.
 ORACLE_SPACE = (4, 8)  # 87,381 sequences
 ORACLE_UNIVERSE_ARRAYS = 2.7
 
@@ -456,29 +455,37 @@ def test_scores_match_member_by_member_reference_bitwise(pointwise, rng):
 
 
 def test_product_mode_evaluates_the_universe_once(monkeypatch, rng):
+    """A normalization and an exact snapshot, each asked for twice, run the
+    universe states pass once per target, and `feature_matrix` sees only the
+    snapshot's samples, never a universe row."""
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
-    ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 1.0, pointwise=True), lam=[])
     policy = base.to_order(space.lmax, trainable=True)
-    universe_blocks, evaluated = [], []
-    enumeration_blocks = SequenceSpace.enumeration_blocks
-    feature_matrix = ConstraintSet.feature_matrix
+    passes, evaluated = [], []
+    final_states, feature_matrix = ebm_module._final_states, ConstraintSet.feature_matrix
 
-    def recorded_blocks(self):
-        for block in enumeration_blocks(self):
-            universe_blocks.append(block)
-            yield block
+    def counted_pass(space, auto):
+        passes.append(space)
+        return final_states(space, auto)
 
     def counted(self, batch):
-        evaluated.append(batch)
+        evaluated.append(len(batch))
         return feature_matrix(self, batch)
 
-    monkeypatch.setattr(SequenceSpace, "enumeration_blocks", recorded_blocks)
+    monkeypatch.setattr(ebm_module, "_final_states", counted_pass)
     monkeypatch.setattr(ConstraintSet, "feature_matrix", counted)
-    ebm.exact_normalize()
-    snapshot(0, "gdc", policy, ebm, rng, EvalOptions(sample_size=64, exact=True))
-    universe_rows = sum(len(b) for b in evaluated if any(b is u for u in universe_blocks))
-    assert universe_rows == space.universe_size
+    targets = [
+        Ebm(base=base, constraint_set=presence_set(space, "a", 1.0, pointwise=True), lam=[]),
+        Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8])),
+    ]
+    options = EvalOptions(sample_size=64, exact=True)
+    for ebm in targets:
+        for _ in range(2):
+            ebm.exact_normalize()
+            snapshot(0, "gdc", policy, ebm, rng, options)
+        ebm.universe_states()
+    assert len(passes) == len(targets)
+    assert evaluated == [options.sample_size] * (2 * len(targets))
 
 
 def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
@@ -491,13 +498,14 @@ def test_exact_oracles_never_build_the_enumeration(small_blocks, rng):
     ):
         assert exact_oracles_peak(ebm, policy, rng) <= ORACLE_UNIVERSE_ARRAYS, ebm.lam
     assert not hasattr(SequenceSpace, "enumeration")
+    assert not hasattr(SequenceSpace, "enumeration_blocks")
 
 
 def test_cold_exact_normalize_holds_one_universe_array(small_blocks, rng):
     """A cold normalization makes the base's exact log-probs, which become the
-    distribution in place, and the universe features, one bool per sequence:
-    it reads 1.23 universe-sized float64 arrays. A whole-universe tilt over
-    float64 features read 3.05."""
+    distribution in place, and the universe states, one byte per sequence:
+    it reads 1.19 universe-sized float64 arrays (1.21-1.22 over bool features). A
+    whole-universe tilt over float64 features read 3.05."""
     space = small_space(*ORACLE_SPACE)
     base = random_model(space, 2, rng)
     ebm = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))
@@ -505,23 +513,59 @@ def test_cold_exact_normalize_holds_one_universe_array(small_blocks, rng):
     assert universe_arrays(peak, space) <= 1.3
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-def test_phi_universe_blockwise_equals_the_full_matrix_bitwise(monkeypatch, chunk):
-    space = small_space(4, 4)
+def referee_sets(space):
+    """Constraint sets for the states referee: each of the four kinds alone,
+    a hybrid set (a pointwise presence beside a prefix match and a ratio, 200
+    states) and the product of all four (400 states, past a byte)."""
     v = space.vocabulary
-    cs = ConstraintSet(
-        [
-            ConstraintSpec(TokenPresence(v, "a"), 0.4),
-            ConstraintSpec(WordlistPresence(v, ["b", "d"]), 0.3),
-            ConstraintSpec(PrefixMatch(v, ["c", "a"]), 0.2),
-            ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5), 0.5),
-        ]
-    )
-    full = cs.feature_matrix(batch_of(list(enumerate_sequences(space)), space.lmax))
+    presence, wordlist = TokenPresence(v, "a"), WordlistPresence(v, ["b", "d"])
+    prefix = PrefixMatch(v, ["c", "a"])
+    ratio = TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5)
+    hybrid = [ConstraintSpec(presence, 1.0, pointwise=True), ConstraintSpec(prefix, 0.2),
+              ConstraintSpec(ratio, 0.5)]
+    product = [ConstraintSpec(f, 0.4) for f in (presence, wordlist, prefix, ratio)]
+    singles = [[ConstraintSpec(f, 0.4)] for f in (presence, wordlist, prefix, ratio)]
+    return [ConstraintSet(specs) for specs in [*singles, hybrid, product]]
+
+
+def zero_lambda_target(base, cs):
+    return Ebm(base=base, constraint_set=cs, lam=np.zeros(int(np.count_nonzero(~cs.pointwise))))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+def test_universe_states_equal_the_feature_matrix_bitwise(monkeypatch, chunk):
+    """`values[states]` is `feature_matrix` over the enumeration, bit for bit,
+    whatever the number of parents the pass gathers at a time; the states take
+    one byte up to 256 states and two past it."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
+    space = small_space(4, 4)
     base = uniform_model(space)
-    phi = Ebm(base=base, constraint_set=cs, lam=np.zeros(len(cs))).phi_universe()
-    assert phi.shape == full.shape and phi.tobytes() == full.tobytes()
+    for cs in referee_sets(space):
+        full = cs.feature_matrix(enumeration(space))
+        states, values = zero_lambda_target(base, cs).universe_states()
+        n_states = cs.automaton(space).n_states
+        assert states.dtype == (np.uint8 if n_states <= 256 else np.uint16), n_states
+        assert values[states].shape == full.shape
+        assert values[states].tobytes() == full.tobytes(), cs.ids
+
+
+def test_universe_states_guard_before_any_allocation(monkeypatch):
+    """Past the enumeration guard the states pass raises UniverseTooLarge
+    before it builds the automaton or anything universe-sized (111,111,111
+    sequences, so one byte each would be 106 MiB)."""
+    space = small_space(10, 8)
+    ebm = zero_lambda_target(uniform_model(space), presence_set(space, "a", 0.4))
+
+    def refused(self, space):
+        raise AssertionError("the automaton was built before the guard ran")
+
+    def states():
+        with pytest.raises(UniverseTooLarge):
+            ebm.universe_states()
+
+    monkeypatch.setattr(ConstraintSet, "automaton", refused)
+    _, peak = traced_peak(states)
+    assert peak < 1 << 20
 
 
 TARGET_KINDS = ["binary", "mixed", "pointwise-product", "hybrid"]
@@ -558,13 +602,16 @@ def test_blockwise_tilt_equals_the_whole_matrix_tilt_bitwise(monkeypatch, rng, k
 
 
 @pytest.mark.parametrize("kind", ["binary", "mixed"])
-def test_phi_universe_is_bool_only_when_every_feature_is_binary(monkeypatch, rng, kind):
+def test_universe_states_take_the_smallest_unsigned_dtype(monkeypatch, rng, kind):
+    """Three binary constraints make 12 states, one byte per sequence; with
+    the token-ratio they make 432, two bytes."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 7)
     ebm = blockwise_target(kind, rng)
-    phi = ebm.phi_universe()
-    assert phi.dtype == (bool if kind == "binary" else np.float64)
+    states, values = ebm.universe_states()
+    assert states.dtype == (np.uint8 if kind == "binary" else np.uint16)
+    assert len(values) == (12 if kind == "binary" else 432) and values.dtype == np.float64
     full = ebm.constraint_set.feature_matrix(enumeration(ebm.space))
-    assert phi.astype(float).tobytes() == full.tobytes()
+    assert values[states].tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["binary", "mixed"])
@@ -574,7 +621,7 @@ def test_universe_moments_agree_with_the_whole_matrix(monkeypatch, rng, kind):
     ebm = blockwise_target(kind, rng)
     policy = random_model(ebm.space, 3, rng)
     dists = [ebm.exact_normalize()[1], policy.exact_distribution()]
-    phi = ebm.phi_universe().astype(float)
+    phi = ebm.constraint_set.feature_matrix(enumeration(ebm.space))  # the whole matrix at once
     for chunk in (256, 7):
         monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
         for d in dists:
@@ -875,7 +922,8 @@ def test_pythagorean_identity(rng):
     lam_star = bisect_lambda(a_dist, phi[:, 0], 0.6)
     p = exact_tilted(a_dist, phi, np.array([lam_star]))
     kl_p_a = exact_kl(p, a_dist)
-    perturbed = list(moment_preserving_perturbations(p, phi, count=6, rng=rng))
+    states = np.arange(len(phi))  # a raw feature matrix is its own values
+    perturbed = list(moment_preserving_perturbations(p, states, phi, count=6, rng=rng))
     assert len(perturbed) >= 5
     for c in perturbed:
         assert abs(float(c @ phi[:, 0]) - 0.6) < 1e-9
@@ -909,8 +957,39 @@ def test_information_projection_optimality(rng):
     lam_star = bisect_lambda(a_dist, phi[:, 0], 0.4)
     p = exact_tilted(a_dist, phi, np.array([lam_star]))
     kl_p_a = exact_kl(p, a_dist)
-    for c in moment_preserving_perturbations(p, phi, count=100, rng=rng):
+    for c in moment_preserving_perturbations(p, np.arange(len(phi)), phi, count=100, rng=rng):
         assert exact_kl(c, a_dist) >= kl_p_a - 1e-6
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "token-ratio"])
+def test_perturbations_keep_the_moments_and_the_mass(rng, kind):
+    """On a hybrid target p's support is a strict subset of the universe (b
+    is 0 off it), and on a token-ratio target the states are 25 counts: every
+    witness keeps p's feature moments and total mass to 1e-12, stays >= 0
+    and puts no mass off p's support."""
+    space = small_space(4, 4)
+    base = random_model(space, 2, rng, scale=1.0)
+    v = space.vocabulary
+    ratio = ConstraintSpec(TokenRatio(v, ["a"], ["a", "b"], empty_default=0.5), 0.5)
+    if kind == "hybrid":
+        cs = ConstraintSet([ConstraintSpec(TokenPresence(v, "a"), 1.0, pointwise=True),
+                            ConstraintSpec(PrefixMatch(v, ["c"]), 0.4), ratio])
+    else:
+        cs = ConstraintSet([ratio])
+    lam = rng.uniform(-1.5, 1.5, np.count_nonzero(~cs.pointwise))
+    ebm = Ebm(base=base, constraint_set=cs, lam=lam)
+    _, p = ebm.exact_normalize()
+    support = p > 0
+    assert support.all() == (kind == "token-ratio")
+    phi = cs.feature_matrix(enumeration(space))
+    states, values = ebm.universe_states()
+    witnesses = list(moment_preserving_perturbations(p, states, values, count=5, rng=rng))
+    assert len(witnesses) == 5
+    for c in witnesses:
+        assert c.min() >= 0.0 and not c[~support].any()
+        assert abs(c.sum() - 1.0) <= 1e-12
+        assert np.abs(c @ phi - p @ phi).max() <= 1e-12
+        assert not np.array_equal(c, p)  # a witness, not p itself
 
 
 def test_fit_exact_moment_reaches_target(ab_space, ab_uniform):

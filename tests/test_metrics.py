@@ -17,7 +17,7 @@ from distctl.metrics import (
     snapshot,
     zipf_table,
 )
-from distctl.seqspace import SequenceSpace, Vocabulary
+from distctl.seqspace import Vocabulary
 
 from helpers import (
     Sequence,
@@ -343,10 +343,9 @@ def test_exact_snapshot_calls_no_enumeration_oracle(monkeypatch, rng):
     def refused(*args, **kwargs):
         raise AssertionError("an enumeration oracle was called")
 
-    for owner, name in ((Ebm, "exact_normalize"), (Ebm, "phi_universe"),
+    for owner, name in ((Ebm, "exact_normalize"), (Ebm, "universe_states"),
                         (TabularARModel, "exact_distribution"),
-                        (TabularARModel, "exact_log_distribution"),
-                        (SequenceSpace, "enumeration_blocks"), (estimators, "exact_kl")):
+                        (TabularARModel, "exact_log_distribution"), (estimators, "exact_kl")):
         monkeypatch.setattr(owner, name, refused)
     record = snapshot(0, "gdc", policy, target, rng, EvalOptions(sample_size=64, exact=True))
     assert record.kl_p_pi_exact == pytest.approx(expected[0], rel=1e-12)

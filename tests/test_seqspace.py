@@ -23,6 +23,7 @@ from helpers import (
     batch_of,
     enumerate_sequences,
     enumeration,
+    enumeration_blocks,
     sequence_rank,
     sequences,
     small_space,
@@ -77,7 +78,7 @@ def test_enumeration_blocks_tile_the_universe_in_order(monkeypatch, chunk, body,
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", chunk)
     space = small_space(body, lmax)
     reference = batch_of(list(enumerate_sequences(space)), lmax)
-    blocks = list(space.enumeration_blocks())
+    blocks = list(enumeration_blocks(space))
     for block in blocks:
         assert 1 <= len(block) <= chunk and len(set(block.lengths.tolist())) == 1
     tokens = np.concatenate([block.tokens for block in blocks])
@@ -86,12 +87,6 @@ def test_enumeration_blocks_tile_the_universe_in_order(monkeypatch, chunk, body,
     enum = enumeration(space)
     assert np.array_equal(enum.tokens, reference.tokens)
     assert np.array_equal(enum.lengths, reference.lengths)
-
-
-def test_enumeration_blocks_guard_before_the_first_block():
-    space = small_space(10, 8)
-    with pytest.raises(UniverseTooLarge):
-        space.enumeration_blocks()
 
 
 def test_enumeration_count_at_size_caps():
