@@ -37,13 +37,17 @@ On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
 of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
 proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. With
 the exact oracle on, the snapshots add no universe-sized array (their columns
-come from the target's DP, `ebm.Ebm.exact_policy_terms`), so the peak is
-101.3 MB (median of ten seeds), as with the oracle off.
+come from the target's DP, `ebm.Ebm.exact_policy_terms`), and the model write
+holds a chunk of its text at a time, so the peak is 62.4 MB (median of ten
+seeds; 101.3 MB when the write built the whole document first), set by the
+lambda-fit's 200,000-row draw.
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
-back with that map. A version-1 document (`logits`, one row per context
-in context order) still reads, with the identity map.
+back with that map. `write_document` writes the bytes of
+`json.dumps(to_document()) + "\\n"`, turning `_WRITE_CHUNK_CELLS` numbers into
+text at a time. A version-1 document (`logits`, one row per context in
+context order) still reads, with the identity map.
 
 Sampling draws each step's uniforms and forms its Gumbel scores over row
 chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
@@ -81,6 +85,7 @@ MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 2
 _SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
+_WRITE_CHUNK_CELLS = 4096  # numbers `write_document` turns into JSON text at a time
 
 
 def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
@@ -455,14 +460,21 @@ class TabularARModel:
 
     # -- persistence --------------------------------------------------------
 
-    def to_document(self) -> dict:
-        """The model document: the stored rows the contexts read (`np.unique` of
-        their indices), grouped exactly by their bytes, so -0.0 and 0.0 stay apart."""
+    def _encoded(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """(header, rows, index) of the model document. The header holds every
+        key but `rows` and `row_map`. `rows` are the stored rows some context
+        reads (a store-sized mask finds them), grouped exactly by their bytes,
+        so -0.0 and 0.0 stay apart. `index[s]` is stored row s's row in `rows`,
+        so the document's `row_map` is `index[self.row_map]`."""
         logits = np.ascontiguousarray(self.logits)
         row_bytes = logits.view(np.dtype((np.void, logits.shape[1] * logits.itemsize))).ravel()
-        stored, row_of = np.unique(self.row_map, return_inverse=True)
+        read = np.zeros(len(logits), dtype=bool)
+        read[self.row_map] = True
+        stored = np.flatnonzero(read)
         distinct, distinct_of = np.unique(row_bytes[stored], return_inverse=True)
-        return {
+        index = np.zeros(len(logits), dtype=np.int64)
+        index[stored] = distinct_of
+        header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "order": self.order,
@@ -472,13 +484,34 @@ class TabularARModel:
                 "eos_index": self.space.vocabulary.eos_index,
             },
             "trainable": self.trainable,
-            "rows": distinct.view(logits.dtype).reshape(len(distinct), -1).tolist(),
-            "row_map": distinct_of[row_of].tolist(),
         }
+        return header, distinct.view(logits.dtype).reshape(len(distinct), -1), index
+
+    def to_document(self) -> dict:
+        """The model document: the header, `rows` and `row_map` (see `_encoded`)."""
+        header, rows, index = self._encoded()
+        return {**header, "rows": rows.tolist(), "row_map": index[self.row_map].tolist()}
 
     def write_document(self, path: str | Path) -> None:
-        """Write `model.json`: the document as single-line JSON."""
-        Path(path).write_text(json.dumps(self.to_document()) + "\n")
+        """Write `model.json`: the bytes of `json.dumps(self.to_document()) + "\\n"`.
+        `rows` and `row_map` become text `_WRITE_CHUNK_CELLS` numbers at a time
+        (whole rows, at least one), so the write holds no list or text of either."""
+        header, rows, index = self._encoded()
+        per_row = max(1, _WRITE_CHUNK_CELLS // rows.shape[1])
+        row_map = self.row_map
+        chunks = {
+            "rows": (rows[lo : lo + per_row] for lo in range(0, len(rows), per_row)),
+            "row_map": (index[row_map[lo : lo + _WRITE_CHUNK_CELLS]]
+                        for lo in range(0, len(row_map), _WRITE_CHUNK_CELLS)),
+        }
+        with open(path, "w") as out:
+            out.write(json.dumps(header)[:-1])
+            for key, parts in chunks.items():
+                out.write(f", {json.dumps(key)}: [")
+                for i, part in enumerate(parts):
+                    out.write((", " if i else "") + json.dumps(part.tolist())[1:-1])
+                out.write("]")
+            out.write("}\n")
 
     @classmethod
     def from_document(cls, doc: dict) -> "TabularARModel":

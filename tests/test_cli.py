@@ -483,23 +483,24 @@ def test_manifest_times_each_phase_of_the_other_commands(workdir, command, names
 
 
 # Tracemalloc peaks of the whole exact commands below, in universe-sized
-# float64 arrays: the oracle reads 5.41 and train 7.85-7.97 from run to run.
-# The oracle's perturbations project through a Gram matrix (it read 10.73 when
-# they built a support x (1 + k) basis for `lstsq`). A train's exact
-# snapshots enumerate nothing, so its peak is the training's own: the same
-# run with exact_oracle off reads 7.84-7.93.
-EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 6.0, "train": 8.0}
+# float64 arrays: the oracle reads 5.41-5.56 and train 2.54-2.55 from run to
+# run. The oracle's perturbations project through a Gram matrix (it read 10.73
+# when they built a support x (1 + k) basis for `lstsq`). A train's exact
+# snapshots enumerate nothing, and its model write turns the document into
+# text a chunk at a time, so its peak is the training's own (it read 7.84-7.97
+# when the write built the whole document's lists and JSON text first).
+EXACT_COMMAND_UNIVERSE_ARRAYS = {"oracle": 6.0, "train": 3.0}
 
 
 @pytest.mark.parametrize("command", ["oracle", "train"])
 def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, command):
     """The oracle holds about 6 universe-sized float64 arrays at once, and
     takes its moment-preserving perturbations one at a time; a train holds
-    about 8, none of them its snapshots'. On this long, narrow space (two
+    about 2.5, none of them its snapshots'. On this long, narrow space (two
     body tokens, lmax 14) the universe's token matrix alone would be 7 such
     arrays, its lengths one more, and the blocks it is joined from as many
-    again. A train's peak is its model write: it holds about 2.3 arrays
-    until `write_document`, whose lists and JSON text take it to about 7.9."""
+    again. `write_document` holds a chunk of the model's text at a time, so
+    the write adds little to what the train held before it."""
     monkeypatch.setattr(seqspace, "ENUMERATION_CHUNK_ROWS", 256)
     text = synthetic_corpus(np.random.default_rng(7), tokens=["red", "gold"], weights=[0.7, 0.3],
                             n_lines=120, min_len=1, max_len=8)
