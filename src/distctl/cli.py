@@ -326,10 +326,9 @@ def run_eval(run: _Run) -> None:
     _write_samples(run, model, rng)
 
 
-COMMANDS = {
-    "fit": run_fit, "train": run_train, "ablation": run_ablation, "oracle": run_oracle,
-    "eval": run_eval,
-}
+# each command runs `run_<name>`, looked up when `main` is called, so a
+# rebound `cli.run_<name>` is the one that runs
+COMMANDS = ("fit", "train", "ablation", "oracle", "eval")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -356,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = _resolve_output(args, cfg)
         out_dir.mkdir(parents=True, exist_ok=True)
         run = _Run(cfg, out_dir, started)
-        COMMANDS[args.command](run)
+        globals()[f"run_{args.command}"](run)
         run.close()
         return EXIT_OK
     except DistctlError as e:

@@ -563,9 +563,12 @@ def fit_lambda(
 
     A set with no distributional constraint has no lam: the fit returns at
     once, converged at step 0, and draws nothing. Otherwise it draws the
-    base-model sample set once and keeps the rows whose pointwise columns are
-    all 1 (b(x) = 0 elsewhere, so they carry no weight); then it checks each
-    target against the kept rows' feature hull and runs damped Newton on
+    base-model sample set once, block by block (`sample_blocks`, the rows of
+    one `sample_batch` draw), featurizes each block and keeps only the
+    feature matrix phi: it holds phi and a block, never the whole draw. It
+    keeps the rows whose pointwise columns are all 1 (b(x) = 0 elsewhere, so
+    they carry no weight); then it checks each target against the kept rows'
+    feature hull and runs damped Newton on
     `snis_dual`: minimum-norm steps (collinear features still step), clipped to
     the clamp and halved until the dual decreases. It converges once max |gap|
     < `tolerance`, and stops short at `max_steps` or when no halving lowers the
@@ -582,8 +585,11 @@ def fit_lambda(
         report = FitReport(empty, empty, objective=0.0, steps_used=0, rows_used=0, converged=True)
         return report, Ebm(base=base, constraint_set=constraint_set, lam=empty, lambda_clamp=clamp)
     rng = np.random.default_rng(config.seed)
-    samples = base.sample_batch(config.sample_count, rng)
-    phi = constraint_set.feature_matrix(samples)
+    phi = np.empty((config.sample_count, len(constraint_set)))
+    lo = 0
+    for block in base.sample_blocks(config.sample_count, rng):
+        phi[lo : lo + len(block)] = constraint_set.feature_matrix(block)
+        lo += len(block)
     specs = [c for c in constraint_set if not c.pointwise]
     targets = constraint_set.targets[~pointwise]
     if pointwise.any():

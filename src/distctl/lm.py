@@ -38,9 +38,11 @@ of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
 proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. With
 the exact oracle on, the snapshots add no universe-sized array (their columns
 come from the target's DP, `ebm.Ebm.exact_policy_terms`), and the model write
-holds a chunk of its text at a time, so the peak is 62.4 MB (median of ten
-seeds; 101.3 MB when the write built the whole document first), set by the
-lambda-fit's 200,000-row draw.
+holds a chunk of its text at a time, so the peak fell to 62.4 MB (median of
+ten seeds; 101.3 MB when the write built the whole document first), set by
+the lambda-fit's 200,000-row draw. The fit now draws in blocks
+(`sample_blocks`) and keeps only their features, so its phase ends at 43 MB,
+below the training's 56 MB, and the peak is 57.0 MB (median of twenty runs).
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
@@ -49,16 +51,23 @@ back with that map. `write_document` writes the bytes of
 text at a time. A version-1 document (`logits`, one row per context in
 context order) still reads, with the identity map.
 
-Sampling draws each step's uniforms and forms its Gumbel scores over row
-chunks of at most `_SAMPLE_CHUNK_ROWS` rows. The chunks consume the stream of
-one (n, V) draw, so the result does not depend on the chunk size, and the
-step's scratch is chunk x V, not n x V.
+Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, each through
+all its steps, so a step's uniforms and Gumbel scores are block x V, not
+n x V. The blocks replay the stream of the one-shot draw, which takes step
+t's uniforms as one (n, V) draw: block [lo, hi) reads step t's at offset
+(t * n + lo) * V, on a copy of the generator moved there with `advance`
+(PCG64, one double per step). So the rows do not depend on the block size,
+and the caller's generator ends n * lmax * V doubles on. A draw of one block
+reads its steps straight from the caller's generator, of any kind.
+`sample_batch` fills its outputs from the blocks; the lambda-fit featurizes
+each block and keeps only the features.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -83,7 +92,7 @@ from .seqspace import (
 
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 2
-_SAMPLE_CHUNK_ROWS = 4096  # rows whose uniforms and Gumbel scores a sampling step holds at once
+_SAMPLE_CHUNK_ROWS = 4096  # rows a sampling block draws through all its steps
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
 _WRITE_CHUNK_CELLS = 4096  # numbers `write_document` turns into JSON text at a time
 
@@ -288,28 +297,81 @@ class TabularARModel:
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick.
-        The batch keeps the context codes of this model's order."""
+        The batch keeps the context codes of this model's order. Past one
+        block, its outputs are filled from `sample_blocks`, a block at a time."""
+        if n <= _SAMPLE_CHUNK_ROWS:
+            return next(self.sample_blocks(n, rng))
+        m = self.coding.m_eff
+        tokens = np.empty((n, self.space.lmax), dtype=np.int32)
+        lengths = np.empty(n, dtype=np.int64)
+        codes = np.empty((self.space.lmax, n), dtype=np.int64)  # step-major, as `_Coding.encode`
+        lo = 0
+        for block in self.sample_blocks(n, rng):
+            rows = slice(lo, lo + len(block))
+            tokens[rows], lengths[rows] = block.tokens, block.lengths
+            codes[:, rows] = _events(self.space, block).codes[m].T
+            lo = rows.stop
+        batch = SampleBatch(tokens=tokens, lengths=lengths)
+        _events(self.space, batch).codes[m] = codes.T
+        return batch
+
+    def sample_blocks(self, n: int, rng: np.random.Generator) -> Iterator[SampleBatch]:
+        """The rows of `sample_batch(n, rng)`, bit for bit, in blocks of at most
+        `_SAMPLE_CHUNK_ROWS` rows; each block keeps its context codes. Once the
+        blocks are drawn, `rng` stands where `sample_batch` leaves it: n * lmax * V
+        doubles on.
+
+        A draw of one block reads `rng` itself, of any kind. Past one block,
+        block [lo, hi) draws step t's uniforms at offset (t * n + lo) * V of the
+        stream of `rng`, on a copy moved there with `bit_generator.advance`:
+        that needs PCG64 (or PCG64DXSM), whose `advance` moves one double per
+        step. Another bit generator is refused there."""
         if n < 1:
             raise ConfigError("sample count must be >= 1")
+        v = self.space.vocabulary.size
+        if n <= _SAMPLE_CHUNK_ROWS:
+            yield self._sample_block(n, rng, 0)
+            return
+        bits = rng.bit_generator
+        if type(bits) not in (np.random.PCG64, np.random.PCG64DXSM):
+            raise ConfigError(
+                f"sampling {n} > {_SAMPLE_CHUNK_ROWS} rows in blocks moves the stream with "
+                f"`bit_generator.advance`, one double per step; "
+                f"{type(bits).__name__} has no such `advance`"
+            )
+        origin = copy.deepcopy(rng)
+        held = bits.state
+        bits.advance(n * self.space.lmax * v)
+        # `advance` drops a buffered 32-bit draw, which the doubles never read
+        bits.state = {**bits.state, "has_uint32": held["has_uint32"], "uinteger": held["uinteger"]}
+        for lo in range(0, n, _SAMPLE_CHUNK_ROWS):
+            rows = min(_SAMPLE_CHUNK_ROWS, n - lo)
+            draws = copy.deepcopy(origin)
+            draws.bit_generator.advance(lo * v)
+            yield self._sample_block(rows, draws, (n - rows) * v)
+
+    def _sample_block(self, n: int, draws: np.random.Generator, stride: int) -> SampleBatch:
+        """n rows of ancestral sampling by the Gumbel-max trick. Each step draws
+        its (n, V) uniforms from `draws`, whatever the outcomes, `stride` doubles
+        past the end of the previous step's (0: straight after it)."""
         logprob = self._logprob
         coding = self.coding
         lmax = self.space.lmax
+        v = self.space.vocabulary.size
         eos = self.space.vocabulary.eos_index
         tokens = np.full((n, lmax), -1, dtype=np.int32)
         lengths = np.full(n, lmax, dtype=np.int64)
-        codes = np.zeros((lmax, n), dtype=np.int64)  # step-major, as `_Coding.encode`
+        codes = np.zeros((lmax, n), dtype=np.int64)  # step-major; 0 once a row has ended
         val = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
-        pick = np.zeros(n, dtype=np.intp)  # a chunk with no live row keeps old picks, masked off
-        chunks = [slice(lo, min(lo + _SAMPLE_CHUNK_ROWS, n)) for lo in range(0, n, _SAMPLE_CHUNK_ROWS)]
         for t in range(lmax):
-            np.multiply(coding.step_offset(t) + val, alive, out=codes[t])  # 0 once ended
-            for rows in chunks:
-                # drawn row-major, chunk after chunk: the stream of one (n, V) draw,
-                # consumed whatever the outcomes
-                u = rng.random((rows.stop - rows.start, self.space.vocabulary.size))
-                if alive[rows].any():
-                    pick[rows] = _gumbel_argmax(logprob, self.row_map[codes[t, rows]], u)
+            if t and stride:
+                draws.bit_generator.advance(stride)
+            u = draws.random((n, v))
+            if not alive.any():
+                continue
+            np.multiply(coding.step_offset(t) + val, alive, out=codes[t])
+            pick = _gumbel_argmax(logprob, self.row_map[codes[t]], u)
             ended = alive & (pick == eos)
             lengths[ended] = t
             grow = alive & ~ended
@@ -328,6 +390,9 @@ class TabularARModel:
         weight times the softmax to every cell of its context row. The events
         are summed per cell with `np.bincount`, in step-major then batch order,
         so every cell sees the same additions as a dense `np.add.at` table.
+        Each step's one-hots and softmax rows are written in place into one
+        cell array and one value array, the only event x V buffers it holds
+        besides a step's gathered rows.
         """
         if not self.trainable:
             raise NotTrainable("model is frozen")
@@ -341,16 +406,18 @@ class TabularARModel:
         touched, inverse = np.unique(ev_codes, return_inverse=True)
         row_cells = inverse * v
         onehot_cells = row_cells + toks.T[events]
-        soft_cells = row_cells[:, None] + np.arange(v)
-        soft_values = -w[:, None] * np.exp(self._logprob[self.row_map[ev_codes]])
+        cells = np.empty(len(w) * (v + 1), dtype=np.int64)
+        values = np.empty(len(cells))
         bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
-        cells, values = [], []
         for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
-            cells += [onehot_cells[lo:hi], soft_cells[lo:hi].ravel()]
-            values += [w[lo:hi], soft_values[lo:hi].ravel()]
-        grad = np.bincount(
-            np.concatenate(cells), weights=np.concatenate(values), minlength=len(touched) * v
-        )
+            one = slice(lo * (v + 1), lo * (v + 1) + hi - lo)
+            soft = slice(one.stop, hi * (v + 1))
+            cells[one], values[one] = onehot_cells[lo:hi], w[lo:hi]
+            np.add(row_cells[lo:hi, None], np.arange(v), out=cells[soft].reshape(-1, v))
+            step = values[soft].reshape(-1, v)
+            np.exp(self._logprob[self.row_map[ev_codes[lo:hi]]], out=step)
+            np.multiply(-w[lo:hi, None], step, out=step)
+        grad = np.bincount(cells, weights=values, minlength=len(touched) * v)
         return RowGradient(touched, grad.reshape(len(touched), v))
 
     def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":

@@ -21,7 +21,7 @@ from distctl.errors import (
     UnattainableTarget,
     UniverseTooLarge,
 )
-from distctl import seqspace
+from distctl import lm, seqspace
 from distctl.estimators import exact_kl
 from distctl.features import (
     ConstraintSet,
@@ -46,6 +46,7 @@ from helpers import (
     exact_moments,
     from_distribution,
     hybrid_task,
+    invalidate,
     member_log_scores,
     random_model,
     scaled,
@@ -211,11 +212,33 @@ def test_fit_returns_at_once_on_all_pointwise(monkeypatch, ab_uniform, presence_
     def no_draws(*args):
         raise AssertionError("a pointwise-only fit draws nothing")
 
-    monkeypatch.setattr(type(ab_uniform), "sample_batch", no_draws)
+    monkeypatch.setattr(type(ab_uniform), "_sample_block", no_draws)  # every draw's core
     report, ebm = fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100))
     assert report.lam.shape == report.achieved_moments.shape == (0,)
     assert (report.steps_used, report.converged) == (0, True)
     assert ebm.lam.shape == (0,) and list(ebm.pointwise_columns) == [0]
+
+
+def test_fit_holds_phi_and_a_block_never_the_draw(rng):
+    """The fit featurizes its draw a block at a time and keeps only phi. Its
+    peak is a few blocks' tokens and codes plus phi-sized arrays: phi and the
+    Newton step's weights and centered copies, at most four floats a row for
+    one feature. So it grows with the sample count by those alone, never by
+    the rows' tokens and codes (lmax 12: 144 bytes a row, which a fit that
+    drew the whole batch first held)."""
+    space = small_space(2, 12)
+    model = random_model(space, 2, rng)
+    model.logits[:, space.vocabulary.eos_index] -= 2.0  # most rows run long
+    invalidate(model)
+    block = lm._SAMPLE_CHUNK_ROWS * space.lmax * (4 + 8)  # one block's tokens and codes
+    peaks = {}
+    for n in (40_000, 80_000):
+        (report, _), peaks[n] = traced_peak(
+            fit_lambda, model, presence_set(space, "a", 0.5), fit_config(n=n, steps=50)
+        )
+        assert report.rows_used == n and report.converged
+        assert peaks[n] <= 4 * 8 * n + 4 * block
+    assert peaks[80_000] - peaks[40_000] <= 4 * 8 * 40_000
 
 
 def test_fit_steps_through_a_singular_covariance(ab_space, ab_uniform):

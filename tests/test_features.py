@@ -275,10 +275,10 @@ def test_pointwise_predicate(monkeypatch):
     distributional = ConstraintSet([ConstraintSpec(TokenPresence(v, "a"), 0.5)])
     base = uniform_model(space)
 
-    def no_draws(self, n, rng):
+    def no_draws(*args):
         raise AssertionError("rejection sampling drew before checking its constraints")
 
-    monkeypatch.setattr(TabularARModel, "sample_batch", no_draws)
+    monkeypatch.setattr(TabularARModel, "_sample_block", no_draws)  # every draw's core
     with pytest.raises(NoPointwiseConstraints):
         rejection_mle(base, distributional, RejectionConfig(sample_budget=10, fit_order=1))
 

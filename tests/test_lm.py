@@ -447,6 +447,23 @@ def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
         assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
 
 
+def test_grad_weighted_sum_holds_two_event_tables(rng):
+    """The gradient writes each step's one-hots and softmax rows in place into
+    one cell array and one value array (events x (V + 1) each), and beside
+    them holds a step's gathered rows and a few event-long vectors: about 2.3
+    such tables on a wide vocabulary, where separate softmax buffers and their
+    concatenation held about 4."""
+    wide = Vocabulary.from_body_tokens([f"w{i}" for i in range(49)])
+    space = SequenceSpace(vocabulary=wide, lmax=6)
+    model = random_model(space, 2, rng, trainable=True)
+    model.logits[:, space.vocabulary.eos_index] -= 3.0  # most rows run long
+    invalidate(model)
+    batch = model.sample_batch(2000, rng)
+    events = int(lm._events(space, batch).active.sum())
+    _, peak = traced_peak(model.grad_weighted_sum, batch, rng.random(len(batch)))
+    assert peak <= 2.5 * events * (space.vocabulary.size + 1) * 8
+
+
 def test_sparse_updates_refresh_log_softmax_bitwise(rng):
     space = small_space(4, 4)
     model = random_model(space, space.lmax, rng, trainable=True)
@@ -710,10 +727,66 @@ def test_sample_batch_matches_gumbel_reference_bitwise_across_chunks(monkeypatch
     )
 
 
+def assert_codes_are_the_encoders(model, batch):
+    rebuilt = SampleBatch(tokens=batch.tokens.copy(), lengths=batch.lengths.copy())
+    model.log_prob_batch(rebuilt)
+    m = model.coding.m_eff
+    sampled, scored = lm._events(model.space, batch), lm._events(model.space, rebuilt)
+    assert np.array_equal(sampled.codes[m], scored.codes[m])
+
+
+@ORDERS
+def test_sample_blocks_replay_the_one_shot_stream_bitwise(monkeypatch, order_of, rng):
+    """Blocks of 7 rows, concatenated, are the reference's draw bit for bit: with a
+    ragged last block (400 = 57 * 7 + 1), whole blocks, and n within one block.
+    Each block keeps its codes, and `sample_batch` assembles them. The stream
+    ends where the reference's does, a buffered 32-bit draw kept, on both PCG
+    streams."""
+    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
+    streams = [np.random.PCG64, np.random.PCG64DXSM]
+    for body, lmax in [(1, 2), (2, 3), (3, 4), (2, 9)]:
+        space = small_space(body, lmax)
+        model = long_sampler(space, order_of(lmax), rng)
+        for n, stream in zip([400, 14, 7, 3], streams * 2):
+            ours, theirs, whole = (np.random.Generator(stream(11)) for _ in range(3))
+            for g in (ours, theirs, whole):
+                g.integers(2**32, dtype=np.uint32)  # leaves a 32-bit half buffered
+            blocks = list(model.sample_blocks(n, ours))
+            reference = gumbel_sample_batch(model, n, theirs)
+            assert [len(b) for b in blocks] == [min(7, n - lo) for lo in range(0, n, 7)]
+            assert np.array_equal(np.concatenate([b.tokens for b in blocks]), reference.tokens)
+            assert np.array_equal(np.concatenate([b.lengths for b in blocks]), reference.lengths)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert ours.random() == theirs.random()
+            for block in blocks:
+                assert_codes_are_the_encoders(model, block)
+            batch = model.sample_batch(n, whole)
+            assert np.array_equal(batch.tokens, reference.tokens)
+            assert_codes_are_the_encoders(model, batch)
+
+
+def test_sample_blocks_past_one_block_need_a_pcg_stream(monkeypatch, rng):
+    """One block draws from any generator. Past one, the blocks move a PCG64
+    stream with `advance`, one double per step: MT19937 has no `advance`, and
+    Philox's moves whole counter blocks, so both are refused."""
+    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
+    model = long_sampler(small_space(2, 3), 2, rng)
+    for stream in (np.random.MT19937, np.random.Philox):
+        ours, theirs = np.random.Generator(stream(5)), np.random.Generator(stream(5))
+        batch = model.sample_batch(7, ours)
+        assert np.array_equal(batch.tokens, gumbel_sample_batch(model, 7, theirs).tokens)
+        assert ours.random() == theirs.random()
+        match = f"{stream.__name__} has no such `advance`"
+        with pytest.raises(ConfigError, match=match):
+            model.sample_batch(8, ours)
+        with pytest.raises(ConfigError, match=match):
+            next(model.sample_blocks(8, ours))
+
+
 def test_sample_batch_scratch_is_chunk_sized(rng):
     """On a wide vocabulary, sampling holds its outputs (tokens, lengths and
-    codes), a few batch-sized rows of step state, and a few chunk x V
-    buffers: never an n x V one."""
+    codes) and one block's scratch: a few chunk x V buffers and the block's
+    own rows, never an n x V buffer or batch-sized step state."""
     wide = Vocabulary.from_body_tokens([f"w{i}" for i in range(199)])
     space, n = SequenceSpace(vocabulary=wide, lmax=3), 24_000
     model = random_model(space, 1, rng)
@@ -722,7 +795,7 @@ def test_sample_batch_scratch_is_chunk_sized(rng):
     assert n >= 4 * lm._SAMPLE_CHUNK_ROWS and n * space.vocabulary.size * 8 > 4 * chunk
     batch, peak = traced_peak(model.sample_batch, n, rng)
     outputs = batch.tokens.nbytes + batch.lengths.nbytes + lm._events(space, batch).codes[0].nbytes
-    assert peak <= outputs + 8 * n * 8 + 3 * chunk
+    assert peak <= outputs + 3 * chunk
 
 
 def test_batches_are_read_only(ab_space, rng):
