@@ -33,10 +33,6 @@ TRAINER_KINDS = (REINFORCE_PHI, REINFORCE_P, KL_PENALIZED)
 # Multiplicative step of the beta controller in `baseline_iteration`.
 BETA_STEP = 0.1
 
-# Rows that `rejection_mle` draws from the base at a time.
-_REJECTION_CHUNK = 8192
-
-
 @dataclass(kw_only=True)
 class BaselineConfig(LoopConfig):
     kind: str
@@ -120,24 +116,20 @@ class RejectionStats:
 def rejection_mle(
     base: TabularARModel, constraint_set: ConstraintSet, config: RejectionConfig
 ) -> tuple[TabularARModel, RejectionStats]:
-    """Sample the base, keep the sequences whose pointwise features are all 1,
-    MLE-fit on them."""
+    """Sample the base block by block (`sample_blocks`), keep the sequences
+    whose pointwise features are all 1, MLE-fit on them."""
     pointwise = constraint_set.pointwise
     if not pointwise.any():
         raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget
     rng = np.random.default_rng(config.seed)
     tokens, lengths = [], []
-    drawn = 0
-    while drawn < budget:
-        n = min(_REJECTION_CHUNK, budget - drawn)
-        batch = base.sample_batch(n, rng)
-        drawn += n
-        accept = (constraint_set.feature_matrix(batch)[:, pointwise] == 1.0).all(axis=1)
-        tokens.append(batch.tokens[accept])
-        lengths.append(batch.lengths[accept])
+    for block in base.sample_blocks(budget, rng):
+        accept = (constraint_set.feature_matrix(block)[:, pointwise] == 1.0).all(axis=1)
+        tokens.append(block.tokens[accept])
+        lengths.append(block.lengths[accept])
     kept = SampleBatch(tokens=np.concatenate(tokens), lengths=np.concatenate(lengths))
-    stats = RejectionStats(drawn=drawn, kept=len(kept))
+    stats = RejectionStats(drawn=budget, kept=len(kept))
     if not stats.kept:
         raise NoAcceptedSamples(
             f"no sample satisfied the pointwise predicate within budget {budget}"

@@ -200,10 +200,12 @@ def _write_metrics(run: _Run, constraint_set: ConstraintSet, history) -> None:
 
 
 def _write_samples(run: _Run, policy, rng) -> None:
-    """samples.txt, then zipf.csv: the token frequencies of that one batch."""
+    """samples.txt, then zipf.csv: the token frequencies of that one batch
+    (only the header when every sample is empty)."""
     vocab, n = policy.space.vocabulary, run.cfg.eval_options.sample_size
     batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, rng)
-    rows = [[str(r), tok, str(f)] for r, tok, f in zipf_table(batch, vocab)]
+    table = zipf_table(batch, vocab) if batch.lengths.any() else []
+    rows = [[str(r), tok, str(f)] for r, tok, f in table]
     _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
 
 

@@ -563,9 +563,9 @@ def fit_lambda(
 
     A set with no distributional constraint has no lam: the fit returns at
     once, converged at step 0, and draws nothing. Otherwise it draws the
-    base-model sample set once, block by block (`sample_blocks`, the rows of
-    one `sample_batch` draw), featurizes each block and keeps only the
-    feature matrix phi: it holds phi and a block, never the whole draw. It
+    base-model sample set once, block by block (`sample_blocks`), featurizes
+    each block and keeps only the feature matrix phi: it holds phi and a
+    block, never the whole draw. It
     keeps the rows whose pointwise columns are all 1 (b(x) = 0 elsewhere, so
     they carry no weight); then it checks each target against the kept rows'
     feature hull and runs damped Newton on

@@ -17,9 +17,9 @@ the step is not active. The step tokens and the mask depend on the space only;
 the codes depend on the model order through m_eff. Each batch keeps one record
 of them, each matrix built on first read, with one code matrix per m_eff it
 was scored under; `sample_batch` stores the codes it computes while sampling.
-A batch that is only featurized (the lambda-fit's draw, a rejection-sampling
-chunk) never builds its step tokens or mask. Batches are read-only, so the
-record cannot go stale. A log-prob is one flat `take` of the cells
+A batch that is only featurized (a lambda-fit or rejection-sampling block)
+never builds its step tokens or mask. Batches are read-only, so the record
+cannot go stale. A log-prob is one flat `take` of the cells
 code * V + token of the log-softmax table, summed step by step, in chain-rule
 order.
 
@@ -32,17 +32,6 @@ contexts share a row. The first write to a context (`apply_update`) gives
 it a row of its own, appended to the store (copy on write); the rows stored
 at construction are never written, and a `frozen_copy` is never written at
 all. Every reader goes through the map.
-On the `ladder-5m` benchmark the policy's 597,871 contexts share the base's
-10 rows, and a seed-0 train writes 19,123 of them: the policy holds 1.5 MiB
-of rows and a 4.6 MiB map where dense tables held 2 x 45.6 MiB (and the
-proposal a third), and the run's peak RSS fell from 269.0 to 181.4 MB. With
-the exact oracle on, the snapshots add no universe-sized array (their columns
-come from the target's DP, `ebm.Ebm.exact_policy_terms`), and the model write
-holds a chunk of its text at a time, so the peak fell to 62.4 MB (median of
-ten seeds; 101.3 MB when the write built the whole document first), set by
-the lambda-fit's 200,000-row draw. The fit now draws in blocks
-(`sample_blocks`) and keeps only their features, so its phase ends at 43 MB,
-below the training's 56 MB, and the peak is 57.0 MB (median of twenty runs).
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
@@ -51,16 +40,11 @@ back with that map. `write_document` writes the bytes of
 text at a time. A version-1 document (`logits`, one row per context in
 context order) still reads, with the identity map.
 
-Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, each through
-all its steps, so a step's uniforms and Gumbel scores are block x V, not
-n x V. The blocks replay the stream of the one-shot draw, which takes step
-t's uniforms as one (n, V) draw: block [lo, hi) reads step t's at offset
-(t * n + lo) * V, on a copy of the generator moved there with `advance`
-(PCG64, one double per step). So the rows do not depend on the block size,
-and the caller's generator ends n * lmax * V doubles on. A draw of one block
-reads its steps straight from the caller's generator, of any kind.
-`sample_batch` fills its outputs from the blocks; the lambda-fit featurizes
-each block and keeps only the features.
+Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, one after
+another from the caller's generator, each through all its steps, so a step's
+uniforms and Gumbel scores are block x V, not n x V. `sample_batch` fills its
+outputs from the blocks; the lambda-fit featurizes each block and keeps only
+the features, and rejection sampling keeps only each block's accepted rows.
 """
 
 from __future__ import annotations
@@ -92,7 +76,9 @@ from .seqspace import (
 
 MODEL_FORMAT = "distctl-tabular-ar"
 MODEL_VERSION = 2
-_SAMPLE_CHUNK_ROWS = 4096  # rows a sampling block draws through all its steps
+# Rows a sampling block draws through all its steps. A draw of more rows takes
+# its blocks one after another from one stream, so its rows depend on this size.
+_SAMPLE_CHUNK_ROWS = 4096
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
 _WRITE_CHUNK_CELLS = 4096  # numbers `write_document` turns into JSON text at a time
 
@@ -298,7 +284,8 @@ class TabularARModel:
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick.
         The batch keeps the context codes of this model's order. Past one
-        block, its outputs are filled from `sample_blocks`, a block at a time."""
+        block, its outputs are filled from `sample_blocks`, a block at a time,
+        so its scratch stays block-sized."""
         if n <= _SAMPLE_CHUNK_ROWS:
             return next(self.sample_blocks(n, rng))
         m = self.coding.m_eff
@@ -316,44 +303,17 @@ class TabularARModel:
         return batch
 
     def sample_blocks(self, n: int, rng: np.random.Generator) -> Iterator[SampleBatch]:
-        """The rows of `sample_batch(n, rng)`, bit for bit, in blocks of at most
-        `_SAMPLE_CHUNK_ROWS` rows; each block keeps its context codes. Once the
-        blocks are drawn, `rng` stands where `sample_batch` leaves it: n * lmax * V
-        doubles on.
-
-        A draw of one block reads `rng` itself, of any kind. Past one block,
-        block [lo, hi) draws step t's uniforms at offset (t * n + lo) * V of the
-        stream of `rng`, on a copy moved there with `bit_generator.advance`:
-        that needs PCG64 (or PCG64DXSM), whose `advance` moves one double per
-        step. Another bit generator is refused there."""
+        """n rows of ancestral sampling in blocks of at most `_SAMPLE_CHUNK_ROWS`
+        rows, drawn one after another from `rng`; each block keeps its context
+        codes."""
         if n < 1:
             raise ConfigError("sample count must be >= 1")
-        v = self.space.vocabulary.size
-        if n <= _SAMPLE_CHUNK_ROWS:
-            yield self._sample_block(n, rng, 0)
-            return
-        bits = rng.bit_generator
-        if type(bits) not in (np.random.PCG64, np.random.PCG64DXSM):
-            raise ConfigError(
-                f"sampling {n} > {_SAMPLE_CHUNK_ROWS} rows in blocks moves the stream with "
-                f"`bit_generator.advance`, one double per step; "
-                f"{type(bits).__name__} has no such `advance`"
-            )
-        origin = copy.deepcopy(rng)
-        held = bits.state
-        bits.advance(n * self.space.lmax * v)
-        # `advance` drops a buffered 32-bit draw, which the doubles never read
-        bits.state = {**bits.state, "has_uint32": held["has_uint32"], "uinteger": held["uinteger"]}
         for lo in range(0, n, _SAMPLE_CHUNK_ROWS):
-            rows = min(_SAMPLE_CHUNK_ROWS, n - lo)
-            draws = copy.deepcopy(origin)
-            draws.bit_generator.advance(lo * v)
-            yield self._sample_block(rows, draws, (n - rows) * v)
+            yield self._sample_block(min(_SAMPLE_CHUNK_ROWS, n - lo), rng)
 
-    def _sample_block(self, n: int, draws: np.random.Generator, stride: int) -> SampleBatch:
+    def _sample_block(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """n rows of ancestral sampling by the Gumbel-max trick. Each step draws
-        its (n, V) uniforms from `draws`, whatever the outcomes, `stride` doubles
-        past the end of the previous step's (0: straight after it)."""
+        its (n, V) uniforms from `rng`, whatever the outcomes."""
         logprob = self._logprob
         coding = self.coding
         lmax = self.space.lmax
@@ -365,9 +325,7 @@ class TabularARModel:
         val = np.zeros(n, dtype=np.int64)
         alive = np.ones(n, dtype=bool)
         for t in range(lmax):
-            if t and stride:
-                draws.bit_generator.advance(stride)
-            u = draws.random((n, v))
+            u = rng.random((n, v))
             if not alive.any():
                 continue
             np.multiply(coding.step_offset(t) + val, alive, out=codes[t])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from distctl.baselines import (
-    _REJECTION_CHUNK,
     BETA_STEP,
     BaselineConfig,
     RejectionConfig,
@@ -15,7 +14,7 @@ from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NoAcceptedSamples
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
-from distctl.lm import mle_fit
+from distctl.lm import _SAMPLE_CHUNK_ROWS, mle_fit
 from distctl.metrics import EvalOptions
 
 from helpers import (
@@ -361,14 +360,13 @@ def test_rejection_fit_equals_a_row_by_row_reference(rng):
     base = random_model(space, 2, rng)
     feature = TokenPresence(space.vocabulary, "a")
     cs = ConstraintSet([ConstraintSpec(feature, 1.0, pointwise=True)])
-    budget = 2 * _REJECTION_CHUNK + 1000
+    budget = 2 * _SAMPLE_CHUNK_ROWS + 1000  # past two blocks, ragged
     config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)
     model, stats = rejection_mle(base, cs, config)
     draws = np.random.default_rng(config.seed)
     kept = []
-    for n in (_REJECTION_CHUNK, _REJECTION_CHUNK, 1000):  # the chunks rejection_mle draws
-        batch = base.sample_batch(n, draws)
-        kept += [x for x in sequences(batch) if feature_value(feature, x) == 1.0]
+    for block in base.sample_blocks(budget, draws):
+        kept += [x for x in sequences(block) if feature_value(feature, x) == 1.0]
     assert (stats.drawn, stats.kept) == (budget, len(kept))
     reference = mle_fit(space, batch_from(space, kept), order=2, smoothing=0.5)
     assert model.logits.tobytes() == reference.logits.tobytes()

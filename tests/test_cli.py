@@ -626,6 +626,23 @@ def test_samples_and_zipf_describe_one_batch(workdir):
         assert counts == frequencies, out.name
 
 
+def test_eval_of_a_model_that_emits_only_the_empty_sequence(tmp_path):
+    """Every sample is empty: zipf.csv holds only its header, and the run
+    writes its manifest."""
+    space = SequenceSpace(Vocabulary.from_body_tokens(["a", "b"]), 2)
+    logits = np.full((1, space.vocabulary.size), -np.inf)
+    logits[0, space.vocabulary.eos_index] = 0.0  # the empty context allows only EOS
+    TabularARModel(space, 1, logits).write_document(tmp_path / "model.json")
+    cfg = {"seed": 0, "space": {"lmax": 2}, "base_model": {"model_file": "model.json"},
+           "constraints": [], "eval": {"sample_size": 8}, "output": "out"}
+    (tmp_path / "eval.json").write_text(json.dumps(cfg))
+    assert main(["eval", "--config", str(tmp_path / "eval.json")]) == 0
+    out = tmp_path / "out"
+    assert (out / "samples.txt").read_text() == "\n" * 8
+    assert read_csv(out / "zipf.csv") == [["rank", "token", "frequency"]]
+    assert_manifest(out / "manifest.json", ["build", "fit", "eval", "write"], ["samples", "zipf"])
+
+
 def test_config_errors_exit_2(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({"seed": 0}))

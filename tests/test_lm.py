@@ -691,8 +691,7 @@ def test_a_featurized_batch_builds_no_step_tokens_or_mask(rng):
 
 def sample_like_the_gumbel_reference(order_of, rng):
     """Sample every case with both samplers from one seed; assert the batches
-    are equal and the streams end at the same place. Returns our batches."""
-    batches = []
+    are equal and the streams end at the same place."""
     for body, lmax in [(1, 2), (2, 3), (3, 4), (2, 9)]:
         space = small_space(body, lmax)
         model = long_sampler(space, order_of(lmax), rng)
@@ -705,26 +704,11 @@ def sample_like_the_gumbel_reference(order_of, rng):
             assert np.array_equal(batch.tokens, reference.tokens)
             assert np.array_equal(batch.lengths, reference.lengths)
             assert ours.random() == theirs.random()
-            batches.append(batch)
-    return batches
 
 
 @ORDERS
 def test_sample_batch_matches_gumbel_reference_bitwise(order_of, rng):
     sample_like_the_gumbel_reference(order_of, rng)
-
-
-@ORDERS
-def test_sample_batch_matches_gumbel_reference_bitwise_across_chunks(monkeypatch, order_of, rng):
-    """Chunks of 7 rows: several per step, a ragged last one (400 = 57 * 7 + 1),
-    and chunks whose rows have all ended while other rows still grow."""
-    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
-    batches = sample_like_the_gumbel_reference(order_of, rng)
-    # a chunk whose longest row ends before the last step skips that step's scores
-    assert any(
-        batch.lengths[lo : lo + 7].max() < batch.width - 1
-        for batch in batches for lo in range(0, len(batch), 7)
-    )
 
 
 def assert_codes_are_the_encoders(model, batch):
@@ -735,52 +719,63 @@ def assert_codes_are_the_encoders(model, batch):
     assert np.array_equal(sampled.codes[m], scored.codes[m])
 
 
-@ORDERS
-def test_sample_blocks_replay_the_one_shot_stream_bitwise(monkeypatch, order_of, rng):
-    """Blocks of 7 rows, concatenated, are the reference's draw bit for bit: with a
-    ragged last block (400 = 57 * 7 + 1), whole blocks, and n within one block.
-    Each block keeps its codes, and `sample_batch` assembles them. The stream
-    ends where the reference's does, a buffered 32-bit draw kept, on both PCG
-    streams."""
-    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
-    streams = [np.random.PCG64, np.random.PCG64DXSM]
+def stream_cases(order_of, rng):
+    """Every (model, n, bit generator) of the block checks: a model and a copy
+    with -inf body cells, n = 400 (57 * 7 + 1, a ragged last block), 14 (whole
+    blocks), 7 and 3 (within one block), on PCG64, MT19937 and Philox."""
     for body, lmax in [(1, 2), (2, 3), (3, 4), (2, 9)]:
         space = small_space(body, lmax)
         model = long_sampler(space, order_of(lmax), rng)
-        for n, stream in zip([400, 14, 7, 3], streams * 2):
-            ours, theirs, whole = (np.random.Generator(stream(11)) for _ in range(3))
-            for g in (ours, theirs, whole):
-                g.integers(2**32, dtype=np.uint32)  # leaves a 32-bit half buffered
-            blocks = list(model.sample_blocks(n, ours))
-            reference = gumbel_sample_batch(model, n, theirs)
-            assert [len(b) for b in blocks] == [min(7, n - lo) for lo in range(0, n, 7)]
-            assert np.array_equal(np.concatenate([b.tokens for b in blocks]), reference.tokens)
-            assert np.array_equal(np.concatenate([b.lengths for b in blocks]), reference.lengths)
-            assert ours.bit_generator.state == theirs.bit_generator.state
-            assert ours.random() == theirs.random()
-            for block in blocks:
-                assert_codes_are_the_encoders(model, block)
-            batch = model.sample_batch(n, whole)
-            assert np.array_equal(batch.tokens, reference.tokens)
-            assert_codes_are_the_encoders(model, batch)
+        logits = model.logits.copy()
+        logits[:, :-1][rng.random((len(logits), body)) < 0.3] = -np.inf  # EOS stays finite
+        for candidate in (model, TabularARModel(space, model.order, logits)):
+            for n in (400, 14, 7, 3):
+                for stream in (np.random.PCG64, np.random.MT19937, np.random.Philox):
+                    yield candidate, n, stream
 
 
-def test_sample_blocks_past_one_block_need_a_pcg_stream(monkeypatch, rng):
-    """One block draws from any generator. Past one, the blocks move a PCG64
-    stream with `advance`, one double per step: MT19937 has no `advance`, and
-    Philox's moves whole counter blocks, so both are refused."""
+def successive_reference_draws(model, n, generator):
+    """The reference's one-shot draws of 7 rows at a time, one after another."""
+    return [gumbel_sample_batch(model, min(7, n - lo), generator) for lo in range(0, n, 7)]
+
+
+@ORDERS
+def test_sample_blocks_replay_the_one_shot_stream_bitwise(monkeypatch, order_of, rng):
+    """Each block of 7 rows is the reference's one-shot draw of its rows, taken
+    from the generator, of any kind, where the block before left it: with a
+    ragged last block, whole blocks, n within one block, and blocks whose rows
+    have all ended while other rows still grow. Each block keeps the encoder's
+    codes, and the generator ends where the reference's does."""
     monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
-    model = long_sampler(small_space(2, 3), 2, rng)
-    for stream in (np.random.MT19937, np.random.Philox):
-        ours, theirs = np.random.Generator(stream(5)), np.random.Generator(stream(5))
-        batch = model.sample_batch(7, ours)
-        assert np.array_equal(batch.tokens, gumbel_sample_batch(model, 7, theirs).tokens)
-        assert ours.random() == theirs.random()
-        match = f"{stream.__name__} has no such `advance`"
-        with pytest.raises(ConfigError, match=match):
-            model.sample_batch(8, ours)
-        with pytest.raises(ConfigError, match=match):
-            next(model.sample_blocks(8, ours))
+    all_ended = False
+    for candidate, n, stream in stream_cases(order_of, rng):
+        ours, theirs = np.random.Generator(stream(11)), np.random.Generator(stream(11))
+        blocks = list(candidate.sample_blocks(n, ours))
+        assert [len(b) for b in blocks] == [min(7, n - lo) for lo in range(0, n, 7)]
+        for block, reference in zip(blocks, successive_reference_draws(candidate, n, theirs)):
+            assert np.array_equal(block.tokens, reference.tokens)
+            assert np.array_equal(block.lengths, reference.lengths)
+            assert_codes_are_the_encoders(candidate, block)
+            # its rows all end before the last step, whose scores it skips
+            all_ended |= bool(block.lengths.max() < candidate.space.lmax - 1)
+        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    assert all_ended
+
+
+@ORDERS
+def test_sample_batch_matches_gumbel_reference_bitwise_across_chunks(monkeypatch, order_of, rng):
+    """With blocks of 7 rows, `sample_batch` is the reference's successive block
+    draws joined, with the encoder's codes, and the generator ends where the
+    reference's does."""
+    monkeypatch.setattr(lm, "_SAMPLE_CHUNK_ROWS", 7)
+    for candidate, n, stream in stream_cases(order_of, rng):
+        whole, theirs = np.random.Generator(stream(11)), np.random.Generator(stream(11))
+        batch = candidate.sample_batch(n, whole)
+        references = successive_reference_draws(candidate, n, theirs)
+        assert np.array_equal(batch.tokens, np.concatenate([r.tokens for r in references]))
+        assert np.array_equal(batch.lengths, np.concatenate([r.lengths for r in references]))
+        assert_codes_are_the_encoders(candidate, batch)
+        np.testing.assert_equal(whole.bit_generator.state, theirs.bit_generator.state)
 
 
 def test_sample_batch_scratch_is_chunk_sized(rng):
