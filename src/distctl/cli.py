@@ -11,18 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import REJECTION_MLE, RejectionConfig, rejection_mle, train_baseline
-from .config import GDC_METHOD, ExperimentConfig
-from .dpg import seed_streams, train
+from .config import ExperimentConfig
+from .dpg import GDC_METHOD, seed_streams, train
 from .ebm import (
     FitReport,
     exact_target_automaton,
@@ -32,12 +34,7 @@ from .ebm import (
 from .errors import ConfigError, DistctlError
 from .estimators import exact_kl
 from .features import ConstraintSet
-from .metrics import (
-    metrics_csv_header,
-    metrics_csv_row,
-    snapshot,
-    zipf_table,
-)
+from .metrics import metrics_columns, snapshot, zipf_table
 from .seqspace import SampleBatch
 
 OUTPUT_ROOT_ENV = "DISTCTL_OUTPUT_ROOT"
@@ -59,12 +56,20 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[str]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_pairs(path: Path, rows: Iterator[list[tuple[str, str]]]) -> None:
+    """A CSV of rows of (column, text) pairs, headed by the first row's
+    columns; each row is made and written one at a time."""
+    first = next(rows)
+    texts = ([text for _, text in row] for row in itertools.chain([first], rows))
+    _write_csv(path, [column for column, _ in first], texts)
 
 
 class _Run:
@@ -195,8 +200,8 @@ def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
 
 
 def _write_metrics(run: _Run, constraint_set: ConstraintSet, history) -> None:
-    header = metrics_csv_header(constraint_set.ids, run.cfg.eval_options.exact)
-    _write_csv(run.artifact("metrics", "csv"), header, [metrics_csv_row(r) for r in history])
+    rows = (metrics_columns(record, constraint_set.ids) for record in history)
+    _write_pairs(run.artifact("metrics", "csv"), rows)
 
 
 def _write_samples(run: _Run, policy, rng) -> None:
@@ -263,23 +268,20 @@ def run_ablation(run: _Run) -> None:
     run.end("build")
     _, target = fit_lambda(base, constraint_set, cfg.fit_config)
     run.end("fit")
-    threshold = cfg.eval.get("threshold")
-    header = ["variant", "seed", "samples_drawn"]
-    if threshold is not None:
-        header.append("below_threshold")
-    header += metrics_csv_header(constraint_set.ids, cfg.eval_options.exact)
-    rows = []
+    threshold = cfg.eval_options.threshold
+    cells = []  # (grid pairs, snapshot) per row; a snapshot's pairs are made as the CSV is written
     for variant in cfg.ablation_variants:
         for seed in cfg.ablation_seeds:
             config = dataclasses.replace(cfg.trainer_config, adaptivity=variant, seed=seed)
-            result = train(base, target, config, cfg.eval_options)
-            for record in result.history:
-                row = [variant, str(seed), str(record.step * config.samples_per_iteration)]
+            for record in train(base, target, config, cfg.eval_options).history:
+                drawn = record.step * config.samples_per_iteration
+                row = [("variant", variant), ("seed", str(seed)), ("samples_drawn", str(drawn))]
                 if threshold is not None:  # needs exact_oracle, so every record is exact
-                    row.append(str(int(record.kl_p_pi_exact < threshold)))
-                rows.append(row + metrics_csv_row(record))
+                    row.append(("below_threshold", str(int(record.kl_p_pi_exact < threshold))))
+                cells.append((row, record))
     run.end("train")
-    _write_csv(run.artifact("ablation", "csv"), header, rows)
+    rows = (row + metrics_columns(record, constraint_set.ids) for row, record in cells)
+    _write_pairs(run.artifact("ablation", "csv"), rows)
 
 
 def run_oracle(run: _Run) -> None:

@@ -19,15 +19,13 @@ from .baselines import (
     BaselineConfig,
     RejectionConfig,
 )
-from .dpg import ADAPTIVITIES, DpgConfig, LoopConfig
+from .dpg import ADAPTIVITIES, GDC_METHOD, DpgConfig, LoopConfig
 from .ebm import FitConfig
 from .errors import ConfigError
 from .features import FEATURE_KINDS, ConstraintSet, ConstraintSpec
 from .lm import TabularARModel, mle_fit
 from .metrics import EvalOptions
 from .seqspace import SequenceSpace, tokenize_corpus
-
-GDC_METHOD = "gdc"
 
 # Each JSON block's keys with their types, and its required keys. Defaults and
 # range checks are the field defaults and checks of the objects a block builds:
@@ -217,8 +215,6 @@ class ExperimentConfig:
         `eval_options` and `trainer_config` (None without a trainer block).
         The base model and the constraints are checked when `build_base` and
         `build_constraints` build them."""
-        threshold = self.eval.get("threshold")
-        _expect(threshold is None or threshold > 0, "config.eval.threshold", "must be > 0")
         for seed in self.ablation_seeds:
             _expect(
                 isinstance(seed, int) and not isinstance(seed, bool),
@@ -231,11 +227,11 @@ class ExperimentConfig:
             self.fit_config = FitConfig(seed=self.seed, **self.fit)
         with _at("config.eval"):
             self.eval_options = EvalOptions(
-                **_fields(self.eval, "sample_size", exact="exact_oracle")
+                **_fields(self.eval, "eval_every", "sample_size", "threshold", exact="exact_oracle")
             )
-            LoopConfig(**_fields(self.eval, "eval_every"))
-        exact = self.eval_options.exact
-        _expect(threshold is None or exact, "config.eval.threshold", "needs exact_oracle")
+        # an ablation.csv takes its header from its first row, so the grid needs a cell
+        for key, values in (("variants", self.ablation_variants), ("seeds", self.ablation_seeds)):
+            _expect(bool(values), f"config.eval.ablation.{key}", "must not be empty")
         with _at("config.eval.ablation", "variants"):
             for variant in self.ablation_variants:
                 DpgConfig(adaptivity=variant)
@@ -244,16 +240,13 @@ class ExperimentConfig:
                 LoopConfig(seed=seed)
         self.trainer_config = None
         if self.trainer:
-            # the trainer keys are the field names of its method's config; a
-            # trained method also takes eval.eval_every
+            # the trainer keys are the field names of its method's config
             method = self.trainer["method"]
             t = {key: value for key, value in self.trainer.items() if key != "method"}
             t["seed"] = self.seed
-            if method == REJECTION_MLE:
-                build = RejectionConfig
-            else:
-                t.update(_fields(self.eval, "eval_every"))
-                build = DpgConfig if method == GDC_METHOD else partial(BaselineConfig, kind=method)
+            build = {REJECTION_MLE: RejectionConfig, GDC_METHOD: DpgConfig}.get(
+                method, partial(BaselineConfig, kind=method)
+            )
             with _at("config.trainer"):
                 self.trainer_config = build(**t)
 

@@ -18,8 +18,9 @@ and those rows, and the moments are sized by the number of contexts, not by
 a model's store. Adam steps only the contexts some gradient has touched, so
 under either optimizer an iteration writes the rows it steps, not the table.
 
-`run_loop` is the one training loop: it owns the RNG streams, the policy
-initialisation and the snapshot cadence. Every trainer is an iteration of it
+`run_loop` is the one training loop: it owns the RNG streams and the policy
+initialisation, and takes its snapshot cadence from the `eval` block's
+`EvalOptions.eval_every`. Every trainer is an iteration of it
 with one signature, `iteration(state, target, config, rng)`: `dpg_iteration`
 here, and `baselines.baseline_iteration` for the comparison trainers.
 """
@@ -51,6 +52,8 @@ OPTIMIZER_SGD = "sgd"
 OPTIMIZER_ADAM = "adam"
 OPTIMIZERS = (OPTIMIZER_SGD, OPTIMIZER_ADAM)
 
+GDC_METHOD = "gdc"  # the method name of `train`, as a config's `trainer.method`
+
 
 @dataclass(kw_only=True)
 class LoopConfig:
@@ -59,7 +62,6 @@ class LoopConfig:
     iterations: int = 0
     samples_per_iteration: int = 1
     learning_rate: float = 0.1
-    eval_every: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +71,6 @@ class LoopConfig:
             raise ConfigError("must be >= 1", "samples_per_iteration")
         if not self.learning_rate > 0:
             raise ConfigError("must be > 0", "learning_rate")
-        if self.eval_every < 1:
-            raise ConfigError("must be >= 1", "eval_every")
         if self.seed < 0:
             raise ConfigError("must be >= 0", "seed")
 
@@ -237,7 +237,7 @@ def run_loop(
 ) -> TrainResult:
     """Run `iteration(state, target, config, rng_train)` for `config.iterations`
     iterations, with a metric snapshot before the first and after every
-    `config.eval_every`-th. `method` labels the snapshots. After the last
+    `eval_options.eval_every`-th. `method` labels the snapshots. After the last
     iteration the state drops what only the iterations read
     (`TrainState.end_iterations`), before that step's snapshot.
 
@@ -258,7 +258,7 @@ def run_loop(
                 iteration(state, target, config, rng_train)
                 if i == config.iterations:
                     state.end_iterations()
-            if i % config.eval_every == 0:
+            if i % eval_options.eval_every == 0:
                 record = snapshot(
                     i, method, state.policy, target, rng_eval, eval_options, state.zma.value
                 )
@@ -275,4 +275,4 @@ def train(
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
     """Adaptive DPG toward `target`, one `dpg_iteration` per loop step."""
-    return run_loop(base, target, config, "gdc", dpg_iteration, eval_options)
+    return run_loop(base, target, config, GDC_METHOD, dpg_iteration, eval_options)

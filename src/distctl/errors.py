@@ -106,3 +106,7 @@ class NonFiniteEstimate(NumericalError):
 
 class NonFiniteLogits(NumericalError):
     """A training update would make a logit NaN or infinite."""
+
+
+class SaturatedPolicy(NumericalError):
+    """A trained policy gives some next token of a sampled context probability 0.0."""

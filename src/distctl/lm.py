@@ -281,6 +281,15 @@ class TabularARModel:
             out += step
         return out
 
+    def read_rows(self, batch: SampleBatch) -> np.ndarray:
+        """The log-softmax rows the batch's free emissions read, each distinct
+        stored row once, in store order. A store-sized mask marks them: a plain
+        `np.unique` would import `numpy.ma` on first use, about 1.7 MB of RSS."""
+        codes, _, active = _coded_events(self.coding, batch)
+        read = np.zeros(len(self._logprob), dtype=bool)
+        read[self.row_map[codes[active]]] = True
+        return self._logprob[read]
+
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick.
         The batch keeps the context codes of this model's order. Past one

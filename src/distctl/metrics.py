@@ -5,6 +5,11 @@ across all samples; pooling keeps the duplicate monotonicity property that a
 per-sample mean lacks). Self-BLEU-n scores each long-enough sample against all
 others as references, with uniform 1..n weights, clipped precisions floored at
 1e-9, and the closest-reference-length brevity penalty.
+
+`EvalOptions` is the config's whole `eval` block. A `snapshot` evaluates a
+policy on fresh samples, after refusing a trainable policy that gives a
+sampled context's next token probability 0.0 (`SaturatedPolicy`), and
+`metrics_columns` is the one definition of a snapshot's CSV columns.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ebm import Ebm
-from .errors import ConfigError, EmptyCorpus, TooFewSamples
+from .errors import ConfigError, EmptyCorpus, SaturatedPolicy, TooFewSamples
 from .estimators import Estimate, kl_models_from_logs, kl_p_from_logs
 from .lm import TabularARModel
 from .seqspace import SampleBatch, Vocabulary
@@ -153,12 +158,24 @@ def zipf_table(samples: SampleBatch, vocab: Vocabulary) -> list[tuple[int, str, 
 
 @dataclass
 class EvalOptions:
+    """The `eval` block: the snapshot cadence of a trained run, the sample
+    size of each snapshot, whether it adds the exact columns, and the exact
+    KL(p || pi) below which an ablation row counts as converged."""
+
+    eval_every: int = 10
     sample_size: int = 1024
     exact: bool = False
+    threshold: float | None = None
 
     def __post_init__(self):
         if self.sample_size < 2:
             raise ConfigError("must be >= 2", "sample_size")
+        if self.eval_every < 1:
+            raise ConfigError("must be >= 1", "eval_every")
+        if self.threshold is not None and not self.threshold > 0:
+            raise ConfigError("must be > 0", "threshold")
+        if self.threshold is not None and not self.exact:  # it compares the exact KL
+            raise ConfigError("needs exact_oracle", "threshold")
 
 
 @dataclass
@@ -175,6 +192,16 @@ class MetricsRecord:
     e_phi_exact: np.ndarray | None = None
 
 
+def _check_saturation(policy: TabularARModel, batch: SampleBatch) -> None:
+    rows = policy.read_rows(batch)
+    zeros = int(np.count_nonzero(np.exp(rows) == 0.0))
+    if zeros:
+        raise SaturatedPolicy(
+            f"the policy gives probability 0.0 to {zeros} next tokens of its sampled "
+            f"contexts (smallest log-prob {rows.min():.4g})"
+        )
+
+
 def snapshot(
     step: int,
     method: str,
@@ -186,8 +213,15 @@ def snapshot(
 ) -> MetricsRecord:
     """Evaluate the policy on fresh samples; optionally add the exact columns,
     from the target's DP (`Ebm.exact_policy_terms`), with no universe-sized
-    array. The batch's features and base log-probs are evaluated once each."""
+    array. The batch's features and base log-probs are evaluated once each.
+
+    A trainable policy is checked first: a sampled context with a next token
+    of probability 0.0 (its log-prob below about -745) raises SaturatedPolicy
+    before any estimate reads it. A frozen model may hold such cells by
+    design (an unsmoothed fit), so it is not checked."""
     batch = policy.sample_batch(options.sample_size, rng_eval)
+    if policy.trainable:
+        _check_saturation(policy, batch)
     phi = target.constraint_set.feature_matrix(batch)
     log_pi = policy.log_prob_batch(batch)
     log_a = target.base.log_prob_batch(batch)
@@ -216,32 +250,19 @@ def snapshot(
     return record
 
 
-def metrics_csv_header(constraint_ids: list[str], exact: bool) -> list[str]:
-    cols = ["step", "method"]
-    cols += [f"e_phi_{cid}" for cid in constraint_ids]
-    cols += ["kl_p_pi", "kl_p_pi_se", "kl_pi_a", "kl_pi_a_se"]
-    cols += [f"dist_{k}" for k in (1, 2, 3)]
-    cols += [f"self_bleu_{k}" for k in (3, 4, 5)]
-    cols += ["z_ma"]
-    if exact:
-        cols += ["kl_p_pi_exact"]
-        cols += [f"e_phi_exact_{cid}" for cid in constraint_ids]
-    return cols
-
-
-def metrics_csv_row(record: MetricsRecord) -> list[str]:
-    vals: list = [record.step, record.method]
-    vals += [repr(float(v)) for v in record.e_phi]
-    vals += [
-        repr(float(record.kl_p_pi.value)),
-        repr(float(record.kl_p_pi.standard_error)),
-        repr(float(record.kl_pi_a.value)),
-        repr(float(record.kl_pi_a.standard_error)),
-    ]
-    vals += [repr(float(record.dist_n[k])) for k in (1, 2, 3)]
-    vals += [repr(float(record.self_bleu_n[k])) for k in (3, 4, 5)]
-    vals += [repr(float(record.z_estimate))]
+def metrics_columns(record: MetricsRecord, constraint_ids: list[str]) -> list[tuple[str, str]]:
+    """A record's CSV row as ordered (column, text) pairs; a CSV's header is
+    its first row's columns. The exact columns follow when the record has
+    them. Pairs, not a dict: ids `x` and `exact_x` both name `e_phi_exact_x`."""
+    values = list(zip([f"e_phi_{cid}" for cid in constraint_ids], record.e_phi, strict=True))
+    values += [("kl_p_pi", record.kl_p_pi.value), ("kl_p_pi_se", record.kl_p_pi.standard_error),
+               ("kl_pi_a", record.kl_pi_a.value), ("kl_pi_a_se", record.kl_pi_a.standard_error)]
+    values += [(f"dist_{k}", record.dist_n[k]) for k in (1, 2, 3)]
+    values += [(f"self_bleu_{k}", record.self_bleu_n[k]) for k in (3, 4, 5)]
+    values.append(("z_ma", record.z_estimate))
     if record.kl_p_pi_exact is not None:
-        vals += [repr(float(record.kl_p_pi_exact))]
-        vals += [repr(float(v)) for v in record.e_phi_exact]
-    return [str(v) for v in vals]
+        values.append(("kl_p_pi_exact", record.kl_p_pi_exact))
+        exact_columns = [f"e_phi_exact_{cid}" for cid in constraint_ids]
+        values += zip(exact_columns, record.e_phi_exact, strict=True)
+    pairs = [("step", str(record.step)), ("method", record.method)]
+    return pairs + [(name, repr(float(v))) for name, v in values]

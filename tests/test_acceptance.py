@@ -236,10 +236,9 @@ def test_criterion_5_dpg_convergence(anchor):
             samples_per_iteration=1024,
             learning_rate=2.0,
             adaptivity="kl",
-            eval_every=100,
             seed=seed,
         )
-        result = train(base, ebm, config, EvalOptions(sample_size=64))
+        result = train(base, ebm, config, EvalOptions(sample_size=64, eval_every=100))
         pi = result.policy.exact_distribution()
         kls.append(exact_kl(p, pi))
         gaps.append(abs(float(pi @ phi[:, 0]) - e_p))
@@ -314,7 +313,7 @@ def test_criterion_7_baseline_ordering():
     )
     target = Ebm(base=base, constraint_set=cs, lam=[])
     a_dist = base.exact_distribution()
-    ev = EvalOptions(sample_size=64)
+    ev = EvalOptions(sample_size=64, eval_every=10**6)
     iterations, k = 300, 256
     ordering_hits = 0
     entropy_hits = 0
@@ -322,28 +321,26 @@ def test_criterion_7_baseline_ordering():
         gdc = train(
             base, target,
             DpgConfig(iterations=iterations, samples_per_iteration=k, learning_rate=2.0,
-                      eval_every=10**6, seed=seed),
+                      seed=seed),
             ev,
         )
         penalized = train_baseline(
             base, target,
             BaselineConfig(kind="kl-penalized", iterations=iterations,
                            samples_per_iteration=k, learning_rate=1.0, beta=0.15,
-                           eval_every=10**6, seed=seed),
+                           seed=seed),
             ev,
         )
         reinforce = train_baseline(
             base, target,
             BaselineConfig(kind="reinforce-phi", iterations=iterations,
-                           samples_per_iteration=k, learning_rate=1.0,
-                           eval_every=10**6, seed=seed),
+                           samples_per_iteration=k, learning_rate=1.0, seed=seed),
             ev,
         )
         reward_p = train_baseline(
             base, target,
             BaselineConfig(kind="reinforce-P", iterations=iterations,
-                           samples_per_iteration=k, learning_rate=10000.0,
-                           eval_every=10**6, seed=seed),
+                           samples_per_iteration=k, learning_rate=10000.0, seed=seed),
             ev,
         )
         kl = {
@@ -486,10 +483,9 @@ def test_criterion_10_hybrid_constraints():
         samples_per_iteration=1024,
         learning_rate=4.0 / z_hat,
         adaptivity="kl",
-        eval_every=10**6,
         seed=0,
     )
-    result = train(base, ebm, dpg_config, EvalOptions(sample_size=64))
+    result = train(base, ebm, dpg_config, EvalOptions(sample_size=64, eval_every=10**6))
     pi = result.policy.exact_distribution()
     policy_moments = pi @ phi
     gaps = np.abs(policy_moments - moments)

@@ -51,8 +51,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BaselineConfig(kind="rejection-mle")  # budget and order missing
     with pytest.raises(ConfigError):
-        BaselineConfig(kind="reinforce-phi", eval_every=0)
-    with pytest.raises(ConfigError):
         BaselineConfig(kind="reinforce-phi", iterations=-3)
     with pytest.raises(ConfigError):
         BaselineConfig(kind="kl-penalized", beta=-5.0)
@@ -113,17 +111,17 @@ def test_reinforce_constant_reward_zero_expected_update(rng):
 
 def test_reinforce_reaches_reward_but_drifts_far(task):
     base, target = task
-    ev = EvalOptions(sample_size=64)
+    ev = EvalOptions(sample_size=64, eval_every=10000)
     a_dist = base.exact_distribution()
     rcfg = BaselineConfig(
         kind="reinforce-phi", iterations=800, samples_per_iteration=128,
-        learning_rate=2.0, eval_every=10000, seed=0,
+        learning_rate=2.0, seed=0,
     )
     reinforce = train_baseline(base, target, rcfg, ev)
     r_pi = reinforce.policy.exact_distribution()
     assert universe_moments(target, r_pi)[0] > 0.99
     gcfg = DpgConfig(
-        iterations=300, samples_per_iteration=128, learning_rate=1.0, eval_every=10000, seed=0
+        iterations=300, samples_per_iteration=128, learning_rate=1.0, seed=0
     )
     gdc = train(base, target, gcfg, ev)
     g_pi = gdc.policy.exact_distribution()
@@ -136,9 +134,9 @@ def test_reinforce_p_zero_score_no_update(ab_space, ab_uniform):
     target = Ebm(base=ab_uniform, constraint_set=cs, lam=[])
     cfg = BaselineConfig(
         kind="reinforce-P", iterations=3, samples_per_iteration=32,
-        learning_rate=1.0, eval_every=100, seed=0,
+        learning_rate=1.0, seed=0,
     )
-    result = train_baseline(ab_uniform, target, cfg, EvalOptions(sample_size=16))
+    result = train_baseline(ab_uniform, target, cfg, EvalOptions(sample_size=16, eval_every=100))
     assert np.allclose(
         result.policy.exact_distribution(), ab_uniform.exact_distribution(), atol=1e-12
     )
@@ -183,17 +181,16 @@ def test_reward_p_loses_diversity_to_gdc():
         [ConstraintSpec(TokenPresence(space.vocabulary, "a"), 1.0, pointwise=True)]
     )
     target = Ebm(base=base, constraint_set=cs, lam=[])
-    ev = EvalOptions(sample_size=64)
+    ev = EvalOptions(sample_size=64, eval_every=10**6)
     gdc = train(
         base, target,
-        DpgConfig(iterations=300, samples_per_iteration=256, learning_rate=2.0,
-                  eval_every=10**6, seed=0),
+        DpgConfig(iterations=300, samples_per_iteration=256, learning_rate=2.0, seed=0),
         ev,
     )
     reward_p = train_baseline(
         base, target,
         BaselineConfig(kind="reinforce-P", iterations=400, samples_per_iteration=256,
-                       learning_rate=30000.0, eval_every=10**6, seed=0),
+                       learning_rate=30000.0, seed=0),
         ev,
     )
     assert exact_entropy(reward_p.policy.exact_distribution()) < 0.05
@@ -282,9 +279,9 @@ def test_kl_penalized_huge_beta_pins_policy(task):
     # a stiff penalty needs a step size of order 1/beta for plain SGD stability
     cfg = BaselineConfig(
         kind="kl-penalized", iterations=200, samples_per_iteration=128,
-        learning_rate=2e-7, beta=1e6, eval_every=10000, seed=0,
+        learning_rate=2e-7, beta=1e6, seed=0,
     )
-    result = train_baseline(base, target, cfg, EvalOptions(sample_size=32))
+    result = train_baseline(base, target, cfg, EvalOptions(sample_size=32, eval_every=10000))
     kl = exact_kl(result.policy.exact_distribution(), base.exact_distribution())
     assert kl < 1e-3
 
@@ -294,10 +291,9 @@ def test_kl_penalized_controller_tracks_target(task):
     for seed in (0, 1):
         cfg = BaselineConfig(
             kind="kl-penalized", iterations=400, samples_per_iteration=256,
-            learning_rate=0.5, beta=1.0, kl_target=0.2,
-            eval_every=10000, seed=seed,
+            learning_rate=0.5, beta=1.0, kl_target=0.2, seed=seed,
         )
-        result = train_baseline(base, target, cfg, EvalOptions(sample_size=32))
+        result = train_baseline(base, target, cfg, EvalOptions(sample_size=32, eval_every=10000))
         kl = exact_kl(result.policy.exact_distribution(), base.exact_distribution())
         assert 0.5 * 0.2 <= kl <= 2.0 * 0.2
 
@@ -306,10 +302,10 @@ def test_baseline_determinism(task):
     base, target = task
     cfg = BaselineConfig(
         kind="reinforce-phi", iterations=20, samples_per_iteration=64,
-        learning_rate=1.0, eval_every=5, seed=7,
+        learning_rate=1.0, seed=7,
     )
-    one = train_baseline(base, target, cfg, EvalOptions(sample_size=32))
-    two = train_baseline(base, target, cfg, EvalOptions(sample_size=32))
+    one = train_baseline(base, target, cfg, EvalOptions(sample_size=32, eval_every=5))
+    two = train_baseline(base, target, cfg, EvalOptions(sample_size=32, eval_every=5))
     assert np.array_equal(one.policy.logits, two.policy.logits)
 
 
@@ -318,10 +314,9 @@ def test_baseline_determinism(task):
 )
 def test_baseline_counts_iterations_and_samples(task, kind, beta):
     base, target = task
-    cfg = BaselineConfig(
-        kind=kind, beta=beta, iterations=5, samples_per_iteration=8, eval_every=10000
-    )
-    state = train_baseline(base, target, cfg, EvalOptions(sample_size=32)).state
+    cfg = BaselineConfig(kind=kind, beta=beta, iterations=5, samples_per_iteration=8)
+    ev = EvalOptions(sample_size=32, eval_every=10000)
+    state = train_baseline(base, target, cfg, ev).state
     assert (state.iteration, state.samples_drawn) == (5, 40)
     assert state.decisions == []  # the swap decisions are DPG's
 

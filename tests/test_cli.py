@@ -14,11 +14,14 @@ import distctl
 from distctl import config as config_module
 from distctl import cli, errors, seqspace
 from distctl.cli import main
+from distctl.baselines import REJECTION_MLE, BaselineConfig, RejectionConfig
 from distctl.config import ExperimentConfig
-from distctl.ebm import Ebm, fit_lambda
+from distctl.dpg import GDC_METHOD, DpgConfig
+from distctl.ebm import Ebm, FitConfig, fit_lambda
 from distctl.errors import ConfigError
 from distctl.estimators import exact_kl
 from distctl.lm import TabularARModel
+from distctl.metrics import EvalOptions
 from distctl.seqspace import SequenceSpace, Vocabulary
 
 from helpers import (
@@ -437,6 +440,91 @@ def test_ablation_grid(workdir):
     assert rows[0][:4] == ["variant", "seed", "samples_drawn", "below_threshold"]
     combos = {(r[0], r[1]) for r in rows[1:]}
     assert combos == {("kl", "0"), ("kl", "1"), ("none", "0"), ("none", "1")}
+
+
+# Two presence constraints, so each e_phi column group has two members in order.
+TWO_PRESENCE = [
+    {"id": "gold", "kind": "token-presence", "token": "gold", "target": 0.5},
+    {"id": "red", "kind": "token-presence", "token": "red", "target": 0.6},
+]
+QUICK_FIT = {"sample_count": 4000, "tolerance": 1e-3, "max_steps": 200}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+def test_metrics_csv_header(workdir, exact):
+    path = write_config(workdir, constraints=TWO_PRESENCE, fit=QUICK_FIT,
+                        trainer=dict(SMALL_LOOP, method="gdc"),
+                        eval={"eval_every": 1, "sample_size": 16, "exact_oracle": exact})
+    assert main(["train", "--config", str(path)]) == 0
+    rows = read_csv(workdir / "out" / "metrics.csv")
+    sampled = [
+        "step", "method", "e_phi_gold", "e_phi_red", "kl_p_pi", "kl_p_pi_se", "kl_pi_a",
+        "kl_pi_a_se", "dist_1", "dist_2", "dist_3", "self_bleu_3", "self_bleu_4", "self_bleu_5",
+        "z_ma",
+    ]
+    exact_columns = ["kl_p_pi_exact", "e_phi_exact_gold", "e_phi_exact_red"]
+    assert rows[0] == sampled + (exact_columns if exact else [])
+    assert [len(row) for row in rows[1:]] == [len(rows[0])] * 3
+
+
+def test_metrics_csv_keeps_both_columns_of_one_name(workdir):
+    """Ids `x` and `exact_x` both give a column `e_phi_exact_x`: the sampled
+    column of `exact_x` and the exact column of `x`. Both stay, in order."""
+    ids = [dict(c, id=cid) for c, cid in zip(TWO_PRESENCE, ["x", "exact_x"])]
+    path = write_config(workdir, constraints=ids, fit=QUICK_FIT,
+                        trainer=dict(SMALL_LOOP, method="gdc"),
+                        eval={"eval_every": 2, "sample_size": 16, "exact_oracle": True})
+    assert main(["train", "--config", str(path)]) == 0
+    rows = read_csv(workdir / "out" / "metrics.csv")
+    assert rows[0] == [
+        "step", "method", "e_phi_x", "e_phi_exact_x", "kl_p_pi", "kl_p_pi_se", "kl_pi_a",
+        "kl_pi_a_se", "dist_1", "dist_2", "dist_3", "self_bleu_3", "self_bleu_4", "self_bleu_5",
+        "z_ma", "kl_p_pi_exact", "e_phi_exact_x", "e_phi_exact_exact_x",
+    ]
+    assert [len(row) for row in rows[1:]] == [len(rows[0])] * 2
+
+
+@pytest.mark.parametrize("threshold", [None, 0.5], ids=["no-threshold", "threshold"])
+def test_ablation_csv_header(workdir, threshold):
+    eval_block = {"eval_every": 2, "sample_size": 16, "exact_oracle": True,
+                  "ablation": {"variants": ["kl", "none"], "seeds": [0]}}
+    if threshold is not None:
+        eval_block["threshold"] = threshold
+    path = write_config(workdir, fit=QUICK_FIT, trainer=dict(SMALL_LOOP, method="gdc"),
+                        eval=eval_block)
+    assert main(["ablation", "--config", str(path)]) == 0
+    rows = read_csv(workdir / "out" / "ablation.csv")
+    grid = ["variant", "seed", "samples_drawn"]
+    if threshold is not None:
+        grid.append("below_threshold")
+    assert rows[0] == grid + [
+        "step", "method", "e_phi_gold", "kl_p_pi", "kl_p_pi_se", "kl_pi_a", "kl_pi_a_se",
+        "dist_1", "dist_2", "dist_3", "self_bleu_3", "self_bleu_4", "self_bleu_5", "z_ma",
+        "kl_p_pi_exact", "e_phi_exact_gold",
+    ]
+    assert [row[:3] for row in rows[1:]] == [
+        [variant, "0", drawn] for variant in ("kl", "none") for drawn in ("0", "16")
+    ]
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_key_tables_name_the_fields_of_their_objects():
+    """Each JSON key table of `config` and the object its block builds agree,
+    so a field added on one side only fails here."""
+    eval_fields = {"exact_oracle" if name == "exact" else name for name in _field_names(EvalOptions)}
+    assert set(config_module.EVAL_KEYS) - {"ablation"} == eval_fields
+    assert set(config_module.FIT_KEYS) == _field_names(FitConfig) - {"seed"}
+    for method, (keys, required) in config_module.TRAINER_SCHEMAS.items():
+        cls = {GDC_METHOD: DpgConfig, REJECTION_MLE: RejectionConfig}.get(method, BaselineConfig)
+        assert set(keys) <= _field_names(cls), method
+        no_default = {
+            f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        }
+        assert no_default - {"kind"} <= set(required), method  # `kind` is the method itself
 
 
 PHASES = ["build", "fit", "train", "write"]
@@ -859,6 +947,19 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
             lambda c: c["eval"].update(threshold=0.5, exact_oracle=False),
             "config.eval.threshold needs exact_oracle",
         ),
+        ("ablation", lambda c: c["eval"].update(threshold=0), "config.eval.threshold must be > 0"),
+        ("train", lambda c: c["eval"].update(eval_every=0), "config.eval.eval_every must be >= 1"),
+        # an ablation.csv takes its header from its first row, so the grid needs a cell
+        (
+            "ablation",
+            lambda c: c["eval"].update(ablation={"variants": []}),
+            "config.eval.ablation.variants must not be empty",
+        ),
+        (
+            "ablation",
+            lambda c: c["eval"].update(ablation={"seeds": []}),
+            "config.eval.ablation.seeds must not be empty",
+        ),
         (
             "train",
             lambda c: c.update(
@@ -902,6 +1003,10 @@ REJECTION_TRAINER = {"method": "rejection-mle", "sample_budget": 100, "fit_order
         "fit-learning-rate-removed",
         "trainer-infinite-learning-rate",
         "threshold-without-exact-oracle",
+        "threshold-not-positive",
+        "eval-every-zero",
+        "ablation-no-variants",
+        "ablation-no-seeds",
         "kl-target-negative",
     ],
 )
@@ -965,27 +1070,32 @@ def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivit
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+SATURATED = ("error: iteration 10: the policy gives probability 0.0 to 19 next tokens of its "
+             "sampled contexts (smallest log-prob -1.839e+05)\n")
+
+
 def test_a_failed_snapshot_exits_3_naming_its_iteration(tmp_path, capsys):
     # learning rate 1e5 drives the policy off the target's support by the first
-    # snapshot after the start, and the exact KL refuses it
+    # snapshot after the start: some sampled context gives a next token
+    # probability 0.0, and the snapshot refuses it before any estimate
     path, cfg = demo_config(tmp_path, "distributional")
     cfg["trainer"].update(iterations=40, learning_rate=1e5)
     cfg["eval"].update(eval_every=10, exact_oracle=True)
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err == "error: iteration 10: second distribution misses support of the first\n"
+    assert capsys.readouterr().err == SATURATED
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
-@pytest.mark.xfail(strict=True, reason="numerical-health guards (ROADMAP item 1): with the "
-                   "oracle off, the saturated policy exits 0 and writes a KL of about -0.69, SE 0")
-def test_a_saturated_policy_exits_3_with_the_oracle_off(tmp_path):
-    # the same run as above, with no exact KL to refuse the policy
+def test_a_saturated_policy_exits_3_with_the_oracle_off(tmp_path, capsys):
+    # the same run as above, with no exact KL to refuse the policy: the
+    # sampled KL would read about -0.69 with SE 0
     path, cfg = demo_config(tmp_path, "distributional")
     cfg["trainer"].update(iterations=40, learning_rate=1e5)
     cfg["eval"].update(eval_every=10, exact_oracle=False)
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == SATURATED
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))
@@ -1192,6 +1302,7 @@ README_EXIT_CODES = {
     errors.SupportViolation: 3,
     errors.NonFiniteLogits: 3,
     errors.NonFiniteEstimate: 3,
+    errors.SaturatedPolicy: 3,
     errors.UniverseTooLarge: 4,
     errors.AutomatonTooLarge: 4,
 }

@@ -11,7 +11,7 @@ from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel
-from distctl.metrics import EvalOptions, metrics_csv_row
+from distctl.metrics import EvalOptions, metrics_columns
 
 from helpers import (
     dense_adam_step,
@@ -48,9 +48,9 @@ def identity_ebm(space, base):
 def test_already_optimal_stays_put(ab_space, ab_uniform):
     target = identity_ebm(ab_space, ab_uniform)  # lam = 0 so p = a
     config = DpgConfig(
-        iterations=50, samples_per_iteration=512, learning_rate=0.5, eval_every=50, seed=0
+        iterations=50, samples_per_iteration=512, learning_rate=0.5, seed=0
     )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64))
+    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=50))
     _, p = target.exact_normalize()
     assert exact_kl(p, result.policy.exact_distribution()) < 1e-3
 
@@ -58,9 +58,9 @@ def test_already_optimal_stays_put(ab_space, ab_uniform):
 def test_pointwise_convergence(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
     config = DpgConfig(
-        iterations=150, samples_per_iteration=256, learning_rate=1.0, eval_every=50, seed=1
+        iterations=150, samples_per_iteration=256, learning_rate=1.0, seed=1
     )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64))
+    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=50))
     _, p = target.exact_normalize()
     pi = result.policy.exact_distribution()
     assert exact_kl(p, pi) < 0.05
@@ -118,16 +118,15 @@ def test_proposal_swaps_only_on_strict_improvement(ab_space, ab_uniform):
 
 def test_scale_invariance_of_updates_and_decisions(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
-    base_cfg = dict(iterations=40, samples_per_iteration=64, eval_every=40, seed=5)
-    reference = train(
-        ab_uniform, target, DpgConfig(learning_rate=0.8, **base_cfg), EvalOptions(sample_size=32)
-    )
+    base_cfg = dict(iterations=40, samples_per_iteration=64, seed=5)
+    options = EvalOptions(sample_size=32, eval_every=40)
+    reference = train(ab_uniform, target, DpgConfig(learning_rate=0.8, **base_cfg), options)
     for c in (0.5, 2.0):
         rescaled = train(
             ab_uniform,
             scaled(target, np.log(c)),
             DpgConfig(learning_rate=0.8 / c, **base_cfg),
-            EvalOptions(sample_size=32),
+            options,
         )
         assert np.allclose(rescaled.policy.logits, reference.policy.logits, atol=1e-9)
         assert [d.swapped for d in rescaled.state.decisions] == [
@@ -240,7 +239,7 @@ def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
 TWIN_RUNS = {
     **{
         f"{optimizer}-{adaptivity}": DpgConfig(
-            iterations=30, samples_per_iteration=8, eval_every=10, seed=1,
+            iterations=30, samples_per_iteration=8, seed=1,
             learning_rate=0.5 if optimizer == "sgd" else 2.0,
             adaptivity=adaptivity, optimizer=optimizer,
         )
@@ -248,7 +247,7 @@ TWIN_RUNS = {
     },
     **{
         kind: BaselineConfig(
-            kind=kind, iterations=30, samples_per_iteration=8, eval_every=10, seed=1,
+            kind=kind, iterations=30, samples_per_iteration=8, seed=1,
             learning_rate=2.0, **extra,
         )
         for kind, extra in [
@@ -271,7 +270,7 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
     base = random_model(space, 2, np.random.default_rng(1), scale=0.5)
     target = identity_ebm(space, base)
     target.lam = np.array([1.0])
-    options = EvalOptions(sample_size=16, exact=True)
+    options = EvalOptions(eval_every=10, sample_size=16, exact=True)
     trainer = train if isinstance(config, DpgConfig) else train_baseline
     mapped = trainer(base, target, config, options)
     lift = TabularARModel.to_order
@@ -288,8 +287,9 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
     assert len(dense.policy.logits) - n_contexts == len(mapped.policy.logits) - len(base.logits)
     assert len(np.unique(dense.policy.row_map)) == n_contexts
     assert table_bytes(mapped.policy) == table_bytes(dense.policy)
-    assert [metrics_csv_row(r) for r in mapped.history] == [
-        metrics_csv_row(r) for r in dense.history
+    ids = target.constraint_set.ids
+    assert [metrics_columns(r, ids) for r in mapped.history] == [
+        metrics_columns(r, ids) for r in dense.history
     ]
     mapped.policy.write_document(tmp_path / "mapped.json")
     dense.policy.write_document(tmp_path / "dense.json")
@@ -465,8 +465,9 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
         seen.append((step, [x is None for x in held], tracemalloc.get_traced_memory()[0]))
 
     monkeypatch.setattr(dpg, "snapshot", record)
-    config = DpgConfig(iterations=4, eval_every=2, samples_per_iteration=8, optimizer="adam")
-    traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration)
+    config = DpgConfig(iterations=4, samples_per_iteration=8, optimizer="adam")
+    traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration,
+                EvalOptions(eval_every=2))
     table = dense_table_bytes(states[0].policy)
     assert [(step, gone) for step, gone, _ in seen] == [
         (0, [True] * 2), (2, [False] * 2), (4, [True] * 2)
@@ -547,9 +548,9 @@ def test_adam_preconditioning_converges(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
     config = DpgConfig(
         iterations=150, samples_per_iteration=256, learning_rate=0.05,
-        optimizer="adam", eval_every=150, seed=1,
+        optimizer="adam", seed=1,
     )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64))
+    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=150))
     _, p = target.exact_normalize()
     assert exact_kl(p, result.policy.exact_distribution()) < 0.05
 
