@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -206,9 +207,12 @@ def dpg_iteration(
     swapped = False
     if config.adaptivity != ADAPTIVITY_NONE and state.zma.value > 0.0:
         log_pi = state.policy.log_prob_batch(samples)
-        estimator = kl_p_from_logs if config.adaptivity == ADAPTIVITY_KL else tvd_p_from_logs
-        div_policy = estimator(log_p_score, log_q, log_pi, state.zma.value).value
-        div_proposal = estimator(log_p_score, log_q, log_q, state.zma.value).value
+        if config.adaptivity == ADAPTIVITY_KL:
+            divergence = partial(kl_p_from_logs, weights, log_p_score)
+        else:
+            divergence = partial(tvd_p_from_logs, weights, log_q)
+        div_policy = divergence(log_pi, state.zma.value).value
+        div_proposal = divergence(log_q, state.zma.value).value
         if div_policy < div_proposal:
             state.proposal = None  # released first, so one proposal is held at a time
             state.proposal = state.policy.frozen_copy()

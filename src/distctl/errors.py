@@ -109,4 +109,4 @@ class NonFiniteLogits(NumericalError):
 
 
 class SaturatedPolicy(NumericalError):
-    """A trained policy gives some next token of a sampled context probability 0.0."""
+    """A training update would give some next token probability 0.0 in float64."""

@@ -1,9 +1,9 @@
 """Importance-sampling estimators for Z, KL divergences, and TVD.
 
 All estimators work in log space and take the partition-function estimate as
-an explicit argument, so a trainer can share one moving-average Z across the
-divergence estimates it compares. Exact oracles over enumerated universes
-live at the bottom.
+an explicit argument, so a trainer can share one moving-average Z, and the
+batch's weights w = P/q from `importance_ratios`, across the divergence
+estimates it compares. Exact oracles over enumerated universes live at the bottom.
 """
 
 from __future__ import annotations
@@ -53,29 +53,27 @@ def importance_ratios(log_p_score: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 
 
 def kl_p_from_logs(
-    log_p_score: np.ndarray, log_q: np.ndarray, log_pi: np.ndarray, z: float
+    weights: np.ndarray, log_p_score: np.ndarray, log_pi: np.ndarray, z: float
 ) -> Estimate:
-    """KL(p || pi) via -log z + (1/z) E_q[(P/q) log(P/pi)], p = P/Z."""
+    """KL(p || pi) via -log z + (1/z) E_q[w log(P/pi)], w = P/q, p = P/Z."""
     if z <= 0.0:
         raise NonpositiveZ(f"KL estimator needs z > 0, got {z}")
     with np.errstate(over="ignore", invalid="ignore"):
-        r = importance_ratios(log_p_score, log_q)
-        terms = np.zeros_like(r)
-        mass = r > 0.0
-        terms[mass] = r[mass] * (log_p_score[mass] - log_pi[mass])
+        terms = np.zeros_like(weights)
+        mass = weights > 0.0
+        terms[mass] = weights[mass] * (log_p_score[mass] - log_pi[mass])
         mean, se = _mean_se(terms)
     return Estimate(value=-np.log(z) + mean / z, standard_error=se / z)
 
 
 def tvd_p_from_logs(
-    log_p_score: np.ndarray, log_q: np.ndarray, log_pi: np.ndarray, z: float
+    weights: np.ndarray, log_q: np.ndarray, log_pi: np.ndarray, z: float
 ) -> Estimate:
-    """TVD(p, pi) via (1/2) E_q |pi/q - P/(z q)|."""
+    """TVD(p, pi) via (1/2) E_q |pi/q - w/z|, w = P/q."""
     if z <= 0.0:
         raise NonpositiveZ(f"TVD estimator needs z > 0, got {z}")
     with np.errstate(over="ignore", invalid="ignore"):
-        r = importance_ratios(log_p_score, log_q)
-        terms = 0.5 * np.abs(np.exp(log_pi - log_q) - r / z)
+        terms = 0.5 * np.abs(np.exp(log_pi - log_q) - weights / z)
         value, se = _mean_se(terms)
     return Estimate(value=value, standard_error=se)
 

@@ -25,20 +25,23 @@ order.
 
 A model holds one state from construction: its stored rows (`logits`, the
 store), a `row_map` from each context to its stored row, and the store's
-log-softmax. A model built with no map (by `mle_fit`, from a version-1
-document or directly) gets the identity map: one stored row per context, in
-context order. A `to_order` lift keeps the source's rows once, so most
-contexts share a row. The first write to a context (`apply_update`) gives
-it a row of its own, appended to the store (copy on write); the rows stored
-at construction are never written, and a `frozen_copy` is never written at
-all. Every reader goes through the map.
+log-softmax. A model built with no map (by `mle_fit` or directly) gets the
+identity map: one stored row per context, in context order. A `to_order`
+lift keeps the source's rows once, so most contexts share a row. The first
+write to a context (`apply_update`) gives it a row of its own, appended to
+the store (copy on write); the rows stored at construction are never
+written, and a `frozen_copy` is never written at all. Every reader goes
+through the map.
+
+A trainable model gives every next token probability above 0.0 in float64:
+construction refuses a table that does not (ConfigError), and `apply_update`
+an update that would not (SaturatedPolicy). A frozen model is not checked.
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
 back with that map. `write_document` writes the bytes of
 `json.dumps(to_document()) + "\\n"`, turning `_WRITE_CHUNK_CELLS` numbers into
-text at a time. A version-1 document (`logits`, one row per context in
-context order) still reads, with the identity map.
+text at a time. A document of another version is refused.
 
 Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, one after
 another from the caller's generator, each through all its steps, so a step's
@@ -64,6 +67,7 @@ from .errors import (
     EmptyCorpus,
     NonFiniteLogits,
     NotTrainable,
+    SaturatedPolicy,
     SchemaMismatch,
 )
 from .seqspace import (
@@ -163,6 +167,16 @@ def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - lse
 
 
+def _zero_cells(logprob: np.ndarray) -> str | None:
+    """The count of a log-softmax table's cells of probability 0.0 in float64,
+    with its smallest log-prob, as text; None when there are none."""
+    low = logprob.min()
+    if np.exp(low) > 0.0:  # exp is monotone: the smallest cell decides
+        return None
+    zeros = np.count_nonzero(np.exp(logprob) == 0.0)
+    return f"{zeros} next-token probabilities at 0.0 (smallest log-prob {low:.3g})"
+
+
 @dataclass
 class _Events:
     """A batch's free emissions (see the module docstring), each matrix built
@@ -248,6 +262,8 @@ class TabularARModel:
                 raise ConfigError("a context row has no admissible next token")
         # `apply_update` keeps the rows it changes up to date
         self._logprob = _row_log_softmax(self.logits)
+        if self.trainable and (zeros := _zero_cells(self._logprob)):
+            raise ConfigError(f"a trainable model holds {zeros}")
 
     @property
     def log_softmax(self) -> np.ndarray:
@@ -280,15 +296,6 @@ class TabularARModel:
         for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
             out += step
         return out
-
-    def read_rows(self, batch: SampleBatch) -> np.ndarray:
-        """The log-softmax rows the batch's free emissions read, each distinct
-        stored row once, in store order. A store-sized mask marks them: a plain
-        `np.unique` would import `numpy.ma` on first use, about 1.7 MB of RSS."""
-        codes, _, active = _coded_events(self.coding, batch)
-        read = np.zeros(len(self._logprob), dtype=bool)
-        read[self.row_map[codes[active]]] = True
-        return self._logprob[read]
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> SampleBatch:
         """Ancestral sampling, vectorized over the batch via the Gumbel-max trick.
@@ -359,7 +366,7 @@ class TabularARModel:
         so every cell sees the same additions as a dense `np.add.at` table.
         Each step's one-hots and softmax rows are written in place into one
         cell array and one value array, the only event x V buffers it holds
-        besides a step's gathered rows.
+        besides the touched rows' softmax, computed once.
         """
         if not self.trainable:
             raise NotTrainable("model is frozen")
@@ -375,6 +382,7 @@ class TabularARModel:
         onehot_cells = row_cells + toks.T[events]
         cells = np.empty(len(w) * (v + 1), dtype=np.int64)
         values = np.empty(len(cells))
+        softmax = np.exp(self._logprob[self.row_map[touched]])  # each touched row once
         bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
         for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
             one = slice(lo * (v + 1), lo * (v + 1) + hi - lo)
@@ -382,7 +390,7 @@ class TabularARModel:
             cells[one], values[one] = onehot_cells[lo:hi], w[lo:hi]
             np.add(row_cells[lo:hi, None], np.arange(v), out=cells[soft].reshape(-1, v))
             step = values[soft].reshape(-1, v)
-            np.exp(self._logprob[self.row_map[ev_codes[lo:hi]]], out=step)
+            softmax.take(inverse[lo:hi], axis=0, out=step)
             np.multiply(-w[lo:hi, None], step, out=step)
         grad = np.bincount(cells, weights=values, minlength=len(touched) * v)
         return RowGradient(touched, grad.reshape(len(touched), v))
@@ -390,8 +398,9 @@ class TabularARModel:
     def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":
         """Add learning_rate * grad to its rows and refresh only those rows of
         the log-softmax; a context written for the first time gets its
-        own stored row. Raises NonFiniteLogits, leaving the model as it was, if
-        the update would make a logit NaN or infinite."""
+        own stored row. Leaving the model as it was, raises NonFiniteLogits if
+        the update would make a logit NaN or infinite, and SaturatedPolicy if
+        it would give a next token probability 0.0."""
         if not self.trainable:
             raise NotTrainable("model is frozen")
         rows, values = grad
@@ -406,9 +415,12 @@ class TabularARModel:
                 f"update with learning rate {learning_rate:g} makes "
                 f"{int((~finite).sum())} logits non-finite"
             )
+        logprob = _row_log_softmax(updated)
+        if zeros := _zero_cells(logprob):
+            raise SaturatedPolicy(f"update with learning rate {learning_rate:g} leaves {zeros}")
         stored = self._own(rows, stored)
         self.logits[stored] = updated
-        self._logprob[stored] = _row_log_softmax(updated)
+        self._logprob[stored] = logprob
         return self
 
     def exact_log_distribution(self) -> np.ndarray:
@@ -551,17 +563,16 @@ class TabularARModel:
     def from_document(cls, doc: dict) -> "TabularARModel":
         if not isinstance(doc, dict):
             raise SchemaMismatch("model document must be a mapping")
-        table_keys = {"logits"} if doc.get("version") == 1 else {"rows", "row_map"}
-        expected_keys = {"format", "version", "order", "lmax", "vocabulary", "trainable"} | table_keys
+        version = doc.get("version")
+        if version != MODEL_VERSION:  # before the keys, which differ across versions
+            raise SchemaMismatch(f"unsupported model version {version!r} (expected {MODEL_VERSION})")
+        expected_keys = {"format", "version", "order", "lmax", "vocabulary", "trainable", "rows", "row_map"}
         if set(doc) != expected_keys:
             missing = expected_keys - set(doc)
             extra = set(doc) - expected_keys
             raise SchemaMismatch(f"model document keys mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         if doc["format"] != MODEL_FORMAT:
             raise SchemaMismatch(f"unexpected document format {doc['format']!r}")
-        version = doc["version"]
-        if version not in (1, MODEL_VERSION):
-            raise SchemaMismatch(f"unsupported model version {version!r} (expected {MODEL_VERSION} or 1)")
         vocab_doc = doc["vocabulary"]
         if not isinstance(vocab_doc, dict) or set(vocab_doc) != {"tokens", "eos_index"}:
             raise SchemaMismatch("vocabulary block keys mismatch")
@@ -574,27 +585,23 @@ class TabularARModel:
         for key, value in ints.items():
             _expect_field(isinstance(value, int) and not isinstance(value, bool), key, "an integer")
         _expect_field(isinstance(doc["trainable"], bool), "trainable", "a boolean")
-        key = "logits" if version == 1 else "rows"
         try:
-            rows = np.asarray(doc[key])
+            rows = np.asarray(doc["rows"])
         except ValueError:  # ragged rows
             rows = None
         _expect_field(
             rows is not None and rows.ndim == 2 and rows.dtype.kind in "iuf",
-            key, "a 2-D array of numbers",
+            "rows", "a 2-D array of numbers",
         )
         space = SequenceSpace(vocabulary=Vocabulary(tuple(tokens), eos_index), lmax=doc["lmax"])
-        fields = dict(space=space, order=doc["order"], logits=rows.astype(float, copy=False),
-                      trainable=doc["trainable"])
-        if version == 1:
-            return cls(**fields)
         row_map, n = doc["row_map"], _Coding(space, doc["order"]).n_contexts
         _expect_field(
             isinstance(row_map, list) and len(row_map) == n
             and all(type(i) is int and 0 <= i < len(rows) for i in row_map),
             "row_map", f"a list of {n} integers in 0..{len(rows) - 1}",
         )
-        return cls(row_map=np.array(row_map, dtype=np.int64), **fields)
+        return cls(space=space, order=doc["order"], logits=rows.astype(float, copy=False),
+                   trainable=doc["trainable"], row_map=np.array(row_map, dtype=np.int64))
 
 
 def _expect_field(ok: bool, key: str, expected: str) -> None:

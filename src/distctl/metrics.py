@@ -7,9 +7,8 @@ others as references, with uniform 1..n weights, clipped precisions floored at
 1e-9, and the closest-reference-length brevity penalty.
 
 `EvalOptions` is the config's whole `eval` block. A `snapshot` evaluates a
-policy on fresh samples, after refusing a trainable policy that gives a
-sampled context's next token probability 0.0 (`SaturatedPolicy`), and
-`metrics_columns` is the one definition of a snapshot's CSV columns.
+policy on fresh samples, and `metrics_columns` is the one definition of a
+snapshot's CSV columns.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ebm import Ebm
-from .errors import ConfigError, EmptyCorpus, SaturatedPolicy, TooFewSamples
-from .estimators import Estimate, kl_models_from_logs, kl_p_from_logs
+from .errors import ConfigError, EmptyCorpus, TooFewSamples
+from .estimators import Estimate, importance_ratios, kl_models_from_logs, kl_p_from_logs
 from .lm import TabularARModel
 from .seqspace import SampleBatch, Vocabulary
 
@@ -192,16 +191,6 @@ class MetricsRecord:
     e_phi_exact: np.ndarray | None = None
 
 
-def _check_saturation(policy: TabularARModel, batch: SampleBatch) -> None:
-    rows = policy.read_rows(batch)
-    zeros = int(np.count_nonzero(np.exp(rows) == 0.0))
-    if zeros:
-        raise SaturatedPolicy(
-            f"the policy gives probability 0.0 to {zeros} next tokens of its sampled "
-            f"contexts (smallest log-prob {rows.min():.4g})"
-        )
-
-
 def snapshot(
     step: int,
     method: str,
@@ -213,25 +202,21 @@ def snapshot(
 ) -> MetricsRecord:
     """Evaluate the policy on fresh samples; optionally add the exact columns,
     from the target's DP (`Ebm.exact_policy_terms`), with no universe-sized
-    array. The batch's features and base log-probs are evaluated once each.
-
-    A trainable policy is checked first: a sampled context with a next token
-    of probability 0.0 (its log-prob below about -745) raises SaturatedPolicy
-    before any estimate reads it. A frozen model may hold such cells by
-    design (an unsmoothed fit), so it is not checked."""
+    array. The batch's features, base log-probs and importance weights P/pi
+    are evaluated once each; with no moving-average Z, Z is the weights' mean.
+    A trainable policy holds no next-token probability 0.0 (`lm` refuses one
+    where it would be made), so KL(p || pi) is finite."""
     batch = policy.sample_batch(options.sample_size, rng_eval)
-    if policy.trainable:
-        _check_saturation(policy, batch)
     phi = target.constraint_set.feature_matrix(batch)
     log_pi = policy.log_prob_batch(batch)
     log_a = target.base.log_prob_batch(batch)
     kl_pi_a = kl_models_from_logs(log_pi, log_a)
     log_p_score = target.log_scores(log_a, phi)
-    z = zma_value
-    if z <= 0.0:
-        z = float(np.mean(np.exp(log_p_score - log_pi)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as NonFiniteEstimate
+        weights = importance_ratios(log_p_score, log_pi)
+    z = zma_value if zma_value > 0.0 else float(np.mean(weights))
     if z > 0.0:
-        kl_p_pi = kl_p_from_logs(log_p_score, log_pi, log_pi, z)
+        kl_p_pi = kl_p_from_logs(weights, log_p_score, log_pi, z)
     else:
         kl_p_pi = Estimate(value=float("nan"), standard_error=float("nan"))
     grams = ngram_counts(batch, 5)

@@ -261,12 +261,14 @@ def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> E
 
 def estimate_kl_p_from(target, policy, proposal, samples, z: float) -> Estimate:
     """KL(p || policy) from samples drawn from the proposal."""
-    return kl_p_from_logs(*_ebm_logs(target, policy, proposal, samples), z)
+    log_p_score, log_q, log_pi = _ebm_logs(target, policy, proposal, samples)
+    return kl_p_from_logs(importance_ratios(log_p_score, log_q), log_p_score, log_pi, z)
 
 
 def estimate_tvd(target, policy, proposal, samples, z: float) -> Estimate:
     """TVD(p, policy) from samples drawn from the proposal."""
-    return tvd_p_from_logs(*_ebm_logs(target, policy, proposal, samples), z)
+    log_p_score, log_q, log_pi = _ebm_logs(target, policy, proposal, samples)
+    return tvd_p_from_logs(importance_ratios(log_p_score, log_q), log_q, log_pi, z)
 
 
 def _ebm_logs(target: Ebm, policy, proposal, samples: SampleBatch) -> tuple:

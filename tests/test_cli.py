@@ -3,7 +3,6 @@ import dataclasses
 import importlib.util
 import inspect
 import json
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -215,12 +214,13 @@ def test_model_json_reads_back_as_a_mapped_model_that_writes_the_same_bytes(work
 
 def test_train_from_a_persisted_trained_policy(workdir, monkeypatch):
     """The lifted policy of a base read from model.json stores each of the
-    file's rows once, and its run matches the run from a version-1 (dense)
-    copy of the file bit for bit."""
+    file's rows once, and its run matches the run from a dense copy of the
+    file (every context's row, read through an identity `row_map`) bit for
+    bit."""
     assert main(["train", "--config", str(write_config(workdir))]) == 0
     doc = json.loads((workdir / "out" / "model.json").read_text())
-    dense = {k: v for k, v in doc.items() if k not in ("rows", "row_map")}
-    dense.update(version=1, logits=[doc["rows"][i] for i in doc["row_map"]])
+    n = len(doc["row_map"])
+    dense = {**doc, "rows": [doc["rows"][i] for i in doc["row_map"]], "row_map": list(range(n))}
     (workdir / "dense-model.json").write_text(json.dumps(dense))
     lift = TabularARModel.to_order
     stored = []
@@ -235,7 +235,7 @@ def test_train_from_a_persisted_trained_policy(workdir, monkeypatch):
         cfg = write_config(workdir, name=f"from-{name}.json", base_model={"model_file": model_file},
                            output=name)
         assert main(["train", "--config", str(cfg)]) == 0
-    assert stored == [len(doc["rows"]), len(doc["row_map"])]
+    assert stored == [len(doc["rows"]), n]
     assert (workdir / "mapped" / "metrics.csv").read_bytes() == (
         workdir / "dense" / "metrics.csv"
     ).read_bytes()
@@ -731,6 +731,23 @@ def test_eval_of_a_model_that_emits_only_the_empty_sequence(tmp_path):
     assert_manifest(out / "manifest.json", ["build", "fit", "eval", "write"], ["samples", "zipf"])
 
 
+def test_a_base_with_an_underflowing_cell_evaluates_but_does_not_train(workdir, capsys):
+    """A finite base logit 1e5 below its row's others gives that token
+    probability 0.0 in float64: the frozen base still runs `eval`, and
+    `train` refuses its trainable lift (exit 2), writing no metrics."""
+    base = ExperimentConfig.load(write_config(workdir)).build_base()
+    base.logits[0, 0] -= 1e5
+    TabularARModel(base.space, base.order, base.logits).write_document(workdir / "model.json")
+    path = write_config(workdir, name="from-file.json", base_model={"model_file": "model.json"})
+    assert main(["eval", "--config", str(path), "--output", str(workdir / "eval")]) == 0
+    assert (workdir / "eval" / "metrics.csv").exists()
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: a trainable model holds 1 next-token probabilities at 0.0 (smallest log-prob -1e+05)\n"
+    )
+    assert not (workdir / "out" / "metrics.csv").exists()
+
+
 def test_config_errors_exit_2(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text(json.dumps({"seed": 0}))
@@ -1034,12 +1051,14 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
         (lambda doc: doc["row_map"].__setitem__(1, 0.0), "'row_map'"),
         (lambda doc: doc["row_map"].__setitem__(1, False), "'row_map'"),
         (lambda doc: doc.update(version=3), "unsupported model version 3"),
+        (lambda doc: doc.update(version=1), "unsupported model version 1"),
         (lambda doc: doc["vocabulary"].update(eos_index="4"), "'vocabulary.eos_index'"),
         (lambda doc: doc["vocabulary"].update(tokens="abc"), "'vocabulary.tokens'"),
     ],
     ids=["lmax-string", "order-string", "order-bool", "trainable-int", "rows-string",
          "rows-ragged", "row-map-short", "row-map-out-of-range", "row-map-negative",
-         "row-map-float", "row-map-bool", "version-3", "eos-index-string", "tokens-string"],
+         "row-map-float", "row-map-bool", "version-3", "version-1", "eos-index-string",
+         "tokens-string"],
 )
 def test_malformed_model_file_exits_2_naming_the_field(workdir, capsys, edit, field):
     doc = ExperimentConfig.load(write_config(workdir)).build_base().to_document()
@@ -1057,6 +1076,9 @@ def test_public_names_resolve():
 
 @pytest.mark.parametrize("adaptivity", ["kl", "none"])
 def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivity):
+    # a learning rate that would overflow the logits or an estimate stops the
+    # run at its first update, on the next-token probabilities it sends to
+    # 0.0, before any logit is non-finite (NonFiniteLogits: test_lm)
     path, cfg = demo_config(tmp_path, "distributional")
     cfg["fit"]["sample_count"] = 5000
     cfg["trainer"].update(
@@ -1065,19 +1087,21 @@ def test_non_finite_logits_exit_3_at_their_iteration(tmp_path, capsys, adaptivit
     cfg["eval"].update(exact_oracle=False)
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert re.search(r"error: iteration [1-5]: .* non-finite", err)
+    assert capsys.readouterr().err == (
+        "error: iteration 1: update with learning rate 1.5625e+306 leaves 220 next-token "
+        "probabilities at 0.0 (smallest log-prob -1.27e+308)\n"
+    )
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
-SATURATED = ("error: iteration 10: the policy gives probability 0.0 to 19 next tokens of its "
-             "sampled contexts (smallest log-prob -1.839e+05)\n")
+SATURATED = ("error: iteration 1: update with learning rate 97.6562 leaves 191 next-token "
+             "probabilities at 0.0 (smallest log-prob -5.52e+04)\n")
 
 
 def test_a_failed_snapshot_exits_3_naming_its_iteration(tmp_path, capsys):
-    # learning rate 1e5 drives the policy off the target's support by the first
-    # snapshot after the start: some sampled context gives a next token
-    # probability 0.0, and the snapshot refuses it before any estimate
+    # learning rate 1e5 drives the policy off the target's support in its
+    # first update, nine iterations before the first snapshot after the
+    # start: the update gives next tokens probability 0.0 and is refused
     path, cfg = demo_config(tmp_path, "distributional")
     cfg["trainer"].update(iterations=40, learning_rate=1e5)
     cfg["eval"].update(eval_every=10, exact_oracle=True)
@@ -1088,14 +1112,31 @@ def test_a_failed_snapshot_exits_3_naming_its_iteration(tmp_path, capsys):
 
 
 def test_a_saturated_policy_exits_3_with_the_oracle_off(tmp_path, capsys):
-    # the same run as above, with no exact KL to refuse the policy: the
-    # sampled KL would read about -0.69 with SE 0
+    # the same run as above with no exact KL, whose sampled KL alone would
+    # not flag the policy: the update is refused all the same
     path, cfg = demo_config(tmp_path, "distributional")
     cfg["trainer"].update(iterations=40, learning_rate=1e5)
     cfg["eval"].update(eval_every=10, exact_oracle=False)
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 3
     assert capsys.readouterr().err == SATURATED
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_a_saturating_reinforce_update_exits_3_at_its_iteration(tmp_path, capsys):
+    # the comparison trainers update through the same `apply_update`: a
+    # reinforce-P run of the pointwise demo at learning rate 1e9 is refused at
+    # its first update, not at its first snapshot after the start (60)
+    path, cfg = demo_config(tmp_path, "pointwise")
+    cfg["trainer"] = {"method": "reinforce-P", "iterations": 600, "samples_per_iteration": 512,
+                      "learning_rate": 1e9}
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: iteration 1: update with learning rate 1.95312e+06 leaves 29 next-token "
+        "probabilities at 0.0 (smallest log-prob -4.29e+04)\n"
+    )
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 DEMO_CONFIGS = sorted((Path(__file__).parent.parent / "demo").glob("*.json"))

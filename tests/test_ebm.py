@@ -795,14 +795,15 @@ def test_policy_dp_refuses_a_row_whose_exp_underflows_where_p_has_mass(rng):
     """A logit 1e5 below its row's others has a finite log-prob whose exp is
     0: where p puts mass on that token the exact KL is refused, as the
     enumerated KL refuses a sequence of probability 0; where p puts none it
-    is not."""
+    is not. A trainable model refuses such a cell, so the policy is frozen."""
     space = small_space(3, 3)
     v = space.vocabulary
     base = random_model(space, 2, rng)
-    policy = base.to_order(space.lmax, trainable=True)
-    grad = np.zeros((1, v.size))
-    grad[0, v.index("a")] = -1e5
-    policy.apply_update(RowGradient(np.array([0]), grad), 1.0)  # the empty prefix's row
+    lifted = base.to_order(space.lmax)
+    logits = lifted.logits.copy()
+    logits[lifted.row_map[0], v.index("a")] -= 1e5  # the empty prefix's row, read by it alone
+    policy = TabularARModel(space=space, order=space.lmax, logits=logits, row_map=lifted.row_map)
+    assert np.count_nonzero(policy.row_map == policy.row_map[0]) == 1
     row = policy.log_softmax[policy.row_map[0]]
     assert np.isfinite(row).all() and np.exp(row[v.index("a")]) == 0.0
     tilted = Ebm(base=base, constraint_set=presence_set(space, "a", 0.4), lam=np.array([0.8]))

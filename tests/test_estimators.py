@@ -8,6 +8,7 @@ from distctl.errors import ConfigError, NonFiniteEstimate, NonpositiveZ, Support
 from distctl.estimators import (
     ZMovingAverage,
     exact_kl,
+    importance_ratios,
     kl_p_from_logs,
     tvd_p_from_logs,
 )
@@ -200,15 +201,19 @@ def test_tvd_matches_enumeration(pointwise_setup, ab_uniform):
 # -- overflow ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("estimator", [kl_p_from_logs, tvd_p_from_logs], ids=["kl", "tvd"])
+@pytest.mark.parametrize("estimator", [
+    lambda weights, log_p_score, log_q, log_pi: kl_p_from_logs(weights, log_p_score, log_pi, 1.0),
+    lambda weights, log_p_score, log_q, log_pi: tvd_p_from_logs(weights, log_q, log_pi, 1.0),
+], ids=["kl", "tvd"])
 def test_overflowing_terms_raise_non_finite_estimate(estimator):
     # a policy pushed to log-probs near -1e308: P/q * log(P/pi) overflows for
     # KL, and pi/q = exp(800) for TVD
     log_p_score = np.array([5.0, 1.0, -2.0])
     log_q = np.zeros(3)
     log_pi = np.array([-1.2e308, 800.0, -3.0])
+    weights = importance_ratios(log_p_score, log_q)
     with pytest.raises(NonFiniteEstimate, match="non-finite"):
-        estimator(log_p_score, log_q, log_pi, 1.0)
+        estimator(weights, log_p_score, log_q, log_pi)
 
 
 # -- KL(pi || a) ---------------------------------------------------------------------
@@ -351,7 +356,5 @@ def test_low_level_log_interfaces_reject_bad_support():
     log_q = np.array([-np.inf, -1.0])
     with pytest.raises(SupportViolation):
         z_estimate_from_logs(log_p, log_q)
-    with pytest.raises(SupportViolation):
-        kl_p_from_logs(log_p, log_q, log_q, 1.0)
-    with pytest.raises(SupportViolation):
-        tvd_p_from_logs(log_p, log_q, log_q, 1.0)
+    with pytest.raises(SupportViolation):  # the divergences take these weights
+        importance_ratios(log_p, log_q)

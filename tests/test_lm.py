@@ -9,6 +9,7 @@ from distctl.errors import (
     EmptyCorpus,
     NonFiniteLogits,
     NotTrainable,
+    SaturatedPolicy,
     SchemaMismatch,
 )
 from distctl import lm
@@ -312,16 +313,15 @@ def test_round_trip_restores_every_stored_bit(tmp_path, monkeypatch, rng):
         assert (tmp_path / f"{name}-again.json").read_text() == text, name
 
 
-def test_reads_version_1_as_a_dense_model(rng):
-    """A version-1 document, as an order-2 base written before version 2:
-    every context's row in `logits`, in context order."""
+def test_refuses_a_version_1_document(rng):
+    """A version-1 document, as an order-2 base written before version 2
+    (every context's row in `logits`, in context order), is refused by its
+    version, not by its keys."""
     model = random_model(small_space(9, 7), 2, rng)
     doc = {**model.to_document(), "version": 1, "logits": model.logits.tolist()}
     del doc["rows"], doc["row_map"]
-    dense = TabularARModel.from_document(json.loads(json.dumps(doc)))
-    assert np.array_equal(dense.row_map, np.arange(dense.coding.n_contexts))
-    assert dense.logits.tobytes() == model.logits.tobytes()
-    assert dense_logits(round_trip(dense)).tobytes() == dense.logits.tobytes()
+    with pytest.raises(SchemaMismatch, match=r"^unsupported model version 1 \(expected 2\)$"):
+        TabularARModel.from_document(json.loads(json.dumps(doc)))
 
 
 def test_deserialize_corrupt_field(ab_space):
@@ -498,6 +498,8 @@ def test_lifted_log_softmax_is_the_recomputed_one_bitwise(trainable, warm, rng):
     (True, {(2, 1): -np.inf}, "-inf logit sentinel is only permitted"),
     (False, {3: -np.inf}, "a context row has no admissible next token"),
     (True, {3: -np.inf}, "-inf logit sentinel is only permitted"),
+    # finite, but its exp is 0.0 in float64; a frozen model may hold it
+    (True, {(0, 1): -1e5}, r"^a trainable model holds 1 next-token probabilities at 0\.0 "),
 ])
 def test_bad_logits_name_their_fault(trainable, cells, message, rng):
     space = small_space(3, 3)
@@ -596,6 +598,38 @@ def test_a_constructed_model_copies_on_write(rng):
     untouched = np.setdiff1d(np.arange(n), written)
     assert np.array_equal(model.row_map[untouched], untouched)
     assert np.array_equal(model._logprob, _row_log_softmax(model.logits))
+
+
+def _update_to(cell: float) -> tuple[TabularARModel, RowGradient]:
+    """A lifted uniform policy whose context 2 has a row of its own, and an
+    update that sets the rows of contexts 1 (still a base row) and 2 to
+    [0, cell, cell], which is also their log-softmax."""
+    space = small_space(2, 3)
+    model = uniform_model(space, order=2).to_order(space.lmax, trainable=True)
+    model.apply_update(RowGradient(np.array([2]), np.zeros((1, 3))), 1.0)
+    return model, RowGradient(np.array([1, 2]), np.array([[0.0, cell, cell]] * 2))
+
+
+def test_an_update_writes_a_cell_just_above_the_underflow():
+    model, grad = _update_to(-745.0)  # exp: float64's smallest subnormal
+    model.apply_update(grad, 1.0)
+    assert model._logprob[model.row_map[[1, 2]]].tolist() == [[0.0, -745.0, -745.0]] * 2
+
+
+def test_an_update_that_writes_a_zero_probability_is_refused():
+    """exp(-746.0) is 0.0 in float64: the update raises SaturatedPolicy,
+    naming the count and the smallest log-prob, and leaves the model as it
+    was, its store length included."""
+    model, grad = _update_to(-746.0)
+    before = [model.logits.copy(), model._logprob.copy(), model.row_map.copy()]
+    with pytest.raises(SaturatedPolicy) as err:
+        model.apply_update(grad, 1.0)
+    assert str(err.value) == (
+        "update with learning rate 1 leaves 4 next-token probabilities at 0.0 (smallest log-prob -746)"
+    )
+    after = [model.logits, model._logprob, model.row_map]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+    assert len(model.logits) == len(before[0])
 
 
 def test_a_refused_update_leaves_a_lifted_model_as_it_was(rng):

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from distctl import estimators
 from distctl.ebm import Ebm
 from distctl.estimators import exact_kl
-from distctl.lm import RowGradient, TabularARModel
-from distctl.errors import ConfigError, EmptyCorpus, SaturatedPolicy, TooFewSamples
+from distctl.lm import TabularARModel
+from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.features import ConstraintSet, ConstraintSpec, TokenPresence
 from distctl.metrics import (
     EvalOptions,
@@ -374,26 +374,14 @@ def test_warm_exact_snapshot_holds_less_than_one_universe_array(rng):
     assert universe_arrays(peak, space) <= 0.95
 
 
-def test_snapshot_refuses_a_saturated_trainable_policy_only(rng):
-    """A trainable policy that gives a next token of a sampled context
-    probability 0.0 stops the snapshot; a frozen model may hold such cells
-    by design (an unsmoothed fit), and its snapshot runs."""
+def test_snapshot_reads_a_frozen_policy_with_zero_probability_cells(rng):
+    """A frozen model may hold cells of probability 0.0 by design (an
+    unsmoothed fit), and its snapshot runs; a trainable policy cannot hold
+    one (`lm` refuses it where it would be made, see test_lm)."""
     space = small_space(3, 4)
     base = random_model(space, 2, rng)
     cs = ConstraintSet([ConstraintSpec(TokenPresence(space.vocabulary, "a"), 0.4)])
-    target = Ebm(base=base, constraint_set=cs, lam=np.array([0.8]))
-    policy = base.to_order(space.lmax, trainable=True)
-    step = np.zeros((1, space.vocabulary.size))
-    step[0, 1] = -1000.0  # past float64's underflow, in the empty context every sample reads
-    policy.apply_update(RowGradient(np.array([0]), step), 1.0)
-    smallest = policy.log_softmax[policy.row_map[0]].min()
     options = EvalOptions(sample_size=16)
-    with pytest.raises(SaturatedPolicy) as err:
-        snapshot(1, "gdc", policy, target, rng, options)
-    assert str(err.value) == (
-        "the policy gives probability 0.0 to 1 next tokens of its sampled contexts "
-        f"(smallest log-prob {smallest:.4g})"
-    )
     logits = base.logits.copy()
     logits[0, 1] = -np.inf
     frozen = TabularARModel(space=space, order=2, logits=logits)
