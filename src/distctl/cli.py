@@ -160,7 +160,9 @@ def _guard_policy_table(space, config) -> None:
 
 def _check_base_cells(base, config) -> None:
     """Refuse, before the fit draws anything, a base with zero-probability
-    cells for a policy that gives every cell mass, so KL(pi || a) is infinite."""
+    cells for a policy that gives every cell mass, so KL(pi || a) is infinite,
+    and a base whose trainable lift `lm` would refuse: gdc and the comparison
+    trainers train that lift, rejection-mle fits a policy of its own."""
     rejection = isinstance(config, RejectionConfig)
     if (not rejection or config.fit_smoothing > 0) and np.isneginf(base.logits).any():
         policy = "a refit with fit_smoothing > 0" if rejection else "a trained policy"
@@ -168,6 +170,8 @@ def _check_base_cells(base, config) -> None:
             f"has zero-probability cells, and {policy} gives every cell mass (use smoothing > 0)",
             "config.base_model",
         )
+    if not rejection:
+        base.refuse_zero_cells()
 
 
 def _fit_document(report: FitReport, constraint_set: ConstraintSet) -> dict:

@@ -36,13 +36,19 @@ class ZMovingAverage:
 
 def _mean_se(terms: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of the terms, or NonFiniteEstimate if either
-    is not finite (overflowing terms are inf or nan)."""
+    is not finite (overflowing terms are inf or nan). Bitwise `np.mean` and
+    `np.std(ddof=1) / sqrt(n)`, from the same operations in the same order:
+    one pairwise sum, then one pass of squared deviations from the mean."""
     n = len(terms)
-    se = float(np.std(terms, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    mean = float(np.mean(terms))
+    mean = np.add.reduce(terms) / n
+    se = 0.0
+    if n > 1:
+        deviations = np.subtract(terms, mean)
+        np.multiply(deviations, deviations, out=deviations)
+        se = math.sqrt(np.add.reduce(deviations) / (n - 1)) / math.sqrt(n)
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NonFiniteEstimate("estimate is non-finite: its terms overflow")
-    return mean, se
+    return float(mean), float(se)
 
 
 def importance_ratios(log_p_score: np.ndarray, log_q: np.ndarray) -> np.ndarray:
@@ -59,9 +65,10 @@ def kl_p_from_logs(
     if z <= 0.0:
         raise NonpositiveZ(f"KL estimator needs z > 0, got {z}")
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.zeros_like(weights)
         mass = weights > 0.0
-        terms[mass] = weights[mass] * (log_p_score[mass] - log_pi[mass])
+        terms = np.zeros_like(weights)
+        np.subtract(log_p_score, log_pi, out=terms, where=mass)
+        np.multiply(weights, terms, out=terms, where=mass)
         mean, se = _mean_se(terms)
     return Estimate(value=-np.log(z) + mean / z, standard_error=se / z)
 

@@ -16,7 +16,9 @@ token or EOS, and its context code is the table row of its context, 0 where
 the step is not active. The step tokens and the mask depend on the space only;
 the codes depend on the model order through m_eff. Each batch keeps one record
 of them, each matrix built on first read, with one code matrix per m_eff it
-was scored under; `sample_batch` stores the codes it computes while sampling.
+was scored under; `sample_batch` stores the codes it computes while sampling,
+and a shorter context's codes are derived from the longest held (the last
+m_eff tokens' value is the longer value mod b^m_eff).
 A batch that is only featurized (a lambda-fit or rejection-sampling block)
 never builds its step tokens or mask. Batches are read-only, so the record
 cannot go stale. A log-prob is one flat `take` of the cells
@@ -34,8 +36,9 @@ written, and a `frozen_copy` is never written at all. Every reader goes
 through the map.
 
 A trainable model gives every next token probability above 0.0 in float64:
-construction refuses a table that does not (ConfigError), and `apply_update`
-an update that would not (SaturatedPolicy). A frozen model is not checked.
+construction refuses a table that does not (ConfigError, `refuse_zero_cells`),
+and `apply_update` an update that would not (SaturatedPolicy). A frozen model
+is not checked unless a caller applies `refuse_zero_cells` to it.
 
 The model document (version 2) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
@@ -45,9 +48,12 @@ text at a time. A document of another version is refused.
 
 Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, one after
 another from the caller's generator, each through all its steps, so a step's
-uniforms and Gumbel scores are block x V, not n x V. `sample_batch` fills its
-outputs from the blocks; the lambda-fit featurizes each block and keeps only
-the features, and rejection sampling keeps only each block's accepted rows.
+uniforms and Gumbel scores are block x V, not n x V. A block's step loop only
+draws, picks every row's token and rolls every row's context; the ends (a
+row's first EOS pick), the lengths, the -1 padding and the code mask are
+formed once, after the loop. `sample_batch` fills its outputs from the
+blocks; the lambda-fit featurizes each block and keeps only the features,
+and rejection sampling keeps only each block's accepted rows.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import copy
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,6 +102,15 @@ def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None
         raise ConfigError("must be >= 0", f"{prefix}smoothing")
 
 
+@lru_cache(maxsize=32)
+def _step_offsets(body_size: int, m_eff: int, lmax: int) -> np.ndarray:
+    """Column of the first context code of each step, (lmax, 1): step t's
+    contexts are the strings of its last min(t, m_eff) tokens."""
+    offsets = length_offsets(body_size, m_eff)[np.minimum(np.arange(lmax), m_eff)]
+    offsets.flags.writeable = False
+    return offsets[:, None]
+
+
 class _Coding:
     """Rolling-context arithmetic shared by every batched model operation."""
 
@@ -107,6 +122,7 @@ class _Coding:
         space.guard(self.m_eff, "context table")
         self.n_contexts = string_space_size(self.body_size, self.m_eff)
         self.offsets = length_offsets(self.body_size, self.m_eff)
+        self.step_offsets = _step_offsets(self.body_size, self.m_eff, space.lmax)
         self.modulus = self.body_size**self.m_eff if self.m_eff > 0 else 1
         # vocabulary index -> body rank (EOS slot unused)
         rank = np.zeros(space.vocabulary.size, dtype=np.int64)
@@ -135,6 +151,16 @@ class _Coding:
         codes[~active.T] = 0
         return codes.T
 
+    def suffix(self, codes: np.ndarray, m_eff: int, active: np.ndarray) -> np.ndarray:
+        """`encode` of a batch from its codes under a longer context, m_eff >=
+        this one's: the last m_eff tokens' value is the code minus its step's
+        offset, and this order's value is that mod b^m_eff."""
+        values = codes.T - _step_offsets(self.body_size, m_eff, self.space.lmax)
+        np.remainder(values, self.modulus, out=values)
+        values += self.step_offsets
+        np.multiply(values, active.T, out=values)
+        return values.T
+
 
 class RowGradient(NamedTuple):
     """A logits-table gradient kept as the context rows it touches."""
@@ -143,14 +169,15 @@ class RowGradient(NamedTuple):
     values: np.ndarray  # (len(rows), vocabulary size)
 
 
-def _gumbel_argmax(logprob: np.ndarray, codes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Each row's argmax of its context row's log-probs plus Gumbel noise
-    -log(-log u), the noise formed in `u` and subtracted in place: a - b == a + (-b)."""
-    with np.errstate(divide="ignore"):
-        np.log(u, out=u)
-        np.negative(u, out=u)
-        np.log(u, out=u)
-    return np.argmax(np.subtract(logprob[codes], u, out=u), axis=1)
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(keys, return_inverse=True)`: the distinct keys from one
+    sort, and each key's index among them from one binary search."""
+    ranked = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    distinct = ranked[first]
+    return distinct, np.searchsorted(distinct, keys)
 
 
 def _grown(table: np.ndarray, count: int) -> np.ndarray:
@@ -162,15 +189,18 @@ def _grown(table: np.ndarray, count: int) -> np.ndarray:
 
 def _row_log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax; a row's result does not depend on the other rows."""
-    m = np.max(logits, axis=1, keepdims=True)
-    lse = m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))
-    return logits - lse
+    m = np.maximum.reduce(logits, axis=1, keepdims=True)
+    out = np.subtract(logits, m)
+    lse = np.add.reduce(np.exp(out, out=out), axis=1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
+    return np.subtract(logits, lse, out=out)
 
 
 def _zero_cells(logprob: np.ndarray) -> str | None:
     """The count of a log-softmax table's cells of probability 0.0 in float64,
     with its smallest log-prob, as text; None when there are none."""
-    low = logprob.min()
+    low = np.minimum.reduce(logprob, axis=None)
     if np.exp(low) > 0.0:  # exp is monotone: the smallest cell decides
         return None
     zeros = np.count_nonzero(np.exp(logprob) == 0.0)
@@ -210,11 +240,18 @@ def _events(space: SequenceSpace, batch: SampleBatch) -> _Events:
 
 
 def _coded_events(coding: _Coding, batch: SampleBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(codes, toks, active) of the batch under `coding`; each order is encoded once."""
+    """(codes, toks, active) of the batch under `coding`. Each order's codes
+    are made once: derived from the longest context the record holds when
+    that is longer, else encoded from the tokens."""
     record = _events(coding.space, batch)
     codes = record.codes.get(coding.m_eff)
     if codes is None:
-        codes = record.codes[coding.m_eff] = coding.encode(batch.tokens, record.active)
+        longer = max(record.codes, default=-1)
+        if longer > coding.m_eff:
+            codes = coding.suffix(record.codes[longer], longer, record.active)
+        else:
+            codes = coding.encode(batch.tokens, record.active)
+        record.codes[coding.m_eff] = codes
     return codes, record.toks, record.active
 
 
@@ -262,14 +299,22 @@ class TabularARModel:
                 raise ConfigError("a context row has no admissible next token")
         # `apply_update` keeps the rows it changes up to date
         self._logprob = _row_log_softmax(self.logits)
-        if self.trainable and (zeros := _zero_cells(self._logprob)):
-            raise ConfigError(f"a trainable model holds {zeros}")
+        if self.trainable:
+            self.refuse_zero_cells()
 
     @property
     def log_softmax(self) -> np.ndarray:
         """The store's log-softmax, read-only to callers: context c's
         next-token log-probs are row `row_map[c]`."""
         return self._logprob
+
+    def refuse_zero_cells(self) -> None:
+        """Raise ConfigError if some next-token probability is 0.0 in float64,
+        which a trainable model may not hold. Construction applies it to every
+        trainable model; on a frozen one it tells, before the model is lifted
+        to a trainable order, whether the lift would be refused."""
+        if zeros := _zero_cells(self._logprob):
+            raise ConfigError(f"a trainable model holds {zeros}")
 
     # -- core ---------------------------------------------------------------
 
@@ -278,7 +323,7 @@ class TabularARModel:
         context whose row is shared gets a new row of its own, appended to the
         store and left for the caller to fill."""
         fresh = stored < self._shared
-        count = int(fresh.sum())
+        count = np.count_nonzero(fresh)
         if not count:
             return stored
         n = len(self.logits)
@@ -290,7 +335,7 @@ class TabularARModel:
     def log_prob_batch(self, batch: SampleBatch) -> np.ndarray:
         codes, toks, active = _coded_events(self.coding, batch)
         logprob = self._logprob
-        cells = self.row_map[codes.T] * logprob.shape[1] + toks.T
+        cells = self.row_map.take(codes.T) * logprob.shape[1] + toks.T
         steps = np.where(active.T, logprob.take(cells), 0.0)
         out = np.zeros(len(batch))
         for step in steps:  # chain-rule order; x + 0.0 == x on inactive steps
@@ -328,33 +373,49 @@ class TabularARModel:
             yield self._sample_block(min(_SAMPLE_CHUNK_ROWS, n - lo), rng)
 
     def _sample_block(self, n: int, rng: np.random.Generator) -> SampleBatch:
-        """n rows of ancestral sampling by the Gumbel-max trick. Each step draws
-        its (n, V) uniforms from `rng`, whatever the outcomes."""
+        """n rows of ancestral sampling by the Gumbel-max trick. Each step takes
+        its (n, V) uniforms from `rng`, whatever the outcomes, picks every
+        row's token, the ended rows' too (their picks are discarded), and rolls
+        every row's context. The uniforms of as many steps as fit in
+        `_SAMPLE_CHUNK_ROWS` rows are drawn at once: one draw of k steps reads
+        the stream as k draws of one step. The ends, the lengths, the -1
+        padding and the code mask follow the loop: a row ends at its first EOS."""
         logprob = self._logprob
         coding = self.coding
-        lmax = self.space.lmax
-        v = self.space.vocabulary.size
-        eos = self.space.vocabulary.eos_index
-        tokens = np.full((n, lmax), -1, dtype=np.int32)
-        lengths = np.full(n, lmax, dtype=np.int64)
-        codes = np.zeros((lmax, n), dtype=np.int64)  # step-major; 0 once a row has ended
-        val = np.zeros(n, dtype=np.int64)
-        alive = np.ones(n, dtype=bool)
-        for t in range(lmax):
-            u = rng.random((n, v))
-            if not alive.any():
-                continue
-            np.multiply(coding.step_offset(t) + val, alive, out=codes[t])
-            pick = _gumbel_argmax(logprob, self.row_map[codes[t]], u)
-            ended = alive & (pick == eos)
-            lengths[ended] = t
-            grow = alive & ~ended
-            tokens[grow, t] = pick[grow].astype(np.int32)
-            # every row rolls its pick; an ended row's value is unused, its codes stay 0
-            val = (val * coding.body_size + coding.rank_of[pick]) % coding.modulus
-            alive = grow
+        b, m, lmax = coding.body_size, coding.m_eff, self.space.lmax
+        tokens = np.empty((n, lmax), dtype=np.int32)
+        codes = np.zeros((lmax, n), dtype=np.int64)  # step-major; the context values, in the loop
+        steps_per_draw = min(lmax, max(1, _SAMPLE_CHUNK_ROWS // n))
+        noise = np.empty((steps_per_draw, n, self.space.vocabulary.size))
+        scores = np.empty_like(noise[0])
+        pick = np.empty(n, dtype=np.intp)
+        with np.errstate(divide="ignore"):
+            for t, offset in enumerate(coding.step_offsets[:, 0]):
+                if t % steps_per_draw == 0:
+                    # Gumbel noise -log(-log u), formed in place and subtracted: a - b == a + (-b)
+                    u = rng.random(out=noise[: lmax - t])
+                    np.log(u, out=u)
+                    np.negative(u, out=u)
+                    np.log(u, out=u)
+                rows = self.row_map[offset:].take(codes[t])
+                logprob.take(rows, axis=0, out=scores, mode="clip")
+                np.subtract(scores, u[t % steps_per_draw], out=scores).argmax(axis=1, out=pick)
+                tokens[:, t] = pick
+                if t + 1 < lmax:
+                    rolled = codes[t + 1]
+                    np.multiply(codes[t], b, out=rolled)
+                    rolled += coding.rank_of.take(pick)
+                    if t + 1 > m:  # the modulus is a no-op while the context is shorter
+                        np.remainder(rolled, coding.modulus, out=rolled)
+        ended = np.equal(tokens.T, self.space.vocabulary.eos_index, order="C")
+        for t in range(1, lmax):  # [t, i]: row i has ended at step t or before
+            np.logical_or(ended[t - 1], ended[t], out=ended[t])
+        tokens.T[ended] = -1
+        lengths = lmax - ended.sum(axis=0)
+        codes += coding.step_offsets
+        np.putmask(codes[1:], ended[:-1], 0)  # step t is active unless the row ended before it
         batch = SampleBatch(tokens=tokens, lengths=lengths)
-        _events(self.space, batch).codes[coding.m_eff] = codes.T
+        _events(self.space, batch).codes[m] = codes.T
         return batch
 
     def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> RowGradient:
@@ -362,36 +423,44 @@ class TabularARModel:
 
         Each free emission adds its weight to the emitted cell and minus its
         weight times the softmax to every cell of its context row. The events
-        are summed per cell with `np.bincount`, in step-major then batch order,
-        so every cell sees the same additions as a dense `np.add.at` table.
-        Each step's one-hots and softmax rows are written in place into one
-        cell array and one value array, the only event x V buffers it holds
+        are summed per cell with `np.bincount`, so each cell sees its additions
+        in step-major then batch order, a step's one-hots before its softmax
+        terms, as in a dense `np.add.at` table. Steps before m_eff read
+        context rows no other step reads, so steps 0..m_eff form one block and
+        each later step a block of its own; a block lays out its one-hots, then
+        its softmax terms column by column (each cell lies in one column), in
+        one cell array and one value array, the only event x V buffers it holds
         besides the touched rows' softmax, computed once.
         """
         if not self.trainable:
             raise NotTrainable("model is frozen")
         codes, toks, active = _coded_events(self.coding, batch)
-        v = self.space.vocabulary.size
+        n, v = len(batch), self.space.vocabulary.size
         weights = np.asarray(weights, dtype=float)
+        if weights.shape != (n,) and weights.size != 1:
+            raise ConfigError(f"need one weight per row ({n}) or one for all, got {weights.shape}")
         # step-major events: step 0 of every active row, then step 1, ...
-        events = active.T
-        ev_codes = codes.T[events]
-        w = np.broadcast_to(weights, events.shape)[events]
-        touched, inverse = np.unique(ev_codes, return_inverse=True)
+        events = np.flatnonzero(active.T)
+        w = weights.take(events, mode="wrap")  # event t * n + i has row i's weight
+        touched, inverse = _unique_inverse(codes.T.take(events))
         row_cells = inverse * v
-        onehot_cells = row_cells + toks.T[events]
+        onehot_cells = row_cells + toks.T.take(events)
         cells = np.empty(len(w) * (v + 1), dtype=np.int64)
         values = np.empty(len(cells))
-        softmax = np.exp(self._logprob[self.row_map[touched]])  # each touched row once
-        bounds = np.concatenate([[0], np.cumsum(events.sum(axis=1))])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):  # per step: one-hots, then softmax rows
+        # each touched row's softmax once, (V, touched)
+        softmax = np.exp(self._logprob.take(self.row_map.take(touched), axis=0)).T
+        block_ends = [t * n for t in range(self.coding.m_eff + 1, self.space.lmax + 1)]
+        columns, minus_w = np.arange(v)[:, None], -w
+        lo = 0
+        for hi in np.searchsorted(events, block_ends).tolist():  # one-hots, then softmax terms
             one = slice(lo * (v + 1), lo * (v + 1) + hi - lo)
             soft = slice(one.stop, hi * (v + 1))
             cells[one], values[one] = onehot_cells[lo:hi], w[lo:hi]
-            np.add(row_cells[lo:hi, None], np.arange(v), out=cells[soft].reshape(-1, v))
-            step = values[soft].reshape(-1, v)
-            softmax.take(inverse[lo:hi], axis=0, out=step)
-            np.multiply(-w[lo:hi, None], step, out=step)
+            np.add(columns, row_cells[lo:hi], out=cells[soft].reshape(v, -1))
+            block = values[soft].reshape(v, -1)
+            softmax.take(inverse[lo:hi], axis=1, out=block, mode="clip")
+            np.multiply(block, minus_w[lo:hi], out=block)
+            lo = hi
         grad = np.bincount(cells, weights=values, minlength=len(touched) * v)
         return RowGradient(touched, grad.reshape(len(touched), v))
 
@@ -406,9 +475,10 @@ class TabularARModel:
         rows, values = grad
         if values.shape != (len(rows), self.logits.shape[1]):
             raise ConfigError("gradient shape does not match logits")
-        stored = self.row_map[rows]
+        stored = self.row_map.take(rows)
+        updated = self.logits.take(stored, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            updated = self.logits[stored] + learning_rate * values
+            updated += learning_rate * values
         finite = np.isfinite(updated)
         if not finite.all():
             raise NonFiniteLogits(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from distctl import seqspace
+from distctl import lm, seqspace
 from distctl.ebm import Ebm, FitConfig
 from distctl.errors import ConfigError, EmptyCorpus, TooFewSamples
 from distctl.estimators import (
@@ -261,17 +261,17 @@ def estimate_z(target: Ebm, proposal: TabularARModel, samples: SampleBatch) -> E
 
 def estimate_kl_p_from(target, policy, proposal, samples, z: float) -> Estimate:
     """KL(p || policy) from samples drawn from the proposal."""
-    log_p_score, log_q, log_pi = _ebm_logs(target, policy, proposal, samples)
+    log_p_score, log_q, log_pi = ebm_logs(target, policy, proposal, samples)
     return kl_p_from_logs(importance_ratios(log_p_score, log_q), log_p_score, log_pi, z)
 
 
 def estimate_tvd(target, policy, proposal, samples, z: float) -> Estimate:
     """TVD(p, policy) from samples drawn from the proposal."""
-    log_p_score, log_q, log_pi = _ebm_logs(target, policy, proposal, samples)
+    log_p_score, log_q, log_pi = ebm_logs(target, policy, proposal, samples)
     return tvd_p_from_logs(importance_ratios(log_p_score, log_q), log_q, log_pi, z)
 
 
-def _ebm_logs(target: Ebm, policy, proposal, samples: SampleBatch) -> tuple:
+def ebm_logs(target: Ebm, policy, proposal, samples: SampleBatch) -> tuple:
     """Log-score, proposal and policy log-probs of the samples."""
     return (
         target.log_score_batch(samples),
@@ -595,6 +595,40 @@ def gumbel_sample_batch(model: TabularARModel, n: int, rng: np.random.Generator)
         val = np.where(grow, rolled, val)
         alive = grow
     return SampleBatch(tokens=tokens, lengths=lengths)
+
+
+def reference_sample_block(model: TabularARModel, n: int, rng: np.random.Generator) -> SampleBatch:
+    """The library's block sampler as it was written step by step: each step
+    draws its (n, V) uniforms, then, while some row grows, picks the growing
+    rows' tokens and rolls their contexts, ending a row at its EOS pick. The
+    batch keeps the codes computed while sampling, as the library's does."""
+    logprob, coding = model._logprob, model.coding
+    lmax, v = model.space.lmax, model.space.vocabulary.size
+    eos = model.space.vocabulary.eos_index
+    tokens = np.full((n, lmax), -1, dtype=np.int32)
+    lengths = np.full(n, lmax, dtype=np.int64)
+    codes = np.zeros((lmax, n), dtype=np.int64)  # step-major; 0 once a row has ended
+    val = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    for t in range(lmax):
+        u = rng.random((n, v))
+        if not alive.any():
+            continue
+        np.multiply(coding.step_offset(t) + val, alive, out=codes[t])
+        with np.errstate(divide="ignore"):
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+        pick = np.argmax(np.subtract(logprob[model.row_map[codes[t]]], u, out=u), axis=1)
+        ended = alive & (pick == eos)
+        lengths[ended] = t
+        grow = alive & ~ended
+        tokens[grow, t] = pick[grow].astype(np.int32)
+        val = (val * coding.body_size + coding.rank_of[pick]) % coding.modulus
+        alive = grow
+    batch = SampleBatch(tokens=tokens, lengths=lengths)
+    lm._events(model.space, batch).codes[coding.m_eff] = codes.T
+    return batch
 
 
 def naive_log_prob(model: TabularARModel, seq: Sequence) -> float:

@@ -19,7 +19,7 @@ from distctl.ebm import (
     moment_preserving_perturbations,
     snis_dual,
 )
-from distctl.estimators import exact_kl
+from distctl.estimators import exact_kl, importance_ratios, kl_p_from_logs, tvd_p_from_logs
 from distctl.features import ConstraintSet, ConstraintSpec, PrefixMatch, TokenPresence
 from distctl.lm import TabularARModel, mle_fit
 from distctl.metrics import EvalOptions, self_bleu_n, zipf_table
@@ -31,11 +31,10 @@ from helpers import (
     batch_of,
     bisect_lambda,
     dist_n,
+    ebm_logs,
     enumerate_sequences,
     enumeration,
     estimate_kl_between_models,
-    estimate_kl_p_from,
-    estimate_tvd,
     estimate_z,
     exact_entropy,
     exact_hybrid_projection,
@@ -51,6 +50,7 @@ from helpers import (
     synthetic_corpus,
     uniform_model,
     universe_features,
+    z_estimate_from_logs,
     zipf_total,
 )
 
@@ -203,13 +203,16 @@ def test_criterion_4_estimator_battery():
         from_base = base.sample_batch(samples_per_case, case_rng)
         from_policy = policy.sample_batch(samples_per_case, case_rng)
 
-        est = estimate_z(target, base, from_base)
+        # each batch is scored once, and every estimate reads those scores
+        log_p_score, log_q, log_pi = ebm_logs(target, policy, base, from_base)
+        weights = importance_ratios(log_p_score, log_q)
+        est = z_estimate_from_logs(log_p_score, log_q)
         if abs(est.value - z) <= 3 * est.standard_error:
             hits["z"] += 1
-        est = estimate_kl_p_from(target, policy, base, from_base, z)
+        est = kl_p_from_logs(weights, log_p_score, log_pi, z)
         if abs(est.value - exact_kl(p, pi_dist)) <= 3 * est.standard_error:
             hits["kl_p_pi"] += 1
-        est = estimate_tvd(target, policy, base, from_base, z)
+        est = tvd_p_from_logs(weights, log_q, log_pi, z)
         if abs(est.value - exact_tvd(p, pi_dist)) <= 3 * est.standard_error:
             hits["tvd"] += 1
         est = estimate_kl_between_models(policy, base, from_policy)

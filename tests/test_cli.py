@@ -731,21 +731,51 @@ def test_eval_of_a_model_that_emits_only_the_empty_sequence(tmp_path):
     assert_manifest(out / "manifest.json", ["build", "fit", "eval", "write"], ["samples", "zipf"])
 
 
-def test_a_base_with_an_underflowing_cell_evaluates_but_does_not_train(workdir, capsys):
+def test_a_base_with_an_underflowing_cell_evaluates_but_does_not_train(
+    workdir, capsys, monkeypatch
+):
     """A finite base logit 1e5 below its row's others gives that token
     probability 0.0 in float64: the frozen base still runs `eval`, and
-    `train` refuses its trainable lift (exit 2), writing no metrics."""
+    `train` refuses its trainable lift (exit 2) before the lambda fit,
+    writing no metrics."""
     base = ExperimentConfig.load(write_config(workdir)).build_base()
     base.logits[0, 0] -= 1e5
     TabularARModel(base.space, base.order, base.logits).write_document(workdir / "model.json")
     path = write_config(workdir, name="from-file.json", base_model={"model_file": "model.json"})
     assert main(["eval", "--config", str(path), "--output", str(workdir / "eval")]) == 0
     assert (workdir / "eval" / "metrics.csv").exists()
+    fits = []
+    monkeypatch.setattr(cli, "fit_lambda", lambda *args, **kwargs: fits.append(args))
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err == (
         "error: a trainable model holds 1 next-token probabilities at 0.0 (smallest log-prob -1e+05)\n"
     )
+    assert fits == []
     assert not (workdir / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["reinforce-P", "rejection-mle"])
+def test_the_underflow_check_applies_to_the_trainers_of_the_lift(workdir, monkeypatch, method):
+    """A comparison trainer trains the base's trainable lift, so an
+    underflowing base is refused before the fit; rejection-mle fits a policy
+    of its own, so it trains on that base."""
+    base = ExperimentConfig.load(write_config(workdir)).build_base()
+    base.logits[0, 0] -= 1e5
+    TabularARModel(base.space, base.order, base.logits).write_document(workdir / "model.json")
+    refused = method != "rejection-mle"
+    trainer = dict(SMALL_LOOP, method=method) if refused else REJECTION_TRAINER
+    path = write_config(workdir, name="from-file.json", base_model={"model_file": "model.json"},
+                        constraints=[POINTWISE_GOLD], trainer=trainer,
+                        eval={"eval_every": 1, "sample_size": 16})
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append(args)
+        return fit_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_lambda", recording)
+    assert main(["train", "--config", str(path)]) == (2 if refused else 0)
+    assert len(fits) == (0 if refused else 1)
 
 
 def test_config_errors_exit_2(workdir, capsys):

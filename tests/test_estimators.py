@@ -7,6 +7,7 @@ from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NonFiniteEstimate, NonpositiveZ, SupportViolation
 from distctl.estimators import (
     ZMovingAverage,
+    _mean_se,
     exact_kl,
     importance_ratios,
     kl_p_from_logs,
@@ -214,6 +215,43 @@ def test_overflowing_terms_raise_non_finite_estimate(estimator):
     weights = importance_ratios(log_p_score, log_q)
     with pytest.raises(NonFiniteEstimate, match="non-finite"):
         estimator(weights, log_p_score, log_q, log_pi)
+
+
+def numpy_mean_se(terms: np.ndarray) -> tuple[float, float]:
+    """The mean and standard error as numpy's own `mean` and `std` give them."""
+    se = float(np.std(terms, ddof=1) / np.sqrt(len(terms))) if len(terms) > 1 else 0.0
+    return float(np.mean(terms)), se
+
+
+def mean_se_cases(rng):
+    """n = 1 and 2, constant arrays, sign-mixed and one-signed terms, lengths
+    around numpy's 8-wide and 128-block pairwise sums, at magnitudes 1e-150
+    to 1e150."""
+    for scale in (1e-150, 1e-20, 1.0, 3e7, 1e150):
+        yield np.array([scale])
+        yield np.array([-scale, 2.5 * scale])
+        for n in (2, 3, 8, 9, 127, 128, 129, 1000, 4097):
+            yield np.full(n, -0.7 * scale)
+            yield rng.standard_normal(n) * scale
+            yield rng.exponential(size=n) * scale + 1e3 * scale
+
+
+def test_mean_se_is_numpys_mean_and_std_bitwise(rng):
+    for terms in mean_se_cases(rng):
+        kept = terms.copy()
+        got, expected = _mean_se(terms), numpy_mean_se(terms)
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), len(terms)
+        assert terms.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("terms", [
+    [np.inf, 1.0], [np.nan], [1e308, 1e308], [1e200, -1e200, 3.0], [1.3e154, -1.3e154],
+], ids=["inf", "nan", "sum-overflows", "squares-overflow", "squares-sum-overflows"])
+def test_mean_se_refuses_overflowing_terms(terms):
+    """Terms whose mean or squared deviations overflow (under the estimators'
+    `errstate`) give no estimate."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEstimate):
+        _mean_se(np.array(terms))
 
 
 # -- KL(pi || a) ---------------------------------------------------------------------

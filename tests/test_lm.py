@@ -35,6 +35,7 @@ from helpers import (
     invalidate,
     naive_log_prob,
     random_model,
+    reference_sample_block,
     sequence_rank,
     sequences,
     small_space,
@@ -447,6 +448,18 @@ def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
         assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
 
 
+def test_grad_weighted_sum_takes_a_weight_per_row_or_one_for_all(rng):
+    space = small_space(2, 3)
+    model = random_model(space, 2, rng, trainable=True)
+    batch = model.sample_batch(5, rng)
+    one = model.grad_weighted_sum(batch, np.full(1, 0.5))
+    each = model.grad_weighted_sum(batch, np.full(5, 0.5))
+    assert np.array_equal(one.rows, each.rows) and np.array_equal(one.values, each.values)
+    for wrong in (np.ones(4), np.ones(6), np.ones((5, 1))):
+        with pytest.raises(ConfigError, match="one weight per row"):
+            model.grad_weighted_sum(batch, wrong)
+
+
 def test_grad_weighted_sum_holds_two_event_tables(rng):
     """The gradient writes each step's one-hots and softmax rows in place into
     one cell array and one value array (events x (V + 1) each), and beside
@@ -790,7 +803,7 @@ def test_sample_blocks_replay_the_one_shot_stream_bitwise(monkeypatch, order_of,
             assert np.array_equal(block.tokens, reference.tokens)
             assert np.array_equal(block.lengths, reference.lengths)
             assert_codes_are_the_encoders(candidate, block)
-            # its rows all end before the last step, whose scores it skips
+            # its rows all end before the last step
             all_ended |= bool(block.lengths.max() < candidate.space.lmax - 1)
         np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
     assert all_ended
@@ -810,6 +823,57 @@ def test_sample_batch_matches_gumbel_reference_bitwise_across_chunks(monkeypatch
         assert np.array_equal(batch.lengths, np.concatenate([r.lengths for r in references]))
         assert_codes_are_the_encoders(candidate, batch)
         np.testing.assert_equal(whole.bit_generator.state, theirs.bit_generator.state)
+
+
+def eos_shifted(model, shift):
+    """A frozen copy of `model` with `shift` added to every EOS logit."""
+    logits = model.logits.copy()
+    logits[:, model.space.vocabulary.eos_index] += shift
+    return TabularARModel(model.space, model.order, logits, row_map=model.row_map.copy())
+
+
+@pytest.mark.parametrize("lmax", range(1, 7))
+def test_sampler_is_the_step_by_step_reference_bitwise(lmax, rng):
+    """Tokens, lengths, codes and the generator after the draw are the
+    step-by-step reference's, its blocks drawn one after another: at every
+    order 1..lmax+1, at n within a block, at its edge and past it, and for
+    models whose rows all end at step 0 or all reach lmax."""
+    space = small_space(2, lmax)
+    candidates = [random_model(space, order, rng, scale=2.0) for order in range(1, lmax + 2)]
+    ends_at_once, runs_to_lmax = (eos_shifted(candidates[-2], s) for s in (60.0, -60.0))
+    chunk = lm._SAMPLE_CHUNK_ROWS
+    for model in candidates + [ends_at_once, runs_to_lmax]:
+        for n in (1, 5, chunk, chunk + 1, 9000):
+            ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+            batch = model.sample_batch(n, ours)
+            sizes = [min(chunk, n - lo) for lo in range(0, n, chunk)]
+            blocks = [reference_sample_block(model, size, theirs) for size in sizes]
+            assert np.array_equal(batch.tokens, np.concatenate([b.tokens for b in blocks]))
+            assert np.array_equal(batch.lengths, np.concatenate([b.lengths for b in blocks]))
+            m = model.coding.m_eff
+            codes = np.concatenate([lm._events(space, b).codes[m] for b in blocks])
+            assert np.array_equal(lm._events(space, batch).codes[m], codes)
+            np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+            if model is ends_at_once:
+                assert not batch.lengths.any()
+            if model is runs_to_lmax:
+                assert (batch.lengths == lmax).all()
+
+
+def test_lower_order_codes_are_derived_from_a_longer_context_bitwise(monkeypatch, rng):
+    """A batch that holds a longer context's codes (here its sampler's) gives
+    every shorter order's codes by suffix arithmetic, without encoding the
+    tokens, equal to the encoder's."""
+    for body, lmax in [(1, 3), (2, 4), (3, 5), (2, 7)]:
+        space = small_space(body, lmax)
+        for high in range(2, lmax + 2):
+            batch = long_sampler(space, high, rng).sample_batch(300, rng)
+            for low in range(1, high):
+                coding = random_model(space, low, rng).coding
+                with monkeypatch.context() as patched:
+                    patched.setattr(lm._Coding, "encode", None)  # a call would fail
+                    codes, _, active = lm._coded_events(coding, batch)
+                assert np.array_equal(codes, coding.encode(batch.tokens, active))
 
 
 def test_sample_batch_scratch_is_chunk_sized(rng):
