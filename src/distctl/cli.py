@@ -2,8 +2,10 @@
 
 One JSON config per experiment; numeric outputs are CSV only. Exit codes:
 0 success, else the `exit_code` of the library error that stopped the run
-(2 configuration error, 3 numerical failure, 4 size guard: the universe's, or
-the constraint features' automaton's).
+(2 configuration error, 3 numerical failure, 4 size guard: the universe's,
+the constraint features' automaton's, or a sample count's). Every command
+that fits lambda prints an unconverged fit's largest moment gap to stderr
+and runs on.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .baselines import REJECTION_MLE, RejectionConfig, rejection_mle, train_base
 from .config import ExperimentConfig
 from .dpg import GDC_METHOD, seed_streams, train
 from .ebm import (
+    Ebm,
     FitReport,
     exact_target_automaton,
     fit_lambda,
@@ -181,16 +184,24 @@ def _fit_document(report: FitReport, constraint_set: ConstraintSet) -> dict:
     return {"lambda_ids": lambda_ids, "constraint_ids": constraint_set.ids, **report.to_document()}
 
 
+def _fit(cfg: ExperimentConfig, base, constraint_set: ConstraintSet) -> tuple[FitReport, Ebm]:
+    """`fit_lambda` under the config's fit block, for every command that fits.
+    An unconverged fit still returns its target (a lam held at the clamp is a
+    well-defined target), and prints its largest moment gap to stderr."""
+    report, target = fit_lambda(base, constraint_set, cfg.fit_config)
+    if not report.converged:
+        gap = np.abs(report.achieved_moments - constraint_set.targets[~constraint_set.pointwise])
+        print(f"fit did not converge: max |gap| {gap.max():.6g}", file=sys.stderr)
+    return report, target
+
+
 def run_fit(run: _Run) -> None:
     cfg = run.cfg
     base, constraint_set = _build(cfg, "fit")
     run.end("build")
-    report, _ = fit_lambda(base, constraint_set, cfg.fit_config)
+    report, _ = _fit(cfg, base, constraint_set)
     run.end("fit")
     _write_json(run.artifact("fit_report", "json"), _fit_document(report, constraint_set))
-    if not report.converged:
-        gap = np.abs(report.achieved_moments - constraint_set.targets[~constraint_set.pointwise])
-        print(f"fit did not converge: max |gap| {gap.max():.6g}", file=sys.stderr)
 
 
 def _samples_file(path: Path, policy, vocab, n: int, rng) -> SampleBatch:
@@ -226,7 +237,7 @@ def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet, 
     proposal is gone already, dropped after its last iteration
     (`dpg.run_loop`)."""
     cfg = run.cfg
-    report, target = fit_lambda(base, constraint_set, cfg.fit_config)
+    report, target = _fit(cfg, base, constraint_set)
     run.end("fit")
     config, eval_options = cfg.trainer_config, cfg.eval_options
     if method == REJECTION_MLE:
@@ -270,7 +281,7 @@ def run_ablation(run: _Run) -> None:
         )
     base, constraint_set = _build(cfg, trainer=cfg.trainer_config)
     run.end("build")
-    _, target = fit_lambda(base, constraint_set, cfg.fit_config)
+    _, target = _fit(cfg, base, constraint_set)
     run.end("fit")
     threshold = cfg.eval_options.threshold
     cells = []  # (grid pairs, snapshot) per row; a snapshot's pairs are made as the CSV is written
@@ -293,7 +304,7 @@ def run_oracle(run: _Run) -> None:
     # the oracle is exact whether or not eval.exact_oracle is on
     base, constraint_set = _build(cfg, exact=True)
     run.end("build")
-    _, target = fit_lambda(base, constraint_set, cfg.fit_config)
+    _, target = _fit(cfg, base, constraint_set)
     run.end("fit")
     kl_p_a, moments = target.exact_target_terms()
     # only the Pythagorean check enumerates: KL(c || a) - KL(c || p) - KL(p || a)
@@ -324,7 +335,7 @@ def run_eval(run: _Run) -> None:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
     model, constraint_set = _build(cfg)
     run.end("build")
-    target = fit_lambda(model, constraint_set, cfg.fit_config)[1] if len(constraint_set) else None
+    target = _fit(cfg, model, constraint_set)[1] if len(constraint_set) else None
     run.end("fit")
     rng = np.random.default_rng(cfg.seed)
     record = snapshot(0, "eval", model, target, rng, cfg.eval_options) if target is not None else None

@@ -83,15 +83,16 @@ def _expect(cond: bool, path: str, rule: str) -> None:
 @contextmanager
 def _at(path: str, key: str | None = None):
     """Prefix the block path `path` to the field named by the ConfigErrors
-    raised inside; `key` replaces that field when the JSON key feeding it has
-    another name (a list of values, as in `eval.ablation`)."""
+    raised inside, keeping their class; `key` replaces that field when the
+    JSON key feeding it has another name (a list of values, as in
+    `eval.ablation`)."""
     try:
         yield
     except ConfigError as e:
         field = key or e.field
         if field is None:
-            raise ConfigError(f"{path}: {e}") from None
-        raise ConfigError(e.rule, f"{path}.{field}") from None
+            raise type(e)(f"{path}: {e}") from None
+        raise type(e)(e.rule, f"{path}.{field}") from None
 
 
 def _check(block, path: str, keys: dict, required=()) -> dict:

@@ -43,6 +43,7 @@ from .estimators import (
 )
 from .lm import RowGradient, TabularARModel
 from .metrics import EvalOptions, MetricsRecord, snapshot
+from .seqspace import guard_count
 
 ADAPTIVITY_KL = "kl"
 ADAPTIVITY_TVD = "tvd"
@@ -70,6 +71,7 @@ class LoopConfig:
             raise ConfigError("must be >= 0", "iterations")
         if self.samples_per_iteration < 1:
             raise ConfigError("must be >= 1", "samples_per_iteration")
+        guard_count(self.samples_per_iteration, "samples_per_iteration")
         if not self.learning_rate > 0:
             raise ConfigError("must be > 0", "learning_rate")
         if self.seed < 0:
@@ -200,7 +202,7 @@ def dpg_iteration(
         learning_rate = config.learning_rate / k
     state.policy.apply_update(grad, learning_rate)
 
-    z_hat = float(weights.mean())
+    z_hat = float(np.add.reduce(weights) / k)  # bitwise `np.mean`, without its overhead
     state.zma = state.zma.fold(z_hat)
 
     div_policy = div_proposal = None

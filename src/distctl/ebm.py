@@ -4,7 +4,8 @@ Every target has one shape, the I-projection of the base onto its constraints:
 P(x) = a(x) * b(x) * exp(lam . phi(x)), with a the base, b the product of the
 pointwise (0 or 1) features and phi the distributional features. lam is fitted
 by damped Newton on the convex dual, estimated by self-normalized importance
-sampling on the base samples with b = 1; a pointwise-only target has none.
+sampling on the base samples with b = 1; a pointwise-only target has none. The
+fit reports the SNIS moments of the dual evaluation that accepted its lam.
 
 The target's exact quantities come from a DP over (step t, base context c,
 feature state s), with no universe-sized array: the base's next-token
@@ -22,7 +23,8 @@ kept per row. beta is linear in that terminal value, so the same pass with
 terminal b * exp(lam . phi) * phi_j gives Z * E_p[phi_j]
 (`Ebm.exact_target_terms`, the expectation-semiring sum by linearity).
 `Ebm.exact_policy_terms` runs the forward pass that a policy's exact
-KL(p || pi) and E_pi[phi] need, forming p's next-token laws as it reads them.
+KL(p || pi) and E_pi[phi] need, forming p's next-token laws as it reads them
+and grouping its pairs by `lm._group`.
 The `oracle` command's Pythagorean check alone reaches the universe: by
 two prefix passes in enumeration order, the base's log-probs
 (`lm.exact_log_distribution`) and the automaton's final states
@@ -47,7 +49,7 @@ from .errors import (
     UnattainableTarget,
 )
 from .features import Automaton, ConstraintSet
-from .lm import TabularARModel
+from .lm import TabularARModel, _group
 from .seqspace import SampleBatch
 
 DEFAULT_LAMBDA_CLAMP = 20.0
@@ -65,6 +67,7 @@ class FitConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ConfigError("must be >= 1", "sample_count")
+        seqspace.guard_count(self.sample_count, "sample_count")
         if not self.tolerance > 0:
             raise ConfigError("must be > 0", "tolerance")
         if self.max_steps < 1:
@@ -145,19 +148,6 @@ def _child_contexts(contexts: np.ndarray, rank, b: int, t: int, m: int) -> np.nd
     """The base context at t + 1 after a context at t takes the body token of
     this rank (broadcast)."""
     return (contexts * b + rank) % b ** min(t + 1, m)
-
-
-def _group(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in 0..size-1, ascending, and each key's index among
-    them, as `np.unique(keys, return_inverse=True)` gives them. When the key
-    range is at most a few times the key count they come from a count over
-    it, which makes fewer keys-sized arrays than the sort: a part's arrays
-    set the walk's peak, and `test_metrics`' warm exact snapshot peaks at
-    0.86 universe-sized arrays so, against 1.20 by sorting alone."""
-    if size > 4 * len(keys):
-        return np.unique(keys, return_inverse=True)
-    seen = np.bincount(keys, minlength=size) > 0
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
 
 
 def _backward(base: TabularARModel, auto: Automaton, terminal: np.ndarray) -> Iterator[np.ndarray]:
@@ -532,25 +522,18 @@ def snis_weights(lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
     return w / total, float(shift + np.log(total / len(w)))
 
 
-def snis_moments(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Self-normalized moment estimate from base-model samples' feature rows."""
-    if phi.shape[0] < 1:
-        raise ConfigError("snis_moments needs at least one sample")
-    return snis_weights(lam, phi)[0] @ phi
-
-
 def snis_dual(
     lam: np.ndarray, phi: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The convex dual log mean_i exp(lam . phi_i) - lam . targets over the
-    sample rows, with its gradient, the SNIS moment gap mu_hat - targets, and
-    its Hessian, the SNIS-weighted feature covariance. Its minimiser is the lam
-    whose SNIS moments hit the targets."""
+    sample rows, with its gradient, the SNIS moment gap mu_hat - targets, its
+    Hessian, the SNIS-weighted feature covariance, and the SNIS moments mu_hat
+    themselves. Its minimiser is the lam whose SNIS moments hit the targets."""
     w, log_mean = snis_weights(lam, phi)
     mu = w @ phi
     centered = phi - mu
     cov = (centered * w[:, None]).T @ centered
-    return log_mean - float(lam @ targets), mu - targets, cov
+    return log_mean - float(lam @ targets), mu - targets, cov, mu
 
 
 def fit_lambda(
@@ -572,9 +555,11 @@ def fit_lambda(
     `snis_dual`: minimum-norm steps (collinear features still step), clipped to
     the clamp and halved until the dual decreases. It converges once max |gap|
     < `tolerance`, and stops short at `max_steps` or when no halving lowers the
-    dual (the root lies outside the clamp box). `objective` is the squared gap
-    at the returned lam; `rows_used` counts the kept rows: `sample_count` when
-    no constraint is pointwise, 0 when nothing is drawn.
+    dual (the root lies outside the clamp box). `achieved_moments` are the
+    SNIS moments at the returned lam, from the `snis_dual` evaluation that
+    accepted it, and `objective` is their squared gap; `rows_used` counts the
+    kept rows: `sample_count` when no constraint is pointwise, 0 when nothing
+    is drawn.
     """
     if len(constraint_set) == 0:
         raise ConfigError("fit_lambda needs at least one constraint")
@@ -605,23 +590,23 @@ def fit_lambda(
             raise UnattainableTarget(spec.feature.id, float(targets[j]), lo, hi)
 
     lam = np.zeros(len(specs))
-    dual, gap, cov = snis_dual(lam, phi, targets)
+    dual, gap, cov, mu = snis_dual(lam, phi, targets)
     steps_used = 0
     while np.abs(gap).max() >= config.tolerance and steps_used < config.max_steps:
         step = np.linalg.lstsq(cov, -gap, rcond=None)[0]
         for halving in range(MAX_HALVINGS):
             trial = np.clip(lam + step / 2.0**halving, -clamp, clamp)
-            trial_dual, trial_gap, trial_cov = snis_dual(trial, phi, targets)
-            if trial_dual < dual:
+            tried = snis_dual(trial, phi, targets)
+            if tried[0] < dual:
                 break
         else:
             break  # the clipped step cannot lower the dual
-        lam, dual, gap, cov = trial, trial_dual, trial_gap, trial_cov
+        lam, (dual, gap, cov, mu) = trial, tried
         steps_used += 1
 
     report = FitReport(
         lam=lam.copy(),
-        achieved_moments=snis_moments(lam, phi),
+        achieved_moments=mu,
         objective=float(gap @ gap),
         steps_used=steps_used,
         rows_used=len(phi),

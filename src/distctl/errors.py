@@ -34,6 +34,14 @@ class ConfigError(DistctlError):
         super().__init__(f"{field} {rule}" if field else rule)
 
 
+class SampleCountTooLarge(ConfigError):
+    """A sample count of the config past `seqspace.SAMPLE_COUNT_GUARD`,
+    refused where the config objects are built, before anything is drawn: a
+    ConfigError naming its field, with the size guards' exit code."""
+
+    exit_code = 4
+
+
 class UniverseTooLarge(DistctlError):
     """Sequence universe exceeds the exhaustive-enumeration guard."""
 

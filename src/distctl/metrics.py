@@ -20,8 +20,8 @@ import numpy as np
 from .ebm import Ebm
 from .errors import ConfigError, EmptyCorpus, TooFewSamples
 from .estimators import Estimate, importance_ratios, kl_models_from_logs, kl_p_from_logs
-from .lm import TabularARModel
-from .seqspace import SampleBatch, Vocabulary
+from .lm import TabularARModel, _group
+from .seqspace import SampleBatch, Vocabulary, guard_count
 
 PRECISION_FLOOR = 1e-9
 
@@ -44,8 +44,10 @@ def ngram_counts(samples: SampleBatch, max_n: int) -> NgramCounts:
     """Count the batch's m-grams for m = 1..max_n in one pass over the token matrix.
 
     An m-gram's id is its (m-1)-gram prefix's dense id times the token base
-    plus its last token, re-densified by `np.unique` at every m, so ids stay
-    below rows * width * base whatever n and the vocabulary size.
+    plus its last token, re-densified at every m by `lm._group` over its exact
+    range, the (m-1)-grams times the base, so ids stay below
+    rows * width * base whatever n and the vocabulary size. A row-gram pair's
+    id is the row times the m-grams plus the gram's dense id.
     """
     tokens = samples.tokens.astype(np.int64)
     lengths = samples.lengths
@@ -54,7 +56,7 @@ def ngram_counts(samples: SampleBatch, max_n: int) -> NgramCounts:
     rows = np.broadcast_to(np.arange(n_rows)[:, None], tokens.shape)
     distinct: list[int] = []
     clipped: list[np.ndarray] = []
-    ids = tokens
+    ids, prefixes = tokens, 1  # the m = 1 grams extend the one empty gram
     for m in range(1, max_n + 1):
         starts = max(width - m + 1, 0)
         valid = np.arange(starts) + m <= lengths[:, None]
@@ -64,13 +66,14 @@ def ngram_counts(samples: SampleBatch, max_n: int) -> NgramCounts:
             continue
         if m > 1:
             ids = ids[:, :starts] * base + tokens[:, m - 1 :]
-        grams, dense = np.unique(ids[valid], return_inverse=True)
+        grams, dense = _group(ids[valid], prefixes * base)
+        prefixes = len(grams)  # of the (m + 1)-grams
         ids = np.zeros((n_rows, starts), dtype=np.int64)
         ids[valid] = dense
         distinct.append(len(grams))
         # per-row count of each gram, then per gram: best count, its row, second best
         row_gram = rows[:, :starts][valid] * len(grams) + dense
-        pairs, pair_of = np.unique(row_gram, return_inverse=True)
+        pairs, pair_of = _group(row_gram, n_rows * len(grams))
         count = np.bincount(pair_of)
         row, gram = np.divmod(pairs, len(grams))
         order = np.argsort(gram * (int(count.max()) + 1) - count)  # by gram, then count descending
@@ -169,6 +172,7 @@ class EvalOptions:
     def __post_init__(self):
         if self.sample_size < 2:
             raise ConfigError("must be >= 2", "sample_size")
+        guard_count(self.sample_size, "sample_size")
         if self.eval_every < 1:
             raise ConfigError("must be >= 1", "eval_every")
         if self.threshold is not None and not self.threshold > 0:

@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCorpus, UniverseTooLarge
+from .errors import ConfigError, EmptyCorpus, SampleCountTooLarge, UniverseTooLarge
 
 ENUMERATION_GUARD = 10**7
+# The most rows a config may ask one draw for: the enumeration guard's bound,
+# kept apart so that each guard can be moved on its own.
+SAMPLE_COUNT_GUARD = ENUMERATION_GUARD
 ENUMERATION_CHUNK_ROWS = 1 << 16  # rows, parents or prefixes an exact pass takes at once
 
 DEFAULT_EOS = "<eos>"
@@ -66,6 +69,15 @@ class Vocabulary:
         if i == self.eos_index:
             raise ConfigError(f"token {token!r} is the end-of-sequence token, not a body token")
         return i
+
+
+def guard_count(count: int, field: str) -> None:
+    """Raise SampleCountTooLarge, naming `field`, if a sample count passes
+    SAMPLE_COUNT_GUARD: no draw holds more rows than an enumeration may."""
+    if count > SAMPLE_COUNT_GUARD:
+        raise SampleCountTooLarge(
+            f"must be <= {SAMPLE_COUNT_GUARD} (the sample-count guard), got {count}", field
+        )
 
 
 def string_space_size(base: int, max_len: int) -> int:

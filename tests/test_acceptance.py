@@ -419,13 +419,13 @@ def test_criterion_8_gradient_identities():
     targets = np.array([0.4, 0.5, 0.6])
     for _ in range(10):
         lam = rng.standard_normal(3)
-        _, grad, hess = snis_dual(lam, phi, targets)
+        _, grad, hess, _ = snis_dual(lam, phi, targets)
         eps = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = eps
-            up, up_grad, _ = snis_dual(lam + e, phi, targets)
-            down, down_grad, _ = snis_dual(lam - e, phi, targets)
+            up, up_grad, _, _ = snis_dual(lam + e, phi, targets)
+            down, down_grad, _, _ = snis_dual(lam - e, phi, targets)
             numeric = (up - down) / (2 * eps)
             worst_snis = max(worst_snis, abs(numeric - grad[j]) / max(abs(numeric), 1e-10))
             numeric_row = (up_grad - down_grad) / (2 * eps)

@@ -139,6 +139,32 @@ def test_unconverged_fit_reports_its_max_gap(workdir, capsys):
     assert f"fit did not converge: max |gap| {gap:.6g}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "train", "ablation", "oracle", "eval"])
+def test_every_command_that_fits_reports_an_unconverged_fit(workdir, capsys, command):
+    """A lam held at its clamp leaves the fit unconverged. Every command that
+    fits still runs on that target and exits 0, and prints the fit's largest
+    moment gap to stderr, once; a converged fit prints nothing."""
+    overrides = {
+        "trainer": dict(SMALL_LOOP, method="gdc"),
+        "eval": {"eval_every": 1, "sample_size": 16, "exact_oracle": True,
+                 "ablation": {"variants": ["kl"], "seeds": [0]}},
+    }
+    if command == "eval":  # eval reads a persisted base
+        base = ExperimentConfig.load(write_config(workdir)).build_base()
+        base.write_document(workdir / "base.json")
+        overrides["base_model"] = {"model_file": "base.json"}
+    for clamp, converged in ((20.0, True), (1e-3, False)):
+        fit = {"sample_count": 2000, "tolerance": 1e-4, "lambda_clamp": clamp}
+        cfg = write_config(workdir, fit=fit, **overrides)
+        assert main([command, "--config", str(cfg)]) == 0
+        loaded = ExperimentConfig.load(cfg)
+        report, _ = fit_lambda(*cli._build(loaded), loaded.fit_config)
+        assert report.converged is converged
+        gap = abs(report.achieved_moments[0] - 0.5)
+        expected = "" if converged else f"fit did not converge: max |gap| {gap:.6g}\n"
+        assert capsys.readouterr().err == expected
+
+
 def test_fit_unattainable_exits_3(workdir):
     # 'gold' never follows 'gold' twice in a tiny budget: use an impossible prefix target
     cfg = write_config(
@@ -793,6 +819,46 @@ def test_config_errors_exit_2(workdir, capsys):
     assert main(["fit", "--config", str(missing)]) == 2
 
 
+def test_the_sample_count_guard_is_the_enumeration_guards_bound():
+    assert seqspace.SAMPLE_COUNT_GUARD == seqspace.ENUMERATION_GUARD == 10**7
+    seqspace.guard_count(seqspace.SAMPLE_COUNT_GUARD, "n")  # admitted: nothing is drawn here
+    with pytest.raises(errors.SampleCountTooLarge) as err:
+        seqspace.guard_count(seqspace.SAMPLE_COUNT_GUARD + 1, "n")
+    assert (err.value.field, err.value.exit_code) == ("n", 4)
+
+
+@pytest.mark.parametrize("count", [10**7 + 1, 10**13], ids=["bound+1", "1e13"])
+@pytest.mark.parametrize(
+    "block, key, method",
+    [("fit", "sample_count", "gdc"), ("trainer", "samples_per_iteration", "gdc"),
+     ("trainer", "samples_per_iteration", "reinforce-P"), ("eval", "sample_size", "gdc")],
+    ids=["fit", "gdc", "reinforce-P", "eval"],
+)
+def test_a_sample_count_past_the_guard_exits_4_at_load(workdir, capsys, monkeypatch, block,
+                                                       key, method, count):
+    """`load` refuses a sample count past the guard, naming its field and the
+    bound, before the base is built or anything drawn."""
+    overrides = {
+        "fit": {"sample_count": 2000},
+        "trainer": dict(SMALL_LOOP, method=method),
+        "eval": {"sample_size": 16},
+    }
+    overrides[block][key] = count
+    cfg = write_config(workdir, **overrides)
+    with pytest.raises(errors.SampleCountTooLarge) as err:
+        ExperimentConfig.load(cfg)
+    message = f"config.{block}.{key} must be <= 10000000 (the sample-count guard), got {count}"
+    assert str(err.value) == message
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the base of a refused config")
+
+    monkeypatch.setattr(ExperimentConfig, "build_base", no_build)
+    for command in ("fit", "train", "ablation"):
+        assert main([command, "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def binary_file(workdir):
     path = workdir / "binary.bin"
     path.write_bytes(bytes(range(256)))
@@ -1376,6 +1442,7 @@ README_EXIT_CODES = {
     errors.SaturatedPolicy: 3,
     errors.UniverseTooLarge: 4,
     errors.AutomatonTooLarge: 4,
+    errors.SampleCountTooLarge: 4,
 }
 ERROR_CLASSES = [
     cls for _, cls in inspect.getmembers(errors, inspect.isclass)

@@ -9,7 +9,6 @@ from distctl.ebm import (
     fit_lambda,
     moment_preserving_perturbations,
     snis_dual,
-    snis_moments,
     snis_weights,
 )
 from distctl.errors import (
@@ -108,16 +107,22 @@ def test_score_log2_doubles(ab_space, ab_uniform):
 # -- snis ------------------------------------------------------------------
 
 
+def snis_mu(lam, phi):
+    """The SNIS moments that `snis_dual` forms at lam; they do not depend on
+    the targets."""
+    return snis_dual(lam, phi, np.zeros(phi.shape[1]))[3]
+
+
 def test_snis_lambda_zero_is_plain_mean(rng):
     phi = rng.random((500, 3))
-    assert np.allclose(snis_moments(np.zeros(3), phi), phi.mean(axis=0))
+    assert np.allclose(snis_mu(np.zeros(3), phi), phi.mean(axis=0))
 
 
 def test_snis_identical_rows_collapse(rng):
     v = np.array([0.2, 0.9])
     phi = np.tile(v, (50, 1))
     for lam in (np.zeros(2), np.array([3.0, -2.0])):
-        assert np.allclose(snis_moments(lam, phi), v)
+        assert np.allclose(snis_mu(lam, phi), v)
 
 
 def test_snis_matches_enumeration_oracle(ab_space, ab_uniform):
@@ -129,7 +134,7 @@ def test_snis_matches_enumeration_oracle(ab_space, ab_uniform):
     exact = float(tilt @ phi_univ / tilt.sum())
     samples = ab_uniform.sample_batch(100000, np.random.default_rng(5))
     phi = cs.feature_matrix(samples)
-    estimate = snis_moments(lam, phi)[0]
+    estimate = snis_mu(lam, phi)[0]
     se = snis_standard_error(np.exp(phi[:, 0] * lam[0]), phi[:, 0], estimate)
     assert abs(estimate - exact) < 3 * se
 
@@ -145,13 +150,13 @@ def test_snis_dual_derivatives_match_finite_differences(rng):
     phi = rng.random((2000, 3))
     targets = np.array([0.3, 0.6, 0.4])
     lam = rng.standard_normal(3)
-    _, grad, hess = snis_dual(lam, phi, targets)
+    _, grad, hess, _ = snis_dual(lam, phi, targets)
     eps = 1e-6
     for j in range(3):
         e = np.zeros(3)
         e[j] = eps
-        up, up_grad, _ = snis_dual(lam + e, phi, targets)
-        down, down_grad, _ = snis_dual(lam - e, phi, targets)
+        up, up_grad, _, _ = snis_dual(lam + e, phi, targets)
+        down, down_grad, _, _ = snis_dual(lam - e, phi, targets)
         numeric = (up - down) / (2 * eps)
         assert abs(numeric - grad[j]) / max(abs(numeric), 1e-10) < 1e-5
         numeric_row = (up_grad - down_grad) / (2 * eps)
@@ -308,6 +313,35 @@ def test_hybrid_fit_with_no_row_of_b_one_raises_empty_support(ab_space, ab_unifo
     with pytest.raises(EmptySupport) as err:
         fit_lambda(ab_uniform, cs, fit_config(n=5000))
     assert "'never'" in str(err.value)
+
+
+def kept_phi(base, cs, config):
+    """The rows `fit_lambda` weighs: its draw's feature rows with b = 1, on
+    the distributional columns."""
+    blocks = base.sample_blocks(config.sample_count, np.random.default_rng(config.seed))
+    phi = np.vstack([cs.feature_matrix(block) for block in blocks])
+    return phi[(phi[:, cs.pointwise] == 1.0).all(axis=1)][:, ~cs.pointwise]
+
+
+@pytest.mark.parametrize("case", ["hybrid", "halving-fails", "max-steps"])
+def test_achieved_moments_are_the_snis_moments_at_the_fitted_lambda_bitwise(case, ab_space,
+                                                                            ab_uniform):
+    """`achieved_moments` come from the `snis_dual` evaluation that accepted
+    the returned lam: the same bits as weighting the kept rows again."""
+    v = ab_space.vocabulary
+    hybrid = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "b"), 0.6)
+    cs, config = {
+        "hybrid": (hybrid, fit_config(n=5000, tol=1e-4)),
+        "halving-fails": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, clamp=0.01)),
+        "max-steps": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, steps=1)),
+    }[case]
+    report, _ = fit_lambda(ab_uniform, cs, config)
+    assert report.converged == (case == "hybrid") and report.steps_used >= 1
+    if case == "halving-fails":
+        assert report.steps_used < config.max_steps and abs(report.lam[0]) == config.lambda_clamp
+    phi = kept_phi(ab_uniform, cs, config)
+    assert report.rows_used == len(phi)
+    assert report.achieved_moments.tobytes() == (snis_weights(report.lam, phi)[0] @ phi).tobytes()
 
 
 def test_fit_reports_the_rows_it_weighs(ab_space, ab_uniform, presence_a_pointwise):

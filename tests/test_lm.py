@@ -460,6 +460,47 @@ def test_grad_weighted_sum_takes_a_weight_per_row_or_one_for_all(rng):
             model.grad_weighted_sum(batch, wrong)
 
 
+def group_cases(rng):
+    """(keys, size) pairs, each key in 0..size-1, with the count over the
+    range (size <= 4 * keys) and the sort (size > 4 * keys) both covered."""
+    def keys(*values):
+        return np.array(values, dtype=np.int64)
+
+    random = rng.integers(0, 4000, size=1000)
+    return {
+        "empty-counted": (keys(), 0),
+        "empty-sorted": (keys(), 1),
+        "one-key-at-0": (keys(0), 4),
+        "one-key-at-the-top-counted": (keys(3), 4),
+        "one-key-at-the-top-sorted": (keys(4), 5),
+        "all-equal-counted": (keys(*[2] * 10), 3),
+        "all-equal-sorted": (keys(*[2] * 10), 41),
+        "both-ends-counted": (keys(0, 7, 0, 3, 7), 8),
+        "both-ends-sorted": (keys(0, 20, 0, 3, 20), 21),
+        "random-counted": (random, 4000),
+        "random-sorted": (random, 4001),
+    }
+
+
+def test_group_is_np_unique_with_its_inverse_on_both_sides(rng, monkeypatch):
+    unique = np.unique
+    sorted_calls = []
+
+    def spy(keys, **kwargs):
+        sorted_calls.append(len(keys))
+        return unique(keys, **kwargs)
+
+    for name, (keys, size) in group_cases(rng).items():
+        expected = unique(keys, return_inverse=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "unique", spy)
+            distinct, inverse = lm._group(keys, size)
+        assert (len(sorted_calls) > 0) == name.endswith("sorted"), name
+        sorted_calls.clear()
+        for ours, theirs in zip((distinct, inverse), expected):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+
 def test_grad_weighted_sum_holds_two_event_tables(rng):
     """The gradient writes each step's one-hots and softmax rows in place into
     one cell array and one value array (events x (V + 1) each), and beside
@@ -722,6 +763,28 @@ def test_sample_batch_keeps_the_encoders_codes(order_of, rng):
         assert np.array_equal(sampled.codes[m], scored.codes[m])
         assert np.array_equal(sampled.toks, scored.toks)
         assert np.array_equal(sampled.active, scored.active)
+
+
+def test_step_tokens_and_mask_are_the_broadcast_formulas(rng):
+    """The record's step tokens and mask, which share one `t <= length` mask,
+    equal the formulas that compared each step with the lengths on their
+    own: on sampled batches and on hand-made ones with rows of length 0 and
+    lmax. Both stay step-major."""
+    space = small_space(3, 5)
+    lmax, eos = space.lmax, space.vocabulary.eos_index
+    batches = [long_sampler(space, order, rng).sample_batch(n, rng)
+               for order, n in ((1, 1), (2, 300), (6, 5000))]
+    batches.append(batch_from(space, [Sequence(()), Sequence((0, 1, 2, 0, 1)), Sequence((2,)),
+                                      Sequence(())]))
+    batches.append(batch_from(space, [Sequence((1, 1, 1, 1, 1))]))
+    for batch in batches:
+        record = lm._events(space, batch)
+        grows = np.arange(1, lmax + 1)[:, None] <= batch.lengths
+        toks = np.where(grows, batch.tokens.T, np.int64(eos)).T
+        active = (np.arange(lmax)[:, None] <= batch.lengths).T
+        assert record.toks.dtype == toks.dtype and np.array_equal(record.toks, toks)
+        assert record.active.dtype == active.dtype and np.array_equal(record.active, active)
+        assert record.toks.T.flags.c_contiguous and record.active.T.flags.c_contiguous
 
 
 def test_a_featurized_batch_builds_no_step_tokens_or_mask(rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distctl import estimators
+from distctl import estimators, metrics
 from distctl.ebm import Ebm
 from distctl.estimators import exact_kl
 from distctl.lm import TabularARModel
@@ -246,6 +246,30 @@ def test_batch_metrics_large_vocabulary():
         for k in rng.integers(0, 8, size=40)
     ]
     assert_equals_references(seqs, 7, ns=[5])
+
+
+@pytest.mark.parametrize("rows, counted", [(2, True), (512, False)], ids=["2-rows", "512-rows"])
+def test_ngram_counts_group_over_exact_ranges(rows, counted, monkeypatch):
+    """`ngram_counts` groups each order's grams, then its row-gram pairs,
+    over their exact ranges. A 2-row batch's pairs all fall where `_group`
+    counts, and a long 512-row batch's where it sorts. Both batches equal the
+    references."""
+    group, sides = metrics._group, []
+
+    def spy(keys, size):
+        assert len(keys) == 0 or keys.max() < size  # the range holds every key
+        sides.append(size <= 4 * len(keys))
+        return group(keys, size)
+
+    rng = np.random.default_rng(rows)
+    seqs = [Sequence(tuple(int(t) for t in rng.integers(0, 6, size=k)))
+            for k in rng.integers(3, 8, size=rows)]
+    with monkeypatch.context() as patched:
+        patched.setattr(metrics, "_group", spy)
+        ngram_counts(batch_of(seqs, 7), 5)
+    pairs = sides[1::2]
+    assert len(pairs) == 5 and all(pairs) == counted
+    assert_equals_references(seqs, 7)
 
 
 def test_ngram_counts_must_reach_n():
