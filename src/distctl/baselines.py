@@ -93,14 +93,11 @@ class RejectionConfig:
     sample_budget: int
     fit_order: int
     fit_smoothing: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.sample_budget < 1:
             raise ConfigError("must be >= 1", "sample_budget")
         check_fit_args(self.fit_order, self.fit_smoothing, prefix="fit_")
-        if self.seed < 0:
-            raise ConfigError("must be >= 0", "seed")
 
 
 @dataclass
@@ -114,15 +111,18 @@ class RejectionStats:
 
 
 def rejection_mle(
-    base: TabularARModel, constraint_set: ConstraintSet, config: RejectionConfig
+    base: TabularARModel,
+    constraint_set: ConstraintSet,
+    config: RejectionConfig,
+    rng: np.random.Generator,
 ) -> tuple[TabularARModel, RejectionStats]:
-    """Sample the base block by block (`sample_blocks`), keep the sequences
-    whose pointwise features are all 1, MLE-fit on them."""
+    """Sample the base from the caller's `rng` (a run's
+    `dpg.seed_streams(seed).train`) block by block (`sample_blocks`), keep
+    the sequences whose pointwise features are all 1, MLE-fit on them."""
     pointwise = constraint_set.pointwise
     if not pointwise.any():
         raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget
-    rng = np.random.default_rng(config.seed)
     tokens, lengths = [], []
     for block in base.sample_blocks(budget, rng):
         accept = (constraint_set.feature_matrix(block)[:, pointwise] == 1.0).all(axis=1)

@@ -76,13 +76,20 @@ def _write_pairs(path: Path, rows: Iterator[list[tuple[str, str]]]) -> None:
 
 
 class _Run:
-    """One command's run: its config, output directory, phase seconds and
-    artifacts. `end(name)` closes the phase that began where the previous one
-    ended (the first one at `started`); `close` ends the `write` phase and
-    writes manifest.json."""
+    """One command's run: its config, RNG streams, output directory, phase
+    seconds and artifacts. Each draw the command makes takes one of the run's
+    `dpg.seed_streams(cfg.seed)`, and no stream is restarted: the λ-fit takes
+    `fit`, rejection-mle's base draws `train`, a snapshot (of rejection-mle
+    or `eval`) and the oracle's perturbations `eval`, and samples.txt
+    `samples`. A trainer of `dpg.run_loop` draws from the `train` and `eval`
+    streams of its config's seed.
+    `end(name)` closes the phase that began where the previous one ended (the
+    first one at `started`); `close` ends the `write` phase and writes
+    manifest.json."""
 
     def __init__(self, cfg: ExperimentConfig, out_dir: Path, started: float):
         self.cfg = cfg
+        self.streams = seed_streams(cfg.seed)
         self.out_dir = out_dir
         self.started = started
         self.phase_seconds: dict[str, float] = {}
@@ -184,11 +191,12 @@ def _fit_document(report: FitReport, constraint_set: ConstraintSet) -> dict:
     return {"lambda_ids": lambda_ids, "constraint_ids": constraint_set.ids, **report.to_document()}
 
 
-def _fit(cfg: ExperimentConfig, base, constraint_set: ConstraintSet) -> tuple[FitReport, Ebm]:
-    """`fit_lambda` under the config's fit block, for every command that fits.
-    An unconverged fit still returns its target (a lam held at the clamp is a
-    well-defined target), and prints its largest moment gap to stderr."""
-    report, target = fit_lambda(base, constraint_set, cfg.fit_config)
+def _fit(run: _Run, base, constraint_set: ConstraintSet) -> tuple[FitReport, Ebm]:
+    """`fit_lambda` under the config's fit block, on the run's `fit` stream,
+    for every command that fits. An unconverged fit still returns its target
+    (a lam held at the clamp is a well-defined target), and prints its
+    largest moment gap to stderr."""
+    report, target = fit_lambda(base, constraint_set, run.cfg.fit_config, run.streams.fit)
     if not report.converged:
         gap = np.abs(report.achieved_moments - constraint_set.targets[~constraint_set.pointwise])
         print(f"fit did not converge: max |gap| {gap.max():.6g}", file=sys.stderr)
@@ -199,7 +207,7 @@ def run_fit(run: _Run) -> None:
     cfg = run.cfg
     base, constraint_set = _build(cfg, "fit")
     run.end("build")
-    report, _ = _fit(cfg, base, constraint_set)
+    report, _ = _fit(run, base, constraint_set)
     run.end("fit")
     _write_json(run.artifact("fit_report", "json"), _fit_document(report, constraint_set))
 
@@ -219,30 +227,30 @@ def _write_metrics(run: _Run, constraint_set: ConstraintSet, history) -> None:
     _write_pairs(run.artifact("metrics", "csv"), rows)
 
 
-def _write_samples(run: _Run, policy, rng) -> None:
-    """samples.txt, then zipf.csv: the token frequencies of that one batch
-    (only the header when every sample is empty)."""
+def _write_samples(run: _Run, policy) -> None:
+    """samples.txt, drawn from the run's `samples` stream, then zipf.csv: the
+    token frequencies of that one batch (only the header when every sample is
+    empty)."""
     vocab, n = policy.space.vocabulary, run.cfg.eval_options.sample_size
-    batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, rng)
+    batch = _samples_file(run.artifact("samples", "txt"), policy, vocab, n, run.streams.samples)
     table = zipf_table(batch, vocab) if batch.lengths.any() else []
     rows = [[str(r), tok, str(f)] for r, tok, f in table]
     _write_csv(run.artifact("zipf", "csv"), ["rank", "token", "frequency"], rows)
 
 
-def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet, rng_eval):
+def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet):
     """Fit the target and run the trainer. Returns only what the write phase
     needs: the fit document, the policy, its metric history and run.json's
     document. The target's exact caches (its DP tables) and the trainer's
     state are freed on return, before `model.json` is written; a DPG run's
     proposal is gone already, dropped after its last iteration
     (`dpg.run_loop`)."""
-    cfg = run.cfg
-    report, target = _fit(cfg, base, constraint_set)
+    report, target = _fit(run, base, constraint_set)
     run.end("fit")
-    config, eval_options = cfg.trainer_config, cfg.eval_options
+    config, eval_options, streams = run.cfg.trainer_config, run.cfg.eval_options, run.streams
     if method == REJECTION_MLE:
-        policy, stats = rejection_mle(base, constraint_set, config)
-        history = [snapshot(0, REJECTION_MLE, policy, target, rng_eval, eval_options)]
+        policy, stats = rejection_mle(base, constraint_set, config, streams.train)
+        history = [snapshot(0, REJECTION_MLE, policy, target, streams.eval, eval_options)]
         extra_doc = {"acceptance_rate": stats.acceptance_rate, "kept": stats.kept, "drawn": stats.drawn}
     elif method == GDC_METHOD:
         result = train(base, target, config, eval_options)
@@ -262,14 +270,11 @@ def run_train(run: _Run) -> None:
     method = cfg.method  # refuses a config without a trainer block before the build
     base, constraint_set = _build(cfg, "training", trainer=cfg.trainer_config)
     run.end("build")
-    _, rng_eval, rng_samples = seed_streams(cfg.seed)
-    fit_doc, policy, history, run_doc = _fit_and_train(
-        run, method, base, constraint_set, rng_eval
-    )
+    fit_doc, policy, history, run_doc = _fit_and_train(run, method, base, constraint_set)
     _write_json(run.artifact("fit_report", "json"), fit_doc)
     _write_metrics(run, constraint_set, history)
     policy.write_document(run.artifact("model", "json"))
-    _write_samples(run, policy, rng_samples)
+    _write_samples(run, policy)
     _write_json(run.artifact("run", "json"), run_doc)
 
 
@@ -281,7 +286,7 @@ def run_ablation(run: _Run) -> None:
         )
     base, constraint_set = _build(cfg, trainer=cfg.trainer_config)
     run.end("build")
-    _, target = _fit(cfg, base, constraint_set)
+    _, target = _fit(run, base, constraint_set)
     run.end("fit")
     threshold = cfg.eval_options.threshold
     cells = []  # (grid pairs, snapshot) per row; a snapshot's pairs are made as the CSV is written
@@ -300,18 +305,21 @@ def run_ablation(run: _Run) -> None:
 
 
 def run_oracle(run: _Run) -> None:
+    """oracle.json: the fitted target's exact Z, moments and KL(p || a), and
+    the Pythagorean residual over perturbations drawn from the run's `eval`
+    stream."""
     cfg = run.cfg
     # the oracle is exact whether or not eval.exact_oracle is on
     base, constraint_set = _build(cfg, exact=True)
     run.end("build")
-    _, target = _fit(cfg, base, constraint_set)
+    _, target = _fit(run, base, constraint_set)
     run.end("fit")
     kl_p_a, moments = target.exact_target_terms()
     # only the Pythagorean check enumerates: KL(c || a) - KL(c || p) - KL(p || a)
     # vanishes on every c with p's moments
     _, p = target.exact_normalize()
     a_dist = base.exact_distribution()
-    rng = np.random.default_rng(cfg.seed)
+    rng = run.streams.eval
     states, values = target.universe_states()
     perturbations = moment_preserving_perturbations(p, states, values, count=5, rng=rng)
     residual_max = max(  # folded in one perturbation at a time
@@ -330,19 +338,22 @@ def run_oracle(run: _Run) -> None:
 
 
 def run_eval(run: _Run) -> None:
+    """A persisted model's snapshot (metrics.csv, when there are constraints),
+    drawn from the run's `eval` stream, and its samples.txt and zipf.csv,
+    drawn from its `samples` stream."""
     cfg = run.cfg
     if "model_file" not in cfg.base_model:
         raise ConfigError("config.base_model.model_file: eval needs a persisted model")
     model, constraint_set = _build(cfg)
     run.end("build")
-    target = _fit(cfg, model, constraint_set)[1] if len(constraint_set) else None
+    target = _fit(run, model, constraint_set)[1] if len(constraint_set) else None
     run.end("fit")
-    rng = np.random.default_rng(cfg.seed)
-    record = snapshot(0, "eval", model, target, rng, cfg.eval_options) if target is not None else None
+    eval_rng = run.streams.eval
+    record = snapshot(0, "eval", model, target, eval_rng, cfg.eval_options) if target else None
     run.end("eval")
     if record is not None:
         _write_metrics(run, constraint_set, [record])
-    _write_samples(run, model, rng)
+    _write_samples(run, model)
 
 
 # each command runs `run_<name>`, looked up when `main` is called, so a

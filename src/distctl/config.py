@@ -225,7 +225,7 @@ class ExperimentConfig:
         with _at("config"):
             LoopConfig(seed=self.seed)
         with _at("config.fit"):
-            self.fit_config = FitConfig(seed=self.seed, **self.fit)
+            self.fit_config = FitConfig(**self.fit)
         with _at("config.eval"):
             self.eval_options = EvalOptions(
                 **_fields(self.eval, "eval_every", "sample_size", "threshold", exact="exact_oracle")
@@ -244,7 +244,8 @@ class ExperimentConfig:
             # the trainer keys are the field names of its method's config
             method = self.trainer["method"]
             t = {key: value for key, value in self.trainer.items() if key != "method"}
-            t["seed"] = self.seed
+            if method != REJECTION_MLE:  # `dpg.run_loop`'s trainers take the run's seed
+                t["seed"] = self.seed
             build = {REJECTION_MLE: RejectionConfig, GDC_METHOD: DpgConfig}.get(
                 method, partial(BaselineConfig, kind=method)
             )

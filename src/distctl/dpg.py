@@ -18,15 +18,22 @@ and those rows, and the moments are sized by the number of contexts, not by
 a model's store. Adam steps only the contexts some gradient has touched, so
 under either optimizer an iteration writes the rows it steps, not the table.
 
-`run_loop` is the one training loop: it owns the RNG streams and the policy
-initialisation, and takes its snapshot cadence from the `eval` block's
-`EvalOptions.eval_every`. Every trainer is an iteration of it
-with one signature, `iteration(state, target, config, rng)`: `dpg_iteration`
-here, and `baselines.baseline_iteration` for the comparison trainers.
+`run_loop` is the one training loop: it owns the policy initialisation,
+draws from the `train` and `eval` streams of its config's seed, and takes its
+snapshot cadence from the `eval` block's `EvalOptions.eval_every`. Every
+trainer is an iteration of it with one signature,
+`iteration(state, target, config, rng)`: `dpg_iteration` here, and
+`baselines.baseline_iteration` for the comparison trainers.
+
+`seed_streams` is the package's one maker of generators: every draw of a run
+(the λ-fit's, rejection-mle's, each snapshot's, the samples file's, the
+oracle's perturbations) takes one of its named streams, so no two estimates
+share draws. Library functions that draw take the caller's generator.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -160,12 +167,16 @@ class TrainResult:
     state: TrainState
 
 
-def seed_streams(seed: int) -> list[np.random.Generator]:
-    """A run's independent RNG streams, spawned from its seed: training,
-    evaluation snapshots, and the samples file, in that order. A spawned
-    stream depends only on its index, so adding one leaves the others as
-    they were."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+SeedStreams = namedtuple("SeedStreams", "fit train eval samples")  # np.random.Generator each
+
+
+def seed_streams(seed: int) -> SeedStreams:
+    """A run's independent RNG streams, the package's one maker of
+    generators. `fit`, the λ-fit's base draws, is the root stream
+    `default_rng(seed)`; `train`, `eval` and `samples` are the seed's
+    spawned children 0-2. A spawned stream depends only on its index, so
+    adding one leaves the others as they were."""
+    return SeedStreams(*map(np.random.default_rng, [seed, *np.random.SeedSequence(seed).spawn(3)]))
 
 
 def init_state(base: TabularARModel, config: LoopConfig) -> TrainState:
@@ -247,26 +258,26 @@ def run_loop(
     iteration the state drops what only the iterations read
     (`TrainState.end_iterations`), before that step's snapshot.
 
-    Training and evaluation consume independent RNG streams spawned from the
-    seed, so snapshot cadence never perturbs the training trajectory. A
-    NumericalError raised by iteration i or by its snapshot (i = 0: the
-    snapshot before the first) stops the run with its message prefixed
-    `iteration i: `.
+    Training and evaluation consume the `train` and `eval` streams of
+    `seed_streams(config.seed)`, so snapshot cadence never perturbs the
+    training trajectory. A NumericalError raised by iteration i or by its
+    snapshot (i = 0: the snapshot before the first) stops the run with its
+    message prefixed `iteration i: `.
     """
     if target.base.space != base.space:
         raise ConfigError("target EBM and trained base must share one sequence space")
     eval_options = eval_options or EvalOptions()
-    rng_train, rng_eval, _ = seed_streams(config.seed)
+    streams = seed_streams(config.seed)
     state = init_state(base, config)
     for i in range(config.iterations + 1):
         try:
             if i > 0:
-                iteration(state, target, config, rng_train)
+                iteration(state, target, config, streams.train)
                 if i == config.iterations:
                     state.end_iterations()
             if i % eval_options.eval_every == 0:
                 record = snapshot(
-                    i, method, state.policy, target, rng_eval, eval_options, state.zma.value
+                    i, method, state.policy, target, streams.eval, eval_options, state.zma.value
                 )
                 state.history.append(record)
         except NumericalError as e:

@@ -53,13 +53,13 @@ from .lm import TabularARModel, _group
 from .seqspace import SampleBatch
 
 DEFAULT_LAMBDA_CLAMP = 20.0
+MAX_TILT = float(np.log(np.finfo(float).max))  # the largest lam . phi whose exp is finite
 MAX_HALVINGS = 30  # a Newton step halved this often without lowering the dual stops the fit
 
 
 @dataclass(kw_only=True)
 class FitConfig:
     sample_count: int = 100000
-    seed: int = 0
     tolerance: float = 0.01
     max_steps: int = 10000
     lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
@@ -537,18 +537,19 @@ def snis_dual(
 
 
 def fit_lambda(
-    base: TabularARModel,
-    constraint_set: ConstraintSet,
-    config: FitConfig,
+    base: TabularARModel, constraint_set: ConstraintSet, config: FitConfig, rng: np.random.Generator
 ) -> tuple[FitReport, Ebm]:
     """The target of a constraint set, with lam fitted so the estimated
     moments of its distributional constraints hit their targets.
 
     A set with no distributional constraint has no lam: the fit returns at
-    once, converged at step 0, and draws nothing. Otherwise it draws the
-    base-model sample set once, block by block (`sample_blocks`), featurizes
-    each block and keeps only the feature matrix phi: it holds phi and a
-    block, never the whole draw. It
+    once, converged at step 0, and draws nothing. A clamp past MAX_TILT per
+    distributional constraint is refused (ConfigError) before any draw: phi
+    is in [0, 1], so that bound keeps exp(lam . phi) finite. Otherwise it
+    draws the base-model sample set once from the caller's `rng` (a run's
+    `dpg.seed_streams(seed).fit`), block by block (`sample_blocks`),
+    featurizes each block and keeps only the feature matrix phi: it holds
+    phi and a block, never the whole draw. It
     keeps the rows whose pointwise columns are all 1 (b(x) = 0 elsewhere, so
     they carry no weight); then it checks each target against the kept rows'
     feature hull and runs damped Newton on
@@ -569,13 +570,15 @@ def fit_lambda(
         empty = np.zeros(0)
         report = FitReport(empty, empty, objective=0.0, steps_used=0, rows_used=0, converged=True)
         return report, Ebm(base=base, constraint_set=constraint_set, lam=empty, lambda_clamp=clamp)
-    rng = np.random.default_rng(config.seed)
+    specs = [c for c in constraint_set if not c.pointwise]
+    if clamp * len(specs) > MAX_TILT:  # phi is in [0, 1], so lam . phi <= clamp * len(specs)
+        bound = f"{MAX_TILT / len(specs):.6g} for {len(specs)} distributional constraints"
+        raise ConfigError(f"must be <= {bound}, so that exp(lam . phi) is finite", "lambda_clamp")
     phi = np.empty((config.sample_count, len(constraint_set)))
     lo = 0
     for block in base.sample_blocks(config.sample_count, rng):
         phi[lo : lo + len(block)] = constraint_set.feature_matrix(block)
         lo += len(block)
-    specs = [c for c in constraint_set if not c.pointwise]
     targets = constraint_set.targets[~pointwise]
     if pointwise.any():
         kept = (phi[:, pointwise] == 1.0).all(axis=1)

@@ -493,13 +493,13 @@ class TabularARModel:
         updated = self.logits.take(stored, axis=0)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             updated += learning_rate * values
+            logprob = _row_log_softmax(updated)  # an overflowing gap is a zero cell
         finite = np.isfinite(updated)
         if not finite.all():
             raise NonFiniteLogits(
                 f"update with learning rate {learning_rate:g} makes "
                 f"{int((~finite).sum())} logits non-finite"
             )
-        logprob = _row_log_softmax(updated)
         if zeros := _zero_cells(logprob):
             raise SaturatedPolicy(f"update with learning rate {learning_rate:g} leaves {zeros}")
         stored = self._own(rows, stored)

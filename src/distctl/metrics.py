@@ -209,7 +209,12 @@ def snapshot(
     array. The batch's features, base log-probs and importance weights P/pi
     are evaluated once each; with no moving-average Z, Z is the weights' mean.
     A trainable policy holds no next-token probability 0.0 (`lm` refuses one
-    where it would be made), so KL(p || pi) is finite."""
+    where it would be made), so KL(p || pi) is finite.
+
+    The sampled KL(p || pi) is undefined when z is 0: no moving-average Z
+    (step 0, a comparison trainer, rejection-mle or `eval`) and no draw in
+    the target's support. The snapshot then records `kl_p_pi` and
+    `kl_p_pi_se` as nan, every other column as usual, and the run goes on."""
     batch = policy.sample_batch(options.sample_size, rng_eval)
     phi = target.constraint_set.feature_matrix(batch)
     log_pi = policy.log_prob_batch(batch)

@@ -77,11 +77,10 @@ def anchor():
     )
     fit_config = FitConfig(
         sample_count=100000,
-        seed=0,
         tolerance=1e-6,
         max_steps=20000,
     )
-    fit_report, ebm = fit_lambda(base, constraint_set, fit_config)
+    fit_report, ebm = fit_lambda(base, constraint_set, fit_config, np.random.default_rng(0))
     z, p = ebm.exact_normalize()
     phi = universe_features(ebm)
     return {
@@ -125,9 +124,9 @@ def test_anchor_fit_lands_on_the_snis_root(anchor):
     equation over its own kept rows (bisected, uniform over those rows) to
     1e-8, reached in at most 10 Newton steps."""
     base, constraint_set = anchor["base"], anchor["constraint_set"]
-    config = FitConfig(sample_count=100000, seed=0, tolerance=1e-12)
-    fit_report, _ = fit_lambda(base, constraint_set, config)
-    rows = base.sample_batch(config.sample_count, np.random.default_rng(config.seed))
+    config = FitConfig(sample_count=100000, tolerance=1e-12)
+    fit_report, _ = fit_lambda(base, constraint_set, config, np.random.default_rng(0))
+    rows = base.sample_batch(config.sample_count, np.random.default_rng(0))
     phi = constraint_set.feature_matrix(rows)[:, 0]
     root = bisect_lambda(np.full(len(phi), 1.0 / len(phi)), phi, 0.5)
     assert fit_report.converged and fit_report.steps_used <= 10
@@ -476,7 +475,7 @@ def test_criterion_10_hybrid_constraints():
     base, cs, config = hybrid_task()
     phi = cs.feature_matrix(enumeration(base.space))
     base_moments = base.exact_distribution() @ phi
-    fit_report, ebm = fit_lambda(base, cs, config)
+    fit_report, ebm = fit_lambda(base, cs, config, np.random.default_rng(0))
     moments = exact_moments(ebm)
     z, p = ebm.exact_normalize()
     kl_star = exact_kl(exact_hybrid_projection(base, cs)[1], p)

@@ -65,7 +65,6 @@ def test_rejection_config_validation():
         ("sample_budget", dict(sample_budget=0, fit_order=1)),
         ("fit_order", dict(sample_budget=1, fit_order=0)),
         ("fit_smoothing", dict(sample_budget=1, fit_order=1, fit_smoothing=-1.0)),
-        ("seed", dict(sample_budget=1, fit_order=1, seed=-1)),
     ):
         with pytest.raises(ConfigError) as err:
             RejectionConfig(**bad)
@@ -327,9 +326,8 @@ def test_baseline_counts_iterations_and_samples(task, kind, beta):
 def test_rejection_accepts_everything_with_trivial_predicate(ab_space, ab_uniform):
     always = PredicateTable({}, default=1.0, feature_id="always")
     cs = ConstraintSet([ConstraintSpec(always, 1.0, pointwise=True)])
-    model, stats = rejection_mle(
-        ab_uniform, cs, RejectionConfig(sample_budget=20000, fit_order=2, fit_smoothing=0.1)
-    )
+    config = RejectionConfig(sample_budget=20000, fit_order=2, fit_smoothing=0.1)
+    model, stats = rejection_mle(ab_uniform, cs, config, np.random.default_rng(0))
     assert stats.acceptance_rate == 1.0
     assert stats.kept == 20000
     assert exact_kl(model.exact_distribution(), ab_uniform.exact_distribution()) < 0.05
@@ -340,14 +338,14 @@ def test_rejection_acceptance_rate_matches_enumeration(ab_space, ab_uniform, pre
     exact_rate, _ = target.exact_normalize()
     budget = 40000
     config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)
-    _, stats = rejection_mle(ab_uniform, presence_a_pointwise, config)
+    _, stats = rejection_mle(ab_uniform, presence_a_pointwise, config, np.random.default_rng(0))
     se = np.sqrt(exact_rate * (1 - exact_rate) / budget)
     assert abs(stats.acceptance_rate - exact_rate) < 3 * se
     # a distributional column does not take part in the accept test
     mixed = ConstraintSet(
         list(presence_a_pointwise) + [ConstraintSpec(TokenPresence(ab_space.vocabulary, "b"), 0.5)]
     )
-    assert rejection_mle(ab_uniform, mixed, config)[1] == stats
+    assert rejection_mle(ab_uniform, mixed, config, np.random.default_rng(0))[1] == stats
 
 
 def test_rejection_fit_equals_a_row_by_row_reference(rng):
@@ -357,8 +355,8 @@ def test_rejection_fit_equals_a_row_by_row_reference(rng):
     cs = ConstraintSet([ConstraintSpec(feature, 1.0, pointwise=True)])
     budget = 2 * _SAMPLE_CHUNK_ROWS + 1000  # past two blocks, ragged
     config = RejectionConfig(sample_budget=budget, fit_order=2, fit_smoothing=0.5)
-    model, stats = rejection_mle(base, cs, config)
-    draws = np.random.default_rng(config.seed)
+    model, stats = rejection_mle(base, cs, config, np.random.default_rng(0))
+    draws = np.random.default_rng(0)
     kept = []
     for block in base.sample_blocks(budget, draws):
         kept += [x for x in sequences(block) if feature_value(feature, x) == 1.0]
@@ -374,9 +372,8 @@ def test_rejection_capacity_gap_documented(rng):
     cs = ConstraintSet(
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["b", "a"]), 1.0, pointwise=True)]
     )
-    model, stats = rejection_mle(
-        base, cs, RejectionConfig(sample_budget=30000, fit_order=1, fit_smoothing=0.0)
-    )
+    config = RejectionConfig(sample_budget=30000, fit_order=1, fit_smoothing=0.0)
+    model, stats = rejection_mle(base, cs, config, np.random.default_rng(0))
     satisfaction = float(
         model.exact_distribution() @ cs.feature_matrix(enumeration(space))[:, 0]
     )
@@ -387,7 +384,6 @@ def test_rejection_capacity_gap_documented(rng):
 def test_rejection_no_accepted_samples(ab_space, ab_uniform):
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = ConstraintSet([ConstraintSpec(never, 1.0, pointwise=True)])
+    config = RejectionConfig(sample_budget=500, fit_order=1, fit_smoothing=1.0)
     with pytest.raises(NoAcceptedSamples):
-        rejection_mle(
-            ab_uniform, cs, RejectionConfig(sample_budget=500, fit_order=1, fit_smoothing=1.0)
-        )
+        rejection_mle(ab_uniform, cs, config, np.random.default_rng(0))

@@ -11,11 +11,11 @@ import pytest
 
 import distctl
 from distctl import config as config_module
-from distctl import cli, errors, seqspace
+from distctl import cli, errors, lm, seqspace
 from distctl.cli import main
 from distctl.baselines import REJECTION_MLE, BaselineConfig, RejectionConfig
 from distctl.config import ExperimentConfig
-from distctl.dpg import GDC_METHOD, DpgConfig
+from distctl.dpg import GDC_METHOD, DpgConfig, seed_streams
 from distctl.ebm import Ebm, FitConfig, fit_lambda
 from distctl.errors import ConfigError
 from distctl.estimators import exact_kl
@@ -158,7 +158,7 @@ def test_every_command_that_fits_reports_an_unconverged_fit(workdir, capsys, com
         cfg = write_config(workdir, fit=fit, **overrides)
         assert main([command, "--config", str(cfg)]) == 0
         loaded = ExperimentConfig.load(cfg)
-        report, _ = fit_lambda(*cli._build(loaded), loaded.fit_config)
+        report, _ = fit_lambda(*cli._build(loaded), loaded.fit_config, seed_streams(0).fit)
         assert report.converged is converged
         gap = abs(report.achieved_moments[0] - 0.5)
         expected = "" if converged else f"fit did not converge: max |gap| {gap:.6g}\n"
@@ -370,8 +370,9 @@ def test_main_looks_up_its_command_when_called(workdir, monkeypatch):
 
 def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
     """The fit and the trainer get the objects the config built at load, and
-    a seed override reaches both; an ablation cell is the trainer config with
-    the variant's adaptivity and the grid's seed."""
+    a seed override reaches both: the fit draws from the root stream of the
+    overridden seed, the trainer takes it as its seed. An ablation cell is
+    the trainer config with the variant's adaptivity and the grid's seed."""
     runs, fits, calls = [], [], []
 
     class RecordingRun(cli._Run):
@@ -386,16 +387,22 @@ def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
 
         return wrapper
 
+    def recording_fit(base, constraint_set, config, rng):
+        fits.append((config, rng.bit_generator.state))  # the stream before the fit draws
+        return fit_lambda(base, constraint_set, config, rng)
+
     monkeypatch.setattr(cli, "_Run", RecordingRun)
-    monkeypatch.setattr(cli, "fit_lambda", recording(cli.fit_lambda, fits))
+    monkeypatch.setattr(cli, "fit_lambda", recording_fit)
     monkeypatch.setattr(cli, "train", recording(cli.train, calls))
     ablation = {"variants": ["kl", "none"], "seeds": [0, 2]}
     path = write_config(workdir, trainer=dict(SMALL_LOOP, method="gdc", optimizer="adam"),
                         eval={"eval_every": 1, "sample_size": 16, "ablation": ablation})
     assert main(["train", "--config", str(path), "--seed-override", "5"]) == 0
     cfg = runs[0]
-    assert cfg.seed == cfg.fit_config.seed == cfg.trainer_config.seed == 5
-    [(fit_config, _)] = fits
+    assert cfg.seed == cfg.trainer_config.seed == 5
+    [(fit_config, fit_stream)] = fits
+    assert fit_stream == np.random.default_rng(5).bit_generator.state
+    assert fit_stream != np.random.default_rng(0).bit_generator.state
     [(config, (eval_options,))] = calls
     assert fit_config is cfg.fit_config
     assert config is cfg.trainer_config and eval_options is cfg.eval_options
@@ -542,7 +549,7 @@ def test_key_tables_name_the_fields_of_their_objects():
     so a field added on one side only fails here."""
     eval_fields = {"exact_oracle" if name == "exact" else name for name in _field_names(EvalOptions)}
     assert set(config_module.EVAL_KEYS) - {"ablation"} == eval_fields
-    assert set(config_module.FIT_KEYS) == _field_names(FitConfig) - {"seed"}
+    assert set(config_module.FIT_KEYS) == _field_names(FitConfig)
     for method, (keys, required) in config_module.TRAINER_SCHEMAS.items():
         cls = {GDC_METHOD: DpgConfig, REJECTION_MLE: RejectionConfig}.get(method, BaselineConfig)
         assert set(keys) <= _field_names(cls), method
@@ -685,7 +692,8 @@ def test_oracle_matches_the_enumeration(workdir, kind):
     doc = json.loads((workdir / "out" / "oracle.json").read_text())
     cfg = ExperimentConfig.load(path)
     base = cfg.build_base()
-    _, target = fit_lambda(base, cfg.build_constraints(base.space), cfg.fit_config)
+    constraint_set = cfg.build_constraints(base.space)
+    _, target = fit_lambda(base, constraint_set, cfg.fit_config, seed_streams(cfg.seed).fit)
     z, p = whole_matrix_normalize(target)
     assert doc["universe_size"] == len(p)
     assert doc["z"] == pytest.approx(z, rel=1e-12, abs=0)
@@ -695,6 +703,18 @@ def test_oracle_matches_the_enumeration(workdir, kind):
     assert doc["kl_p_a"] == pytest.approx(kl_p_a, rel=1e-12, abs=0)
     residual = doc["pythagorean_residual_max"]
     assert isinstance(residual, float) and residual < 1e-12
+
+
+def test_an_oracle_whose_tilt_can_overflow_exits_2(workdir, capsys):
+    """With a clamp past MAX_TILT per distributional constraint, exp(lam . phi)
+    can overflow: the oracle wrote z Infinity and nan moments, exit 0. The
+    fit refuses such a clamp."""
+    path = write_config(workdir, constraints=ORACLE_CONSTRAINTS["distributional"],
+                        fit={"sample_count": 2000, "lambda_clamp": 1e6})
+    assert main(["oracle", "--config", str(path)]) == 2
+    assert "lambda_clamp must be <= 354.891 for 2 distributional constraints" in (
+        capsys.readouterr().err
+    )
 
 
 def test_train_never_computes_the_target_moments(workdir, monkeypatch):
@@ -738,6 +758,89 @@ def test_samples_and_zipf_describe_one_batch(workdir):
         counts = Counter((out / "samples.txt").read_text().split())
         frequencies = {token: int(f) for _, token, f in read_csv(out / "zipf.csv")[1:]}
         assert counts == frequencies, out.name
+
+
+def draws_by_call(monkeypatch, *names):
+    """Record every block the sampler draws (`_sample_block`, every draw's
+    core) under the name of the `cli` function among `names` whose call drew
+    it, and None outside them."""
+    blocks, current = {}, [None]
+    draw_block = TabularARModel._sample_block
+
+    def recording_block(self, n, rng):
+        block = draw_block(self, n, rng)
+        blocks.setdefault(current[0], []).append(block)
+        return block
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            current[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                current[0] = None
+
+        return wrapper
+
+    monkeypatch.setattr(TabularARModel, "_sample_block", recording_block)
+    for name in names:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    return blocks
+
+
+def test_rejection_mle_and_the_fit_draw_from_different_streams(workdir, monkeypatch):
+    """On a hybrid set both draw full blocks of the base: rejection-mle takes
+    the run's `train` stream and the fit its `fit` stream, so rejection-mle's
+    first block is not the fit's."""
+    constraints = [dict(POINTWISE_GOLD, id="red", token="red"), GOLD_RATIO]
+    path = write_config(workdir, constraints=constraints,
+                        trainer=dict(REJECTION_TRAINER, sample_budget=5000),
+                        eval={"sample_size": 16})
+    blocks = draws_by_call(monkeypatch, "fit_lambda", "rejection_mle")
+    assert main(["train", "--config", str(path)]) == 0
+    fit, rejection = blocks["fit_lambda"][0], blocks["rejection_mle"][0]
+    assert len(fit) == len(rejection) == lm._SAMPLE_CHUNK_ROWS
+    assert not np.array_equal(fit.tokens, rejection.tokens)
+
+
+def test_the_eval_snapshot_and_the_fit_draw_from_different_streams(workdir, monkeypatch):
+    """`eval`'s snapshot takes the run's `eval` stream, not the fit's: the
+    first tokens of its batch are not those of the fit's first block, which
+    the same stream would repeat row for row."""
+    assert main(["train", "--config", str(write_config(workdir))]) == 0
+    path = write_config(workdir, name="eval.json", base_model={"model_file": "out/model.json"},
+                        eval={"sample_size": 512}, output="eval-out")
+    blocks = draws_by_call(monkeypatch, "fit_lambda", "snapshot")
+    assert main(["eval", "--config", str(path)]) == 0
+    [drawn], fit = blocks["snapshot"], blocks["fit_lambda"][0]
+    assert len(drawn) == 512
+    assert not np.array_equal(drawn.tokens[:, 0], fit.tokens[:512, 0])
+
+
+def test_an_undefined_sampled_kl_writes_nan_in_its_two_columns(tmp_path, monkeypatch):
+    """A snapshot with no Z_ma (step 0 here) none of whose draws has P > 0
+    has z = 0: it writes `kl_p_pi` and `kl_p_pi_se` as nan, and the run
+    exits 0. The ablation demo's step-0 rows do this; every other number
+    they write is finite."""
+    path, cfg = demo_config(tmp_path, "ablation")
+    cfg["trainer"]["iterations"] = 0  # only the step-0 snapshots
+    path.write_text(json.dumps(cfg))
+    blocks = draws_by_call(monkeypatch, "train")
+    assert main(["ablation", "--config", str(path)]) == 0
+    loaded = ExperimentConfig.load(path)
+    base, constraint_set = cli._build(loaded)
+    target = Ebm(base=base, constraint_set=constraint_set, lam=[])
+    assert all(np.isneginf(target.log_score_batch(block)).all() for block in blocks["train"])
+    header, *rows = read_csv(tmp_path / "out" / "ablation.csv")
+    ablation = cfg["eval"]["ablation"]
+    assert len(rows) == len(ablation["variants"]) * len(ablation["seeds"])
+    for row in rows:
+        values = dict(zip(header, row))
+        assert values["step"] == "0" and values["z_ma"] == "0.0"
+        undefined = [column for column, text in values.items()
+                     if column not in ("variant", "method") and not np.isfinite(float(text))]
+        assert undefined == ["kl_p_pi", "kl_p_pi_se"]
+        assert values["kl_p_pi"] == values["kl_p_pi_se"] == "nan"
 
 
 def test_eval_of_a_model_that_emits_only_the_empty_sequence(tmp_path):

@@ -1,11 +1,22 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distctl import dpg
 from distctl.baselines import BaselineConfig, train_baseline
-from distctl.dpg import ADAPTIVITIES, DpgConfig, LoopConfig, dpg_iteration, init_state, run_loop, train
+from distctl.dpg import (
+    ADAPTIVITIES,
+    DpgConfig,
+    LoopConfig,
+    dpg_iteration,
+    init_state,
+    run_loop,
+    seed_streams,
+    train,
+)
 from distctl.ebm import Ebm
 from distctl.errors import ConfigError, NonpositiveZ
 from distctl.estimators import exact_kl
@@ -570,3 +581,41 @@ def test_learning_rate_rule_rejects_nan():
     with pytest.raises(ConfigError) as err:
         DpgConfig(iterations=1, samples_per_iteration=8, learning_rate=float("nan"))
     assert err.value.field == "learning_rate"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_seed_streams_are_the_root_stream_and_its_spawned_children(seed):
+    """`fit` draws what `default_rng(seed)` draws, so every lam keeps its
+    bits; `train`, `eval` and `samples` draw what the seed's spawned
+    children 0-2 draw. Bitwise, on floats and integers."""
+    streams = seed_streams(seed)
+    assert streams._fields == ("fit", "train", "eval", "samples")
+    references = [np.random.default_rng(seed)]
+    references += [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
+    for stream, reference in zip(streams, references, strict=True):
+        assert stream.random(257).tobytes() == reference.random(257).tobytes()
+        assert stream.integers(0, 2**63, 31).tobytes() == reference.integers(0, 2**63, 31).tobytes()
+    firsts = {stream.random(8).tobytes() for stream in seed_streams(seed)}
+    assert len(firsts) == 4  # no two streams of a run draw alike
+
+
+def test_seed_streams_is_the_one_maker_of_generators():
+    """No code of the package but `dpg.seed_streams` turns a seed into a
+    generator: `default_rng` and `SeedSequence` are named nowhere else."""
+    src = Path(dpg.__file__).parent
+    makers = {"default_rng", "SeedSequence", "Generator", "RandomState", "seed"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        home = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "seed_streams"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in home:
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in makers:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []

@@ -4,6 +4,7 @@ import pytest
 from distctl import ebm as ebm_module
 from distctl.ebm import (
     DEFAULT_LAMBDA_CLAMP,
+    MAX_TILT,
     Ebm,
     FitConfig,
     fit_lambda,
@@ -65,10 +66,9 @@ def presence_set(space, token, target, pointwise=False):
     )
 
 
-def fit_config(n=100000, tol=1e-6, steps=20000, seed=0, clamp=20.0):
+def fit_config(n=100000, tol=1e-6, steps=20000, clamp=20.0):
     return FitConfig(
         sample_count=n,
-        seed=seed,
         tolerance=tol,
         max_steps=steps,
         lambda_clamp=clamp,
@@ -168,11 +168,11 @@ def test_snis_dual_derivatives_match_finite_differences(rng):
 
 def test_fit_converges_immediately_on_base_moments(ab_space, ab_uniform):
     cfg = fit_config(n=20000, tol=0.01)
-    samples = ab_uniform.sample_batch(cfg.sample_count, np.random.default_rng(cfg.seed))
+    samples = ab_uniform.sample_batch(cfg.sample_count, np.random.default_rng(0))
     cs_probe = presence_set(ab_space, "a", 0.5)
     base_moment = float(cs_probe.feature_matrix(samples).mean())
     cs = presence_set(ab_space, "a", base_moment)
-    report, ebm = fit_lambda(ab_uniform, cs, cfg)
+    report, ebm = fit_lambda(ab_uniform, cs, cfg, np.random.default_rng(0))
     assert report.converged
     assert report.steps_used == 0
     assert np.allclose(report.lam, 0.0)
@@ -180,7 +180,7 @@ def test_fit_converges_immediately_on_base_moments(ab_space, ab_uniform):
 
 def test_fit_matches_bisection_oracle(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.9)
-    report, ebm = fit_lambda(ab_uniform, cs, fit_config())
+    report, ebm = fit_lambda(ab_uniform, cs, fit_config(), np.random.default_rng(0))
     assert report.converged
     a_dist = ab_uniform.exact_distribution()
     phi = cs.feature_matrix(enumeration(ab_space))[:, 0]
@@ -209,7 +209,7 @@ def test_fit_unattainable_target(ab_space):
     base = from_distribution(ab_space, dist)
     cs = presence_set(ab_space, "a", 0.5)
     with pytest.raises(UnattainableTarget) as err:
-        fit_lambda(base, cs, fit_config(n=5000))
+        fit_lambda(base, cs, fit_config(n=5000), np.random.default_rng(0))
     assert "has_a" in str(err.value)
 
 
@@ -218,7 +218,8 @@ def test_fit_returns_at_once_on_all_pointwise(monkeypatch, ab_uniform, presence_
         raise AssertionError("a pointwise-only fit draws nothing")
 
     monkeypatch.setattr(type(ab_uniform), "_sample_block", no_draws)  # every draw's core
-    report, ebm = fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100))
+    rng = np.random.default_rng(0)
+    report, ebm = fit_lambda(ab_uniform, presence_a_pointwise, fit_config(n=100), rng)
     assert report.lam.shape == report.achieved_moments.shape == (0,)
     assert (report.steps_used, report.converged) == (0, True)
     assert ebm.lam.shape == (0,) and list(ebm.pointwise_columns) == [0]
@@ -239,7 +240,8 @@ def test_fit_holds_phi_and_a_block_never_the_draw(rng):
     peaks = {}
     for n in (40_000, 80_000):
         (report, _), peaks[n] = traced_peak(
-            fit_lambda, model, presence_set(space, "a", 0.5), fit_config(n=n, steps=50)
+            fit_lambda, model, presence_set(space, "a", 0.5), fit_config(n=n, steps=50),
+            np.random.default_rng(0),
         )
         assert report.rows_used == n and report.converged
         assert peaks[n] <= 4 * 8 * n + 4 * block
@@ -255,7 +257,7 @@ def test_fit_steps_through_a_singular_covariance(ab_space, ab_uniform):
         ConstraintSpec(TokenPresence(v, "a", feature_id="a1"), 0.9),
         ConstraintSpec(TokenPresence(v, "a", feature_id="a2"), 0.9),
     ])
-    report, _ = fit_lambda(ab_uniform, cs, fit_config(n=20000))
+    report, _ = fit_lambda(ab_uniform, cs, fit_config(n=20000), np.random.default_rng(0))
     assert report.converged and report.steps_used <= 10
     assert np.abs(report.achieved_moments - 0.9).max() < 1e-6
     assert report.lam[0] == pytest.approx(report.lam[1], rel=1e-12)
@@ -263,7 +265,7 @@ def test_fit_steps_through_a_singular_covariance(ab_space, ab_uniform):
 
 def test_fit_rejects_an_empty_set(ab_uniform):
     with pytest.raises(ConfigError):
-        fit_lambda(ab_uniform, ConstraintSet([]), fit_config(n=100))
+        fit_lambda(ab_uniform, ConstraintSet([]), fit_config(n=100), np.random.default_rng(0))
 
 
 # -- hybrid sets: a * b * exp(lam . phi) ----------------------------------------
@@ -303,7 +305,7 @@ def test_hybrid_hull_check_reads_the_rows_with_b_one(ab_space, ab_uniform):
     v = ab_space.vocabulary
     cs = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "a", feature_id="a_too"), 0.5)
     with pytest.raises(UnattainableTarget) as err:
-        fit_lambda(ab_uniform, cs, fit_config(n=5000))
+        fit_lambda(ab_uniform, cs, fit_config(n=5000), np.random.default_rng(0))
     assert "a_too" in str(err.value)
 
 
@@ -311,14 +313,36 @@ def test_hybrid_fit_with_no_row_of_b_one_raises_empty_support(ab_space, ab_unifo
     never = PredicateTable({}, default=0.0, feature_id="never")
     cs = hybrid_set(never, TokenPresence(ab_space.vocabulary, "a"), 0.5)
     with pytest.raises(EmptySupport) as err:
-        fit_lambda(ab_uniform, cs, fit_config(n=5000))
+        fit_lambda(ab_uniform, cs, fit_config(n=5000), np.random.default_rng(0))
     assert "'never'" in str(err.value)
+
+
+def test_a_clamp_whose_tilt_can_overflow_is_refused_before_the_fit_draws(
+    monkeypatch, ab_space, ab_uniform
+):
+    """phi is in [0, 1], so |lam . phi| <= clamp times the distributional
+    constraint count: past MAX_TILT, exp(lam . phi) can overflow and the fit
+    refuses the clamp (ConfigError), before it draws anything."""
+    v = ab_space.vocabulary
+    two = ConstraintSet([ConstraintSpec(TokenPresence(v, "a"), 0.5),
+                         ConstraintSpec(TokenPresence(v, "b"), 0.5)])
+    at_bound = fit_config(n=100, clamp=MAX_TILT / 2)
+    assert fit_lambda(ab_uniform, two, at_bound, np.random.default_rng(0))[0].rows_used == 100
+
+    def no_draws(*args):
+        raise AssertionError("the fit drew before checking its clamp")
+
+    monkeypatch.setattr(type(ab_uniform), "_sample_block", no_draws)
+    with pytest.raises(ConfigError) as err:
+        fit_lambda(ab_uniform, two, fit_config(clamp=np.nextafter(MAX_TILT / 2, np.inf)),
+                   np.random.default_rng(0))
+    assert err.value.field == "lambda_clamp" and "2 distributional constraints" in str(err.value)
 
 
 def kept_phi(base, cs, config):
     """The rows `fit_lambda` weighs: its draw's feature rows with b = 1, on
     the distributional columns."""
-    blocks = base.sample_blocks(config.sample_count, np.random.default_rng(config.seed))
+    blocks = base.sample_blocks(config.sample_count, np.random.default_rng(0))
     phi = np.vstack([cs.feature_matrix(block) for block in blocks])
     return phi[(phi[:, cs.pointwise] == 1.0).all(axis=1)][:, ~cs.pointwise]
 
@@ -335,7 +359,7 @@ def test_achieved_moments_are_the_snis_moments_at_the_fitted_lambda_bitwise(case
         "halving-fails": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, clamp=0.01)),
         "max-steps": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, steps=1)),
     }[case]
-    report, _ = fit_lambda(ab_uniform, cs, config)
+    report, _ = fit_lambda(ab_uniform, cs, config, np.random.default_rng(0))
     assert report.converged == (case == "hybrid") and report.steps_used >= 1
     if case == "halving-fails":
         assert report.steps_used < config.max_steps and abs(report.lam[0]) == config.lambda_clamp
@@ -350,16 +374,17 @@ def test_fit_reports_the_rows_it_weighs(ab_space, ab_uniform, presence_a_pointwi
     set, which draws nothing."""
     v = ab_space.vocabulary
     config = fit_config(n=5000, tol=1e-4)
-    draw = ab_uniform.sample_batch(config.sample_count, np.random.default_rng(config.seed))
+    draw = ab_uniform.sample_batch(config.sample_count, np.random.default_rng(0))
     with_a = int((draw.tokens == v.index("a")).any(axis=1).sum())
     assert 0 < with_a < config.sample_count
     hybrid_a = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "b"), 0.6)
-    hybrid, _ = fit_lambda(ab_uniform, hybrid_a, config)
+    hybrid, _ = fit_lambda(ab_uniform, hybrid_a, config, np.random.default_rng(0))
     assert hybrid.rows_used == with_a
     assert hybrid.to_document()["rows_used"] == with_a
-    distributional, _ = fit_lambda(ab_uniform, presence_set(ab_space, "b", 0.6), config)
+    b_set = presence_set(ab_space, "b", 0.6)
+    distributional, _ = fit_lambda(ab_uniform, b_set, config, np.random.default_rng(0))
     assert distributional.rows_used == config.sample_count
-    pointwise, _ = fit_lambda(ab_uniform, presence_a_pointwise, config)
+    pointwise, _ = fit_lambda(ab_uniform, presence_a_pointwise, config, np.random.default_rng(0))
     assert pointwise.rows_used == 0
 
 
@@ -367,7 +392,7 @@ def test_hybrid_fit_is_near_the_exact_projection():
     """On criterion 10's task the fit weighs only the rows with b = 1: its
     target puts no mass off b and sits within 2e-3 nats of the projection."""
     base, cs, config = hybrid_task()
-    report, ebm = fit_lambda(base, cs, config)
+    report, ebm = fit_lambda(base, cs, config, np.random.default_rng(0))
     _, p_star = exact_hybrid_projection(base, cs)
     _, p = ebm.exact_normalize()
     assert report.converged
@@ -1052,13 +1077,14 @@ def test_perturbations_keep_the_moments_and_the_mass(rng, kind):
 
 def test_fit_exact_moment_reaches_target(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.8)
-    report, ebm = fit_lambda(ab_uniform, cs, fit_config())
+    report, ebm = fit_lambda(ab_uniform, cs, fit_config(), np.random.default_rng(0))
     assert report.converged
     assert abs(exact_moments(ebm)[0] - 0.8) < 0.02
 
 
 def test_lambda_clamp_is_enforced(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.999999)
-    report, ebm = fit_lambda(ab_uniform, cs, fit_config(tol=1e-14, steps=3000, clamp=2.0))
+    config = fit_config(tol=1e-14, steps=3000, clamp=2.0)
+    report, ebm = fit_lambda(ab_uniform, cs, config, np.random.default_rng(0))
     assert not report.converged
     assert abs(report.lam[0]) <= 2.0 + 1e-12

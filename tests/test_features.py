@@ -279,8 +279,9 @@ def test_pointwise_predicate(monkeypatch):
         raise AssertionError("rejection sampling drew before checking its constraints")
 
     monkeypatch.setattr(TabularARModel, "_sample_block", no_draws)  # every draw's core
+    config = RejectionConfig(sample_budget=10, fit_order=1)
     with pytest.raises(NoPointwiseConstraints):
-        rejection_mle(base, distributional, RejectionConfig(sample_budget=10, fit_order=1))
+        rejection_mle(base, distributional, config, np.random.default_rng(0))
 
 
 def test_pointwise_predicate_iff_all_satisfied():

@@ -686,6 +686,19 @@ def test_an_update_that_writes_a_zero_probability_is_refused():
     assert len(model.logits) == len(before[0])
 
 
+def test_an_update_whose_logit_gap_overflows_is_refused_as_saturated():
+    """Finite logits 2e308 apart have a log-softmax gap past float64's range:
+    the update raises SaturatedPolicy, with no overflow warning, and leaves
+    the model as it was."""
+    model, _ = _update_to(0.0)
+    grad = RowGradient(np.array([1, 2]), np.array([[1e308, -1e308, -1e308]] * 2))
+    before = [model.logits.copy(), model._logprob.copy(), model.row_map.copy()]
+    with pytest.raises(SaturatedPolicy):
+        model.apply_update(grad, 1.0)
+    after = [model.logits, model._logprob, model.row_map]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
 def test_a_refused_update_leaves_a_lifted_model_as_it_was(rng):
     space = small_space(2, 3)
     model = random_model(space, 2, rng).to_order(space.lmax, trainable=True)
