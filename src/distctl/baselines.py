@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpg import LoopConfig, TrainResult, TrainState, run_loop
+from .dpg import LoopConfig, SeedStreams, TrainResult, TrainState, run_loop
 from .ebm import Ebm
 from .errors import ConfigError, NoAcceptedSamples, NoPointwiseConstraints
 from .features import ConstraintSet
@@ -99,6 +99,12 @@ class RejectionConfig:
             raise ConfigError("must be >= 1", "sample_budget")
         check_fit_args(self.fit_order, self.fit_smoothing, prefix="fit_")
 
+    def require_pointwise(self, constraint_set: ConstraintSet) -> None:
+        """Refuse a constraint set with no pointwise member, which leaves
+        nothing to filter on (NoPointwiseConstraints, exit 2)."""
+        if not constraint_set.pointwise.any():
+            raise NoPointwiseConstraints("constraint set has no pointwise members")
+
 
 @dataclass
 class RejectionStats:
@@ -119,9 +125,8 @@ def rejection_mle(
     """Sample the base from the caller's `rng` (a run's
     `dpg.seed_streams(seed).train`) block by block (`sample_blocks`), keep
     the sequences whose pointwise features are all 1, MLE-fit on them."""
+    config.require_pointwise(constraint_set)
     pointwise = constraint_set.pointwise
-    if not pointwise.any():
-        raise NoPointwiseConstraints("constraint set has no pointwise members")
     budget = config.sample_budget
     tokens, lengths = [], []
     for block in base.sample_blocks(budget, rng):
@@ -142,10 +147,12 @@ def train_baseline(
     base: TabularARModel,
     target: Ebm,
     config: BaselineConfig,
+    streams: SeedStreams,
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
     """A policy-gradient baseline through the distributional trainer's loop,
-    one `baseline_iteration` per loop step. The feature reward is the sum over
-    constraint features (a single constraint's reward is just its feature).
-    The final state keeps the final beta."""
-    return run_loop(base, target, config, config.kind, baseline_iteration, eval_options)
+    one `baseline_iteration` per loop step, on the caller's `train` and
+    `eval` streams. The feature reward is the sum over constraint features (a
+    single constraint's reward is just its feature). The final state keeps
+    the final beta."""
+    return run_loop(base, target, config, config.kind, baseline_iteration, streams, eval_options)

@@ -79,10 +79,11 @@ class _Run:
     """One command's run: its config, RNG streams, output directory, phase
     seconds and artifacts. Each draw the command makes takes one of the run's
     `dpg.seed_streams(cfg.seed)`, and no stream is restarted: the λ-fit takes
-    `fit`, rejection-mle's base draws `train`, a snapshot (of rejection-mle
-    or `eval`) and the oracle's perturbations `eval`, and samples.txt
-    `samples`. A trainer of `dpg.run_loop` draws from the `train` and `eval`
-    streams of its config's seed.
+    `fit`, a trainer's draws (rejection-mle's base draws too) `train`, every
+    snapshot and the oracle's perturbations `eval`, and samples.txt
+    `samples`. A seed override replaces `cfg.seed`, so it reaches every draw
+    through these streams; no trainer config holds a seed. Only the ablation
+    grid makes streams of its own, one `seed_streams(seed)` per grid seed.
     `end(name)` closes the phase that began where the previous one ended (the
     first one at `started`); `close` ends the `write` phase and writes
     manifest.json."""
@@ -133,8 +134,9 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
 
     What needs only the base's space runs before the base is fitted: the
     constraint set (a non-empty `needs_constraints` names the work that
-    refuses an empty one), then the universe guard when the command is
-    `exact` or the exact oracle is on, then a `trainer`'s policy-table guard.
+    refuses an empty one, and a rejection-mle `trainer` one without a
+    pointwise member), then the universe guard when the command is `exact`
+    or the exact oracle is on, then a `trainer`'s policy-table guard.
     The exact target DP's guard, which reads the base's order, and a
     trainer's check of the base's cells follow the base's fit, before the
     target's."""
@@ -147,6 +149,8 @@ def _build(cfg: ExperimentConfig, needs_constraints: str = "", trainer=None, exa
             raise ConfigError(
                 f"config.constraints: {needs_constraints} needs at least one constraint"
             )
+        if isinstance(trainer, RejectionConfig):
+            trainer.require_pointwise(constraint_set)
         if exact or cfg.eval_options.exact:
             space.guard()
         if trainer is not None:
@@ -253,11 +257,11 @@ def _fit_and_train(run: _Run, method: str, base, constraint_set: ConstraintSet):
         history = [snapshot(0, REJECTION_MLE, policy, target, streams.eval, eval_options)]
         extra_doc = {"acceptance_rate": stats.acceptance_rate, "kept": stats.kept, "drawn": stats.drawn}
     elif method == GDC_METHOD:
-        result = train(base, target, config, eval_options)
+        result = train(base, target, config, streams, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"proposal_updates": result.state.proposal_updates}
     else:
-        result = train_baseline(base, target, config, eval_options)
+        result = train_baseline(base, target, config, streams, eval_options)
         history, policy = result.history, result.policy
         extra_doc = {"final_beta": result.state.beta}
     run.end("train")
@@ -292,8 +296,8 @@ def run_ablation(run: _Run) -> None:
     cells = []  # (grid pairs, snapshot) per row; a snapshot's pairs are made as the CSV is written
     for variant in cfg.ablation_variants:
         for seed in cfg.ablation_seeds:
-            config = dataclasses.replace(cfg.trainer_config, adaptivity=variant, seed=seed)
-            for record in train(base, target, config, cfg.eval_options).history:
+            config = dataclasses.replace(cfg.trainer_config, adaptivity=variant)
+            for record in train(base, target, config, seed_streams(seed), cfg.eval_options).history:
                 drawn = record.step * config.samples_per_iteration
                 row = [("variant", variant), ("seed", str(seed)), ("samples_drawn", str(drawn))]
                 if threshold is not None:  # needs exact_oracle, so every record is exact

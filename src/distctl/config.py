@@ -19,7 +19,7 @@ from .baselines import (
     BaselineConfig,
     RejectionConfig,
 )
-from .dpg import ADAPTIVITIES, GDC_METHOD, DpgConfig, LoopConfig
+from .dpg import ADAPTIVITIES, GDC_METHOD, DpgConfig
 from .ebm import FitConfig
 from .errors import ConfigError
 from .features import FEATURE_KINDS, ConstraintSet, ConstraintSpec
@@ -33,7 +33,8 @@ from .seqspace import SequenceSpace, tokenize_corpus
 # BaselineConfig or RejectionConfig) and `cfg.eval_options` (EvalOptions); the
 # base model and the constraints once the vocabulary is known. Each object
 # names the offending field and `_at` puts the block path in front. A cell of
-# the ablation grid is `cfg.trainer_config` with `adaptivity` and `seed` replaced.
+# the ablation grid is `cfg.trainer_config` with `adaptivity` replaced, trained
+# on the streams of the cell's seed.
 TOP_KEYS = {
     "seed": int, "space": dict, "base_model": dict, "constraints": list, "fit": dict,
     "trainer": dict, "eval": dict, "output": str,
@@ -54,7 +55,7 @@ FEATURE_SCHEMAS = {  # kind -> (its own keys, required)
         ("numerator", "denominator"),
     ),
 }
-FIT_KEYS = {"sample_count": int, "tolerance": float, "max_steps": int, "lambda_clamp": float}
+FIT_KEYS = {"sample_count": int, "tolerance": float, "lambda_clamp": float}
 LOOP_KEYS = {"iterations": int, "samples_per_iteration": int, "learning_rate": float}
 TRAINER_SCHEMAS = {  # method -> (keys besides `method`, required)
     GDC_METHOD: ({**LOOP_KEYS, "adaptivity": str, "optimizer": str}, tuple(LOOP_KEYS)),
@@ -216,14 +217,11 @@ class ExperimentConfig:
         `eval_options` and `trainer_config` (None without a trainer block).
         The base model and the constraints are checked when `build_base` and
         `build_constraints` build them."""
+        seeds = "config.eval.ablation.seeds"
         for seed in self.ablation_seeds:
-            _expect(
-                isinstance(seed, int) and not isinstance(seed, bool),
-                "config.eval.ablation.seeds",
-                "must be integers",
-            )
-        with _at("config"):
-            LoopConfig(seed=self.seed)
+            _expect(isinstance(seed, int) and not isinstance(seed, bool), seeds, "must be integers")
+            _expect(seed >= 0, seeds, "must be >= 0")
+        _expect(self.seed >= 0, "config.seed", "must be >= 0")
         with _at("config.fit"):
             self.fit_config = FitConfig(**self.fit)
         with _at("config.eval"):
@@ -236,18 +234,12 @@ class ExperimentConfig:
         with _at("config.eval.ablation", "variants"):
             for variant in self.ablation_variants:
                 DpgConfig(adaptivity=variant)
-        with _at("config.eval.ablation", "seeds"):
-            for seed in self.ablation_seeds:
-                LoopConfig(seed=seed)
         self.trainer_config = None
         if self.trainer:
             # the trainer keys are the field names of its method's config
-            method = self.trainer["method"]
             t = {key: value for key, value in self.trainer.items() if key != "method"}
-            if method != REJECTION_MLE:  # `dpg.run_loop`'s trainers take the run's seed
-                t["seed"] = self.seed
             build = {REJECTION_MLE: RejectionConfig, GDC_METHOD: DpgConfig}.get(
-                method, partial(BaselineConfig, kind=method)
+                self.method, partial(BaselineConfig, kind=self.method)
             )
             with _at("config.trainer"):
                 self.trainer_config = build(**t)

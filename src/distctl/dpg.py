@@ -19,16 +19,17 @@ a model's store. Adam steps only the contexts some gradient has touched, so
 under either optimizer an iteration writes the rows it steps, not the table.
 
 `run_loop` is the one training loop: it owns the policy initialisation,
-draws from the `train` and `eval` streams of its config's seed, and takes its
-snapshot cadence from the `eval` block's `EvalOptions.eval_every`. Every
-trainer is an iteration of it with one signature,
-`iteration(state, target, config, rng)`: `dpg_iteration` here, and
-`baselines.baseline_iteration` for the comparison trainers.
+draws from the caller's `train` and `eval` streams, and takes its snapshot
+cadence from the `eval` block's `EvalOptions.eval_every`. Every trainer is
+an iteration of it with one signature, `iteration(state, target, config,
+rng)`: `dpg_iteration` here, and `baselines.baseline_iteration` for the
+comparison trainers.
 
 `seed_streams` is the package's one maker of generators: every draw of a run
-(the λ-fit's, rejection-mle's, each snapshot's, the samples file's, the
-oracle's perturbations) takes one of its named streams, so no two estimates
-share draws. Library functions that draw take the caller's generator.
+(the λ-fit's, the trainers', rejection-mle's, each snapshot's, the samples
+file's, the oracle's perturbations) takes one of its named streams, so no two
+estimates share draws. Library functions that draw, `run_loop` included,
+take the caller's generators; only `cli` calls `seed_streams`.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ GDC_METHOD = "gdc"  # the method name of `train`, as a config's `trainer.method`
 
 @dataclass(kw_only=True)
 class LoopConfig:
-    """Settings shared by every trainer that `run_loop` drives."""
+    """Settings shared by every trainer that `run_loop` drives. The seed is
+    the run's, not the trainer's: `run_loop` draws from the caller's streams."""
 
     iterations: int = 0
     samples_per_iteration: int = 1
     learning_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -81,8 +82,6 @@ class LoopConfig:
         guard_count(self.samples_per_iteration, "samples_per_iteration")
         if not self.learning_rate > 0:
             raise ConfigError("must be > 0", "learning_rate")
-        if self.seed < 0:
-            raise ConfigError("must be >= 0", "seed")
 
 
 @dataclass(kw_only=True)
@@ -250,24 +249,24 @@ def run_loop(
     config: LoopConfig,
     method: str,
     iteration: Callable[[TrainState, Ebm, LoopConfig, np.random.Generator], TrainState],
+    streams: SeedStreams,
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
-    """Run `iteration(state, target, config, rng_train)` for `config.iterations`
-    iterations, with a metric snapshot before the first and after every
-    `eval_options.eval_every`-th. `method` labels the snapshots. After the last
-    iteration the state drops what only the iterations read
-    (`TrainState.end_iterations`), before that step's snapshot.
+    """Run `iteration(state, target, config, streams.train)` for
+    `config.iterations` iterations, with a metric snapshot before the first
+    and after every `eval_options.eval_every`-th. `method` labels the
+    snapshots. After the last iteration the state drops what only the
+    iterations read (`TrainState.end_iterations`), before that step's snapshot.
 
-    Training and evaluation consume the `train` and `eval` streams of
-    `seed_streams(config.seed)`, so snapshot cadence never perturbs the
-    training trajectory. A NumericalError raised by iteration i or by its
-    snapshot (i = 0: the snapshot before the first) stops the run with its
-    message prefixed `iteration i: `.
+    Training and evaluation consume the caller's `streams.train` and
+    `streams.eval` (a run's `seed_streams(seed)`), so snapshot cadence never
+    perturbs the training trajectory. A NumericalError raised by iteration i
+    or by its snapshot (i = 0: the snapshot before the first) stops the run
+    with its message prefixed `iteration i: `.
     """
     if target.base.space != base.space:
         raise ConfigError("target EBM and trained base must share one sequence space")
     eval_options = eval_options or EvalOptions()
-    streams = seed_streams(config.seed)
     state = init_state(base, config)
     for i in range(config.iterations + 1):
         try:
@@ -289,7 +288,9 @@ def train(
     base: TabularARModel,
     target: Ebm,
     config: DpgConfig,
+    streams: SeedStreams,
     eval_options: EvalOptions | None = None,
 ) -> TrainResult:
-    """Adaptive DPG toward `target`, one `dpg_iteration` per loop step."""
-    return run_loop(base, target, config, GDC_METHOD, dpg_iteration, eval_options)
+    """Adaptive DPG toward `target`, one `dpg_iteration` per loop step, on
+    the caller's `train` and `eval` streams."""
+    return run_loop(base, target, config, GDC_METHOD, dpg_iteration, streams, eval_options)

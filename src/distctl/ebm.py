@@ -55,13 +55,15 @@ from .seqspace import SampleBatch
 DEFAULT_LAMBDA_CLAMP = 20.0
 MAX_TILT = float(np.log(np.finfo(float).max))  # the largest lam . phi whose exp is finite
 MAX_HALVINGS = 30  # a Newton step halved this often without lowering the dual stops the fit
+# A backstop, not a setting: 528 probe fits on the distributional demo's base took at most 14
+# steps, and the stall rule (no halving lowers the dual) stopped every unconverged one.
+MAX_NEWTON_STEPS = 10000
 
 
 @dataclass(kw_only=True)
 class FitConfig:
     sample_count: int = 100000
     tolerance: float = 0.01
-    max_steps: int = 10000
     lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
 
     def __post_init__(self):
@@ -70,8 +72,6 @@ class FitConfig:
         seqspace.guard_count(self.sample_count, "sample_count")
         if not self.tolerance > 0:
             raise ConfigError("must be > 0", "tolerance")
-        if self.max_steps < 1:
-            raise ConfigError("must be >= 1", "max_steps")
         if not self.lambda_clamp > 0:
             raise ConfigError("must be > 0", "lambda_clamp")
 
@@ -329,12 +329,15 @@ class _PolicyWalk:
 class Ebm:
     """score(x) = base(x) * b(x) * exp(lam . phi(x)): b is the product of the
     constraint set's pointwise (0 or 1) columns, phi its distributional columns,
-    one lam each in constraint order (a pointwise-only target has an empty lam)."""
+    one lam each in constraint order (a pointwise-only target has an empty lam).
+    phi is in [0, 1], so lam . phi is at most sum_j |lam_j|; a lam whose sum
+    exceeds MAX_TILT, where exp(lam . phi) could overflow, is refused at
+    construction (ConfigError naming `lam`). `fit_lambda` keeps within that
+    bound by its clamp check."""
 
     base: TabularARModel
     constraint_set: ConstraintSet
     lam: np.ndarray
-    lambda_clamp: float = DEFAULT_LAMBDA_CLAMP
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -344,8 +347,9 @@ class Ebm:
         self.lambda_columns = np.flatnonzero(~pointwise)
         if len(self.lam) != len(self.lambda_columns):
             raise ConfigError("lambda length must match the distributional constraint count")
-        if np.abs(self.lam).max(initial=0.0) > self.lambda_clamp + 1e-12:
-            raise ConfigError("lambda exceeds lambda_clamp")
+        tilt = float(np.abs(self.lam).sum())
+        if not tilt <= MAX_TILT:
+            raise ConfigError(f"must have sum |lam_j| <= {MAX_TILT:.6g}; got {tilt:.6g}", "lam")
 
     @property
     def space(self):
@@ -544,8 +548,9 @@ def fit_lambda(
 
     A set with no distributional constraint has no lam: the fit returns at
     once, converged at step 0, and draws nothing. A clamp past MAX_TILT per
-    distributional constraint is refused (ConfigError) before any draw: phi
-    is in [0, 1], so that bound keeps exp(lam . phi) finite. Otherwise it
+    distributional constraint is refused (ConfigError) before any draw: a lam
+    held at the clamp must pass `Ebm`'s bound, sum_j |lam_j| <= MAX_TILT, so
+    every lam the fit may return does. Otherwise it
     draws the base-model sample set once from the caller's `rng` (a run's
     `dpg.seed_streams(seed).fit`), block by block (`sample_blocks`),
     featurizes each block and keeps only the feature matrix phi: it holds
@@ -555,12 +560,12 @@ def fit_lambda(
     feature hull and runs damped Newton on
     `snis_dual`: minimum-norm steps (collinear features still step), clipped to
     the clamp and halved until the dual decreases. It converges once max |gap|
-    < `tolerance`, and stops short at `max_steps` or when no halving lowers the
-    dual (the root lies outside the clamp box). `achieved_moments` are the
-    SNIS moments at the returned lam, from the `snis_dual` evaluation that
-    accepted it, and `objective` is their squared gap; `rows_used` counts the
-    kept rows: `sample_count` when no constraint is pointwise, 0 when nothing
-    is drawn.
+    < `tolerance`, and stops short when no halving lowers the dual (the root
+    lies outside the clamp box), or at the MAX_NEWTON_STEPS backstop.
+    `achieved_moments` are the SNIS moments at the returned lam, from the
+    `snis_dual` evaluation that accepted it, and `objective` is their squared
+    gap; `rows_used` counts the kept rows: `sample_count` when no constraint
+    is pointwise, 0 when nothing is drawn.
     """
     if len(constraint_set) == 0:
         raise ConfigError("fit_lambda needs at least one constraint")
@@ -569,9 +574,10 @@ def fit_lambda(
     if pointwise.all():
         empty = np.zeros(0)
         report = FitReport(empty, empty, objective=0.0, steps_used=0, rows_used=0, converged=True)
-        return report, Ebm(base=base, constraint_set=constraint_set, lam=empty, lambda_clamp=clamp)
+        return report, Ebm(base=base, constraint_set=constraint_set, lam=empty)
     specs = [c for c in constraint_set if not c.pointwise]
-    if clamp * len(specs) > MAX_TILT:  # phi is in [0, 1], so lam . phi <= clamp * len(specs)
+    # float sums are monotone, so no lam within the clamp sums past a lam held at it
+    if np.full(len(specs), clamp).sum() > MAX_TILT:
         bound = f"{MAX_TILT / len(specs):.6g} for {len(specs)} distributional constraints"
         raise ConfigError(f"must be <= {bound}, so that exp(lam . phi) is finite", "lambda_clamp")
     phi = np.empty((config.sample_count, len(constraint_set)))
@@ -595,7 +601,7 @@ def fit_lambda(
     lam = np.zeros(len(specs))
     dual, gap, cov, mu = snis_dual(lam, phi, targets)
     steps_used = 0
-    while np.abs(gap).max() >= config.tolerance and steps_used < config.max_steps:
+    while np.abs(gap).max() >= config.tolerance and steps_used < MAX_NEWTON_STEPS:
         step = np.linalg.lstsq(cov, -gap, rcond=None)[0]
         for halving in range(MAX_HALVINGS):
             trial = np.clip(lam + step / 2.0**halving, -clamp, clamp)
@@ -615,4 +621,4 @@ def fit_lambda(
         rows_used=len(phi),
         converged=bool(np.abs(gap).max() < config.tolerance),
     )
-    return report, Ebm(base=base, constraint_set=constraint_set, lam=lam, lambda_clamp=clamp)
+    return report, Ebm(base=base, constraint_set=constraint_set, lam=lam)

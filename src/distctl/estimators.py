@@ -109,14 +109,18 @@ def _check_pair(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def exact_kl(d1: np.ndarray, d2: np.ndarray) -> float:
     """KL(d1 || d2): the terms d1 * log(d1 / d2) on d1's support, 0 off it,
-    summed over the whole universe. The terms are built in one new array;
-    beside it the only arrays made are masks, one byte per entry."""
+    summed over the whole universe; where d1 / d2 overflows float64 (d2
+    subnormal), log(d1 / d2) is log d1 - log d2. The terms are built in one
+    new array; beside it the only arrays made are masks, one byte per entry."""
     d1, d2 = _check_pair(d1, d2)
     mass = d1 > 0
     if ((d2 <= 0) & mass).any():
         raise SupportViolation("second distribution misses support of the first")
     terms = np.zeros_like(d1)
-    np.divide(d1, d2, out=terms, where=mass)
+    with np.errstate(over="ignore"):
+        np.divide(d1, d2, out=terms, where=mass)
     np.log(terms, out=terms, where=mass)
+    over = np.isinf(terms)
+    terms[over] = np.log(d1[over]) - np.log(d2[over])
     np.multiply(d1, terms, out=terms, where=mass)
     return float(np.sum(terms))

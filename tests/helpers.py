@@ -497,7 +497,6 @@ def scaled(ebm: Ebm, log_scale_delta: float) -> Ebm:
         base=ebm.base,
         constraint_set=ebm.constraint_set,
         lam=ebm.lam.copy(),
-        lambda_clamp=ebm.lambda_clamp,
         log_scale=getattr(ebm, "log_scale", 0.0) + log_scale_delta,
     )
 
@@ -948,7 +947,7 @@ def hybrid_task() -> tuple[TabularARModel, ConstraintSet, FitConfig]:
         ConstraintSpec(TokenPresence(v, "c", feature_id="A"), 1.0, pointwise=True),
         ConstraintSpec(TokenPresence(v, "d", feature_id="B"), 0.5),
     ])
-    config = FitConfig(sample_count=100000, tolerance=1e-4, max_steps=30000)
+    config = FitConfig(sample_count=100000, tolerance=1e-4)
     return base, cs, config
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from distctl.baselines import BaselineConfig, train_baseline
-from distctl.dpg import DpgConfig, dpg_iteration, init_state, train
+from distctl.dpg import DpgConfig, dpg_iteration, init_state, seed_streams, train
 from distctl.ebm import (
     Ebm,
     FitConfig,
@@ -78,7 +78,6 @@ def anchor():
     fit_config = FitConfig(
         sample_count=100000,
         tolerance=1e-6,
-        max_steps=20000,
     )
     fit_report, ebm = fit_lambda(base, constraint_set, fit_config, np.random.default_rng(0))
     z, p = ebm.exact_normalize()
@@ -167,7 +166,7 @@ def test_criterion_3_pointwise_limit_equivalence(anchor):
     cs = ConstraintSet([ConstraintSpec(feature, 1.0, pointwise=True)])
     # the same feature as a distributional constraint, tilted to the clamp
     tilted = ConstraintSet([ConstraintSpec(feature, 0.5)])
-    clamped = Ebm(base=base, constraint_set=tilted, lam=np.array([20.0]), lambda_clamp=20.0)
+    clamped = Ebm(base=base, constraint_set=tilted, lam=np.array([20.0]))
     product = Ebm(base=base, constraint_set=cs, lam=[])
     _, p_clamped = clamped.exact_normalize()
     _, p_product = product.exact_normalize()
@@ -238,9 +237,9 @@ def test_criterion_5_dpg_convergence(anchor):
             samples_per_iteration=1024,
             learning_rate=2.0,
             adaptivity="kl",
-            seed=seed,
         )
-        result = train(base, ebm, config, EvalOptions(sample_size=64, eval_every=100))
+        result = train(base, ebm, config, seed_streams(seed),
+                       EvalOptions(sample_size=64, eval_every=100))
         pi = result.policy.exact_distribution()
         kls.append(exact_kl(p, pi))
         gaps.append(abs(float(pi @ phi[:, 0]) - e_p))
@@ -275,10 +274,9 @@ def test_criterion_6_adaptivity_ablation():
             samples_per_iteration=samples_per_iteration,
             learning_rate=128.0,
             adaptivity=adaptivity,
-            seed=seed,
         )
         state = init_state(base, config)
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rng = seed_streams(seed).train
         for _ in range(budget):
             dpg_iteration(state, target, config, rng)
             if exact_kl(p, state.policy.exact_distribution()) < 0.1:
@@ -322,27 +320,29 @@ def test_criterion_7_baseline_ordering():
     for seed in (0, 1, 2):
         gdc = train(
             base, target,
-            DpgConfig(iterations=iterations, samples_per_iteration=k, learning_rate=2.0,
-                      seed=seed),
+            DpgConfig(iterations=iterations, samples_per_iteration=k, learning_rate=2.0),
+            seed_streams(seed),
             ev,
         )
         penalized = train_baseline(
             base, target,
             BaselineConfig(kind="kl-penalized", iterations=iterations,
-                           samples_per_iteration=k, learning_rate=1.0, beta=0.15,
-                           seed=seed),
+                           samples_per_iteration=k, learning_rate=1.0, beta=0.15),
+            seed_streams(seed),
             ev,
         )
         reinforce = train_baseline(
             base, target,
             BaselineConfig(kind="reinforce-phi", iterations=iterations,
-                           samples_per_iteration=k, learning_rate=1.0, seed=seed),
+                           samples_per_iteration=k, learning_rate=1.0),
+            seed_streams(seed),
             ev,
         )
         reward_p = train_baseline(
             base, target,
             BaselineConfig(kind="reinforce-P", iterations=iterations,
-                           samples_per_iteration=k, learning_rate=10000.0, seed=seed),
+                           samples_per_iteration=k, learning_rate=10000.0),
+            seed_streams(seed),
             ev,
         )
         kl = {
@@ -485,9 +485,9 @@ def test_criterion_10_hybrid_constraints():
         samples_per_iteration=1024,
         learning_rate=4.0 / z_hat,
         adaptivity="kl",
-        seed=0,
     )
-    result = train(base, ebm, dpg_config, EvalOptions(sample_size=64, eval_every=10**6))
+    result = train(base, ebm, dpg_config, seed_streams(0),
+                   EvalOptions(sample_size=64, eval_every=10**6))
     pi = result.policy.exact_distribution()
     policy_moments = pi @ phi
     gaps = np.abs(policy_moments - moments)

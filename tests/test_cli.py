@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import distctl
+from distctl import baselines as baselines_module
 from distctl import config as config_module
+from distctl import ebm as ebm_module
 from distctl import cli, errors, lm, seqspace
 from distctl.cli import main
 from distctl.baselines import REJECTION_MLE, BaselineConfig, RejectionConfig
@@ -55,7 +57,7 @@ def write_config(workdir, name="exp.json", **overrides):
         "constraints": [
             {"id": "gold", "kind": "token-presence", "token": "gold", "target": 0.5}
         ],
-        "fit": {"sample_count": 20000, "tolerance": 1e-4, "max_steps": 5000},
+        "fit": {"sample_count": 20000, "tolerance": 1e-4},
         "trainer": {
             "method": "gdc",
             "iterations": 10,
@@ -130,8 +132,10 @@ def test_fit_pointwise_reports_no_lambda(workdir):
     }
 
 
-def test_unconverged_fit_reports_its_max_gap(workdir, capsys):
-    cfg = write_config(workdir, fit={"sample_count": 2000, "tolerance": 1e-12, "max_steps": 1})
+def test_unconverged_fit_reports_its_max_gap(workdir, capsys, monkeypatch):
+    """A fit stopped short, here at a MAX_NEWTON_STEPS backstop of 1."""
+    monkeypatch.setattr(ebm_module, "MAX_NEWTON_STEPS", 1)
+    cfg = write_config(workdir, fit={"sample_count": 2000, "tolerance": 1e-12})
     assert main(["fit", "--config", str(cfg)]) == 0
     report = json.loads((workdir / "out" / "fit_report.json").read_text())
     assert report["converged"] is False and report["steps_used"] == 1
@@ -371,8 +375,9 @@ def test_main_looks_up_its_command_when_called(workdir, monkeypatch):
 def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
     """The fit and the trainer get the objects the config built at load, and
     a seed override reaches both: the fit draws from the root stream of the
-    overridden seed, the trainer takes it as its seed. An ablation cell is
-    the trainer config with the variant's adaptivity and the grid's seed."""
+    overridden seed, the trainer from that seed's `train` and `eval` streams.
+    An ablation cell is the trainer config with the variant's adaptivity,
+    trained on the streams of the grid's seed."""
     runs, fits, calls = [], [], []
 
     class RecordingRun(cli._Run):
@@ -380,10 +385,13 @@ def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
             super().__init__(cfg, *args)
             runs.append(cfg)
 
+    def states(streams):  # the train and eval streams before the trainer draws
+        return [stream.bit_generator.state for stream in (streams.train, streams.eval)]
+
     def recording(fn, into):
-        def wrapper(base, target_or_constraints, config, *args, **kwargs):
-            into.append((config, args))
-            return fn(base, target_or_constraints, config, *args, **kwargs)
+        def wrapper(base, target, config, streams, eval_options):
+            into.append((config, states(streams), eval_options))
+            return fn(base, target, config, streams, eval_options)
 
         return wrapper
 
@@ -399,24 +407,24 @@ def test_commands_run_on_the_config_objects_load_built(workdir, monkeypatch):
                         eval={"eval_every": 1, "sample_size": 16, "ablation": ablation})
     assert main(["train", "--config", str(path), "--seed-override", "5"]) == 0
     cfg = runs[0]
-    assert cfg.seed == cfg.trainer_config.seed == 5
+    assert cfg.seed == 5
     [(fit_config, fit_stream)] = fits
     assert fit_stream == np.random.default_rng(5).bit_generator.state
     assert fit_stream != np.random.default_rng(0).bit_generator.state
-    [(config, (eval_options,))] = calls
+    [(config, trainer_streams, eval_options)] = calls
     assert fit_config is cfg.fit_config
     assert config is cfg.trainer_config and eval_options is cfg.eval_options
+    assert trainer_streams == states(seed_streams(5))
+    assert trainer_streams != states(seed_streams(0))
     calls.clear()
     assert main(["ablation", "--config", str(path), "--seed-override", "5"]) == 0
     cfg = runs[1]
-    assert cfg.trainer_config.seed == 5
-    cells = [(config.adaptivity, config.seed) for config, _ in calls]
-    assert cells == [("kl", 0), ("kl", 2), ("none", 0), ("none", 2)]
-    assert all(
-        config == dataclasses.replace(cfg.trainer_config, adaptivity=adaptivity, seed=seed)
-        and eval_options is cfg.eval_options
-        for (config, (eval_options,)), (adaptivity, seed) in zip(calls, cells)
-    )
+    cells = [("kl", 0), ("kl", 2), ("none", 0), ("none", 2)]
+    assert len(calls) == len(cells)
+    for (config, trainer_streams, eval_options), (adaptivity, seed) in zip(calls, cells):
+        assert config == dataclasses.replace(cfg.trainer_config, adaptivity=adaptivity)
+        assert trainer_streams == states(seed_streams(seed))
+        assert eval_options is cfg.eval_options
 
 
 @pytest.mark.parametrize("command", ["train", "ablation"])
@@ -457,6 +465,24 @@ def test_rejection_mle_method(workdir):
     assert 0.0 < run["acceptance_rate"] < 1.0
 
 
+def test_rejection_mle_without_a_pointwise_constraint_exits_2_before_any_fit(
+    workdir, capsys, monkeypatch
+):
+    """rejection-mle filters on the pointwise constraints, so a set without
+    one is refused once the constraints are built: before the base's fit,
+    the λ-fit's draws or rejection-mle's refit."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a fit ran before the refusal")
+
+    for module, name in ((config_module, "mle_fit"), (baselines_module, "mle_fit"),
+                         (cli, "fit_lambda")):
+        monkeypatch.setattr(module, name, never)
+    cfg = write_config(workdir, trainer=REJECTION_TRAINER)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: constraint set has no pointwise members\n"
+
+
 def test_ablation_grid(workdir):
     cfg = write_config(
         workdir,
@@ -480,7 +506,7 @@ TWO_PRESENCE = [
     {"id": "gold", "kind": "token-presence", "token": "gold", "target": 0.5},
     {"id": "red", "kind": "token-presence", "token": "red", "target": 0.6},
 ]
-QUICK_FIT = {"sample_count": 4000, "tolerance": 1e-3, "max_steps": 200}
+QUICK_FIT = {"sample_count": 4000, "tolerance": 1e-3}
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
@@ -640,7 +666,7 @@ def test_exact_commands_never_build_the_enumeration(workdir, monkeypatch, comman
     (workdir / "narrow.txt").write_text(text)
     cfg = write_config(workdir, space={"lmax": 14},
                        base_model={"corpus": "narrow.txt", "order": 2, "smoothing": 0.5},
-                       fit={"sample_count": 2000, "tolerance": 1e-4, "max_steps": 5000})
+                       fit={"sample_count": 2000, "tolerance": 1e-4})
     code, peak = traced_peak(main, [command, "--config", str(cfg)])
     assert code == 0
     space = SequenceSpace(Vocabulary.from_body_tokens(["gold", "red"]), 14)  # 32,767 sequences
@@ -1474,7 +1500,7 @@ def test_fit_evaluates_a_token_ratio_past_lmax_63_unless_exact(tmp_path, capsys,
     ratio = {"id": "r", "kind": "token-ratio", "numerator": ["gold"], "denominator": body,
              "target": 0.3}
     cfg = write_config(tmp_path, space={"lmax": 100}, constraints=[ratio],
-                       fit={"sample_count": 4000, "tolerance": 1e-3, "max_steps": 100},
+                       fit={"sample_count": 4000, "tolerance": 1e-3},
                        eval={"exact_oracle": exact})
     code = main(["fit", "--config", str(cfg)])
     if exact:

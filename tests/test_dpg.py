@@ -58,20 +58,18 @@ def identity_ebm(space, base):
 
 def test_already_optimal_stays_put(ab_space, ab_uniform):
     target = identity_ebm(ab_space, ab_uniform)  # lam = 0 so p = a
-    config = DpgConfig(
-        iterations=50, samples_per_iteration=512, learning_rate=0.5, seed=0
-    )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=50))
+    config = DpgConfig(iterations=50, samples_per_iteration=512, learning_rate=0.5)
+    result = train(ab_uniform, target, config, seed_streams(0),
+                   EvalOptions(sample_size=64, eval_every=50))
     _, p = target.exact_normalize()
     assert exact_kl(p, result.policy.exact_distribution()) < 1e-3
 
 
 def test_pointwise_convergence(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
-    config = DpgConfig(
-        iterations=150, samples_per_iteration=256, learning_rate=1.0, seed=1
-    )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=50))
+    config = DpgConfig(iterations=150, samples_per_iteration=256, learning_rate=1.0)
+    result = train(ab_uniform, target, config, seed_streams(1),
+                   EvalOptions(sample_size=64, eval_every=50))
     _, p = target.exact_normalize()
     pi = result.policy.exact_distribution()
     assert exact_kl(p, pi) < 0.05
@@ -118,8 +116,8 @@ def test_fixed_point_zero_expected_update(rng):
 
 def test_proposal_swaps_only_on_strict_improvement(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
-    config = DpgConfig(iterations=60, samples_per_iteration=128, learning_rate=0.5, seed=3)
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64))
+    config = DpgConfig(iterations=60, samples_per_iteration=128, learning_rate=0.5)
+    result = train(ab_uniform, target, config, seed_streams(3), EvalOptions(sample_size=64))
     swaps = [d for d in result.state.decisions if d.swapped]
     assert swaps, "expected at least one proposal replacement"
     for d in result.state.decisions:
@@ -129,14 +127,17 @@ def test_proposal_swaps_only_on_strict_improvement(ab_space, ab_uniform):
 
 def test_scale_invariance_of_updates_and_decisions(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
-    base_cfg = dict(iterations=40, samples_per_iteration=64, seed=5)
+    base_cfg = dict(iterations=40, samples_per_iteration=64)
     options = EvalOptions(sample_size=32, eval_every=40)
-    reference = train(ab_uniform, target, DpgConfig(learning_rate=0.8, **base_cfg), options)
+    reference = train(
+        ab_uniform, target, DpgConfig(learning_rate=0.8, **base_cfg), seed_streams(5), options
+    )
     for c in (0.5, 2.0):
         rescaled = train(
             ab_uniform,
             scaled(target, np.log(c)),
             DpgConfig(learning_rate=0.8 / c, **base_cfg),
+            seed_streams(5),
             options,
         )
         assert np.allclose(rescaled.policy.logits, reference.policy.logits, atol=1e-9)
@@ -147,17 +148,17 @@ def test_scale_invariance_of_updates_and_decisions(ab_space, ab_uniform):
 
 def test_zero_iterations(ab_space, ab_uniform):
     target = identity_ebm(ab_space, ab_uniform)
-    config = DpgConfig(iterations=0, samples_per_iteration=8, learning_rate=0.1, seed=0)
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=16))
+    config = DpgConfig(iterations=0, samples_per_iteration=8, learning_rate=0.1)
+    result = train(ab_uniform, target, config, seed_streams(0), EvalOptions(sample_size=16))
     assert len(result.history) == 1 and result.history[0].step == 0
     assert np.allclose(result.policy.exact_distribution(), ab_uniform.exact_distribution())
 
 
 def test_training_deterministic_under_seed(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
-    config = DpgConfig(iterations=25, samples_per_iteration=64, learning_rate=0.7, seed=9)
-    one = train(ab_uniform, target, config, EvalOptions(sample_size=32))
-    two = train(ab_uniform, target, config, EvalOptions(sample_size=32))
+    config = DpgConfig(iterations=25, samples_per_iteration=64, learning_rate=0.7)
+    one = train(ab_uniform, target, config, seed_streams(9), EvalOptions(sample_size=32))
+    two = train(ab_uniform, target, config, seed_streams(9), EvalOptions(sample_size=32))
     assert np.array_equal(one.policy.logits, two.policy.logits)
 
 
@@ -168,7 +169,7 @@ def test_adaptivity_deferred_until_z_positive(rng):
         [ConstraintSpec(PrefixMatch(space.vocabulary, ["c", "c", "c"]), 1.0, pointwise=True)]
     )
     target = Ebm(base=base, constraint_set=cs, lam=[])
-    config = DpgConfig(iterations=4, samples_per_iteration=4, learning_rate=0.1, seed=2)
+    config = DpgConfig(iterations=4, samples_per_iteration=4, learning_rate=0.1)
     state = init_state(base, config)
     rng_train = np.random.default_rng(0)
     for _ in range(4):
@@ -194,15 +195,16 @@ def swap_run(name, iterations=30):
 
 
 def dpg_run(adaptivity, optimizer, learning_rate, lam, seed, iterations=30):
+    """(base, target, config, seed): the run's seed draws the base and the training."""
     space = small_space(3, 4)
     base = random_model(space, 2, np.random.default_rng(seed), scale=0.5)
     target = identity_ebm(space, base)
     target.lam = np.array([lam])
     config = DpgConfig(
         iterations=iterations, samples_per_iteration=8, learning_rate=learning_rate,
-        adaptivity=adaptivity, optimizer=optimizer, seed=seed,
+        adaptivity=adaptivity, optimizer=optimizer,
     )
-    return base, target, config
+    return base, target, config, seed
 
 
 def table_bytes(model):
@@ -216,9 +218,9 @@ def test_a_swap_takes_the_policy_and_a_kept_proposal_stays_as_it_was(name):
     the policy's log-softmax bytes, context by context, and one it kept
     holds the bytes it held before (at the first iteration: the lifted
     base's, from which it was made)."""
-    base, target, config = swap_run(name)
+    base, target, config, seed = swap_run(name)
     state = init_state(base, config)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     held = dense_log_softmax(state.policy).tobytes()
     for i in range(config.iterations):
         dpg_iteration(state, target, config, rng)
@@ -234,9 +236,9 @@ def test_a_swap_takes_the_policy_and_a_kept_proposal_stays_as_it_was(name):
 
 
 def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
-    base, target, config = swap_run("kl")
+    base, target, config, seed = swap_run("kl")
     state = init_state(base, config)
-    train_rng = np.random.default_rng(config.seed)
+    train_rng = np.random.default_rng(seed)
     while not state.proposal_updates:
         dpg_iteration(state, target, config, train_rng)
     before = table_bytes(state.proposal)
@@ -250,7 +252,7 @@ def test_policy_updates_after_a_swap_leave_the_proposal_alone(rng):
 TWIN_RUNS = {
     **{
         f"{optimizer}-{adaptivity}": DpgConfig(
-            iterations=30, samples_per_iteration=8, seed=1,
+            iterations=30, samples_per_iteration=8,
             learning_rate=0.5 if optimizer == "sgd" else 2.0,
             adaptivity=adaptivity, optimizer=optimizer,
         )
@@ -258,7 +260,7 @@ TWIN_RUNS = {
     },
     **{
         kind: BaselineConfig(
-            kind=kind, iterations=30, samples_per_iteration=8, seed=1,
+            kind=kind, iterations=30, samples_per_iteration=8,
             learning_rate=2.0, **extra,
         )
         for kind, extra in [
@@ -283,7 +285,7 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
     target.lam = np.array([1.0])
     options = EvalOptions(eval_every=10, sample_size=16, exact=True)
     trainer = train if isinstance(config, DpgConfig) else train_baseline
-    mapped = trainer(base, target, config, options)
+    mapped = trainer(base, target, config, seed_streams(1), options)
     lift = TabularARModel.to_order
 
     def dense_lift(self, order, trainable=False):
@@ -292,7 +294,7 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
                               trainable=trainable)
 
     monkeypatch.setattr(TabularARModel, "to_order", dense_lift)
-    dense = trainer(base, target, config, options)
+    dense = trainer(base, target, config, seed_streams(1), options)
     # both copy on write the same contexts; the twin's map stays one-to-one
     n_contexts = dense.policy.coding.n_contexts
     assert len(dense.policy.logits) - n_contexts == len(mapped.policy.logits) - len(base.logits)
@@ -314,7 +316,7 @@ def test_the_row_map_changes_no_bits(monkeypatch, tmp_path, name):
 def test_a_dpg_run_takes_one_frozen_copy_per_swap(monkeypatch, name):
     """The first iteration copies the policy into the proposal, and each swap
     takes a new copy: `proposal_updates + 1` copies in all."""
-    base, target, config = swap_run(name)
+    base, target, config, seed = swap_run(name)
     copies = []
     frozen_copy = TabularARModel.frozen_copy
 
@@ -323,7 +325,7 @@ def test_a_dpg_run_takes_one_frozen_copy_per_swap(monkeypatch, name):
         return frozen_copy(self)
 
     monkeypatch.setattr(TabularARModel, "frozen_copy", counted)
-    result = train(base, target, config, EvalOptions(sample_size=16))
+    result = train(base, target, config, seed_streams(seed), EvalOptions(sample_size=16))
     assert result.state.proposal_updates > 1
     assert len(copies) == result.state.proposal_updates + 1
 
@@ -433,11 +435,11 @@ def test_row_sparse_adam_matches_the_dense_reference_bitwise(monkeypatch, name):
     (`helpers.dense_adam_step`) gives the same policy and proposal bits and
     the same swap decisions after every iteration. The reference steps and
     writes every context; the row-sparse step only the touched ones."""
-    base, target, config = dpg_run(*ADAM_RUNS[name])
+    base, target, config, seed = dpg_run(*ADAM_RUNS[name])
 
     def run():
         state = init_state(base, config)
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         trace, stored = [], []
         for _ in range(config.iterations):
             dpg_iteration(state, target, config, rng)
@@ -478,7 +480,7 @@ def test_dpg_snapshots_outside_the_iterations_hold_no_proposal(monkeypatch, rng)
     monkeypatch.setattr(dpg, "snapshot", record)
     config = DpgConfig(iterations=4, samples_per_iteration=8, optimizer="adam")
     traced_peak(run_loop, base, identity_ebm(space, base), config, "gdc", dpg_iteration,
-                EvalOptions(eval_every=2))
+                seed_streams(0), EvalOptions(eval_every=2))
     table = dense_table_bytes(states[0].policy)
     assert [(step, gone) for step, gone, _ in seen] == [
         (0, [True] * 2), (2, [False] * 2), (4, [True] * 2)
@@ -509,16 +511,16 @@ def test_run_loop_names_the_iteration_of_a_numerical_error_once(
         monkeypatch.setattr(dpg, "snapshot", lambda *args: fail())
     with pytest.raises(NonpositiveZ) as err:
         run_loop(ab_uniform, identity_ebm(ab_space, ab_uniform), LoopConfig(iterations=5),
-                 "test", iteration)
+                 "test", iteration, seed_streams(0))
     assert str(err.value) == message
 
 
 def test_tvd_adaptivity_runs_and_swaps(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
     config = DpgConfig(
-        iterations=60, samples_per_iteration=128, learning_rate=0.5, adaptivity="tvd", seed=6
+        iterations=60, samples_per_iteration=128, learning_rate=0.5, adaptivity="tvd"
     )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=32))
+    result = train(ab_uniform, target, config, seed_streams(6), EvalOptions(sample_size=32))
     assert result.state.proposal_updates > 0
 
 
@@ -540,10 +542,9 @@ def test_adaptive_beats_non_adaptive_on_rare_constraint():
             samples_per_iteration=256,
             learning_rate=128.0,
             adaptivity=adaptivity,
-            seed=11,
         )
         state = init_state(base, config)
-        rng_train = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+        rng_train = seed_streams(11).train
         for _ in range(budget):
             dpg_iteration(state, target, config, rng_train)
             if exact_kl(p, state.policy.exact_distribution()) < 0.1:
@@ -559,9 +560,10 @@ def test_adam_preconditioning_converges(ab_space, ab_uniform):
     target = make_pointwise(ab_space, ab_uniform)
     config = DpgConfig(
         iterations=150, samples_per_iteration=256, learning_rate=0.05,
-        optimizer="adam", seed=1,
+        optimizer="adam",
     )
-    result = train(ab_uniform, target, config, EvalOptions(sample_size=64, eval_every=150))
+    result = train(ab_uniform, target, config, seed_streams(1),
+                   EvalOptions(sample_size=64, eval_every=150))
     _, p = target.exact_normalize()
     assert exact_kl(p, result.policy.exact_distribution()) < 0.05
 
@@ -601,11 +603,14 @@ def test_seed_streams_are_the_root_stream_and_its_spawned_children(seed):
 
 def test_seed_streams_is_the_one_maker_of_generators():
     """No code of the package but `dpg.seed_streams` turns a seed into a
-    generator: `default_rng` and `SeedSequence` are named nowhere else."""
+    generator: `default_rng` and `SeedSequence` are named nowhere else. And
+    only `cli` calls `seed_streams`: every library function that draws,
+    `run_loop` included, takes its caller's generators."""
     src = Path(dpg.__file__).parent
     makers = {"default_rng", "SeedSequence", "Generator", "RandomState", "seed"}
     found = []
     for path in sorted(src.glob("*.py")):
+        named = makers if path.name == "cli.py" else makers | {"seed_streams"}
         tree = ast.parse(path.read_text())
         home = {
             id(node)
@@ -616,6 +621,6 @@ def test_seed_streams_is_the_one_maker_of_generators():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in home:
                 name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in makers:
+                if name in named:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from distctl.errors import (
     UniverseTooLarge,
 )
 from distctl import lm, seqspace
+from distctl.config import ExperimentConfig
 from distctl.estimators import exact_kl
 from distctl.features import (
     ConstraintSet,
@@ -66,13 +69,8 @@ def presence_set(space, token, target, pointwise=False):
     )
 
 
-def fit_config(n=100000, tol=1e-6, steps=20000, clamp=20.0):
-    return FitConfig(
-        sample_count=n,
-        tolerance=tol,
-        max_steps=steps,
-        lambda_clamp=clamp,
-    )
+def fit_config(n=100000, tol=1e-6, clamp=20.0):
+    return FitConfig(sample_count=n, tolerance=tol, lambda_clamp=clamp)
 
 
 # -- score ---------------------------------------------------------------
@@ -240,7 +238,7 @@ def test_fit_holds_phi_and_a_block_never_the_draw(rng):
     peaks = {}
     for n in (40_000, 80_000):
         (report, _), peaks[n] = traced_peak(
-            fit_lambda, model, presence_set(space, "a", 0.5), fit_config(n=n, steps=50),
+            fit_lambda, model, presence_set(space, "a", 0.5), fit_config(n=n),
             np.random.default_rng(0),
         )
         assert report.rows_used == n and report.converged
@@ -348,21 +346,28 @@ def kept_phi(base, cs, config):
 
 
 @pytest.mark.parametrize("case", ["hybrid", "halving-fails", "max-steps"])
-def test_achieved_moments_are_the_snis_moments_at_the_fitted_lambda_bitwise(case, ab_space,
-                                                                            ab_uniform):
+def test_achieved_moments_are_the_snis_moments_at_the_fitted_lambda_bitwise(
+    case, ab_space, ab_uniform, monkeypatch
+):
     """`achieved_moments` come from the `snis_dual` evaluation that accepted
-    the returned lam: the same bits as weighting the kept rows again."""
+    the returned lam: the same bits as weighting the kept rows again. The
+    `max-steps` case stops at a MAX_NEWTON_STEPS backstop of 1."""
     v = ab_space.vocabulary
     hybrid = hybrid_set(TokenPresence(v, "a"), TokenPresence(v, "b"), 0.6)
     cs, config = {
         "hybrid": (hybrid, fit_config(n=5000, tol=1e-4)),
         "halving-fails": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, clamp=0.01)),
-        "max-steps": (presence_set(ab_space, "a", 0.9), fit_config(n=5000, steps=1)),
+        "max-steps": (presence_set(ab_space, "a", 0.9), fit_config(n=5000)),
     }[case]
+    if case == "max-steps":
+        monkeypatch.setattr(ebm_module, "MAX_NEWTON_STEPS", 1)
     report, _ = fit_lambda(ab_uniform, cs, config, np.random.default_rng(0))
     assert report.converged == (case == "hybrid") and report.steps_used >= 1
     if case == "halving-fails":
-        assert report.steps_used < config.max_steps and abs(report.lam[0]) == config.lambda_clamp
+        assert report.steps_used < ebm_module.MAX_NEWTON_STEPS
+        assert abs(report.lam[0]) == config.lambda_clamp
+    if case == "max-steps":
+        assert report.steps_used == 1
     phi = kept_phi(ab_uniform, cs, config)
     assert report.rows_used == len(phi)
     assert report.achieved_moments.tobytes() == (snis_weights(report.lam, phi)[0] @ phi).tobytes()
@@ -441,6 +446,27 @@ def test_lambda_pairs_with_the_distributional_columns_only(ab_space, ab_uniform)
     for lam in ([], [0.5, 0.5]):
         with pytest.raises(ConfigError):
             Ebm(base=ab_uniform, constraint_set=cs, lam=lam)
+
+
+def test_a_lam_past_the_finite_tilt_bound_is_refused_at_construction():
+    """On the distributional demo's base, lam = 800 used to build a target
+    whose exact Z overflowed to inf, after a numpy warning (an error in this
+    suite). sum_j |lam_j| past MAX_TILT is now a ConfigError naming `lam`, at
+    construction; a lam at the bound builds."""
+    cfg = ExperimentConfig.load(Path(__file__).parent.parent / "demo" / "distributional.json")
+    base = cfg.build_base()
+    cs = cfg.build_constraints(base.space)
+    for lam in ([800.0], [-800.0], [np.nextafter(MAX_TILT, np.inf)], [np.nan]):
+        with pytest.raises(ConfigError) as err:
+            Ebm(base=base, constraint_set=cs, lam=lam)
+        assert err.value.field == "lam" and err.value.exit_code == 2
+        assert f"lam must have sum |lam_j| <= {MAX_TILT:.6g}" in str(err.value)
+    assert Ebm(base=base, constraint_set=cs, lam=[MAX_TILT]).lam[0] == MAX_TILT
+    v = base.space.vocabulary
+    two = ConstraintSet([ConstraintSpec(TokenPresence(v, "rain"), 0.5),
+                         ConstraintSpec(TokenPresence(v, "sun"), 0.5)])
+    with pytest.raises(ConfigError):  # each entry within the bound, their sum past it
+        Ebm(base=base, constraint_set=two, lam=[400.0, -400.0])
 
 
 def test_scaled_scores_double_z_keep_p(ab_uniform, presence_a_pointwise):
@@ -982,7 +1008,6 @@ def test_pointwise_limit_of_clamped_exponential(ab_space, ab_uniform, presence_a
         base=ab_uniform,
         constraint_set=ConstraintSet([ConstraintSpec(spec.feature, 0.5)]),
         lam=np.array([20.0]),
-        lambda_clamp=20.0,
     )
     product = Ebm(base=ab_uniform, constraint_set=presence_a_pointwise, lam=[])
     _, p_exp = exponential.exact_normalize()
@@ -1084,7 +1109,7 @@ def test_fit_exact_moment_reaches_target(ab_space, ab_uniform):
 
 def test_lambda_clamp_is_enforced(ab_space, ab_uniform):
     cs = presence_set(ab_space, "a", 0.999999)
-    config = fit_config(tol=1e-14, steps=3000, clamp=2.0)
+    config = fit_config(tol=1e-14, clamp=2.0)
     report, ebm = fit_lambda(ab_uniform, cs, config, np.random.default_rng(0))
     assert not report.converged
     assert abs(report.lam[0]) <= 2.0 + 1e-12

@@ -306,6 +306,18 @@ def test_exact_kl_identity_and_hand_values():
     assert exact_kl(d, e) != exact_kl(e, d)
 
 
+def test_exact_kl_past_the_float64_ratio_range_is_finite():
+    """A cell where d1 / d2 overflows (d2 subnormal: a base with a logit gap
+    near 1,400, as a model file may hold) takes log d1 - log d2, without a
+    numpy warning (an error in this suite); the other cells keep their bits."""
+    d2 = np.array([5e-324, 0.5, 0.5])
+    d1 = np.array([0.5, 0.25, 0.25])
+    kl = exact_kl(d1, d2)
+    rest = 0.25 * np.log(0.25 / 0.5)
+    assert kl == 0.5 * (np.log(0.5) - np.log(5e-324)) + rest + rest
+    assert np.isfinite(kl)
+
+
 def test_exact_kl_support_violation():
     with pytest.raises(SupportViolation, match="misses support of the first"):
         exact_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0]))

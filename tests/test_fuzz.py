@@ -1,5 +1,8 @@
-"""A config fuzzer: small configs over the demo corpus, drawn from the config
-schema and run through `cli.main`.
+"""A config fuzzer: small configs over the demo corpus's vocabulary, drawn
+from the config schema and run through `cli.main`. The base is fitted on the
+demo corpus, or read from a model file with logit gaps up to +-700 (a frozen
+one may hold -inf cells); some rejection-mle configs have no pointwise
+constraint, and must be refused (exit 2) before anything is fitted.
 
 Every run ends in exit 0 or in a named error's exit code (2 configuration, 3
 numerical, 4 size guard), and no other exception escapes. A run that exits 0
@@ -13,12 +16,17 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from distctl import cli
 from distctl.config import FEATURE_SCHEMAS, TRAINER_SCHEMAS
 from distctl.dpg import ADAPTIVITIES, OPTIMIZERS
+from distctl.lm import TabularARModel
+from distctl.seqspace import SequenceSpace, Vocabulary
+
+from helpers import uniform_model
 
 DEMO_CORPUS = Path(__file__).parent.parent / "demo" / "corpus.txt"
 TOKENS = ("cloud", "eclipse", "rain", "sun", "wind")  # the demo corpus's body
@@ -37,7 +45,7 @@ learning_rates = st.one_of(st.sampled_from([1e-8, 1.0, 128.0, 1e308]), st.floats
 
 
 @st.composite
-def constraint_lists(draw):
+def constraint_lists(draw, pointwise=True):
     constraints = []
     for i in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(sorted(FEATURE_SCHEMAS)))
@@ -52,7 +60,7 @@ def constraint_lists(draw):
                 c["empty_default"] = draw(st.sampled_from([0.0, 0.5, 1.0]))
         else:
             c["tokens"] = draw(token_lists)
-        if kind != "token-ratio" and draw(st.booleans()):
+        if kind != "token-ratio" and pointwise and draw(st.booleans()):
             c.update(pointwise=True, target=1.0)
         else:
             c["target"] = draw(targets)
@@ -61,8 +69,8 @@ def constraint_lists(draw):
 
 
 @st.composite
-def trainer_blocks(draw):
-    method = draw(st.sampled_from(sorted(TRAINER_SCHEMAS)))
+def trainer_blocks(draw, method=None):
+    method = method or draw(st.sampled_from(sorted(TRAINER_SCHEMAS)))
     if method == "rejection-mle":
         return {
             "method": method,
@@ -87,7 +95,27 @@ def trainer_blocks(draw):
 
 
 @st.composite
+def model_documents(draw, lmax):
+    """A model file's document over the demo corpus's vocabulary: uniform
+    logits in +-gap, gap up to 700, so a cell's probability may underflow to
+    0; a frozen model may also hold -inf cells, a row of them included."""
+    space = SequenceSpace(Vocabulary.from_body_tokens(list(TOKENS)), lmax)
+    order = draw(st.integers(1, 3))
+    trainable = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = draw(st.sampled_from([1.0, 50.0, 300.0, 700.0]))
+    logits = rng.uniform(-gap, gap, uniform_model(space, order).logits.shape)
+    if not trainable:
+        logits[rng.random(logits.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = -np.inf
+    header = TabularARModel(space=space, order=order, logits=np.zeros_like(logits)).to_document()
+    return {**header, "trainable": trainable, "rows": logits.tolist(),
+            "row_map": list(range(len(logits)))}
+
+
+@st.composite
 def configs(draw):
+    """(config, model document or None): the document is the base's model
+    file, base.json."""
     lmax = draw(st.integers(1, 4))
     exact = draw(st.booleans())
     eval_block = {
@@ -102,24 +130,28 @@ def configs(draw):
     }
     if exact and draw(st.booleans()):
         eval_block["threshold"] = 0.1
-    return {
+    model = draw(st.one_of(st.none(), model_documents(lmax)))
+    base_model = {"model_file": "base.json"} if model else {
+        "corpus": str(DEMO_CORPUS),
+        "order": draw(st.integers(1, 4)),
+        "smoothing": draw(st.sampled_from([0.0, 0.25, 1.0])),
+    }
+    # rejection-mle on a set with no pointwise constraint, one run in eight
+    unfilterable = draw(st.integers(0, 7)) == 7
+    cfg = {
         "seed": draw(st.integers(0, 3)),
         "space": {"lmax": lmax},
-        "base_model": {
-            "corpus": str(DEMO_CORPUS),
-            "order": draw(st.integers(1, 4)),
-            "smoothing": draw(st.sampled_from([0.0, 0.25, 1.0])),
-        },
-        "constraints": draw(constraint_lists()),
+        "base_model": base_model,
+        "constraints": draw(constraint_lists(pointwise=not unfilterable)),
         "fit": {
             "sample_count": draw(st.integers(1, 3000)),
             "tolerance": draw(st.sampled_from([1e-12, 1e-6, 0.01, 0.5])),
-            "max_steps": draw(st.integers(1, 30)),
             "lambda_clamp": draw(st.sampled_from([1e-3, 1.0, 20.0, 700.0, 1e6])),
         },
-        "trainer": draw(trainer_blocks()),
+        "trainer": draw(trainer_blocks("rejection-mle" if unfilterable else None)),
         "eval": eval_block,
     }
+    return cfg, model
 
 
 def _numbers(value):
@@ -177,13 +209,21 @@ def check_artifacts(out: Path, cfg: dict) -> None:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(configs())
-def test_every_fuzzed_config_exits_with_a_named_code_and_writes_finite_numbers(cfg):
+def test_every_fuzzed_config_exits_with_a_named_code_and_writes_finite_numbers(drawn):
+    cfg, model = drawn
+    unfilterable = cfg["trainer"]["method"] == "rejection-mle" and not any(
+        c.get("pointwise") for c in cfg["constraints"]
+    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.json"
         path.write_text(json.dumps(cfg))
+        if model:
+            (Path(tmp) / "base.json").write_text(json.dumps(model))
         for command in COMMANDS:
             out = Path(tmp) / command
             code = cli.main([command, "--config", str(path), "--output", str(out)])
             assert code in EXIT_CODES, (command, code)
+            if command == "train" and unfilterable:
+                assert code == 2 and not (out / "fit_report.json").exists()
             if code == 0:
                 check_artifacts(out, cfg)
