@@ -435,16 +435,13 @@ class TabularARModel:
     def grad_weighted_sum(self, batch: SampleBatch, weights: np.ndarray) -> RowGradient:
         """Sum over the batch of weight_i * grad log_prob(x_i), on the touched rows.
 
-        Each free emission adds its weight to the emitted cell and minus its
-        weight times the softmax to every cell of its context row. The events
-        are summed per cell with `np.bincount`, so each cell sees its additions
-        in step-major then batch order, a step's one-hots before its softmax
-        terms, as in a dense `np.add.at` table. Steps before m_eff read
-        context rows no other step reads, so steps 0..m_eff form one block and
-        each later step a block of its own; a block lays out its one-hots, then
-        its softmax terms column by column (each cell lies in one column), in
-        one cell array and one value array, the only event x V buffers it holds
-        besides the touched rows' softmax, computed once.
+        Each free emission adds its weight to its emitted cell and minus its
+        weight times the softmax to its context row, so a touched row h gets
+        sum_{e in h} w_e * onehot(v_e) - (sum_{e in h} w_e) * softmax(h). Two
+        `np.bincount`s over the step-major events (step 0 of every active row,
+        then step 1, ...) sum each emitted cell's weights and each row's total
+        weight, each in that event order; the gradient is the first minus the
+        total times the row's softmax. Nothing it holds is events x V.
         """
         if not self.trainable:
             raise NotTrainable("model is frozen")
@@ -457,26 +454,12 @@ class TabularARModel:
         events = np.flatnonzero(active.T)
         w = weights.take(events, mode="wrap")  # event t * n + i has row i's weight
         touched, inverse = _group(codes.T.take(events), self.coding.n_contexts)
-        row_cells = inverse * v
-        onehot_cells = row_cells + toks.T.take(events)
-        cells = np.empty(len(w) * (v + 1), dtype=np.int64)
-        values = np.empty(len(cells))
-        # each touched row's softmax once, (V, touched)
-        softmax = np.exp(self._logprob.take(self.row_map.take(touched), axis=0)).T
-        block_ends = [t * n for t in range(self.coding.m_eff + 1, self.space.lmax + 1)]
-        columns, minus_w = np.arange(v)[:, None], -w
-        lo = 0
-        for hi in np.searchsorted(events, block_ends).tolist():  # one-hots, then softmax terms
-            one = slice(lo * (v + 1), lo * (v + 1) + hi - lo)
-            soft = slice(one.stop, hi * (v + 1))
-            cells[one], values[one] = onehot_cells[lo:hi], w[lo:hi]
-            np.add(columns, row_cells[lo:hi], out=cells[soft].reshape(v, -1))
-            block = values[soft].reshape(v, -1)
-            softmax.take(inverse[lo:hi], axis=1, out=block, mode="clip")
-            np.multiply(block, minus_w[lo:hi], out=block)
-            lo = hi
-        grad = np.bincount(cells, weights=values, minlength=len(touched) * v)
-        return RowGradient(touched, grad.reshape(len(touched), v))
+        k = len(touched)
+        emitted = np.bincount(inverse * v + toks.T.take(events), weights=w, minlength=k * v)
+        totals = np.bincount(inverse, weights=w, minlength=k)
+        softmax = self._logprob.take(self.row_map.take(touched), axis=0)
+        np.multiply(np.exp(softmax, out=softmax), totals[:, None], out=softmax)
+        return RowGradient(touched, np.subtract(emitted.reshape(k, v), softmax, out=softmax))
 
     def apply_update(self, grad: RowGradient, learning_rate: float) -> "TabularARModel":
         """Add learning_rate * grad to its rows and refresh only those rows of

@@ -539,32 +539,6 @@ def step_log_prob_batch(model: TabularARModel, batch: SampleBatch) -> np.ndarray
     return out
 
 
-def step_grad_weighted_sum(
-    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
-) -> RowGradient:
-    """Row-sparse batch gradient from per-step event lists, summed per cell by
-    one `np.bincount` over the steps' one-hot then softmax events."""
-    logprob = dense_log_softmax(model)
-    weights = np.asarray(weights, dtype=float)
-    v = model.space.vocabulary.size
-    events = list(iter_events(model, batch))
-    touched, inverse = np.unique(
-        np.concatenate([codes for _, codes, _ in events]), return_inverse=True
-    )
-    cells, values = [], []
-    start = 0
-    for rows, codes, toks in events:
-        row_cells = inverse[start : start + len(rows)] * v
-        start += len(rows)
-        w = weights[rows]
-        cells += [row_cells + toks, (row_cells[:, None] + np.arange(v)).ravel()]
-        values += [w, (-w[:, None] * np.exp(logprob[codes])).ravel()]
-    grad = np.bincount(
-        np.concatenate(cells), weights=np.concatenate(values), minlength=len(touched) * v
-    )
-    return RowGradient(touched, grad.reshape(len(touched), v))
-
-
 def gumbel_sample_batch(model: TabularARModel, n: int, rng: np.random.Generator) -> SampleBatch:
     """Ancestral Gumbel-max sampling with the noise written -log(-log u) and
     added to the log-probs, the context rolled on growing rows only."""
@@ -665,22 +639,51 @@ def _context_rows(model: TabularARModel, batch: SampleBatch, t: int) -> np.ndarr
     return np.array([_context_row(model, p) for p in prefixes], dtype=np.int64)
 
 
-def dense_grad_weighted_sum(
-    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
-) -> np.ndarray:
-    """Reference batch gradient on a dense table: per step, `np.add.at` of the
-    one-hot events, then of the softmax events, over the batch in order."""
+def _dense_softmax(model: TabularARModel) -> np.ndarray:
+    """Every context's next-token probabilities, from its logits row."""
     logits = dense_logits(model)
     m = np.max(logits, axis=1, keepdims=True)
-    prob = np.exp(logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))))
+    return np.exp(logits - (m + np.log(np.sum(np.exp(logits - m), axis=1, keepdims=True))))
+
+
+def _steps_by_prefix(model: TabularARModel, batch: SampleBatch):
+    """Per step: (row indices, context rows, emitted tokens) of the free
+    emissions, in batch order, each context found from the row's prefix."""
     eos = model.space.vocabulary.eos_index
-    grad = np.zeros_like(logits)
     for t in range(model.space.lmax):
         rows = np.nonzero(batch.lengths >= t)[0]
         if len(rows) == 0:
             break
         codes = _context_rows(model, batch, t)[rows]
         toks = np.where(batch.lengths[rows] > t, batch.tokens[rows, t], eos).astype(np.int64)
+        yield rows, codes, toks
+
+
+def dense_grad_weighted_sum(
+    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
+) -> np.ndarray:
+    """Reference batch gradient on a dense table, row by row: per step,
+    `np.add.at` of the weights into the emitted cells and into their context
+    rows' totals, over the batch in order; then the emitted sums minus each
+    row's total times its softmax."""
+    prob = _dense_softmax(model)
+    emitted, totals = np.zeros_like(prob), np.zeros(len(prob))
+    for rows, codes, toks in _steps_by_prefix(model, batch):
+        np.add.at(emitted, (codes, toks), weights[rows])
+        np.add.at(totals, codes, weights[rows])
+    return emitted - totals[:, None] * prob
+
+
+def cellwise_grad_weighted_sum(
+    model: TabularARModel, batch: SampleBatch, weights: np.ndarray
+) -> np.ndarray:
+    """The batch gradient summed cell by cell on a dense table: per step,
+    `np.add.at` of the one-hot events, then of the softmax events, over the
+    batch in order. The same sum as `dense_grad_weighted_sum` in another
+    order, so it agrees to rounding, not bit for bit."""
+    prob = _dense_softmax(model)
+    grad = np.zeros_like(prob)
+    for rows, codes, toks in _steps_by_prefix(model, batch):
         w = weights[rows]
         np.add.at(grad, (codes, toks), w)
         np.add.at(grad, codes, -w[:, None] * prob[codes])

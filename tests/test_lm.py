@@ -21,6 +21,7 @@ from helpers import (
     Sequence,
     batch_from,
     batch_of,
+    cellwise_grad_weighted_sum,
     dense_grad_weighted_sum,
     dense_gradient,
     dense_log_softmax,
@@ -33,13 +34,13 @@ from helpers import (
     grad_log_prob,
     gumbel_sample_batch,
     invalidate,
+    iter_events,
     naive_log_prob,
     random_model,
     reference_sample_block,
     sequence_rank,
     sequences,
     small_space,
-    step_grad_weighted_sum,
     step_log_prob_batch,
     traced_peak,
     uniform_model,
@@ -436,16 +437,30 @@ def test_prefix_dp_matches_enumeration_with_neg_inf_rows(rng):
     assert np.array_equal(model.exact_distribution(), expected)
 
 
-def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
+def gradient_cases(rng):
+    """(model, batch, weights) on 20 random spaces, orders and batch sizes."""
     for _ in range(20):
         space = small_space(int(rng.integers(2, 5)), int(rng.integers(1, 5)))
         model = random_model(space, int(rng.integers(1, space.lmax + 2)), rng, trainable=True)
         batch = model.sample_batch(int(rng.integers(1, 200)), rng)
-        weights = rng.standard_normal(len(batch)) * 3.0
+        yield model, batch, rng.standard_normal(len(batch)) * 3.0
+
+
+def test_row_sparse_gradient_matches_dense_reference_bitwise(rng):
+    for model, batch, weights in gradient_cases(rng):
         grad = model.grad_weighted_sum(batch, weights)
         assert np.array_equal(grad.rows, np.unique(grad.rows))
-        dense = dense_gradient(grad, len(model.logits))
+        dense = dense_gradient(grad, model.coding.n_contexts)
         assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
+
+
+def test_row_wise_gradient_is_the_cellwise_sum_to_rounding(rng):
+    """Summed cell by cell, one-hots then softmax terms per step, the same
+    gradient differs only in rounding."""
+    for model, batch, weights in gradient_cases(rng):
+        grad = dense_gradient(model.grad_weighted_sum(batch, weights), model.coding.n_contexts)
+        error = np.abs(grad - cellwise_grad_weighted_sum(model, batch, weights)).max()
+        assert error <= 1e-12 * np.abs(weights).sum()
 
 
 def test_grad_weighted_sum_takes_a_weight_per_row_or_one_for_all(rng):
@@ -501,21 +516,23 @@ def test_group_is_np_unique_with_its_inverse_on_both_sides(rng, monkeypatch):
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
 
 
-def test_grad_weighted_sum_holds_two_event_tables(rng):
-    """The gradient writes each step's one-hots and softmax rows in place into
-    one cell array and one value array (events x (V + 1) each), and beside
-    them holds a step's gathered rows and a few event-long vectors: about 2.3
-    such tables on a wide vocabulary, where separate softmax buffers and their
-    concatenation held about 4."""
+def test_grad_weighted_sum_holds_two_row_tables_and_seven_event_vectors(rng):
+    """The gradient holds two tables of its touched rows (the emitted cells'
+    sums, and the softmax rows it turns into the gradient in place) and a few
+    event-long vectors (event indices, weights, rows, cells), nothing events
+    x V: about 6.6 event vectors at order 2, where 50 rows are touched, and
+    2 tables plus 5.8 vectors at order 4, where the rows are half the events
+    and one events x V buffer would break the bound."""
     wide = Vocabulary.from_body_tokens([f"w{i}" for i in range(49)])
     space = SequenceSpace(vocabulary=wide, lmax=6)
-    model = random_model(space, 2, rng, trainable=True)
-    model.logits[:, space.vocabulary.eos_index] -= 3.0  # most rows run long
-    invalidate(model)
-    batch = model.sample_batch(2000, rng)
-    events = int(lm._events(space, batch).active.sum())
-    _, peak = traced_peak(model.grad_weighted_sum, batch, rng.random(len(batch)))
-    assert peak <= 2.5 * events * (space.vocabulary.size + 1) * 8
+    for order in (2, 4):
+        model = random_model(space, order, rng, trainable=True)
+        model.logits[:, space.vocabulary.eos_index] -= 3.0  # most rows run long
+        invalidate(model)
+        batch = model.sample_batch(2000, rng)
+        events = int(lm._events(space, batch).active.sum())
+        grad, peak = traced_peak(model.grad_weighted_sum, batch, rng.random(len(batch)))
+        assert peak <= (2 * grad.values.size + 7 * events) * 8
 
 
 def test_sparse_updates_refresh_log_softmax_bitwise(rng):
@@ -741,9 +758,10 @@ def assert_scores_match_step_by_step(model, batch, rng):
     assert np.array_equal(model.log_prob_batch(batch), step_log_prob_batch(model, batch))
     weights = rng.standard_normal(len(batch)) * 3.0
     grad = model.grad_weighted_sum(batch, weights)
-    reference = step_grad_weighted_sum(model, batch, weights)
-    assert np.array_equal(grad.rows, reference.rows)
-    assert np.array_equal(grad.values, reference.values)
+    codes = np.concatenate([codes for _, codes, _ in iter_events(model, batch)])
+    assert np.array_equal(grad.rows, np.unique(codes))
+    dense = dense_gradient(grad, model.coding.n_contexts)
+    assert np.array_equal(dense, dense_grad_weighted_sum(model, batch, weights))
 
 
 @ORDERS
