@@ -46,11 +46,16 @@ construction refuses a table that does not (ConfigError, `refuse_zero_cells`),
 and `apply_update` an update that would not (SaturatedPolicy). A frozen model
 is not checked unless a caller applies `refuse_zero_cells` to it.
 
-The model document (version 2) holds each distinct row some context reads
+The model document (version 3) holds each distinct row some context reads
 once, in `rows`, and each context's index into them, in `row_map`; it reads
-back with that map. `write_document` writes the bytes of
-`json.dumps(to_document()) + "\\n"`, turning `_WRITE_CHUNK_CELLS` numbers into
-text at a time. A document of another version is refused.
+back with that map. Both are base64 text of little-endian arrays: `rows` the
+distinct rows as float64, row-major, and `row_map` one int32 per context (a
+context table is at most 10^7 rows, so an index fits). The bytes carry every
+float exactly, -0.0 and -inf included, so the file is strict JSON.
+`write_document` writes the bytes of `json.dumps(to_document()) + "\\n"`,
+encoding `_WRITE_CHUNK_CELLS` numbers at a time. `from_document` also reads
+version 2, where both are JSON number lists (`tests/helpers.v2_document`
+writes it); a document of another version is refused.
 
 Sampling draws blocks of at most `_SAMPLE_CHUNK_ROWS` rows, one after
 another from the caller's generator, each through all its steps, so a step's
@@ -64,6 +69,8 @@ and rejection sampling keeps only each block's accepted rows.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import copy
 import json
 from collections.abc import Iterator
@@ -91,12 +98,18 @@ from .seqspace import (
 )
 
 MODEL_FORMAT = "distctl-tabular-ar"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+_READ_VERSIONS = (2, MODEL_VERSION)  # version 2 holds `rows` and `row_map` as number lists
+# the little-endian dtype of each array a version-3 document holds as base64
+_DOCUMENT_DTYPES = {"rows": np.dtype("<f8"), "row_map": np.dtype("<i4")}
 # Rows a sampling block draws through all its steps. A draw of more rows takes
 # its blocks one after another from one stream, so its rows depend on this size.
 _SAMPLE_CHUNK_ROWS = 4096
 _GATHER_CHUNK_ROWS = 4096  # context rows the exact prefix DP gathers at a time
-_WRITE_CHUNK_CELLS = 4096  # numbers `write_document` turns into JSON text at a time
+# numbers `write_document` encodes at a time, rounded down to a multiple of 6
+# (at least 6): a chunk's bytes are whole base64 quanta (3 bytes) and whole
+# cells of either array, so the chunks' texts join into the whole array's
+_WRITE_CHUNK_CELLS = 4096
 
 
 def check_fit_args(order: int, smoothing: float = 0.0, prefix: str = "") -> None:
@@ -601,38 +614,45 @@ class TabularARModel:
         return header, distinct.view(logits.dtype).reshape(len(distinct), -1), index
 
     def to_document(self) -> dict:
-        """The model document: the header, `rows` and `row_map` (see `_encoded`)."""
+        """The model document (version 3): the header, then `rows` and
+        `row_map` (see `_encoded`) as base64 text of little-endian float64
+        rows, row-major, and of one int32 index per context."""
         header, rows, index = self._encoded()
-        return {**header, "rows": rows.tolist(), "row_map": index[self.row_map].tolist()}
+        return {**header, "rows": _base64(rows, "rows").decode(),
+                "row_map": _base64(index.take(self.row_map), "row_map").decode()}
 
     def write_document(self, path: str | Path) -> None:
         """Write `model.json`: the bytes of `json.dumps(self.to_document()) + "\\n"`.
-        `rows` and `row_map` become text `_WRITE_CHUNK_CELLS` numbers at a time
-        (whole rows, at least one), so the write holds no list or text of either."""
+        `rows` and `row_map` are encoded `_WRITE_CHUNK_CELLS` numbers at a
+        time (see its comment), each chunk of the map read through `index` as
+        it is encoded, so the write holds one chunk of the mapped indices and
+        of the text, never all of either."""
         header, rows, index = self._encoded()
-        per_row = max(1, _WRITE_CHUNK_CELLS // rows.shape[1])
-        row_map = self.row_map
+        step = 6 * max(1, _WRITE_CHUNK_CELLS // 6)
+        cells, row_map = rows.reshape(-1), self.row_map
         chunks = {
-            "rows": (rows[lo : lo + per_row] for lo in range(0, len(rows), per_row)),
-            "row_map": (index[row_map[lo : lo + _WRITE_CHUNK_CELLS]]
-                        for lo in range(0, len(row_map), _WRITE_CHUNK_CELLS)),
+            "rows": (cells[lo : lo + step] for lo in range(0, len(cells), step)),
+            "row_map": (index.take(row_map[lo : lo + step]) for lo in range(0, len(row_map), step)),
         }
-        with open(path, "w") as out:
-            out.write(json.dumps(header)[:-1])
+        with open(path, "wb") as out:
+            out.write(json.dumps(header)[:-1].encode())
             for key, parts in chunks.items():
-                out.write(f", {json.dumps(key)}: [")
-                for i, part in enumerate(parts):
-                    out.write((", " if i else "") + json.dumps(part.tolist())[1:-1])
-                out.write("]")
-            out.write("}\n")
+                out.write(f', "{key}": "'.encode())
+                for part in parts:
+                    out.write(_base64(part, key))
+                out.write(b'"')
+            out.write(b"}\n")
 
     @classmethod
     def from_document(cls, doc: dict) -> "TabularARModel":
+        """The model a version-3 or version-2 document describes, its store
+        the document's `rows` (writable) and its map the document's
+        `row_map`. A field that does not fit raises SchemaMismatch naming it."""
         if not isinstance(doc, dict):
             raise SchemaMismatch("model document must be a mapping")
         version = doc.get("version")
-        if version != MODEL_VERSION:  # before the keys, which differ across versions
-            raise SchemaMismatch(f"unsupported model version {version!r} (expected {MODEL_VERSION})")
+        if version not in _READ_VERSIONS:  # before the keys, which differ across versions
+            raise SchemaMismatch(f"unsupported model version {version!r} (expected 2 or 3)")
         expected_keys = {"format", "version", "order", "lmax", "vocabulary", "trainable", "rows", "row_map"}
         if set(doc) != expected_keys:
             missing = expected_keys - set(doc)
@@ -652,23 +672,66 @@ class TabularARModel:
         for key, value in ints.items():
             _expect_field(isinstance(value, int) and not isinstance(value, bool), key, "an integer")
         _expect_field(isinstance(doc["trainable"], bool), "trainable", "a boolean")
-        try:
-            rows = np.asarray(doc["rows"])
-        except ValueError:  # ragged rows
-            rows = None
-        _expect_field(
-            rows is not None and rows.ndim == 2 and rows.dtype.kind in "iuf",
-            "rows", "a 2-D array of numbers",
-        )
         space = SequenceSpace(vocabulary=Vocabulary(tuple(tokens), eos_index), lmax=doc["lmax"])
-        row_map, n = doc["row_map"], _Coding(space, doc["order"]).n_contexts
-        _expect_field(
-            isinstance(row_map, list) and len(row_map) == n
-            and all(type(i) is int and 0 <= i < len(rows) for i in row_map),
-            "row_map", f"a list of {n} integers in 0..{len(rows) - 1}",
-        )
-        return cls(space=space, order=doc["order"], logits=rows.astype(float, copy=False),
-                   trainable=doc["trainable"], row_map=np.array(row_map, dtype=np.int64))
+        n = _Coding(space, doc["order"]).n_contexts
+        read = _read_v2 if version == 2 else _read_v3
+        rows, row_map = read(doc["rows"], doc["row_map"], space.vocabulary.size, n)
+        return cls(space=space, order=doc["order"], logits=rows, trainable=doc["trainable"],
+                   row_map=row_map)
+
+
+def _base64(values: np.ndarray, key: str) -> bytes:
+    """The base64 of `values` as the little-endian dtype of document field `key`."""
+    return base64.b64encode(values.astype(_DOCUMENT_DTYPES[key], copy=False).tobytes())
+
+
+def _decoded(text, key: str) -> np.ndarray | None:
+    """The read-only array whose base64 is document field `key`'s `text`, in
+    the field's dtype; None when `text` is not base64 text of whole cells."""
+    dtype = _DOCUMENT_DTYPES[key]
+    if not isinstance(text, str):
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (binascii.Error, ValueError):  # not base64, or not ASCII
+        return None
+    return np.frombuffer(raw, dtype=dtype) if len(raw) % dtype.itemsize == 0 else None
+
+
+def _read_v3(rows_text, map_text, width: int, contexts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, row_map) of a version-3 document, `width` cells a row and one
+    index per context, checked as arrays."""
+    rows = _decoded(rows_text, "rows")
+    _expect_field(
+        rows is not None and len(rows) > 0 and len(rows) % width == 0,
+        "rows", f"base64 text of one or more rows of {width} little-endian float64 values",
+    )
+    rows = rows.reshape(-1, width).astype(np.float64)  # a writable copy
+    row_map = _decoded(map_text, "row_map")
+    _expect_field(
+        row_map is not None and len(row_map) == contexts
+        and 0 <= row_map.min() and row_map.max() < len(rows),
+        "row_map", f"base64 text of {contexts} little-endian int32 indices in 0..{len(rows) - 1}",
+    )
+    return rows, row_map.astype(np.int64)
+
+
+def _read_v2(rows, row_map, width: int, contexts: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, row_map) of a version-2 document, whose fields are JSON number lists."""
+    try:
+        rows = np.asarray(rows)
+    except ValueError:  # ragged rows
+        rows = None
+    _expect_field(
+        rows is not None and rows.ndim == 2 and rows.dtype.kind in "iuf",
+        "rows", "a 2-D array of numbers",
+    )
+    _expect_field(
+        isinstance(row_map, list) and len(row_map) == contexts
+        and all(type(i) is int and 0 <= i < len(rows) for i in row_map),
+        "row_map", f"a list of {contexts} integers in 0..{len(rows) - 1}",
+    )
+    return rows.astype(float, copy=False), np.array(row_map, dtype=np.int64)
 
 
 def _expect_field(ok: bool, key: str, expected: str) -> None:

@@ -7,8 +7,10 @@ enumerations.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import itertools
+import json
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -324,6 +326,41 @@ def dense_log_softmax(model: TabularARModel) -> np.ndarray:
 def dense_table_bytes(model: TabularARModel) -> int:
     """Bytes of one float64 table with a row per context: n_contexts x V x 8."""
     return model.coding.n_contexts * model.space.vocabulary.size * 8
+
+
+def v2_document(model: TabularARModel) -> dict:
+    """The version-2 model document of `model`, which `from_document` still
+    reads: the version-3 header and rows, with `rows` and `row_map` as JSON
+    number lists."""
+    header, rows, index = model._encoded()
+    return {**header, "version": 2, "rows": rows.tolist(), "row_map": index[model.row_map].tolist()}
+
+
+def v3_document(header: dict, rows: np.ndarray, row_map: np.ndarray) -> dict:
+    """A version-3 model document with `header`'s other keys: `rows` as the
+    base64 of little-endian float64 cells, row-major, and `row_map` of one
+    little-endian int32 per context."""
+    def text(values, dtype):
+        return base64.b64encode(np.asarray(values).astype(dtype).tobytes()).decode()
+
+    return {**header, "version": 3, "rows": text(rows, "<f8"), "row_map": text(row_map, "<i4")}
+
+
+def strict_json(text: str):
+    """`json.loads` of `text`, refusing the NaN and Infinity constants that
+    Python's `json` reads but RFC 8259 does not allow."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def document_arrays(doc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, row_map) of a version-3 model document, decoded from its base64
+    text: rows of the vocabulary's width, and one index per context."""
+    width = len(doc["vocabulary"]["tokens"])
+    rows = np.frombuffer(base64.b64decode(doc["rows"]), dtype="<f8").reshape(-1, width)
+    return rows, np.frombuffer(base64.b64decode(doc["row_map"]), dtype="<i4")
 
 
 def full_gradient(grad: np.ndarray) -> RowGradient:

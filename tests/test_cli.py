@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import importlib.util
@@ -26,10 +27,15 @@ from distctl.metrics import EvalOptions
 from distctl.seqspace import SequenceSpace, Vocabulary
 
 from helpers import (
+    dense_logits,
+    document_arrays,
+    strict_json,
     synthetic_corpus,
     traced_peak,
     universe_arrays,
     universe_features,
+    v2_document,
+    v3_document,
     whole_matrix_normalize,
 )
 
@@ -236,8 +242,9 @@ def test_model_json_reads_back_as_a_mapped_model_that_writes_the_same_bytes(work
     text = (workdir / "out" / "model.json").read_text()
     doc = json.loads(text)
     model = TabularARModel.from_document(doc)
-    assert len(model.logits) == len(doc["rows"])
-    assert len(doc["rows"]) < len(doc["row_map"])
+    rows, row_map = document_arrays(doc)
+    assert len(model.logits) == len(rows)
+    assert len(rows) < len(row_map)
     model.write_document(workdir / "rewritten.json")
     assert (workdir / "rewritten.json").read_text() == text
 
@@ -249,8 +256,9 @@ def test_train_from_a_persisted_trained_policy(workdir, monkeypatch):
     bit."""
     assert main(["train", "--config", str(write_config(workdir))]) == 0
     doc = json.loads((workdir / "out" / "model.json").read_text())
-    n = len(doc["row_map"])
-    dense = {**doc, "rows": [doc["rows"][i] for i in doc["row_map"]], "row_map": list(range(n))}
+    rows, row_map = document_arrays(doc)
+    n = len(row_map)
+    dense = v3_document(doc, rows[row_map], np.arange(n))
     (workdir / "dense-model.json").write_text(json.dumps(dense))
     lift = TabularARModel.to_order
     stored = []
@@ -265,7 +273,7 @@ def test_train_from_a_persisted_trained_policy(workdir, monkeypatch):
         cfg = write_config(workdir, name=f"from-{name}.json", base_model={"model_file": model_file},
                            output=name)
         assert main(["train", "--config", str(cfg)]) == 0
-    assert stored == [len(doc["rows"]), n]
+    assert stored == [len(rows), n]
     assert (workdir / "mapped" / "metrics.csv").read_bytes() == (
         workdir / "dense" / "metrics.csv"
     ).read_bytes()
@@ -1275,7 +1283,7 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
         (lambda doc: doc["row_map"].__setitem__(1, -1), "'row_map'"),
         (lambda doc: doc["row_map"].__setitem__(1, 0.0), "'row_map'"),
         (lambda doc: doc["row_map"].__setitem__(1, False), "'row_map'"),
-        (lambda doc: doc.update(version=3), "unsupported model version 3"),
+        (lambda doc: doc.update(version=3), "'rows'"),  # number lists are no version-3 body
         (lambda doc: doc.update(version=1), "unsupported model version 1"),
         (lambda doc: doc["vocabulary"].update(eos_index="4"), "'vocabulary.eos_index'"),
         (lambda doc: doc["vocabulary"].update(tokens="abc"), "'vocabulary.tokens'"),
@@ -1286,6 +1294,53 @@ def test_malformed_config_exits_2_with_field_path(workdir, capsys, command, edit
          "tokens-string"],
 )
 def test_malformed_model_file_exits_2_naming_the_field(workdir, capsys, edit, field):
+    """Version-2 documents, from the reference writer."""
+    doc = v2_document(ExperimentConfig.load(write_config(workdir)).build_base())
+    edit(doc)
+    (workdir / "model.json").write_text(json.dumps(doc))
+    path = write_config(workdir, name="from-file.json", base_model={"model_file": "model.json"})
+    assert main(["fit", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def _cut(doc, key, count):
+    """Drop the last `count` bytes of the array that `doc[key]` encodes."""
+    doc[key] = base64.b64encode(base64.b64decode(doc[key])[:-count]).decode()
+
+
+def _with_index(doc, value):
+    """Set context 1's index in `doc`'s row map to `value`, or to the row count
+    when `value` is None."""
+    rows, row_map = document_arrays(doc)
+    row_map = row_map.copy()
+    row_map[1] = len(rows) if value is None else value
+    doc.update(v3_document(doc, rows, row_map))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.update(rows=doc["rows"][:-4] + "!!!!"), "'rows'"),
+        (lambda doc: doc.update(rows=doc["rows"][:-1]), "'rows'"),
+        (lambda doc: doc.update(rows="\u00e9" * 4), "'rows'"),
+        (lambda doc: doc.update(rows=[[0.0] * 5]), "'rows'"),
+        (lambda doc: _cut(doc, "rows", 8), "'rows'"),
+        (lambda doc: _cut(doc, "rows", 3), "'rows'"),
+        (lambda doc: doc.update(rows=""), "'rows'"),
+        (lambda doc: doc.update(row_map=doc["row_map"][:-4] + "@@@@"), "'row_map'"),
+        (lambda doc: _cut(doc, "row_map", 4), "'row_map'"),
+        (lambda doc: _cut(doc, "row_map", 2), "'row_map'"),
+        (lambda doc: doc.update(row_map=doc["row_map"] + "AAAAAA=="), "'row_map'"),
+        (lambda doc: _with_index(doc, None), "'row_map'"),
+        (lambda doc: _with_index(doc, -1), "'row_map'"),
+        (lambda doc: doc.update(version=4), "unsupported model version 4"),
+    ],
+    ids=["rows-not-base64", "rows-bad-padding", "rows-not-ascii", "rows-number-lists",
+         "rows-partial-row", "rows-partial-cell", "rows-empty", "row-map-not-base64",
+         "row-map-short", "row-map-partial-index", "row-map-long", "row-map-out-of-range",
+         "row-map-negative", "version-4"],
+)
+def test_malformed_v3_model_file_exits_2_naming_the_field(workdir, capsys, edit, field):
     doc = ExperimentConfig.load(write_config(workdir)).build_base().to_document()
     edit(doc)
     (workdir / "model.json").write_text(json.dumps(doc))
@@ -1550,6 +1605,30 @@ def test_zero_probability_base_still_fits_rejection_mle(tmp_path):
     cfg["eval"]["exact_oracle"] = False
     path.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "trainer",
+    [dict(SMALL_LOOP, method="gdc"), KL_PENALIZED_TRAINER, dict(SMALL_LOOP, method="reinforce-P"),
+     dict(REJECTION_TRAINER, sample_budget=2000, fit_smoothing=0)],
+    ids=["gdc", "kl-penalized", "reinforce-P", "rejection-mle-unsmoothed"],
+)
+def test_every_trainers_model_json_is_strict_json(workdir, trainer):
+    """model.json parses as strict JSON (RFC 8259 has no -Infinity or NaN)
+    for every trainer. A frozen rejection-mle refit with fit_smoothing 0
+    holds -inf cells, which the base64 rows carry; every cell reads back bit
+    for bit."""
+    cfg = write_config(workdir, constraints=[POINTWISE_GOLD], trainer=trainer,
+                       eval={"eval_every": 1, "sample_size": 16})
+    assert main(["train", "--config", str(cfg)]) == 0
+    text = (workdir / "out" / "model.json").read_text()
+    doc = strict_json(text)
+    rows, row_map = document_arrays(doc)
+    assert bool(np.isneginf(rows).any()) == (trainer["method"] == "rejection-mle")
+    model = TabularARModel.from_document(doc)
+    assert dense_logits(model).tobytes() == rows[row_map].tobytes()
+    model.write_document(workdir / "again.json")
+    assert (workdir / "again.json").read_text() == text
 
 
 # Exit code of each error class, as the README lists them.

@@ -1,13 +1,15 @@
 """A config fuzzer: small configs over the demo corpus's vocabulary, drawn
 from the config schema and run through `cli.main`. The base is fitted on the
-demo corpus, or read from a model file with logit gaps up to +-700 (a frozen
-one may hold -inf cells); some rejection-mle configs have no pointwise
-constraint, and must be refused (exit 2) before anything is fitted.
+demo corpus, or read from a model file, version 3 or version 2, with logit
+gaps up to +-700 (a frozen one may hold -inf cells); some rejection-mle
+configs have no pointwise constraint, and must be refused (exit 2) before
+anything is fitted.
 
 Every run ends in exit 0 or in a named error's exit code (2 configuration, 3
 numerical, 4 size guard), and no other exception escapes. A run that exits 0
-writes only finite numbers, and every exact KL it writes is >= -1e-12, with
-two stated exceptions (see `check_artifacts`).
+writes strict JSON and only finite numbers, its model.json's rows included,
+and every exact KL it writes is >= -1e-12, with two stated exceptions (see
+`check_artifacts`).
 """
 
 import csv
@@ -26,7 +28,7 @@ from distctl.dpg import ADAPTIVITIES, OPTIMIZERS
 from distctl.lm import TabularARModel
 from distctl.seqspace import SequenceSpace, Vocabulary
 
-from helpers import uniform_model
+from helpers import strict_json, uniform_model, v3_document
 
 DEMO_CORPUS = Path(__file__).parent.parent / "demo" / "corpus.txt"
 TOKENS = ("cloud", "eclipse", "rain", "sun", "wind")  # the demo corpus's body
@@ -96,9 +98,10 @@ def trainer_blocks(draw, method=None):
 
 @st.composite
 def model_documents(draw, lmax):
-    """A model file's document over the demo corpus's vocabulary: uniform
-    logits in +-gap, gap up to 700, so a cell's probability may underflow to
-    0; a frozen model may also hold -inf cells, a row of them included."""
+    """A model file's document, version 3 or version 2, over the demo
+    corpus's vocabulary: uniform logits in +-gap, gap up to 700, so a cell's
+    probability may underflow to 0; a frozen model may also hold -inf cells, a
+    row of them included."""
     space = SequenceSpace(Vocabulary.from_body_tokens(list(TOKENS)), lmax)
     order = draw(st.integers(1, 3))
     trainable = draw(st.booleans())
@@ -108,8 +111,10 @@ def model_documents(draw, lmax):
     if not trainable:
         logits[rng.random(logits.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = -np.inf
     header = TabularARModel(space=space, order=order, logits=np.zeros_like(logits)).to_document()
-    return {**header, "trainable": trainable, "rows": logits.tolist(),
-            "row_map": list(range(len(logits)))}
+    header["trainable"] = trainable
+    if draw(st.booleans()):
+        return v3_document(header, logits, np.arange(len(logits)))
+    return {**header, "version": 2, "rows": logits.tolist(), "row_map": list(range(len(logits)))}
 
 
 @st.composite
@@ -167,8 +172,10 @@ def _numbers(value):
 
 
 def check_artifacts(out: Path, cfg: dict) -> None:
-    """Every number in every CSV and JSON artifact of a run that exited 0 is
-    finite, and every exact KL is >= EXACT_KL_FLOOR. Two exceptions:
+    """Every JSON artifact of a run that exited 0 is strict JSON (no NaN or
+    Infinity constant). Every number in every CSV and JSON artifact is
+    finite, model.json's rows too (read through `from_document`), and every
+    exact KL is >= EXACT_KL_FLOOR. Two exceptions:
     - the undefined sampled estimate: a snapshot with no Z_ma (z_ma 0.0)
       whose draws all miss the target's support writes `kl_p_pi` and
       `kl_p_pi_se` as nan (`metrics.snapshot`);
@@ -178,10 +185,12 @@ def check_artifacts(out: Path, cfg: dict) -> None:
     trainer = cfg["trainer"]
     frozen_refit = trainer["method"] == "rejection-mle" and trainer["fit_smoothing"] == 0.0
     for path in out.glob("*.json"):
-        doc = json.loads(path.read_text())
-        if path.name == "model.json" and frozen_refit:
-            rows = doc.pop("rows")
-            assert not any(math.isnan(v) or v == math.inf for v in _numbers(rows))
+        doc = strict_json(path.read_text())
+        if path.name == "model.json":
+            logits = TabularARModel.from_document(doc).logits
+            assert not (np.isnan(logits).any() or np.isposinf(logits).any())
+            assert frozen_refit or not np.isneginf(logits).any()
+            del doc["rows"], doc["row_map"]
         assert all(math.isfinite(v) for v in _numbers(doc)), path.name
         if path.name == "oracle.json":
             assert doc["kl_p_a"] >= EXACT_KL_FLOOR

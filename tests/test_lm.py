@@ -27,6 +27,7 @@ from helpers import (
     dense_log_softmax,
     dense_logits,
     dense_table_bytes,
+    document_arrays,
     enumerate_sequences,
     enumeration,
     from_distribution,
@@ -42,9 +43,11 @@ from helpers import (
     sequences,
     small_space,
     step_log_prob_batch,
+    strict_json,
     traced_peak,
     uniform_model,
     uniform_over_universe,
+    v2_document,
 )
 
 
@@ -250,12 +253,13 @@ def test_serialize_round_trip_with_neg_inf(ab_space):
 
 def test_write_document_peak_is_pinned_against_the_dense_table(tmp_path, rng):
     """Writing a lifted policy groups the stored rows its contexts read and
-    turns the rows and the row map into text `lm._WRITE_CHUNK_CELLS` numbers
-    at a time, so it holds no Python list or text of either. Against the
-    dense table (one row of V floats per context), the traced peak of a
-    second write (the first pays numpy's lazy imports) stays below 0.15 of
-    it while the store holds the base's rows only (measured: 0.068; 0.75
-    when the write built the whole document). Once every context has a row
+    encodes the rows and the row map `lm._WRITE_CHUNK_CELLS` numbers at a
+    time, so it holds no contexts-sized map and no whole text of either.
+    Against the dense table (one row of V floats per context), the traced
+    peak of a second write (the first pays numpy's lazy imports) stays below
+    0.15 of it while the store holds the base's rows only (measured: 0.017
+    as base64; 0.068 as chunks of JSON number text, 0.75 when the write
+    built the whole document). Once every context has a row
     of its own, the rows the contexts read are a table's worth, and grouping
     them by their bytes sorts a copy: the peak stays below 3.5 tables
     (measured: 3.43 on four seeds)."""
@@ -298,19 +302,27 @@ def test_round_trip_restores_every_stored_bit(tmp_path, monkeypatch, rng):
     default_cells = lm._WRITE_CHUNK_CELLS
     for name, model in cases.items():
         expected = (json.dumps(model.to_document()) + "\n").encode()
-        # one chunk, then chunks below a row's width: every row and most of
-        # the map, -Infinity and -0.0 included, sit at a chunk edge
+        # one chunk, then chunks of 6 numbers, near a row's width: most rows
+        # and the map's chunks, -inf and -0.0 included, sit at a chunk edge,
+        # and each chunk's base64 joins the next
         for cells in (default_cells, 2):
             monkeypatch.setattr(lm, "_WRITE_CHUNK_CELLS", cells)
             path = tmp_path / f"{name}-{cells}.json"
             model.write_document(path)
             assert path.read_bytes() == expected, (name, cells)
         text = path.read_text()
-        doc = json.loads(text)
-        assert len(doc["rows"]) == len({row.tobytes() for row in dense_logits(model)}), name
+        doc = strict_json(text)  # no -Infinity
+        rows, row_map = document_arrays(doc)
+        assert len(rows) == len({row.tobytes() for row in dense_logits(model)}), name
+        assert rows[row_map].tobytes() == dense_logits(model).tobytes(), name
         restored = TabularARModel.from_document(doc)
         assert dense_logits(restored).tobytes() == dense_logits(model).tobytes(), name
         assert restored.trainable == model.trainable, name
+        assert restored.logits.flags.writeable, name
+        # the version-2 reference document reads back to the same model
+        v2 = TabularARModel.from_document(json.loads(json.dumps(v2_document(model))))
+        assert dense_logits(v2).tobytes() == dense_logits(model).tobytes(), name
+        assert v2.trainable == model.trainable, name
         restored.write_document(tmp_path / f"{name}-again.json")
         assert (tmp_path / f"{name}-again.json").read_text() == text, name
 
@@ -322,7 +334,7 @@ def test_refuses_a_version_1_document(rng):
     model = random_model(small_space(9, 7), 2, rng)
     doc = {**model.to_document(), "version": 1, "logits": model.logits.tolist()}
     del doc["rows"], doc["row_map"]
-    with pytest.raises(SchemaMismatch, match=r"^unsupported model version 1 \(expected 2\)$"):
+    with pytest.raises(SchemaMismatch, match=r"^unsupported model version 1 \(expected 2 or 3\)$"):
         TabularARModel.from_document(json.loads(json.dumps(doc)))
 
 
@@ -738,9 +750,9 @@ def test_write_document_encodes_each_distinct_stored_row_once(rng):
     model = base.to_order(space.lmax, trainable=True)
     model.apply_update(full_gradient(np.zeros_like(dense_logits(model))), 1.0)
     assert len(model.logits) == len(base.logits) + model.coding.n_contexts
-    doc = model.to_document()
-    assert len(doc["rows"]) == len(base.logits)
-    assert np.array_equal(np.array(doc["rows"])[doc["row_map"]], dense_logits(model))
+    rows, row_map = document_arrays(model.to_document())
+    assert len(rows) == len(base.logits)
+    assert np.array_equal(rows[row_map], dense_logits(model))
 
 
 # -- emission events, checked bitwise against the step-by-step encoding ---------
